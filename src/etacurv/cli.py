@@ -282,7 +282,8 @@ def _write_report(path, report, echo):
             f"stage eps={st.eps:.17g} iterations={st.iterations} "
             f"residual={st.residual_norms[-1]:.17g} "
             f"margin={st.min_margin:.17g} sup_u={st.sup_u:.17g} "
-            f"sup_du={st.sup_du:.17g} sup_d2u={st.sup_d2u:.17g}")
+            f"sup_du={st.sup_du:.17g} sup_d2u={st.sup_d2u:.17g} "
+            f"factorizations={st.factorizations} krylov_iters={st.krylov_iters}")
     for cert in report.certificates:
         lines.append("certificate " + cert.line())
     text = "\n".join(lines) + "\n"

@@ -119,6 +119,9 @@ class StageReport:
     sup_u: float
     sup_du: float
     sup_d2u: float
+    #: sparse LU factorizations and GMRES iterations spent in this stage
+    factorizations: int
+    krylov_iters: int
 
 
 @dataclass
@@ -190,28 +193,32 @@ def _state(spec, grid, u, eps, derivs=False):
     return p, r, geo, sigma1
 
 
-def residual(spec, grid, u, eps):
-    """Normalized residual G^{1/n} - psi_eps^{1/n} per node.
-
-    Raises NotAdmissible (with the worst node) when any node's curvature
-    vector leaves the cone.
-    """
-    p, r, geo, _ = _state(spec, grid, u, eps)
+def _check_admissible(geo):
+    """Raise NotAdmissible at the worst node when any node's curvature
+    vector leaves the cone."""
     if not np.all(geo.admissible):
         worst = int(np.argmin(geo.margin))
         raise NotAdmissible(
             f"iterate leaves the admissible cone at node {worst} "
             f"(margin {geo.margin[worst]:.3e})",
             margin=float(geo.margin[worst]), node=worst)
-    return geo.K_eta ** (1.0 / spec.n) - _psi_eps_root(spec, grid, u, p, eps)
 
 
-def residual_raw(spec, grid, u, eps):
-    """Un-normalized K_eta - psi_eps (diagnostics only)."""
+def _residual_and_margin(spec, grid, u, eps):
+    """residual() and the minimum cone margin of the same geometry."""
     p, r, geo, _ = _state(spec, grid, u, eps)
-    env = _psi_env(grid, u, p)
-    return geo.K_eta - regularize_psi(
-        np.asarray(evaluate(spec.psi, env), dtype=float), eps, spec.n)
+    _check_admissible(geo)
+    res = geo.K_eta ** (1.0 / spec.n) - _psi_eps_root(spec, grid, u, p, eps)
+    return res, float(geo.margin.min())
+
+
+def residual(spec, grid, u, eps):
+    """Normalized residual G^{1/n} - psi_eps^{1/n} per node.
+
+    Raises NotAdmissible (with the worst node) when any node's curvature
+    vector leaves the cone.
+    """
+    return _residual_and_margin(spec, grid, u, eps)[0]
 
 
 def _try_residual(spec, grid, u, eps, floor):
@@ -225,21 +232,15 @@ def _try_residual(spec, grid, u, eps, floor):
     return True, res, float(geo.margin.min())
 
 
-def jacobian(spec, grid, u, eps, include_gs=True):
+def jacobian(spec, grid, u, eps):
     """Sparse derivative of the normalized residual in CSR form.
 
     Row q chains (1/n) G^{1/n-1} through the Hessian stencils (G^{ij}) and
     gradient stencils (G^s), minus the psi_eps^{1/n} derivatives on the
-    gradient stencils and the diagonal.  include_gs=False drops the G^s
-    block (experiment toggle; the full derivative is the default).
+    gradient stencils and the diagonal.
     """
     p, r, geo, _ = _state(spec, grid, u, eps, derivs=True)
-    if not np.all(geo.admissible):
-        worst = int(np.argmin(geo.margin))
-        raise NotAdmissible(
-            f"iterate leaves the admissible cone at node {worst} "
-            f"(margin {geo.margin[worst]:.3e})",
-            margin=float(geo.margin[worst]), node=worst)
+    _check_admissible(geo)
     n = spec.n
     m = grid.size
     ops = grid.ops()
@@ -252,15 +253,80 @@ def jacobian(spec, grid, u, eps, include_gs=True):
             wgt = alpha * geo.G2[:, i, j] * (1.0 if i == j else 2.0)
             J = J + scipy.sparse.diags(wgt) @ ops.D2[(i, j)]
     for s in range(n):
-        wgt = -droot_dp[:, s]
-        if include_gs:
-            wgt = wgt + alpha * geo.Gs[:, s]
+        wgt = -droot_dp[:, s] + alpha * geo.Gs[:, s]
         J = J + scipy.sparse.diags(wgt) @ ops.Dx[s]
     J = J - scipy.sparse.diags(droot_dz)
     return J.tocsr()
 
 
-def newton_solve(spec, grid, u0, eps):
+class _Factorization:
+    """The most recent sparse LU of a Newton Jacobian, kept for reuse.
+
+    One holder lives for a whole continuation_solve call, across Newton
+    iterations and eps stages; it also counts the factorizations and the
+    GMRES iterations spent on the Newton equations.
+    """
+
+    def __init__(self):
+        self.lu = None
+        self.factorizations = 0
+        self.krylov_iters = 0
+
+    def reuse(self, J, res):
+        """A candidate for du from one GMRES(20) cycle on J du = -res,
+        preconditioned by the held LU and started at its direct solve;
+        None when no LU is held."""
+        if self.lu is None:
+            return None
+
+        def count(_):
+            self.krylov_iters += 1
+
+        # rtol at roundoff, not an inexact-Newton forcing term: an accepted
+        # du equals the direct solve's up to rounding.  dtype is given so
+        # that LinearOperator does not spend a solve probing it.
+        M = scipy.sparse.linalg.LinearOperator(J.shape, matvec=self.lu.solve,
+                                               dtype=float)
+        du, _ = scipy.sparse.linalg.gmres(
+            J, -res, x0=self.lu.solve(-res), rtol=1e-15, atol=0.0,
+            restart=20, maxiter=1, M=M, callback=count,
+            callback_type="pr_norm")
+        return du
+
+    def solve(self, J, res, history):
+        """du with ||J du + res||_2 <= 1e-12 ||res||_2.
+
+        The reused-LU candidate is kept only when its true residual meets
+        that contract; otherwise J is factorized afresh and solved
+        directly, and a direct solve that misses the contract raises
+        LinearSolveFailure.
+        """
+        du = self.reuse(J, res)
+        if du is not None and not _linear_residual(J, du, res)[1]:
+            return du
+        try:
+            self.lu = scipy.sparse.linalg.splu(J.tocsc())
+            du = self.lu.solve(-res)
+        except RuntimeError as exc:
+            raise LinearSolveFailure(f"sparse factorization failed: {exc}",
+                                     history) from exc
+        self.factorizations += 1
+        lin, misses = _linear_residual(J, du, res)
+        if misses:
+            raise LinearSolveFailure(
+                f"linear solve residual {lin:.3e} exceeds the 1e-12 contract",
+                history)
+        return du
+
+
+def _linear_residual(J, du, res):
+    """(||J du + res||_2, whether it misses the 1e-12 contract)."""
+    lin = np.linalg.norm(J @ du + res)
+    misses = not np.isfinite(lin) or lin > 1e-12 * max(np.linalg.norm(res), 1e-300)
+    return lin, misses
+
+
+def newton_solve(spec, grid, u0, eps, factorization=None):
     """Damped Newton from an admissible start; returns (u, history).
 
     history rows: (inf-norm, 2-norm, step, min margin), the start plus one
@@ -269,8 +335,16 @@ def newton_solve(spec, grid, u0, eps):
     (b) 2-norm decreased by the factor (1 - s/4) or inf-norm already at the
     stopping tolerance.   A warm start at the solution therefore costs one
     iteration at step 1, not a stagnation report.
+
+    Each Newton equation J du = -res is solved to the true-residual
+    contract ||J du + res||_2 <= 1e-12 ||res||_2.  The last sparse LU is
+    reused as a GMRES preconditioner; J is factorized afresh only when
+    that misses the contract.  factorization is the _Factorization holder
+    shared along a continuation; a fresh one is made when None.
     """
     nt = spec.newton
+    if factorization is None:
+        factorization = _Factorization()
     u = np.asarray(u0, dtype=float).copy()
     if eps == 0.0:
         p0, _ = all_derivatives(grid, u)
@@ -278,26 +352,16 @@ def newton_solve(spec, grid, u0, eps):
         if float(psi0.min()) <= 0.0:
             raise ValueError(
                 f"eps = 0 requires psi > 0 on the grid (min {psi0.min():g})")
-    res = residual(spec, grid, u, eps)  # raises NotAdmissible on a bad start
+    # raises NotAdmissible on a bad start
+    res, margin0 = _residual_and_margin(spec, grid, u, eps)
     margin_floor = 1e-12
-    geo0 = batch_geometry(*all_derivatives(grid, u), coeffs=False)
     history = [(float(np.abs(res).max()), float(np.linalg.norm(res)), 0.0,
-                float(geo0.margin.min()))]
+                margin0)]
     for it in range(nt.max_iter):
         J = jacobian(spec, grid, u, eps)
         if nt.debug_fd:
             _debug_fd_check(spec, grid, u, eps, J, it)
-        try:
-            lu = scipy.sparse.linalg.splu(J.tocsc())
-            du = lu.solve(-res)
-        except RuntimeError as exc:
-            raise LinearSolveFailure(f"sparse factorization failed: {exc}",
-                                     history) from exc
-        lin = np.linalg.norm(J @ du + res)
-        if not np.isfinite(lin) or lin > 1e-12 * max(np.linalg.norm(res), 1e-300):
-            raise LinearSolveFailure(
-                f"linear solve residual {lin:.3e} exceeds the 1e-12 contract",
-                history)
+        du = factorization.solve(J, res, history)
         norm0 = history[-1][1]
         s = 1.0
         while s >= nt.min_step:
@@ -401,9 +465,11 @@ def continuation_solve(spec, grid=None, u0=None):
     schedule = effective_schedule(spec, grid)
     u = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
     stages = []
+    factorization = _Factorization()
     for eps in schedule:
+        done = factorization.factorizations, factorization.krylov_iters
         try:
-            u, history = newton_solve(spec, grid, u, eps)
+            u, history = newton_solve(spec, grid, u, eps, factorization)
         except SolverFailure as exc:
             raise type(exc)(f"{exc} (continuation stage eps={eps:g})",
                             exc.history) from exc
@@ -413,7 +479,9 @@ def continuation_solve(spec, grid=None, u0=None):
             residual_norms=[h[0] for h in history],
             step_lengths=[h[2] for h in history[1:]],
             min_margin=history[-1][3],
-            sup_u=sup_u, sup_du=sup_du, sup_d2u=sup_d2u))
+            sup_u=sup_u, sup_du=sup_du, sup_d2u=sup_d2u,
+            factorizations=factorization.factorizations - done[0],
+            krylov_iters=factorization.krylov_iters - done[1]))
     return u, SolveReport(stages=stages)
 
 

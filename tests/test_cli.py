@@ -1,5 +1,7 @@
 """End-to-end command tests: config parsing and the exit-code contract."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -140,7 +142,12 @@ def test_solve_success(cap_cfg, tmp_path, capsys):
     assert "certificates=4/4" in stdout
     report = (out / "etacurv-report.txt").read_text()
     assert "certificate maximum_principle=pass" in report
-    assert report.count("stage eps=") == 3
+    stages = [ln for ln in report.splitlines() if ln.startswith("stage eps=")]
+    assert len(stages) == 3
+    # the first stage factorizes at least once; every stage reports its work
+    assert "factorizations=0 " not in stages[0]
+    assert all(re.search(r" factorizations=\d+ krylov_iters=\d+$", ln)
+               for ln in stages)
 
 
 def test_solve_negative_psi_exits_1(tmp_path, capsys):

@@ -3,11 +3,15 @@
 import numpy as np
 import pytest
 import scipy.sparse
+import scipy.sparse.linalg
 
+from etacurv import solver
 from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
+from etacurv.geometry import batch_geometry
 from etacurv.grid import all_derivatives, build_grid
 from etacurv.solver import (
+    LinearSolveFailure,
     NegativePsi,
     NewtonParams,
     ProblemSpec,
@@ -197,13 +201,29 @@ def test_jacobian_rowsum_matches_laplacian_at_identity_state():
     assert np.abs(J[center] - alpha * 8.0 * lap[center]).max() <= 1e-10
 
 
-def test_jacobian_gs_toggle_changes_offdiagonal_only_when_sloped():
+def test_jacobian_gs_block_matters_on_sloped_state():
+    # on a sloped state the gradient-stencil term sum_s diag(alpha G^s_s) Dx[s]
+    # is far above the directional-difference tolerance, so the check catches
+    # a Jacobian that drops it
     grid = build_grid(DISK, 1 / 8)
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 8)
     u = _perturbed_state(grid)
-    full = jacobian(spec, grid, u, 0.0)
-    nogs = jacobian(spec, grid, u, 0.0, include_gs=False)
-    assert scipy.sparse.linalg.norm(full - nogs) > 0.0
+    J = jacobian(spec, grid, u, 0.0)
+    delta = np.random.default_rng(200).standard_normal(grid.size)
+    delta /= np.abs(delta).max()
+    t = 1e-6
+    fd = (residual(spec, grid, u + t * delta, 0.0)
+          - residual(spec, grid, u - t * delta, 0.0)) / (2 * t)
+    jd = J @ delta
+    tol = 1e-5 * np.linalg.norm(jd)
+    assert np.linalg.norm(fd - jd) <= tol
+
+    geo = batch_geometry(*all_derivatives(grid, u))
+    alpha = 0.5 * geo.K_eta ** (-0.5)
+    ops = grid.ops()
+    gs = sum(alpha * geo.Gs[:, s] * (ops.Dx[s] @ delta) for s in range(2))
+    assert np.linalg.norm(gs) >= 100.0 * tol
+    assert np.linalg.norm(fd - (jd - gs)) >= 100.0 * tol
 
 
 # ---------------------------------------------------------------- newton
@@ -271,6 +291,74 @@ def test_newton_debug_fd_mode():
                        newton=NewtonParams(debug_fd=True))
     u, hist = newton_solve(spec, grid, cap_function(grid, 0.6), 1e-2)
     assert hist[-1][0] <= 1e-10
+
+
+def _counting_splu(monkeypatch):
+    calls = []
+    real = scipy.sparse.linalg.splu
+
+    def counting(A, *args, **kwargs):
+        calls.append(A.shape)
+        return real(A, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
+    return calls
+
+
+def test_continuation_reuses_factorization(monkeypatch):
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 32)
+    calls = _counting_splu(monkeypatch)
+    u, report = continuation_solve(spec)
+    iters = [st.iterations for st in report.stages]
+    assert len(calls) < sum(iters)
+    assert sum(st.factorizations for st in report.stages) == len(calls)
+    assert sum(st.krylov_iters for st in report.stages) > 0
+
+    # the same solve with every reuse declined factorizes at every iteration
+    monkeypatch.setattr(solver._Factorization, "reuse",
+                        lambda self, J, res: None)
+    calls.clear()
+    u_direct, direct = continuation_solve(spec)
+    assert [st.iterations for st in direct.stages] == iters
+    assert len(calls) == sum(iters)
+    assert all(st.krylov_iters == 0 for st in direct.stages)
+    assert np.abs(u - u_direct).max() <= 1e-12
+
+
+def test_newton_refactors_when_stale_lu_misses_contract():
+    h = 1 / 32
+    grid = build_grid(DISK, h)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
+    u0 = cap_function(grid, 1.2)
+    J0 = jacobian(spec, grid, u0, 0.0)
+    res0 = residual(spec, grid, u0, 0.0)
+    noise = np.random.default_rng(3).uniform(-1.0, 1.0, grid.size)
+    bad = J0 + scipy.sparse.diags(10.0 * abs(J0).max() * noise)
+    held = solver._Factorization()
+    stale = held.lu = scipy.sparse.linalg.splu(bad.tocsc())
+    assert solver._linear_residual(J0, held.reuse(J0, res0), res0)[1]
+
+    u, hist = newton_solve(spec, grid, u0, 0.0, held)
+    u_ref, hist_ref = newton_solve(spec, grid, u0, 0.0)
+    assert held.lu is not stale
+    assert held.factorizations >= 1
+    assert len(hist) == len(hist_ref)
+    assert np.abs(u - u_ref).max() <= 1e-12
+
+
+def test_newton_corrupted_factorization_raises(monkeypatch):
+    h = 1 / 16
+    grid = build_grid(DISK, h)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
+    real = scipy.sparse.linalg.splu
+
+    def corrupted(A, *args, **kwargs):
+        shift = scipy.sparse.diags(np.full(A.shape[0], 1e-3 * abs(A).max()))
+        return real((A + shift).tocsc(), *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.linalg, "splu", corrupted)
+    with pytest.raises(LinearSolveFailure, match="1e-12 contract"):
+        newton_solve(spec, grid, cap_function(grid, 1.2), 0.0)
 
 
 # ---------------------------------------------------------------- guess
