@@ -283,7 +283,8 @@ def _write_report(path, report, echo):
             f"residual={st.residual_norms[-1]:.17g} "
             f"margin={st.min_margin:.17g} sup_u={st.sup_u:.17g} "
             f"sup_du={st.sup_du:.17g} sup_d2u={st.sup_d2u:.17g} "
-            f"factorizations={st.factorizations} krylov_iters={st.krylov_iters}")
+            f"factorizations={st.factorizations} krylov_iters={st.krylov_iters} "
+            f"lu_fill={st.lu_fill}")
     for cert in report.certificates:
         lines.append("certificate " + cert.line())
     text = "\n".join(lines) + "\n"

@@ -28,7 +28,7 @@ import math
 
 import numpy as np
 
-from ._cone_constants import DELTA0_OBSERVED_MIN_SHARE, INTERP_C0
+from ._cone_constants import INTERP_C0
 
 
 class NotAdmissible(ValueError):

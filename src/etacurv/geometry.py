@@ -111,15 +111,6 @@ def gamma_factors(p):
     return w, gamma_up, gamma_down
 
 
-def curvature_matrix(p, r):
-    """A = (1/w) gamma_up . r . gamma_up, symmetrized against rounding."""
-    p = np.asarray(p, dtype=float)
-    r = np.asarray(r, dtype=float)
-    w, gu, _ = gamma_factors(p)
-    A = np.einsum("...ik,...kl,...lj->...ij", gu, r, gu) / w[..., None, None]
-    return 0.5 * (A + np.swapaxes(A, -1, -2))
-
-
 def batch_geometry(p, r, coeffs=True):
     """Vectorized geometry for stacks of states p (..., n), r (..., n, n)."""
     p = np.asarray(p, dtype=float)

@@ -26,7 +26,7 @@ from .cones import NotAdmissible
 from .domain import check_two_convex
 from .expr import EvalEnv, eval_with_derivs, evaluate, parse, variables
 from .geometry import batch_geometry
-from .grid import all_derivatives, build_grid
+from .grid import all_derivatives, build_grid, nested_dissection
 
 #: A grid function is a plain float vector, one value per interior node in
 #: the grid's lexicographic node order; the boundary value is implicitly 0.
@@ -122,6 +122,8 @@ class StageReport:
     #: sparse LU factorizations and GMRES iterations spent in this stage
     factorizations: int
     krylov_iters: int
+    #: L+U nonzeros of the factorization held at the end of the stage
+    lu_fill: int
 
 
 @dataclass
@@ -264,13 +266,38 @@ class _Factorization:
 
     One holder lives for a whole continuation_solve call, across Newton
     iterations and eps stages; it also counts the factorizations and the
-    GMRES iterations spent on the Newton equations.
+    GMRES iterations spent on the Newton equations.  Every factorization
+    is of P J P^T, P the grid's nested-dissection order: SuperLU is asked
+    for no column ordering of its own and keeps its partial row pivoting.
     """
 
-    def __init__(self):
+    def __init__(self, grid):
+        self.perm = nested_dissection(grid)
         self.lu = None
         self.factorizations = 0
         self.krylov_iters = 0
+        self._last = None  # (lu, rhs, x) of the latest triangular solve
+
+    def factorize(self, J):
+        """SuperLU of J in the held order; not kept or counted."""
+        p = self.perm
+        return scipy.sparse.linalg.splu(J[p][:, p].tocsc(),
+                                        permc_spec="NATURAL")
+
+    def apply(self, b):
+        """x with J_lu x = b for the Jacobian J_lu the held LU factorizes.
+
+        scipy's gmres applies the preconditioner to its right-hand side to
+        set its inner tolerance, right after x0 was solved from that same
+        b; a repeat of the latest b is answered without a second solve.
+        """
+        last = self._last
+        if last is not None and last[0] is self.lu and np.array_equal(last[1], b):
+            return last[2].copy()
+        x = np.empty_like(b)
+        x[self.perm] = self.lu.solve(b[self.perm])
+        self._last = (self.lu, b.copy(), x.copy())
+        return x
 
     def reuse(self, J, res):
         """A candidate for du from one GMRES(20) cycle on J du = -res,
@@ -285,10 +312,10 @@ class _Factorization:
         # rtol at roundoff, not an inexact-Newton forcing term: an accepted
         # du equals the direct solve's up to rounding.  dtype is given so
         # that LinearOperator does not spend a solve probing it.
-        M = scipy.sparse.linalg.LinearOperator(J.shape, matvec=self.lu.solve,
+        M = scipy.sparse.linalg.LinearOperator(J.shape, matvec=self.apply,
                                                dtype=float)
         du, _ = scipy.sparse.linalg.gmres(
-            J, -res, x0=self.lu.solve(-res), rtol=1e-15, atol=0.0,
+            J, -res, x0=self.apply(-res), rtol=1e-15, atol=0.0,
             restart=20, maxiter=1, M=M, callback=count,
             callback_type="pr_norm")
         return du
@@ -305,8 +332,8 @@ class _Factorization:
         if du is not None and not _linear_residual(J, du, res)[1]:
             return du
         try:
-            self.lu = scipy.sparse.linalg.splu(J.tocsc())
-            du = self.lu.solve(-res)
+            self.lu = self.factorize(J)
+            du = self.apply(-res)
         except RuntimeError as exc:
             raise LinearSolveFailure(f"sparse factorization failed: {exc}",
                                      history) from exc
@@ -344,7 +371,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     """
     nt = spec.newton
     if factorization is None:
-        factorization = _Factorization()
+        factorization = _Factorization(grid)
     u = np.asarray(u0, dtype=float).copy()
     if eps == 0.0:
         p0, _ = all_derivatives(grid, u)
@@ -465,7 +492,7 @@ def continuation_solve(spec, grid=None, u0=None):
     schedule = effective_schedule(spec, grid)
     u = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
     stages = []
-    factorization = _Factorization()
+    factorization = _Factorization(grid)
     for eps in schedule:
         done = factorization.factorizations, factorization.krylov_iters
         try:
@@ -481,7 +508,8 @@ def continuation_solve(spec, grid=None, u0=None):
             min_margin=history[-1][3],
             sup_u=sup_u, sup_du=sup_du, sup_d2u=sup_d2u,
             factorizations=factorization.factorizations - done[0],
-            krylov_iters=factorization.krylov_iters - done[1]))
+            krylov_iters=factorization.krylov_iters - done[1],
+            lu_fill=int(factorization.lu.nnz)))
     return u, SolveReport(stages=stages)
 
 

@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+import scipy.sparse
 
 from etacurv.domain import DomainShape
 from etacurv.geometry import geometry_at
-from etacurv.grid import all_derivatives, build_grid, dump_grid, fd_derivatives
+from etacurv.grid import (
+    all_derivatives,
+    build_grid,
+    dump_grid,
+    fd_derivatives,
+    nested_dissection,
+)
 
 DISK = DomainShape((0.5, 0.5))
 
@@ -154,3 +161,44 @@ def test_dump_round_trip_fields():
     assert len(first) == 2 + 2 + 1 + 4
     header = [ln for ln in text.splitlines() if ln.startswith("#")]
     assert any("h=0.25" in ln for ln in header)
+
+
+ORDERING_CASES = [
+    (DISK, 1 / 32),
+    (DomainShape((0.5, 0.5, 0.5)), 1 / 12),
+    (DomainShape((0.5, 0.3)), 1 / 32),
+]
+
+
+@pytest.mark.parametrize("shape,h", ORDERING_CASES)
+def test_nested_dissection_is_deterministic_permutation(shape, h):
+    g = build_grid(shape, h)
+    perm = nested_dissection(g)
+    np.testing.assert_array_equal(np.sort(perm), np.arange(g.size))
+    np.testing.assert_array_equal(nested_dissection(g), perm)
+    np.testing.assert_array_equal(nested_dissection(build_grid(shape, h)), perm)
+
+
+@pytest.mark.parametrize("shape,h", ORDERING_CASES)
+def test_nested_dissection_top_separator_splits_operators(shape, h):
+    g = build_grid(shape, h)
+    perm = nested_dissection(g)
+    # the top-level split: median plane of the widest lattice axis
+    axis = int(np.argmax(g.idx.max(axis=0) - g.idx.min(axis=0)))
+    coord = g.idx[:, axis]
+    plane = np.sort(coord)[g.size // 2]
+    left, right = np.flatnonzero(coord < plane), np.flatnonzero(coord > plane)
+    nl, nr = len(left), len(right)
+    assert nl > 0 and nr > 0
+    assert set(perm[:nl]) == set(left)
+    assert set(perm[nl:nl + nr]) == set(right)
+    assert np.all(coord[perm[nl + nr:]] == plane)
+
+    ops = g.ops()
+    A = sum(abs(D) for D in ops.Dx) + sum(abs(D) for D in ops.D2.values())
+    B = scipy.sparse.csr_matrix(A[perm][:, perm])
+    B.eliminate_zeros()
+    assert B[:nl, nl:nl + nr].nnz == 0
+    assert B[nl:nl + nr, :nl].nnz == 0
+    # both sides do couple to the separator, so the check is not vacuous
+    assert B[:nl, nl + nr:].nnz > 0 and B[nl:nl + nr, nl + nr:].nnz > 0

@@ -334,8 +334,8 @@ def test_newton_refactors_when_stale_lu_misses_contract():
     res0 = residual(spec, grid, u0, 0.0)
     noise = np.random.default_rng(3).uniform(-1.0, 1.0, grid.size)
     bad = J0 + scipy.sparse.diags(10.0 * abs(J0).max() * noise)
-    held = solver._Factorization()
-    stale = held.lu = scipy.sparse.linalg.splu(bad.tocsc())
+    held = solver._Factorization(grid)
+    stale = held.lu = held.factorize(bad)
     assert solver._linear_residual(J0, held.reuse(J0, res0), res0)[1]
 
     u, hist = newton_solve(spec, grid, u0, 0.0, held)
@@ -344,6 +344,19 @@ def test_newton_refactors_when_stale_lu_misses_contract():
     assert held.factorizations >= 1
     assert len(hist) == len(hist_ref)
     assert np.abs(u - u_ref).max() <= 1e-12
+
+
+def test_nested_dissection_cuts_fill_and_meets_contract():
+    h = 1 / 12
+    grid = build_grid(BALL, h)
+    spec = ProblemSpec(n=3, shape=BALL, psi="8", h=h)
+    u0 = initial_guess(spec, grid)
+    J = jacobian(spec, grid, u0, 0.1)
+    res = residual(spec, grid, u0, 0.1)
+    held = solver._Factorization(grid)
+    held.lu = held.factorize(J)
+    assert held.lu.nnz < scipy.sparse.linalg.splu(J.tocsc()).nnz
+    assert not solver._linear_residual(J, held.apply(-res), res)[1]
 
 
 def test_newton_corrupted_factorization_raises(monkeypatch):
