@@ -27,7 +27,7 @@ from .certify import (
 )
 from .cones import NotAdmissible
 from .domain import DomainShape
-from .expr import validate_psi
+from .expr import DomainError, validate_psi
 from .geometry import batch_geometry
 from .grid import all_derivatives, build_grid
 from .solver import (
@@ -37,6 +37,7 @@ from .solver import (
     ProblemSpec,
     SolverFailure,
     continuation_solve,
+    dropped_stencils_warning,
     effective_schedule,
     initial_guess,
     residual,
@@ -277,6 +278,7 @@ def _plane_nodes(grid):
 def _write_report(path, report, echo):
     lines = ["# etacurv solve report"]
     lines += [f"# {entry}" for entry in echo]
+    lines += [f"warning {text}" for text in report.warnings]
     for st in report.stages:
         lines.append(
             f"stage eps={st.eps:.17g} iterations={st.iterations} "
@@ -297,6 +299,9 @@ def cmd_solve(cfg, out_dir=".", emit_svg=False):
     spec = build_problem(cfg)
     _check_psi(spec)
     grid = build_grid(spec.shape, spec.h)
+    dropped = dropped_stencils_warning(grid)
+    if dropped is not None:
+        print(f"warning: {dropped}", file=sys.stderr)
     u0 = initial_guess(spec, grid)
     u, report = continuation_solve(spec, grid, u0)
     report.certificates = standard_certificates(u, u0, grid, report)
@@ -476,7 +481,7 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return _dispatch(args)
-    except ConfigError as exc:
+    except (ConfigError, DomainError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except OSError as exc:

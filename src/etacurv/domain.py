@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .cones import in_gamma_k
 
@@ -107,21 +106,25 @@ def sample_boundary(shape, rng, m):
 
 
 def boundary_curvatures(shape, point):
-    """Principal curvatures of the boundary at a boundary point, inward-positive.
+    """Principal curvatures of the boundary at boundary points, inward-positive.
 
     Eigenvalues of the level-set shape operator: with P the projector onto the
     tangent plane of phi = 0, the operator is P . Hess(phi) . P / |grad phi|,
-    diagonalized in an orthonormal tangent basis.
+    diagonalized in an orthonormal tangent basis.  Batched over leading axes:
+    points (..., n) give curvatures (..., n-1).  The tangent bases are the
+    trailing right singular vectors of the unit normals, one SVD for the stack.
     """
     x = np.asarray(point, dtype=float)
-    phi = float(shape.implicit(x))
-    if abs(phi) > 1e-8:
-        raise ValueError(f"point is not on the boundary (implicit value {phi:g})")
+    phi = shape.implicit(x)
+    if np.any(np.abs(phi) > 1e-8):
+        worst = float(np.ravel(phi)[np.argmax(np.abs(phi))])
+        raise ValueError(f"point is not on the boundary (implicit value {worst:g})")
     g = shape.implicit_gradient(x)
-    gn = np.linalg.norm(g)
-    nhat = g / gn
-    T = scipy.linalg.null_space(nhat[None, :])  # orthonormal tangent columns
-    W = T.T @ shape.implicit_hessian() @ T / gn
+    gn = np.linalg.norm(g, axis=-1)
+    nhat = g / gn[..., None]
+    vh = np.linalg.svd(nhat[..., None, :], full_matrices=True)[2]
+    T = np.swapaxes(vh[..., 1:, :], -1, -2)  # orthonormal tangent columns
+    W = np.swapaxes(T, -1, -2) @ shape.implicit_hessian() @ T / gn[..., None, None]
     return np.linalg.eigvalsh(W)
 
 
@@ -135,7 +138,7 @@ def check_two_convex(shape, samples=2048):
     n = shape.n
     dirs = boundary_directions(n, max(samples, 1024))
     pts = shape.boundary_point(dirs)
-    kb = np.stack([boundary_curvatures(shape, q) for q in pts])
+    kb = boundary_curvatures(shape, pts)
     if n == 2:
         ok = bool(kb.min() > 0.0)
         return ok, (1.0 if ok else 0.0)

@@ -129,9 +129,21 @@ def batch_geometry(p, r, coeffs=True):
         w=w, nu=nu, gamma_up=gu, gamma_down=gd, A=A, kappa=kappa, eigvecs=B,
         K_eta=K_eta, margin=margin, admissible=margin > 0.0,
     )
-    if not coeffs:
-        return geom
+    if coeffs:
+        add_coefficients(geom, p)
+    return geom
 
+
+def add_coefficients(geom, p):
+    """Fill in f_i, F, G2 and Gs of a plain BatchGeometry of gradients p.
+
+    batch_geometry(p, r) is batch_geometry(p, r, coeffs=False) completed by
+    this, so a caller holding the plain geometry of a state pays only for
+    the coefficient block.
+    """
+    p = np.asarray(p, dtype=float)
+    w, gu, A, kappa, B = geom.w, geom.gamma_up, geom.A, geom.kappa, geom.eigvecs
+    lam = kappa.sum(axis=-1, keepdims=True) - kappa
     P = cones.complementary_products(lam)
     f_i = P.sum(axis=-1, keepdims=True) - P
     F = np.einsum("...is,...s,...js->...ij", B, f_i, B)

@@ -25,7 +25,7 @@ import scipy.sparse.linalg
 from .cones import NotAdmissible
 from .domain import check_two_convex
 from .expr import EvalEnv, eval_with_derivs, evaluate, parse, variables
-from .geometry import batch_geometry
+from .geometry import add_coefficients, batch_geometry
 from .grid import all_derivatives, build_grid, nested_dissection
 
 #: A grid function is a plain float vector, one value per interior node in
@@ -130,6 +130,8 @@ class StageReport:
 class SolveReport:
     stages: list
     certificates: list = field(default_factory=list)
+    #: one line of text per condition the solve worked around
+    warnings: list = field(default_factory=list)
 
     @property
     def final(self):
@@ -187,12 +189,11 @@ def _psi_eps_root(spec, grid, u, p, eps, derivs=False):
     return root, droot_dz, droot_dp
 
 
-def _state(spec, grid, u, eps, derivs=False):
-    """Geometry + psi data for a trial iterate; never raises on bad cones."""
+def _state(grid, u):
+    """(p, r, geo): stencil derivatives and plain geometry of an iterate;
+    never raises on bad cones."""
     p, r = all_derivatives(grid, u)
-    geo = batch_geometry(p, r, coeffs=derivs)
-    sigma1 = geo.kappa.sum(axis=-1)
-    return p, r, geo, sigma1
+    return p, r, batch_geometry(p, r, coeffs=False)
 
 
 def _check_admissible(geo):
@@ -207,11 +208,13 @@ def _check_admissible(geo):
 
 
 def _residual_and_margin(spec, grid, u, eps):
-    """residual() and the minimum cone margin of the same geometry."""
-    p, r, geo, _ = _state(spec, grid, u, eps)
+    """residual(), the minimum cone margin, and the (p, r, geo) state both
+    were computed from."""
+    state = _state(grid, u)
+    p, _, geo = state
     _check_admissible(geo)
     res = geo.K_eta ** (1.0 / spec.n) - _psi_eps_root(spec, grid, u, p, eps)
-    return res, float(geo.margin.min())
+    return res, float(geo.margin.min()), state
 
 
 def residual(spec, grid, u, eps):
@@ -224,25 +227,29 @@ def residual(spec, grid, u, eps):
 
 
 def _try_residual(spec, grid, u, eps, floor):
-    """(ok, res, min_margin): ok demands margin >= floor * (1 + sigma_1)
-    node-wise; res is None when not ok."""
-    p, r, geo, sigma1 = _state(spec, grid, u, eps)
-    need = floor * (1.0 + np.abs(sigma1))
+    """(ok, res, min_margin, state): ok demands margin >= floor * (1 + sigma_1)
+    node-wise; res is None when not ok; state is the (p, r, geo) of u."""
+    state = _state(grid, u)
+    p, _, geo = state
+    need = floor * (1.0 + np.abs(geo.kappa.sum(axis=-1)))
     if not np.all(geo.margin >= need):
-        return False, None, float(geo.margin.min())
+        return False, None, float(geo.margin.min()), state
     res = geo.K_eta ** (1.0 / spec.n) - _psi_eps_root(spec, grid, u, p, eps)
-    return True, res, float(geo.margin.min())
+    return True, res, float(geo.margin.min()), state
 
 
-def jacobian(spec, grid, u, eps):
+def jacobian(spec, grid, u, eps, state=None):
     """Sparse derivative of the normalized residual in CSR form.
 
     Row q chains (1/n) G^{1/n-1} through the Hessian stencils (G^{ij}) and
     gradient stencils (G^s), minus the psi_eps^{1/n} derivatives on the
-    gradient stencils and the diagonal.
+    gradient stencils and the diagonal.  state is the (p, r, geo) of u that
+    a residual evaluation returned; only the geometry's coefficient block
+    is then added to it.  Without one, the state is computed here.
     """
-    p, r, geo, _ = _state(spec, grid, u, eps, derivs=True)
+    p, _, geo = _state(grid, u) if state is None else state
     _check_admissible(geo)
+    add_coefficients(geo, p)
     n = spec.n
     m = grid.size
     ops = grid.ops()
@@ -380,24 +387,24 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
             raise ValueError(
                 f"eps = 0 requires psi > 0 on the grid (min {psi0.min():g})")
     # raises NotAdmissible on a bad start
-    res, margin0 = _residual_and_margin(spec, grid, u, eps)
+    res, margin0, state = _residual_and_margin(spec, grid, u, eps)
     margin_floor = 1e-12
     history = [(float(np.abs(res).max()), float(np.linalg.norm(res)), 0.0,
                 margin0)]
     for it in range(nt.max_iter):
-        J = jacobian(spec, grid, u, eps)
+        J = jacobian(spec, grid, u, eps, state)
         if nt.debug_fd:
             _debug_fd_check(spec, grid, u, eps, J, it)
         du = factorization.solve(J, res, history)
         norm0 = history[-1][1]
         s = 1.0
         while s >= nt.min_step:
-            ok, trial_res, margin = _try_residual(spec, grid, u + s * du, eps,
-                                                  margin_floor)
+            trial = u + s * du
+            ok, trial_res, margin, trial_state = _try_residual(
+                spec, grid, trial, eps, margin_floor)
             if ok and (np.linalg.norm(trial_res) <= (1.0 - s / 4.0) * norm0
                        or np.abs(trial_res).max() <= nt.tol_residual):
-                u = u + s * du
-                res = trial_res
+                u, res, state = trial, trial_res, trial_state
                 history.append((float(np.abs(res).max()),
                                 float(np.linalg.norm(res)), s, margin))
                 break
@@ -489,7 +496,9 @@ def continuation_solve(spec, grid=None, u0=None):
         raise ValueError("domain fails the 2-convexity check")
     if grid is None:
         grid = build_grid(spec.shape, spec.h)
-    schedule = effective_schedule(spec, grid)
+    schedule, eps_note = _guarded_schedule(spec, grid)
+    notes = [text for text in (eps_note, dropped_stencils_warning(grid))
+             if text is not None]
     u = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
     stages = []
     factorization = _Factorization(grid)
@@ -510,12 +519,28 @@ def continuation_solve(spec, grid=None, u0=None):
             factorizations=factorization.factorizations - done[0],
             krylov_iters=factorization.krylov_iters - done[1],
             lu_fill=int(factorization.lu.nnz)))
-    return u, SolveReport(stages=stages)
+    return u, SolveReport(stages=stages, warnings=notes)
+
+
+def dropped_stencils_warning(grid):
+    """Text naming the mixed-derivative stencils the grid's operators set
+    to zero for want of usable nodes; None when there are none."""
+    grid.ops()
+    k = len(grid.mixed_dropped)
+    if k == 0:
+        return None
+    return f"mixed-derivative stencils set to zero for want of usable nodes: {k}"
 
 
 def effective_schedule(spec, grid):
     """The problem's schedule with the degenerate guard applied: a trailing
     0 is replaced by 1e-5 whenever psi is not strictly positive on the grid."""
+    return _guarded_schedule(spec, grid)[0]
+
+
+def _guarded_schedule(spec, grid):
+    """(effective_schedule, the warning issued for it or None)."""
+    note = None
     schedule = list(spec.eps_schedule)
     if not schedule:
         raise ValueError("empty eps schedule")
@@ -527,10 +552,10 @@ def effective_schedule(spec, grid):
         if psi_min <= 0.0:
             last = 1e-5 if len(schedule) == 1 else min(1e-5, schedule[-2] / 10.0)
             schedule[-1] = last
-            warnings.warn(
-                f"psi vanishes on the grid (min {psi_min:g}); "
-                f"final stage runs at eps={last:g} instead of 0")
-    return tuple(schedule)
+            note = (f"psi vanishes on the grid (min {psi_min:g}); "
+                    f"final stage runs at eps={last:g} instead of 0")
+            warnings.warn(note)
+    return tuple(schedule), note
 
 
 def write_solution(path, spec, grid, u, report=None, config_echo=()):

@@ -1,10 +1,14 @@
 """End-to-end command tests: config parsing and the exit-code contract."""
 
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import etacurv
 from etacurv import cli
 from etacurv.cli import (
     Config,
@@ -150,12 +154,58 @@ def test_solve_success(cap_cfg, tmp_path, capsys):
                for ln in stages)
     # the held factorization is never empty
     assert all(int(ln.rsplit("lu_fill=", 1)[1]) > 0 for ln in stages)
+    assert not any(ln.startswith("warning") for ln in report.splitlines())
 
 
 def test_solve_negative_psi_exits_1(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CAP_CFG.replace("psi = 1", "psi = -1"))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 1
     assert "negative" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("psi", ["log(x1)", "sqrt(x1)"])
+def test_solve_undefined_psi_exits_1(tmp_path, psi):
+    # run as a process, so an escaped exception would show as a traceback
+    cfg = write_cfg(tmp_path, CAP_CFG.replace("psi = 1", f"psi = {psi}"))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(etacurv.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "etacurv.cli", "solve", "--config", cfg,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, check=False)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+    assert f"'{psi}'" in lines[0]
+
+
+def test_solve_reports_dropped_mixed_stencils(tmp_path, capsys):
+    cfg = write_cfg(tmp_path, """\
+n = 3
+domain.kind = ellipsoid
+domain.semiaxes = 0.5, 0.4, 0.3
+h = 0.0625
+psi = 0.5
+subsolution = 0.3*((x1/0.5)^2 + (x2/0.4)^2 + (x3/0.3)^2 - 1)
+""")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    text = "mixed-derivative stencils set to zero for want of usable nodes: 8"
+    assert f"warning: {text}" in capsys.readouterr().err.splitlines()
+    report = (tmp_path / "etacurv-report.txt").read_text().splitlines()
+    assert [ln for ln in report if ln.startswith("warning ")] == [f"warning {text}"]
+
+
+def test_solve_reports_eps_replacement(tmp_path):
+    cfg = write_cfg(tmp_path, CAP_CFG.replace("psi = 1", "psi = r^2")
+                    .replace("h = 0.0625", "h = 0.125"))
+    with pytest.warns(UserWarning, match="instead of 0"):
+        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "etacurv-report.txt").read_text().splitlines()
+    warned = [ln for ln in report if ln.startswith("warning ")]
+    assert len(warned) == 1
+    assert warned[0].endswith("final stage runs at eps=1e-05 instead of 0")
 
 
 def test_solve_unreachable_out_dir(cap_cfg, capsys):

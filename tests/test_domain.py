@@ -80,6 +80,18 @@ def test_ellipse_curvature_matches_parametrization():
         np.testing.assert_allclose(boundary_curvatures(sh, q), [want], rtol=1e-10)
 
 
+def test_ellipse_curvature_batch_matches_parametrization():
+    # one call on every point of the parametrization oracle above
+    a, b = 1.3, 0.6
+    sh = DomainShape((a, b))
+    t = np.linspace(0.1, 2 * np.pi, 17)
+    q = np.stack([a * np.cos(t), b * np.sin(t)], axis=-1)
+    want = a * b / (a ** 2 * np.sin(t) ** 2 + b ** 2 * np.cos(t) ** 2) ** 1.5
+    got = boundary_curvatures(sh, q)
+    assert got.shape == (17, 1)
+    np.testing.assert_allclose(got, want[:, None], rtol=1e-10)
+
+
 def _ellipsoid_shape_operator(a, b, c, th, ph):
     """Principal curvatures from the fundamental forms of the standard chart."""
     st, ct = np.sin(th), np.cos(th)
@@ -118,6 +130,30 @@ def test_curvature_rejects_off_boundary_points():
     sh = DomainShape((0.5, 0.5))
     with pytest.raises(ValueError):
         boundary_curvatures(sh, [0.3, 0.0])
+
+
+def test_ellipsoid_curvature_batch_matches_chart():
+    # one call on every point of the chart oracle above
+    a, b, c = 1.0, 1.0, 0.5
+    sh = DomainShape((a, b, c))
+    rng = np.random.default_rng(9)
+    th = rng.uniform(0.2, np.pi - 0.2, 12)
+    ph = rng.uniform(0.0, 2 * np.pi, 12)
+    q = np.stack([a * np.sin(th) * np.cos(ph), b * np.sin(th) * np.sin(ph),
+                  c * np.cos(th)], axis=-1)
+    want = np.stack([_ellipsoid_shape_operator(a, b, c, *tp)
+                     for tp in zip(th, ph)])
+    got = boundary_curvatures(sh, q)
+    assert got.shape == (12, 2)
+    np.testing.assert_allclose(np.sort(got, axis=-1), want, rtol=1e-8)
+
+
+def test_curvature_batch_rejects_one_off_boundary_point():
+    sh = DomainShape((1.0, 1.0, 0.5))
+    q = sh.boundary_point(boundary_directions(3, 64))
+    q[17] *= 0.9
+    with pytest.raises(ValueError, match="not on the boundary"):
+        boundary_curvatures(sh, q)
 
 
 def test_check_two_convex():

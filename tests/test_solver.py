@@ -5,7 +5,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from etacurv import solver
+from etacurv import geometry, solver
 from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
 from etacurv.geometry import batch_geometry
@@ -226,7 +226,63 @@ def test_jacobian_gs_block_matters_on_sloped_state():
     assert np.linalg.norm(fd - (jd - gs)) >= 100.0 * tol
 
 
+def test_add_coefficients_completes_plain_geometry():
+    for shape, h in ((DISK, 1 / 8), (BALL, 1 / 5)):
+        grid = build_grid(shape, h)
+        p, r = all_derivatives(grid, _perturbed_state(grid))
+        full = batch_geometry(p, r, coeffs=True)
+        plain = batch_geometry(p, r, coeffs=False)
+        assert plain.G2 is None
+        geometry.add_coefficients(plain, p)
+        for name in ("f_i", "F", "G2", "Gs"):
+            assert np.array_equal(getattr(plain, name), getattr(full, name))
+
+
+def test_jacobian_with_carried_state_equals_fresh():
+    cases = ((DISK, 2, 1 / 8, "1 + x1^2/2 + exp(z)/4 + nu1^2/8", 0.0),
+             (BALL, 3, 1 / 5, "8 + x2^2 + exp(z)/2 + nu2^2/4", 1e-1))
+    for shape, n, h, psi, eps in cases:
+        grid = build_grid(shape, h)
+        spec = ProblemSpec(n=n, shape=shape, psi=psi, h=h)
+        u = _perturbed_state(grid)
+        _, _, state = solver._residual_and_margin(spec, grid, u, eps)
+        carried = jacobian(spec, grid, u, eps, state)
+        fresh = jacobian(spec, grid, u, eps)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(carried, attr), getattr(fresh, attr))
+
+
 # ---------------------------------------------------------------- newton
+
+
+def test_newton_computes_one_geometry_per_trial(monkeypatch):
+    # the start residual and each line-search trial compute the geometry;
+    # the Jacobian of an accepted trial reuses it
+    grid = build_grid(DISK, 1 / 32)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 32)
+    geo_calls, jac_calls = [], []
+    real_geo, real_jac = solver.batch_geometry, solver.jacobian
+
+    def spy_geo(*args, **kwargs):
+        geo_calls.append(kwargs.get("coeffs", True))
+        return real_geo(*args, **kwargs)
+
+    def spy_jac(*args, **kwargs):
+        jac_calls.append(args[4] if len(args) > 4 else kwargs.get("state"))
+        return real_jac(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "batch_geometry", spy_geo)
+    monkeypatch.setattr(solver, "jacobian", spy_jac)
+    _, hist = newton_solve(spec, grid, cap_function(grid, 0.6), 0.0)
+    steps = [row[2] for row in hist[1:]]
+    trials = sum(1 + round(-np.log2(s)) for s in steps)
+    assert trials > len(steps)  # some trial steps were rejected
+    assert len(jac_calls) == len(steps)
+    assert all(state is not None for state in jac_calls)
+    assert len(geo_calls) == 1 + trials
+    assert not any(geo_calls)  # the coefficients are added, never recomputed
+
+
 
 
 def test_newton_cap_fixture():
@@ -458,6 +514,16 @@ def test_continuation_cap():
     for st in report.stages:
         assert st.residual_norms[-1] <= 1e-10
         assert st.min_margin > 0.0
+    assert report.warnings == []
+
+
+def test_continuation_reports_eps_replacement():
+    spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 8)
+    with pytest.warns(UserWarning, match="instead of 0"):
+        _, report = continuation_solve(spec)
+    assert report.final.eps == 1e-5
+    assert len(report.warnings) == 1
+    assert report.warnings[0].endswith("final stage runs at eps=1e-05 instead of 0")
 
 
 def test_continuation_degenerate_metrics_settle():
