@@ -442,24 +442,25 @@ def _build_parser():
         description="Solvers and checks for the prescribed eta-curvature "
                     "Dirichlet problem over convex domains.")
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("solve", "run the continuation solver and write solution files"),
-        ("radial", "integrate the radial reduction on a ball"),
-        ("props", "run the algebraic property battery"),
-        ("verify", "re-run certificates on a stored solution file"),
-    )
-    for name, help_text in specs:
+
+    def command(name, help_text):
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to a key = value config file")
-        p.add_argument("--out", default=".", help="output directory")
-        p.add_argument("--seed", type=int, default=None,
-                       help="battery seed override (props)")
-        p.add_argument("--samples", type=int, default=None,
-                       help="battery sample count override (props)")
-        p.add_argument("--emit-svg", action="store_true",
-                       help="also write SVG heatmaps (solve)")
-        if name == "verify":
-            p.add_argument("solution", help="stored solution file to check")
+        return p
+
+    solve = command("solve", "run the continuation solver and write solution files")
+    solve.add_argument("--out", default=".", help="output directory")
+    solve.add_argument("--emit-svg", action="store_true",
+                       help="also write SVG heatmaps")
+    radial = command("radial", "integrate the radial reduction on a ball")
+    radial.add_argument("--out", default=".", help="output directory")
+    props = command("props", "run the algebraic property battery")
+    props.add_argument("--seed", type=int, default=None,
+                       help="battery seed override")
+    props.add_argument("--samples", type=int, default=None,
+                       help="battery sample count override")
+    verify = command("verify", "re-run certificates on a stored solution file")
+    verify.add_argument("solution", help="stored solution file to check")
     return parser
 
 

@@ -14,7 +14,8 @@ K_eta = f(kappa) = prod_i (sigma_1(kappa) - kappa_i).
 
 The solver linearizes K_eta^{1/n} in u; the pieces it needs are
 
-    F   = dF/dA        (spectral gradient of f at A),
+    F   = dK_eta/dA    (a polynomial in A: sigma_1 I - A for n = 2,
+                        sigma_1^2 I - A^2 for n = 3),
     G2  = dK_eta/dr    = (1/w) gamma_up . F . gamma_up   (Hessian-slot coefficients),
     Gs  = explicit dK_eta/dp at frozen A-entries           (gradient-slot coefficients),
 
@@ -89,7 +90,6 @@ class BatchGeometry:
     gamma_down: np.ndarray
     A: np.ndarray
     kappa: np.ndarray
-    eigvecs: np.ndarray
     K_eta: np.ndarray
     margin: np.ndarray
     admissible: np.ndarray
@@ -111,22 +111,37 @@ def gamma_factors(p):
     return w, gamma_up, gamma_down
 
 
+def _eigenvalues(A):
+    """Ascending eigenvalues of symmetric matrices A (..., n, n).
+
+    n = 2 uses the closed form kappa = m -+ hypot((a - c)/2, b) with
+    m = (a + c)/2; larger n calls LAPACK, because near the triple root of
+    a 3D cap the trigonometric closed form loses ~5e-13, more than the
+    line search's 1e-12 margin floor.
+    """
+    if A.shape[-1] != 2:
+        return np.linalg.eigvalsh(A)
+    a, b, c = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+    m = 0.5 * (a + c)
+    rad = np.hypot(0.5 * (a - c), b)
+    return np.stack([m - rad, m + rad], axis=-1)
+
+
 def batch_geometry(p, r, coeffs=True):
     """Vectorized geometry for stacks of states p (..., n), r (..., n, n)."""
     p = np.asarray(p, dtype=float)
     r = np.asarray(r, dtype=float)
-    n = p.shape[-1]
     w, gu, gd = gamma_factors(p)
-    A = np.einsum("...ik,...kl,...lj->...ij", gu, r, gu) / w[..., None, None]
+    A = gu @ r @ gu / w[..., None, None]
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
-    kappa, B = np.linalg.eigh(A)
+    kappa = _eigenvalues(A)
     lam = kappa.sum(axis=-1, keepdims=True) - kappa
     margin = lam.min(axis=-1)
     K_eta = np.prod(lam, axis=-1)
     nu = np.concatenate([-p, np.ones(p.shape[:-1] + (1,))], axis=-1) / w[..., None]
 
     geom = BatchGeometry(
-        w=w, nu=nu, gamma_up=gu, gamma_down=gd, A=A, kappa=kappa, eigvecs=B,
+        w=w, nu=nu, gamma_up=gu, gamma_down=gd, A=A, kappa=kappa,
         K_eta=K_eta, margin=margin, admissible=margin > 0.0,
     )
     if coeffs:
@@ -140,27 +155,48 @@ def add_coefficients(geom, p):
     batch_geometry(p, r) is batch_geometry(p, r, coeffs=False) completed by
     this, so a caller holding the plain geometry of a state pays only for
     the coefficient block.
+
+    K_eta = chi(s) with chi(x) = prod_j (x - kappa_j) = sum_m a_m x^m the
+    characteristic polynomial of A and s = sigma_1, so F = dK_eta/dA is a
+    polynomial in A and needs no eigenvectors:
+
+        f_i = sum_{k=1}^{n-1} d_k (s^k - kappa_i^k),
+        F   = sum_{k=1}^{n-1} d_k (s^k I - A^k),
+
+    d_{n-1} = 1, d_{n-2} = a_{n-1} + s = 0 and d_k = a_{k+1} + s d_{k+1}
+    (Horner's rule for (chi(s) - chi(x)) / (s - x)).  So n = 2 gives
+    F = s I - A and n = 3 gives F = s^2 I - A^2.
     """
     p = np.asarray(p, dtype=float)
-    w, gu, A, kappa, B = geom.w, geom.gamma_up, geom.A, geom.kappa, geom.eigvecs
-    lam = kappa.sum(axis=-1, keepdims=True) - kappa
-    P = cones.complementary_products(lam)
-    f_i = P.sum(axis=-1, keepdims=True) - P
-    F = np.einsum("...is,...s,...js->...ij", B, f_i, B)
-    G2 = np.einsum("...ik,...kl,...lj->...ij", gu, F, gu) / w[..., None, None]
+    w, gu, A, kappa = geom.w, geom.gamma_up, geom.A, geom.kappa
+    n = kappa.shape[-1]
+    e = cones.sigma_all(kappa)
+    s = e[..., 1]
+    powers = [A]
+    for _ in range(n - 2):
+        powers.append(powers[-1] @ A)
 
-    # gradient-slot coefficients (exact dK_eta/dp_s at fixed r; checked
+    def term(k):
+        return (s[..., None] ** k - kappa ** k,
+                s[..., None, None] ** k * np.eye(n) - powers[k - 1])
+
+    f_i, F = term(n - 1)
+    d = np.zeros_like(s)
+    for k in range(n - 3, 0, -1):
+        d = (-1.0) ** (n - k - 1) * e[..., n - k - 1] + s * d
+        fk, Fk = term(k)
+        f_i = f_i + d[..., None] * fk
+        F = F + d[..., None, None] * Fk
+    G2 = gu @ F @ gu / w[..., None, None]
+
+    # gradient-slot coefficients (exact dK_eta/dp at fixed r; checked
     # against central differences on random states):
-    #   Gs_s = -(p_s/w^2) sum_i f_i kappa_i
-    #          - 2/(w(1+w)) sum_{t,j} C_jt (w p_t gu_sj + p_j gu_ts),  C = F.A
+    #   Gs = -(p/w^2) sum_i f_i kappa_i - (2/w) gamma_up . F . A . p,
+    # F . A being symmetric because F is a polynomial in A
     fk = np.sum(f_i * kappa, axis=-1)
-    C = np.einsum("...ij,...jk->...ik", F, A)
-    Cp = np.einsum("...jt,...t->...j", C, p)
-    Ctp = np.einsum("...jt,...j->...t", C, p)
-    term = w[..., None] * np.einsum("...sj,...j->...s", gu, Cp) + np.einsum(
-        "...ts,...t->...s", gu, Ctp
-    )
-    Gs = -(p / (w * w)[..., None]) * fk[..., None] - (2.0 / (w * (1.0 + w)))[..., None] * term
+    FAp = F @ (A @ p[..., None])
+    Gs = (-(p / (w * w)[..., None]) * fk[..., None]
+          - (2.0 / w)[..., None] * (gu @ FAp)[..., 0])
 
     geom.f_i, geom.F, geom.G2, geom.Gs = f_i, F, G2, Gs
     return geom
@@ -173,7 +209,7 @@ def geometry_at(state: PointState) -> PointGeometry:
     ok = bool(g.admissible[0])
     return PointGeometry(
         w=float(g.w[0]), nu=g.nu[0], gamma_up=g.gamma_up[0], gamma_down=g.gamma_down[0],
-        A=g.A[0], kappa=g.kappa[0], eigvecs=g.eigvecs[0],
+        A=g.A[0], kappa=g.kappa[0], eigvecs=np.linalg.eigh(g.A[0])[1],
         K_eta=float(g.K_eta[0]), margin=float(g.margin[0]), admissible=ok,
         f_i=g.f_i[0] if ok else None,
         F=g.F[0] if ok else None,

@@ -43,6 +43,37 @@ class GridOps:
 
 
 @dataclass
+class OpsPattern:
+    """Union sparsity pattern of a grid's operators, for row-weighted sums.
+
+    The operators are stacked in the order D2[(i, j)] (i <= j, row-major),
+    Dx[0..n-1], then the identity.  For every stacked entry the pattern
+    holds its value, the flat index (operator * m + row) of its weight and
+    its slot in the union's CSR data array.
+    """
+
+    shape: tuple
+    indices: np.ndarray
+    indptr: np.ndarray
+    gather: np.ndarray
+    vals: np.ndarray
+    slot: np.ndarray
+
+    def assemble(self, weights):
+        """CSR sum_k diag(weights[k]) op_k for weights of shape (n_ops, m).
+
+        One gather-multiply and one bincount; bincount adds each slot's
+        terms in operator order, as a chain of CSR additions would.  The
+        pattern is the union's whatever the weights: entries that come out
+        exactly zero are kept.
+        """
+        terms = weights.ravel()[self.gather] * self.vals
+        data = np.bincount(self.slot, weights=terms, minlength=len(self.indices))
+        return scipy.sparse.csr_matrix((data, self.indices, self.indptr),
+                                       shape=self.shape)
+
+
+@dataclass
 class Grid:
     shape: object
     h: float
@@ -54,6 +85,7 @@ class Grid:
     index_of: dict
     mixed_dropped: list = field(default_factory=list)  # (node, i, j) with no usable stencil
     _ops: GridOps | None = field(default=None, repr=False)
+    _pattern: OpsPattern | None = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -67,6 +99,12 @@ class Grid:
         if self._ops is None:
             self._ops = _build_ops(self)
         return self._ops
+
+    def ops_pattern(self):
+        """The OpsPattern of ops(), built on first use and kept."""
+        if self._pattern is None:
+            self._pattern = _build_pattern(self)
+        return self._pattern
 
 
 def build_grid(shape, h):
@@ -207,6 +245,31 @@ def _build_ops(grid):
             D2[(i, j)] = scipy.sparse.csr_matrix(
                 (vals, (rows, cols)), shape=(m, m))
     return GridOps(Dx=Dx, D2=D2)
+
+
+def _build_pattern(grid):
+    ops = grid.ops()
+    m, n = grid.size, grid.n
+    stack = [ops.D2[(i, j)] for i in range(n) for j in range(i, n)]
+    stack += list(ops.Dx) + [scipy.sparse.identity(m, format="csr")]
+    rows, cols, vals, which = [], [], [], []
+    for k, op in enumerate(stack):
+        coo = op.tocoo()
+        keep = coo.data != 0.0  # stored zeros add nothing to any sum
+        rows.append(coo.row[keep])
+        cols.append(coo.col[keep])
+        vals.append(coo.data[keep])
+        which.append(np.full(int(keep.sum()), k))
+    # int64: the keys row * m + col pass 2**31 once m > 46,340 nodes
+    rows = np.concatenate(rows).astype(np.int64)
+    cols = np.concatenate(cols).astype(np.int64)
+    keys, slot = np.unique(rows * m + cols, return_inverse=True)
+    indptr = np.zeros(m + 1, dtype=np.int32)
+    np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
+    return OpsPattern(
+        shape=(m, m), indices=(keys % m).astype(np.int32), indptr=indptr,
+        gather=np.concatenate(which) * m + rows, vals=np.concatenate(vals),
+        slot=slot)
 
 
 #: nested dissection stops splitting parts of at most this many nodes

@@ -19,7 +19,6 @@ import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.sparse
 import scipy.sparse.linalg
 
 from .cones import NotAdmissible
@@ -245,27 +244,22 @@ def jacobian(spec, grid, u, eps, state=None):
     gradient stencils (G^s), minus the psi_eps^{1/n} derivatives on the
     gradient stencils and the diagonal.  state is the (p, r, geo) of u that
     a residual evaluation returned; only the geometry's coefficient block
-    is then added to it.  Without one, the state is computed here.
+    is then added to it.  Without one, the state is computed here.  J is
+    assembled on the grid's fixed union pattern (Grid.ops_pattern), so its
+    sparsity does not depend on u.
     """
     p, _, geo = _state(grid, u) if state is None else state
     _check_admissible(geo)
     add_coefficients(geo, p)
     n = spec.n
-    m = grid.size
-    ops = grid.ops()
     alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
     _, droot_dz, droot_dp = _psi_eps_root(spec, grid, u, p, eps, derivs=True)
-
-    J = scipy.sparse.csr_matrix((m, m))
-    for i in range(n):
-        for j in range(i, n):
-            wgt = alpha * geo.G2[:, i, j] * (1.0 if i == j else 2.0)
-            J = J + scipy.sparse.diags(wgt) @ ops.D2[(i, j)]
-    for s in range(n):
-        wgt = -droot_dp[:, s] + alpha * geo.Gs[:, s]
-        J = J + scipy.sparse.diags(wgt) @ ops.Dx[s]
-    J = J - scipy.sparse.diags(droot_dz)
-    return J.tocsr()
+    # one weight row per operator, in the pattern's order
+    weights = [alpha * geo.G2[:, i, j] * (1.0 if i == j else 2.0)
+               for i in range(n) for j in range(i, n)]
+    weights += [-droot_dp[:, s] + alpha * geo.Gs[:, s] for s in range(n)]
+    weights.append(-droot_dz)
+    return grid.ops_pattern().assemble(np.stack(weights))
 
 
 class _Factorization:
@@ -565,10 +559,8 @@ def write_solution(path, spec, grid, u, report=None, config_echo=()):
     file bitwise.
     """
     n = spec.n
-    p, r = all_derivatives(grid, u)
-    geo = batch_geometry(p, r, coeffs=False)
-    res = residual(spec, grid, u, spec.eps_schedule[-1] if report is None
-                   else report.final.eps)
+    eps = spec.eps_schedule[-1] if report is None else report.final.eps
+    res, _, (p, r, geo) = _residual_and_margin(spec, grid, u, eps)
     cols = ["x1", "x2", "x3"][:n] + ["u"] + [f"du{s+1}" for s in range(n)]
     cols += [f"d2u{i+1}{j+1}" for i in range(n) for j in range(i, n)]
     cols += [f"kappa{i+1}" for i in range(n)] + ["Keta", "residual"]

@@ -1,5 +1,7 @@
 """Certificates and the randomized property battery."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
@@ -170,6 +172,20 @@ def test_estimate_evidence_blowup_fails(solved_disk):
 
     cert = estimate_evidence(Blown())
     assert not cert.passed
+
+
+@pytest.mark.parametrize("prev, last, passed, margin", [
+    # psi = 1e-300: the final stage collapses toward u ~ 0, and a fall is
+    # no evidence against a uniform bound
+    ((4.9e-3, 1.0e-2), (3.6e-11, 7.5e-11), True, 0.0),
+    # a 40% Hessian growth on a small scale still fails
+    ((0.1, 0.4), (0.1, 0.56), False, 0.4),
+])
+def test_estimate_evidence_counts_growth_only(prev, last, passed, margin):
+    stages = [SimpleNamespace(sup_du=du, sup_d2u=d2u) for du, d2u in (prev, last)]
+    cert = estimate_evidence(SimpleNamespace(stages=stages))
+    assert cert.passed == passed
+    assert cert.margin == pytest.approx(margin, rel=1e-12, abs=0.0)
 
 
 def test_standard_bundle(solved_disk):

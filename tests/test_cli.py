@@ -208,6 +208,17 @@ def test_solve_reports_eps_replacement(tmp_path):
     assert warned[0].endswith("final stage runs at eps=1e-05 instead of 0")
 
 
+def test_solve_nearly_zero_psi_passes_certificates(tmp_path, capsys):
+    # psi = 1e-300 solves to u ~ 0; the evidence certificate must not read
+    # that flattening as a blow-up
+    cfg = write_cfg(tmp_path, "n = 2\ndomain.kind = ball\ndomain.r0 = 0.5\n"
+                              "psi = 1e-300\nh = 0.0625\n")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert "certificates=4/4" in capsys.readouterr().out
+    report = (tmp_path / "etacurv-report.txt").read_text()
+    assert "certificate estimate_evidence=pass" in report
+
+
 def test_solve_unreachable_out_dir(cap_cfg, capsys):
     assert main(["solve", "--config", cap_cfg, "--out", "/nonexistent/xyz"]) == 1
     assert "error:" in capsys.readouterr().err
@@ -374,6 +385,28 @@ def test_main_no_arguments_exits_1(capsys):
 
 def test_main_unknown_subcommand_exits_1(capsys):
     assert main(["frobnicate"]) == 1
+
+
+@pytest.mark.parametrize("command,flag", [
+    ("solve", ["--seed", "3"]),
+    ("solve", ["--samples", "10"]),
+    ("radial", ["--emit-svg"]),
+    ("radial", ["--seed", "3"]),
+    ("props", ["--out", "x"]),
+    ("props", ["--emit-svg"]),
+    ("verify", ["--out", "x"]),
+    ("verify", ["--emit-svg"]),
+])
+def test_main_rejects_flags_of_other_subcommands(cap_cfg, command, flag,
+                                                 capsys):
+    argv = [command, "--config", cap_cfg] + flag
+    if command == "verify":
+        argv.append("solution.dat")
+    assert main(argv) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith("error:")
+    assert flag[0] in err[0]
 
 
 def test_heatmap_rejects_bad_shapes():

@@ -98,6 +98,56 @@ def test_spectral_grad_diag_and_fd():
                 assert abs(fd - want) <= 1e-6 * max(1.0, abs(want))
 
 
+def _rotated(rng, kappa):
+    """Symmetric matrices Q diag(kappa) Q^T, one random rotation per row."""
+    m, n = kappa.shape
+    Q = np.linalg.qr(rng.normal(size=(m, n, n)))[0]
+    return Q @ (kappa[:, :, None] * np.swapaxes(Q, -1, -2))
+
+
+def test_closed_form_2x2_eigenvalues_match_lapack():
+    rng = np.random.default_rng(25)
+    m = 4000
+    r = rng.normal(size=(m, 2, 2)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1, 1))
+    r = 0.5 * (r + np.swapaxes(r, -1, -2))
+    kappa = rng.normal(size=(m, 2))
+    kappa[: m // 2, 1] = kappa[: m // 2, 0] * (1.0 + 1e-12 * rng.normal(size=m // 2))
+    near = _rotated(rng, kappa)
+    special = np.array([np.eye(2), np.zeros((2, 2)), [[1.0, 0.0], [0.0, -1.0]],
+                        [[0.0, 1e-300], [1e-300, 0.0]], [[1e8, 1.0], [1.0, 1e8]]])
+    for A in (r, near, special):
+        # p = 0: the curvature matrix is the (symmetrized) Hessian itself
+        g = geometry.batch_geometry(np.zeros(A.shape[:-1]), A, coeffs=False)
+        ref = np.linalg.eigvalsh(g.A)
+        # the largest entry bounds the 2-norm from below, without underflow
+        norm = np.abs(g.A).max(axis=(1, 2))
+        assert np.all(np.abs(g.kappa - ref).max(axis=1) <= 1e-14 * norm)
+        assert np.all(np.diff(g.kappa, axis=1) >= 0.0)
+
+
+def test_polynomial_F_matches_spectral_grad():
+    rng = np.random.default_rng(26)
+    for n in (2, 3, 4, 5, 6):
+        m = 600
+        kappa = rng.uniform(-2.0, 3.0, size=(m, n))
+        # near-repeated and exactly repeated curvatures in the first rows
+        kappa[:200, 1:] = kappa[:200, :1] * (1.0 + 1e-9 * rng.normal(size=(200, n - 1)))
+        kappa[200:250] = kappa[200:250, :1]
+        A = _rotated(rng, kappa)
+        A = 0.5 * (A + np.swapaxes(A, -1, -2))
+        p = rng.normal(size=(m, n))
+        w, gu, gd = geometry.gamma_factors(p)
+        r = w[:, None, None] * gd @ A @ gd
+        g = geometry.batch_geometry(p, 0.5 * (r + np.swapaxes(r, -1, -2)))
+        assert g.admissible.any() and not g.admissible.all()
+        kap, B = np.linalg.eigh(g.A)
+        F = geometry.spectral_grad(g.A, cones.f_grad(kap, strict=False), B)
+        scale = 1.0 + np.abs(F).max(axis=(1, 2))
+        assert np.all(np.abs(g.F - F).max(axis=(1, 2)) <= 1e-12 * scale)
+        f_i = cones.f_grad(g.kappa, strict=False)
+        assert np.all(np.abs(g.f_i - f_i).max(axis=1) <= 1e-12 * scale)
+
+
 def test_hessian_coeffs_fd_and_ellipticity():
     rng = np.random.default_rng(15)
     for n in (2, 3):

@@ -1,5 +1,7 @@
 """Grid construction, arm geometry, and stencil consistency."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -7,6 +9,8 @@ import scipy.sparse
 from etacurv.domain import DomainShape
 from etacurv.geometry import geometry_at
 from etacurv.grid import (
+    GridOps,
+    _build_pattern,
     all_derivatives,
     build_grid,
     dump_grid,
@@ -202,3 +206,22 @@ def test_nested_dissection_top_separator_splits_operators(shape, h):
     assert B[nl:nl + nr, :nl].nnz == 0
     # both sides do couple to the separator, so the check is not vacuous
     assert B[:nl, nl + nr:].nnz > 0 and B[nl:nl + nr, nl + nr:].nnz > 0
+
+
+def test_ops_pattern_past_int32_keys():
+    # the pattern keys row * m + col pass 2**31 once m > 46,340 nodes;
+    # int32 operator indices must not wrap them
+    m = 50_000
+    d2 = scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m),
+                            format="csr")
+    dx = scipy.sparse.eye(m, k=1, format="csr")
+    assert d2.indices.dtype == np.int32
+    ops = GridOps(Dx=[dx], D2={(0, 0): d2})
+    pattern = _build_pattern(SimpleNamespace(ops=lambda: ops, size=m, n=1))
+    w = np.random.default_rng(7).standard_normal((3, m))
+    J = pattern.assemble(w)
+    diag = scipy.sparse.diags
+    ref = diag(w[0]) @ d2 + diag(w[1]) @ dx + diag(w[2])
+    assert J.shape == (m, m)
+    assert J.nnz == 3 * m - 2
+    assert abs(J - ref).max() == 0.0

@@ -252,6 +252,59 @@ def test_jacobian_with_carried_state_equals_fresh():
             assert np.array_equal(getattr(carried, attr), getattr(fresh, attr))
 
 
+def _csr_sum_jacobian(spec, grid, u, eps):
+    """Reference J: the operators' row-weighted sum by CSR additions."""
+    p, _, geo = solver._residual_and_margin(spec, grid, u, eps)[2]
+    geometry.add_coefficients(geo, p)
+    n, m, ops = spec.n, grid.size, grid.ops()
+    alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
+    _, dz, dp = solver._psi_eps_root(spec, grid, u, p, eps, derivs=True)
+    J = scipy.sparse.csr_matrix((m, m))
+    for i in range(n):
+        for j in range(i, n):
+            wgt = alpha * geo.G2[:, i, j] * (1.0 if i == j else 2.0)
+            J = J + scipy.sparse.diags(wgt) @ ops.D2[(i, j)]
+    for s in range(n):
+        wgt = -dp[:, s] + alpha * geo.Gs[:, s]
+        J = J + scipy.sparse.diags(wgt) @ ops.Dx[s]
+    return (J - scipy.sparse.diags(dz)).tocsr()
+
+
+def _newton_step(spec, grid, u, eps):
+    """u + s du for the largest s in {1, 1/2, ...} that stays admissible."""
+    J = jacobian(spec, grid, u, eps)
+    du = scipy.sparse.linalg.spsolve(J.tocsc(), -residual(spec, grid, u, eps))
+    s = 1.0
+    while True:
+        try:
+            residual(spec, grid, u + s * du, eps)
+            return u + s * du
+        except NotAdmissible:
+            s *= 0.5
+
+
+def test_jacobian_fixed_pattern_equals_csr_sum():
+    cases = ((DISK, 2, 1 / 16, "1 + x1^2/2 + exp(z)/4 + nu1^2/8", 1e-2),
+             (BALL, 3, 1 / 6, "8 + x2^2 + exp(z)/2 + nu2^2/4", 1e-1))
+    for shape, n, h, psi, eps in cases:
+        grid = build_grid(shape, h)
+        spec = ProblemSpec(n=n, shape=shape, psi=psi, h=h)
+        u0 = initial_guess(spec, grid)
+        u1 = _newton_step(spec, grid, u0, eps)
+        assert np.abs(u1 - u0).max() > 0.0
+        pattern = None
+        for u in (u0, u1):
+            J = jacobian(spec, grid, u, eps)
+            ref = _csr_sum_jacobian(spec, grid, u, eps)
+            # same values bit for bit; J also keeps the entries that cancel
+            assert np.array_equal(J.toarray(), ref.toarray())
+            assert J.nnz >= ref.nnz
+            if pattern is None:
+                pattern = J.indices, J.indptr
+            assert np.array_equal(J.indices, pattern[0])
+            assert np.array_equal(J.indptr, pattern[1])
+
+
 # ---------------------------------------------------------------- newton
 
 
@@ -354,7 +407,7 @@ def _counting_splu(monkeypatch):
     real = scipy.sparse.linalg.splu
 
     def counting(A, *args, **kwargs):
-        calls.append(A.shape)
+        calls.append(A.nnz)
         return real(A, *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", counting)
@@ -377,6 +430,7 @@ def test_continuation_reuses_factorization(monkeypatch):
     u_direct, direct = continuation_solve(spec)
     assert [st.iterations for st in direct.stages] == iters
     assert len(calls) == sum(iters)
+    assert len(set(calls)) == 1  # J's pattern does not depend on the iterate
     assert all(st.krylov_iters == 0 for st in direct.stages)
     assert np.abs(u - u_direct).max() <= 1e-12
 
@@ -551,6 +605,31 @@ def test_continuation_propagates_negative_psi():
 
 
 # ---------------------------------------------------------------- output
+
+
+def test_write_solution_computes_state_once(monkeypatch, tmp_path):
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 16)
+    grid = build_grid(DISK, 1 / 16)
+    u = exact_cap(grid)
+    calls = []
+    real_derivs, real_geo = solver.all_derivatives, solver.batch_geometry
+
+    def spy_derivs(*args, **kwargs):
+        calls.append("derivs")
+        return real_derivs(*args, **kwargs)
+
+    def spy_geo(*args, **kwargs):
+        calls.append("geo")
+        return real_geo(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "all_derivatives", spy_derivs)
+    monkeypatch.setattr(solver, "batch_geometry", spy_geo)
+    text = write_solution(tmp_path / "a.dat", spec, grid, u)
+    assert calls == ["derivs", "geo"]
+    # the residual column is the residual of u
+    body = [ln.split() for ln in text.splitlines() if not ln.startswith("#")]
+    res = np.array([float(row[-1]) for row in body])
+    assert np.array_equal(res, residual(spec, grid, u, 0.0))
 
 
 def test_write_solution_roundtrip(tmp_path):
