@@ -5,72 +5,3 @@ graph has K_eta = prod_i (sum_{j != i} kappa_j) equal to a prescribed
 psi(x, u, nu) >= 0.  Degenerate right-hand sides are handled by solving a
 strictly positive regularization and continuing eps -> 0.
 """
-
-from .cones import (
-    NotAdmissible,
-    cone_margin,
-    f_grad,
-    f_normalized,
-    f_value,
-    in_gamma,
-    in_gamma_k,
-    lambda_of,
-    sigma,
-    sigma_reduced,
-)
-from .geometry import (
-    PointGeometry,
-    PointState,
-    G_gradient_coeffs,
-    G_hessian_coeffs,
-    batch_geometry,
-    eta_eigen,
-    geometry_at,
-    ilt_coefficient,
-    lambda_rp,
-    spectral_grad,
-)
-from .certify import (
-    Certificate,
-    check_admissibility,
-    check_comparison,
-    check_maximum_principle,
-    check_subsolution,
-    property_battery,
-    standard_certificates,
-)
-from .domain import DomainShape, boundary_curvatures, check_two_convex
-from .expr import parse, validate_psi
-from .grid import all_derivatives, build_grid
-from .radial import RadialProfile, dump_profile, shoot
-from .solver import (
-    NegativePsi,
-    NewtonParams,
-    ProblemSpec,
-    SolveReport,
-    SolverFailure,
-    continuation_solve,
-    initial_guess,
-    jacobian,
-    newton_solve,
-    residual,
-    write_solution,
-)
-
-__all__ = [
-    "NotAdmissible", "cone_margin", "f_grad", "f_normalized", "f_value",
-    "in_gamma", "in_gamma_k", "lambda_of", "sigma", "sigma_reduced",
-    "PointGeometry", "PointState", "G_gradient_coeffs", "G_hessian_coeffs",
-    "batch_geometry", "eta_eigen", "geometry_at", "ilt_coefficient",
-    "lambda_rp", "spectral_grad",
-    "Certificate", "check_admissibility", "check_comparison",
-    "check_maximum_principle", "check_subsolution", "property_battery",
-    "standard_certificates",
-    "DomainShape", "boundary_curvatures", "check_two_convex",
-    "parse", "validate_psi",
-    "all_derivatives", "build_grid",
-    "RadialProfile", "dump_profile", "shoot",
-    "NegativePsi", "NewtonParams", "ProblemSpec", "SolveReport",
-    "SolverFailure", "continuation_solve", "initial_guess", "jacobian",
-    "newton_solve", "residual", "write_solution",
-]

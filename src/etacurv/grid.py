@@ -10,10 +10,13 @@ derivatives use the centered four-corner cross when all corners are
 interior and otherwise fall back to a one-sided quadrant stencil built
 from interior nodes only.
 
+Neighbors are found in a dense lookup array over the lattice's bounding
+box, and every stencil is built by array operations over all nodes at once.
+
 Dirichlet data is identically zero, so boundary samples drop out of the
-assembled sparse operators; fd_derivatives additionally accepts an
-explicit boundary callable so consistency tests can feed the true trace
-of a polynomial.
+assembled sparse operators, the one source of stencils; fd_derivatives
+reads one node's row of them and additionally accepts an explicit boundary
+callable so consistency tests can feed the true trace of a polynomial.
 """
 
 from __future__ import annotations
@@ -82,7 +85,7 @@ class Grid:
     cls: np.ndarray          # (m,) 0 = interior-regular, 1 = interior-irregular
     nb: np.ndarray           # (m, n, 2) neighbor row for (+, -) arm, -1 = boundary
     theta: np.ndarray        # (m, n, 2) arm length / h, in (0, 1]; 1 where neighbor interior
-    index_of: dict
+    lookup: np.ndarray       # lattice bounding box padded by one layer: row, -1 outside
     mixed_dropped: list = field(default_factory=list)  # (node, i, j) with no usable stencil
     _ops: GridOps | None = field(default=None, repr=False)
     _pattern: OpsPattern | None = field(default=None, repr=False)
@@ -94,6 +97,17 @@ class Grid:
     @property
     def size(self):
         return self.idx.shape[0]
+
+    def rows_at(self, keys):
+        """Rows of the lattice keys (..., n); -1 where a key names no interior node."""
+        keys = np.asarray(keys, dtype=np.int64)
+        # the box is symmetric about key 0, whose entry sits at its center
+        box = np.array(self.lookup.shape)
+        local = keys + (box - 1) // 2
+        inbox = ((local >= 0) & (local < box)).all(axis=-1)
+        # clipped so no key wraps; a clipped key's row is masked out
+        flat = np.ravel_multi_index(np.moveaxis(local, -1, 0), box, mode="clip")
+        return np.where(inbox, self.lookup.ravel()[flat], -1)
 
     def ops(self):
         if self._ops is None:
@@ -112,9 +126,8 @@ def build_grid(shape, h):
     if h <= 0.0:
         raise ValueError("spacing must be positive")
     n = shape.n
-    ranges = [np.arange(-int(np.floor(a / h)), int(np.floor(a / h)) + 1)
-              for a in shape.semiaxes]
-    mesh = np.meshgrid(*ranges, indexing="ij")
+    half = [int(np.floor(a / h)) for a in shape.semiaxes]
+    mesh = np.meshgrid(*[np.arange(-k, k + 1) for k in half], indexing="ij")
     idx_all = np.stack([m.ravel() for m in mesh], axis=-1)
     pos_all = idx_all * h
     inside = shape.implicit(pos_all) < 0.0
@@ -124,28 +137,20 @@ def build_grid(shape, h):
     if m == 0:
         raise EmptyGrid(f"no interior lattice node at spacing h={h:g}")
 
-    index_of = {tuple(row): q for q, row in enumerate(idx)}
-    nb = np.full((m, n, 2), -1, dtype=np.int64)
-    theta = np.ones((m, n, 2))
-    cross = []  # rows (q, s, t, sign) needing a bisected arm length
-    for q in range(m):
-        base = idx[q]
-        for s in range(n):
-            for t, sign in ((0, 1), (1, -1)):
-                key = list(base)
-                key[s] += sign
-                row = index_of.get(tuple(key))
-                if row is not None:
-                    nb[q, s, t] = row
-                else:
-                    cross.append((q, s, t, sign))
-    if cross:
-        cross = np.asarray(cross, dtype=np.int64)
+    lookup = np.full([2 * k + 3 for k in half], -1, dtype=np.int64)
+    lookup[(slice(1, -1),) * n][inside.reshape(mesh[0].shape)] = np.arange(m)
+    grid = Grid(shape=shape, h=float(h), idx=idx, pos=pos, cls=None, nb=None,
+                theta=np.ones((m, n, 2)), lookup=lookup)
+    unit = np.eye(n, dtype=np.int64)
+    arms = np.stack([unit, -unit], axis=1)  # arms[s, t]: the (+, -) step along s
+    grid.nb = grid.rows_at(idx[:, None, None, :] + arms)
+    cross = np.argwhere(grid.nb < 0)  # (q, s, t), in node-major order
+    if len(cross):
+        cross = np.column_stack([cross, 1 - 2 * cross[:, 2]])  # the arm's sign
         theta_cross = _bisect_arms(shape, pos, h, cross)
-        theta[cross[:, 0], cross[:, 1], cross[:, 2]] = theta_cross
-    cls = (nb < 0).any(axis=(1, 2)).astype(np.uint8)
-    return Grid(shape=shape, h=float(h), idx=idx, pos=pos, cls=cls,
-                nb=nb, theta=theta, index_of=index_of)
+        grid.theta[cross[:, 0], cross[:, 1], cross[:, 2]] = theta_cross
+    grid.cls = (grid.nb < 0).any(axis=(1, 2)).astype(np.uint8)
+    return grid
 
 
 def _bisect_arms(shape, pos, h, cross):
@@ -172,7 +177,7 @@ def _arm_coeffs(hp, hm):
     """Three-point derivative weights for samples u(+hp), u(-hm), u(0).
 
     Lagrange differentiation through the three points; exact for quadratics,
-    reduces to the central formulas when hp = hm.
+    reduces to the central formulas when hp = hm.  Works elementwise on arrays.
     """
     s = hp + hm
     d1 = (hm / (hp * s), -hp / (hm * s), (hp - hm) / (hp * hm))
@@ -180,70 +185,65 @@ def _arm_coeffs(hp, hm):
     return d1, d2
 
 
-def _mixed_stencil(grid, q, i, j):
-    """Stencil for u_ij at node q as (rows, coefs, includes_center).
-
-    Preference: centered 4-corner cross; else the first quadrant (toward the
-    domain center first) whose three offset nodes are interior; else None.
-    """
-    h = grid.h
-    base = grid.idx[q]
-
-    def row_at(di, dj):
-        key = list(base)
-        key[i] += di
-        key[j] += dj
-        return grid.index_of.get(tuple(key))
-
-    corners = [row_at(1, 1), row_at(1, -1), row_at(-1, 1), row_at(-1, -1)]
-    if all(r is not None for r in corners):
-        c = 1.0 / (4.0 * h * h)
-        return corners, [c, -c, -c, c]
-
-    si0 = -1 if grid.pos[q, i] > 0 else 1
-    sj0 = -1 if grid.pos[q, j] > 0 else 1
-    for si, sj in ((si0, sj0), (si0, -sj0), (-si0, sj0), (-si0, -sj0)):
-        corner, arm_i, arm_j = row_at(si, sj), row_at(si, 0), row_at(0, sj)
-        if corner is not None and arm_i is not None and arm_j is not None:
-            c = 1.0 / (si * sj * h * h)
-            return [corner, arm_i, arm_j, q], [c, -c, -c, c]
-    return None, None
+def _stencil_matrix(m, rows, cols, vals):
+    """CSR (m, m) from per-entry lists of arrays; no (row, col) repeats."""
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=(m, m))
 
 
 def _build_ops(grid):
+    """Shortley-Weller axis stencils and mixed stencils, as CSR operators.
+
+    Axis s: the arms' entries where the neighbor is interior (boundary
+    samples are zero and drop out) plus the diagonal, stored even where it
+    is exactly 0.  Mixed (i, j): the centered four-corner cross where all
+    corners are interior; else the first quadrant, toward the domain center
+    first, whose three offset nodes are interior; else the node goes to
+    grid.mixed_dropped and its row stays empty.
+    """
     m, n, h = grid.size, grid.n, grid.h
+    q = np.arange(m)
     Dx = []
     D2 = {}
     for s in range(n):
-        rows1, cols1, vals1 = [], [], []
-        rows2, cols2, vals2 = [], [], []
-        for q in range(m):
-            hp = grid.theta[q, s, 0] * h
-            hm = grid.theta[q, s, 1] * h
-            d1, d2 = _arm_coeffs(hp, hm)
-            for arm, (c1, c2) in zip((0, 1), zip(d1[:2], d2[:2])):
-                r = grid.nb[q, s, arm]
-                if r >= 0:  # boundary samples are zero and drop out
-                    rows1.append(q); cols1.append(r); vals1.append(c1)
-                    rows2.append(q); cols2.append(r); vals2.append(c2)
-            rows1.append(q); cols1.append(q); vals1.append(d1[2])
-            rows2.append(q); cols2.append(q); vals2.append(d2[2])
-        Dx.append(scipy.sparse.csr_matrix(
-            (vals1, (rows1, cols1)), shape=(m, m)))
-        D2[(s, s)] = scipy.sparse.csr_matrix(
-            (vals2, (rows2, cols2)), shape=(m, m))
+        d1, d2 = _arm_coeffs(grid.theta[:, s, 0] * h, grid.theta[:, s, 1] * h)
+        arm = [grid.nb[:, s, t] >= 0 for t in (0, 1)]
+        rows = [q[arm[0]], q[arm[1]], q]
+        cols = [grid.nb[arm[0], s, 0], grid.nb[arm[1], s, 1], q]
+        Dx.append(_stencil_matrix(m, rows, cols, [d1[0][arm[0]], d1[1][arm[1]], d1[2]]))
+        D2[(s, s)] = _stencil_matrix(m, rows, cols, [d2[0][arm[0]], d2[1][arm[1]], d2[2]])
+
+    unit = np.eye(n, dtype=np.int64)
     for i in range(n):
         for j in range(i + 1, n):
             rows, cols, vals = [], [], []
-            for q in range(m):
-                stencil_rows, coefs = _mixed_stencil(grid, q, i, j)
-                if stencil_rows is None:
-                    grid.mixed_dropped.append((q, i, j))
-                    continue
-                for r, c in zip(stencil_rows, coefs):
-                    rows.append(q); cols.append(r); vals.append(c)
-            D2[(i, j)] = scipy.sparse.csr_matrix(
-                (vals, (rows, cols)), shape=(m, m))
+
+            def rows_at(nodes, di, dj):
+                step = np.multiply.outer(di, unit[i]) + np.multiply.outer(dj, unit[j])
+                return grid.rows_at(grid.idx[nodes] + step)
+
+            def add(nodes, stencil, c):  # stencil rows (4, k), weights c * (1, -1, -1, 1)
+                rows.append(np.repeat(nodes, 4))
+                cols.append(stencil.T.ravel())
+                vals.append(np.multiply.outer(c, [1.0, -1.0, -1.0, 1.0]).ravel())
+
+            corners = np.stack([rows_at(q, 1, 1), rows_at(q, 1, -1),
+                                rows_at(q, -1, 1), rows_at(q, -1, -1)])
+            full = (corners >= 0).all(axis=0)
+            add(q[full], corners[:, full], np.full(int(full.sum()), 1.0 / (4.0 * h * h)))
+            left = q[~full]
+            free = np.ones(len(left), dtype=bool)  # left nodes still without a stencil
+            si0 = np.where(grid.pos[left, i] > 0, -1, 1)
+            sj0 = np.where(grid.pos[left, j] > 0, -1, 1)
+            for si, sj in ((si0, sj0), (si0, -sj0), (-si0, sj0), (-si0, -sj0)):
+                stencil = np.stack([rows_at(left, si, sj), rows_at(left, si, 0),
+                                    rows_at(left, 0, sj), left])
+                use = free & (stencil >= 0).all(axis=0)
+                free &= ~use
+                add(left[use], stencil[:, use], 1.0 / (si[use] * sj[use] * h * h))
+            D2[(i, j)] = _stencil_matrix(m, rows, cols, vals)
+            grid.mixed_dropped.extend((k, i, j) for k in left[free].tolist())
     return GridOps(Dx=Dx, D2=D2)
 
 
@@ -324,64 +324,34 @@ def all_derivatives(grid, u):
 
 
 def fd_derivatives(grid, u, node, boundary=None):
-    """PointState (Du, D^2u) at one interior node.
+    """PointState (Du, D^2u) at one interior node, from its row of ops().
 
     boundary(x) supplies Dirichlet samples at arm crossings (default 0,
-    the problem's boundary condition).  Mixed terms never need boundary
-    samples: they use interior-only stencils by construction.
+    the problem's boundary condition, which the operators omit): each
+    blocked arm adds its Shortley-Weller weight times the sample.  Mixed
+    terms never need boundary samples: they use interior-only stencils by
+    construction.
     """
     u = np.asarray(u, dtype=float)
+    ops = grid.ops()
     n, h = grid.n, grid.h
     q = int(node)
-    p = np.empty(n)
+
+    def row(op):  # indptr slices: no per-call matrix slicing
+        lo, hi = op.indptr[q], op.indptr[q + 1]
+        return op.data[lo:hi] @ u[op.indices[lo:hi]]
+
+    p = np.array([row(D) for D in ops.Dx])
     r = np.empty((n, n))
-    for s in range(n):
-        hp = grid.theta[q, s, 0] * h
-        hm = grid.theta[q, s, 1] * h
-        d1, d2 = _arm_coeffs(hp, hm)
-        samples = []
-        for arm, sign in ((0, 1.0), (1, -1.0)):
-            rr = grid.nb[q, s, arm]
-            if rr >= 0:
-                samples.append(u[rr])
-            elif boundary is None:
-                samples.append(0.0)
-            else:
-                xc = grid.pos[q].copy()
-                xc[s] += sign * grid.theta[q, s, arm] * h
-                samples.append(float(boundary(xc)))
-        up, um, u0 = samples[0], samples[1], u[q]
-        p[s] = d1[0] * up + d1[1] * um + d1[2] * u0
-        r[s, s] = d2[0] * up + d2[1] * um + d2[2] * u0
-    for i in range(n):
-        for j in range(i + 1, n):
-            stencil_rows, coefs = _mixed_stencil(grid, q, i, j)
-            if stencil_rows is None:
-                val = 0.0
-            else:
-                val = sum(c * u[rr] for rr, c in zip(stencil_rows, coefs))
-            r[i, j] = val
-            r[j, i] = val
-    return PointState(p=p, r=r)
-
-
-def dump_grid(grid):
-    """Debug text: one node per line, '#'-prefixed header."""
-    n = grid.n
-    cols = ["i", "j", "k"][:n] + ["x1", "x2", "x3"][:n] + ["class"]
-    for s in range(n):
-        cols += [f"theta+{s + 1}", f"theta-{s + 1}"]
-    lines = [
-        f"# grid over {grid.shape.kind} semiaxes={grid.shape.semiaxes} h={grid.h:.17g}",
-        f"# nodes={grid.size}",
-        "# " + " ".join(cols),
-    ]
-    names = ("regular", "irregular")
-    for q in range(grid.size):
-        parts = [str(v) for v in grid.idx[q]]
-        parts += [f"{v:.17g}" for v in grid.pos[q]]
-        parts.append(names[grid.cls[q]])
+    for (i, j), D in ops.D2.items():
+        r[i, j] = r[j, i] = row(D)
+    if boundary is not None:
         for s in range(n):
-            parts += [f"{grid.theta[q, s, 0]:.17g}", f"{grid.theta[q, s, 1]:.17g}"]
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
+            d1, d2 = _arm_coeffs(grid.theta[q, s, 0] * h, grid.theta[q, s, 1] * h)
+            for t in np.flatnonzero(grid.nb[q, s] < 0):
+                xc = grid.pos[q].copy()
+                xc[s] += (1 - 2 * t) * grid.theta[q, s, t] * h
+                sample = float(boundary(xc))
+                p[s] += d1[t] * sample
+                r[s, s] += d2[t] * sample
+    return PointState(p=p, r=r)

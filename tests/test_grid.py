@@ -10,15 +10,147 @@ from etacurv.domain import DomainShape
 from etacurv.geometry import geometry_at
 from etacurv.grid import (
     GridOps,
+    _arm_coeffs,
+    _bisect_arms,
     _build_pattern,
     all_derivatives,
     build_grid,
-    dump_grid,
     fd_derivatives,
     nested_dissection,
 )
 
 DISK = DomainShape((0.5, 0.5))
+
+
+def reference_grid(shape, h):
+    """Per-node reference of build_grid and Grid.ops(): a dict of index
+    tuples for neighbor lookup and a Python loop over nodes for every
+    stencil.  Returns (grid fields, Dx, D2) with the same arithmetic for
+    each weight, so the batched builder must match it bitwise."""
+    n = shape.n
+    ranges = [np.arange(-int(np.floor(a / h)), int(np.floor(a / h)) + 1)
+              for a in shape.semiaxes]
+    mesh = np.meshgrid(*ranges, indexing="ij")
+    idx_all = np.stack([m.ravel() for m in mesh], axis=-1)
+    pos_all = idx_all * h
+    inside = shape.implicit(pos_all) < 0.0
+    idx = np.ascontiguousarray(idx_all[inside])
+    pos = np.ascontiguousarray(pos_all[inside])
+    m = idx.shape[0]
+
+    index_of = {tuple(row): q for q, row in enumerate(idx)}
+    nb = np.full((m, n, 2), -1, dtype=np.int64)
+    theta = np.ones((m, n, 2))
+    cross = []
+    for q in range(m):
+        for s in range(n):
+            for t, sign in ((0, 1), (1, -1)):
+                key = list(idx[q])
+                key[s] += sign
+                row = index_of.get(tuple(key))
+                if row is not None:
+                    nb[q, s, t] = row
+                else:
+                    cross.append((q, s, t, sign))
+    if cross:
+        cross = np.asarray(cross, dtype=np.int64)
+        theta[cross[:, 0], cross[:, 1], cross[:, 2]] = _bisect_arms(shape, pos, h, cross)
+    cls = (nb < 0).any(axis=(1, 2)).astype(np.uint8)
+
+    def mixed_stencil(q, i, j):
+        def row_at(di, dj):
+            key = list(idx[q])
+            key[i] += di
+            key[j] += dj
+            return index_of.get(tuple(key))
+
+        corners = [row_at(1, 1), row_at(1, -1), row_at(-1, 1), row_at(-1, -1)]
+        if all(r is not None for r in corners):
+            c = 1.0 / (4.0 * h * h)
+            return corners, [c, -c, -c, c]
+        si0 = -1 if pos[q, i] > 0 else 1
+        sj0 = -1 if pos[q, j] > 0 else 1
+        for si, sj in ((si0, sj0), (si0, -sj0), (-si0, sj0), (-si0, -sj0)):
+            corner, arm_i, arm_j = row_at(si, sj), row_at(si, 0), row_at(0, sj)
+            if corner is not None and arm_i is not None and arm_j is not None:
+                c = 1.0 / (si * sj * h * h)
+                return [corner, arm_i, arm_j, q], [c, -c, -c, c]
+        return None, None
+
+    Dx, D2, dropped = [], {}, []
+    for s in range(n):
+        rows1, cols1, vals1 = [], [], []
+        rows2, cols2, vals2 = [], [], []
+        for q in range(m):
+            d1, d2 = _arm_coeffs(theta[q, s, 0] * h, theta[q, s, 1] * h)
+            for arm in (0, 1):
+                r = nb[q, s, arm]
+                if r >= 0:
+                    rows1.append(q); cols1.append(r); vals1.append(d1[arm])
+                    rows2.append(q); cols2.append(r); vals2.append(d2[arm])
+            rows1.append(q); cols1.append(q); vals1.append(d1[2])
+            rows2.append(q); cols2.append(q); vals2.append(d2[2])
+        Dx.append(scipy.sparse.csr_matrix((vals1, (rows1, cols1)), shape=(m, m)))
+        D2[(s, s)] = scipy.sparse.csr_matrix((vals2, (rows2, cols2)), shape=(m, m))
+    for i in range(n):
+        for j in range(i + 1, n):
+            rows, cols, vals = [], [], []
+            for q in range(m):
+                stencil_rows, coefs = mixed_stencil(q, i, j)
+                if stencil_rows is None:
+                    dropped.append((q, i, j))
+                    continue
+                for r, c in zip(stencil_rows, coefs):
+                    rows.append(q); cols.append(r); vals.append(c)
+            D2[(i, j)] = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
+    fields = dict(idx=idx, pos=pos, nb=nb, theta=theta, cls=cls, mixed_dropped=dropped)
+    return fields, Dx, D2
+
+
+REFERENCE_CASES = [
+    (DISK, 1 / 10),
+    (DISK, 1 / 64),
+    (DomainShape((0.5, 0.3)), 1 / 32),
+    (DomainShape((1.0, 0.5)), 0.13),
+    (DomainShape((0.5, 0.5, 0.5)), 1 / 12),
+    (DomainShape((0.5, 0.4, 0.3)), 1 / 16),   # 8 dropped mixed stencils
+    (DomainShape((0.6, 0.5, 0.4)), 0.17),     # 18 dropped mixed stencils
+    (DISK, 0.6),                              # one node
+]
+
+
+def test_grid_matches_per_node_reference():
+    for shape, h in REFERENCE_CASES:
+        case = f"{shape.semiaxes} h={h:g}"
+        g = build_grid(shape, h)
+        ops = g.ops()
+        fields, Dx, D2 = reference_grid(shape, h)
+        for name in ("idx", "pos", "nb", "theta", "cls"):
+            got, want = getattr(g, name), fields[name]
+            assert got.dtype == want.dtype, (case, name)
+            np.testing.assert_array_equal(got, want, err_msg=f"{case} {name}")
+        assert g.mixed_dropped == fields["mixed_dropped"], case
+        assert list(ops.D2) == list(D2), case
+        pairs = list(zip(ops.Dx, Dx)) + [(ops.D2[k], D2[k]) for k in D2]
+        for got, want in pairs:
+            # equal arrays, stored zeros included (Dx's diagonal at regular nodes)
+            for name in ("indptr", "indices", "data"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (case, name)
+
+
+def test_rows_at_outside_the_box():
+    for shape, h in [(DISK, 0.25), (DomainShape((0.6, 0.5, 0.4)), 0.17)]:
+        g = build_grid(shape, h)
+        np.testing.assert_array_equal(g.rows_at(g.idx), np.arange(g.size))
+        pad = (np.array(g.lookup.shape) - 1) // 2  # keys -pad..pad span the box
+        for s in range(g.n):
+            # the padding layer, then keys past the box that a plain index
+            # would wrap around to the far side
+            for key in (pad[s], -pad[s], pad[s] + 1, -pad[s] - 1, 2**40, -2**40):
+                keys = np.stack([np.zeros(g.n, dtype=np.int64), g.idx[0]])
+                keys[:, s] = key
+                np.testing.assert_array_equal(g.rows_at(keys), [-1, -1])
 
 
 def test_nine_node_disk():
@@ -28,14 +160,12 @@ def test_nine_node_disk():
     assert {tuple(row) for row in g.idx} == want
     # lexicographic ordering by index
     assert [tuple(row) for row in g.idx] == sorted(want)
-    center = g.index_of[(0, 0)]
+    center, edge, corner = g.rows_at([(0, 0), (1, 0), (1, 1)])
     assert g.cls[center] == 0  # all four neighbors interior
-    edge = g.index_of[(1, 0)]
     assert g.cls[edge] == 1
     # +x arm of (0.25, 0) hits the circle at exactly one full step
     assert g.theta[edge, 0, 0] == 1.0
     assert g.nb[edge, 0, 0] == -1
-    corner = g.index_of[(1, 1)]
     np.testing.assert_allclose(g.theta[corner, 0, 0], np.sqrt(3.0) - 1.0, atol=1e-12)
 
 
@@ -120,18 +250,6 @@ def test_linear_exactness_3d_all_nodes():
         np.testing.assert_allclose(st.r, 0.0, atol=1e-9)
 
 
-def test_operator_route_matches_pointwise_route():
-    rng = np.random.default_rng(3)
-    for shape, h in [(DISK, 1.0 / 10), (DomainShape((0.5, 0.5, 0.5)), 0.21)]:
-        g = build_grid(shape, h)
-        u = rng.normal(size=g.size)
-        p, r = all_derivatives(g, u)
-        for q in range(0, g.size, 3):
-            st = fd_derivatives(g, u, q)
-            np.testing.assert_allclose(st.p, p[q], rtol=1e-13, atol=1e-13)
-            np.testing.assert_allclose(st.r, r[q], rtol=1e-13, atol=1e-13)
-
-
 def test_cap_curvature_convergence():
     # graph curvatures of the unit-sphere cap recovered to O(h) in the sup norm
     g = build_grid(DISK, 1.0 / 64)
@@ -152,19 +270,6 @@ def test_cap_curvature_convergence():
 def test_empty_grid_never_fires_for_centered_shapes():
     g = build_grid(DISK, 5.0)
     assert g.size == 1  # the origin survives any spacing
-
-
-def test_dump_round_trip_fields():
-    g = build_grid(DISK, 0.25)
-    text = dump_grid(g)
-    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
-    assert len(lines) == 9
-    first = lines[0].split()
-    assert first[0] == "-1" and first[1] == "-1"
-    assert first[4] in ("regular", "irregular")
-    assert len(first) == 2 + 2 + 1 + 4
-    header = [ln for ln in text.splitlines() if ln.startswith("#")]
-    assert any("h=0.25" in ln for ln in header)
 
 
 ORDERING_CASES = [
