@@ -18,11 +18,12 @@ discretization machinery with it.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalEnv, evaluate, variables
+from .expr import DomainError, EvalEnv, evaluate, variables
 
 
 class BracketFailure(Exception):
@@ -63,11 +64,15 @@ class RadialProfile:
         return np.interp(np.abs(rq), self.r, self.u)
 
     def curvatures(self):
-        kr = np.empty_like(self.r)
-        kt = np.empty_like(self.r)
-        for i in range(len(self.r)):
-            k = radial_curvatures(self.r[i], self.up[i], self.upp[i], self.n)
-            kr[i], kt[i] = k[0], k[-1]
+        """(kappa_r, kappa_t) per sample, as `radial_curvatures` gives them."""
+        r, up, upp = self.r, self.up, self.upp
+        kr, kt = upp.copy(), upp.copy()  # u'(0) = 0 limit at r = 0
+        out = r > 0.0
+        wt = np.sqrt(1.0 + up[out] * up[out])
+        # float_power rounds as the scalar ** in radial_curvatures does; ** on
+        # an array may take a SIMD pow that differs in the last bit
+        kr[out] = upp[out] / np.float_power(wt, 3)
+        kt[out] = up[out] / (r[out] * wt)
         return kr, kt
 
 
@@ -102,13 +107,12 @@ def _psi_at(psi, r, u, up, n):
     return float(evaluate(psi, EvalEnv.from_gradient(x, u, p)))
 
 
-def radial_rhs(r, u, up, psi, n, eps=0.0):
-    """u'' from the reduced curvature relation at radius r."""
-    val = regularize_value(_psi_at(psi, r, u, up, n), eps, n)
+def _invert(val, r, up, n):
+    """u'' from the regularized psi value val at radius r and slope up."""
     if r <= 0.0:
         # center limit: all curvatures equal upp, f = ((n-1) upp)^n
         return val ** (1.0 / n) / (n - 1)
-    wt = np.sqrt(1.0 + up * up)
+    wt = math.sqrt(1.0 + up * up)
     kt = up / (r * wt)
     if kt <= 0.0:
         if val > 0.0:
@@ -116,66 +120,111 @@ def radial_rhs(r, u, up, psi, n, eps=0.0):
                 f"kappa_t = {kt:g} at r = {r:g} but psi = {val:g} > 0")
         return 0.0
     kr = (val / ((n - 1) * kt)) ** (1.0 / (n - 1)) - (n - 2) * kt
-    return kr * wt ** 3
+    try:
+        return kr * wt ** 3
+    except OverflowError:  # numpy's ** gives inf here, which callers report
+        return kr * math.inf
 
 
-def _series_start(psi, a, n, dr, eps):
+def radial_rhs(r, u, up, psi, n, eps=0.0):
+    """u'' from the reduced curvature relation at radius r."""
+    return _invert(regularize_value(_psi_at(psi, r, u, up, n), eps, n), r, up, n)
+
+
+#: psi reading only these is a function of the radius on the x1 axis
+_POSITION = frozenset({"x1", "x2", "x3", "r"})
+
+
+def _position_table(psi, n, dr, rows):
+    """psi at k dr, k dr + dr/2 and k dr + dr in row k < rows, the abscissae
+    of RK4 step k formed as `_integrate` forms them, from one batched
+    evaluate.  Row 0 also holds the series start's 0 and dr, row 1 its 2 dr.
+
+    None when psi reads z, nu or w, or when the batch meets a domain error:
+    evaluating per stage then raises it, or an earlier failure, where the
+    integration first reaches it.
+    """
+    if not variables(psi) <= _POSITION:
+        return None
+    rk = np.arange(rows) * dr
+    x = np.zeros((rows, 3, n))
+    x[..., 0] = np.stack([rk, rk + 0.5 * dr, rk + dr], axis=1)
+    try:
+        return evaluate(psi, EvalEnv.from_gradient(x, 0.0, np.zeros_like(x))).tolist()
+    except DomainError:
+        return None
+
+
+def _series_start(psi_eps, a, n, dr):
     """State (u, u') at the first node, bridging the r = 0 singularity.
 
     Non-degenerate center (psi_eps(0) > 0): quadratic series from
     upp(0) = psi^{1/n}/(n-1).  Degenerate center: local power-law
     u = a + c r^m fitted to psi ~ K r^q near 0.
     """
-    p0 = regularize_value(_psi_at(psi, 0.0, a, 0.0, n), eps, n)
+    p0 = psi_eps(0, 0, 0.0, a, 0.0)
     if p0 > 0.0:
         upp0 = p0 ** (1.0 / n) / (n - 1)
         return a + 0.5 * upp0 * dr * dr, upp0 * dr
-    p1 = regularize_value(_psi_at(psi, dr, a, 0.0, n), eps, n)
-    p2 = regularize_value(_psi_at(psi, 2.0 * dr, a, 0.0, n), eps, n)
+    p1 = psi_eps(0, 2, dr, a, 0.0)
+    p2 = psi_eps(1, 2, 2.0 * dr, a, 0.0)
     if p1 <= 0.0:
         return a, 0.0  # psi flat at zero: profile starts flat
     q = np.log(p2 / p1) / np.log(2.0)
     K = p1 / dr ** q
     m = 2.0 + q / n
     c = (K / ((n - 1) * (m + n - 3) ** (n - 1))) ** (1.0 / n) / m
-    return a + c * dr ** m, c * m * dr ** (m - 1)
+    return float(a + c * dr ** m), float(c * m * dr ** (m - 1))
 
 
 def _integrate(psi, a, r0, n, steps, eps, record=False):
-    """Fixed-step RK4 for (u, u') from the center; returns u(r0) or arrays."""
+    """Fixed-step RK4 for (u, u') from the center; returns u(r0) or arrays.
+
+    psi comes from `_position_table` when it has one, else from one
+    evaluate per stage; either way it is regularized in integration order.
+    """
     dr = r0 / steps
-    u, up = _series_start(psi, a, n, dr, eps)
-    if record:
-        upp0 = radial_rhs(0.0, a, 0.0, psi, n, eps)
-        rs = [0.0, dr]
-        us = [a, u]
-        ups = [0.0, up]
-        upps = [upp0, radial_rhs(dr, u, up, psi, n, eps)]
+    half = 0.5 * dr
+    table = _position_table(psi, n, dr, max(steps, 2))
 
-    def rhs(r, y):
-        upp = radial_rhs(r, y[0], y[1], psi, n, eps)
-        if not np.isfinite(upp) or abs(upp) > 1e12:
+    def psi_eps(k, s, r, u, up):
+        """Regularized psi at abscissa s of table row k, which is radius r."""
+        v = _psi_at(psi, r, u, up, n) if table is None else table[k][s]
+        return regularize_value(v, eps, n)
+
+    def rhs(k, s, r, u, up):
+        upp = _invert(psi_eps(k, s, r, u, up), r, up, n)
+        if not math.isfinite(upp) or abs(upp) > 1e12:
             raise StiffnessFailure(f"u'' = {upp:g} at r = {r:g}")
-        return np.array([y[1], upp])
+        return upp
 
-    y = np.array([u, up])
+    u, up = _series_start(psi_eps, a, n, dr)
+    if record:
+        rs, us, ups = [0.0, dr], [a, u], [0.0, up]
+        upps = [_invert(psi_eps(0, 0, 0.0, a, 0.0), 0.0, 0.0, n),
+                _invert(psi_eps(0, 2, dr, u, up), dr, up, n)]
+
     for k in range(1, steps):
         r = k * dr
-        k1 = rhs(r, y)
-        k2 = rhs(r + 0.5 * dr, y + 0.5 * dr * k1)
-        k3 = rhs(r + 0.5 * dr, y + 0.5 * dr * k2)
-        k4 = rhs(r + dr, y + dr * k3)
-        y = y + (dr / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        if not np.all(np.isfinite(y)):
+        p1 = rhs(k, 0, r, u, up)
+        u2, up2 = u + half * up, up + half * p1
+        p2 = rhs(k, 1, r + half, u2, up2)
+        u3, up3 = u + half * up2, up + half * p2
+        p3 = rhs(k, 1, r + half, u3, up3)
+        u4, up4 = u + dr * up3, up + dr * p3
+        p4 = rhs(k, 2, r + dr, u4, up4)
+        u, up = (u + (dr / 6.0) * (up + 2.0 * up2 + 2.0 * up3 + up4),
+                 up + (dr / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4))
+        if not (math.isfinite(u) and math.isfinite(up)):
             raise StiffnessFailure(f"state diverged near r = {r + dr:g}")
         if record:
             rs.append(r + dr)
-            us.append(y[0])
-            ups.append(y[1])
-            upps.append(radial_rhs(r + dr, y[0], y[1], psi, n, eps))
+            us.append(u)
+            ups.append(up)
+            upps.append(_invert(psi_eps(k, 2, r + dr, u, up), r + dr, up, n))
     if record:
         return (np.array(rs), np.array(us), np.array(ups), np.array(upps))
-    return float(y[0])
+    return u
 
 
 def shoot(psi, r0, n, tol=1e-10, steps=4096, eps=0.0, max_bisect=200):
@@ -236,9 +285,8 @@ def dump_profile(profile, header_extra=()):
         lines.append(f"# richardson step-halving estimate={profile.richardson_error:.17g}")
     lines.extend(f"# {extra}" for extra in header_extra)
     lines.append("# r u up upp kappa_r kappa_t")
-    kr, kt = profile.curvatures()
-    for i in range(len(profile.r)):
-        lines.append(" ".join(f"{v:.17g}" for v in
-                              (profile.r[i], profile.u[i], profile.up[i],
-                               profile.upp[i], kr[i], kt[i])))
+    rows = np.column_stack((profile.r, profile.u, profile.up, profile.upp,
+                            *profile.curvatures()))
+    fmt = " ".join(["%.17g"] * rows.shape[1])
+    lines.extend(fmt % tuple(row) for row in rows.tolist())
     return "\n".join(lines) + "\n"

@@ -569,11 +569,11 @@ def write_solution(path, spec, grid, u, report=None, config_echo=()):
     if report is not None:
         lines.append(f"# {report.summary()}")
     lines.append("# " + " ".join(cols))
-    for q in range(grid.size):
-        vals = list(grid.pos[q]) + [u[q]] + list(p[q])
-        vals += [r[q, i, j] for i in range(n) for j in range(i, n)]
-        vals += list(geo.kappa[q]) + [geo.K_eta[q], res[q]]
-        lines.append(" ".join(f"{v:.17g}" for v in vals))
+    table = np.column_stack(
+        (grid.pos, u, p, *(r[:, i, j] for i in range(n) for j in range(i, n)),
+         geo.kappa, geo.K_eta, res))
+    fmt = " ".join(["%.17g"] * len(cols))
+    lines.extend(fmt % tuple(row) for row in table.tolist())
     text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
         fh.write(text)

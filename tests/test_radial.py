@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from etacurv.expr import parse
+from etacurv import radial
+from etacurv.expr import DomainError, parse
 from etacurv.geometry import PointState, geometry_at
 from etacurv.radial import (
     BracketFailure,
@@ -125,6 +126,73 @@ def test_shoot_failures():
         shoot(parse("exp(z)"), 0.5, 2, tol=1e-14, steps=64, max_bisect=2)
     with pytest.raises(ValueError):
         shoot(parse("1"), -0.5, 2)
+
+
+def test_shoot_overflowing_slope_is_stiff():
+    # u'(dr) ~ 1e148: (1 + u'^2)^{3/2} overflows to inf, as in numpy arithmetic
+    with pytest.raises(StiffnessFailure, match="u'' = inf"):
+        shoot(parse("1e300"), 0.5, 2, steps=256)
+
+
+def assert_same_profile(p, q):
+    for name in ("r", "u", "up", "upp"):
+        np.testing.assert_array_equal(getattr(p, name), getattr(q, name))
+    assert p.boundary_residual == q.boundary_residual
+    assert p.richardson_error == q.richardson_error
+
+
+@pytest.mark.parametrize("text, reads_more, n, eps", [
+    ("r^2", "r^2 + 0*nu1", 2, 1e-5),
+    ("exp(-x1) + r^3", "exp(-x1) + r^3 + 0*w", 3, 1e-3),
+])
+def test_position_table_matches_per_stage_psi(text, reads_more, n, eps):
+    # the second psi reads nu or w, so it is evaluated at every RK4 stage
+    tabulated = shoot(parse(text), 0.5, n, steps=512, eps=eps)
+    per_stage = shoot(parse(reads_more), 0.5, n, steps=512, eps=eps)
+    assert_same_profile(tabulated, per_stage)
+
+
+def count_evaluate_calls(monkeypatch, psi, steps):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    real = radial.evaluate
+    with monkeypatch.context() as m:
+        m.setattr(radial, "evaluate", spy)
+        shoot(parse(psi), 0.5, 2, tol=1e-9, steps=steps)
+    return len(calls)
+
+
+def test_position_only_psi_evaluates_once_per_integration(monkeypatch):
+    coarse = count_evaluate_calls(monkeypatch, "exp(-x1) + r^2", 256)
+    fine = count_evaluate_calls(monkeypatch, "exp(-x1) + r^2", 1024)
+    assert coarse == fine == 3  # rise, recorded profile, step-halved rise
+    # psi reading z is evaluated at every stage
+    assert count_evaluate_calls(monkeypatch, "exp(z)", 256) > 4 * 255
+
+
+def test_position_table_keeps_integration_order_errors():
+    with pytest.raises(DomainError, match="sqrt of a negative value"):
+        shoot(parse("sqrt(0.3 - x1)"), 0.5, 2, steps=256)
+    # the first negative value met along the integration is the one reported
+    with pytest.raises(ValueError) as info:
+        shoot(parse("1 - 4*x1"), 0.5, 2, steps=256)
+    assert str(info.value) == "psi must be nonnegative, got -0.00390625"
+    # psi turns negative before the integration reaches the sqrt's domain edge
+    with pytest.raises(ValueError, match="psi must be nonnegative"):
+        shoot(parse("sqrt(0.3 - x1) - 0.5"), 0.5, 2, steps=256)
+
+
+@pytest.mark.parametrize("text, n", [("1", 2), ("8", 3), ("r^2", 2)])
+def test_curvatures_match_pointwise(text, n):
+    prof = shoot(parse(text), 0.5, n, steps=256)
+    kr, kt = prof.curvatures()
+    for i in range(len(prof.r)):
+        k = radial_curvatures(prof.r[i], prof.up[i], prof.upp[i], n)
+        assert (kr[i], kt[i]) == (k[0], k[-1])
 
 
 def test_dump_profile_format():
