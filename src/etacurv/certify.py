@@ -67,10 +67,10 @@ def check_admissibility(u, grid, tol=1e-10):
     """
     p, r = all_derivatives(grid, np.asarray(u, dtype=float))
     geo = geometry.batch_geometry(p, r, coeffs=False)
-    sigma1 = geo.kappa.sum(axis=-1)
-    scaled = geo.margin / (1.0 + np.abs(sigma1))
+    scale = geo.cone_scale
+    scaled = geo.margin / scale
     worst = int(np.argmin(scaled))
-    ok = bool(np.all(geo.margin >= -tol * (1.0 + np.abs(sigma1))))
+    ok = bool(np.all(geo.margin >= -tol * scale))
     return Certificate("admissibility", ok, worst, float(geo.margin[worst]), tol)
 
 
@@ -118,8 +118,7 @@ def check_subsolution(usub, spec, samples=512, seed=2718, tol=1e-10):
     val = np.broadcast_to(np.asarray(val, dtype=float), (samples,))
     hess = _expr_hessian(usub, xs, n)
     geo = geometry.batch_geometry(grad, hess, coeffs=False)
-    sigma1 = geo.kappa.sum(axis=-1)
-    cone_slack = geo.margin / (1.0 + np.abs(sigma1))
+    cone_slack = geo.margin / geo.cone_scale
     psi_vals = np.asarray(
         evaluate(psi, EvalEnv.from_gradient(xs, val, grad)), dtype=float)
     psi_slack = geo.K_eta - np.broadcast_to(psi_vals, geo.K_eta.shape)
@@ -257,9 +256,8 @@ def _bat_interp(rng, m, n, tol=1e-12):
 def _bat_concavity(rng, m, n, tol=1e-12):
     a = cones.sample_gamma(rng, m, n)
     b = cones.sample_gamma(rng, m, n)
-    mid = cones.f_normalized(0.5 * (a + b), strict=False)
-    avg = 0.5 * (cones.f_normalized(a, strict=False)
-                 + cones.f_normalized(b, strict=False))
+    mid = cones.f_normalized(0.5 * (a + b))
+    avg = 0.5 * (cones.f_normalized(a) + cones.f_normalized(b))
     return _slack(f"root_concavity_n{n}", mid - avg, tol)
 
 
@@ -289,7 +287,7 @@ def _bat_unbounded(rng, m, n, tol=0.0):
     for R in (0.0, 1.0, 10.0, 100.0):
         shifted = kappa.copy()
         shifted[:, -1] += R
-        vals.append(cones.f_value(shifted, strict=False))
+        vals.append(cones.f_value(shifted))
     growth = np.stack([b - a for a, b in zip(vals, vals[1:])])
     worst = growth.min(axis=0)
     i = int(np.argmin(worst))
@@ -299,7 +297,7 @@ def _bat_unbounded(rng, m, n, tol=0.0):
 
 def _bat_product_form(rng, m, n, tol=1e-14):
     kappa = rng.uniform(-2.0, 3.0, size=(m, n))
-    direct = cones.f_value(kappa, strict=False)
+    direct = cones.f_value(kappa)
     # independent route: sigma_n of the complementary sums by the
     # expanding-product recurrence
     via_sigma = cones.sigma(cones.lambda_of(kappa), n)
@@ -311,7 +309,7 @@ def _bat_trace_identity(rng, m, n, tol=1e-10):
     geo = geometry.batch_geometry(p, r, coeffs=False)
     A = geo.A
     kappa, B = np.linalg.eigh(A)
-    F = geometry.spectral_grad(A, cones.f_grad(kappa, strict=False), B)
+    F = geometry.spectral_grad(A, cones.f_grad(kappa), B)
     tr = np.trace(A, axis1=-2, axis2=-1)
     eta = tr[:, None, None] * np.eye(n) - A
     mu, vecs = np.linalg.eigh(eta)
@@ -389,8 +387,10 @@ def _bat_sphere(rng, m, n, tol=1e-12):
         R = rng.uniform(0.5, 2.0)
         x = rng.standard_normal(n)
         x *= rng.uniform(0.0, 0.9) * R / np.linalg.norm(x)
-        geo = geometry.geometry_at(geometry.cap_state(x, R))
-        rels[q] = np.abs(geo.kappa - 1.0 / R).max() * R
+        st = geometry.cap_state(x, R)
+        kappa = geometry.batch_geometry(st.p[None], st.r[None],
+                                        coeffs=False).kappa[0]
+        rels[q] = np.abs(kappa - 1.0 / R).max() * R
     return _ident(f"sphere_exactness_n{n}", rels, tol)
 
 

@@ -37,7 +37,6 @@ from .solver import (
     ProblemSpec,
     SolverFailure,
     continuation_solve,
-    dropped_stencils_warning,
     effective_schedule,
     initial_guess,
     residual,
@@ -299,11 +298,10 @@ def cmd_solve(cfg, out_dir=".", emit_svg=False):
     spec = build_problem(cfg)
     _check_psi(spec)
     grid = build_grid(spec.shape, spec.h)
-    dropped = dropped_stencils_warning(grid)
-    if dropped is not None:
-        print(f"warning: {dropped}", file=sys.stderr)
     u0 = initial_guess(spec, grid)
     u, report = continuation_solve(spec, grid, u0)
+    for text in report.warnings:
+        print(f"warning: {text}", file=sys.stderr)
     report.certificates = standard_certificates(u, u0, grid, report)
 
     prefix = cfg.get("output.prefix", "etacurv")
@@ -338,11 +336,16 @@ def cmd_radial(cfg, out_dir="."):
         raise ConfigError(
             f"radial reduction needs a ball domain, got {spec.shape.kind}")
     _check_psi(spec)
-    prof = radial.shoot(
-        spec.psi, spec.shape.r0, spec.n,
-        tol=cfg.get("radial.tol", 1e-10),
-        steps=cfg.get("radial.steps", 4096),
-        eps=cfg.get("radial.eps", 0.0))
+    # bad radial.* values, and a psi negative or undefined on the axis,
+    # are configuration errors
+    try:
+        prof = radial.shoot(
+            spec.psi, spec.shape.r0, spec.n,
+            tol=cfg.get("radial.tol", 1e-10),
+            steps=cfg.get("radial.steps", 4096),
+            eps=cfg.get("radial.eps", 0.0))
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     prefix = cfg.get("output.prefix", "etacurv")
     path = os.path.join(out_dir, f"{prefix}-radial.dat")
     text = radial.dump_profile(prof, header_extra=config_echo(cfg, spec))
@@ -360,7 +363,10 @@ def cmd_props(cfg=None, seed=None, samples=None):
         samples = cfg.get("battery.samples", 10000) if cfg else 10000
     dims = tuple(cfg.get("battery.dims", [2, 3, 4, 5, 6])) if cfg \
         else (2, 3, 4, 5, 6)
-    certs = property_battery(seed=seed, samples=samples, dims=dims)
+    try:
+        certs = property_battery(seed=seed, samples=samples, dims=dims)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     for cert in certs:
         print(cert.line())
     n_pass = sum(cert.passed for cert in certs)
@@ -411,7 +417,7 @@ def cmd_verify(solution_path, cfg):
         usub = None
     if usub is not None:
         certs.append(check_comparison(u, usub))
-    eps_fin = effective_schedule(spec, grid)[-1]
+    eps_fin = effective_schedule(spec, grid)[0][-1]
     tol = 10.0 * spec.newton.tol_residual
     try:
         res = residual(spec, grid, u, eps_fin)

@@ -32,27 +32,12 @@ from ._cone_constants import INTERP_C0
 
 
 class NotAdmissible(ValueError):
-    """A curvature vector (or grid state) lies outside the admissible cone."""
+    """A grid state's curvature vector lies outside the admissible cone."""
 
     def __init__(self, msg, margin=None, node=None):
         super().__init__(msg)
         self.margin = margin
         self.node = node
-
-
-def as_kappa(values):
-    """Validate and return a curvature vector as a float array.
-
-    Accepts any 1-D sequence with at least two finite entries.
-    """
-    kappa = np.asarray(values, dtype=float)
-    if kappa.ndim != 1:
-        raise ValueError(f"curvature vector must be 1-D, got shape {kappa.shape}")
-    if kappa.shape[0] < 2:
-        raise ValueError("curvature vector needs at least 2 entries")
-    if not np.all(np.isfinite(kappa)):
-        raise ValueError("curvature vector has non-finite entries")
-    return kappa
 
 
 def sigma_all(kappa):
@@ -109,17 +94,6 @@ def lambda_of(kappa):
     return kappa.sum(axis=-1, keepdims=True) - kappa
 
 
-def cone_margin(kappa):
-    """min_i lambda_i; positive exactly on the admissible cone Gamma."""
-    m = lambda_of(kappa).min(axis=-1)
-    return float(m) if np.ndim(m) == 0 else m
-
-
-def in_gamma(kappa):
-    m = cone_margin(kappa)
-    return m > 0.0 if np.ndim(m) == 0 else m > 0.0
-
-
 def complementary_products(lam):
     """P_m = prod_{l != m} lam_l via prefix/suffix products (no division).
 
@@ -133,47 +107,27 @@ def complementary_products(lam):
     return pref * suff
 
 
-def f_value(kappa, strict=True, tol=0.0):
-    """f(kappa) = prod_i lambda_i.
-
-    With strict=True (solver contexts) raises NotAdmissible when any
-    lambda_i < -tol; strict=False evaluates the product regardless, which is
-    what oracles and tests want.
-    """
-    lam = lambda_of(kappa)
-    if strict:
-        m = lam.min()
-        if m < -tol:
-            raise NotAdmissible(
-                f"curvature vector outside closure of the cone (margin {m:.3e})",
-                margin=float(m),
-            )
-    out = np.prod(lam, axis=-1)
+def f_value(kappa):
+    """f(kappa) = prod_i lambda_i, evaluated anywhere (negative or zero off
+    the cone)."""
+    out = np.prod(lambda_of(kappa), axis=-1)
     return float(out) if np.ndim(out) == 0 else out
 
 
-def f_grad(kappa, strict=True):
+def f_grad(kappa):
     """Partial derivatives f_i = d f / d kappa_i = sum_m P_m - P_i.
 
-    Positive on the open cone.  strict=True demands kappa strictly inside
-    Gamma; strict=False evaluates the same algebra anywhere.
+    Positive on the open cone; the same algebra is evaluated anywhere.
     """
-    lam = lambda_of(kappa)
-    if strict and lam.min() <= 0.0:
-        raise NotAdmissible(
-            f"gradient of f requested outside the open cone (margin {lam.min():.3e})",
-            margin=float(lam.min()),
-        )
-    P = complementary_products(lam)
+    P = complementary_products(lambda_of(kappa))
     return P.sum(axis=-1, keepdims=True) - P
 
 
-def f_normalized(kappa, strict=True, tol=0.0):
-    """f^{1/n}, clamped to 0 on the cone boundary (degree-1 homogeneous)."""
+def f_normalized(kappa):
+    """f^{1/n}, clamped to 0 off the cone (degree-1 homogeneous)."""
     kappa = np.asarray(kappa, dtype=float)
     n = kappa.shape[-1]
-    val = f_value(kappa, strict=strict, tol=tol)
-    return np.maximum(val, 0.0) ** (1.0 / n)
+    return np.maximum(f_value(kappa), 0.0) ** (1.0 / n)
 
 
 def maclaurin_c0(n, k):

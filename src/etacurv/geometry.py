@@ -1,15 +1,14 @@
-"""Pointwise geometry of a graph u over R^n and the linearized operator data.
+"""Geometry of a graph u over R^n and the linearized operator data.
 
-A point state is the pair (p, r) = (Du, D^2 u) at one point.  With
-w = sqrt(1 + |p|^2) the graph has upward unit normal nu = (-p, 1)/w and its
-curvature matrix (symmetric, eigenvalues = principal curvatures kappa) is
+A state is the pair (p, r) = (Du, D^2 u) at one point.  With
+w = sqrt(1 + |p|^2) the graph's curvature matrix (symmetric, eigenvalues =
+principal curvatures kappa) is
 
     A = (1/w) * gamma_up . r . gamma_up,
     gamma_up[i,k]  = delta_ik - p_i p_k / (w (1 + w)),
-    gamma_down[i,j] = delta_ij + p_i p_j / (1 + w),
 
-gamma_down being the matrix square root of the induced metric
-g = I + p p^T and gamma_up its inverse.  The prescribed quantity is
+gamma_up being the inverse matrix square root of the induced metric
+g = I + p p^T.  The prescribed quantity is
 K_eta = f(kappa) = prod_i (sigma_1(kappa) - kappa_i).
 
 The solver linearizes K_eta^{1/n} in u; the pieces it needs are
@@ -19,7 +18,8 @@ The solver linearizes K_eta^{1/n} in u; the pieces it needs are
     G2  = dK_eta/dr    = (1/w) gamma_up . F . gamma_up   (Hessian-slot coefficients),
     Gs  = explicit dK_eta/dp at frozen A-entries           (gradient-slot coefficients),
 
-all computed here, batched over leading axes where useful.
+all computed by batch_geometry over stacks of states; the point-wise
+routines below are independent oracles for it.
 """
 
 from __future__ import annotations
@@ -30,7 +30,6 @@ import numpy as np
 import scipy.linalg
 
 from . import cones
-from .cones import NotAdmissible
 
 
 @dataclass
@@ -54,29 +53,8 @@ class PointState:
 
 
 @dataclass
-class PointGeometry:
-    """Geometry of the graph at one point; f-dependent fields are None when
-    the state is not admissible (cone margin <= 0)."""
-
-    w: float
-    nu: np.ndarray
-    gamma_up: np.ndarray
-    gamma_down: np.ndarray
-    A: np.ndarray
-    kappa: np.ndarray
-    eigvecs: np.ndarray
-    K_eta: float
-    margin: float
-    admissible: bool
-    f_i: np.ndarray | None
-    F: np.ndarray | None
-    G2: np.ndarray | None
-    Gs: np.ndarray | None
-
-
-@dataclass
 class BatchGeometry:
-    """Same data as PointGeometry for a stack of states (leading axis N).
+    """Geometry of a stack of states (leading axis N).
 
     f-dependent arrays are computed unconditionally; rows with
     admissible == False contain meaningless values there and must be masked
@@ -85,9 +63,7 @@ class BatchGeometry:
     """
 
     w: np.ndarray
-    nu: np.ndarray
     gamma_up: np.ndarray
-    gamma_down: np.ndarray
     A: np.ndarray
     kappa: np.ndarray
     K_eta: np.ndarray
@@ -98,17 +74,21 @@ class BatchGeometry:
     G2: np.ndarray | None = None
     Gs: np.ndarray | None = None
 
+    @property
+    def cone_scale(self):
+        """1 + |sigma_1(kappa)|: the curvature scale that cone margins are
+        held against, so one tolerance serves flat and curved states."""
+        return 1.0 + np.abs(self.kappa.sum(axis=-1))
+
 
 def gamma_factors(p):
-    """w, gamma_up, gamma_down for gradients p (batched over leading axes)."""
+    """w and gamma_up for gradients p (batched over leading axes)."""
     p = np.asarray(p, dtype=float)
     n = p.shape[-1]
     w = np.sqrt(1.0 + np.sum(p * p, axis=-1))
     outer = p[..., :, None] * p[..., None, :]
-    eye = np.eye(n)
-    gamma_up = eye - outer / (w * (1.0 + w))[..., None, None]
-    gamma_down = eye + outer / (1.0 + w)[..., None, None]
-    return w, gamma_up, gamma_down
+    gamma_up = np.eye(n) - outer / (w * (1.0 + w))[..., None, None]
+    return w, gamma_up
 
 
 def _eigenvalues(A):
@@ -131,17 +111,16 @@ def batch_geometry(p, r, coeffs=True):
     """Vectorized geometry for stacks of states p (..., n), r (..., n, n)."""
     p = np.asarray(p, dtype=float)
     r = np.asarray(r, dtype=float)
-    w, gu, gd = gamma_factors(p)
+    w, gu = gamma_factors(p)
     A = gu @ r @ gu / w[..., None, None]
     A = 0.5 * (A + np.swapaxes(A, -1, -2))
     kappa = _eigenvalues(A)
     lam = kappa.sum(axis=-1, keepdims=True) - kappa
     margin = lam.min(axis=-1)
     K_eta = np.prod(lam, axis=-1)
-    nu = np.concatenate([-p, np.ones(p.shape[:-1] + (1,))], axis=-1) / w[..., None]
 
     geom = BatchGeometry(
-        w=w, nu=nu, gamma_up=gu, gamma_down=gd, A=A, kappa=kappa,
+        w=w, gamma_up=gu, A=A, kappa=kappa,
         K_eta=K_eta, margin=margin, admissible=margin > 0.0,
     )
     if coeffs:
@@ -202,22 +181,6 @@ def add_coefficients(geom, p):
     return geom
 
 
-def geometry_at(state: PointState) -> PointGeometry:
-    """Full pointwise geometry.  Never raises on non-admissible states; the
-    admissible flag is cleared and f-dependent fields come back None."""
-    g = batch_geometry(state.p[None], state.r[None])
-    ok = bool(g.admissible[0])
-    return PointGeometry(
-        w=float(g.w[0]), nu=g.nu[0], gamma_up=g.gamma_up[0], gamma_down=g.gamma_down[0],
-        A=g.A[0], kappa=g.kappa[0], eigvecs=np.linalg.eigh(g.A[0])[1],
-        K_eta=float(g.K_eta[0]), margin=float(g.margin[0]), admissible=ok,
-        f_i=g.f_i[0] if ok else None,
-        F=g.F[0] if ok else None,
-        G2=g.G2[0] if ok else None,
-        Gs=g.Gs[0] if ok else None,
-    )
-
-
 def spectral_grad(A, fgrad, eigvecs):
     """Matrix derivative F = B diag(fgrad) B^T from eigenvector columns B.
 
@@ -227,42 +190,6 @@ def spectral_grad(A, fgrad, eigvecs):
     B = np.asarray(eigvecs, dtype=float)
     fg = np.asarray(fgrad, dtype=float)
     return np.einsum("...is,...s,...js->...ij", B, fg, B)
-
-
-def curvature_value(p, r):
-    """K_eta = f(kappa(A(p, r))), evaluated regardless of admissibility.
-
-    Convenience for finite-difference oracles.
-    """
-    g = batch_geometry(np.asarray(p, dtype=float), np.asarray(r, dtype=float), coeffs=False)
-    out = g.K_eta
-    return float(out) if np.ndim(out) == 0 else out
-
-
-def G_hessian_coeffs(state: PointState):
-    """Derivative of K_eta with respect to the Hessian entries:
-    G2 = (1/w) gamma_up . F . gamma_up.  Positive definite on admissible
-    states (this is the ellipticity of the linearized operator)."""
-    g = batch_geometry(state.p[None], state.r[None])
-    if not g.admissible[0]:
-        raise NotAdmissible(
-            f"state outside the admissible cone (margin {float(g.margin[0]):.3e})",
-            margin=float(g.margin[0]),
-        )
-    return g.G2[0]
-
-
-def G_gradient_coeffs(state: PointState):
-    """Explicit derivative of K_eta with respect to the gradient entries,
-    holding the Hessian fixed (the curvature matrix still varies through
-    w and gamma_up)."""
-    g = batch_geometry(state.p[None], state.r[None])
-    if not g.admissible[0]:
-        raise NotAdmissible(
-            f"state outside the admissible cone (margin {float(g.margin[0]):.3e})",
-            margin=float(g.margin[0]),
-        )
-    return g.Gs[0]
 
 
 def _proj_sqrt(p):

@@ -23,7 +23,8 @@ import scipy.sparse.linalg
 
 from .cones import NotAdmissible
 from .domain import check_two_convex
-from .expr import EvalEnv, eval_with_derivs, evaluate, parse, variables
+from .expr import (EvalEnv, check_dimension, eval_with_derivs, evaluate,
+                   parse, variables)
 from .geometry import add_coefficients, batch_geometry
 from .grid import all_derivatives, build_grid, nested_dissection
 
@@ -65,9 +66,6 @@ class NewtonParams:
     tol_residual: float = 1e-10
     max_iter: int = 40
     min_step: float = 1.0 / 1024.0
-    #: re-check the Jacobian against a directional difference at every
-    #: iterate (slow; raises LinearSolveFailure on disagreement)
-    debug_fd: bool = False
 
 
 @dataclass
@@ -92,10 +90,15 @@ class ProblemSpec:
             raise ValueError("dimension must be 2 or 3")
         if self.shape.n != self.n:
             raise ValueError("shape dimension does not match n")
+        if not (np.isfinite(self.h) and self.h > 0):
+            raise ValueError(f"h must be finite and > 0, got {self.h:g}")
         for name in ("psi", "psi_lower", "subsolution"):
             v = getattr(self, name)
             if isinstance(v, str):
-                object.__setattr__(self, name, parse(v))
+                v = parse(v)
+                object.__setattr__(self, name, v)
+            if v is not None:
+                check_dimension(v, self.n)
         sched = tuple(float(e) for e in self.eps_schedule)
         if not sched:
             raise ValueError("eps schedule must not be empty")
@@ -230,7 +233,7 @@ def _try_residual(spec, grid, u, eps, floor):
     node-wise; res is None when not ok; state is the (p, r, geo) of u."""
     state = _state(grid, u)
     p, _, geo = state
-    need = floor * (1.0 + np.abs(geo.kappa.sum(axis=-1)))
+    need = floor * geo.cone_scale
     if not np.all(geo.margin >= need):
         return False, None, float(geo.margin.min()), state
     res = geo.K_eta ** (1.0 / spec.n) - _psi_eps_root(spec, grid, u, p, eps)
@@ -385,10 +388,8 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     margin_floor = 1e-12
     history = [(float(np.abs(res).max()), float(np.linalg.norm(res)), 0.0,
                 margin0)]
-    for it in range(nt.max_iter):
+    for _ in range(nt.max_iter):
         J = jacobian(spec, grid, u, eps, state)
-        if nt.debug_fd:
-            _debug_fd_check(spec, grid, u, eps, J, it)
         du = factorization.solve(J, res, history)
         norm0 = history[-1][1]
         s = 1.0
@@ -411,20 +412,6 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     raise MaxIterations(
         f"residual {history[-1][0]:.3e} > {nt.tol_residual:g} "
         f"after {nt.max_iter} iterations", history)
-
-
-def _debug_fd_check(spec, grid, u, eps, J, it, t=1e-6, tol=1e-5):
-    """Directional-difference audit of an assembled Jacobian (debug mode)."""
-    rng = np.random.default_rng([911, it])
-    delta = rng.standard_normal(grid.size)
-    delta /= np.abs(delta).max()
-    fd = (residual(spec, grid, u + t * delta, eps)
-          - residual(spec, grid, u - t * delta, eps)) / (2.0 * t)
-    jd = J @ delta
-    err = np.linalg.norm(fd - jd) / max(np.linalg.norm(jd), 1e-300)
-    if not err <= tol:
-        raise LinearSolveFailure(
-            f"Jacobian disagrees with directional difference: {err:.3e}")
 
 
 _CAP_MULTIPLIERS = (1.05, 1.1, 1.2, 1.5, 2.0, 4.0)
@@ -490,8 +477,8 @@ def continuation_solve(spec, grid=None, u0=None):
         raise ValueError("domain fails the 2-convexity check")
     if grid is None:
         grid = build_grid(spec.shape, spec.h)
-    schedule, eps_note = _guarded_schedule(spec, grid)
-    notes = [text for text in (eps_note, dropped_stencils_warning(grid))
+    schedule, eps_note = effective_schedule(spec, grid)
+    notes = [text for text in (eps_note, _dropped_stencils_note(grid))
              if text is not None]
     u = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
     stages = []
@@ -516,7 +503,7 @@ def continuation_solve(spec, grid=None, u0=None):
     return u, SolveReport(stages=stages, warnings=notes)
 
 
-def dropped_stencils_warning(grid):
+def _dropped_stencils_note(grid):
     """Text naming the mixed-derivative stencils the grid's operators set
     to zero for want of usable nodes; None when there are none."""
     grid.ops()
@@ -527,13 +514,9 @@ def dropped_stencils_warning(grid):
 
 
 def effective_schedule(spec, grid):
-    """The problem's schedule with the degenerate guard applied: a trailing
-    0 is replaced by 1e-5 whenever psi is not strictly positive on the grid."""
-    return _guarded_schedule(spec, grid)[0]
-
-
-def _guarded_schedule(spec, grid):
-    """(effective_schedule, the warning issued for it or None)."""
+    """(schedule, note): the problem's schedule with the degenerate guard
+    applied, and a line of text saying so or None.  A trailing 0 is
+    replaced by 1e-5 whenever psi is not strictly positive on the grid."""
     note = None
     schedule = list(spec.eps_schedule)
     if not schedule:
@@ -548,7 +531,6 @@ def _guarded_schedule(spec, grid):
             schedule[-1] = last
             note = (f"psi vanishes on the grid (min {psi_min:g}); "
                     f"final stage runs at eps={last:g} instead of 0")
-            warnings.warn(note)
     return tuple(schedule), note
 
 

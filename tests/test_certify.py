@@ -84,8 +84,8 @@ def test_admissibility_on_solution(solved_disk):
 def test_admissibility_degenerate_margin_shrinks():
     # near the origin psi = r^2 forces the cone margin toward zero
     spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 16)
-    with pytest.warns(UserWarning):
-        u, _ = continuation_solve(spec)
+    u, report = continuation_solve(spec)
+    assert report.final.eps == 1e-5 and len(report.warnings) == 1
     grid = build_grid(DISK, 1 / 16)
     cert = check_admissibility(u, grid)
     assert cert.passed
@@ -142,8 +142,8 @@ def test_subsolution_rejects_z_dependence():
 
 def test_estimate_evidence_on_degenerate_fixture():
     spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 16)
-    with pytest.warns(UserWarning):
-        _, report = continuation_solve(spec)
+    _, report = continuation_solve(spec)
+    assert report.final.eps == 1e-5 and len(report.warnings) == 1
     cert = estimate_evidence(report)
     assert cert.passed
     assert cert.margin < 0.10
@@ -222,8 +222,8 @@ def test_battery_seed_variation_keeps_outcomes():
 def test_battery_mutation_detected(monkeypatch):
     orig = cones.f_grad
 
-    def broken(kappa, strict=True):
-        g = orig(kappa, strict=strict)
+    def broken(kappa):
+        g = orig(kappa)
         return g - 2.0 * np.max(g)
 
     monkeypatch.setattr(cones, "f_grad", broken)

@@ -181,6 +181,33 @@ def test_solve_undefined_psi_exits_1(tmp_path, psi):
     assert f"'{psi}'" in lines[0]
 
 
+@pytest.mark.parametrize("command, old, new", [
+    ("solve", "h = 0.0625", "h = -1"),
+    ("solve", "h = 0.0625", "h = nan"),
+    ("solve", "h = 0.0625", "h = inf"),
+    ("solve", "psi = 1", "psi = x3"),
+    ("radial", "psi = 1", "psi = x3"),
+    ("radial", "h = 0.0625", "radial.steps = 0"),
+    ("radial", "h = 0.0625", "radial.tol = 0"),
+    ("props", "h = 0.0625", "battery.dims = 1"),
+])
+def test_bad_config_value_exits_1_with_one_line(tmp_path, command, old, new):
+    # run as a process, so an escaped exception would show as a traceback
+    cfg = write_cfg(tmp_path, CAP_CFG.replace(old, new))
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(etacurv.__file__)))
+    argv = [sys.executable, "-m", "etacurv.cli", command, "--config", cfg]
+    if command != "props":
+        argv += ["--out", str(tmp_path)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          check=False)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("error:")
+
+
 def test_solve_reports_dropped_mixed_stencils(tmp_path, capsys):
     cfg = write_cfg(tmp_path, """\
 n = 3
@@ -197,15 +224,18 @@ subsolution = 0.3*((x1/0.5)^2 + (x2/0.4)^2 + (x3/0.3)^2 - 1)
     assert [ln for ln in report if ln.startswith("warning ")] == [f"warning {text}"]
 
 
-def test_solve_reports_eps_replacement(tmp_path):
+def test_solve_reports_eps_replacement(tmp_path, capsys):
     cfg = write_cfg(tmp_path, CAP_CFG.replace("psi = 1", "psi = r^2")
                     .replace("h = 0.0625", "h = 0.125"))
-    with pytest.warns(UserWarning, match="instead of 0"):
-        assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    tail = "final stage runs at eps=1e-05 instead of 0"
+    # one line, from the report; no Python warning beside it
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"warning: psi vanishes on the grid (min 0); {tail}"]
     report = (tmp_path / "etacurv-report.txt").read_text().splitlines()
     warned = [ln for ln in report if ln.startswith("warning ")]
     assert len(warned) == 1
-    assert warned[0].endswith("final stage runs at eps=1e-05 instead of 0")
+    assert warned[0].endswith(tail)
 
 
 def test_solve_nearly_zero_psi_passes_certificates(tmp_path, capsys):
@@ -307,8 +337,8 @@ def test_props_mutated_build_exits_3(monkeypatch, capsys):
 
     real = cones.f_grad
 
-    def broken(kappa, strict=True):
-        return 1.01 * real(kappa, strict=strict)
+    def broken(kappa):
+        return 1.01 * real(kappa)
 
     monkeypatch.setattr(cones, "f_grad", broken)
     assert main(["props", "--samples", "10"]) == 3

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from etacurv import cones
-from etacurv.cones import NotAdmissible
 
 
 def test_sigma_values():
@@ -61,29 +60,25 @@ def test_gamma_k_membership():
 
 def test_lambda_and_margin():
     assert np.array_equal(cones.lambda_of([1, 2, 3]), [5.0, 4.0, 3.0])
-    assert cones.in_gamma([-1, 2, 2])          # lambda = (4, 1, 1)
-    assert not cones.in_gamma([-2, 1, 0.5])    # lambda_min = 1.5 - 3.5 < 0... check margin sign
-    assert cones.cone_margin([-1, 2, 2]) == 1.0
-    assert cones.cone_margin([3, 0, 0]) == 0.0  # boundary
+    # the cone margin is min_i lambda_i, positive exactly on Gamma
+    assert cones.lambda_of([-1, 2, 2]).min() == 1.0   # lambda = (4, 1, 1)
+    assert cones.lambda_of([-2, 1, 0.5]).min() < 0.0  # lambda = (1.5, -1.5, -1)
+    assert cones.lambda_of([3, 0, 0]).min() == 0.0    # boundary
 
 
 def test_f_values():
     assert cones.f_value([2, 2, 2]) == 64.0
     assert cones.f_value([1, 1]) == 1.0
     assert cones.f_value([1, 2, 3]) == 60.0
-    assert cones.f_value([3, 0, 0], tol=0.0) == 0.0  # closure boundary is allowed
-    with pytest.raises(NotAdmissible):
-        cones.f_value([-2, 1, 0.5])
-    # non-strict evaluation works anywhere; one negative factor here
-    assert cones.f_value([3.0, 0.0, -0.1], strict=False) < 0
+    assert cones.f_value([3, 0, 0]) == 0.0  # closure boundary
+    # evaluation works anywhere; one negative factor here
+    assert cones.f_value([3.0, 0.0, -0.1]) < 0
 
 
 def test_f_grad_frozen_values():
     assert np.allclose(cones.f_grad([2, 2, 2]), [32, 32, 32], rtol=0, atol=0)
     assert np.allclose(cones.f_grad([1, 2, 3]), [35, 32, 27], rtol=0, atol=0)
     assert np.allclose(cones.f_grad([-1, 2, 2]), [8, 5, 5], rtol=0, atol=0)
-    with pytest.raises(NotAdmissible):
-        cones.f_grad([3, 0, 0])  # boundary: gradient demands the open cone
 
 
 def test_f_grad_matches_finite_differences():
@@ -94,8 +89,8 @@ def test_f_grad_matches_finite_differences():
             g = cones.f_grad(kappa)
             t = 1e-6
             fd = np.array([
-                (cones.f_value(kappa + t * e, strict=False)
-                 - cones.f_value(kappa - t * e, strict=False)) / (2 * t)
+                (cones.f_value(kappa + t * e)
+                 - cones.f_value(kappa - t * e)) / (2 * t)
                 for e in np.eye(n)
             ])
             assert np.abs(fd - g).max() <= 1e-6 * max(1.0, np.abs(g).max())
@@ -161,15 +156,6 @@ def test_negative_entry_gradient_share():
         assert hit > 20
 
 
-def test_as_kappa_validation():
-    with pytest.raises(ValueError):
-        cones.as_kappa([1.0])
-    with pytest.raises(ValueError):
-        cones.as_kappa([[1.0, 2.0]])
-    with pytest.raises(ValueError):
-        cones.as_kappa([1.0, np.nan])
-
-
 def test_constant_tables():
     # Maclaurin constant closed form: n / binom(n, k)^(1/k)
     assert cones.maclaurin_c0(3, 2) == pytest.approx(np.sqrt(3), rel=1e-15)
@@ -216,5 +202,5 @@ def test_product_form_equivalence():
         K = rng.normal(size=(100, n)) * 2
         for kappa in K:
             direct = float(np.prod(np.sum(kappa) - kappa))
-            assert cones.f_value(kappa, strict=False) == pytest.approx(
+            assert cones.f_value(kappa) == pytest.approx(
                 direct, rel=1e-14, abs=1e-14)

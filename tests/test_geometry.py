@@ -1,9 +1,22 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
 from etacurv import cones, geometry
-from etacurv.cones import NotAdmissible
 from etacurv.geometry import PointState
+
+
+def geo_at(p, r, coeffs=True):
+    """batch_geometry of the single state (p, r), without the batch axis."""
+    g = geometry.batch_geometry(np.asarray(p)[None], np.asarray(r)[None], coeffs)
+    return SimpleNamespace(**{k: v[0] for k, v in vars(g).items() if v is not None})
+
+
+def gamma_down(p):
+    """Square root of the metric I + p p^T, the inverse of gamma_up."""
+    w = np.sqrt(1.0 + np.sum(p * p, axis=-1))
+    return np.eye(p.shape[-1]) + p[..., :, None] * p[..., None, :] / (1.0 + w)[..., None, None]
 
 
 def random_admissible_state(rng, n, p_scale=1.5):
@@ -13,7 +26,8 @@ def random_admissible_state(rng, n, p_scale=1.5):
     A = Q @ np.diag(kappa) @ Q.T
     p = rng.normal(size=n)
     p *= rng.uniform(0, p_scale) / max(1e-12, np.linalg.norm(p))
-    w, gu, gd = geometry.gamma_factors(p)
+    w, _ = geometry.gamma_factors(p)
+    gd = gamma_down(p)
     r = w * gd @ A @ gd
     return PointState(p=p, r=0.5 * (r + r.T))
 
@@ -26,20 +40,27 @@ def test_point_state_symmetry_check():
         PointState(p=np.zeros(2), r=np.eye(3))
 
 
+def test_gamma_factors_invert_the_metric_root():
+    rng = np.random.default_rng(3)
+    p = rng.normal(size=(50, 3)) * 2.0
+    w, gu = geometry.gamma_factors(p)
+    np.testing.assert_allclose(w, np.sqrt(1.0 + np.sum(p * p, axis=-1)), rtol=1e-15)
+    np.testing.assert_allclose(gu @ gamma_down(p), np.broadcast_to(np.eye(3), gu.shape),
+                               atol=1e-14)
+
+
 def test_flat_state():
-    g = geometry.geometry_at(PointState(p=np.zeros(2), r=np.zeros((2, 2))))
+    g = geo_at(np.zeros(2), np.zeros((2, 2)))
     assert g.w == 1.0
-    assert np.array_equal(g.nu, [0.0, 0.0, 1.0])
     assert np.array_equal(g.A, np.zeros((2, 2)))
     assert g.K_eta == 0.0
     assert g.margin == 0.0
     assert not g.admissible  # boundary of the cone, not strictly inside
-    assert g.F is None and g.G2 is None
 
 
 def test_identity_hessian_zero_gradient():
     n = 3
-    g = geometry.geometry_at(PointState(p=np.zeros(n), r=np.eye(n)))
+    g = geo_at(np.zeros(n), np.eye(n))
     assert np.allclose(g.kappa, 1.0, atol=1e-15)
     assert g.K_eta == pytest.approx((n - 1) ** n, rel=1e-14)
     assert g.admissible
@@ -51,7 +72,7 @@ def test_identity_hessian_zero_gradient():
 
 def test_tilted_state_derived_values():
     # p = (1, 0), r = I: gamma_up = diag(1/sqrt(2), 1), A = diag(1/(2 sqrt 2), 1/sqrt 2)
-    g = geometry.geometry_at(PointState(p=np.array([1.0, 0.0]), r=np.eye(2)))
+    g = geo_at(np.array([1.0, 0.0]), np.eye(2))
     assert g.w == pytest.approx(np.sqrt(2), rel=1e-15)
     assert g.gamma_up[0, 0] == pytest.approx(1 / np.sqrt(2), rel=1e-14)
     assert g.gamma_up[0, 1] == 0.0
@@ -68,7 +89,8 @@ def test_sphere_cap_curvatures():
             R = rng.uniform(0.4, 3.0)
             x = rng.normal(size=n)
             x *= rng.uniform(0.0, 0.9) * R / np.linalg.norm(x)
-            g = geometry.geometry_at(geometry.cap_state(x, R))
+            st = geometry.cap_state(x, R)
+            g = geo_at(st.p, st.r)
             assert np.abs(g.kappa - 1.0 / R).max() < 1e-12
             assert g.K_eta == pytest.approx(((n - 1) / R) ** n, rel=1e-11)
 
@@ -77,14 +99,13 @@ def test_spectral_grad_diag_and_fd():
     # A = I: every kappa = 1, F = (n-1)^(n-1) * n/(n-1)... for f = prod lambda:
     # f_i = sum_m P_m - P_i with all lambda = n-1
     n = 3
-    st = PointState(p=np.zeros(n), r=np.eye(n))
-    g = geometry.geometry_at(st)
+    g = geo_at(np.zeros(n), np.eye(n))
     assert np.allclose(g.F, 8.0 * np.eye(3), atol=1e-12)  # lambda = 2,2,2: f_i = 2*4
 
     rng = np.random.default_rng(14)
     for n in (2, 3, 4):
         st = random_admissible_state(rng, n)
-        g = geometry.geometry_at(st)
+        g = geo_at(st.p, st.r)
         t = 1e-6
         for i in range(n):
             for j in range(i, n):
@@ -92,8 +113,8 @@ def test_spectral_grad_diag_and_fd():
                 E[i, j] = E[j, i] = 1.0
                 # F is the matrix gradient of kappa -> f at A, so a symmetric
                 # two-entry bump moves f by 2 F_ij (or F_ii on the diagonal)
-                fd = (cones.f_value(np.linalg.eigvalsh(g.A + t * E), strict=False)
-                      - cones.f_value(np.linalg.eigvalsh(g.A - t * E), strict=False)) / (2 * t)
+                fd = (cones.f_value(np.linalg.eigvalsh(g.A + t * E))
+                      - cones.f_value(np.linalg.eigvalsh(g.A - t * E))) / (2 * t)
                 want = (2 - (i == j)) * g.F[i, j]
                 assert abs(fd - want) <= 1e-6 * max(1.0, abs(want))
 
@@ -136,15 +157,16 @@ def test_polynomial_F_matches_spectral_grad():
         A = _rotated(rng, kappa)
         A = 0.5 * (A + np.swapaxes(A, -1, -2))
         p = rng.normal(size=(m, n))
-        w, gu, gd = geometry.gamma_factors(p)
+        w, _ = geometry.gamma_factors(p)
+        gd = gamma_down(p)
         r = w[:, None, None] * gd @ A @ gd
         g = geometry.batch_geometry(p, 0.5 * (r + np.swapaxes(r, -1, -2)))
         assert g.admissible.any() and not g.admissible.all()
         kap, B = np.linalg.eigh(g.A)
-        F = geometry.spectral_grad(g.A, cones.f_grad(kap, strict=False), B)
+        F = geometry.spectral_grad(g.A, cones.f_grad(kap), B)
         scale = 1.0 + np.abs(F).max(axis=(1, 2))
         assert np.all(np.abs(g.F - F).max(axis=(1, 2)) <= 1e-12 * scale)
-        f_i = cones.f_grad(g.kappa, strict=False)
+        f_i = cones.f_grad(g.kappa)
         assert np.all(np.abs(g.f_i - f_i).max(axis=1) <= 1e-12 * scale)
 
 
@@ -153,15 +175,15 @@ def test_hessian_coeffs_fd_and_ellipticity():
     for n in (2, 3):
         for _ in range(30):
             st = random_admissible_state(rng, n)
-            G2 = geometry.G_hessian_coeffs(st)
+            G2 = geo_at(st.p, st.r).G2
             assert np.linalg.eigvalsh(G2).min() > 0  # ellipticity
             t = 1e-6
             for i in range(n):
                 for j in range(i, n):
                     E = np.zeros((n, n))
                     E[i, j] = E[j, i] = 1.0
-                    fd = (geometry.curvature_value(st.p, st.r + t * E)
-                          - geometry.curvature_value(st.p, st.r - t * E)) / (2 * t)
+                    fd = (geo_at(st.p, st.r + t * E, coeffs=False).K_eta
+                          - geo_at(st.p, st.r - t * E, coeffs=False).K_eta) / (2 * t)
                     want = (2 - (i == j)) * G2[i, j]
                     assert abs(fd - want) <= 2e-6 * max(1.0, abs(want))
 
@@ -171,24 +193,19 @@ def test_gradient_coeffs_fd():
     for n in (2, 3):
         for _ in range(40):
             st = random_admissible_state(rng, n)
-            Gs = geometry.G_gradient_coeffs(st)
+            Gs = geo_at(st.p, st.r).Gs
             t = 1e-6
             fd = np.array([
-                (geometry.curvature_value(st.p + t * e, st.r)
-                 - geometry.curvature_value(st.p - t * e, st.r)) / (2 * t)
+                (geo_at(st.p + t * e, st.r, coeffs=False).K_eta
+                 - geo_at(st.p - t * e, st.r, coeffs=False).K_eta) / (2 * t)
                 for e in np.eye(n)
             ])
             assert np.abs(fd - Gs).max() <= 2e-6 * max(1.0, np.abs(Gs).max())
 
 
 def test_coeff_ops_raise_outside_cone():
-    st = PointState(p=np.zeros(2), r=np.diag([1.0, -1.0]))
-    with pytest.raises(NotAdmissible):
-        geometry.G_hessian_coeffs(st)
-    with pytest.raises(NotAdmissible):
-        geometry.G_gradient_coeffs(st)
-    # but geometry_at never throws
-    g = geometry.geometry_at(st)
+    # the geometry never raises: outside the cone it flags the state
+    g = geo_at(np.zeros(2), np.diag([1.0, -1.0]))
     assert not g.admissible and g.margin < 0
 
 
@@ -197,7 +214,7 @@ def test_euler_identity():
     rng = np.random.default_rng(17)
     for n in (2, 3, 5):
         st = random_admissible_state(rng, n)
-        g = geometry.geometry_at(st)
+        g = geo_at(st.p, st.r)
         assert float(g.f_i @ g.kappa) == pytest.approx(n * g.K_eta, rel=1e-11)
 
 
@@ -205,10 +222,10 @@ def test_trace_identities():
     rng = np.random.default_rng(18)
     for n in (2, 3, 4, 6):
         st = random_admissible_state(rng, n)
-        g = geometry.geometry_at(st)
+        g = geo_at(st.p, st.r)
         lam = cones.lambda_of(g.kappa)
         P = cones.complementary_products(lam)
-        Fhat = geometry.spectral_grad(None, P, g.eigvecs)
+        Fhat = geometry.spectral_grad(None, P, np.linalg.eigh(g.A)[1])
         scale = 1.0 + np.abs(Fhat).max()
         assert np.abs(g.F - (np.trace(Fhat) * np.eye(n) - Fhat)).max() <= 1e-10 * scale
         lam_eta = geometry.eta_eigen(st)
@@ -220,7 +237,7 @@ def test_eta_eigen_cross_route():
     for n in (2, 3, 5):
         for _ in range(20):
             st = random_admissible_state(rng, n)
-            g = geometry.geometry_at(st)
+            g = geo_at(st.p, st.r)
             lam_eta = geometry.eta_eigen(st)
             lam_a = np.sort(cones.lambda_of(g.kappa))
             assert np.abs(lam_eta - lam_a).max() <= 1e-10 * (1 + np.abs(lam_a).max())
@@ -235,8 +252,8 @@ def test_rotation_equivariance():
         st = random_admissible_state(rng, n)
         Q = np.linalg.qr(rng.normal(size=(n, n)))[0]
         rot = PointState(p=Q.T @ st.p, r=Q.T @ st.r @ Q)
-        g1 = geometry.geometry_at(st)
-        g2 = geometry.geometry_at(rot)
+        g1 = geo_at(st.p, st.r)
+        g2 = geo_at(rot.p, rot.r)
         assert np.abs(np.sort(g1.kappa) - np.sort(g2.kappa)).max() <= 1e-10
 
 
@@ -246,8 +263,9 @@ def test_homogeneity_in_r():
     for n in (2, 3):
         st = random_admissible_state(rng, n)
         for t in (0.5, 2.0, 7.0):
-            v = geometry.curvature_value(st.p, t * st.r)
-            assert v == pytest.approx(t ** n * geometry.curvature_value(st.p, st.r), rel=1e-10)
+            v = geo_at(st.p, t * st.r, coeffs=False).K_eta
+            assert v == pytest.approx(t ** n * geo_at(st.p, st.r, coeffs=False).K_eta,
+                                      rel=1e-10)
 
 
 def test_lambda_rp():

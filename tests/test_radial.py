@@ -5,7 +5,7 @@ import pytest
 
 from etacurv import radial
 from etacurv.expr import DomainError, parse
-from etacurv.geometry import PointState, geometry_at
+from etacurv.geometry import batch_geometry
 from etacurv.radial import (
     BracketFailure,
     DegenerateTangential,
@@ -44,7 +44,8 @@ def test_radial_curvatures_match_graph_geometry():
         p[0] = up
         hess = np.eye(n) * (up / r)
         hess[0, 0] = upp
-        kappa_graph = np.sort(geometry_at(PointState(p=p, r=hess)).kappa)
+        kappa_graph = np.sort(
+            batch_geometry(p[None], hess[None], coeffs=False).kappa[0])
         kappa_rad = np.sort(radial_curvatures(r, up, upp, n))
         np.testing.assert_allclose(kappa_rad, kappa_graph, atol=1e-10)
 

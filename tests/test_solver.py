@@ -1,5 +1,7 @@
 """Newton solver: residual/Jacobian correctness, damping, continuation."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.sparse
@@ -393,11 +395,10 @@ def test_newton_eps_zero_needs_positive_psi():
         newton_solve(spec, grid, cap_function(grid, 0.525), 0.0)
 
 
-def test_newton_debug_fd_mode():
+def test_newton_z_dependent_psi_converges():
     h = 1 / 16
     grid = build_grid(DISK, h)
-    spec = ProblemSpec(n=2, shape=DISK, psi="1 + exp(z)/4", h=h,
-                       newton=NewtonParams(debug_fd=True))
+    spec = ProblemSpec(n=2, shape=DISK, psi="1 + exp(z)/4", h=h)
     u, hist = newton_solve(spec, grid, cap_function(grid, 0.6), 1e-2)
     assert hist[-1][0] <= 1e-10
 
@@ -541,16 +542,16 @@ def test_effective_schedule_keeps_zero_for_positive_psi():
     grid = build_grid(DISK, 1 / 8)
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 8,
                        eps_schedule=(1e-1, 1e-2, 1e-3, 0.0))
-    assert effective_schedule(spec, grid) == (1e-1, 1e-2, 1e-3, 0.0)
+    assert effective_schedule(spec, grid) == ((1e-1, 1e-2, 1e-3, 0.0), None)
 
 
 def test_effective_schedule_replaces_zero_when_psi_vanishes():
     grid = build_grid(DISK, 1 / 8)
     spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 8,
                        eps_schedule=(1e-1, 1e-2, 1e-3, 1e-4, 0.0))
-    with pytest.warns(UserWarning):
-        sched = effective_schedule(spec, grid)
+    sched, note = effective_schedule(spec, grid)
     assert sched == (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+    assert note.endswith("final stage runs at eps=1e-05 instead of 0")
 
 
 # ---------------------------------------------------------------- continuation
@@ -573,7 +574,8 @@ def test_continuation_cap():
 
 def test_continuation_reports_eps_replacement():
     spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 8)
-    with pytest.warns(UserWarning, match="instead of 0"):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # the report is the one channel
         _, report = continuation_solve(spec)
     assert report.final.eps == 1e-5
     assert len(report.warnings) == 1
@@ -582,8 +584,8 @@ def test_continuation_reports_eps_replacement():
 
 def test_continuation_degenerate_metrics_settle():
     spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 32)
-    with pytest.warns(UserWarning):
-        u, report = continuation_solve(spec)
+    u, report = continuation_solve(spec)
+    assert report.final.eps == 1e-5 and len(report.warnings) == 1
     a, b = report.stages[-2], report.stages[-1]
     assert abs(b.sup_d2u - a.sup_d2u) / a.sup_d2u < 0.10
     assert abs(b.sup_du - a.sup_du) / a.sup_du < 0.05
