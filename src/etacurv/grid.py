@@ -13,10 +13,14 @@ from interior nodes only.
 Neighbors are found in a dense lookup array over the lattice's bounding
 box, and every stencil is built by array operations over all nodes at once.
 
-Dirichlet data is identically zero, so boundary samples drop out of the
-assembled sparse operators, the one source of stencils; fd_derivatives
-reads one node's row of them and additionally accepts an explicit boundary
-callable so consistency tests can feed the true trace of a polynomial.
+Every stencil lives in one stacked CSR operator, Grid.ops(), of shape
+(k*m, m) with k = n(n+1)/2 + n: row slot * m + q applies derivative `slot`
+at node q (slot order: _hessian_slots).  Dirichlet data is identically
+zero, so boundary samples drop out of it.  all_derivatives is one product
+with it; fd_derivatives reads one node's k rows and also accepts a
+boundary callable, so consistency tests can feed the true trace of a
+polynomial.  OpsPattern.assemble sums its slot blocks scaled row-wise by
+coefficients shaped like (D^2u, Du, u): the solver's Jacobian.
 """
 
 from __future__ import annotations
@@ -29,49 +33,58 @@ import scipy.sparse
 from .geometry import PointState
 
 
-class EmptyGrid(Exception):
-    """The spacing admits no interior lattice node."""
+def _hessian_slots(n):
+    """(i, j) of the stacked operator's first n(n+1)/2 slots: the Hessian
+    entries i <= j, row-major.  The n gradient slots d/dx_s follow them.
+    This is the one definition of the slot order; every reader uses it."""
+    return [(i, j) for i in range(n) for j in range(i, n)]
 
 
-@dataclass
-class GridOps:
-    """Per-grid sparse stencil operators acting on interior-node vectors.
-
-    Dx[s] applies d/dx_s; D2[(i, j)] (i <= j) applies d^2/dx_i dx_j.
-    Boundary samples are omitted (zero Dirichlet data).
-    """
-
-    Dx: list
-    D2: dict
+def _unstack(d, n):
+    """(p, r): gradient (..., n) and symmetric Hessian (..., n, n) from
+    derivative values d of shape (k, ...) in slot order."""
+    hess = _hessian_slots(n)
+    r = np.empty(d.shape[1:] + (n, n))
+    for k, (i, j) in enumerate(hess):
+        r[..., i, j] = r[..., j, i] = d[k]
+    return np.ascontiguousarray(np.moveaxis(d[len(hess):], 0, -1)), r
 
 
 @dataclass
 class OpsPattern:
-    """Union sparsity pattern of a grid's operators, for row-weighted sums.
+    """Union sparsity pattern of the stacked operator's slot blocks and the
+    identity, for sums of row-scaled blocks.
 
-    The operators are stacked in the order D2[(i, j)] (i <= j, row-major),
-    Dx[0..n-1], then the identity.  For every stacked entry the pattern
-    holds its value, the flat index (operator * m + row) of its weight and
-    its slot in the union's CSR data array.
+    For every nonzero stack entry, then every diagonal entry of the
+    identity (as if stacked as rows k*m .. k*m + m - 1), the pattern holds
+    its value, its stack row (slot * m + node) and its position in the
+    union's CSR data array.
     """
 
+    n: int
     shape: tuple
     indices: np.ndarray
     indptr: np.ndarray
     gather: np.ndarray
     vals: np.ndarray
-    slot: np.ndarray
+    target: np.ndarray
 
-    def assemble(self, weights):
-        """CSR sum_k diag(weights[k]) op_k for weights of shape (n_ops, m).
+    def assemble(self, hess, grad, diag):
+        """CSR sum_{i,j} diag(hess[:, i, j]) D_ij + sum_s diag(grad[:, s]) D_s
+        + diag(diag), the linearization in (D^2u, Du, u).
 
-        One gather-multiply and one bincount; bincount adds each slot's
-        terms in operator order, as a chain of CSR additions would.  The
-        pattern is the union's whatever the weights: entries that come out
-        exactly zero are kept.
+        hess (m, n, n), grad (m, n) and diag (m,) are shaped like the
+        derivatives they multiply; hess is read on i <= j, each mixed entry
+        counted twice, since D_ij = D_ji.  One gather-multiply and one
+        bincount, which adds each position's terms in stack order, as a
+        chain of CSR additions would.  The pattern is the union's whatever
+        the coefficients: entries that come out exactly zero are kept.
         """
+        weights = np.concatenate(
+            [[hess[:, i, j] * (1.0 if i == j else 2.0)
+              for i, j in _hessian_slots(self.n)], grad.T, diag[None]])
         terms = weights.ravel()[self.gather] * self.vals
-        data = np.bincount(self.slot, weights=terms, minlength=len(self.indices))
+        data = np.bincount(self.target, weights=terms, minlength=len(self.indices))
         return scipy.sparse.csr_matrix((data, self.indices, self.indptr),
                                        shape=self.shape)
 
@@ -87,7 +100,7 @@ class Grid:
     theta: np.ndarray        # (m, n, 2) arm length / h, in (0, 1]; 1 where neighbor interior
     lookup: np.ndarray       # lattice bounding box padded by one layer: row, -1 outside
     mixed_dropped: list = field(default_factory=list)  # (node, i, j) with no usable stencil
-    _ops: GridOps | None = field(default=None, repr=False)
+    _ops: scipy.sparse.csr_matrix | None = field(default=None, repr=False)
     _pattern: OpsPattern | None = field(default=None, repr=False)
 
     @property
@@ -110,6 +123,9 @@ class Grid:
         return np.where(inbox, self.lookup.ravel()[flat], -1)
 
     def ops(self):
+        """The stacked stencil operator, CSR (k*m, m) with k = n(n+1)/2 + n:
+        row slot * m + q applies the slot's derivative at node q (slot
+        order: _hessian_slots).  Built on first use and kept."""
         if self._ops is None:
             self._ops = _build_ops(self)
         return self._ops
@@ -133,9 +149,7 @@ def build_grid(shape, h):
     inside = shape.implicit(pos_all) < 0.0
     idx = np.ascontiguousarray(idx_all[inside])   # meshgrid order = lexicographic
     pos = np.ascontiguousarray(pos_all[inside])
-    m = idx.shape[0]
-    if m == 0:
-        raise EmptyGrid(f"no interior lattice node at spacing h={h:g}")
+    m = idx.shape[0]  # >= 1: every shape is centred, so the origin is interior
 
     lookup = np.full([2 * k + 3 for k in half], -1, dtype=np.int64)
     lookup[(slice(1, -1),) * n][inside.reshape(mesh[0].shape)] = np.arange(m)
@@ -185,15 +199,9 @@ def _arm_coeffs(hp, hm):
     return d1, d2
 
 
-def _stencil_matrix(m, rows, cols, vals):
-    """CSR (m, m) from per-entry lists of arrays; no (row, col) repeats."""
-    return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=(m, m))
-
-
 def _build_ops(grid):
-    """Shortley-Weller axis stencils and mixed stencils, as CSR operators.
+    """Shortley-Weller axis stencils and mixed stencils, as the stacked CSR
+    operator: each stencil goes into its slot's block of rows.
 
     Axis s: the arms' entries where the neighbor is interior (boundary
     samples are zero and drop out) plus the diagonal, stored even where it
@@ -204,72 +212,69 @@ def _build_ops(grid):
     """
     m, n, h = grid.size, grid.n, grid.h
     q = np.arange(m)
-    Dx = []
-    D2 = {}
+    hess = _hessian_slots(n)
+    slot = {pair: k for k, pair in enumerate(hess)}
+    rows, cols, vals = [], [], []
     for s in range(n):
         d1, d2 = _arm_coeffs(grid.theta[:, s, 0] * h, grid.theta[:, s, 1] * h)
         arm = [grid.nb[:, s, t] >= 0 for t in (0, 1)]
-        rows = [q[arm[0]], q[arm[1]], q]
-        cols = [grid.nb[arm[0], s, 0], grid.nb[arm[1], s, 1], q]
-        Dx.append(_stencil_matrix(m, rows, cols, [d1[0][arm[0]], d1[1][arm[1]], d1[2]]))
-        D2[(s, s)] = _stencil_matrix(m, rows, cols, [d2[0][arm[0]], d2[1][arm[1]], d2[2]])
+        nodes = np.concatenate([q[arm[0]], q[arm[1]], q])
+        nbrs = np.concatenate([grid.nb[arm[0], s, 0], grid.nb[arm[1], s, 1], q])
+        for k, d in ((len(hess) + s, d1), (slot[s, s], d2)):
+            rows.append(k * m + nodes)
+            cols.append(nbrs)
+            vals.append(np.concatenate([d[0][arm[0]], d[1][arm[1]], d[2]]))
 
     unit = np.eye(n, dtype=np.int64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            rows, cols, vals = [], [], []
+    for i, j in hess:
+        if i == j:
+            continue
 
-            def rows_at(nodes, di, dj):
-                step = np.multiply.outer(di, unit[i]) + np.multiply.outer(dj, unit[j])
-                return grid.rows_at(grid.idx[nodes] + step)
+        def rows_at(nodes, di, dj):
+            step = np.multiply.outer(di, unit[i]) + np.multiply.outer(dj, unit[j])
+            return grid.rows_at(grid.idx[nodes] + step)
 
-            def add(nodes, stencil, c):  # stencil rows (4, k), weights c * (1, -1, -1, 1)
-                rows.append(np.repeat(nodes, 4))
-                cols.append(stencil.T.ravel())
-                vals.append(np.multiply.outer(c, [1.0, -1.0, -1.0, 1.0]).ravel())
+        def add(nodes, stencil, c):  # stencil rows (4, k), weights c * (1, -1, -1, 1)
+            rows.append(slot[i, j] * m + np.repeat(nodes, 4))
+            cols.append(stencil.T.ravel())
+            vals.append(np.multiply.outer(c, [1.0, -1.0, -1.0, 1.0]).ravel())
 
-            corners = np.stack([rows_at(q, 1, 1), rows_at(q, 1, -1),
-                                rows_at(q, -1, 1), rows_at(q, -1, -1)])
-            full = (corners >= 0).all(axis=0)
-            add(q[full], corners[:, full], np.full(int(full.sum()), 1.0 / (4.0 * h * h)))
-            left = q[~full]
-            free = np.ones(len(left), dtype=bool)  # left nodes still without a stencil
-            si0 = np.where(grid.pos[left, i] > 0, -1, 1)
-            sj0 = np.where(grid.pos[left, j] > 0, -1, 1)
-            for si, sj in ((si0, sj0), (si0, -sj0), (-si0, sj0), (-si0, -sj0)):
-                stencil = np.stack([rows_at(left, si, sj), rows_at(left, si, 0),
-                                    rows_at(left, 0, sj), left])
-                use = free & (stencil >= 0).all(axis=0)
-                free &= ~use
-                add(left[use], stencil[:, use], 1.0 / (si[use] * sj[use] * h * h))
-            D2[(i, j)] = _stencil_matrix(m, rows, cols, vals)
-            grid.mixed_dropped.extend((k, i, j) for k in left[free].tolist())
-    return GridOps(Dx=Dx, D2=D2)
+        corners = np.stack([rows_at(q, 1, 1), rows_at(q, 1, -1),
+                            rows_at(q, -1, 1), rows_at(q, -1, -1)])
+        full = (corners >= 0).all(axis=0)
+        add(q[full], corners[:, full], np.full(int(full.sum()), 1.0 / (4.0 * h * h)))
+        left = q[~full]
+        free = np.ones(len(left), dtype=bool)  # left nodes still without a stencil
+        si0 = np.where(grid.pos[left, i] > 0, -1, 1)
+        sj0 = np.where(grid.pos[left, j] > 0, -1, 1)
+        for si, sj in ((si0, sj0), (si0, -sj0), (-si0, sj0), (-si0, -sj0)):
+            stencil = np.stack([rows_at(left, si, sj), rows_at(left, si, 0),
+                                rows_at(left, 0, sj), left])
+            use = free & (stencil >= 0).all(axis=0)
+            free &= ~use
+            add(left[use], stencil[:, use], 1.0 / (si[use] * sj[use] * h * h))
+        grid.mixed_dropped.extend((k, i, j) for k in left[free].tolist())
+    # no (row, col) repeats, so CSR conversion only sorts each row's columns
+    return scipy.sparse.csr_matrix(
+        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
+        shape=((len(hess) + n) * m, m))
 
 
 def _build_pattern(grid):
-    ops = grid.ops()
-    m, n = grid.size, grid.n
-    stack = [ops.D2[(i, j)] for i in range(n) for j in range(i, n)]
-    stack += list(ops.Dx) + [scipy.sparse.identity(m, format="csr")]
-    rows, cols, vals, which = [], [], [], []
-    for k, op in enumerate(stack):
-        coo = op.tocoo()
-        keep = coo.data != 0.0  # stored zeros add nothing to any sum
-        rows.append(coo.row[keep])
-        cols.append(coo.col[keep])
-        vals.append(coo.data[keep])
-        which.append(np.full(int(keep.sum()), k))
-    # int64: the keys row * m + col pass 2**31 once m > 46,340 nodes
-    rows = np.concatenate(rows).astype(np.int64)
-    cols = np.concatenate(cols).astype(np.int64)
-    keys, slot = np.unique(rows * m + cols, return_inverse=True)
+    stack = grid.ops().tocoo()
+    m = grid.size
+    keep = stack.data != 0.0  # stored zeros add nothing to any sum
+    eye = np.arange(m)
+    rows = np.concatenate([stack.row[keep], stack.shape[0] + eye]).astype(np.int64)
+    cols = np.concatenate([stack.col[keep], eye]).astype(np.int64)
+    # int64: the keys node * m + col pass 2**31 once m > 46,340 nodes
+    keys, target = np.unique(rows % m * m + cols, return_inverse=True)
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
     return OpsPattern(
-        shape=(m, m), indices=(keys % m).astype(np.int32), indptr=indptr,
-        gather=np.concatenate(which) * m + rows, vals=np.concatenate(vals),
-        slot=slot)
+        n=grid.n, shape=(m, m), indices=(keys % m).astype(np.int32),
+        indptr=indptr, gather=rows,
+        vals=np.concatenate([stack.data[keep], np.ones(m)]), target=target)
 
 
 #: nested dissection stops splitting parts of at most this many nodes
@@ -306,25 +311,14 @@ def nested_dissection(grid):
 
 
 def all_derivatives(grid, u):
-    """Gradient (m, n) and Hessian (m, n, n) of a grid function, vectorized."""
-    u = np.asarray(u, dtype=float)
-    ops = grid.ops()
-    m, n = grid.size, grid.n
-    p = np.empty((m, n))
-    r = np.empty((m, n, n))
-    for s in range(n):
-        p[:, s] = ops.Dx[s] @ u
-        r[:, s, s] = ops.D2[(s, s)] @ u
-    for i in range(n):
-        for j in range(i + 1, n):
-            mixed = ops.D2[(i, j)] @ u
-            r[:, i, j] = mixed
-            r[:, j, i] = mixed
-    return p, r
+    """Gradient (m, n) and Hessian (m, n, n) of a grid function: one product
+    with the stacked operator."""
+    d = grid.ops() @ np.asarray(u, dtype=float)
+    return _unstack(d.reshape(-1, grid.size), grid.n)
 
 
 def fd_derivatives(grid, u, node, boundary=None):
-    """PointState (Du, D^2u) at one interior node, from its row of ops().
+    """PointState (Du, D^2u) at one interior node, from its k rows of ops().
 
     boundary(x) supplies Dirichlet samples at arm crossings (default 0,
     the problem's boundary condition, which the operators omit): each
@@ -334,17 +328,9 @@ def fd_derivatives(grid, u, node, boundary=None):
     """
     u = np.asarray(u, dtype=float)
     ops = grid.ops()
-    n, h = grid.n, grid.h
+    m, n, h = grid.size, grid.n, grid.h
     q = int(node)
-
-    def row(op):  # indptr slices: no per-call matrix slicing
-        lo, hi = op.indptr[q], op.indptr[q + 1]
-        return op.data[lo:hi] @ u[op.indices[lo:hi]]
-
-    p = np.array([row(D) for D in ops.Dx])
-    r = np.empty((n, n))
-    for (i, j), D in ops.D2.items():
-        r[i, j] = r[j, i] = row(D)
+    p, r = _unstack(ops[np.arange(ops.shape[0] // m) * m + q] @ u, n)
     if boundary is not None:
         for s in range(n):
             d1, d2 = _arm_coeffs(grid.theta[q, s, 0] * h, grid.theta[q, s, 1] * h)

@@ -15,7 +15,6 @@ stands in as the C^{1,1} approximation.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,13 +101,18 @@ class ProblemSpec:
         sched = tuple(float(e) for e in self.eps_schedule)
         if not sched:
             raise ValueError("eps schedule must not be empty")
-        if any(e < 0 for e in sched):
-            raise ValueError("eps schedule entries must be >= 0")
+        if not all(0.0 <= e < np.inf for e in sched):
+            raise ValueError("eps schedule entries must be finite and >= 0")
         if any(a <= b for a, b in zip(sched, sched[1:])):
             raise ValueError("eps schedule must be strictly decreasing")
         self.eps_schedule = sched
-        if self.newton.tol_residual <= 0:
-            raise ValueError("tol_residual must be positive")
+        nt = self.newton
+        if not 0.0 < nt.tol_residual < np.inf:
+            raise ValueError("tol_residual must be finite and > 0")
+        if not 0.0 < nt.min_step <= 1.0:
+            raise ValueError("min_step must lie in (0, 1]")
+        if nt.max_iter < 1:
+            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -257,12 +261,9 @@ def jacobian(spec, grid, u, eps, state=None):
     n = spec.n
     alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
     _, droot_dz, droot_dp = _psi_eps_root(spec, grid, u, p, eps, derivs=True)
-    # one weight row per operator, in the pattern's order
-    weights = [alpha * geo.G2[:, i, j] * (1.0 if i == j else 2.0)
-               for i in range(n) for j in range(i, n)]
-    weights += [-droot_dp[:, s] + alpha * geo.Gs[:, s] for s in range(n)]
-    weights.append(-droot_dz)
-    return grid.ops_pattern().assemble(np.stack(weights))
+    return grid.ops_pattern().assemble(alpha[:, None, None] * geo.G2,
+                                       alpha[:, None] * geo.Gs - droot_dp,
+                                       -droot_dz)
 
 
 class _Factorization:
@@ -425,12 +426,8 @@ def cap_function(grid, R):
 
 
 def initial_guess(spec, grid):
-    """Starting iterate: the provided subsolution, else an auto sphere cap.
-
-    The cap radius R is the smallest multiple of r0 whose curvature product
-    ((n-1)/R)^n dominates the sampled psi_eps at the first eps; if none
-    does, the steepest cap (R = 1.05 r0) is used with a warning.
-    """
+    """Starting iterate: the provided subsolution, else the automatic sphere
+    cap of _auto_cap on a ball."""
     if spec.subsolution is not None:
         bad = variables(spec.subsolution) - {"x1", "x2", "x3", "r"}
         if bad:
@@ -445,17 +442,25 @@ def initial_guess(spec, grid):
     if grid.shape.kind != "ball":
         raise NoInitialGuess(
             "automatic caps exist only on balls; provide a subsolution")
+    return cap_function(grid, _auto_cap(spec, grid)[0])
+
+
+def _auto_cap(spec, grid):
+    """(R, note): the automatic cap's radius R, the smallest multiple of r0
+    whose curvature product ((n-1)/R)^n dominates the sampled psi_eps at the
+    first eps, with note None; if no multiple does, the steepest cap
+    (R = 1.05 r0) with a line of text saying so."""
     r0 = grid.shape.r0
-    eps0 = spec.eps_schedule[0] if spec.eps_schedule else 0.0
     env = _psi_env(grid, np.zeros(grid.size), np.zeros_like(grid.pos))
     psi_max = float(regularize_psi(
-        np.asarray(evaluate(spec.psi, env), dtype=float), eps0, spec.n).max())
+        np.asarray(evaluate(spec.psi, env), dtype=float), spec.eps_schedule[0],
+        spec.n).max())
     for mult in _CAP_MULTIPLIERS:
         R = mult * r0
         if ((spec.n - 1) / R) ** spec.n >= psi_max:
-            return cap_function(grid, R)
-    warnings.warn("no cap dominates psi; starting from the steepest cap")
-    return cap_function(grid, _CAP_MULTIPLIERS[0] * r0)
+            return R, None
+    return (_CAP_MULTIPLIERS[0] * r0,
+            "no cap dominates psi; starting from the steepest cap")
 
 
 def _stage_metrics(grid, u):
@@ -478,7 +483,10 @@ def continuation_solve(spec, grid=None, u0=None):
     if grid is None:
         grid = build_grid(spec.shape, spec.h)
     schedule, eps_note = effective_schedule(spec, grid)
-    notes = [text for text in (eps_note, _dropped_stencils_note(grid))
+    cap_note = None
+    if spec.subsolution is None and grid.shape.kind == "ball":
+        cap_note = _auto_cap(spec, grid)[1]
+    notes = [text for text in (cap_note, eps_note, _dropped_stencils_note(grid))
              if text is not None]
     u = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
     stages = []
@@ -519,8 +527,6 @@ def effective_schedule(spec, grid):
     replaced by 1e-5 whenever psi is not strictly positive on the grid."""
     note = None
     schedule = list(spec.eps_schedule)
-    if not schedule:
-        raise ValueError("empty eps schedule")
     if schedule[-1] == 0.0:
         env = _psi_env(grid, np.zeros(grid.size), np.zeros_like(grid.pos))
         psi_min = float(np.asarray(evaluate(spec.psi, env), dtype=float).min())

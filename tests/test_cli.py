@@ -4,6 +4,7 @@ import os
 import re
 import subprocess
 import sys
+import warnings
 
 import numpy as np
 import pytest
@@ -190,6 +191,11 @@ def test_solve_undefined_psi_exits_1(tmp_path, psi):
     ("radial", "h = 0.0625", "radial.steps = 0"),
     ("radial", "h = 0.0625", "radial.tol = 0"),
     ("props", "h = 0.0625", "battery.dims = 1"),
+    ("solve", "eps.schedule = 1e-1, 1e-2, 0", "eps.schedule = 1e-1, nan"),
+    ("solve", "eps.schedule = 1e-1, 1e-2, 0", "eps.schedule = inf, 1e-1, 0"),
+    ("solve", "h = 0.0625", "newton.tol_residual = nan"),
+    ("solve", "h = 0.0625", "newton.min_step = nan"),
+    ("solve", "h = 0.0625", "newton.max_iter = 0"),
 ])
 def test_bad_config_value_exits_1_with_one_line(tmp_path, command, old, new):
     # run as a process, so an escaped exception would show as a traceback
@@ -209,19 +215,33 @@ def test_bad_config_value_exits_1_with_one_line(tmp_path, command, old, new):
 
 
 def test_solve_reports_dropped_mixed_stencils(tmp_path, capsys):
-    cfg = write_cfg(tmp_path, """\
+    # each condition the solve works around is one warning line on stderr
+    # and in the report, and no Python warning
+    ellipsoid = """\
 n = 3
 domain.kind = ellipsoid
 domain.semiaxes = 0.5, 0.4, 0.3
 h = 0.0625
 psi = 0.5
 subsolution = 0.3*((x1/0.5)^2 + (x2/0.4)^2 + (x3/0.3)^2 - 1)
-""")
-    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
-    text = "mixed-derivative stencils set to zero for want of usable nodes: 8"
-    assert f"warning: {text}" in capsys.readouterr().err.splitlines()
-    report = (tmp_path / "etacurv-report.txt").read_text().splitlines()
-    assert [ln for ln in report if ln.startswith("warning ")] == [f"warning {text}"]
+"""
+    cases = [
+        (ellipsoid, "mixed-derivative stencils set to zero for want of usable nodes: 8"),
+        (CAP_CFG.replace("psi = 1", "psi = 3.6"),
+         "no cap dominates psi; starting from the steepest cap"),
+    ]
+    for k, (text, note) in enumerate(cases):
+        out = tmp_path / str(k)
+        out.mkdir()
+        cfg = write_cfg(out, text)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        assert [w for w in caught if w.category is UserWarning] == []
+        err = capsys.readouterr().err.splitlines()
+        assert [ln for ln in err if ln.startswith("warning")] == [f"warning: {note}"]
+        report = (out / "etacurv-report.txt").read_text().splitlines()
+        assert [ln for ln in report if ln.startswith("warning")] == [f"warning {note}"]
 
 
 def test_solve_reports_eps_replacement(tmp_path, capsys):

@@ -9,7 +9,6 @@ import scipy.sparse
 from etacurv.domain import DomainShape
 from etacurv.geometry import batch_geometry
 from etacurv.grid import (
-    GridOps,
     _arm_coeffs,
     _bisect_arms,
     _build_pattern,
@@ -119,24 +118,44 @@ REFERENCE_CASES = [
 ]
 
 
+def slot_blocks(g):
+    """The stacked operator's (m, m) slot blocks, in slot order."""
+    ops, m = g.ops(), g.size
+    return [ops[k * m:(k + 1) * m] for k in range(ops.shape[0] // m)]
+
+
 def test_grid_matches_per_node_reference():
     for shape, h in REFERENCE_CASES:
         case = f"{shape.semiaxes} h={h:g}"
         g = build_grid(shape, h)
-        ops = g.ops()
+        n, m = g.n, g.size
         fields, Dx, D2 = reference_grid(shape, h)
         for name in ("idx", "pos", "nb", "theta", "cls"):
             got, want = getattr(g, name), fields[name]
             assert got.dtype == want.dtype, (case, name)
             np.testing.assert_array_equal(got, want, err_msg=f"{case} {name}")
+        # slot order: Hessian entries i <= j row-major, then the gradient
+        hess = [(i, j) for i in range(n) for j in range(i, n)]
+        assert g.ops().shape == ((len(hess) + n) * m, m), case
         assert g.mixed_dropped == fields["mixed_dropped"], case
-        assert list(ops.D2) == list(D2), case
-        pairs = list(zip(ops.Dx, Dx)) + [(ops.D2[k], D2[k]) for k in D2]
-        for got, want in pairs:
+        for got, want in zip(slot_blocks(g), [D2[k] for k in hess] + Dx):
             # equal arrays, stored zeros included (Dx's diagonal at regular nodes)
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(want, name)
                 assert a.dtype == b.dtype and a.tobytes() == b.tobytes(), (case, name)
+
+        # the stacked product equals the reference operators applied one by one
+        u = np.sin(1.0 + g.pos @ np.arange(1.0, n + 1.0))
+        p, r = all_derivatives(g, u)
+        p_ref = np.column_stack([D @ u for D in Dx])
+        r_ref = np.empty((m, n, n))
+        for (i, j), D in D2.items():
+            r_ref[:, i, j] = r_ref[:, j, i] = D @ u
+        assert p.tobytes() == p_ref.tobytes() and r.tobytes() == r_ref.tobytes(), case
+        for q in range(m):
+            st = fd_derivatives(g, u, q)
+            assert st.p.tobytes() == p[q].tobytes(), (case, q)
+            assert st.r.tobytes() == r[q].tobytes(), (case, q)
 
 
 def test_rows_at_outside_the_box():
@@ -304,8 +323,7 @@ def test_nested_dissection_top_separator_splits_operators(shape, h):
     assert set(perm[nl:nl + nr]) == set(right)
     assert np.all(coord[perm[nl + nr:]] == plane)
 
-    ops = g.ops()
-    A = sum(abs(D) for D in ops.Dx) + sum(abs(D) for D in ops.D2.values())
+    A = sum(abs(D) for D in slot_blocks(g))
     B = scipy.sparse.csr_matrix(A[perm][:, perm])
     B.eliminate_zeros()
     assert B[:nl, nl:nl + nr].nnz == 0
@@ -315,17 +333,17 @@ def test_nested_dissection_top_separator_splits_operators(shape, h):
 
 
 def test_ops_pattern_past_int32_keys():
-    # the pattern keys row * m + col pass 2**31 once m > 46,340 nodes;
+    # the pattern keys node * m + col pass 2**31 once m > 46,340 nodes;
     # int32 operator indices must not wrap them
     m = 50_000
     d2 = scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m),
                             format="csr")
     dx = scipy.sparse.eye(m, k=1, format="csr")
-    assert d2.indices.dtype == np.int32
-    ops = GridOps(Dx=[dx], D2={(0, 0): d2})
-    pattern = _build_pattern(SimpleNamespace(ops=lambda: ops, size=m, n=1))
+    stack = scipy.sparse.vstack([d2, dx], format="csr")  # n = 1: D_11, then D_1
+    assert stack.indices.dtype == np.int32
+    pattern = _build_pattern(SimpleNamespace(ops=lambda: stack, size=m, n=1))
     w = np.random.default_rng(7).standard_normal((3, m))
-    J = pattern.assemble(w)
+    J = pattern.assemble(w[0][:, None, None], w[1][:, None], w[2])
     diag = scipy.sparse.diags
     ref = diag(w[0]) @ d2 + diag(w[1]) @ dx + diag(w[2])
     assert J.shape == (m, m)

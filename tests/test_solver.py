@@ -120,6 +120,15 @@ def test_residual_nonadmissible_reports_node():
 # ---------------------------------------------------------------- jacobian
 
 
+def _operators(grid):
+    """(Dx, D2): the (m, m) slot blocks of the stacked operator, read in its
+    documented order (Hessian entries i <= j row-major, then the gradient)."""
+    ops, n, m = grid.ops(), grid.n, grid.size
+    hess = [(i, j) for i in range(n) for j in range(i, n)]
+    blocks = [ops[k * m:(k + 1) * m] for k in range(len(hess) + n)]
+    return blocks[len(hess):], dict(zip(hess, blocks))
+
+
 def _perturbed_state(grid, scale=0.01):
     x = grid.pos
     bump = (grid.shape.r0**2 - np.sum(x**2, axis=1)) * np.sin(
@@ -197,8 +206,8 @@ def test_jacobian_rowsum_matches_laplacian_at_identity_state():
     center = int(np.argmin(np.sum(grid.pos**2, axis=1)))
     assert np.linalg.norm(grid.pos[center]) == 0.0
     J = jacobian(spec, grid, u, 0.0).toarray()
-    ops = grid.ops()
-    lap = sum(ops.D2[(i, i)].toarray() for i in range(3))
+    _, D2 = _operators(grid)
+    lap = sum(D2[(i, i)].toarray() for i in range(3))
     alpha = (1.0 / 3.0) * 8.0 ** (1.0 / 3.0 - 1.0)
     assert np.abs(J[center] - alpha * 8.0 * lap[center]).max() <= 1e-10
 
@@ -222,8 +231,8 @@ def test_jacobian_gs_block_matters_on_sloped_state():
 
     geo = batch_geometry(*all_derivatives(grid, u))
     alpha = 0.5 * geo.K_eta ** (-0.5)
-    ops = grid.ops()
-    gs = sum(alpha * geo.Gs[:, s] * (ops.Dx[s] @ delta) for s in range(2))
+    Dx, _ = _operators(grid)
+    gs = sum(alpha * geo.Gs[:, s] * (Dx[s] @ delta) for s in range(2))
     assert np.linalg.norm(gs) >= 100.0 * tol
     assert np.linalg.norm(fd - (jd - gs)) >= 100.0 * tol
 
@@ -258,17 +267,18 @@ def _csr_sum_jacobian(spec, grid, u, eps):
     """Reference J: the operators' row-weighted sum by CSR additions."""
     p, _, geo = solver._residual_and_margin(spec, grid, u, eps)[2]
     geometry.add_coefficients(geo, p)
-    n, m, ops = spec.n, grid.size, grid.ops()
+    n, m = spec.n, grid.size
+    Dx, D2 = _operators(grid)
     alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
     _, dz, dp = solver._psi_eps_root(spec, grid, u, p, eps, derivs=True)
     J = scipy.sparse.csr_matrix((m, m))
     for i in range(n):
         for j in range(i, n):
             wgt = alpha * geo.G2[:, i, j] * (1.0 if i == j else 2.0)
-            J = J + scipy.sparse.diags(wgt) @ ops.D2[(i, j)]
+            J = J + scipy.sparse.diags(wgt) @ D2[(i, j)]
     for s in range(n):
         wgt = -dp[:, s] + alpha * geo.Gs[:, s]
-        J = J + scipy.sparse.diags(wgt) @ ops.Dx[s]
+        J = J + scipy.sparse.diags(wgt) @ Dx[s]
     return (J - scipy.sparse.diags(dz)).tocsr()
 
 
@@ -503,11 +513,16 @@ def test_initial_guess_n3():
 
 
 def test_initial_guess_fallback_warns():
+    # the warning is a line of text for SolveReport.warnings, not a Python
+    # warning
     grid = build_grid(DISK, 1 / 16)
     spec = ProblemSpec(n=2, shape=DISK, psi="1000", h=1 / 16)
-    with pytest.warns(UserWarning):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
         u0 = initial_guess(spec, grid)
     np.testing.assert_array_equal(u0, cap_function(grid, 0.525))
+    assert solver._auto_cap(spec, grid) == (
+        0.525, "no cap dominates psi; starting from the steepest cap")
 
 
 def test_initial_guess_subsolution_sampled_verbatim():
