@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cones, geometry
 from .domain import sample_boundary
-from .expr import EvalEnv, eval_x_gradient, evaluate, parse, variables
+from .expr import POSITION, EvalEnv, eval_x_gradient, evaluate, parse, variables
 from .grid import all_derivatives
 
 
@@ -75,7 +75,7 @@ def check_admissibility(u, grid, tol=1e-10):
 
 
 def _x_only(e):
-    bad = variables(e) - {"x1", "x2", "x3", "r"}
+    bad = variables(e) - POSITION
     if bad:
         raise ValueError(
             f"subsolution may depend on position only, found {sorted(bad)}")

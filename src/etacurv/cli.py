@@ -12,7 +12,6 @@ import argparse
 import os
 import re
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,10 +65,6 @@ class GridMismatch(ConfigError):
     """Stored solution does not belong to the config's grid."""
 
 
-def _as_text(raw):
-    return raw
-
-
 def _as_int(raw):
     try:
         return int(raw)
@@ -92,51 +87,42 @@ def _as_ints(raw):
     return [_as_int(part.strip()) for part in raw.split(",")]
 
 
-# key -> value parser; this table is the whole schema
+# key -> (value parser, default), in the order config_echo writes the keys;
+# this table is the whole schema, and the one place each default is stated
 _KEYS = {
-    "n": _as_int,
-    "h": _as_float,
-    "psi": _as_text,
-    "psi.lower": _as_text,
-    "subsolution": _as_text,
-    "domain.kind": _as_text,
-    "domain.r0": _as_float,
-    "domain.semiaxes": _as_floats,
-    "eps.schedule": _as_floats,
-    "newton.tol_residual": _as_float,
-    "newton.max_iter": _as_int,
-    "newton.min_step": _as_float,
-    "battery.seed": _as_int,
-    "battery.samples": _as_int,
-    "battery.dims": _as_ints,
-    "radial.steps": _as_int,
-    "radial.tol": _as_float,
-    "radial.eps": _as_float,
-    "output.prefix": _as_text,
+    "n": (_as_int, None),
+    "h": (_as_float, 1.0 / 32.0),
+    "domain.kind": (str, None),
+    "domain.r0": (_as_float, None),
+    "domain.semiaxes": (_as_floats, None),
+    "psi": (str, None),
+    "psi.lower": (str, None),
+    "subsolution": (str, None),
+    "eps.schedule": (_as_floats, ProblemSpec.eps_schedule),
+    "newton.tol_residual": (_as_float, NewtonParams.tol_residual),
+    "newton.max_iter": (_as_int, NewtonParams.max_iter),
+    "newton.min_step": (_as_float, NewtonParams.min_step),
+    "battery.seed": (_as_int, 42),
+    "battery.samples": (_as_int, 10000),
+    "battery.dims": (_as_ints, (2, 3, 4, 5, 6)),
+    "radial.steps": (_as_int, 4096),
+    "radial.tol": (_as_float, 1e-10),
+    "radial.eps": (_as_float, 0.0),
+    "output.prefix": (str, "etacurv"),
 }
 
 _REQUIRED = ("n", "domain.kind", "psi")
 
-_ECHO_ORDER = (
-    "n", "h", "domain.kind", "domain.r0", "domain.semiaxes",
-    "psi", "psi.lower", "subsolution", "eps.schedule",
-    "newton.tol_residual", "newton.max_iter", "newton.min_step",
-    "battery.seed", "battery.samples", "battery.dims",
-    "radial.steps", "radial.tol", "radial.eps", "output.prefix",
-)
 
-
-@dataclass
 class Config:
     """Parsed key/value document; values already typed per _KEYS."""
 
-    values: dict
+    def __init__(self, values=()):
+        self.values = dict(values)
 
-    def get(self, key, default=None):
-        return self.values.get(key, default)
-
-    def __contains__(self, key):
-        return key in self.values
+    def get(self, key):
+        """The document's value for key, else the schema default."""
+        return self.values.get(key, _KEYS[key][1])
 
 
 def load_config(path):
@@ -164,7 +150,7 @@ def load_config(path):
         if not val:
             raise ParseError(f"empty value for '{key}'", lineno)
         try:
-            values[key] = _KEYS[key](val)
+            values[key] = _KEYS[key][0](val)
         except ValueError as exc:
             raise ParseError(f"key '{key}': {exc}", lineno)
     if unknown:
@@ -198,56 +184,38 @@ def build_problem(cfg):
                     f"domain.kind = {kind} needs {expected} semiaxes, "
                     f"got {len(axes)}")
             shape = DomainShape(axes)
-        newton = NewtonParams(
-            tol_residual=cfg.get("newton.tol_residual", 1e-10),
-            max_iter=cfg.get("newton.max_iter", 40),
-            min_step=cfg.get("newton.min_step", 1.0 / 1024.0),
-        )
-        kwargs = {}
-        if "eps.schedule" in cfg:
-            kwargs["eps_schedule"] = tuple(cfg.get("eps.schedule"))
         return ProblemSpec(
             n=n,
             shape=shape,
             psi=cfg.get("psi"),
-            h=cfg.get("h", 1.0 / 32.0),
+            h=cfg.get("h"),
             psi_lower=cfg.get("psi.lower"),
             subsolution=cfg.get("subsolution"),
-            newton=newton,
-            **kwargs,
+            eps_schedule=tuple(cfg.get("eps.schedule")),
+            newton=NewtonParams(
+                tol_residual=cfg.get("newton.tol_residual"),
+                max_iter=cfg.get("newton.max_iter"),
+                min_step=cfg.get("newton.min_step"),
+            ),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
 def _fmt_value(v):
-    if isinstance(v, str):
-        return v
     if isinstance(v, (list, tuple)):
-        return ", ".join(_fmt_value(item) for item in v)
-    if isinstance(v, int):
-        return str(v)
-    return f"{float(v):.17g}"
+        return ", ".join(map(_fmt_value, v))
+    # floats with 17 significant digits, so the echo round-trips exactly
+    return f"{v:.17g}" if isinstance(v, float) else str(v)
 
 
 def config_echo(cfg, spec=None):
-    """Effective config as 'key = value' lines, defaults filled in."""
-    eff = dict(cfg.values)
-    if spec is not None:
-        eff.setdefault("h", spec.h)
-        eff.setdefault("eps.schedule", list(spec.eps_schedule))
-        eff.setdefault("newton.tol_residual", spec.newton.tol_residual)
-        eff.setdefault("newton.max_iter", spec.newton.max_iter)
-        eff.setdefault("newton.min_step", spec.newton.min_step)
-    eff.setdefault("battery.seed", 42)
-    eff.setdefault("battery.samples", 10000)
-    eff.setdefault("battery.dims", [2, 3, 4, 5, 6])
-    eff.setdefault("radial.steps", 4096)
-    eff.setdefault("radial.tol", 1e-10)
-    eff.setdefault("radial.eps", 0.0)
-    eff.setdefault("output.prefix", "etacurv")
-    return [f"{key} = {_fmt_value(eff[key])}" for key in _ECHO_ORDER
-            if key in eff]
+    """Effective config as 'key = value' lines: every key of _KEYS in its
+    order, with the document's value or the schema default, leaving out
+    keys whose value is None.  spec is not read; it is accepted for
+    callers that still pass the problem built from cfg."""
+    return [f"{key} = {_fmt_value(value)}" for key in _KEYS
+            if (value := cfg.get(key)) is not None]
 
 
 def _check_psi(spec):
@@ -298,14 +266,18 @@ def cmd_solve(cfg, out_dir=".", emit_svg=False):
     spec = build_problem(cfg)
     _check_psi(spec)
     grid = build_grid(spec.shape, spec.h)
-    u0 = initial_guess(spec, grid)
+    # a subsolution not of position only, or uncertified, is a config error
+    try:
+        u0 = initial_guess(spec, grid)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     u, report = continuation_solve(spec, grid, u0)
     for text in report.warnings:
         print(f"warning: {text}", file=sys.stderr)
     report.certificates = standard_certificates(u, u0, grid, report)
 
-    prefix = cfg.get("output.prefix", "etacurv")
-    echo = config_echo(cfg, spec)
+    prefix = cfg.get("output.prefix")
+    echo = config_echo(cfg)
     sol_path = os.path.join(out_dir, f"{prefix}-solution.dat")
     rep_path = os.path.join(out_dir, f"{prefix}-report.txt")
     write_solution(sol_path, spec, grid, u, report=report, config_echo=echo)
@@ -341,14 +313,13 @@ def cmd_radial(cfg, out_dir="."):
     try:
         prof = radial.shoot(
             spec.psi, spec.shape.r0, spec.n,
-            tol=cfg.get("radial.tol", 1e-10),
-            steps=cfg.get("radial.steps", 4096),
-            eps=cfg.get("radial.eps", 0.0))
+            tol=cfg.get("radial.tol"),
+            steps=cfg.get("radial.steps"),
+            eps=cfg.get("radial.eps"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    prefix = cfg.get("output.prefix", "etacurv")
-    path = os.path.join(out_dir, f"{prefix}-radial.dat")
-    text = radial.dump_profile(prof, header_extra=config_echo(cfg, spec))
+    path = os.path.join(out_dir, f"{cfg.get('output.prefix')}-radial.dat")
+    text = radial.dump_profile(prof, header_extra=config_echo(cfg))
     with open(path, "w") as fh:
         fh.write(text)
     print(f"radial: u(0)={prof.center_value:.17g} "
@@ -356,13 +327,11 @@ def cmd_radial(cfg, out_dir="."):
     return 0
 
 
-def cmd_props(cfg=None, seed=None, samples=None):
-    if seed is None:
-        seed = cfg.get("battery.seed", 42) if cfg else 42
-    if samples is None:
-        samples = cfg.get("battery.samples", 10000) if cfg else 10000
-    dims = tuple(cfg.get("battery.dims", [2, 3, 4, 5, 6])) if cfg \
-        else (2, 3, 4, 5, 6)
+def cmd_props(cfg, seed=None, samples=None):
+    """The property battery; --seed and --samples override the config."""
+    seed = cfg.get("battery.seed") if seed is None else seed
+    samples = cfg.get("battery.samples") if samples is None else samples
+    dims = tuple(cfg.get("battery.dims"))
     try:
         certs = property_battery(seed=seed, samples=samples, dims=dims)
     except ValueError as exc:
@@ -412,10 +381,10 @@ def cmd_verify(solution_path, cfg):
     certs = [check_maximum_principle(u), check_admissibility(u, grid)]
     try:
         usub = initial_guess(spec, grid)
-    except Exception as exc:  # no certified start: skip the comparison check
+    except (ValueError, NoInitialGuess) as exc:
+        # no certified start: skip the comparison check
         print(f"note: comparison certificate skipped ({exc})", file=sys.stderr)
-        usub = None
-    if usub is not None:
+    else:
         certs.append(check_comparison(u, usub))
     eps_fin = effective_schedule(spec, grid)[0][-1]
     tol = 10.0 * spec.newton.tol_residual
@@ -472,7 +441,7 @@ def _build_parser():
 
 def _dispatch(args):
     if args.command == "props":
-        cfg = load_config(args.config) if args.config else None
+        cfg = load_config(args.config) if args.config else Config()
         return cmd_props(cfg, seed=args.seed, samples=args.samples)
     if not args.config:
         raise ConfigError(f"'{args.command}' requires --config")
@@ -488,10 +457,7 @@ def main(argv=None):
     try:
         args = _build_parser().parse_args(argv)
         return _dispatch(args)
-    except (ConfigError, DomainError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverFailure, NoInitialGuess, NotAdmissible, NegativePsi,

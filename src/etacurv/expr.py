@@ -78,6 +78,8 @@ class Call:
 
 
 VARIABLES = ("x1", "x2", "x3", "z", "nu1", "nu2", "nu3", "nu4", "r", "w")
+#: the position variables: an expression reading only these depends on x alone
+POSITION = frozenset({"x1", "x2", "x3", "r"})
 FUNCTIONS_1 = ("exp", "log", "sqrt", "sin", "cos", "abs")
 FUNCTIONS_N = ("max", "min")
 

@@ -99,8 +99,8 @@ class Grid:
     nb: np.ndarray           # (m, n, 2) neighbor row for (+, -) arm, -1 = boundary
     theta: np.ndarray        # (m, n, 2) arm length / h, in (0, 1]; 1 where neighbor interior
     lookup: np.ndarray       # lattice bounding box padded by one layer: row, -1 outside
-    mixed_dropped: list = field(default_factory=list)  # (node, i, j) with no usable stencil
     _ops: scipy.sparse.csr_matrix | None = field(default=None, repr=False)
+    _dropped: list | None = field(default=None, repr=False)
     _pattern: OpsPattern | None = field(default=None, repr=False)
 
     @property
@@ -127,8 +127,15 @@ class Grid:
         row slot * m + q applies the slot's derivative at node q (slot
         order: _hessian_slots).  Built on first use and kept."""
         if self._ops is None:
-            self._ops = _build_ops(self)
+            self._ops, self._dropped = _build_ops(self)
         return self._ops
+
+    @property
+    def mixed_dropped(self):
+        """(node, i, j) of each mixed stencil that ops() leaves empty for
+        want of usable nodes; builds ops() on first use."""
+        self.ops()
+        return list(self._dropped)
 
     def ops_pattern(self):
         """The OpsPattern of ops(), built on first use and kept."""
@@ -200,21 +207,22 @@ def _arm_coeffs(hp, hm):
 
 
 def _build_ops(grid):
-    """Shortley-Weller axis stencils and mixed stencils, as the stacked CSR
-    operator: each stencil goes into its slot's block of rows.
+    """(ops, dropped): Shortley-Weller axis stencils and mixed stencils, as
+    the stacked CSR operator, each stencil in its slot's block of rows; and
+    the (node, i, j) of the mixed stencils left empty.
 
     Axis s: the arms' entries where the neighbor is interior (boundary
     samples are zero and drop out) plus the diagonal, stored even where it
     is exactly 0.  Mixed (i, j): the centered four-corner cross where all
     corners are interior; else the first quadrant, toward the domain center
-    first, whose three offset nodes are interior; else the node goes to
-    grid.mixed_dropped and its row stays empty.
+    first, whose three offset nodes are interior; else the node is dropped
+    and its row stays empty.
     """
     m, n, h = grid.size, grid.n, grid.h
     q = np.arange(m)
     hess = _hessian_slots(n)
     slot = {pair: k for k, pair in enumerate(hess)}
-    rows, cols, vals = [], [], []
+    rows, cols, vals, dropped = [], [], [], []
     for s in range(n):
         d1, d2 = _arm_coeffs(grid.theta[:, s, 0] * h, grid.theta[:, s, 1] * h)
         arm = [grid.nb[:, s, t] >= 0 for t in (0, 1)]
@@ -253,11 +261,11 @@ def _build_ops(grid):
             use = free & (stencil >= 0).all(axis=0)
             free &= ~use
             add(left[use], stencil[:, use], 1.0 / (si[use] * sj[use] * h * h))
-        grid.mixed_dropped.extend((k, i, j) for k in left[free].tolist())
+        dropped.extend((k, i, j) for k in left[free].tolist())
     # no (row, col) repeats, so CSR conversion only sorts each row's columns
     return scipy.sparse.csr_matrix(
         (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=((len(hess) + n) * m, m))
+        shape=((len(hess) + n) * m, m)), dropped
 
 
 def _build_pattern(grid):

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import DomainError, EvalEnv, evaluate, variables
+from .expr import POSITION, DomainError, EvalEnv, evaluate, variables
 
 
 class BracketFailure(Exception):
@@ -131,10 +131,6 @@ def radial_rhs(r, u, up, psi, n, eps=0.0):
     return _invert(regularize_value(_psi_at(psi, r, u, up, n), eps, n), r, up, n)
 
 
-#: psi reading only these is a function of the radius on the x1 axis
-_POSITION = frozenset({"x1", "x2", "x3", "r"})
-
-
 def _position_table(psi, n, dr, rows):
     """psi at k dr, k dr + dr/2 and k dr + dr in row k < rows, the abscissae
     of RK4 step k formed as `_integrate` forms them, from one batched
@@ -144,7 +140,7 @@ def _position_table(psi, n, dr, rows):
     evaluating per stage then raises it, or an earlier failure, where the
     integration first reaches it.
     """
-    if not variables(psi) <= _POSITION:
+    if not variables(psi) <= POSITION:
         return None
     rk = np.arange(rows) * dr
     x = np.zeros((rows, 3, n))

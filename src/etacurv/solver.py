@@ -8,9 +8,11 @@ equation
 with (Du, D^2u) from the grid stencils and G the curvature product of the
 graph.  The n-th root exploits the concavity of f^{1/n} on the admissible
 cone, which keeps Newton steps well behaved as psi degenerates.  The
-continuation drives eps down a schedule, warm-starting each stage, and
-never solves eps = 0 when psi vanishes somewhere: the last positive eps
-stands in as the C^{1,1} approximation.
+continuation drives eps down a schedule, warm-starting each stage.  A
+trailing eps = 0 is replaced by a small positive eps, which stands in as
+the C^{1,1} approximation, when psi vanishes somewhere on the grid at the
+rest state u = 0, Du = 0; a psi that vanishes only along the iterates
+ends the eps = 0 stage with a SolverFailure before its first step.
 """
 
 from __future__ import annotations
@@ -20,10 +22,10 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse.linalg
 
+from .certify import check_subsolution
 from .cones import NotAdmissible
 from .domain import check_two_convex
-from .expr import (EvalEnv, check_dimension, eval_with_derivs, evaluate,
-                   parse, variables)
+from .expr import EvalEnv, check_dimension, eval_with_derivs, evaluate, parse
 from .geometry import add_coefficients, batch_geometry
 from .grid import all_derivatives, build_grid, nested_dissection
 
@@ -366,7 +368,8 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     with (a) node-wise admissibility margin >= 1e-12 (1 + sigma_1) and
     (b) 2-norm decreased by the factor (1 - s/4) or inf-norm already at the
     stopping tolerance.   A warm start at the solution therefore costs one
-    iteration at step 1, not a stagnation report.
+    iteration at step 1, not a stagnation report.  At eps = 0 a psi that
+    is not positive at every node of u0 raises SolverFailure.
 
     Each Newton equation J du = -res is solved to the true-residual
     contract ||J du + res||_2 <= 1e-12 ||res||_2.  The last sparse LU is
@@ -382,7 +385,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
         p0, _ = all_derivatives(grid, u)
         psi0 = np.asarray(evaluate(spec.psi, _psi_env(grid, u, p0)), dtype=float)
         if float(psi0.min()) <= 0.0:
-            raise ValueError(
+            raise SolverFailure(
                 f"eps = 0 requires psi > 0 on the grid (min {psi0.min():g})")
     # raises NotAdmissible on a bad start
     res, margin0, state = _residual_and_margin(spec, grid, u, eps)
@@ -427,12 +430,9 @@ def cap_function(grid, R):
 
 def initial_guess(spec, grid):
     """Starting iterate: the provided subsolution, else the automatic sphere
-    cap of _auto_cap on a ball."""
+    cap of _auto_cap on a ball.  ValueError when the subsolution reads
+    more than position or fails its certificate."""
     if spec.subsolution is not None:
-        bad = variables(spec.subsolution) - {"x1", "x2", "x3", "r"}
-        if bad:
-            raise ValueError(f"subsolution may depend on x only, found {sorted(bad)}")
-        from .certify import check_subsolution  # deferred; certify never imports solver
         cert = check_subsolution(spec.subsolution, spec)
         if not cert.passed:
             raise ValueError(f"provided subsolution fails its certificate: {cert.line()}")
@@ -514,7 +514,6 @@ def continuation_solve(spec, grid=None, u0=None):
 def _dropped_stencils_note(grid):
     """Text naming the mixed-derivative stencils the grid's operators set
     to zero for want of usable nodes; None when there are none."""
-    grid.ops()
     k = len(grid.mixed_dropped)
     if k == 0:
         return None
@@ -524,7 +523,8 @@ def _dropped_stencils_note(grid):
 def effective_schedule(spec, grid):
     """(schedule, note): the problem's schedule with the degenerate guard
     applied, and a line of text saying so or None.  A trailing 0 is
-    replaced by 1e-5 whenever psi is not strictly positive on the grid."""
+    replaced by 1e-5 whenever psi is not strictly positive on the grid at
+    the rest state u = 0, Du = 0; only there is psi checked."""
     note = None
     schedule = list(spec.eps_schedule)
     if schedule[-1] == 0.0:

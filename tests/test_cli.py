@@ -33,11 +33,30 @@ h = 0.0625
 eps.schedule = 1e-1, 1e-2, 0
 """
 
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+
+with open(os.path.join(ROOT, "demos", "configs", "ellipse.cfg")) as fh:
+    ELLIPSE_CFG = fh.read()
+
 
 def write_cfg(tmp_path, text, name="run.cfg"):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_cli(command, cfg, out_dir):
+    """etacurv as a process, so an escaped exception shows as a traceback;
+    returns (exit code, stderr lines)."""
+    env = dict(os.environ,
+               PYTHONPATH=os.path.dirname(os.path.dirname(etacurv.__file__)))
+    argv = [sys.executable, "-m", "etacurv.cli", command, "--config", cfg]
+    if command != "props":
+        argv += ["--out", str(out_dir)]
+    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
+                          check=False)
+    assert "Traceback" not in proc.stderr
+    return proc.returncode, proc.stderr.splitlines()
 
 
 @pytest.fixture
@@ -54,7 +73,7 @@ def test_load_config_minimal(tmp_path):
     assert cfg.get("domain.kind") == "ball"
     assert cfg.get("domain.r0") == 0.5
     assert cfg.get("psi") == "1"
-    assert "h" not in cfg
+    assert "h" not in cfg.values
 
 
 def test_load_config_unknown_key(tmp_path):
@@ -134,6 +153,28 @@ def test_config_echo_fills_defaults():
     assert "psi = 1" in joined
 
 
+def test_readme_config_table_matches_schema():
+    # the README's table of config keys lists every key of the schema, in
+    # its order, with the schema's type and default
+    with open(os.path.join(ROOT, "README.md")) as fh:
+        text = fh.read()
+    section = text.split("### Config keys\n", 1)[1].split("\n#", 1)[0]
+    rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
+            for line in section.splitlines() if line.startswith("| `")]
+    types = {"integer": cli._as_int, "number": cli._as_float, "text": str,
+             "numbers": cli._as_floats, "integers": cli._as_ints}
+    assert [row[0] for row in rows] == list(cli._KEYS)
+    for key, kind, default, *_ in rows:
+        parser, want = cli._KEYS[key]
+        assert types[kind] is parser, key
+        if default in ("required", "unset"):
+            assert want is None, key
+            assert (default == "required") == (key in cli._REQUIRED), key
+        else:
+            got = parser(default)
+            assert (tuple(got) if isinstance(got, list) else got) == want, key
+
+
 # ---------------------------------------------------------------- solve
 
 def test_solve_success(cap_cfg, tmp_path, capsys):
@@ -166,17 +207,9 @@ def test_solve_negative_psi_exits_1(tmp_path, capsys):
 
 @pytest.mark.parametrize("psi", ["log(x1)", "sqrt(x1)"])
 def test_solve_undefined_psi_exits_1(tmp_path, psi):
-    # run as a process, so an escaped exception would show as a traceback
     cfg = write_cfg(tmp_path, CAP_CFG.replace("psi = 1", f"psi = {psi}"))
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(etacurv.__file__)))
-    proc = subprocess.run(
-        [sys.executable, "-m", "etacurv.cli", "solve", "--config", cfg,
-         "--out", str(tmp_path)],
-        capture_output=True, text=True, env=env, check=False)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
+    rc, lines = run_cli("solve", cfg, tmp_path)
+    assert rc == 1
     assert len(lines) == 1
     assert lines[0].startswith("error:")
     assert f"'{psi}'" in lines[0]
@@ -196,22 +229,32 @@ def test_solve_undefined_psi_exits_1(tmp_path, psi):
     ("solve", "h = 0.0625", "newton.tol_residual = nan"),
     ("solve", "h = 0.0625", "newton.min_step = nan"),
     ("solve", "h = 0.0625", "newton.max_iter = 0"),
+    # a subsolution that reads the height, and one that fails its certificate
+    ("solve", "subsolution = 0.2 * ((x1/0.5)^2 + (x2/0.35)^2 - 1)",
+     "subsolution = 0.1*z"),
+    ("solve", "subsolution = 0.2 * ((x1/0.5)^2 + (x2/0.35)^2 - 1)",
+     "subsolution = 1"),
 ])
 def test_bad_config_value_exits_1_with_one_line(tmp_path, command, old, new):
-    # run as a process, so an escaped exception would show as a traceback
-    cfg = write_cfg(tmp_path, CAP_CFG.replace(old, new))
-    env = dict(os.environ,
-               PYTHONPATH=os.path.dirname(os.path.dirname(etacurv.__file__)))
-    argv = [sys.executable, "-m", "etacurv.cli", command, "--config", cfg]
-    if command != "props":
-        argv += ["--out", str(tmp_path)]
-    proc = subprocess.run(argv, capture_output=True, text=True, env=env,
-                          check=False)
-    assert proc.returncode == 1
-    assert "Traceback" not in proc.stderr
-    lines = proc.stderr.splitlines()
+    # old names the line to replace, in the cap fixture or the ellipse demo
+    base = CAP_CFG if old in CAP_CFG else ELLIPSE_CFG
+    assert old in base
+    rc, lines = run_cli(command, write_cfg(tmp_path, base.replace(old, new)),
+                        tmp_path)
+    assert rc == 1
     assert len(lines) == 1
     assert lines[0].startswith("error:")
+
+
+def test_solve_psi_vanishing_below_rest_state_exits_2(tmp_path):
+    # psi > 0 at z = 0, so eps = 0 is kept, but psi = 0 where u < -1/40:
+    # the eps = 0 stage stops before its first step
+    text = CAP_CFG.replace("psi = 1", "psi = max(1 + 40*z, 0)")
+    cfg = write_cfg(tmp_path, text.replace("eps.schedule = 1e-1, 1e-2, 0\n", ""))
+    rc, lines = run_cli("solve", cfg, tmp_path)
+    assert rc == 2
+    assert lines == ["solver failure: eps = 0 requires psi > 0 on the grid "
+                     "(min 0) (continuation stage eps=0)"]
 
 
 def test_solve_reports_dropped_mixed_stencils(tmp_path, capsys):
@@ -425,6 +468,25 @@ def test_verify_coordinate_mismatch(solved, tmp_path):
     moved = tmp_path / "moved.dat"
     moved.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(moved), "--config", cfg]) == 1
+
+
+def test_verify_skips_comparison_only_without_certified_start(
+        solved, tmp_path, monkeypatch, capsys):
+    sol, _ = solved
+    # a subsolution failing its certificate: a note, and the other checks
+    cfg = write_cfg(tmp_path, CAP_CFG + "subsolution = 1\n")
+    assert main(["verify", str(sol), "--config", cfg]) == 0
+    captured = capsys.readouterr()
+    assert "note: comparison certificate skipped" in captured.err
+    assert "verify: 3/3 pass" in captured.out
+
+    # any other error in initial_guess is a fault, not a skipped check
+    def broken(spec, grid):
+        raise RuntimeError("fault in initial_guess")
+
+    monkeypatch.setattr(cli, "initial_guess", broken)
+    with pytest.raises(RuntimeError, match="fault in initial_guess"):
+        main(["verify", str(sol), "--config", cfg])
 
 
 # ---------------------------------------------------------------- misc

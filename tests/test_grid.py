@@ -158,6 +158,18 @@ def test_grid_matches_per_node_reference():
             assert st.r.tobytes() == r[q].tobytes(), (case, q)
 
 
+def test_mixed_dropped_before_ops():
+    # the dropped stencils are known without building the operator first
+    shape, h = DomainShape((0.5, 0.4, 0.3)), 1 / 16
+    g = build_grid(shape, h)
+    assert g._ops is None
+    dropped = reference_grid(shape, h)[0]["mixed_dropped"]
+    assert len(dropped) == 8
+    assert g.mixed_dropped == dropped
+    with pytest.raises(AttributeError):
+        g.mixed_dropped = []
+
+
 def test_rows_at_outside_the_box():
     for shape, h in [(DISK, 0.25), (DomainShape((0.6, 0.5, 0.4)), 0.17)]:
         g = build_grid(shape, h)

@@ -17,6 +17,7 @@ from etacurv.solver import (
     NegativePsi,
     NewtonParams,
     ProblemSpec,
+    SolverFailure,
     cap_function,
     continuation_solve,
     effective_schedule,
@@ -401,7 +402,7 @@ def test_newton_nonadmissible_start():
 def test_newton_eps_zero_needs_positive_psi():
     grid = build_grid(DISK, 1 / 8)
     spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 8)
-    with pytest.raises(ValueError):
+    with pytest.raises(SolverFailure, match="eps = 0 requires psi > 0"):
         newton_solve(spec, grid, cap_function(grid, 0.525), 0.0)
 
 
