@@ -155,12 +155,21 @@ def estimate_evidence(report, tol=0.10):
 
 
 def standard_certificates(u, usub, grid, report):
-    """The bundle the command layer attaches to every solve."""
+    """The bundle the command layer attaches to every solve.  A solve of
+    one stage has no earlier stage for estimate_evidence to compare with;
+    a line appended to report.warnings says so in its place."""
     certs = [check_maximum_principle(u),
              check_comparison(u, usub),
              check_admissibility(u, grid)]
     if len(report.stages) >= 2:
         certs.append(estimate_evidence(report))
+    else:
+        eps = report.stages[0].eps
+        why = ("no regularized stage to compare with: psi > 0 on the grid "
+               "and no eps > 0 was run" if eps == 0.0
+               else f"no earlier stage to compare with: the solve ran at "
+                    f"eps={eps:g} only")
+        report.warnings.append(f"estimate_evidence not applicable: {why}")
     return certs
 
 

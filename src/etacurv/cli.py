@@ -191,7 +191,7 @@ def build_problem(cfg):
             h=cfg.get("h"),
             psi_lower=cfg.get("psi.lower"),
             subsolution=cfg.get("subsolution"),
-            eps_schedule=tuple(cfg.get("eps.schedule")),
+            eps_schedule=cfg.get("eps.schedule"),
             newton=NewtonParams(
                 tol_residual=cfg.get("newton.tol_residual"),
                 max_iter=cfg.get("newton.max_iter"),
@@ -272,9 +272,9 @@ def cmd_solve(cfg, out_dir=".", emit_svg=False):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     u, report = continuation_solve(spec, grid, u0)
+    report.certificates = standard_certificates(u, u0, grid, report)
     for text in report.warnings:
         print(f"warning: {text}", file=sys.stderr)
-    report.certificates = standard_certificates(u, u0, grid, report)
 
     prefix = cfg.get("output.prefix")
     echo = config_echo(cfg)

@@ -8,11 +8,17 @@ equation
 with (Du, D^2u) from the grid stencils and G the curvature product of the
 graph.  The n-th root exploits the concavity of f^{1/n} on the admissible
 cone, which keeps Newton steps well behaved as psi degenerates.  The
-continuation drives eps down a schedule, warm-starting each stage.  A
-trailing eps = 0 is replaced by a small positive eps, which stands in as
-the C^{1,1} approximation, when psi vanishes somewhere on the grid at the
-rest state u = 0, Du = 0; a psi that vanishes only along the iterates
-ends the eps = 0 stage with a SolverFailure before its first step.
+continuation drives eps down a schedule, warm-starting each stage.
+
+Without an explicit schedule the solver picks one.  Where psi > 0 on the
+grid at the rest state u = 0, Du = 0 the equation is non-degenerate, and
+Newton runs one eps = 0 stage from the start; if that stage fails, the
+solve is rerun down LADDER from the same start.  Where psi vanishes there,
+the solve runs down LADDER.  In either schedule a trailing eps = 0 is
+replaced by a small positive eps, which stands in as the C^{1,1}
+approximation, when psi vanishes somewhere on the grid at the rest state;
+a psi that vanishes only along the iterates ends the eps = 0 stage with a
+SolverFailure before its first step.
 """
 
 from __future__ import annotations
@@ -62,6 +68,11 @@ class NoInitialGuess(Exception):
     """Automatic initial data exists only for balls; provide a subsolution."""
 
 
+#: the eps continuation run where psi vanishes at the rest state, and
+#: rerun when a direct eps = 0 stage fails
+LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 0.0)
+
+
 @dataclass
 class NewtonParams:
     tol_residual: float = 1e-10
@@ -74,7 +85,8 @@ class ProblemSpec:
     """Full description of one Dirichlet problem.
 
     psi, psi_lower and subsolution are expression trees (see expr.parse);
-    strings are parsed on construction for convenience.
+    strings are parsed on construction for convenience.  eps_schedule None
+    lets continuation_solve choose the schedule (see effective_schedule).
     """
 
     n: int
@@ -83,7 +95,7 @@ class ProblemSpec:
     h: float
     psi_lower: object = None
     subsolution: object = None
-    eps_schedule: tuple = (1e-1, 1e-2, 1e-3, 1e-4, 0.0)
+    eps_schedule: tuple | None = None
     newton: NewtonParams = field(default_factory=NewtonParams)
 
     def __post_init__(self):
@@ -100,14 +112,15 @@ class ProblemSpec:
                 object.__setattr__(self, name, v)
             if v is not None:
                 check_dimension(v, self.n)
-        sched = tuple(float(e) for e in self.eps_schedule)
-        if not sched:
-            raise ValueError("eps schedule must not be empty")
-        if not all(0.0 <= e < np.inf for e in sched):
-            raise ValueError("eps schedule entries must be finite and >= 0")
-        if any(a <= b for a, b in zip(sched, sched[1:])):
-            raise ValueError("eps schedule must be strictly decreasing")
-        self.eps_schedule = sched
+        if self.eps_schedule is not None:
+            sched = tuple(float(e) for e in self.eps_schedule)
+            if not sched:
+                raise ValueError("eps schedule must not be empty")
+            if not all(0.0 <= e < np.inf for e in sched):
+                raise ValueError("eps schedule entries must be finite and >= 0")
+            if any(a <= b for a, b in zip(sched, sched[1:])):
+                raise ValueError("eps schedule must be strictly decreasing")
+            self.eps_schedule = sched
         nt = self.newton
         if not 0.0 < nt.tol_residual < np.inf:
             raise ValueError("tol_residual must be finite and > 0")
@@ -448,13 +461,15 @@ def initial_guess(spec, grid):
 def _auto_cap(spec, grid):
     """(R, note): the automatic cap's radius R, the smallest multiple of r0
     whose curvature product ((n-1)/R)^n dominates the sampled psi_eps at the
-    first eps, with note None; if no multiple does, the steepest cap
-    (R = 1.05 r0) with a line of text saying so."""
+    first eps of the schedule, or of LADDER when the solver picks the
+    schedule (so the cap also starts the fallback down LADDER), with note
+    None; if no multiple does, the steepest cap (R = 1.05 r0) with a line
+    of text saying so."""
     r0 = grid.shape.r0
     env = _psi_env(grid, np.zeros(grid.size), np.zeros_like(grid.pos))
     psi_max = float(regularize_psi(
-        np.asarray(evaluate(spec.psi, env), dtype=float), spec.eps_schedule[0],
-        spec.n).max())
+        np.asarray(evaluate(spec.psi, env), dtype=float),
+        (spec.eps_schedule or LADDER)[0], spec.n).max())
     for mult in _CAP_MULTIPLIERS:
         R = mult * r0
         if ((spec.n - 1) / R) ** spec.n >= psi_max:
@@ -472,10 +487,15 @@ def _stage_metrics(grid, u):
 
 
 def continuation_solve(spec, grid=None, u0=None):
-    """Solve down the eps schedule, warm-starting each stage.
+    """Solve down the schedule of effective_schedule, warm-starting each
+    stage.
 
-    Returns (u, SolveReport); certificates are attached by the caller
-    (the command layer runs the verify suite on the result).
+    When the solver picked the one direct eps = 0 stage and it raises
+    SolverFailure, the solve is rerun down LADDER from the same start with
+    a fresh factorization, so it matches a solve given LADDER explicitly,
+    and a line of SolveReport.warnings names the failed attempt.  Returns
+    (u, SolveReport); certificates are attached by the caller (the command
+    layer runs the verify suite on the result).
     """
     ok, _ = check_two_convex(spec.shape)
     if not ok:
@@ -488,9 +508,26 @@ def continuation_solve(spec, grid=None, u0=None):
         cap_note = _auto_cap(spec, grid)[1]
     notes = [text for text in (cap_note, eps_note, _dropped_stencils_note(grid))
              if text is not None]
-    u = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
-    stages = []
+    u0 = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
     factorization = _Factorization(grid)
+    try:
+        u, stages = _run_stages(spec, grid, u0, schedule, factorization)
+    except SolverFailure as exc:
+        if spec.eps_schedule is not None or schedule != (0.0,):
+            raise
+        notes.append(
+            f"direct eps = 0 solve failed after {max(len(exc.history) - 1, 0)} "
+            f"Newton iterations and {factorization.factorizations} "
+            f"factorizations ({exc}); rerunning down eps = "
+            + ", ".join(f"{eps:g}" for eps in LADDER))
+        u, stages = _run_stages(spec, grid, u0, LADDER, _Factorization(grid))
+    return u, SolveReport(stages=stages, warnings=notes)
+
+
+def _run_stages(spec, grid, u, schedule, factorization):
+    """(u, stages): Newton down schedule from u, each stage warm-started
+    from the last; a SolverFailure is re-raised naming its stage."""
+    stages = []
     for eps in schedule:
         done = factorization.factorizations, factorization.krylov_iters
         try:
@@ -508,7 +545,7 @@ def continuation_solve(spec, grid=None, u0=None):
             factorizations=factorization.factorizations - done[0],
             krylov_iters=factorization.krylov_iters - done[1],
             lu_fill=int(factorization.lu.nnz)))
-    return u, SolveReport(stages=stages, warnings=notes)
+    return u, stages
 
 
 def _dropped_stencils_note(grid):
@@ -521,33 +558,39 @@ def _dropped_stencils_note(grid):
 
 
 def effective_schedule(spec, grid):
-    """(schedule, note): the problem's schedule with the degenerate guard
-    applied, and a line of text saying so or None.  A trailing 0 is
-    replaced by 1e-5 whenever psi is not strictly positive on the grid at
-    the rest state u = 0, Du = 0; only there is psi checked."""
-    note = None
-    schedule = list(spec.eps_schedule)
-    if schedule[-1] == 0.0:
-        env = _psi_env(grid, np.zeros(grid.size), np.zeros_like(grid.pos))
-        psi_min = float(np.asarray(evaluate(spec.psi, env), dtype=float).min())
-        if psi_min < 0.0:
-            raise NegativePsi(f"psi must be nonnegative, worst value {psi_min:g}")
-        if psi_min <= 0.0:
-            last = 1e-5 if len(schedule) == 1 else min(1e-5, schedule[-2] / 10.0)
-            schedule[-1] = last
-            note = (f"psi vanishes on the grid (min {psi_min:g}); "
-                    f"final stage runs at eps={last:g} instead of 0")
-    return tuple(schedule), note
+    """(schedule, note): the schedule continuation_solve starts with, and a
+    line of text saying how it departs from the problem's, or None.
+
+    Without an explicit schedule, the solver picks one: (0,) where psi is
+    strictly positive on the grid at the rest state u = 0, Du = 0, else
+    LADDER.  A trailing 0 is replaced by 1e-5 whenever psi is not strictly
+    positive there; only there is psi checked."""
+    schedule = spec.eps_schedule
+    if schedule is not None and schedule[-1] != 0.0:
+        return schedule, None
+    env = _psi_env(grid, np.zeros(grid.size), np.zeros_like(grid.pos))
+    psi_min = float(np.asarray(evaluate(spec.psi, env), dtype=float).min())
+    if psi_min < 0.0:
+        raise NegativePsi(f"psi must be nonnegative, worst value {psi_min:g}")
+    if psi_min > 0.0:
+        return schedule or (0.0,), None
+    schedule = list(schedule or LADDER)
+    last = 1e-5 if len(schedule) == 1 else min(1e-5, schedule[-2] / 10.0)
+    schedule[-1] = last
+    return tuple(schedule), (f"psi vanishes on the grid (min {psi_min:g}); "
+                             f"final stage runs at eps={last:g} instead of 0")
 
 
 def write_solution(path, spec, grid, u, report=None, config_echo=()):
     """Columnar solution file with a self-describing '#' header.
 
     Full 17-significant-digit decimals: identical configs reproduce the
-    file bitwise.
+    file bitwise.  The residual column is taken at the report's final eps,
+    or without a report at the last eps of effective_schedule.
     """
     n = spec.n
-    eps = spec.eps_schedule[-1] if report is None else report.final.eps
+    eps = (effective_schedule(spec, grid)[0][-1] if report is None
+           else report.final.eps)
     res, _, (p, r, geo) = _residual_and_margin(spec, grid, u, eps)
     cols = ["x1", "x2", "x3"][:n] + ["u"] + [f"du{s+1}" for s in range(n)]
     cols += [f"d2u{i+1}{j+1}" for i in range(n) for j in range(i, n)]

@@ -197,6 +197,21 @@ def test_standard_bundle(solved_disk):
     assert all(c.passed for c in certs)
 
 
+@pytest.mark.parametrize("eps, why", [
+    (0.0, "no regularized stage to compare with: psi > 0 on the grid and "
+          "no eps > 0 was run"),
+    (1e-3, "no earlier stage to compare with: the solve ran at eps=0.001 only"),
+])
+def test_standard_bundle_one_stage_says_why(solved_disk, eps, why):
+    # one stage: no estimate_evidence, and a warning line in its place
+    _, grid, u, _ = solved_disk
+    report = SimpleNamespace(stages=[SimpleNamespace(eps=eps)], warnings=[])
+    certs = standard_certificates(u, cap_function(grid, 0.525), grid, report)
+    assert [c.name for c in certs] == [
+        "maximum_principle", "comparison", "admissibility"]
+    assert report.warnings == [f"estimate_evidence not applicable: {why}"]
+
+
 # ------------------------------------------------------------ battery
 
 

@@ -35,6 +35,10 @@ eps.schedule = 1e-1, 1e-2, 0
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 
+#: the report line standing in for estimate_evidence on a one-stage solve
+ONE_STAGE_NOTE = ("estimate_evidence not applicable: no regularized stage to "
+                  "compare with: psi > 0 on the grid and no eps > 0 was run")
+
 with open(os.path.join(ROOT, "demos", "configs", "ellipse.cfg")) as fh:
     ELLIPSE_CFG = fh.read()
 
@@ -268,12 +272,15 @@ h = 0.0625
 psi = 0.5
 subsolution = 0.3*((x1/0.5)^2 + (x2/0.4)^2 + (x3/0.3)^2 - 1)
 """
+    # the ellipsoid, with no eps.schedule, solves in one eps = 0 stage,
+    # which its report also names
     cases = [
-        (ellipsoid, "mixed-derivative stencils set to zero for want of usable nodes: 8"),
+        (ellipsoid, ["mixed-derivative stencils set to zero for want of usable nodes: 8",
+                     ONE_STAGE_NOTE]),
         (CAP_CFG.replace("psi = 1", "psi = 3.6"),
-         "no cap dominates psi; starting from the steepest cap"),
+         ["no cap dominates psi; starting from the steepest cap"]),
     ]
-    for k, (text, note) in enumerate(cases):
+    for k, (text, notes) in enumerate(cases):
         out = tmp_path / str(k)
         out.mkdir()
         cfg = write_cfg(out, text)
@@ -282,9 +289,11 @@ subsolution = 0.3*((x1/0.5)^2 + (x2/0.4)^2 + (x3/0.3)^2 - 1)
             assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
         assert [w for w in caught if w.category is UserWarning] == []
         err = capsys.readouterr().err.splitlines()
-        assert [ln for ln in err if ln.startswith("warning")] == [f"warning: {note}"]
+        assert [ln for ln in err if ln.startswith("warning")] == [
+            f"warning: {note}" for note in notes]
         report = (out / "etacurv-report.txt").read_text().splitlines()
-        assert [ln for ln in report if ln.startswith("warning")] == [f"warning {note}"]
+        assert [ln for ln in report if ln.startswith("warning")] == [
+            f"warning {note}" for note in notes]
 
 
 def test_solve_reports_eps_replacement(tmp_path, capsys):
@@ -310,6 +319,80 @@ def test_solve_nearly_zero_psi_passes_certificates(tmp_path, capsys):
     assert "certificates=4/4" in capsys.readouterr().out
     report = (tmp_path / "etacurv-report.txt").read_text()
     assert "certificate estimate_evidence=pass" in report
+
+
+def _stage_lines(path):
+    return [ln for ln in path.read_text().splitlines()
+            if ln.startswith("stage eps=")]
+
+
+def test_solve_cap_demo_one_stage_names_skipped_certificate(tmp_path, capsys):
+    # no eps.schedule and psi > 0: one eps = 0 stage, three certificates,
+    # and a report line saying why estimate_evidence does not apply
+    cfg = os.path.join(ROOT, "demos", "configs", "cap.cfg")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    captured = capsys.readouterr()
+    assert "certificates=3/3" in captured.out
+    assert captured.err.splitlines() == [f"warning: {ONE_STAGE_NOTE}"]
+    report = tmp_path / "etacurv-report.txt"
+    lines = report.read_text().splitlines()
+    assert [ln for ln in lines if ln.startswith("warning")] == [
+        f"warning {ONE_STAGE_NOTE}"]
+    assert not any(ln.startswith("certificate estimate_evidence") for ln in lines)
+    stages = _stage_lines(report)
+    assert len(stages) == 1 and stages[0].startswith("stage eps=0 ")
+
+
+def test_solve_direct_failure_reruns_the_ladder_bitwise(tmp_path, capsys):
+    # psi = 1e-300 stagnates at eps = 0 directly; the fallback is the
+    # explicit ladder's solve, row for row
+    tiny = CAP_CFG.replace("psi = 1", "psi = 1e-300")
+    auto, ladder = tmp_path / "auto", tmp_path / "ladder"
+    for out, text in ((auto, tiny.replace("eps.schedule = 1e-1, 1e-2, 0\n", "")),
+                      (ladder, tiny.replace("1e-1, 1e-2, 0",
+                                            "1e-1, 1e-2, 1e-3, 1e-4, 0"))):
+        out.mkdir()
+        assert main(["solve", "--config", write_cfg(out, text),
+                     "--out", str(out)]) == 0
+    assert "certificates=4/4" in capsys.readouterr().out
+    warned = [ln for ln in (auto / "etacurv-report.txt").read_text().splitlines()
+              if ln.startswith("warning")]
+    assert len(warned) == 1
+    assert warned[0].startswith("warning direct eps = 0 solve failed after ")
+    assert "no step >= 0.000976562 acceptable" in warned[0]
+    assert warned[0].endswith("rerunning down eps = 0.1, 0.01, 0.001, 0.0001, 0")
+    stages = _stage_lines(auto / "etacurv-report.txt")
+    assert len(stages) == 5
+    assert stages == _stage_lines(ladder / "etacurv-report.txt")
+
+    def body(out):
+        return [ln for ln in (out / "etacurv-solution.dat").read_text()
+                .splitlines() if not ln.startswith("#")]
+
+    assert body(auto) == body(ladder)
+
+
+@pytest.mark.parametrize("schedule, eps", [
+    ("0", ["0"]),
+    ("1e-2, 0", ["0.01", "0"]),
+    ("1e-1, 1e-2, 1e-3, 1e-4, 0", ["0.10000000000000001", "0.01", "0.001",
+                                   "0.0001", "0"]),
+])
+def test_solve_explicit_schedule_reports_every_stage(tmp_path, schedule, eps):
+    cfg = write_cfg(tmp_path, CAP_CFG.replace("1e-1, 1e-2, 0", schedule))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    stages = _stage_lines(tmp_path / "etacurv-report.txt")
+    assert [ln.split()[1] for ln in stages] == [f"eps={e}" for e in eps]
+
+
+def test_solve_explicit_eps_zero_does_not_fall_back(tmp_path):
+    # an explicit schedule runs as written: its failure is not rerun
+    text = CAP_CFG.replace("psi = 1", "psi = 1e-300").replace(
+        "1e-1, 1e-2, 0", "0")
+    rc, lines = run_cli("solve", write_cfg(tmp_path, text), tmp_path)
+    assert rc == 2
+    assert lines == ["solver failure: no step >= 0.000976562 acceptable "
+                     "(eps=0) (continuation stage eps=0)"]
 
 
 def test_solve_unreachable_out_dir(cap_cfg, capsys):

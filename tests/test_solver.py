@@ -555,19 +555,26 @@ def test_initial_guess_rejects_z_dependence():
 
 
 def test_effective_schedule_keeps_zero_for_positive_psi():
+    # the default picks the one direct eps = 0 stage; an explicit schedule
+    # is kept as written
     grid = build_grid(DISK, 1 / 8)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 8)
+    assert spec.eps_schedule is None
+    assert effective_schedule(spec, grid) == ((0.0,), None)
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 8,
                        eps_schedule=(1e-1, 1e-2, 1e-3, 0.0))
     assert effective_schedule(spec, grid) == ((1e-1, 1e-2, 1e-3, 0.0), None)
 
 
 def test_effective_schedule_replaces_zero_when_psi_vanishes():
+    # the default runs the ladder, guarded; so does the explicit ladder
     grid = build_grid(DISK, 1 / 8)
-    spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 8,
-                       eps_schedule=(1e-1, 1e-2, 1e-3, 1e-4, 0.0))
-    sched, note = effective_schedule(spec, grid)
-    assert sched == (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
-    assert note.endswith("final stage runs at eps=1e-05 instead of 0")
+    for sched in (None, solver.LADDER):
+        spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 8,
+                           eps_schedule=sched)
+        got, note = effective_schedule(spec, grid)
+        assert got == (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+        assert note.endswith("final stage runs at eps=1e-05 instead of 0")
 
 
 # ---------------------------------------------------------------- continuation
@@ -586,6 +593,23 @@ def test_continuation_cap():
         assert st.residual_norms[-1] <= 1e-10
         assert st.min_margin > 0.0
     assert report.warnings == []
+
+
+@pytest.mark.parametrize("n, psi, h", [(2, "1", 1 / 32), (2, "1", 1 / 64),
+                                     (3, "8", 1 / 16)])
+def test_default_schedule_solves_caps_in_one_stage(n, psi, h):
+    # psi > 0: one eps = 0 stage, as accurate as the ladder's solve
+    shape = DomainShape((0.5,) * n)
+    grid = build_grid(shape, h)
+    (u, report), (u_ladder, ladder) = (
+        continuation_solve(ProblemSpec(n=n, shape=shape, psi=psi, h=h,
+                                       eps_schedule=sched), grid)
+        for sched in (None, solver.LADDER))
+    assert [st.eps for st in report.stages] == [0.0]
+    assert report.warnings == []
+    assert [st.eps for st in ladder.stages] == list(solver.LADDER)
+    err, err_ladder = (np.abs(v - exact_cap(grid)).max() for v in (u, u_ladder))
+    assert err == pytest.approx(err_ladder, rel=1e-3)
 
 
 def test_continuation_reports_eps_replacement():
