@@ -219,19 +219,20 @@ def config_echo(cfg, spec=None):
 
 
 def _check_psi(spec):
-    """Hard-fail on negative samples; soft-warn on the advisory checks."""
+    """Hard-fail on negative samples; a line of text for each advisory
+    check that fails."""
     rep = validate_psi(spec.psi, spec)
     if not rep.nonnegative:
         where = "(" + ", ".join(f"{c:.6g}" for c in rep.argmin[0]) + ")"
         raise ConfigError(
             f"psi takes negative values: min {rep.min_psi:.6g} at x={where}")
+    notes = []
     if not rep.monotone_z:
-        print(f"warning: psi_z sampled negative (min {rep.min_psi_z:.3g}); "
-              "uniqueness is not guaranteed", file=sys.stderr)
+        notes.append(f"psi_z sampled negative (min {rep.min_psi_z:.3g}); "
+                     "uniqueness is not guaranteed")
     if rep.min_gap is not None and rep.min_gap < 0.0:
-        print(f"warning: psi dips below psi.lower by {-rep.min_gap:.3g}",
-              file=sys.stderr)
-    return rep
+        notes.append(f"psi dips below psi.lower by {-rep.min_gap:.3g}")
+    return notes
 
 
 def _plane_nodes(grid):
@@ -264,7 +265,7 @@ def _write_report(path, report, echo):
 
 def cmd_solve(cfg, out_dir=".", emit_svg=False):
     spec = build_problem(cfg)
-    _check_psi(spec)
+    psi_notes = _check_psi(spec)
     grid = build_grid(spec.shape, spec.h)
     # a subsolution not of position only, or uncertified, is a config error
     try:
@@ -272,6 +273,7 @@ def cmd_solve(cfg, out_dir=".", emit_svg=False):
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     u, report = continuation_solve(spec, grid, u0)
+    report.warnings[:0] = psi_notes
     report.certificates = standard_certificates(u, u0, grid, report)
     for text in report.warnings:
         print(f"warning: {text}", file=sys.stderr)
@@ -307,7 +309,8 @@ def cmd_radial(cfg, out_dir="."):
     if spec.shape.kind != "ball":
         raise ConfigError(
             f"radial reduction needs a ball domain, got {spec.shape.kind}")
-    _check_psi(spec)
+    for text in _check_psi(spec):
+        print(f"warning: {text}", file=sys.stderr)
     # bad radial.* values, and a psi negative or undefined on the axis,
     # are configuration errors
     try:

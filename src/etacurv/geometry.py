@@ -56,8 +56,8 @@ class PointState:
 class BatchGeometry:
     """Geometry of a stack of states (leading axis N).
 
-    f-dependent arrays are computed unconditionally; rows with
-    admissible == False contain meaningless values there and must be masked
+    f-dependent arrays are computed unconditionally; rows with margin <= 0
+    (outside the cone) contain meaningless values there and must be masked
     by the caller.  This is what lets a Newton line search probe trial
     states cheaply.
     """
@@ -68,7 +68,6 @@ class BatchGeometry:
     kappa: np.ndarray
     K_eta: np.ndarray
     margin: np.ndarray
-    admissible: np.ndarray
     f_i: np.ndarray | None = None
     F: np.ndarray | None = None
     G2: np.ndarray | None = None
@@ -121,7 +120,7 @@ def batch_geometry(p, r, coeffs=True):
 
     geom = BatchGeometry(
         w=w, gamma_up=gu, A=A, kappa=kappa,
-        K_eta=K_eta, margin=margin, admissible=margin > 0.0,
+        K_eta=K_eta, margin=margin,
     )
     if coeffs:
         add_coefficients(geom, p)

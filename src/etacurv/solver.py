@@ -10,6 +10,9 @@ graph.  The n-th root exploits the concavity of f^{1/n} on the admissible
 cone, which keeps Newton steps well behaved as psi degenerates.  The
 continuation drives eps down a schedule, warm-starting each stage.
 
+Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
+geometry, the cone test and the residual; its Jacobian reuses that state.
+
 Without an explicit schedule the solver picks one.  Where psi > 0 on the
 grid at the rest state u = 0, Du = 0 the equation is non-degenerate, and
 Newton runs one eps = 0 stage from the start; if that stage fails, the
@@ -180,8 +183,9 @@ def _psi_env(grid, u, p):
     return EvalEnv.from_gradient(grid.pos, np.asarray(u, dtype=float), p)
 
 
-def _psi_eps_root(spec, grid, u, p, eps, derivs=False):
-    """psi_eps^{1/n} and, optionally, its z- and p-derivatives at all nodes.
+def _psi_eps_derivs(spec, grid, u, p, eps):
+    """(d/dz, d/dp) of psi_eps^{1/n} at all nodes of an iterate whose
+    residual was evaluated, so psi >= 0 there.
 
     Chain rule through t = psi^{1/(n-1)}:
         psi_eps^{1/n} = (t + eps)^{(n-1)/n},
@@ -190,52 +194,40 @@ def _psi_eps_root(spec, grid, u, p, eps, derivs=False):
     vanishes (psi touching 0 forces a flat slope there or a kink we clamp).
     """
     n = spec.n
-    env = _psi_env(grid, u, p)
-    if not derivs:
-        val = np.asarray(evaluate(spec.psi, env), dtype=float)
-        return regularize_psi(val, eps, n) ** (1.0 / n)
-    val, dz, dp = eval_with_derivs(spec.psi, env)
-    val = np.asarray(val, dtype=float)
-    if np.any(val < 0.0):
-        raise NegativePsi(f"psi must be nonnegative, worst value {val.min():g}")
-    q = n - 1.0
-    t = val ** (1.0 / q)
-    root = (t + eps) ** (q / n)
-    # d(root)/d(psi) = (q/n)(t+eps)^{-1/n} * (1/q) t^{1-q} = (1/n)(t+eps)^{-1/n} t^{2-n}
+    val, dz, dp = eval_with_derivs(spec.psi, _psi_env(grid, u, p))
+    t = np.asarray(val, dtype=float) ** (1.0 / (n - 1.0))
+    # d(root)/d(psi) = (1/n)(t+eps)^{-1/n} t^{2-n}
     base = np.maximum(t + eps, 1e-300) ** (-1.0 / n)
     tpow = np.maximum(t, 1e-300) ** (2.0 - n)
     chain = base * tpow / n
-    droot_dz = np.where(dz == 0.0, 0.0, chain * dz)
-    droot_dp = np.where(dp == 0.0, 0.0, chain[..., None] * dp)
-    return root, droot_dz, droot_dp
+    return (np.where(dz == 0.0, 0.0, chain * dz),
+            np.where(dp == 0.0, 0.0, chain[..., None] * dp))
 
 
-def _state(grid, u):
-    """(p, r, geo): stencil derivatives and plain geometry of an iterate;
-    never raises on bad cones."""
+def _evaluate(spec, grid, u, eps, floor=None):
+    """(res, (p, r, geo)): the normalized residual of u and the stencil
+    derivatives and plain geometry it was computed from.
+
+    floor None demands margin > 0 at every node and raises NotAdmissible
+    at the worst node otherwise.  A float floor is the line search's test,
+    margin >= floor * (1 + |sigma_1|) node-wise; where it fails, res is
+    None and psi is not evaluated.
+    """
     p, r = all_derivatives(grid, u)
-    return p, r, batch_geometry(p, r, coeffs=False)
-
-
-def _check_admissible(geo):
-    """Raise NotAdmissible at the worst node when any node's curvature
-    vector leaves the cone."""
-    if not np.all(geo.admissible):
-        worst = int(np.argmin(geo.margin))
-        raise NotAdmissible(
-            f"iterate leaves the admissible cone at node {worst} "
-            f"(margin {geo.margin[worst]:.3e})",
-            margin=float(geo.margin[worst]), node=worst)
-
-
-def _residual_and_margin(spec, grid, u, eps):
-    """residual(), the minimum cone margin, and the (p, r, geo) state both
-    were computed from."""
-    state = _state(grid, u)
-    p, _, geo = state
-    _check_admissible(geo)
-    res = geo.K_eta ** (1.0 / spec.n) - _psi_eps_root(spec, grid, u, p, eps)
-    return res, float(geo.margin.min()), state
+    geo = batch_geometry(p, r, coeffs=False)
+    if floor is None:
+        if not np.all(geo.margin > 0.0):
+            worst = int(np.argmin(geo.margin))
+            raise NotAdmissible(
+                f"iterate leaves the admissible cone at node {worst} "
+                f"(margin {geo.margin[worst]:.3e})",
+                margin=float(geo.margin[worst]), node=worst)
+    elif not np.all(geo.margin >= floor * geo.cone_scale):
+        return None, (p, r, geo)
+    n = spec.n
+    psi = np.asarray(evaluate(spec.psi, _psi_env(grid, u, p)), dtype=float)
+    res = geo.K_eta ** (1.0 / n) - regularize_psi(psi, eps, n) ** (1.0 / n)
+    return res, (p, r, geo)
 
 
 def residual(spec, grid, u, eps):
@@ -244,19 +236,7 @@ def residual(spec, grid, u, eps):
     Raises NotAdmissible (with the worst node) when any node's curvature
     vector leaves the cone.
     """
-    return _residual_and_margin(spec, grid, u, eps)[0]
-
-
-def _try_residual(spec, grid, u, eps, floor):
-    """(ok, res, min_margin, state): ok demands margin >= floor * (1 + sigma_1)
-    node-wise; res is None when not ok; state is the (p, r, geo) of u."""
-    state = _state(grid, u)
-    p, _, geo = state
-    need = floor * geo.cone_scale
-    if not np.all(geo.margin >= need):
-        return False, None, float(geo.margin.min()), state
-    res = geo.K_eta ** (1.0 / spec.n) - _psi_eps_root(spec, grid, u, p, eps)
-    return True, res, float(geo.margin.min()), state
+    return _evaluate(spec, grid, u, eps)[0]
 
 
 def jacobian(spec, grid, u, eps, state=None):
@@ -265,17 +245,16 @@ def jacobian(spec, grid, u, eps, state=None):
     Row q chains (1/n) G^{1/n-1} through the Hessian stencils (G^{ij}) and
     gradient stencils (G^s), minus the psi_eps^{1/n} derivatives on the
     gradient stencils and the diagonal.  state is the (p, r, geo) of u that
-    a residual evaluation returned; only the geometry's coefficient block
-    is then added to it.  Without one, the state is computed here.  J is
-    assembled on the grid's fixed union pattern (Grid.ops_pattern), so its
-    sparsity does not depend on u.
+    an admissible _evaluate returned, used as given: only the geometry's
+    coefficient block is added to it.  Without one, u is evaluated here
+    (NotAdmissible off the cone).  J is assembled on the grid's fixed union
+    pattern (Grid.ops_pattern), so its sparsity does not depend on u.
     """
-    p, _, geo = _state(grid, u) if state is None else state
-    _check_admissible(geo)
+    p, _, geo = _evaluate(spec, grid, u, eps)[1] if state is None else state
     add_coefficients(geo, p)
     n = spec.n
     alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
-    _, droot_dz, droot_dp = _psi_eps_root(spec, grid, u, p, eps, derivs=True)
+    droot_dz, droot_dp = _psi_eps_derivs(spec, grid, u, p, eps)
     return grid.ops_pattern().assemble(alpha[:, None, None] * geo.G2,
                                        alpha[:, None] * geo.Gs - droot_dp,
                                        -droot_dz)
@@ -401,10 +380,10 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
             raise SolverFailure(
                 f"eps = 0 requires psi > 0 on the grid (min {psi0.min():g})")
     # raises NotAdmissible on a bad start
-    res, margin0, state = _residual_and_margin(spec, grid, u, eps)
+    res, state = _evaluate(spec, grid, u, eps)
     margin_floor = 1e-12
     history = [(float(np.abs(res).max()), float(np.linalg.norm(res)), 0.0,
-                margin0)]
+                float(state[2].margin.min()))]
     for _ in range(nt.max_iter):
         J = jacobian(spec, grid, u, eps, state)
         du = factorization.solve(J, res, history)
@@ -412,13 +391,15 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
         s = 1.0
         while s >= nt.min_step:
             trial = u + s * du
-            ok, trial_res, margin, trial_state = _try_residual(
-                spec, grid, trial, eps, margin_floor)
-            if ok and (np.linalg.norm(trial_res) <= (1.0 - s / 4.0) * norm0
-                       or np.abs(trial_res).max() <= nt.tol_residual):
+            trial_res, trial_state = _evaluate(spec, grid, trial, eps,
+                                               margin_floor)
+            if trial_res is not None and (
+                    np.linalg.norm(trial_res) <= (1.0 - s / 4.0) * norm0
+                    or np.abs(trial_res).max() <= nt.tol_residual):
                 u, res, state = trial, trial_res, trial_state
                 history.append((float(np.abs(res).max()),
-                                float(np.linalg.norm(res)), s, margin))
+                                float(np.linalg.norm(res)), s,
+                                float(state[2].margin.min())))
                 break
             s *= 0.5
         else:
@@ -429,9 +410,6 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     raise MaxIterations(
         f"residual {history[-1][0]:.3e} > {nt.tol_residual:g} "
         f"after {nt.max_iter} iterations", history)
-
-
-_CAP_MULTIPLIERS = (1.05, 1.1, 1.2, 1.5, 2.0, 4.0)
 
 
 def cap_function(grid, R):
@@ -459,23 +437,20 @@ def initial_guess(spec, grid):
 
 
 def _auto_cap(spec, grid):
-    """(R, note): the automatic cap's radius R, the smallest multiple of r0
-    whose curvature product ((n-1)/R)^n dominates the sampled psi_eps at the
-    first eps of the schedule, or of LADDER when the solver picks the
-    schedule (so the cap also starts the fallback down LADDER), with note
-    None; if no multiple does, the steepest cap (R = 1.05 r0) with a line
-    of text saying so."""
-    r0 = grid.shape.r0
+    """(R, note): the automatic cap's radius R = 1.05 r0, the steepest cap,
+    and note None when its curvature product ((n-1)/R)^n dominates the
+    sampled psi_eps at the first eps of the schedule, or of LADDER when the
+    solver picks the schedule (so the cap also starts the fallback down
+    LADDER); else a line of text saying that no cap dominates, since a
+    wider cap's product is smaller still."""
+    R = 1.05 * grid.shape.r0
     env = _psi_env(grid, np.zeros(grid.size), np.zeros_like(grid.pos))
     psi_max = float(regularize_psi(
         np.asarray(evaluate(spec.psi, env), dtype=float),
         (spec.eps_schedule or LADDER)[0], spec.n).max())
-    for mult in _CAP_MULTIPLIERS:
-        R = mult * r0
-        if ((spec.n - 1) / R) ** spec.n >= psi_max:
-            return R, None
-    return (_CAP_MULTIPLIERS[0] * r0,
-            "no cap dominates psi; starting from the steepest cap")
+    if ((spec.n - 1) / R) ** spec.n >= psi_max:
+        return R, None
+    return R, "no cap dominates psi; starting from the steepest cap"
 
 
 def _stage_metrics(grid, u):
@@ -591,7 +566,7 @@ def write_solution(path, spec, grid, u, report=None, config_echo=()):
     n = spec.n
     eps = (effective_schedule(spec, grid)[0][-1] if report is None
            else report.final.eps)
-    res, _, (p, r, geo) = _residual_and_margin(spec, grid, u, eps)
+    res, (p, r, geo) = _evaluate(spec, grid, u, eps)
     cols = ["x1", "x2", "x3"][:n] + ["u"] + [f"du{s+1}" for s in range(n)]
     cols += [f"d2u{i+1}{j+1}" for i in range(n) for j in range(i, n)]
     cols += [f"kappa{i+1}" for i in range(n)] + ["Keta", "residual"]

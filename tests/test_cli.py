@@ -310,6 +310,25 @@ def test_solve_reports_eps_replacement(tmp_path, capsys):
     assert warned[0].endswith(tail)
 
 
+
+def test_solve_reports_psi_sample_warnings_once(tmp_path, capsys):
+    # the advisory psi checks go through the report like every other
+    # warning: one report line and one stderr line each
+    cfg = write_cfg(tmp_path, CAP_CFG.replace("psi = 1", "psi = 1 - z/10\n"
+                                              "psi.lower = 1.01"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    report = (tmp_path / "etacurv-report.txt").read_text().splitlines()
+    for head in ("psi_z sampled negative (min -0.1); uniqueness is not guaranteed",
+                 "psi dips below psi.lower by "):
+        assert len([ln for ln in report
+                    if ln.startswith(f"warning {head}")]) == 1
+        assert len([ln for ln in err if ln.startswith(f"warning: {head}")]) == 1
+    # radial has no report and prints them
+    assert main(["radial", "--config", cfg, "--out", str(tmp_path)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 2 and all(ln.startswith("warning: psi") for ln in err)
+
 def test_solve_nearly_zero_psi_passes_certificates(tmp_path, capsys):
     # psi = 1e-300 solves to u ~ 0; the evidence certificate must not read
     # that flattening as a blow-up

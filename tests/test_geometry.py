@@ -55,7 +55,7 @@ def test_flat_state():
     assert np.array_equal(g.A, np.zeros((2, 2)))
     assert g.K_eta == 0.0
     assert g.margin == 0.0
-    assert not g.admissible  # boundary of the cone, not strictly inside
+    assert not g.margin > 0.0  # boundary of the cone, not strictly inside
 
 
 def test_identity_hessian_zero_gradient():
@@ -63,7 +63,7 @@ def test_identity_hessian_zero_gradient():
     g = geo_at(np.zeros(n), np.eye(n))
     assert np.allclose(g.kappa, 1.0, atol=1e-15)
     assert g.K_eta == pytest.approx((n - 1) ** n, rel=1e-14)
-    assert g.admissible
+    assert g.margin > 0.0
     # umbilic point: every P_m = (n-1)^(n-1), so f_i = (n-1) P_m = (n-1)^n
     assert np.allclose(g.G2, (n - 1) ** n * np.eye(n), atol=1e-12)
     # gradient coefficients vanish by symmetry at p = 0
@@ -161,7 +161,8 @@ def test_polynomial_F_matches_spectral_grad():
         gd = gamma_down(p)
         r = w[:, None, None] * gd @ A @ gd
         g = geometry.batch_geometry(p, 0.5 * (r + np.swapaxes(r, -1, -2)))
-        assert g.admissible.any() and not g.admissible.all()
+        inside = g.margin > 0.0
+        assert inside.any() and not inside.all()
         kap, B = np.linalg.eigh(g.A)
         F = geometry.spectral_grad(g.A, cones.f_grad(kap), B)
         scale = 1.0 + np.abs(F).max(axis=(1, 2))
@@ -204,9 +205,9 @@ def test_gradient_coeffs_fd():
 
 
 def test_coeff_ops_raise_outside_cone():
-    # the geometry never raises: outside the cone it flags the state
+    # the geometry never raises: outside the cone its margin is negative
     g = geo_at(np.zeros(2), np.diag([1.0, -1.0]))
-    assert not g.admissible and g.margin < 0
+    assert not g.margin > 0.0 and g.margin < 0
 
 
 def test_euler_identity():

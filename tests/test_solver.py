@@ -118,6 +118,49 @@ def test_residual_nonadmissible_reports_node():
     assert exc.value.margin <= 0.0
 
 
+
+# ---------------------------------------------------------------- _evaluate
+
+
+def test_evaluate_below_floor_skips_psi(monkeypatch):
+    # the cap of radius 0.525 is inside the cone (margin 1/R), but not by
+    # 1.0 * (1 + sigma_1) = 1 + 2/R: the floor test fails before psi
+    grid = build_grid(DISK, 1 / 16)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 16)
+    u = cap_function(grid, 0.525)
+    psi_calls = []
+    real_evaluate = solver.evaluate
+
+    def spy(*args, **kwargs):
+        psi_calls.append(1)
+        return real_evaluate(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "evaluate", spy)
+    res, (p, r, geo) = solver._evaluate(spec, grid, u, 0.0, floor=1.0)
+    assert res is None and psi_calls == []
+    assert geo.margin.min() > 0.0
+    assert np.array_equal(p, all_derivatives(grid, u)[0])
+    # the strict and the line-search floor accept it, evaluating psi once each
+    strict, _ = solver._evaluate(spec, grid, u, 0.0)
+    trial, _ = solver._evaluate(spec, grid, u, 0.0, floor=1e-12)
+    assert len(psi_calls) == 2
+    assert np.array_equal(strict, trial)
+
+
+def test_evaluate_strict_names_worst_node():
+    grid = build_grid(DISK, 1 / 8)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 8)
+    u = cap_function(grid, 0.525)
+    u[int(np.argmin(np.sum(grid.pos**2, axis=1)))] += 0.05  # a spike
+    margin = batch_geometry(*all_derivatives(grid, u), coeffs=False).margin
+    worst = int(np.argmin(margin))
+    assert margin[worst] <= 0.0
+    with pytest.raises(NotAdmissible) as exc:
+        solver._evaluate(spec, grid, u, 0.0)
+    assert exc.value.node == worst
+    assert exc.value.margin == float(margin[worst])
+
+
 # ---------------------------------------------------------------- jacobian
 
 
@@ -250,28 +293,36 @@ def test_add_coefficients_completes_plain_geometry():
             assert np.array_equal(getattr(plain, name), getattr(full, name))
 
 
-def test_jacobian_with_carried_state_equals_fresh():
+def test_jacobian_with_carried_state_equals_fresh(monkeypatch):
+    # a carried state, strict or from a line-search trial, is used as given:
+    # no second derivative product, geometry or cone test
     cases = ((DISK, 2, 1 / 8, "1 + x1^2/2 + exp(z)/4 + nu1^2/8", 0.0),
              (BALL, 3, 1 / 5, "8 + x2^2 + exp(z)/2 + nu2^2/4", 1e-1))
     for shape, n, h, psi, eps in cases:
         grid = build_grid(shape, h)
         spec = ProblemSpec(n=n, shape=shape, psi=psi, h=h)
         u = _perturbed_state(grid)
-        _, _, state = solver._residual_and_margin(spec, grid, u, eps)
-        carried = jacobian(spec, grid, u, eps, state)
-        fresh = jacobian(spec, grid, u, eps)
-        for attr in ("data", "indices", "indptr"):
-            assert np.array_equal(getattr(carried, attr), getattr(fresh, attr))
+        for floor in (None, 1e-12):
+            res, state = solver._evaluate(spec, grid, u, eps, floor)
+            assert res is not None
+            with monkeypatch.context() as m:
+                m.setattr(solver, "all_derivatives", None)
+                m.setattr(solver, "batch_geometry", None)
+                carried = jacobian(spec, grid, u, eps, state)
+            fresh = jacobian(spec, grid, u, eps)
+            for attr in ("data", "indices", "indptr"):
+                assert np.array_equal(getattr(carried, attr),
+                                      getattr(fresh, attr))
 
 
 def _csr_sum_jacobian(spec, grid, u, eps):
     """Reference J: the operators' row-weighted sum by CSR additions."""
-    p, _, geo = solver._residual_and_margin(spec, grid, u, eps)[2]
+    p, _, geo = solver._evaluate(spec, grid, u, eps)[1]
     geometry.add_coefficients(geo, p)
     n, m = spec.n, grid.size
     Dx, D2 = _operators(grid)
     alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
-    _, dz, dp = solver._psi_eps_root(spec, grid, u, p, eps, derivs=True)
+    dz, dp = solver._psi_eps_derivs(spec, grid, u, p, eps)
     J = scipy.sparse.csr_matrix((m, m))
     for i in range(n):
         for j in range(i, n):
