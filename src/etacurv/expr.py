@@ -561,26 +561,32 @@ def _zp_seeds(name, val, env):
     return None  # x, r carry no (z, p) dependence
 
 
+def _seeded(e, env, seeds, d):
+    """(value, gradient) of e with the gradient seeded by seeds, d entries
+    per node: a float and a length-d vector for a point env, arrays of the
+    broadcast batch shape (plus d) for a batch."""
+    out = _eval(e, env, seeds)
+    if isinstance(out, _Dual):
+        val, grad = np.asarray(out.val), out.grad
+    else:
+        val = np.asarray(out, dtype=float)
+        grad = np.zeros(val.shape + (d,))
+    if np.ndim(env.x) == 1:
+        return float(val), grad.reshape(d).copy()
+    shape = _batch_shape(env, val)
+    return (np.broadcast_to(val, shape) + 0.0,
+            np.broadcast_to(grad, shape + (d,)) + 0.0)
+
+
 def eval_with_derivs(e, env):
     """Value plus (d/dz, d/dp) of e; nu and w are chained through p.
 
     Returns (value, d_z, d_p) with d_p of shape (..., n).  The value channel
     is bitwise identical to evaluate(e, env).
     """
-    out = _eval(e, env, _zp_seeds)
-    n = env.n
-    if not isinstance(out, _Dual):
-        val = np.asarray(out, dtype=float)
-        dz = np.zeros(val.shape)
-        dp = np.zeros(val.shape + (n,))
-    else:
-        val, dz, dp = np.asarray(out.val), out.grad[..., 0], out.grad[..., 1:]
-    if np.ndim(env.x) == 1:
-        return float(val), float(dz), dp.reshape(n).copy()
-    shape = _batch_shape(env, val)
-    return (np.broadcast_to(val, shape) + 0.0,
-            np.broadcast_to(dz, shape) + 0.0,
-            np.broadcast_to(dp, shape + (n,)) + 0.0)
+    val, grad = _seeded(e, env, _zp_seeds, env.n + 1)
+    dz = float(grad[0]) if np.ndim(env.x) == 1 else grad[..., 0]
+    return val, dz, grad[..., 1:]
 
 
 def _x_seeds(name, val, env):
@@ -602,18 +608,7 @@ def _x_seeds(name, val, env):
 
 def eval_x_gradient(e, env):
     """Value plus d/dx of e, holding z, nu, w fixed (subsolution checks)."""
-    out = _eval(e, env, _x_seeds)
-    n = env.n
-    if not isinstance(out, _Dual):
-        val = np.asarray(out, dtype=float)
-        dx = np.zeros(val.shape + (n,))
-    else:
-        val, dx = np.asarray(out.val), out.grad
-    if np.ndim(env.x) == 1:
-        return float(val), dx.reshape(n).copy()
-    shape = _batch_shape(env, val)
-    return (np.broadcast_to(val, shape) + 0.0,
-            np.broadcast_to(dx, shape + (n,)) + 0.0)
+    return _seeded(e, env, _x_seeds, env.n)
 
 
 @dataclass

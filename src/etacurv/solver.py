@@ -11,7 +11,8 @@ cone, which keeps Newton steps well behaved as psi degenerates.  The
 continuation drives eps down a schedule, warm-starting each stage.
 
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
-geometry, the cone test and the residual; its Jacobian reuses that state.
+geometry, the cone test, psi and the residual; its Jacobian and its
+StageReport reuse that state.
 
 Without an explicit schedule the solver picks one.  Where psi > 0 on the
 grid at the rest state u = 0, Du = 0 the equation is non-degenerate, and
@@ -48,11 +49,15 @@ class NegativePsi(ValueError):
 
 
 class SolverFailure(Exception):
-    """Base for Newton failures; carries the iteration history."""
+    """Base for Newton failures; newton_solve attaches the partial
+    StageReport of the failed stage as stage, whose eps the message names."""
 
-    def __init__(self, msg, history=None):
-        super().__init__(msg)
-        self.history = history or []
+    stage = None
+
+    def __str__(self):
+        if self.stage is None:
+            return super().__str__()
+        return f"{super().__str__()} (continuation stage eps={self.stage.eps:g})"
 
 
 class Stagnation(SolverFailure):
@@ -135,19 +140,37 @@ class ProblemSpec:
 
 @dataclass
 class StageReport:
+    """One Newton stage as newton_solve evaluated it: the start's and each
+    accepted iterate's residual inf- and 2-norm and minimum cone margin,
+    each accepted step, and the last iterate's sup norms of u, Du, D^2u."""
+
     eps: float
-    iterations: int
-    residual_norms: list
-    step_lengths: list
-    min_margin: float
-    sup_u: float
-    sup_du: float
-    sup_d2u: float
+    residual_norms: list = field(default_factory=list)
+    residual_2norms: list = field(default_factory=list)
+    step_lengths: list = field(default_factory=list)
+    margins: list = field(default_factory=list)
+    sup_u: float = 0.0
+    sup_du: float = 0.0
+    sup_d2u: float = 0.0
     #: sparse LU factorizations and GMRES iterations spent in this stage
-    factorizations: int
-    krylov_iters: int
+    factorizations: int = 0
+    krylov_iters: int = 0
     #: L+U nonzeros of the factorization held at the end of the stage
-    lu_fill: int
+    lu_fill: int = 0
+
+    @property
+    def iterations(self):
+        return len(self.step_lengths)
+
+    @property
+    def min_margin(self):
+        return self.margins[-1]
+
+    def record(self, res, geo):
+        """Append the norms of res and the minimum margin of geo."""
+        self.residual_norms.append(float(np.abs(res).max()))
+        self.residual_2norms.append(float(np.linalg.norm(res)))
+        self.margins.append(float(geo.margin.min()))
 
 
 @dataclass
@@ -205,13 +228,13 @@ def _psi_eps_derivs(spec, grid, u, p, eps):
 
 
 def _evaluate(spec, grid, u, eps, floor=None):
-    """(res, (p, r, geo)): the normalized residual of u and the stencil
-    derivatives and plain geometry it was computed from.
+    """(res, (p, r, geo, psi)): the normalized residual of u and the stencil
+    derivatives, plain geometry and psi values it was computed from.
 
     floor None demands margin > 0 at every node and raises NotAdmissible
     at the worst node otherwise.  A float floor is the line search's test,
-    margin >= floor * (1 + |sigma_1|) node-wise; where it fails, res is
-    None and psi is not evaluated.
+    margin >= floor * (1 + |sigma_1|) node-wise; where it fails, res and
+    psi are None and psi is not evaluated.
     """
     p, r = all_derivatives(grid, u)
     geo = batch_geometry(p, r, coeffs=False)
@@ -223,11 +246,11 @@ def _evaluate(spec, grid, u, eps, floor=None):
                 f"(margin {geo.margin[worst]:.3e})",
                 margin=float(geo.margin[worst]), node=worst)
     elif not np.all(geo.margin >= floor * geo.cone_scale):
-        return None, (p, r, geo)
+        return None, (p, r, geo, None)
     n = spec.n
     psi = np.asarray(evaluate(spec.psi, _psi_env(grid, u, p)), dtype=float)
     res = geo.K_eta ** (1.0 / n) - regularize_psi(psi, eps, n) ** (1.0 / n)
-    return res, (p, r, geo)
+    return res, (p, r, geo, psi)
 
 
 def residual(spec, grid, u, eps):
@@ -244,13 +267,13 @@ def jacobian(spec, grid, u, eps, state=None):
 
     Row q chains (1/n) G^{1/n-1} through the Hessian stencils (G^{ij}) and
     gradient stencils (G^s), minus the psi_eps^{1/n} derivatives on the
-    gradient stencils and the diagonal.  state is the (p, r, geo) of u that
-    an admissible _evaluate returned, used as given: only the geometry's
+    gradient stencils and the diagonal.  state is the (p, r, geo, psi) of u
+    that an admissible _evaluate returned, used as given: only the geometry's
     coefficient block is added to it.  Without one, u is evaluated here
     (NotAdmissible off the cone).  J is assembled on the grid's fixed union
     pattern (Grid.ops_pattern), so its sparsity does not depend on u.
     """
-    p, _, geo = _evaluate(spec, grid, u, eps)[1] if state is None else state
+    p, _, geo, _ = _evaluate(spec, grid, u, eps)[1] if state is None else state
     add_coefficients(geo, p)
     n = spec.n
     alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
@@ -319,13 +342,13 @@ class _Factorization:
             callback_type="pr_norm")
         return du
 
-    def solve(self, J, res, history):
+    def solve(self, J, res):
         """du with ||J du + res||_2 <= 1e-12 ||res||_2.
 
         The reused-LU candidate is kept only when its true residual meets
         that contract; otherwise J is factorized afresh and solved
         directly, and a direct solve that misses the contract raises
-        LinearSolveFailure.
+        LinearSolveFailure (newton_solve attaches its stage).
         """
         du = self.reuse(J, res)
         if du is not None and not _linear_residual(J, du, res)[1]:
@@ -334,14 +357,13 @@ class _Factorization:
             self.lu = self.factorize(J)
             du = self.apply(-res)
         except RuntimeError as exc:
-            raise LinearSolveFailure(f"sparse factorization failed: {exc}",
-                                     history) from exc
+            raise LinearSolveFailure(
+                f"sparse factorization failed: {exc}") from exc
         self.factorizations += 1
         lin, misses = _linear_residual(J, du, res)
         if misses:
             raise LinearSolveFailure(
-                f"linear solve residual {lin:.3e} exceeds the 1e-12 contract",
-                history)
+                f"linear solve residual {lin:.3e} exceeds the 1e-12 contract")
         return du
 
 
@@ -353,15 +375,15 @@ def _linear_residual(J, du, res):
 
 
 def newton_solve(spec, grid, u0, eps, factorization=None):
-    """Damped Newton from an admissible start; returns (u, history).
+    """Damped Newton from an admissible start; returns (u, StageReport).
 
-    history rows: (inf-norm, 2-norm, step, min margin), the start plus one
-    per accepted iterate.  Backtracking accepts the first s in {1, 1/2, ...}
-    with (a) node-wise admissibility margin >= 1e-12 (1 + sigma_1) and
-    (b) 2-norm decreased by the factor (1 - s/4) or inf-norm already at the
-    stopping tolerance.   A warm start at the solution therefore costs one
-    iteration at step 1, not a stagnation report.  At eps = 0 a psi that
-    is not positive at every node of u0 raises SolverFailure.
+    Backtracking accepts the first s in {1, 1/2, ...} with (a) node-wise
+    admissibility margin >= 1e-12 (1 + sigma_1) and (b) 2-norm decreased by
+    the factor (1 - s/4) or inf-norm already at the stopping tolerance.  A
+    warm start at the solution therefore costs one iteration at step 1, not
+    a stagnation report.  At eps = 0 a psi that is not positive at every node of the
+    (admissible) start raises SolverFailure; every SolverFailure carries
+    the partial report as exc.stage.
 
     Each Newton equation J du = -res is solved to the true-residual
     contract ||J du + res||_2 <= 1e-12 ||res||_2.  The last sparse LU is
@@ -372,44 +394,52 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     nt = spec.newton
     if factorization is None:
         factorization = _Factorization(grid)
+    done = factorization.factorizations, factorization.krylov_iters
+    stage = StageReport(eps)
     u = np.asarray(u0, dtype=float).copy()
-    if eps == 0.0:
-        p0, _ = all_derivatives(grid, u)
-        psi0 = np.asarray(evaluate(spec.psi, _psi_env(grid, u, p0)), dtype=float)
-        if float(psi0.min()) <= 0.0:
-            raise SolverFailure(
-                f"eps = 0 requires psi > 0 on the grid (min {psi0.min():g})")
     # raises NotAdmissible on a bad start
     res, state = _evaluate(spec, grid, u, eps)
-    margin_floor = 1e-12
-    history = [(float(np.abs(res).max()), float(np.linalg.norm(res)), 0.0,
-                float(state[2].margin.min()))]
-    for _ in range(nt.max_iter):
-        J = jacobian(spec, grid, u, eps, state)
-        du = factorization.solve(J, res, history)
-        norm0 = history[-1][1]
-        s = 1.0
-        while s >= nt.min_step:
-            trial = u + s * du
-            trial_res, trial_state = _evaluate(spec, grid, trial, eps,
-                                               margin_floor)
-            if trial_res is not None and (
-                    np.linalg.norm(trial_res) <= (1.0 - s / 4.0) * norm0
-                    or np.abs(trial_res).max() <= nt.tol_residual):
-                u, res, state = trial, trial_res, trial_state
-                history.append((float(np.abs(res).max()),
-                                float(np.linalg.norm(res)), s,
-                                float(state[2].margin.min())))
-                break
-            s *= 0.5
-        else:
-            raise Stagnation(
-                f"no step >= {nt.min_step:g} acceptable (eps={eps:g})", history)
-        if history[-1][0] <= nt.tol_residual:
-            return u, history
-    raise MaxIterations(
-        f"residual {history[-1][0]:.3e} > {nt.tol_residual:g} "
-        f"after {nt.max_iter} iterations", history)
+    stage.record(res, state[2])
+    try:
+        if eps == 0.0 and float(state[3].min()) <= 0.0:
+            raise SolverFailure(
+                f"eps = 0 requires psi > 0 on the grid (min {state[3].min():g})")
+        for _ in range(nt.max_iter):
+            J = jacobian(spec, grid, u, eps, state)
+            du = factorization.solve(J, res)
+            norm0 = stage.residual_2norms[-1]
+            s = 1.0
+            while s >= nt.min_step:
+                trial = u + s * du
+                trial_res, trial_state = _evaluate(spec, grid, trial, eps,
+                                                   floor=1e-12)
+                if trial_res is not None and (
+                        np.linalg.norm(trial_res) <= (1.0 - s / 4.0) * norm0
+                        or np.abs(trial_res).max() <= nt.tol_residual):
+                    u, res, state = trial, trial_res, trial_state
+                    stage.record(res, state[2])
+                    stage.step_lengths.append(s)
+                    break
+                s *= 0.5
+            else:
+                raise Stagnation(
+                    f"no step >= {nt.min_step:g} acceptable (eps={eps:g})")
+            if stage.residual_norms[-1] <= nt.tol_residual:
+                return u, stage
+        raise MaxIterations(
+            f"residual {stage.residual_norms[-1]:.3e} > {nt.tol_residual:g} "
+            f"after {nt.max_iter} iterations")
+    except SolverFailure as exc:
+        exc.stage = stage
+        raise
+    finally:
+        p, r = state[:2]
+        stage.sup_u = float(np.abs(u).max())
+        stage.sup_du = float(np.linalg.norm(p, axis=1).max())
+        stage.sup_d2u = float(np.abs(np.linalg.eigvalsh(r)).max())
+        stage.factorizations = factorization.factorizations - done[0]
+        stage.krylov_iters = factorization.krylov_iters - done[1]
+        stage.lu_fill = int(getattr(factorization.lu, "nnz", 0))
 
 
 def cap_function(grid, R):
@@ -453,14 +483,6 @@ def _auto_cap(spec, grid):
     return R, "no cap dominates psi; starting from the steepest cap"
 
 
-def _stage_metrics(grid, u):
-    p, r = all_derivatives(grid, u)
-    sup_u = float(np.abs(u).max())
-    sup_du = float(np.linalg.norm(p, axis=1).max())
-    sup_d2u = float(np.abs(np.linalg.eigvalsh(r)).max())
-    return sup_u, sup_du, sup_d2u
-
-
 def continuation_solve(spec, grid=None, u0=None):
     """Solve down the schedule of effective_schedule, warm-starting each
     stage.
@@ -484,15 +506,14 @@ def continuation_solve(spec, grid=None, u0=None):
     notes = [text for text in (cap_note, eps_note, _dropped_stencils_note(grid))
              if text is not None]
     u0 = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
-    factorization = _Factorization(grid)
     try:
-        u, stages = _run_stages(spec, grid, u0, schedule, factorization)
+        u, stages = _run_stages(spec, grid, u0, schedule, _Factorization(grid))
     except SolverFailure as exc:
         if spec.eps_schedule is not None or schedule != (0.0,):
             raise
         notes.append(
-            f"direct eps = 0 solve failed after {max(len(exc.history) - 1, 0)} "
-            f"Newton iterations and {factorization.factorizations} "
+            f"direct eps = 0 solve failed after {exc.stage.iterations} "
+            f"Newton iterations and {exc.stage.factorizations} "
             f"factorizations ({exc}); rerunning down eps = "
             + ", ".join(f"{eps:g}" for eps in LADDER))
         u, stages = _run_stages(spec, grid, u0, LADDER, _Factorization(grid))
@@ -500,26 +521,11 @@ def continuation_solve(spec, grid=None, u0=None):
 
 
 def _run_stages(spec, grid, u, schedule, factorization):
-    """(u, stages): Newton down schedule from u, each stage warm-started
-    from the last; a SolverFailure is re-raised naming its stage."""
+    """(u, stages): Newton down schedule from u, each stage warm-started."""
     stages = []
     for eps in schedule:
-        done = factorization.factorizations, factorization.krylov_iters
-        try:
-            u, history = newton_solve(spec, grid, u, eps, factorization)
-        except SolverFailure as exc:
-            raise type(exc)(f"{exc} (continuation stage eps={eps:g})",
-                            exc.history) from exc
-        sup_u, sup_du, sup_d2u = _stage_metrics(grid, u)
-        stages.append(StageReport(
-            eps=eps, iterations=len(history) - 1,
-            residual_norms=[h[0] for h in history],
-            step_lengths=[h[2] for h in history[1:]],
-            min_margin=history[-1][3],
-            sup_u=sup_u, sup_du=sup_du, sup_d2u=sup_d2u,
-            factorizations=factorization.factorizations - done[0],
-            krylov_iters=factorization.krylov_iters - done[1],
-            lu_fill=int(factorization.lu.nnz)))
+        u, stage = newton_solve(spec, grid, u, eps, factorization)
+        stages.append(stage)
     return u, stages
 
 
@@ -556,24 +562,20 @@ def effective_schedule(spec, grid):
                              f"final stage runs at eps={last:g} instead of 0")
 
 
-def write_solution(path, spec, grid, u, report=None, config_echo=()):
-    """Columnar solution file with a self-describing '#' header.
+def write_solution(path, spec, grid, u, report, config_echo=()):
+    """Columnar solution file with a '#' header echoing report's summary.
 
     Full 17-significant-digit decimals: identical configs reproduce the
-    file bitwise.  The residual column is taken at the report's final eps,
-    or without a report at the last eps of effective_schedule.
+    file bitwise.  The residual column is taken at the report's final eps.
     """
     n = spec.n
-    eps = (effective_schedule(spec, grid)[0][-1] if report is None
-           else report.final.eps)
-    res, (p, r, geo) = _evaluate(spec, grid, u, eps)
+    res, (p, r, geo, _) = _evaluate(spec, grid, u, report.final.eps)
     cols = ["x1", "x2", "x3"][:n] + ["u"] + [f"du{s+1}" for s in range(n)]
     cols += [f"d2u{i+1}{j+1}" for i in range(n) for j in range(i, n)]
     cols += [f"kappa{i+1}" for i in range(n)] + ["Keta", "residual"]
     lines = [f"# etacurv solution n={n} nodes={grid.size} h={grid.h:.17g}"]
     lines += [f"# {line}" for line in config_echo]
-    if report is not None:
-        lines.append(f"# {report.summary()}")
+    lines.append(f"# {report.summary()}")
     lines.append("# " + " ".join(cols))
     table = np.column_stack(
         (grid.pos, u, p, *(r[:, i, j] for i in range(n) for j in range(i, n)),

@@ -1,5 +1,6 @@
 """Newton solver: residual/Jacobian correctness, damping, continuation."""
 
+import re
 import warnings
 
 import numpy as np
@@ -18,6 +19,7 @@ from etacurv.solver import (
     NewtonParams,
     ProblemSpec,
     SolverFailure,
+    Stagnation,
     cap_function,
     continuation_solve,
     effective_schedule,
@@ -136,8 +138,8 @@ def test_evaluate_below_floor_skips_psi(monkeypatch):
         return real_evaluate(*args, **kwargs)
 
     monkeypatch.setattr(solver, "evaluate", spy)
-    res, (p, r, geo) = solver._evaluate(spec, grid, u, 0.0, floor=1.0)
-    assert res is None and psi_calls == []
+    res, (p, r, geo, psi) = solver._evaluate(spec, grid, u, 0.0, floor=1.0)
+    assert res is None and psi is None and psi_calls == []
     assert geo.margin.min() > 0.0
     assert np.array_equal(p, all_derivatives(grid, u)[0])
     # the strict and the line-search floor accept it, evaluating psi once each
@@ -317,7 +319,7 @@ def test_jacobian_with_carried_state_equals_fresh(monkeypatch):
 
 def _csr_sum_jacobian(spec, grid, u, eps):
     """Reference J: the operators' row-weighted sum by CSR additions."""
-    p, _, geo = solver._evaluate(spec, grid, u, eps)[1]
+    p, _, geo, _ = solver._evaluate(spec, grid, u, eps)[1]
     geometry.add_coefficients(geo, p)
     n, m = spec.n, grid.size
     Dx, D2 = _operators(grid)
@@ -390,8 +392,8 @@ def test_newton_computes_one_geometry_per_trial(monkeypatch):
 
     monkeypatch.setattr(solver, "batch_geometry", spy_geo)
     monkeypatch.setattr(solver, "jacobian", spy_jac)
-    _, hist = newton_solve(spec, grid, cap_function(grid, 0.6), 0.0)
-    steps = [row[2] for row in hist[1:]]
+    _, stage = newton_solve(spec, grid, cap_function(grid, 0.6), 0.0)
+    steps = stage.step_lengths
     trials = sum(1 + round(-np.log2(s)) for s in steps)
     assert trials > len(steps)  # some trial steps were rejected
     assert len(jac_calls) == len(steps)
@@ -406,24 +408,23 @@ def test_newton_cap_fixture():
     h = 1 / 32
     grid = build_grid(DISK, h)
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
-    u, hist = newton_solve(spec, grid, cap_function(grid, 1.2), 0.0)
-    iters = len(hist) - 1
-    assert iters <= 12
-    assert hist[-1][0] <= 1e-10
+    u, stage = newton_solve(spec, grid, cap_function(grid, 1.2), 0.0)
+    assert stage.iterations <= 12
+    assert stage.residual_norms[-1] <= 1e-10
     assert np.abs(u - exact_cap(grid)).max() <= 8e-3
     # merit monotonicity: accepted 2-norms strictly decrease
-    two = [row[1] for row in hist]
+    two = stage.residual_2norms
     assert all(b < a for a, b in zip(two, two[1:]))
     # admissibility margin positive at every accepted iterate
-    assert all(row[3] > 0.0 for row in hist)
+    assert all(m > 0.0 for m in stage.margins)
 
 
 def test_newton_quadratic_convergence():
     h = 1 / 32
     grid = build_grid(DISK, h)
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
-    _, hist = newton_solve(spec, grid, cap_function(grid, 1.2), 0.0)
-    two = [row[1] for row in hist]
+    _, stage = newton_solve(spec, grid, cap_function(grid, 1.2), 0.0)
+    two = stage.residual_2norms
     checked = 0
     for a, b in zip(two, two[1:]):
         if a <= 1e-3:
@@ -437,9 +438,9 @@ def test_newton_warm_start_single_iteration():
     grid = build_grid(DISK, h)
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
     u, _ = newton_solve(spec, grid, cap_function(grid, 1.2), 0.0)
-    u2, hist2 = newton_solve(spec, grid, u, 0.0)
-    assert len(hist2) - 1 == 1
-    assert hist2[-1][2] == 1.0
+    u2, stage = newton_solve(spec, grid, u, 0.0)
+    assert stage.iterations == 1
+    assert stage.step_lengths[-1] == 1.0
     assert np.abs(u2 - u).max() <= 1e-10
 
 
@@ -461,8 +462,8 @@ def test_newton_z_dependent_psi_converges():
     h = 1 / 16
     grid = build_grid(DISK, h)
     spec = ProblemSpec(n=2, shape=DISK, psi="1 + exp(z)/4", h=h)
-    u, hist = newton_solve(spec, grid, cap_function(grid, 0.6), 1e-2)
-    assert hist[-1][0] <= 1e-10
+    u, stage = newton_solve(spec, grid, cap_function(grid, 0.6), 1e-2)
+    assert stage.residual_norms[-1] <= 1e-10
 
 
 def _counting_splu(monkeypatch):
@@ -511,11 +512,11 @@ def test_newton_refactors_when_stale_lu_misses_contract():
     stale = held.lu = held.factorize(bad)
     assert solver._linear_residual(J0, held.reuse(J0, res0), res0)[1]
 
-    u, hist = newton_solve(spec, grid, u0, 0.0, held)
-    u_ref, hist_ref = newton_solve(spec, grid, u0, 0.0)
+    u, stage = newton_solve(spec, grid, u0, 0.0, held)
+    u_ref, stage_ref = newton_solve(spec, grid, u0, 0.0)
     assert held.lu is not stale
     assert held.factorizations >= 1
-    assert len(hist) == len(hist_ref)
+    assert stage.iterations == stage_ref.iterations
     assert np.abs(u - u_ref).max() <= 1e-12
 
 
@@ -683,6 +684,47 @@ def test_continuation_degenerate_metrics_settle():
     assert abs(b.sup_u - a.sup_u) / a.sup_u < 0.05
 
 
+def test_continuation_derives_each_geometry_once(monkeypatch):
+    # every stencil derivative product of a solve feeds one geometry: the
+    # stage report and the eps = 0 guard read the evaluations Newton made
+    calls = {"derivs": 0, "geo": 0}
+    real_derivs, real_geo = solver.all_derivatives, solver.batch_geometry
+
+    def spy_derivs(*args, **kwargs):
+        calls["derivs"] += 1
+        return real_derivs(*args, **kwargs)
+
+    def spy_geo(*args, **kwargs):
+        calls["geo"] += 1
+        return real_geo(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "all_derivatives", spy_derivs)
+    monkeypatch.setattr(solver, "batch_geometry", spy_geo)
+    continuation_solve(ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 16))
+    assert calls["geo"] > 1
+    assert calls["derivs"] == calls["geo"]
+
+
+def test_failed_stage_carries_partial_report():
+    # psi = 1e-300 stagnates at eps = 0; the failure carries the record of
+    # its stage, whose counts the automatic solve's fallback note prints
+    spec = ProblemSpec(n=2, shape=DISK, psi="1e-300", h=1 / 16,
+                       eps_schedule=(0.0,))
+    with pytest.raises(Stagnation) as info:
+        continuation_solve(spec)
+    stage = info.value.stage
+    assert stage.eps == 0.0 and stage.iterations > 0
+    assert len(stage.residual_norms) == stage.iterations + 1
+    assert str(info.value).endswith("(continuation stage eps=0)")
+    _, report = continuation_solve(
+        ProblemSpec(n=2, shape=DISK, psi="1e-300", h=1 / 16))
+    note = re.search(r"failed after (\d+) Newton iterations and (\d+) "
+                     r"factorizations", report.warnings[0])
+    assert note is not None
+    assert (stage.iterations, stage.factorizations) == tuple(
+        int(g) for g in note.groups())
+
+
 def test_continuation_n3_center_value():
     spec = ProblemSpec(n=3, shape=BALL, psi="8", h=1 / 8)
     u, report = continuation_solve(spec)
@@ -703,7 +745,7 @@ def test_continuation_propagates_negative_psi():
 def test_write_solution_computes_state_once(monkeypatch, tmp_path):
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 16)
     grid = build_grid(DISK, 1 / 16)
-    u = exact_cap(grid)
+    u, report = continuation_solve(spec, grid)
     calls = []
     real_derivs, real_geo = solver.all_derivatives, solver.batch_geometry
 
@@ -717,12 +759,12 @@ def test_write_solution_computes_state_once(monkeypatch, tmp_path):
 
     monkeypatch.setattr(solver, "all_derivatives", spy_derivs)
     monkeypatch.setattr(solver, "batch_geometry", spy_geo)
-    text = write_solution(tmp_path / "a.dat", spec, grid, u)
+    text = write_solution(tmp_path / "a.dat", spec, grid, u, report)
     assert calls == ["derivs", "geo"]
-    # the residual column is the residual of u
+    # the residual column is the residual of u at the report's final eps
     body = [ln.split() for ln in text.splitlines() if not ln.startswith("#")]
     res = np.array([float(row[-1]) for row in body])
-    assert np.array_equal(res, residual(spec, grid, u, 0.0))
+    assert np.array_equal(res, residual(spec, grid, u, report.final.eps))
 
 
 def test_write_solution_roundtrip(tmp_path):
