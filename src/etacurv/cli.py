@@ -125,10 +125,18 @@ class Config:
         return self.values.get(key, _KEYS[key][1])
 
 
+def _read_text(path):
+    """The text of path; bytes that do not decode are a ConfigError."""
+    try:
+        with open(path) as fh:
+            return fh.read()
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: {exc}") from None
+
+
 def load_config(path):
     """Strict parse: every key must be known, required keys present."""
-    with open(path) as fh:
-        raw = fh.read()
+    raw = _read_text(path)
     values = {}
     unknown = []
     for lineno, line in enumerate(raw.splitlines(), start=1):
@@ -353,8 +361,7 @@ _HEADER = re.compile(
 
 def _read_solution(path, spec, grid):
     """u from a stored solution file, after checking it matches the grid."""
-    with open(path) as fh:
-        lines = fh.read().splitlines()
+    lines = _read_text(path).splitlines()
     if not lines:
         raise GridMismatch(f"{path}: empty file")
     m = _HEADER.match(lines[0])
@@ -365,11 +372,21 @@ def _read_solution(path, spec, grid):
         raise GridMismatch(
             f"{path}: file has n={n} nodes={nodes} h={h:.17g}, config grid "
             f"has n={spec.n} nodes={grid.size} h={grid.h:.17g}")
-    rows = [line.split() for line in lines if not line.startswith("#")]
+    rows = [(lineno, line.split()) for lineno, line in enumerate(lines, start=1)
+            if not line.startswith("#")]
     if len(rows) != grid.size:
         raise GridMismatch(
             f"{path}: {len(rows)} data rows for {grid.size} nodes")
-    data = np.array([[float(v) for v in row] for row in rows])
+    # the columns write_solution writes: x, u, Du, D^2u, kappa, Keta, residual
+    width = 3 * n + 3 + n * (n + 1) // 2
+    data = np.empty((grid.size, width))
+    for k, (lineno, row) in enumerate(rows):
+        try:
+            if len(row) != width:
+                raise ValueError(f"{len(row)} columns, expected {width}")
+            data[k] = [float(v) for v in row]
+        except ValueError as exc:
+            raise GridMismatch(f"{path}: line {lineno}: {exc}") from None
     # 17-digit decimals round-trip exactly, so coordinates must match bitwise
     if not np.array_equal(data[:, :n], grid.pos):
         raise GridMismatch(f"{path}: node coordinates differ from the grid")
@@ -389,7 +406,7 @@ def cmd_verify(solution_path, cfg):
         print(f"note: comparison certificate skipped ({exc})", file=sys.stderr)
     else:
         certs.append(check_comparison(u, usub))
-    eps_fin = effective_schedule(spec, grid)[0][-1]
+    eps_fin = effective_schedule(spec, grid)[0][0][-1]
     tol = 10.0 * spec.newton.tol_residual
     try:
         res = residual(spec, grid, u, eps_fin)

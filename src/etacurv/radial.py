@@ -232,8 +232,10 @@ def shoot(psi, r0, n, tol=1e-10, steps=4096, eps=0.0, max_bisect=200):
     shot.  Otherwise u(r0; a) is monotone in a for psi_z >= 0 (deeper caps
     see no larger psi) and a bracketed secant/bisection search runs on it.
     """
-    if r0 <= 0.0 or tol <= 0.0 or steps < 1:
-        raise ValueError("need r0 > 0, tol > 0 and steps >= 1")
+    if r0 <= 0.0 or not 0.0 < tol < math.inf or steps < 1:
+        raise ValueError("need r0 > 0, finite tol > 0 and steps >= 1")
+    if not 0.0 <= eps < math.inf:
+        raise ValueError(f"eps must be finite and >= 0, got {eps:g}")
     lo, hi = -10.0 * r0, 0.0
 
     if "z" not in variables(psi):

@@ -14,15 +14,13 @@ Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test, psi and the residual; its Jacobian and its
 StageReport reuse that state.
 
-Without an explicit schedule the solver picks one.  Where psi > 0 on the
-grid at the rest state u = 0, Du = 0 the equation is non-degenerate, and
-Newton runs one eps = 0 stage from the start; if that stage fails, the
-solve is rerun down LADDER from the same start.  Where psi vanishes there,
-the solve runs down LADDER.  In either schedule a trailing eps = 0 is
-replaced by a small positive eps, which stands in as the C^{1,1}
-approximation, when psi vanishes somewhere on the grid at the rest state;
-a psi that vanishes only along the iterates ends the eps = 0 stage with a
-SolverFailure before its first step.
+effective_schedule plans the eps path once per solve, from one evaluation
+of psi at the rest state u = 0, Du = 0: the schedules to try in order from
+the same start, each only if the one before failed.  Where psi > 0 there
+the equation is non-degenerate: one eps = 0 stage, then LADDER.  Where psi
+vanishes there, LADDER with its trailing 0 replaced by a small eps, which
+stands in as the C^{1,1} approximation; a psi that vanishes only along the
+iterates ends the eps = 0 stage with a SolverFailure before its first step.
 """
 
 from __future__ import annotations
@@ -79,6 +77,9 @@ class NoInitialGuess(Exception):
 #: the eps continuation run where psi vanishes at the rest state, and
 #: rerun when a direct eps = 0 stage fails
 LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 0.0)
+
+#: radius of the automatic cap over r0: the steepest cap over the ball
+_AUTO_CAP = 1.05
 
 
 @dataclass
@@ -451,8 +452,9 @@ def cap_function(grid, R):
 
 def initial_guess(spec, grid):
     """Starting iterate: the provided subsolution, else the automatic sphere
-    cap of _auto_cap on a ball.  ValueError when the subsolution reads
-    more than position or fails its certificate."""
+    cap of radius _AUTO_CAP r0, the steepest cap, on a ball.  ValueError
+    when the subsolution reads more than position or fails its
+    certificate."""
     if spec.subsolution is not None:
         cert = check_subsolution(spec.subsolution, spec)
         if not cert.passed:
@@ -463,103 +465,78 @@ def initial_guess(spec, grid):
     if grid.shape.kind != "ball":
         raise NoInitialGuess(
             "automatic caps exist only on balls; provide a subsolution")
-    return cap_function(grid, _auto_cap(spec, grid)[0])
-
-
-def _auto_cap(spec, grid):
-    """(R, note): the automatic cap's radius R = 1.05 r0, the steepest cap,
-    and note None when its curvature product ((n-1)/R)^n dominates the
-    sampled psi_eps at the first eps of the schedule, or of LADDER when the
-    solver picks the schedule (so the cap also starts the fallback down
-    LADDER); else a line of text saying that no cap dominates, since a
-    wider cap's product is smaller still."""
-    R = 1.05 * grid.shape.r0
-    env = _psi_env(grid, np.zeros(grid.size), np.zeros_like(grid.pos))
-    psi_max = float(regularize_psi(
-        np.asarray(evaluate(spec.psi, env), dtype=float),
-        (spec.eps_schedule or LADDER)[0], spec.n).max())
-    if ((spec.n - 1) / R) ** spec.n >= psi_max:
-        return R, None
-    return R, "no cap dominates psi; starting from the steepest cap"
+    return cap_function(grid, _AUTO_CAP * grid.shape.r0)
 
 
 def continuation_solve(spec, grid=None, u0=None):
-    """Solve down the schedule of effective_schedule, warm-starting each
-    stage.
-
-    When the solver picked the one direct eps = 0 stage and it raises
-    SolverFailure, the solve is rerun down LADDER from the same start with
-    a fresh factorization, so it matches a solve given LADDER explicitly,
-    and a line of SolveReport.warnings names the failed attempt.  Returns
-    (u, SolveReport); certificates are attached by the caller (the command
-    layer runs the verify suite on the result).
-    """
+    """(u, SolveReport): the schedules of effective_schedule run in order
+    from u0 (default initial_guess), each stage warm-started and each
+    schedule with a fresh factorization, until one completes.  A failed
+    schedule adds a warning line; the last one's SolverFailure propagates.
+    The caller attaches the certificates."""
     ok, _ = check_two_convex(spec.shape)
     if not ok:
         raise ValueError("domain fails the 2-convexity check")
     if grid is None:
         grid = build_grid(spec.shape, spec.h)
-    schedule, eps_note = effective_schedule(spec, grid)
-    cap_note = None
-    if spec.subsolution is None and grid.shape.kind == "ball":
-        cap_note = _auto_cap(spec, grid)[1]
-    notes = [text for text in (cap_note, eps_note, _dropped_stencils_note(grid))
-             if text is not None]
+    schedules, notes = effective_schedule(spec, grid)
     u0 = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
-    try:
-        u, stages = _run_stages(spec, grid, u0, schedule, _Factorization(grid))
-    except SolverFailure as exc:
-        if spec.eps_schedule is not None or schedule != (0.0,):
-            raise
-        notes.append(
-            f"direct eps = 0 solve failed after {exc.stage.iterations} "
-            f"Newton iterations and {exc.stage.factorizations} "
-            f"factorizations ({exc}); rerunning down eps = "
-            + ", ".join(f"{eps:g}" for eps in LADDER))
-        u, stages = _run_stages(spec, grid, u0, LADDER, _Factorization(grid))
-    return u, SolveReport(stages=stages, warnings=notes)
-
-
-def _run_stages(spec, grid, u, schedule, factorization):
-    """(u, stages): Newton down schedule from u, each stage warm-started."""
-    stages = []
-    for eps in schedule:
-        u, stage = newton_solve(spec, grid, u, eps, factorization)
-        stages.append(stage)
-    return u, stages
-
-
-def _dropped_stencils_note(grid):
-    """Text naming the mixed-derivative stencils the grid's operators set
-    to zero for want of usable nodes; None when there are none."""
-    k = len(grid.mixed_dropped)
-    if k == 0:
-        return None
-    return f"mixed-derivative stencils set to zero for want of usable nodes: {k}"
+    for k, schedule in enumerate(schedules):
+        factorization, u, stages = _Factorization(grid), u0, []
+        try:
+            for eps in schedule:
+                u, stage = newton_solve(spec, grid, u, eps, factorization)
+                stages.append(stage)
+            return u, SolveReport(stages=stages, warnings=notes)
+        except SolverFailure as exc:
+            if k + 1 == len(schedules):
+                raise
+            tried, then = (", ".join(f"{eps:g}" for eps in s)
+                           for s in (schedule, schedules[k + 1]))
+            notes.append(
+                f"direct eps = {tried} solve failed after "
+                f"{exc.stage.iterations} Newton iterations and "
+                f"{exc.stage.factorizations} factorizations ({exc}); "
+                f"rerunning down eps = {then}")
 
 
 def effective_schedule(spec, grid):
-    """(schedule, note): the schedule continuation_solve starts with, and a
-    line of text saying how it departs from the problem's, or None.
+    """(schedules, notes): the eps schedules continuation_solve tries in
+    order, and its warning lines: no cap dominates psi_eps at the first eps
+    (a wider cap's curvature product is smaller still), the eps
+    replacement, the dropped mixed stencils.
 
-    Without an explicit schedule, the solver picks one: (0,) where psi is
-    strictly positive on the grid at the rest state u = 0, Du = 0, else
-    LADDER.  A trailing 0 is replaced by 1e-5 whenever psi is not strictly
-    positive there; only there is psi checked."""
-    schedule = spec.eps_schedule
-    if schedule is not None and schedule[-1] != 0.0:
-        return schedule, None
+    psi is evaluated, and checked, only on the grid at the rest state.  An
+    explicit schedule is the one schedule; without one, (0,) then LADDER
+    where psi > 0 there, else LADDER.  Where psi is not positive there a
+    trailing 0 is replaced by a small eps; all schedules end at one eps."""
+    n = spec.n
     env = _psi_env(grid, np.zeros(grid.size), np.zeros_like(grid.pos))
-    psi_min = float(np.asarray(evaluate(spec.psi, env), dtype=float).min())
+    psi = np.asarray(evaluate(spec.psi, env), dtype=float)
+    psi_min = float(psi.min())
     if psi_min < 0.0:
         raise NegativePsi(f"psi must be nonnegative, worst value {psi_min:g}")
+    notes = []
+    schedule = spec.eps_schedule or LADDER
+    if spec.subsolution is None and grid.shape.kind == "ball":
+        cap = (n - 1) / (_AUTO_CAP * grid.shape.r0)
+        if not cap ** n >= float(regularize_psi(psi, schedule[0], n).max()):
+            notes.append("no cap dominates psi; starting from the steepest cap")
     if psi_min > 0.0:
-        return schedule or (0.0,), None
-    schedule = list(schedule or LADDER)
-    last = 1e-5 if len(schedule) == 1 else min(1e-5, schedule[-2] / 10.0)
-    schedule[-1] = last
-    return tuple(schedule), (f"psi vanishes on the grid (min {psi_min:g}); "
-                             f"final stage runs at eps={last:g} instead of 0")
+        schedules = (((0.0,), LADDER) if spec.eps_schedule is None
+                     else (schedule,))
+    elif schedule[-1] == 0.0:
+        last = 1e-5 if len(schedule) == 1 else min(1e-5, schedule[-2] / 10.0)
+        schedules = (schedule[:-1] + (last,),)
+        notes.append(f"psi vanishes on the grid (min {psi_min:g}); "
+                     f"final stage runs at eps={last:g} instead of 0")
+    else:
+        schedules = (schedule,)
+    dropped = len(grid.mixed_dropped)
+    if dropped:
+        notes.append("mixed-derivative stencils set to zero for want of "
+                     f"usable nodes: {dropped}")
+    return schedules, notes
 
 
 def write_solution(path, spec, grid, u, report, config_echo=()):

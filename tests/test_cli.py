@@ -227,6 +227,12 @@ def test_solve_undefined_psi_exits_1(tmp_path, psi):
     ("radial", "psi = 1", "psi = x3"),
     ("radial", "h = 0.0625", "radial.steps = 0"),
     ("radial", "h = 0.0625", "radial.tol = 0"),
+    ("radial", "h = 0.0625", "radial.tol = nan"),
+    ("radial", "h = 0.0625", "radial.tol = inf"),
+    ("radial", "h = 0.0625", "radial.eps = -2"),
+    ("radial", "h = 0.0625", "radial.eps = -0.5"),
+    ("radial", "h = 0.0625", "radial.eps = nan"),
+    ("radial", "h = 0.0625", "radial.eps = inf"),
     ("props", "h = 0.0625", "battery.dims = 1"),
     ("solve", "eps.schedule = 1e-1, 1e-2, 0", "eps.schedule = 1e-1, nan"),
     ("solve", "eps.schedule = 1e-1, 1e-2, 0", "eps.schedule = inf, 1e-1, 0"),
@@ -248,6 +254,15 @@ def test_bad_config_value_exits_1_with_one_line(tmp_path, command, old, new):
     assert rc == 1
     assert len(lines) == 1
     assert lines[0].startswith("error:")
+
+
+def test_undecodable_config_exits_1_with_one_line(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_bytes(CAP_CFG.encode() + b"\xff\xfe = 1\n")
+    rc, lines = run_cli("solve", str(cfg), tmp_path)
+    assert rc == 1
+    assert len(lines) == 1
+    assert lines[0].startswith(f"error: {cfg}: ")
 
 
 def test_solve_psi_vanishing_below_rest_state_exits_2(tmp_path):
@@ -570,6 +585,39 @@ def test_verify_coordinate_mismatch(solved, tmp_path):
     moved = tmp_path / "moved.dat"
     moved.write_text("\n".join(lines) + "\n")
     assert main(["verify", str(moved), "--config", cfg]) == 1
+
+
+@pytest.mark.parametrize("damage", ["token", "missing", "extra"])
+def test_verify_malformed_row_exits_1_naming_the_line(solved, tmp_path,
+                                                      capsys, damage):
+    # a non-numeric value, or a row one column short or long
+    sol, cfg = solved
+    lines = sol.read_text().splitlines()
+    k = next(k for k, ln in enumerate(lines) if not ln.startswith("#")) + 5
+    parts = lines[k].split()
+    if damage == "token":
+        parts[3] = "abc"
+    elif damage == "missing":
+        parts.pop()
+    else:
+        parts.append("0")
+    lines[k] = " ".join(parts)
+    bad = tmp_path / "bad.dat"
+    bad.write_text("\n".join(lines) + "\n")
+    assert main(["verify", str(bad), "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {bad}: line {k + 1}: ")
+
+
+def test_verify_undecodable_solution_exits_1(solved, tmp_path, capsys):
+    sol, cfg = solved
+    bad = tmp_path / "bad.dat"
+    bad.write_bytes(sol.read_bytes().replace(b"u du1", b"u \xff\xfe", 1))
+    assert main(["verify", str(bad), "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1
+    assert err[0].startswith(f"error: {bad}: ")
 
 
 def test_verify_skips_comparison_only_without_certified_start(

@@ -8,7 +8,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from etacurv import geometry, solver
+from etacurv import cli, geometry, solver
 from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
 from etacurv.geometry import batch_geometry
@@ -574,8 +574,8 @@ def test_initial_guess_fallback_warns():
         warnings.simplefilter("error")
         u0 = initial_guess(spec, grid)
     np.testing.assert_array_equal(u0, cap_function(grid, 0.525))
-    assert solver._auto_cap(spec, grid) == (
-        0.525, "no cap dominates psi; starting from the steepest cap")
+    assert effective_schedule(spec, grid)[1] == [
+        "no cap dominates psi; starting from the steepest cap"]
 
 
 def test_initial_guess_subsolution_sampled_verbatim():
@@ -607,15 +607,15 @@ def test_initial_guess_rejects_z_dependence():
 
 
 def test_effective_schedule_keeps_zero_for_positive_psi():
-    # the default picks the one direct eps = 0 stage; an explicit schedule
-    # is kept as written
+    # the default picks the one direct eps = 0 stage, falling back to the
+    # ladder; an explicit schedule is kept as written
     grid = build_grid(DISK, 1 / 8)
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 8)
     assert spec.eps_schedule is None
-    assert effective_schedule(spec, grid) == ((0.0,), None)
+    assert effective_schedule(spec, grid) == (((0.0,), solver.LADDER), [])
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 8,
                        eps_schedule=(1e-1, 1e-2, 1e-3, 0.0))
-    assert effective_schedule(spec, grid) == ((1e-1, 1e-2, 1e-3, 0.0), None)
+    assert effective_schedule(spec, grid) == (((1e-1, 1e-2, 1e-3, 0.0),), [])
 
 
 def test_effective_schedule_replaces_zero_when_psi_vanishes():
@@ -624,9 +624,38 @@ def test_effective_schedule_replaces_zero_when_psi_vanishes():
     for sched in (None, solver.LADDER):
         spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 8,
                            eps_schedule=sched)
-        got, note = effective_schedule(spec, grid)
-        assert got == (1e-1, 1e-2, 1e-3, 1e-4, 1e-5)
+        got, notes = effective_schedule(spec, grid)
+        assert got == ((1e-1, 1e-2, 1e-3, 1e-4, 1e-5),)
+        [note] = notes
         assert note.endswith("final stage runs at eps=1e-05 instead of 0")
+
+
+def test_psi_evaluated_once_at_rest_per_solve(tmp_path, monkeypatch):
+    # one rest-state evaluation of psi plans the eps path: none for the
+    # automatic cap, one per solve, with or without u0, and one per verify
+    at_rest = []
+    real = solver.evaluate
+
+    def spy(e, env):
+        if np.all(env.z == 0.0) and np.all(env.w == 1.0):
+            at_rest.append(e)
+        return real(e, env)
+
+    monkeypatch.setattr(solver, "evaluate", spy)
+    grid = build_grid(DISK, 1 / 16)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 16)
+    u0 = initial_guess(spec, grid)
+    assert at_rest == []
+    u, report = continuation_solve(spec, grid, u0)
+    assert at_rest == [spec.psi]
+    continuation_solve(spec, grid)
+    assert at_rest == [spec.psi] * 2
+    path = tmp_path / "cap.dat"
+    write_solution(path, spec, grid, u, report)
+    cfg = cli.Config({"n": 2, "domain.kind": "ball", "domain.r0": 0.5,
+                      "psi": "1", "h": 1 / 16})
+    assert cli.cmd_verify(str(path), cfg) == 0
+    assert len(at_rest) == 3
 
 
 # ---------------------------------------------------------------- continuation
