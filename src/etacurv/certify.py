@@ -460,7 +460,11 @@ _BATTERY = (
 )
 
 
-def property_battery(seed=42, samples=10000, dims=(2, 3, 4, 5, 6)):
+#: dimensions the property battery covers by default
+BATTERY_DIMS = (2, 3, 4, 5, 6)
+
+
+def property_battery(seed=42, samples=10000, dims=BATTERY_DIMS):
     """Randomized re-check of every cone and graph-geometry invariant.
 
     The per-property sample budget is samples/len(dims) for each dimension
@@ -471,6 +475,8 @@ def property_battery(seed=42, samples=10000, dims=(2, 3, 4, 5, 6)):
     dims = tuple(int(d) for d in dims)
     if not dims or any(d < 2 for d in dims):
         raise ValueError("dims must be non-empty, all >= 2")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
     m = max(1, int(samples) // len(dims))
     certs = []
     for idx, prop in enumerate(_BATTERY):

@@ -2,7 +2,10 @@
 
 Configs are plain text, one "key = value" per line, '#' to end of line
 as comment.  Dotted keys group related settings; unknown keys are hard
-errors so typos cannot silently fall back to defaults.
+errors so typos cannot silently fall back to defaults.  A config states
+the problem (dimension, domain, psi, eps schedule) and where output
+goes; the Newton settings are constants of etacurv.solver, and props
+reads no config.
 
 Exit codes: 0 success, 1 configuration or I/O error, 2 solver failure,
 3 certificate failure.  Diagnostics go to standard error.
@@ -17,6 +20,7 @@ import numpy as np
 
 from . import radial, svgplot
 from .certify import (
+    BATTERY_DIMS,
     Certificate,
     check_admissibility,
     check_comparison,
@@ -30,8 +34,8 @@ from .expr import DomainError, validate_psi
 from .geometry import batch_geometry
 from .grid import all_derivatives, build_grid
 from .solver import (
+    TOL_RESIDUAL,
     NegativePsi,
-    NewtonParams,
     NoInitialGuess,
     ProblemSpec,
     SolverFailure,
@@ -83,10 +87,6 @@ def _as_floats(raw):
     return [_as_float(part.strip()) for part in raw.split(",")]
 
 
-def _as_ints(raw):
-    return [_as_int(part.strip()) for part in raw.split(",")]
-
-
 # key -> (value parser, default), in the order config_echo writes the keys;
 # this table is the whole schema, and the one place each default is stated
 _KEYS = {
@@ -99,14 +99,6 @@ _KEYS = {
     "psi.lower": (str, None),
     "subsolution": (str, None),
     "eps.schedule": (_as_floats, ProblemSpec.eps_schedule),
-    "newton.tol_residual": (_as_float, NewtonParams.tol_residual),
-    "newton.max_iter": (_as_int, NewtonParams.max_iter),
-    "newton.min_step": (_as_float, NewtonParams.min_step),
-    "battery.seed": (_as_int, 42),
-    "battery.samples": (_as_int, 10000),
-    "battery.dims": (_as_ints, (2, 3, 4, 5, 6)),
-    "radial.steps": (_as_int, 4096),
-    "radial.tol": (_as_float, 1e-10),
     "radial.eps": (_as_float, 0.0),
     "output.prefix": (str, "etacurv"),
 }
@@ -117,7 +109,7 @@ _REQUIRED = ("n", "domain.kind", "psi")
 class Config:
     """Parsed key/value document; values already typed per _KEYS."""
 
-    def __init__(self, values=()):
+    def __init__(self, values):
         self.values = dict(values)
 
     def get(self, key):
@@ -170,10 +162,13 @@ def load_config(path):
     if kind not in ("ball", "ellipse", "ellipsoid"):
         raise ConfigError(
             f"domain.kind must be ball, ellipse or ellipsoid, got '{kind}'")
-    if kind == "ball" and "domain.r0" not in values:
-        raise MissingKey("domain.kind = ball needs domain.r0")
-    if kind != "ball" and "domain.semiaxes" not in values:
-        raise MissingKey(f"domain.kind = {kind} needs domain.semiaxes")
+    # a ball reads domain.r0, an ellipse or ellipsoid domain.semiaxes
+    reads, ignores = (("domain.r0", "domain.semiaxes") if kind == "ball"
+                      else ("domain.semiaxes", "domain.r0"))
+    if reads not in values:
+        raise MissingKey(f"domain.kind = {kind} needs {reads}")
+    if ignores in values:
+        raise ConfigError(f"domain.kind = {kind} does not read {ignores}")
     return Config(values)
 
 
@@ -200,11 +195,6 @@ def build_problem(cfg):
             psi_lower=cfg.get("psi.lower"),
             subsolution=cfg.get("subsolution"),
             eps_schedule=cfg.get("eps.schedule"),
-            newton=NewtonParams(
-                tol_residual=cfg.get("newton.tol_residual"),
-                max_iter=cfg.get("newton.max_iter"),
-                min_step=cfg.get("newton.min_step"),
-            ),
         )
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
@@ -227,11 +217,13 @@ def config_echo(cfg, spec=None):
 
 
 def _check_psi(spec):
-    """Hard-fail on negative samples; a line of text for each advisory
-    check that fails."""
+    """Hard-fail on non-finite or negative samples; a line of text for each
+    advisory check that fails."""
     rep = validate_psi(spec.psi, spec)
+    where = "(" + ", ".join(f"{c:.6g}" for c in rep.argmin[0]) + ")"
+    if not rep.finite:
+        raise ConfigError(f"psi is not finite: {rep.min_psi:g} at x={where}")
     if not rep.nonnegative:
-        where = "(" + ", ".join(f"{c:.6g}" for c in rep.argmin[0]) + ")"
         raise ConfigError(
             f"psi takes negative values: min {rep.min_psi:.6g} at x={where}")
     notes = []
@@ -319,14 +311,11 @@ def cmd_radial(cfg, out_dir="."):
             f"radial reduction needs a ball domain, got {spec.shape.kind}")
     for text in _check_psi(spec):
         print(f"warning: {text}", file=sys.stderr)
-    # bad radial.* values, and a psi negative or undefined on the axis,
-    # are configuration errors
+    # a bad radial.eps, and a psi negative or undefined on the axis, are
+    # configuration errors
     try:
-        prof = radial.shoot(
-            spec.psi, spec.shape.r0, spec.n,
-            tol=cfg.get("radial.tol"),
-            steps=cfg.get("radial.steps"),
-            eps=cfg.get("radial.eps"))
+        prof = radial.shoot(spec.psi, spec.shape.r0, spec.n,
+                            eps=cfg.get("radial.eps"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     path = os.path.join(out_dir, f"{cfg.get('output.prefix')}-radial.dat")
@@ -338,20 +327,19 @@ def cmd_radial(cfg, out_dir="."):
     return 0
 
 
-def cmd_props(cfg, seed=None, samples=None):
-    """The property battery; --seed and --samples override the config."""
-    seed = cfg.get("battery.seed") if seed is None else seed
-    samples = cfg.get("battery.samples") if samples is None else samples
-    dims = tuple(cfg.get("battery.dims"))
+def cmd_props(seed, samples):
+    """The property battery over BATTERY_DIMS with the given seed and
+    sample count; it reads no config."""
     try:
-        certs = property_battery(seed=seed, samples=samples, dims=dims)
+        certs = property_battery(seed=seed, samples=samples)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
     for cert in certs:
         print(cert.line())
     n_pass = sum(cert.passed for cert in certs)
     print(f"properties: {n_pass}/{len(certs)} pass "
-          f"(seed={seed} samples={samples} dims={','.join(map(str, dims))})")
+          f"(seed={seed} samples={samples} "
+          f"dims={','.join(map(str, BATTERY_DIMS))})")
     return 0 if n_pass == len(certs) else 3
 
 
@@ -407,7 +395,7 @@ def cmd_verify(solution_path, cfg):
     else:
         certs.append(check_comparison(u, usub))
     eps_fin = effective_schedule(spec, grid)[0][0][-1]
-    tol = 10.0 * spec.newton.tol_residual
+    tol = 10.0 * TOL_RESIDUAL
     try:
         res = residual(spec, grid, u, eps_fin)
         worst = int(np.abs(res).argmax())
@@ -449,11 +437,10 @@ def _build_parser():
                        help="also write SVG heatmaps")
     radial = command("radial", "integrate the radial reduction on a ball")
     radial.add_argument("--out", default=".", help="output directory")
-    props = command("props", "run the algebraic property battery")
-    props.add_argument("--seed", type=int, default=None,
-                       help="battery seed override")
-    props.add_argument("--samples", type=int, default=None,
-                       help="battery sample count override")
+    props = sub.add_parser("props", help="run the algebraic property battery")
+    props.add_argument("--seed", type=int, default=42, help="battery seed")
+    props.add_argument("--samples", type=int, default=10000,
+                       help="samples per property, at least 1")
     verify = command("verify", "re-run certificates on a stored solution file")
     verify.add_argument("solution", help="stored solution file to check")
     return parser
@@ -461,8 +448,7 @@ def _build_parser():
 
 def _dispatch(args):
     if args.command == "props":
-        cfg = load_config(args.config) if args.config else Config()
-        return cmd_props(cfg, seed=args.seed, samples=args.samples)
+        return cmd_props(args.seed, args.samples)
     if not args.config:
         raise ConfigError(f"'{args.command}' requires --config")
     cfg = load_config(args.config)

@@ -20,9 +20,9 @@ from .cones import in_gamma_k
 class DomainShape:
     """Centered convex domain given by semiaxes; kind is derived.
 
-    ball:       all semiaxes equal (any dimension 2 or 3 here)
-    ellipse2:   two distinct semiaxes
-    ellipsoid3: three semiaxes
+    ball:      all semiaxes equal (any dimension 2 or 3 here)
+    ellipse:   two distinct semiaxes
+    ellipsoid: three semiaxes, not all equal
     """
 
     semiaxes: tuple
@@ -31,8 +31,8 @@ class DomainShape:
         axes = tuple(float(a) for a in self.semiaxes)
         if len(axes) not in (2, 3):
             raise ValueError("only 2-D and 3-D domains are supported")
-        if any(a <= 0 for a in axes):
-            raise ValueError("semiaxes must be positive")
+        if not all(0.0 < a < np.inf for a in axes):
+            raise ValueError(f"semiaxes must be finite and > 0, got {axes}")
         object.__setattr__(self, "semiaxes", axes)
 
     @property
@@ -44,7 +44,7 @@ class DomainShape:
         axes = self.semiaxes
         if all(a == axes[0] for a in axes):
             return "ball"
-        return "ellipse2" if len(axes) == 2 else "ellipsoid3"
+        return "ellipse" if len(axes) == 2 else "ellipsoid"
 
     @property
     def r0(self):

@@ -613,13 +613,15 @@ def eval_x_gradient(e, env):
 
 @dataclass
 class PsiReport:
-    """Sampled sanity profile of a right-hand side."""
+    """Sampled sanity profile of a right-hand side; where a sampled value
+    is not finite, min_psi and argmin are the first such sample's."""
 
     n_samples: int
     min_psi: float
     argmin: tuple
     min_psi_z: float
     min_gap: float | None
+    finite: bool
     nonnegative: bool
     monotone_z: bool
 
@@ -628,8 +630,9 @@ def validate_psi(e, spec, samples=2048, seed=7):
     """Sample psi over domain x depth x upper hemisphere and report minima.
 
     spec provides n, shape (with sample_interior) and optionally psi_lower.
-    Checks psi >= 0, psi_z >= 0 (within 1e-10 slack) and, when a lower bound
-    expression is present, psi >= psi_lower.
+    Checks that psi is finite, psi >= 0, psi_z >= 0 (within 1e-10 slack)
+    and, when a lower bound expression is present, psi >= psi_lower.
+    Overflow is reported through finite, not warned about.
     """
     rng = np.random.default_rng(seed)
     n = spec.n
@@ -642,19 +645,22 @@ def validate_psi(e, spec, samples=2048, seed=7):
     nu = v / np.linalg.norm(v, axis=-1, keepdims=True)
     w = 1.0 / nu[:, -1]
     env = EvalEnv(x=x, z=z, nu=nu, w=w)
-    val, dz, _ = eval_with_derivs(e, env)
-    imin = int(np.argmin(val))
-    min_gap = None
-    lower = getattr(spec, "psi_lower", None)
-    if lower is not None:
-        lval = evaluate(lower, env)
-        min_gap = float((val - lval).min())
+    with np.errstate(over="ignore", invalid="ignore"):
+        val, dz, _ = eval_with_derivs(e, env)
+        bad = ~np.isfinite(val)
+        imin = int(np.argmax(bad) if bad.any() else np.argmin(val))
+        min_gap = None
+        lower = getattr(spec, "psi_lower", None)
+        if lower is not None:
+            lval = evaluate(lower, env)
+            min_gap = float((val - lval).min())
     return PsiReport(
         n_samples=samples,
         min_psi=float(val[imin]),
         argmin=(tuple(x[imin]), float(z[imin]), tuple(nu[imin])),
         min_psi_z=float(dz.min()),
         min_gap=min_gap,
+        finite=not bad.any(),
         nonnegative=bool(val.min() >= 0.0),
         monotone_z=bool(dz.min() >= -1e-10),
     )

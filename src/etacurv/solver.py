@@ -78,20 +78,22 @@ class NoInitialGuess(Exception):
 #: rerun when a direct eps = 0 stage fails
 LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 0.0)
 
+#: Newton stops once the max-norm residual is at most TOL_RESIDUAL; a stage
+#: gets MAX_ITER iterations, and the line search no step below MIN_STEP
+TOL_RESIDUAL = 1e-10
+MAX_ITER = 40
+MIN_STEP = 1.0 / 1024.0
+
 #: radius of the automatic cap over r0: the steepest cap over the ball
 _AUTO_CAP = 1.05
 
 
 @dataclass
-class NewtonParams:
-    tol_residual: float = 1e-10
-    max_iter: int = 40
-    min_step: float = 1.0 / 1024.0
-
-
-@dataclass
 class ProblemSpec:
-    """Full description of one Dirichlet problem.
+    """Full description of one Dirichlet problem: dimension, domain, psi
+    and lattice spacing, with an optional lower bound for psi, starting
+    subsolution and eps schedule.  How Newton solves it is fixed by the
+    module constants TOL_RESIDUAL, MAX_ITER and MIN_STEP.
 
     psi, psi_lower and subsolution are expression trees (see expr.parse);
     strings are parsed on construction for convenience.  eps_schedule None
@@ -105,7 +107,6 @@ class ProblemSpec:
     psi_lower: object = None
     subsolution: object = None
     eps_schedule: tuple | None = None
-    newton: NewtonParams = field(default_factory=NewtonParams)
 
     def __post_init__(self):
         if self.n not in (2, 3):
@@ -130,13 +131,6 @@ class ProblemSpec:
             if any(a <= b for a, b in zip(sched, sched[1:])):
                 raise ValueError("eps schedule must be strictly decreasing")
             self.eps_schedule = sched
-        nt = self.newton
-        if not 0.0 < nt.tol_residual < np.inf:
-            raise ValueError("tol_residual must be finite and > 0")
-        if not 0.0 < nt.min_step <= 1.0:
-            raise ValueError("min_step must lie in (0, 1]")
-        if nt.max_iter < 1:
-            raise ValueError("max_iter must be >= 1")
 
 
 @dataclass
@@ -378,13 +372,15 @@ def _linear_residual(J, du, res):
 def newton_solve(spec, grid, u0, eps, factorization=None):
     """Damped Newton from an admissible start; returns (u, StageReport).
 
-    Backtracking accepts the first s in {1, 1/2, ...} with (a) node-wise
-    admissibility margin >= 1e-12 (1 + sigma_1) and (b) 2-norm decreased by
-    the factor (1 - s/4) or inf-norm already at the stopping tolerance.  A
-    warm start at the solution therefore costs one iteration at step 1, not
-    a stagnation report.  At eps = 0 a psi that is not positive at every node of the
-    (admissible) start raises SolverFailure; every SolverFailure carries
-    the partial report as exc.stage.
+    The stage ends once the inf-norm residual is at most TOL_RESIDUAL,
+    within MAX_ITER iterations.  Backtracking accepts the first s in
+    {1, 1/2, ..., MIN_STEP} with (a) node-wise admissibility margin
+    >= 1e-12 (1 + sigma_1) and (b) 2-norm decreased by the factor (1 - s/4)
+    or inf-norm already at TOL_RESIDUAL.  A warm start at the solution
+    therefore costs one iteration at step 1, not a stagnation report.  At
+    eps = 0 a psi that is not positive at every node of the (admissible)
+    start raises SolverFailure; every SolverFailure carries the partial
+    report as exc.stage.
 
     Each Newton equation J du = -res is solved to the true-residual
     contract ||J du + res||_2 <= 1e-12 ||res||_2.  The last sparse LU is
@@ -392,7 +388,6 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     that misses the contract.  factorization is the _Factorization holder
     shared along a continuation; a fresh one is made when None.
     """
-    nt = spec.newton
     if factorization is None:
         factorization = _Factorization(grid)
     done = factorization.factorizations, factorization.krylov_iters
@@ -405,18 +400,18 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
         if eps == 0.0 and float(state[3].min()) <= 0.0:
             raise SolverFailure(
                 f"eps = 0 requires psi > 0 on the grid (min {state[3].min():g})")
-        for _ in range(nt.max_iter):
+        for _ in range(MAX_ITER):
             J = jacobian(spec, grid, u, eps, state)
             du = factorization.solve(J, res)
             norm0 = stage.residual_2norms[-1]
             s = 1.0
-            while s >= nt.min_step:
+            while s >= MIN_STEP:
                 trial = u + s * du
                 trial_res, trial_state = _evaluate(spec, grid, trial, eps,
                                                    floor=1e-12)
                 if trial_res is not None and (
                         np.linalg.norm(trial_res) <= (1.0 - s / 4.0) * norm0
-                        or np.abs(trial_res).max() <= nt.tol_residual):
+                        or np.abs(trial_res).max() <= TOL_RESIDUAL):
                     u, res, state = trial, trial_res, trial_state
                     stage.record(res, state[2])
                     stage.step_lengths.append(s)
@@ -424,12 +419,12 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
                 s *= 0.5
             else:
                 raise Stagnation(
-                    f"no step >= {nt.min_step:g} acceptable (eps={eps:g})")
-            if stage.residual_norms[-1] <= nt.tol_residual:
+                    f"no step >= {MIN_STEP:g} acceptable (eps={eps:g})")
+            if stage.residual_norms[-1] <= TOL_RESIDUAL:
                 return u, stage
         raise MaxIterations(
-            f"residual {stage.residual_norms[-1]:.3e} > {nt.tol_residual:g} "
-            f"after {nt.max_iter} iterations")
+            f"residual {stage.residual_norms[-1]:.3e} > {TOL_RESIDUAL:g} "
+            f"after {MAX_ITER} iterations")
     except SolverFailure as exc:
         exc.stage = stage
         raise

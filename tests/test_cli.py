@@ -54,9 +54,8 @@ def run_cli(command, cfg, out_dir):
     returns (exit code, stderr lines)."""
     env = dict(os.environ,
                PYTHONPATH=os.path.dirname(os.path.dirname(etacurv.__file__)))
-    argv = [sys.executable, "-m", "etacurv.cli", command, "--config", cfg]
-    if command != "props":
-        argv += ["--out", str(out_dir)]
+    argv = [sys.executable, "-m", "etacurv.cli", command, "--config", cfg,
+            "--out", str(out_dir)]
     proc = subprocess.run(argv, capture_output=True, text=True, env=env,
                           check=False)
     assert "Traceback" not in proc.stderr
@@ -153,8 +152,13 @@ def test_config_echo_fills_defaults():
     echo = cli.config_echo(cfg, spec)
     joined = "\n".join(echo)
     assert "h = 0.03125" in joined
-    assert "battery.seed = 42" in joined
+    assert "radial.eps = 0" in joined
+    assert "output.prefix = etacurv" in joined
     assert "psi = 1" in joined
+    # unset keys are left out; the rest follow the schema's order
+    assert [line.split(" = ")[0] for line in echo] == [
+        "n", "h", "domain.kind", "domain.r0", "psi", "radial.eps",
+        "output.prefix"]
 
 
 def test_readme_config_table_matches_schema():
@@ -166,7 +170,7 @@ def test_readme_config_table_matches_schema():
     rows = [[cell.strip().strip("`") for cell in line.strip("|").split("|")]
             for line in section.splitlines() if line.startswith("| `")]
     types = {"integer": cli._as_int, "number": cli._as_float, "text": str,
-             "numbers": cli._as_floats, "integers": cli._as_ints}
+             "numbers": cli._as_floats}
     assert [row[0] for row in rows] == list(cli._KEYS)
     for key, kind, default, *_ in rows:
         parser, want = cli._KEYS[key]
@@ -225,7 +229,7 @@ def test_solve_undefined_psi_exits_1(tmp_path, psi):
     ("solve", "h = 0.0625", "h = inf"),
     ("solve", "psi = 1", "psi = x3"),
     ("radial", "psi = 1", "psi = x3"),
-    ("radial", "h = 0.0625", "radial.steps = 0"),
+    # radial.tol left the schema: the radial command must reject the line
     ("radial", "h = 0.0625", "radial.tol = 0"),
     ("radial", "h = 0.0625", "radial.tol = nan"),
     ("radial", "h = 0.0625", "radial.tol = inf"),
@@ -233,12 +237,12 @@ def test_solve_undefined_psi_exits_1(tmp_path, psi):
     ("radial", "h = 0.0625", "radial.eps = -0.5"),
     ("radial", "h = 0.0625", "radial.eps = nan"),
     ("radial", "h = 0.0625", "radial.eps = inf"),
-    ("props", "h = 0.0625", "battery.dims = 1"),
     ("solve", "eps.schedule = 1e-1, 1e-2, 0", "eps.schedule = 1e-1, nan"),
     ("solve", "eps.schedule = 1e-1, 1e-2, 0", "eps.schedule = inf, 1e-1, 0"),
-    ("solve", "h = 0.0625", "newton.tol_residual = nan"),
-    ("solve", "h = 0.0625", "newton.min_step = nan"),
-    ("solve", "h = 0.0625", "newton.max_iter = 0"),
+    # a semiaxis that is not finite
+    ("solve", "domain.r0 = 0.5", "domain.r0 = inf"),
+    ("solve", "domain.r0 = 0.5", "domain.r0 = nan"),
+    ("solve", "domain.semiaxes = 0.5, 0.35", "domain.semiaxes = 0.5, inf"),
     # a subsolution that reads the height, and one that fails its certificate
     ("solve", "subsolution = 0.2 * ((x1/0.5)^2 + (x2/0.35)^2 - 1)",
      "subsolution = 0.1*z"),
@@ -254,6 +258,53 @@ def test_bad_config_value_exits_1_with_one_line(tmp_path, command, old, new):
     assert rc == 1
     assert len(lines) == 1
     assert lines[0].startswith("error:")
+
+
+#: the keys that left the schema, each with the value it used to default to
+REMOVED_KEYS = {
+    "newton.tol_residual": "1e-10",
+    "newton.max_iter": "40",
+    "newton.min_step": "0.0009765625",
+    "battery.seed": "42",
+    "battery.samples": "10000",
+    "battery.dims": "2, 3, 4, 5, 6",
+    "radial.steps": "4096",
+    "radial.tol": "1e-10",
+}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_removed_key_exits_1_as_unknown(tmp_path, key):
+    text = CAP_CFG + f"{key} = {REMOVED_KEYS[key]}\n"
+    rc, lines = run_cli("solve", write_cfg(tmp_path, text), tmp_path)
+    assert rc == 1
+    assert lines == [
+        f"error: unknown keys: '{key}' (line {len(text.splitlines())})"]
+
+
+@pytest.mark.parametrize("kind, extra", [
+    ("ball", "domain.semiaxes = 0.5, 0.3"),
+    ("ellipse", "domain.r0 = 0.5"),
+])
+def test_domain_key_the_kind_does_not_read_exits_1(tmp_path, kind, extra):
+    base = CAP_CFG if kind == "ball" else ELLIPSE_CFG
+    rc, lines = run_cli("solve", write_cfg(tmp_path, base + extra + "\n"),
+                        tmp_path)
+    assert rc == 1
+    key = extra.split(" = ")[0]
+    assert lines == [f"error: domain.kind = {kind} does not read {key}"]
+
+
+@pytest.mark.parametrize("command", ["solve", "radial"])
+@pytest.mark.parametrize("psi", ["1e400", "exp(1000)"])
+def test_nonfinite_psi_exits_1_naming_the_sample(tmp_path, command, psi):
+    # run as a process: an overflow warning would add a stderr line
+    cfg = write_cfg(tmp_path, CAP_CFG.replace("psi = 1", f"psi = {psi}"))
+    rc, lines = run_cli(command, cfg, tmp_path)
+    assert rc == 1
+    assert len(lines) == 1
+    assert re.fullmatch(r"error: psi is not finite: inf at x=\(\S+, \S+\)",
+                        lines[0])
 
 
 def test_undecodable_config_exits_1_with_one_line(tmp_path):
@@ -489,7 +540,9 @@ def test_radial_ellipse_exits_1(tmp_path, capsys):
         tmp_path,
         "n = 2\ndomain.kind = ellipse\ndomain.semiaxes = 0.5, 0.3\npsi = 1\n")
     assert main(["radial", "--config", cfg, "--out", str(tmp_path)]) == 1
-    assert "ball" in capsys.readouterr().err
+    # the kind is named in the config's own word
+    assert capsys.readouterr().err == (
+        "error: radial reduction needs a ball domain, got ellipse\n")
 
 
 # ---------------------------------------------------------------- props
@@ -502,14 +555,18 @@ def test_props_small_sample_passes(capsys):
     assert out.count("=pass") == 85
 
 
-def test_props_config_overrides(tmp_path, capsys):
-    cfg = write_cfg(
-        tmp_path,
-        "n = 2\ndomain.kind = ball\ndomain.r0 = 0.5\npsi = 1\n"
-        "battery.samples = 12\nbattery.dims = 2, 3\n")
-    rc = main(["props", "--config", cfg])
+def test_props_config_overrides(capsys):
+    # --seed and --samples override the defaults 42 and 10000
+    rc = main(["props", "--seed", "7", "--samples", "12"])
     assert rc == 0
-    assert "pass (seed=42 samples=12 dims=2,3)" in capsys.readouterr().out
+    assert "pass (seed=7 samples=12 dims=2,3,4,5,6)" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("samples", ["0", "-3"])
+def test_props_rejects_samples_below_one(capsys, samples):
+    assert main(["props", "--samples", samples]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: samples must be >= 1, got {samples}"]
 
 
 def test_props_mutated_build_exits_3(monkeypatch, capsys):
@@ -658,10 +715,13 @@ def test_main_unknown_subcommand_exits_1(capsys):
     ("props", ["--emit-svg"]),
     ("verify", ["--out", "x"]),
     ("verify", ["--emit-svg"]),
+    ("props", ["--config", "run.cfg"]),
 ])
 def test_main_rejects_flags_of_other_subcommands(cap_cfg, command, flag,
                                                  capsys):
-    argv = [command, "--config", cap_cfg] + flag
+    # props reads no config
+    argv = [command] + flag if command == "props" else [
+        command, "--config", cap_cfg] + flag
     if command == "verify":
         argv.append("solution.dat")
     assert main(argv) == 1

@@ -15,11 +15,14 @@ from etacurv.domain import (
 def test_kinds_and_validation():
     assert DomainShape((0.5, 0.5)).kind == "ball"
     assert DomainShape((0.5, 0.5)).r0 == 0.5
-    assert DomainShape((1.0, 0.5)).kind == "ellipse2"
-    assert DomainShape((1.0, 1.0, 0.5)).kind == "ellipsoid3"
+    assert DomainShape((1.0, 0.5)).kind == "ellipse"
+    assert DomainShape((1.0, 1.0, 0.5)).kind == "ellipsoid"
     assert DomainShape((0.7, 0.7, 0.7)).kind == "ball"
     with pytest.raises(ValueError):
         DomainShape((1.0, -0.5))
+    for bad in (np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite"):
+            DomainShape((0.5, bad))
     with pytest.raises(ValueError):
         DomainShape((1.0,))
     with pytest.raises(ValueError):

@@ -16,7 +16,6 @@ from etacurv.grid import all_derivatives, build_grid
 from etacurv.solver import (
     LinearSolveFailure,
     NegativePsi,
-    NewtonParams,
     ProblemSpec,
     SolverFailure,
     Stagnation,
@@ -78,9 +77,6 @@ def test_spec_validation():
         ProblemSpec(n=2, shape=DISK, psi="1", h=0.1, eps_schedule=(1e-2, -1e-3))
     with pytest.raises(ValueError):
         ProblemSpec(n=2, shape=DISK, psi="1", h=0.1, eps_schedule=())
-    with pytest.raises(ValueError):
-        ProblemSpec(n=2, shape=DISK, psi="1", h=0.1,
-                    newton=NewtonParams(tol_residual=0.0))
 
 
 # ---------------------------------------------------------------- residual
