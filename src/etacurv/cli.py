@@ -243,18 +243,35 @@ def _plane_nodes(grid):
     return grid.pos[mask][:, :2], np.where(mask)[0]
 
 
-def _write_report(path, report, echo):
-    lines = ["# etacurv solve report"]
-    lines += [f"# {entry}" for entry in echo]
-    lines += [f"warning {text}" for text in report.warnings]
-    for st in report.stages:
-        lines.append(
-            f"stage eps={st.eps:.17g} iterations={st.iterations} "
+def _stage_line(st):
+    rejected = ("" if st.rejected_margin is None
+                else f" rejected_margin={st.rejected_margin:.17g}")
+    return (f"stage eps={st.eps:.17g} iterations={st.iterations} "
+            f"start={st.start}{rejected} "
             f"residual={st.residual_norms[-1]:.17g} "
             f"margin={st.min_margin:.17g} sup_u={st.sup_u:.17g} "
             f"sup_du={st.sup_du:.17g} sup_d2u={st.sup_d2u:.17g} "
             f"factorizations={st.factorizations} krylov_iters={st.krylov_iters} "
             f"lu_fill={st.lu_fill}")
+
+
+def _write_report(path, report, echo, h):
+    """The report file: echo, warnings, the stage lines of the spacing-h
+    mesh and its error estimate, then each coarse level's warnings, stage
+    lines and estimate behind a 'coarse h=...' prefix, then certificates."""
+    lines = ["# etacurv solve report"]
+    lines += [f"# {entry}" for entry in echo]
+    lines += [f"warning {text}" for text in report.warnings]
+    level, prefix = report, ""
+    while level is not None:
+        if level is not report:
+            h *= 2.0
+            prefix = f"coarse h={h:.17g} "
+            lines += [f"{prefix}warning {text}" for text in level.warnings]
+        lines += [prefix + _stage_line(st) for st in level.stages]
+        if level.error_estimate is not None:
+            lines.append(f"{prefix}error_estimate={level.error_estimate:.17g}")
+        level = level.coarse
     for cert in report.certificates:
         lines.append("certificate " + cert.line())
     text = "\n".join(lines) + "\n"
@@ -283,7 +300,7 @@ def cmd_solve(cfg, out_dir=".", emit_svg=False):
     sol_path = os.path.join(out_dir, f"{prefix}-solution.dat")
     rep_path = os.path.join(out_dir, f"{prefix}-report.txt")
     write_solution(sol_path, spec, grid, u, report=report, config_echo=echo)
-    _write_report(rep_path, report, echo)
+    _write_report(rep_path, report, echo, grid.h)
     if emit_svg:
         pts, idx = _plane_nodes(grid)
         p, r = all_derivatives(grid, u)

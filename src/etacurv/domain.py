@@ -16,6 +16,12 @@ import numpy as np
 from .cones import in_gamma_k
 
 
+#: the semiaxes a DomainShape accepts: within this range (x / a)^2 and the
+#: boundary curvatures ~ 1/a stay normal floats, so boundary points computed
+#: by boundary_point lie on the boundary to roundoff
+SEMIAXIS_RANGE = (1e-100, 1e100)
+
+
 @dataclass(frozen=True)
 class DomainShape:
     """Centered convex domain given by semiaxes; kind is derived.
@@ -33,6 +39,9 @@ class DomainShape:
             raise ValueError("only 2-D and 3-D domains are supported")
         if not all(0.0 < a < np.inf for a in axes):
             raise ValueError(f"semiaxes must be finite and > 0, got {axes}")
+        lo, hi = SEMIAXIS_RANGE
+        if not all(lo <= a <= hi for a in axes):
+            raise ValueError(f"semiaxes must lie in [{lo:g}, {hi:g}], got {axes}")
         object.__setattr__(self, "semiaxes", axes)
 
     @property

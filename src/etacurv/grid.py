@@ -25,6 +25,7 @@ coefficients shaped like (D^2u, Du, u): the solver's Jacobian.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -144,10 +145,31 @@ class Grid:
         return self._pattern
 
 
+#: most points the padded bounding box of a lattice may hold: build_grid
+#: allocates several arrays of that size, and far fewer nodes already
+#: exhaust the sparse LU
+MAX_LATTICE = 2 ** 24
+
+
+def check_lattice(shape, h):
+    """ValueError unless h > 0 is finite and the spacing-h lattice's padded
+    bounding box over shape has at most MAX_LATTICE points; counted in
+    floating point, so nothing of that size is allocated."""
+    if not (np.isfinite(h) and h > 0.0):
+        raise ValueError(f"h must be finite and > 0, got {h:g}")
+    points = 1.0
+    for a in shape.semiaxes:  # Python floats overflow to inf, not a warning
+        points *= 2.0 * (float(a) // float(h)) + 3.0
+    if not points <= MAX_LATTICE:
+        raise ValueError(
+            f"h = {h:g} is too fine for semiaxes "
+            f"{', '.join(f'{a:g}' for a in shape.semiaxes)}: the lattice box "
+            f"would hold {points:.3g} points, more than {MAX_LATTICE}")
+
+
 def build_grid(shape, h):
     """Clip the spacing-h lattice to the shape and precompute arm geometry."""
-    if h <= 0.0:
-        raise ValueError("spacing must be positive")
+    check_lattice(shape, h)
     n = shape.n
     half = [int(np.floor(a / h)) for a in shape.semiaxes]
     mesh = np.meshgrid(*[np.arange(-k, k + 1) for k in half], indexing="ij")
@@ -316,6 +338,62 @@ def nested_dissection(grid):
 
     dissect(np.arange(grid.size))
     return np.concatenate(order)
+
+
+def coarse_grid(grid, min_nodes):
+    """The spacing-2h grid of grid's shape, or None when it would have fewer
+    than min_nodes nodes.
+
+    The lattice is centered at index 0 and k (2h) == (2k) h in floating
+    point, so the coarse nodes are exactly the fine nodes whose indices are
+    all even: coarse node k is fine row grid.rows_at(2 k).
+    """
+    if np.count_nonzero((grid.idx % 2 == 0).all(axis=1)) < min_nodes:
+        return None
+    return build_grid(grid.shape, 2.0 * grid.h)
+
+
+def prolongation(coarse, fine):
+    """Sparse (m_fine, m_coarse) CSR map of coarse grid functions to fine ones.
+
+    Fine node x blends the quadratic Taylor expansions
+    u(y) + Du(y).(x - y) + (x - y).D^2u(y).(x - y) / 2 about the interior
+    corners y of its coarse cell, with Du, D^2u from coarse.ops() (so u = 0
+    on the boundary enters through the Shortley-Weller arms) and multilinear
+    weights renormalized over those corners.  A fine node that is a coarse
+    node gets that node's value.  A node none of whose weighted corners is
+    interior expands about its nearest coarse node instead.
+    """
+    n, h, mc = fine.n, fine.h, coarse.size
+    lo = fine.idx // 2
+    half = (fine.idx - 2 * lo) / 2.0  # position in the coarse cell, 0 or 1/2
+    corner = np.array(list(itertools.product((0, 1), repeat=n)))
+    keys = lo[:, None, :] + corner
+    rows = coarse.rows_at(keys)
+    w = np.prod(np.where(corner == 1, half[:, None, :], 1.0 - half[:, None, :]),
+                axis=-1) * (rows >= 0)
+    orphan = np.flatnonzero(w.sum(axis=1) == 0.0)
+    if len(orphan):
+        dist = ((fine.idx[orphan, None, :] - 2 * coarse.idx) ** 2).sum(axis=-1)
+        near = np.argmin(dist, axis=1)
+        keys[orphan, 0], rows[orphan, 0] = coarse.idx[near], near
+        w[orphan] = 0.0
+        w[orphan, 0] = 1.0
+    w /= w.sum(axis=1, keepdims=True)
+    node, c = np.nonzero(w)
+    q, wt = rows[node, c], w[node, c]
+    d = (fine.idx[node] - 2 * keys[node, c]) * h  # offsets x - y
+    coef = np.concatenate(
+        [wt * d[:, i] * d[:, j] * (0.5 if i == j else 1.0)
+         for i, j in _hessian_slots(n)] + [wt * d[:, s] for s in range(n)])
+    slots = len(coef) // len(q)
+    cols = (np.arange(slots)[:, None] * mc + q).ravel()
+    keep = coef != 0.0
+    taylor = scipy.sparse.csr_matrix(
+        (coef[keep], (np.tile(node, slots)[keep], cols[keep])),
+        shape=(fine.size, slots * mc))
+    value = scipy.sparse.csr_matrix((wt, (node, q)), shape=(fine.size, mc))
+    return (value + taylor @ coarse.ops()).tocsr()
 
 
 def all_derivatives(grid, u):

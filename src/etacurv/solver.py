@@ -10,6 +10,14 @@ graph.  The n-th root exploits the concavity of f^{1/n} on the admissible
 cone, which keeps Newton steps well behaved as psi degenerates.  The
 continuation drives eps down a schedule, warm-starting each stage.
 
+Nested iteration: continuation_solve first solves the same problem on the
+2h lattice, recursively down to a level of at least COARSEST_NODES nodes,
+and starts each eps stage from that stage's coarse solution, prolonged by
+grid.prolongation, whenever the result lies in the cone.  Newton's
+iteration count does not depend on h (mesh independence), so the fine mesh
+needs only the last few steps.  The two solutions give the Richardson
+error estimate max |u_h - u_2h| / 3 of SolveReport.error_estimate.
+
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test, psi and the residual; its Jacobian and its
 StageReport reuse that state.
@@ -21,11 +29,12 @@ the equation is non-degenerate: one eps = 0 stage, then LADDER.  Where psi
 vanishes there, LADDER with its trailing 0 replaced by a small eps, which
 stands in as the C^{1,1} approximation; a psi that vanishes only along the
 iterates ends the eps = 0 stage with a SolverFailure before its first step.
+Every level of a nested solve runs this one plan.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse.linalg
@@ -35,7 +44,14 @@ from .cones import NotAdmissible
 from .domain import check_two_convex
 from .expr import EvalEnv, check_dimension, eval_with_derivs, evaluate, parse
 from .geometry import add_coefficients, batch_geometry
-from .grid import all_derivatives, build_grid, nested_dissection
+from .grid import (
+    all_derivatives,
+    build_grid,
+    check_lattice,
+    coarse_grid,
+    nested_dissection,
+    prolongation,
+)
 
 #: A grid function is a plain float vector, one value per interior node in
 #: the grid's lexicographic node order; the boundary value is implicitly 0.
@@ -84,8 +100,17 @@ TOL_RESIDUAL = 1e-10
 MAX_ITER = 40
 MIN_STEP = 1.0 / 1024.0
 
+#: the largest normwise backward error a Newton direction may have: 64 unit
+#: roundoffs, a bound that does not tighten as J's conditioning grows
+OMEGA_MAX = 64.0 * np.finfo(float).eps / 2.0
+
 #: radius of the automatic cap over r0: the steepest cap over the ball
 _AUTO_CAP = 1.05
+
+#: continuation_solve nests a 2h level below a mesh only if that level has
+#: at least this many nodes: the 2D disk of radius 1/2 gets none at
+#: h = 1/32 (193 nodes at 1/16), the 3D ball one at h = 1/16 (251 at 1/8)
+COARSEST_NODES = 200
 
 
 @dataclass
@@ -113,8 +138,7 @@ class ProblemSpec:
             raise ValueError("dimension must be 2 or 3")
         if self.shape.n != self.n:
             raise ValueError("shape dimension does not match n")
-        if not (np.isfinite(self.h) and self.h > 0):
-            raise ValueError(f"h must be finite and > 0, got {self.h:g}")
+        check_lattice(self.shape, self.h)
         for name in ("psi", "psi_lower", "subsolution"):
             v = getattr(self, name)
             if isinstance(v, str):
@@ -152,6 +176,11 @@ class StageReport:
     krylov_iters: int = 0
     #: L+U nonzeros of the factorization held at the end of the stage
     lu_fill: int = 0
+    #: "prolonged" when Newton started from the coarse level's solution of
+    #: this stage, "warm" when from the previous stage's (or the initial) u
+    start: str = "warm"
+    #: minimum cone margin of a prolonged start the cone test rejected
+    rejected_margin: float | None = None
 
     @property
     def iterations(self):
@@ -170,10 +199,18 @@ class StageReport:
 
 @dataclass
 class SolveReport:
+    """The stages of the requested mesh, one per eps, and below them the
+    SolveReport of the 2h level whose solutions started them (None without
+    one)."""
+
     stages: list
     certificates: list = field(default_factory=list)
     #: one line of text per condition the solve worked around
     warnings: list = field(default_factory=list)
+    coarse: SolveReport | None = None
+    #: max |u_h - u_2h| / 3 over the nodes both meshes share: the Richardson
+    #: estimate of a second-order discretization error; None without coarse
+    error_estimate: float | None = None
 
     @property
     def final(self):
@@ -338,12 +375,13 @@ class _Factorization:
         return du
 
     def solve(self, J, res):
-        """du with ||J du + res||_2 <= 1e-12 ||res||_2.
+        """du with normwise backward error omega <= OMEGA_MAX as a solution
+        of J du = -res (see _linear_residual).
 
-        The reused-LU candidate is kept only when its true residual meets
-        that contract; otherwise J is factorized afresh and solved
-        directly, and a direct solve that misses the contract raises
-        LinearSolveFailure (newton_solve attaches its stage).
+        The reused-LU candidate is kept only when it meets that contract;
+        otherwise J is factorized afresh and solved directly, and a direct
+        solve that misses the same contract raises LinearSolveFailure
+        (newton_solve attaches its stage).
         """
         du = self.reuse(J, res)
         if du is not None and not _linear_residual(J, du, res)[1]:
@@ -355,18 +393,27 @@ class _Factorization:
             raise LinearSolveFailure(
                 f"sparse factorization failed: {exc}") from exc
         self.factorizations += 1
-        lin, misses = _linear_residual(J, du, res)
+        omega, misses = _linear_residual(J, du, res)
         if misses:
             raise LinearSolveFailure(
-                f"linear solve residual {lin:.3e} exceeds the 1e-12 contract")
+                f"linear solve backward error {omega:.3e} exceeds the "
+                f"contract omega <= 64u = {OMEGA_MAX:.3g}")
         return du
 
 
 def _linear_residual(J, du, res):
-    """(||J du + res||_2, whether it misses the 1e-12 contract)."""
-    lin = np.linalg.norm(J @ du + res)
-    misses = not np.isfinite(lin) or lin > 1e-12 * max(np.linalg.norm(res), 1e-300)
-    return lin, misses
+    """(omega, whether omega misses OMEGA_MAX): the Rigal-Gaches normwise
+    backward error of du as a solution of J du = -res,
+
+        omega = ||J du + res||_inf / (||J||_inf ||du||_inf + ||res||_inf),
+
+    the smallest relative perturbation of J and res that du solves exactly
+    (Higham, Accuracy and Stability of Numerical Algorithms, Thm. 7.1)."""
+    lin = np.abs(J @ du + res).max()
+    norm_J = np.abs(J).sum(axis=1).max()
+    scale = norm_J * np.abs(du).max() + np.abs(res).max()
+    omega = float(lin / scale if scale > 0.0 else lin)
+    return omega, not omega <= OMEGA_MAX
 
 
 def newton_solve(spec, grid, u0, eps, factorization=None):
@@ -382,10 +429,11 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     start raises SolverFailure; every SolverFailure carries the partial
     report as exc.stage.
 
-    Each Newton equation J du = -res is solved to the true-residual
-    contract ||J du + res||_2 <= 1e-12 ||res||_2.  The last sparse LU is
-    reused as a GMRES preconditioner; J is factorized afresh only when
-    that misses the contract.  factorization is the _Factorization holder
+    Each Newton equation J du = -res is solved to a normwise backward error
+    ||J du + res||_inf / (||J||_inf ||du||_inf + ||res||_inf) of at most
+    OMEGA_MAX = 64u, u the unit roundoff.  The last sparse LU is reused as
+    a GMRES preconditioner; J is factorized afresh only when that misses
+    the contract.  factorization is the _Factorization holder
     shared along a continuation; a fresh one is made when None.
     """
     if factorization is None:
@@ -465,10 +513,20 @@ def initial_guess(spec, grid):
 
 def continuation_solve(spec, grid=None, u0=None):
     """(u, SolveReport): the schedules of effective_schedule run in order
-    from u0 (default initial_guess), each stage warm-started and each
-    schedule with a fresh factorization, until one completes.  A failed
-    schedule adds a warning line; the last one's SolverFailure propagates.
-    The caller attaches the certificates."""
+    from u0 (default initial_guess), each with a fresh factorization, until
+    one completes.  A failed schedule adds a warning line; the last one's
+    SolverFailure propagates.  The caller attaches the certificates.
+
+    Nested iteration: the same problem is first solved on the 2h lattice,
+    recursively while that lattice has at least COARSEST_NODES nodes, from
+    u0 injected onto it and with the same schedules.  Each eps stage starts
+    from the prolonged solution of that stage on the next coarser level
+    when that level solved it and the start passes the cone test; otherwise
+    it is warm-started from the previous stage (or u0), as without a coarse
+    level.  A coarse level that fails adds a warning line and the solve
+    goes on without coarse starts.  Only the requested mesh's stages are in
+    report.stages; the coarse levels are in report.coarse.
+    """
     ok, _ = check_two_convex(spec.shape)
     if not ok:
         raise ValueError("domain fails the 2-convexity check")
@@ -476,13 +534,35 @@ def continuation_solve(spec, grid=None, u0=None):
         grid = build_grid(spec.shape, spec.h)
     schedules, notes = effective_schedule(spec, grid)
     u0 = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
+    u, report, _ = _solve_level(spec, grid, u0, schedules, notes)
+    return u, report
+
+
+def _solve_level(spec, grid, u0, schedules, notes):
+    """(u, SolveReport, solved) on grid, solved mapping each eps of the
+    schedule that completed to its solution; see continuation_solve."""
+    coarse = coarse_grid(grid, COARSEST_NODES)
+    starts, sub = {}, None
+    if coarse is not None:
+        shared = grid.rows_at(2 * coarse.idx)
+        try:
+            u_c, sub, solved_c = _solve_level(replace(spec, h=coarse.h), coarse,
+                                              u0[shared], schedules,
+                                              _dropped_notes(coarse))
+        except SolverFailure as exc:
+            notes.append(f"coarse level h={coarse.h:g} failed ({exc}); "
+                         "solving without coarse starts")
+        else:
+            P = prolongation(coarse, grid)
+            starts = {eps: P @ v for eps, v in solved_c.items()}
     for k, schedule in enumerate(schedules):
-        factorization, u, stages = _Factorization(grid), u0, []
+        factorization, u, stages, solved = _Factorization(grid), u0, [], {}
         try:
             for eps in schedule:
-                u, stage = newton_solve(spec, grid, u, eps, factorization)
+                u, stage = _stage(spec, grid, starts.get(eps), u, eps,
+                                  factorization)
                 stages.append(stage)
-            return u, SolveReport(stages=stages, warnings=notes)
+                solved[eps] = u
         except SolverFailure as exc:
             if k + 1 == len(schedules):
                 raise
@@ -493,6 +573,29 @@ def continuation_solve(spec, grid=None, u0=None):
                 f"{exc.stage.iterations} Newton iterations and "
                 f"{exc.stage.factorizations} factorizations ({exc}); "
                 f"rerunning down eps = {then}")
+            continue
+        report = SolveReport(stages=stages, warnings=notes, coarse=sub)
+        if sub is not None:
+            report.error_estimate = float(np.abs(u[shared] - u_c).max()) / 3.0
+        return u, report, solved
+
+
+def _stage(spec, grid, prolonged, warm, eps, factorization):
+    """newton_solve from the prolonged coarse solution when there is one
+    and it passes the cone test (newton_solve's first evaluation raises
+    NotAdmissible otherwise, before any work), else from warm."""
+    rejected = None
+    if prolonged is not None:
+        try:
+            u, stage = newton_solve(spec, grid, prolonged, eps, factorization)
+        except NotAdmissible as exc:
+            rejected = exc.margin
+        else:
+            stage.start = "prolonged"
+            return u, stage
+    u, stage = newton_solve(spec, grid, warm, eps, factorization)
+    stage.rejected_margin = rejected
+    return u, stage
 
 
 def effective_schedule(spec, grid):
@@ -527,11 +630,14 @@ def effective_schedule(spec, grid):
                      f"final stage runs at eps={last:g} instead of 0")
     else:
         schedules = (schedule,)
+    return schedules, notes + _dropped_notes(grid)
+
+
+def _dropped_notes(grid):
+    """The warning line for grid's empty mixed stencils, if it has any."""
     dropped = len(grid.mixed_dropped)
-    if dropped:
-        notes.append("mixed-derivative stencils set to zero for want of "
-                     f"usable nodes: {dropped}")
-    return schedules, notes
+    return ([f"mixed-derivative stencils set to zero for want of usable "
+             f"nodes: {dropped}"] if dropped else [])
 
 
 def write_solution(path, spec, grid, u, report, config_echo=()):

@@ -1,7 +1,8 @@
-"""Acceptance gate: eight end-to-end criteria covering closed-form
-accuracy, oracle agreement, derivative consistency, the property
-battery, certificates, and output determinism.  One pass/fail line per
-criterion appears in the terminal summary (see conftest.record)."""
+"""Acceptance gate: end-to-end criteria covering closed-form accuracy and
+its order on four meshes, oracle agreement, derivative consistency, the
+property battery, certificates, output determinism, nested iteration and
+its error estimate.  One pass/fail line per criterion appears in the
+terminal summary (see conftest.record)."""
 
 import time
 
@@ -49,6 +50,21 @@ def cap32():
 @pytest.fixture(scope="module")
 def cap64():
     return _solve(2, 0.5, "1", 1.0 / 64.0)
+
+
+@pytest.fixture(scope="module")
+def cap128():
+    return _solve(2, 0.5, "1", 1.0 / 128.0)
+
+
+@pytest.fixture(scope="module")
+def cap256():
+    return _solve(2, 0.5, "1", 1.0 / 256.0)
+
+
+@pytest.fixture(scope="module")
+def ball24():
+    return _solve(3, 0.5, "8", 1.0 / 24.0)
 
 
 @pytest.fixture(scope="module")
@@ -191,16 +207,62 @@ def test_criterion_7_certificates_every_fixture(cap32, cap64, ball3, deg64,
 
 
 def test_criterion_8_bitwise_determinism(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("n = 2\ndomain.kind = ball\ndomain.r0 = 0.5\n"
-                   "psi = 1\nh = 0.0625\neps.schedule = 1e-1, 1e-2, 0\n")
-    a, b = tmp_path / "a", tmp_path / "b"
-    a.mkdir(), b.mkdir()
-    assert main(["solve", "--config", str(cfg), "--out", str(a)]) == 0
-    assert main(["solve", "--config", str(cfg), "--out", str(b)]) == 0
-    fa = (a / "etacurv-solution.dat").read_bytes()
-    fb = (b / "etacurv-solution.dat").read_bytes()
-    ok = fa == fb
-    record(8, ok, f"two solve runs, {len(fa)} bytes each: "
+    # h = 1/16 is solved on one level, h = 1/64 on two
+    sizes = []
+    for h in ("0.0625", "0.015625"):
+        cfg = tmp_path / f"run{h}.cfg"
+        cfg.write_text("n = 2\ndomain.kind = ball\ndomain.r0 = 0.5\n"
+                       f"psi = 1\nh = {h}\neps.schedule = 1e-1, 1e-2, 0\n")
+        a, b = tmp_path / f"a{h}", tmp_path / f"b{h}"
+        a.mkdir(), b.mkdir()
+        assert main(["solve", "--config", str(cfg), "--out", str(a)]) == 0
+        assert main(["solve", "--config", str(cfg), "--out", str(b)]) == 0
+        fa = (a / "etacurv-solution.dat").read_bytes()
+        fb = (b / "etacurv-solution.dat").read_bytes()
+        if fa != fb:
+            break
+        sizes.append(len(fa))
+    ok = len(sizes) == 2
+    record(8, ok, "two solve runs each at h=1/16 and 1/64, "
+                  f"{' and '.join(map(str, sizes))} bytes: "
                   + ("bitwise identical" if ok else "DIFFER"))
     assert ok
+
+
+def test_criterion_9_unit_cap_order_four_meshes(cap32, cap64, cap128, cap256):
+    errs = [_cap_error(run) for run in (cap32, cap64, cap128, cap256)]
+    orders = [float(np.log2(a / b)) for a, b in zip(errs, errs[1:])]
+    ok = min(orders) >= 1.8
+    record(9, ok, "n=2 cap errors " + ", ".join(f"{e:.3e}" for e in errs)
+                  + " at h=1/32..1/256, observed orders "
+                  + ", ".join(f"{p:.2f}" for p in orders) + " (>=1.8)")
+    assert min(orders) >= 1.8
+
+
+def test_criterion_10_nested_iteration_fine_newton(cap64, cap128, cap256):
+    # the fine Newton starts from the prolonged 2h solution: mesh
+    # independence leaves it a few steps, against 8 from the cap
+    iters = [run["report"].final.iterations for run in (cap64, cap128, cap256)]
+    levels = []
+    for run in (cap64, cap128, cap256):
+        level, count = run["report"], 0
+        while level is not None:
+            level, count = level.coarse, count + 1
+        levels.append(count)
+    ok = max(iters) <= 3 and levels == [2, 3, 4]
+    record(10, ok, f"fine Newton iterations {iters} (<=3) at h=1/64..1/256 "
+                   f"on {levels} levels, time {cap256['elapsed']:.1f}s at 1/256")
+    assert max(iters) <= 3
+    assert levels == [2, 3, 4]
+    assert all(run["report"].final.start == "prolonged"
+               for run in (cap64, cap128, cap256))
+
+
+def test_criterion_11_coarse_error_estimate(cap64, ball24):
+    ratios = []
+    for run in (cap64, ball24):
+        ratios.append(run["report"].error_estimate / _cap_error(run))
+    ok = all(0.5 <= r <= 2.0 for r in ratios)
+    record(11, ok, "estimate / closed-form error: n=2 h=1/64 "
+                   f"{ratios[0]:.2f}, n=3 h=1/24 {ratios[1]:.2f} (within 2x)")
+    assert all(0.5 <= r <= 2.0 for r in ratios)

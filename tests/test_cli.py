@@ -243,6 +243,12 @@ def test_solve_undefined_psi_exits_1(tmp_path, psi):
     ("solve", "domain.r0 = 0.5", "domain.r0 = inf"),
     ("solve", "domain.r0 = 0.5", "domain.r0 = nan"),
     ("solve", "domain.semiaxes = 0.5, 0.35", "domain.semiaxes = 0.5, inf"),
+    # a scale outside [1e-100, 1e100], and a lattice box too large to
+    # build: refused before any grid is allocated
+    ("solve", "domain.r0 = 0.5", "domain.r0 = 1e-300"),
+    ("solve", "domain.r0 = 0.5", "domain.r0 = 1e300"),
+    ("solve", "domain.r0 = 0.5", "domain.r0 = 1e50"),
+    ("solve", "h = 0.0625", "h = 1e-300"),
     # a subsolution that reads the height, and one that fails its certificate
     ("solve", "subsolution = 0.2 * ((x1/0.5)^2 + (x2/0.35)^2 - 1)",
      "subsolution = 0.1*z"),
@@ -404,6 +410,48 @@ def test_solve_nearly_zero_psi_passes_certificates(tmp_path, capsys):
     assert "certificates=4/4" in capsys.readouterr().out
     report = (tmp_path / "etacurv-report.txt").read_text()
     assert "certificate estimate_evidence=pass" in report
+
+
+def test_solve_report_lists_coarse_levels(tmp_path, capsys):
+    # h = 1/64 is solved on the 2h lattice first: the report keeps one
+    # stage line for the requested mesh, started from the prolonged coarse
+    # solution, then the error estimate, then the coarse level's own lines
+    cfg = write_cfg(tmp_path, CAP_CFG.replace("h = 0.0625", "h = 0.015625")
+                    .replace("eps.schedule = 1e-1, 1e-2, 0\n", ""))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "etacurv-report.txt").read_text().splitlines()
+    stages = _stage_lines(tmp_path / "etacurv-report.txt")
+    assert len(stages) == 1
+    assert stages[0].startswith("stage eps=0 iterations=3 start=prolonged ")
+    [estimate] = [ln for ln in lines if ln.startswith("error_estimate=")]
+    assert 4e-6 < float(estimate.split("=")[1]) < 2e-5
+    coarse = [ln for ln in lines if ln.startswith("coarse ")]
+    assert len(coarse) == 1
+    assert coarse[0].startswith(
+        "coarse h=0.03125 stage eps=0 iterations=8 start=warm ")
+    assert lines.index(stages[0]) < lines.index(estimate) < lines.index(coarse[0])
+
+
+def test_solve_reports_coarse_level_warnings(tmp_path, capsys):
+    # the ellipsoid drops 8 mixed stencils at h = 1/24 and 8 more on its
+    # 2h level: the report names both, the coarse one behind its prefix;
+    # stderr carries the requested mesh's warnings only
+    cfg = write_cfg(tmp_path, """\
+n = 3
+domain.kind = ellipsoid
+domain.semiaxes = 0.5, 0.4, 0.3
+h = 0.041666666666666664
+psi = 0.5
+subsolution = 0.3*((x1/0.5)^2 + (x2/0.4)^2 + (x3/0.3)^2 - 1)
+""")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    note = "mixed-derivative stencils set to zero for want of usable nodes: 8"
+    assert capsys.readouterr().err.splitlines() == [
+        f"warning: {note}", f"warning: {ONE_STAGE_NOTE}"]
+    lines = (tmp_path / "etacurv-report.txt").read_text().splitlines()
+    assert f"warning {note}" in lines
+    assert f"coarse h=0.083333333333333329 warning {note}" in lines
 
 
 def _stage_lines(path):

@@ -23,6 +23,10 @@ def test_kinds_and_validation():
     for bad in (np.inf, np.nan):
         with pytest.raises(ValueError, match="finite"):
             DomainShape((0.5, bad))
+    # outside this scale the boundary points do not round-trip
+    for bad in (1e-300, 1e300):
+        with pytest.raises(ValueError, match=r"lie in \[1e-100, 1e\+100\]"):
+            DomainShape((bad, bad))
     with pytest.raises(ValueError):
         DomainShape((1.0,))
     with pytest.raises(ValueError):

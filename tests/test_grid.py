@@ -13,9 +13,13 @@ from etacurv.grid import (
     _bisect_arms,
     _build_pattern,
     all_derivatives,
+    MAX_LATTICE,
     build_grid,
+    check_lattice,
+    coarse_grid,
     fd_derivatives,
     nested_dissection,
+    prolongation,
 )
 
 DISK = DomainShape((0.5, 0.5))
@@ -361,3 +365,68 @@ def test_ops_pattern_past_int32_keys():
     assert J.shape == (m, m)
     assert J.nnz == 3 * m - 2
     assert abs(J - ref).max() == 0.0
+
+
+# ---------------------------------------------------------------- coarse levels
+
+SHAPES_2H = [(DISK, 1 / 64), (DomainShape((0.5, 0.3)), 1 / 64),
+             (DomainShape((0.5,) * 3), 1 / 24),
+             (DomainShape((0.5, 0.4, 0.3)), 1 / 24)]
+
+
+@pytest.mark.parametrize("shape, h", SHAPES_2H)
+def test_coarse_grid_nodes_are_the_even_fine_nodes(shape, h):
+    fine = build_grid(shape, h)
+    coarse = coarse_grid(fine, 200)
+    assert coarse.h == 2 * h
+    even = (fine.idx % 2 == 0).all(axis=1)
+    shared = fine.rows_at(2 * coarse.idx)
+    assert np.array_equal(np.sort(shared), np.flatnonzero(even))
+    assert np.array_equal(coarse.pos, fine.pos[shared])  # bitwise
+    assert coarse_grid(fine, coarse.size + 1) is None
+
+
+@pytest.mark.parametrize("shape, h", SHAPES_2H)
+def test_prolongation_exact_on_quadratics_vanishing_on_boundary(shape, h):
+    # the Taylor expansions are exact on quadratics, and the coarse stencils
+    # too where the quadratic vanishes on the boundary (u = 0 there)
+    fine = build_grid(shape, h)
+    coarse = coarse_grid(fine, 200)
+    P = prolongation(coarse, fine)
+    uc = shape.implicit(coarse.pos)
+    assert np.abs(P @ uc - shape.implicit(fine.pos)).max() <= 1e-14
+    # a fine node that is a coarse node takes its value bitwise
+    shared = fine.rows_at(2 * coarse.idx)
+    v = np.random.default_rng(1).standard_normal(coarse.size)
+    assert np.array_equal((P @ v)[shared], v)
+
+
+def test_prolongation_without_interior_corners_expands_about_nearest_node():
+    # a coarse grid on a smaller disk leaves the outer fine nodes with no
+    # interior corner; each expands about its nearest coarse node, which is
+    # still exact on a quadratic vanishing on the small disk's boundary
+    small = DomainShape((0.3, 0.3))
+    fine, coarse = build_grid(DISK, 1 / 32), build_grid(small, 1 / 16)
+    P = prolongation(coarse, fine)
+    outer = small.implicit(fine.pos) > 0.1
+    assert outer.any()
+    err = np.abs(P @ small.implicit(coarse.pos) - small.implicit(fine.pos))
+    assert err.max() <= 1e-14
+
+
+def test_check_lattice_refuses_before_building():
+    # counted in floating point: neither lattice is allocated
+    for shape, h in ((DISK, 1e-300), (DomainShape((1e50, 1e50)), 1 / 16),
+                     (DISK, 1e-5)):
+        with pytest.raises(ValueError, match="too fine"):
+            check_lattice(shape, h)
+        with pytest.raises(ValueError, match="too fine"):
+            build_grid(shape, h)
+    for h in (0.0, -1.0, np.inf, np.nan):
+        with pytest.raises(ValueError, match="finite and > 0"):
+            build_grid(DISK, h)
+    # the limit is on the padded box, (2 * 0.5 / h + 3)^2 points on the disk
+    assert (2 * 1024 + 3) ** 2 <= MAX_LATTICE < (2 * 2048 + 3) ** 2
+    check_lattice(DISK, 1 / 2048)
+    with pytest.raises(ValueError, match="too fine"):
+        check_lattice(DISK, 1 / 4096)

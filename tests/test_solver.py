@@ -2,6 +2,7 @@
 
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,7 +13,7 @@ from etacurv import cli, geometry, solver
 from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
 from etacurv.geometry import batch_geometry
-from etacurv.grid import all_derivatives, build_grid
+from etacurv.grid import all_derivatives, build_grid, prolongation
 from etacurv.solver import (
     LinearSolveFailure,
     NegativePsi,
@@ -540,8 +541,29 @@ def test_newton_corrupted_factorization_raises(monkeypatch):
         return real((A + shift).tocsc(), *args, **kwargs)
 
     monkeypatch.setattr(scipy.sparse.linalg, "splu", corrupted)
-    with pytest.raises(LinearSolveFailure, match="1e-12 contract"):
+    with pytest.raises(LinearSolveFailure, match="backward error .* exceeds"):
         newton_solve(spec, grid, cap_function(grid, 1.2), 0.0)
+
+
+def test_backward_error_contract_holds_on_fine_single_level_mesh(monkeypatch):
+    # J's condition number grows like h^-2, so the old relative-residual
+    # contract ||J du + r||_2 <= 1e-12 ||r||_2 rejected the backward-stable
+    # direct solves of this mesh; the normwise backward error does not
+    monkeypatch.setattr(solver, "coarse_grid", lambda grid, min_nodes: None)
+    h = 1 / 80
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
+    grid = build_grid(DISK, h)
+    u, report = continuation_solve(spec, grid)
+    assert report.warnings == [] and report.coarse is None
+    assert np.abs(u - exact_cap(grid)).max() <= 1e-5
+    u0 = cap_function(grid, 0.525)
+    J, res = jacobian(spec, grid, u0, 0.0), residual(spec, grid, u0, 0.0)
+    held = solver._Factorization(grid)
+    held.lu = held.factorize(J)
+    du = held.apply(-res)
+    omega, misses = solver._linear_residual(J, du, res)
+    assert not misses and omega <= solver.OMEGA_MAX
+    assert np.linalg.norm(J @ du + res) > 1e-12 * np.linalg.norm(res)
 
 
 # ---------------------------------------------------------------- guess
@@ -762,6 +784,102 @@ def test_continuation_propagates_negative_psi():
     spec = ProblemSpec(n=2, shape=DISK, psi="-1", h=1 / 8)
     with pytest.raises(NegativePsi):
         continuation_solve(spec)
+
+
+# ---------------------------------------------------------------- nested iteration
+
+
+@pytest.mark.parametrize("n, psi, h", [(2, "1", 1 / 64), (3, "8", 1 / 16)])
+def test_nested_solve_matches_single_level_newton(n, psi, h):
+    # the coarse level only moves the start: the solution is the one plain
+    # Newton finds from the same cap, to well below the discretization error
+    shape = DomainShape((0.5,) * n)
+    grid = build_grid(shape, h)
+    spec = ProblemSpec(n=n, shape=shape, psi=psi, h=h)
+    u0 = initial_guess(spec, grid)
+    u, report = continuation_solve(spec, grid, u0)
+    u_plain, plain = newton_solve(spec, grid, u0, 0.0)
+    assert report.coarse is not None
+    assert [st.start for st in report.stages] == ["prolonged"]
+    assert report.stages[0].iterations < plain.iterations
+    assert np.abs(u - u_plain).max() <= 1e-9
+
+
+def test_solve_report_carries_coarse_counts():
+    # the 2h level is the solve of the 2h problem from the injected cap:
+    # its report holds that solve's stages, counts and solution
+    h = 1 / 64
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
+    u, report = continuation_solve(spec, build_grid(DISK, h))
+    spec_2h = ProblemSpec(n=2, shape=DISK, psi="1", h=2 * h)
+    grid_2h = build_grid(DISK, 2 * h)
+    u_2h, alone = continuation_solve(spec_2h, grid_2h)
+    assert alone.coarse is None and alone.error_estimate is None
+    coarse = report.coarse
+    assert coarse.coarse is None
+    assert [(st.eps, st.iterations, st.factorizations, st.krylov_iters,
+             st.lu_fill, st.start) for st in coarse.stages] == [
+        (st.eps, st.iterations, st.factorizations, st.krylov_iters,
+         st.lu_fill, st.start) for st in alone.stages]
+    assert coarse.stages[0].factorizations >= 1
+    assert coarse.stages[0].krylov_iters > 0
+    # the estimate compares the two solutions on the shared nodes
+    shared = build_grid(DISK, h).rows_at(2 * grid_2h.idx)
+    assert report.error_estimate == np.abs(u[shared] - u_2h).max() / 3.0
+
+
+def test_prolonged_start_outside_cone_falls_back_to_warm():
+    # psi = r^2 is flat at the center: at small eps the prolonged start
+    # leaves the cone there, and that stage starts from the previous one
+    h = 1 / 64
+    spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=h)
+    grid = build_grid(DISK, h)
+    _, report = continuation_solve(spec, grid)
+    starts = [st.start for st in report.stages]
+    assert starts[0] == "prolonged" and "warm" in starts
+    for st in report.stages:
+        assert (st.rejected_margin is None) == (st.start == "prolonged")
+        assert st.margins[0] > 0.0 and st.residual_norms[-1] <= 1e-10
+    # the rejected start is that stage's 2h solution, prolonged
+    k = starts.index("warm")
+    eps = [st.eps for st in report.stages]
+    coarse = build_grid(DISK, 2 * h)
+    u_2h, _ = continuation_solve(replace(spec, h=2 * h,
+                                         eps_schedule=eps[:k + 1]), coarse)
+    with pytest.raises(NotAdmissible) as info:
+        residual(spec, grid, prolongation(coarse, grid) @ u_2h, eps[k])
+    assert info.value.margin == report.stages[k].rejected_margin < 0.0
+
+
+def test_coarse_failure_falls_back_to_single_level(monkeypatch):
+    # a coarse level that fails, here down both schedules, costs one
+    # warning line, and the solve is the single-level one, bitwise
+    h = 1 / 64
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
+    grid = build_grid(DISK, h)
+    real = solver.newton_solve
+
+    def coarse_fails(spec, grid, u0, eps, factorization=None):
+        if grid.h != h:
+            exc = Stagnation("forced")
+            exc.stage = solver.StageReport(eps)
+            raise exc
+        return real(spec, grid, u0, eps, factorization)
+
+    monkeypatch.setattr(solver, "newton_solve", coarse_fails)
+    u, report = continuation_solve(spec, grid)
+    assert report.warnings == [
+        "coarse level h=0.03125 failed (forced (continuation stage eps=0.1)); "
+        "solving without coarse starts"]
+    assert report.coarse is None and report.error_estimate is None
+    assert [st.start for st in report.stages] == ["warm"]
+    monkeypatch.setattr(solver, "newton_solve", real)
+    monkeypatch.setattr(solver, "coarse_grid", lambda grid, min_nodes: None)
+    u_single, single = continuation_solve(spec, grid)
+    assert np.array_equal(u, u_single)
+    assert single.warnings == []
+    assert ([st.iterations for st in report.stages]
+            == [st.iterations for st in single.stages])
 
 
 # ---------------------------------------------------------------- output
