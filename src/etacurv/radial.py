@@ -34,6 +34,10 @@ class BracketFailure(Exception):
         self.endpoints = endpoints
 
 
+class NegativePsi(ValueError):
+    """psi evaluated negative along the integration."""
+
+
 class StiffnessFailure(Exception):
     """Integration blew up (non-finite state or runaway second derivative)."""
 
@@ -92,7 +96,7 @@ def radial_curvatures(r, up, upp, n):
 def regularize_value(psi_value, eps, n):
     """(psi^{1/(n-1)} + eps)^{n-1}; identity at eps = 0."""
     if psi_value < 0.0:
-        raise ValueError(f"psi must be nonnegative, got {psi_value:g}")
+        raise NegativePsi(f"psi must be nonnegative, got {psi_value:g}")
     if eps == 0.0:
         return psi_value
     return (psi_value ** (1.0 / (n - 1)) + eps) ** (n - 1)
@@ -231,22 +235,35 @@ def shoot(psi, r0, n, tol=1e-10, steps=4096, eps=0.0, max_bisect=200):
     u(r0; a) = a + rise with a fixed rise: one integration determines the
     shot.  Otherwise u(r0; a) is monotone in a for psi_z >= 0 (deeper caps
     see no larger psi) and a bracketed secant/bisection search runs on it.
+    Its lower end starts at -r0 and doubles downward while u(r0) > 0 there;
+    a trial center below 0 whose integration meets psi < 0 or stiffness is
+    too deep, u(r0) = -inf.
     """
     if r0 <= 0.0 or not 0.0 < tol < math.inf or steps < 1:
         raise ValueError("need r0 > 0, finite tol > 0 and steps >= 1")
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps:g}")
-    lo, hi = -10.0 * r0, 0.0
+    deepest = -10.0 * r0
 
     if "z" not in variables(psi):
         rise = _integrate(psi, 0.0, r0, n, steps, eps)
         a = -rise
-        if a < lo or a > hi:
+        if a < deepest or a > 0.0:
             raise BracketFailure("u(r0) does not change sign",
-                                 (lo + rise, rise))
+                                 (deepest + rise, rise))
     else:
-        f_lo = _integrate(psi, lo, r0, n, steps, eps)
-        f_hi = _integrate(psi, hi, r0, n, steps, eps)
+        def shot(a):
+            try:
+                return _integrate(psi, a, r0, n, steps, eps)
+            except (NegativePsi, StiffnessFailure):
+                return -math.inf
+
+        hi, f_hi = 0.0, _integrate(psi, 0.0, r0, n, steps, eps)
+        lo, f_lo = -r0, shot(-r0)
+        while f_lo > 0.0 and lo > deepest:
+            hi, f_hi = lo, f_lo
+            lo = max(2.0 * lo, deepest)
+            f_lo = shot(lo)
         if f_lo > 0.0 or f_hi < 0.0:
             raise BracketFailure("u(r0) does not change sign", (f_lo, f_hi))
         a, fa = hi, f_hi
@@ -254,10 +271,11 @@ def shoot(psi, r0, n, tol=1e-10, steps=4096, eps=0.0, max_bisect=200):
             if abs(fa) <= tol:
                 break
             # secant proposal, clipped into the bracket; bisection fallback
+            # (a too-deep lo proposes hi itself)
             prop = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else None
             mid = 0.5 * (lo + hi)
             a = prop if prop is not None and lo < prop < hi else mid
-            fa = _integrate(psi, a, r0, n, steps, eps)
+            fa = shot(a)
             if fa < 0.0:
                 lo, f_lo = a, fa
             else:

@@ -20,7 +20,10 @@ error estimate max |u_h - u_2h| / 3 of SolveReport.error_estimate.
 
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test, psi and the residual; its Jacobian and its
-StageReport reuse that state.
+StageReport reuse that state.  Each Newton equation is solved to a
+normwise backward error of at most OMEGA_MAX: by iterative refinement on
+the held LU of an earlier Jacobian while that converges, else from a fresh
+nested-dissection LU (_Factorization).
 
 effective_schedule plans the eps path once per solve, from one evaluation
 of psi at the rest state u = 0, Du = 0: the schedules to try in order from
@@ -104,6 +107,10 @@ MIN_STEP = 1.0 / 1024.0
 #: roundoffs, a bound that does not tighten as J's conditioning grows
 OMEGA_MAX = 64.0 * np.finfo(float).eps / 2.0
 
+#: the most sweeps of iterative refinement on the held LU per Newton
+#: equation before J is factorized afresh
+REFINE_SWEEPS = 20
+
 #: radius of the automatic cap over r0: the steepest cap over the ball
 _AUTO_CAP = 1.05
 
@@ -171,9 +178,10 @@ class StageReport:
     sup_u: float = 0.0
     sup_du: float = 0.0
     sup_d2u: float = 0.0
-    #: sparse LU factorizations and GMRES iterations spent in this stage
+    #: sparse LU factorizations and refinement sweeps on the held LU spent
+    #: in this stage
     factorizations: int = 0
-    krylov_iters: int = 0
+    refinements: int = 0
     #: L+U nonzeros of the factorization held at the end of the stage
     lu_fill: int = 0
     #: "prolonged" when Newton started from the coarse level's solution of
@@ -320,7 +328,7 @@ class _Factorization:
 
     One holder lives for a whole continuation_solve call, across Newton
     iterations and eps stages; it also counts the factorizations and the
-    GMRES iterations spent on the Newton equations.  Every factorization
+    refinement sweeps spent on the Newton equations.  Every factorization
     is of P J P^T, P the grid's nested-dissection order: SuperLU is asked
     for no column ordering of its own and keeps its partial row pivoting.
     """
@@ -329,8 +337,7 @@ class _Factorization:
         self.perm = nested_dissection(grid)
         self.lu = None
         self.factorizations = 0
-        self.krylov_iters = 0
-        self._last = None  # (lu, rhs, x) of the latest triangular solve
+        self.refinements = 0
 
     def factorize(self, J):
         """SuperLU of J in the held order; not kept or counted."""
@@ -339,52 +346,43 @@ class _Factorization:
                                         permc_spec="NATURAL")
 
     def apply(self, b):
-        """x with J_lu x = b for the Jacobian J_lu the held LU factorizes.
-
-        scipy's gmres applies the preconditioner to its right-hand side to
-        set its inner tolerance, right after x0 was solved from that same
-        b; a repeat of the latest b is answered without a second solve.
-        """
-        last = self._last
-        if last is not None and last[0] is self.lu and np.array_equal(last[1], b):
-            return last[2].copy()
+        """x with J_lu x = b for the Jacobian J_lu the held LU factorizes."""
         x = np.empty_like(b)
         x[self.perm] = self.lu.solve(b[self.perm])
-        self._last = (self.lu, b.copy(), x.copy())
         return x
 
     def reuse(self, J, res):
-        """A candidate for du from one GMRES(20) cycle on J du = -res,
-        preconditioned by the held LU and started at its direct solve;
-        None when no LU is held."""
+        """du with omega <= OMEGA_MAX as a solution of J du = -res, by
+        iterative refinement on the held LU: du = LU^{-1}(-res), then sweeps
+        du <- du - LU^{-1}(J du + res).  None when no LU is held, at the
+        first sweep that does not lower omega, and after REFINE_SWEEPS
+        sweeps (Higham, Accuracy and Stability of Numerical Algorithms,
+        ch. 12)."""
         if self.lu is None:
             return None
-
-        def count(_):
-            self.krylov_iters += 1
-
-        # rtol at roundoff, not an inexact-Newton forcing term: an accepted
-        # du equals the direct solve's up to rounding.  dtype is given so
-        # that LinearOperator does not spend a solve probing it.
-        M = scipy.sparse.linalg.LinearOperator(J.shape, matvec=self.apply,
-                                               dtype=float)
-        du, _ = scipy.sparse.linalg.gmres(
-            J, -res, x0=self.apply(-res), rtol=1e-15, atol=0.0,
-            restart=20, maxiter=1, M=M, callback=count,
-            callback_type="pr_norm")
-        return du
+        norm_J = abs(J).sum(axis=1).max()
+        du, last = self.apply(-res), np.inf
+        for sweep in range(REFINE_SWEEPS + 1):
+            lin = J @ du + res
+            omega = _backward_error(lin, norm_J, du, res)
+            if omega <= OMEGA_MAX:
+                return du
+            if not omega < last or sweep == REFINE_SWEEPS:
+                return None
+            du, last = du - self.apply(lin), omega
+            self.refinements += 1
 
     def solve(self, J, res):
         """du with normwise backward error omega <= OMEGA_MAX as a solution
-        of J du = -res (see _linear_residual).
+        of J du = -res (see _backward_error).
 
-        The reused-LU candidate is kept only when it meets that contract;
-        otherwise J is factorized afresh and solved directly, and a direct
-        solve that misses the same contract raises LinearSolveFailure
-        (newton_solve attaches its stage).
+        Refinement on the held LU is tried first (reuse); when it declines,
+        J is factorized afresh and solved directly, and a direct solve that
+        misses the same contract raises LinearSolveFailure (newton_solve
+        attaches its stage).
         """
         du = self.reuse(J, res)
-        if du is not None and not _linear_residual(J, du, res)[1]:
+        if du is not None:
             return du
         try:
             self.lu = self.factorize(J)
@@ -393,27 +391,25 @@ class _Factorization:
             raise LinearSolveFailure(
                 f"sparse factorization failed: {exc}") from exc
         self.factorizations += 1
-        omega, misses = _linear_residual(J, du, res)
-        if misses:
+        omega = _backward_error(J @ du + res, abs(J).sum(axis=1).max(), du, res)
+        if not omega <= OMEGA_MAX:
             raise LinearSolveFailure(
                 f"linear solve backward error {omega:.3e} exceeds the "
                 f"contract omega <= 64u = {OMEGA_MAX:.3g}")
         return du
 
 
-def _linear_residual(J, du, res):
-    """(omega, whether omega misses OMEGA_MAX): the Rigal-Gaches normwise
-    backward error of du as a solution of J du = -res,
+def _backward_error(lin, norm_J, du, res):
+    """The Rigal-Gaches normwise backward error omega of du as a solution
+    of J du = -res, from lin = J du + res and norm_J = ||J||_inf:
 
         omega = ||J du + res||_inf / (||J||_inf ||du||_inf + ||res||_inf),
 
     the smallest relative perturbation of J and res that du solves exactly
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm. 7.1)."""
-    lin = np.abs(J @ du + res).max()
-    norm_J = np.abs(J).sum(axis=1).max()
+    lin = np.abs(lin).max()
     scale = norm_J * np.abs(du).max() + np.abs(res).max()
-    omega = float(lin / scale if scale > 0.0 else lin)
-    return omega, not omega <= OMEGA_MAX
+    return float(lin / scale if scale > 0.0 else lin)
 
 
 def newton_solve(spec, grid, u0, eps, factorization=None):
@@ -431,14 +427,14 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
 
     Each Newton equation J du = -res is solved to a normwise backward error
     ||J du + res||_inf / (||J||_inf ||du||_inf + ||res||_inf) of at most
-    OMEGA_MAX = 64u, u the unit roundoff.  The last sparse LU is reused as
-    a GMRES preconditioner; J is factorized afresh only when that misses
-    the contract.  factorization is the _Factorization holder
+    OMEGA_MAX = 64u, u the unit roundoff.  Iterative refinement on the last
+    sparse LU is tried first; J is factorized afresh only when that stalls
+    or runs out of sweeps.  factorization is the _Factorization holder
     shared along a continuation; a fresh one is made when None.
     """
     if factorization is None:
         factorization = _Factorization(grid)
-    done = factorization.factorizations, factorization.krylov_iters
+    done = factorization.factorizations, factorization.refinements
     stage = StageReport(eps)
     u = np.asarray(u0, dtype=float).copy()
     # raises NotAdmissible on a bad start
@@ -482,7 +478,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
         stage.sup_du = float(np.linalg.norm(p, axis=1).max())
         stage.sup_d2u = float(np.abs(np.linalg.eigvalsh(r)).max())
         stage.factorizations = factorization.factorizations - done[0]
-        stage.krylov_iters = factorization.krylov_iters - done[1]
+        stage.refinements = factorization.refinements - done[1]
         stage.lu_fill = int(getattr(factorization.lu, "nnz", 0))
 
 

@@ -200,7 +200,7 @@ def test_solve_success(cap_cfg, tmp_path, capsys):
     assert len(stages) == 3
     # the first stage factorizes at least once; every stage reports its work
     assert "factorizations=0 " not in stages[0]
-    assert all(re.search(r" factorizations=\d+ krylov_iters=\d+ lu_fill=\d+$", ln)
+    assert all(re.search(r" factorizations=\d+ refinements=\d+ lu_fill=\d+$", ln)
                for ln in stages)
     # the held factorization is never empty
     assert all(int(ln.rsplit("lu_fill=", 1)[1]) > 0 for ln in stages)

@@ -120,6 +120,20 @@ def test_shoot_z_dependent():
     assert EXACT_CAP * 1.5 < prof.center_value < 0.0  # shallower than psi = 1
 
 
+@pytest.mark.parametrize("text, center, grid_min", [
+    ("1 + z", -0.126574, -0.126536),
+    ("1 - z", -0.141985, -0.141953),
+])
+def test_shoot_bracket_grows_from_shallow_end(text, center, grid_min):
+    # a center of -10 r0 meets psi < 0 (1 + z) or a stiff profile (1 - z):
+    # the bracket grows from the shallow end and treats such centers as deep
+    prof = shoot(parse(text), 0.5, 2, steps=256)
+    assert prof.boundary_residual <= 1e-10
+    assert prof.center_value == pytest.approx(center, abs=1e-6)
+    # grid_min: the minimum of the grid solve at h = 1/32
+    assert abs(prof.center_value - grid_min) <= 1e-4
+
+
 def test_shoot_failures():
     with pytest.raises(StiffnessFailure):
         shoot(parse("1000000"), 0.5, 2, steps=256)

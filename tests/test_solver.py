@@ -475,6 +475,12 @@ def _counting_splu(monkeypatch):
     return calls
 
 
+def _omega(J, du, res):
+    """The backward error of du as a solution of J du = -res."""
+    return solver._backward_error(J @ du + res, abs(J).sum(axis=1).max(),
+                                  du, res)
+
+
 def test_continuation_reuses_factorization(monkeypatch):
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 32)
     calls = _counting_splu(monkeypatch)
@@ -482,7 +488,7 @@ def test_continuation_reuses_factorization(monkeypatch):
     iters = [st.iterations for st in report.stages]
     assert len(calls) < sum(iters)
     assert sum(st.factorizations for st in report.stages) == len(calls)
-    assert sum(st.krylov_iters for st in report.stages) > 0
+    assert sum(st.refinements for st in report.stages) > 0
 
     # the same solve with every reuse declined factorizes at every iteration
     monkeypatch.setattr(solver._Factorization, "reuse",
@@ -492,7 +498,7 @@ def test_continuation_reuses_factorization(monkeypatch):
     assert [st.iterations for st in direct.stages] == iters
     assert len(calls) == sum(iters)
     assert len(set(calls)) == 1  # J's pattern does not depend on the iterate
-    assert all(st.krylov_iters == 0 for st in direct.stages)
+    assert all(st.refinements == 0 for st in direct.stages)
     assert np.abs(u - u_direct).max() <= 1e-12
 
 
@@ -507,7 +513,8 @@ def test_newton_refactors_when_stale_lu_misses_contract():
     bad = J0 + scipy.sparse.diags(10.0 * abs(J0).max() * noise)
     held = solver._Factorization(grid)
     stale = held.lu = held.factorize(bad)
-    assert solver._linear_residual(J0, held.reuse(J0, res0), res0)[1]
+    assert _omega(J0, held.apply(-res0), res0) > solver.OMEGA_MAX
+    assert held.reuse(J0, res0) is None
 
     u, stage = newton_solve(spec, grid, u0, 0.0, held)
     u_ref, stage_ref = newton_solve(spec, grid, u0, 0.0)
@@ -515,6 +522,36 @@ def test_newton_refactors_when_stale_lu_misses_contract():
     assert held.factorizations >= 1
     assert stage.iterations == stage_ref.iterations
     assert np.abs(u - u_ref).max() <= 1e-12
+
+
+def test_refinement_on_held_lu_meets_contract_or_declines():
+    h = 1 / 32
+    grid = build_grid(DISK, h)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
+
+    def equation(R):
+        u = cap_function(grid, R)
+        return jacobian(spec, grid, u, 0.0), residual(spec, grid, u, 0.0)
+
+    J, res = equation(1.2)
+    held = solver._Factorization(grid)
+    held.lu = held.factorize(J)
+    direct = held.apply(-res)
+    # an LU of a nearby Jacobian refines to the contract without a new one
+    held.lu = held.factorize(equation(1.19)[0])
+    du = held.solve(J, res)
+    assert held.factorizations == 0
+    assert 0 < held.refinements < solver.REFINE_SWEEPS
+    assert _omega(J, du, res) <= solver.OMEGA_MAX
+    assert np.abs(du - direct).max() <= 1e-10 * np.abs(direct).max()
+    # a noisy LU and one of a far Jacobian stall before the sweeps run out
+    noise = np.random.default_rng(3).uniform(-1.0, 1.0, grid.size)
+    bad = J + scipy.sparse.diags(10.0 * abs(J).max() * noise)
+    for stale in (bad, equation(0.6)[0]):
+        held = solver._Factorization(grid)
+        held.lu = held.factorize(stale)
+        assert held.reuse(J, res) is None
+        assert 0 < held.refinements < solver.REFINE_SWEEPS
 
 
 def test_nested_dissection_cuts_fill_and_meets_contract():
@@ -527,7 +564,7 @@ def test_nested_dissection_cuts_fill_and_meets_contract():
     held = solver._Factorization(grid)
     held.lu = held.factorize(J)
     assert held.lu.nnz < scipy.sparse.linalg.splu(J.tocsc()).nnz
-    assert not solver._linear_residual(J, held.apply(-res), res)[1]
+    assert _omega(J, held.apply(-res), res) <= solver.OMEGA_MAX
 
 
 def test_newton_corrupted_factorization_raises(monkeypatch):
@@ -561,8 +598,7 @@ def test_backward_error_contract_holds_on_fine_single_level_mesh(monkeypatch):
     held = solver._Factorization(grid)
     held.lu = held.factorize(J)
     du = held.apply(-res)
-    omega, misses = solver._linear_residual(J, du, res)
-    assert not misses and omega <= solver.OMEGA_MAX
+    assert _omega(J, du, res) <= solver.OMEGA_MAX
     assert np.linalg.norm(J @ du + res) > 1e-12 * np.linalg.norm(res)
 
 
@@ -817,12 +853,12 @@ def test_solve_report_carries_coarse_counts():
     assert alone.coarse is None and alone.error_estimate is None
     coarse = report.coarse
     assert coarse.coarse is None
-    assert [(st.eps, st.iterations, st.factorizations, st.krylov_iters,
+    assert [(st.eps, st.iterations, st.factorizations, st.refinements,
              st.lu_fill, st.start) for st in coarse.stages] == [
-        (st.eps, st.iterations, st.factorizations, st.krylov_iters,
+        (st.eps, st.iterations, st.factorizations, st.refinements,
          st.lu_fill, st.start) for st in alone.stages]
     assert coarse.stages[0].factorizations >= 1
-    assert coarse.stages[0].krylov_iters > 0
+    assert coarse.stages[0].refinements > 0
     # the estimate compares the two solutions on the shared nodes
     shared = build_grid(DISK, h).rows_at(2 * grid_2h.idx)
     assert report.error_estimate == np.abs(u[shared] - u_2h).max() / 3.0
