@@ -251,7 +251,8 @@ def _stage_line(st):
             f"residual={st.residual_norms[-1]:.17g} "
             f"margin={st.min_margin:.17g} sup_u={st.sup_u:.17g} "
             f"sup_du={st.sup_du:.17g} sup_d2u={st.sup_d2u:.17g} "
-            f"factorizations={st.factorizations} refinements={st.refinements} "
+            f"inverse={st.inverse} factorizations={st.factorizations} "
+            f"refinements={st.refinements} fallbacks={st.fallbacks} "
             f"lu_fill={st.lu_fill}")
 
 

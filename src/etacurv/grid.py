@@ -1,6 +1,7 @@
 """Masked Cartesian finite-difference grids with boundary-fitted stencils.
 
-The lattice {i*h} is clipped to a convex shape's open interior.  Nodes whose
+The lattice {i*h} is clipped to a convex shape's open interior, less the
+nodes within roundoff of its boundary (INTERIOR_MARGIN).  Nodes whose
 2n axis neighbors are all interior are "regular" and get central
 second-order stencils.  Nodes next to the boundary are "irregular": the
 distance to the boundary crossing along each blocked arm is found by
@@ -167,6 +168,14 @@ def check_lattice(shape, h):
             f"would hold {points:.3g} points, more than {MAX_LATTICE}")
 
 
+#: build_grid keeps a lattice node only where the shape's (dimensionless)
+#: implicit function is below -INTERIOR_MARGIN: a node within roundoff of
+#: the boundary would get an arm theta ~ 1e-16, and the Shortley-Weller
+#: weights grow like theta^-2.  The same margin at every spacing keeps the
+#: coarse nodes exactly the even fine nodes.
+INTERIOR_MARGIN = 1e-12
+
+
 def build_grid(shape, h):
     """Clip the spacing-h lattice to the shape and precompute arm geometry."""
     check_lattice(shape, h)
@@ -175,7 +184,7 @@ def build_grid(shape, h):
     mesh = np.meshgrid(*[np.arange(-k, k + 1) for k in half], indexing="ij")
     idx_all = np.stack([m.ravel() for m in mesh], axis=-1)
     pos_all = idx_all * h
-    inside = shape.implicit(pos_all) < 0.0
+    inside = shape.implicit(pos_all) < -INTERIOR_MARGIN
     idx = np.ascontiguousarray(idx_all[inside])   # meshgrid order = lexicographic
     pos = np.ascontiguousarray(pos_all[inside])
     m = idx.shape[0]  # >= 1: every shape is centred, so the origin is interior
@@ -202,7 +211,8 @@ def _bisect_arms(shape, pos, h, cross):
     step = np.zeros_like(x0)
     step[np.arange(len(cross)), cross[:, 1]] = cross[:, 3] * h
     phi_end = shape.implicit(x0 + step)
-    # interior start guarantees phi(0) < 0 <= phi(1)
+    # interior start guarantees phi(0) < 0; a neighbor dropped by
+    # INTERIOR_MARGIN has -INTERIOR_MARGIN <= phi(1) < 0 and bisects to 1
     lo = np.zeros(len(cross))
     hi = np.ones(len(cross))
     exact = phi_end == 0.0
@@ -353,6 +363,33 @@ def coarse_grid(grid, min_nodes):
     return build_grid(grid.shape, 2.0 * grid.h)
 
 
+def _corner_weights(coarse, fine):
+    """(keys, rows, w): the lattice keys (m_fine, 2^n, n) of each fine
+    node's coarse-cell corners, their coarse rows (-1 outside the interior)
+    and the multilinear weights (m_fine, 2^n) of the fine node in the cell,
+    0 at a corner outside the interior."""
+    lo = fine.idx // 2
+    half = (fine.idx - 2 * lo) / 2.0  # position in the coarse cell, 0 or 1/2
+    corner = np.array(list(itertools.product((0, 1), repeat=fine.n)))
+    keys = lo[:, None, :] + corner
+    rows = coarse.rows_at(keys)
+    w = np.prod(np.where(corner == 1, half[:, None, :], 1.0 - half[:, None, :]),
+                axis=-1) * (rows >= 0)
+    return keys, rows, w
+
+
+def interpolation(coarse, fine):
+    """Sparse (m_fine, m_coarse) CSR multilinear interpolation: each fine
+    node takes its coarse cell's corner values with the multilinear
+    weights, not renormalized, so a corner outside the interior carries
+    the Dirichlet value 0.  A fine node that is a coarse node gets that
+    node's value.  The two-grid cycle's transfer operator."""
+    _, rows, w = _corner_weights(coarse, fine)
+    node, c = np.nonzero(w)
+    return scipy.sparse.csr_matrix((w[node, c], (node, rows[node, c])),
+                                   shape=(fine.size, coarse.size))
+
+
 def prolongation(coarse, fine):
     """Sparse (m_fine, m_coarse) CSR map of coarse grid functions to fine ones.
 
@@ -365,13 +402,7 @@ def prolongation(coarse, fine):
     interior expands about its nearest coarse node instead.
     """
     n, h, mc = fine.n, fine.h, coarse.size
-    lo = fine.idx // 2
-    half = (fine.idx - 2 * lo) / 2.0  # position in the coarse cell, 0 or 1/2
-    corner = np.array(list(itertools.product((0, 1), repeat=n)))
-    keys = lo[:, None, :] + corner
-    rows = coarse.rows_at(keys)
-    w = np.prod(np.where(corner == 1, half[:, None, :], 1.0 - half[:, None, :]),
-                axis=-1) * (rows >= 0)
+    keys, rows, w = _corner_weights(coarse, fine)
     orphan = np.flatnonzero(w.sum(axis=1) == 0.0)
     if len(orphan):
         dist = ((fine.idx[orphan, None, :] - 2 * coarse.idx) ** 2).sum(axis=-1)

@@ -21,9 +21,12 @@ error estimate max |u_h - u_2h| / 3 of SolveReport.error_estimate.
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test, psi and the residual; its Jacobian and its
 StageReport reuse that state.  Each Newton equation is solved to a
-normwise backward error of at most OMEGA_MAX: by iterative refinement on
-the held LU of an earlier Jacobian while that converges, else from a fresh
-nested-dissection LU (_Factorization).
+normwise backward error of at most OMEGA_MAX by iterative refinement on the
+approximate inverse held from an earlier Jacobian while that converges,
+else on one built afresh (_Factorization): a nested-dissection LU of J, or
+on a 3D level with a 2h level below it a two-grid cycle, whose only
+factorization is of the Galerkin coarse operator.  A fresh two-grid that
+does not converge falls back to the LU of J.
 
 effective_schedule plans the eps path once per solve, from one evaluation
 of psi at the rest state u = 0, Du = 0: the schedules to try in order from
@@ -52,6 +55,7 @@ from .grid import (
     build_grid,
     check_lattice,
     coarse_grid,
+    interpolation,
     nested_dissection,
     prolongation,
 )
@@ -107,9 +111,16 @@ MIN_STEP = 1.0 / 1024.0
 #: roundoffs, a bound that does not tighten as J's conditioning grows
 OMEGA_MAX = 64.0 * np.finfo(float).eps / 2.0
 
-#: the most sweeps of iterative refinement on the held LU per Newton
-#: equation before J is factorized afresh
+#: the most sweeps of iterative refinement on a held LU per Newton
+#: equation before a new inverse is built
 REFINE_SWEEPS = 20
+
+#: the two-grid cycle of a 3D level with a 2h level below it: this many
+#: damped-Jacobi sweeps before and after the coarse correction, with this
+#: weight, and at most CYCLE_SWEEPS cycles of refinement per Newton equation
+SMOOTHING_SWEEPS = 2
+SMOOTHING_WEIGHT = 0.7
+CYCLE_SWEEPS = 60
 
 #: radius of the automatic cap over r0: the steepest cap over the ball
 _AUTO_CAP = 1.05
@@ -178,11 +189,18 @@ class StageReport:
     sup_u: float = 0.0
     sup_du: float = 0.0
     sup_d2u: float = 0.0
-    #: sparse LU factorizations and refinement sweeps on the held LU spent
-    #: in this stage
+    #: the approximate inverse held at the end of the stage: "lu", a sparse
+    #: LU of J, or "two-grid", the cycle of a 3D level with a 2h level
+    #: below it
+    inverse: str = "lu"
+    #: sparse LU factorizations (of J or of a two-grid's coarse operator),
+    #: refinement sweeps or cycles on the held inverse, and fallbacks from a
+    #: fresh two-grid that declined to a fine LU, spent in this stage
     factorizations: int = 0
     refinements: int = 0
-    #: L+U nonzeros of the factorization held at the end of the stage
+    fallbacks: int = 0
+    #: L+U nonzeros of the LU held at the end of the stage (a two-grid's
+    #: is that of its coarse operator)
     lu_fill: int = 0
     #: "prolonged" when Newton started from the coarse level's solution of
     #: this stage, "warm" when from the previous stage's (or the initial) u
@@ -324,50 +342,109 @@ def jacobian(spec, grid, u, eps, state=None):
 
 
 class _Factorization:
-    """The most recent sparse LU of a Newton Jacobian, kept for reuse.
+    """The approximate inverse of a Newton Jacobian held for reuse: a
+    sparse LU of J, or on a 3D level with a 2h level below it a two-grid
+    cycle (_two_grid).
 
     One holder lives for a whole continuation_solve call, across Newton
-    iterations and eps stages; it also counts the factorizations and the
-    refinement sweeps spent on the Newton equations.  Every factorization
-    is of P J P^T, P the grid's nested-dissection order: SuperLU is asked
+    iterations and eps stages; it also counts the sparse factorizations
+    (of J or of the cycle's coarse operator), the refinement sweeps, and
+    the fallbacks from a two-grid to a fine LU.  Every factorization is of
+    Q A Q^T, Q the nested-dissection order of A's grid: SuperLU is asked
     for no column ordering of its own and keeps its partial row pivoting.
     """
 
-    def __init__(self, grid):
+    def __init__(self, grid, coarse=None):
         self.perm = nested_dissection(grid)
+        #: (P, coarse nested-dissection order) where the level holds a
+        #: two-grid, else None
+        self.transfer = None
+        if grid.n == 3 and coarse is not None:
+            self.transfer = (interpolation(coarse, grid),
+                             nested_dissection(coarse))
         self.lu = None
+        #: (J, SMOOTHING_WEIGHT / diag J) of the cycle that self.lu, A_c's
+        #: LU, serves; None when self.lu is an LU of J
+        self.smoother = None
         self.factorizations = 0
         self.refinements = 0
+        self.fallbacks = 0
 
-    def factorize(self, J):
-        """SuperLU of J in the held order; not kept or counted."""
-        p = self.perm
-        return scipy.sparse.linalg.splu(J[p][:, p].tocsc(),
+    @property
+    def inverse(self):
+        """The held kind: "two-grid" or "lu"."""
+        return "lu" if self.smoother is None else "two-grid"
+
+    def factorize(self, A, perm=None):
+        """SuperLU of A in the order perm (default the grid's); not kept
+        or counted."""
+        p = self.perm if perm is None else perm
+        return scipy.sparse.linalg.splu(A[p][:, p].tocsc(),
                                         permc_spec="NATURAL")
 
     def apply(self, b):
-        """x with J_lu x = b for the Jacobian J_lu the held LU factorizes."""
+        """M b for the held approximate inverse M: J_lu^{-1} b for the
+        Jacobian J_lu the held LU factorizes, else one two-grid cycle."""
+        if self.smoother is not None:
+            return self._cycle(b)
         x = np.empty_like(b)
         x[self.perm] = self.lu.solve(b[self.perm])
         return x
 
+    def _two_grid(self, J, res):
+        """Hold the two-grid cycle of J and refine on it (reuse): A_c =
+        P^T J P, P the multilinear interpolation from the 2h level,
+        factorized in the coarse grid's nested-dissection order.  None
+        when A_c's factorization fails or the refinement declines."""
+        P, perm_c = self.transfer
+        try:
+            lu = self.factorize((P.T @ (J @ P)).tocsr(), perm_c)
+        except RuntimeError:
+            return None
+        self.factorizations += 1
+        self.lu, self.smoother = lu, (J, SMOOTHING_WEIGHT / J.diagonal())
+        return self.reuse(J, res)
+
+    def _cycle(self, b):
+        """x ~ J^{-1} b from x = 0: SMOOTHING_SWEEPS damped-Jacobi sweeps,
+        the Galerkin coarse correction x += P A_c^{-1} P^T (b - J x), and
+        SMOOTHING_SWEEPS more sweeps (Trottenberg, Oosterlee & Schuller,
+        Multigrid, 2001, ch. 2)."""
+        (J, weight), (P, perm_c) = self.smoother, self.transfer
+        x = weight * b  # the first sweep, from x = 0
+        for _ in range(SMOOTHING_SWEEPS - 1):
+            x += weight * (b - J @ x)
+        r = P.T @ (b - J @ x)
+        e = np.empty_like(r)
+        e[perm_c] = self.lu.solve(r[perm_c])
+        x += P @ e
+        for _ in range(SMOOTHING_SWEEPS):
+            x += weight * (b - J @ x)
+        return x
+
     def reuse(self, J, res):
         """du with omega <= OMEGA_MAX as a solution of J du = -res, by
-        iterative refinement on the held LU: du = LU^{-1}(-res), then sweeps
-        du <- du - LU^{-1}(J du + res).  None when no LU is held, at the
-        first sweep that does not lower omega, and after REFINE_SWEEPS
-        sweeps (Higham, Accuracy and Stability of Numerical Algorithms,
-        ch. 12)."""
+        iterative refinement on the held approximate inverse M:
+        du = M(-res), then sweeps du <- du - M(J du + res).  None when
+        nothing is held, at the first sweep that does not lower omega,
+        once the best contraction of omega seen so far cannot reach
+        OMEGA_MAX in the sweeps left, and after REFINE_SWEEPS sweeps on an
+        LU or CYCLE_SWEEPS on a two-grid (Higham, Accuracy and Stability
+        of Numerical Algorithms, ch. 12)."""
         if self.lu is None:
             return None
+        budget = REFINE_SWEEPS if self.smoother is None else CYCLE_SWEEPS
         norm_J = abs(J).sum(axis=1).max()
         du, last = self.apply(-res), np.inf
-        for sweep in range(REFINE_SWEEPS + 1):
+        for sweep in range(budget + 1):
             lin = J @ du + res
             omega = _backward_error(lin, norm_J, du, res)
             if omega <= OMEGA_MAX:
                 return du
-            if not omega < last or sweep == REFINE_SWEEPS:
+            # the best contraction of omega so far; 0 before any sweep
+            rate = omega / last if sweep < 2 else min(rate, omega / last)
+            if (not omega < last or sweep == budget
+                    or omega * rate ** (budget - sweep) > OMEGA_MAX):
                 return None
             du, last = du - self.apply(lin), omega
             self.refinements += 1
@@ -376,16 +453,22 @@ class _Factorization:
         """du with normwise backward error omega <= OMEGA_MAX as a solution
         of J du = -res (see _backward_error).
 
-        Refinement on the held LU is tried first (reuse); when it declines,
-        J is factorized afresh and solved directly, and a direct solve that
-        misses the same contract raises LinearSolveFailure (newton_solve
-        attaches its stage).
+        Refinement on the held inverse is tried first (reuse).  When it
+        declines, the level's inverse is built afresh from J: a two-grid
+        is refined on again, and an LU of J is solved directly.  When a
+        fresh two-grid declines too, J is factorized and solved directly
+        (a fallback).  A direct solve that misses the same contract raises
+        LinearSolveFailure (newton_solve attaches its stage).
         """
         du = self.reuse(J, res)
+        if du is None and self.transfer is not None:
+            du = self._two_grid(J, res)
+            if du is None:
+                self.fallbacks += 1
         if du is not None:
             return du
         try:
-            self.lu = self.factorize(J)
+            self.lu, self.smoother = self.factorize(J), None
             du = self.apply(-res)
         except RuntimeError as exc:
             raise LinearSolveFailure(
@@ -427,14 +510,17 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
 
     Each Newton equation J du = -res is solved to a normwise backward error
     ||J du + res||_inf / (||J||_inf ||du||_inf + ||res||_inf) of at most
-    OMEGA_MAX = 64u, u the unit roundoff.  Iterative refinement on the last
-    sparse LU is tried first; J is factorized afresh only when that stalls
-    or runs out of sweeps.  factorization is the _Factorization holder
-    shared along a continuation; a fresh one is made when None.
+    OMEGA_MAX = 64u, u the unit roundoff.  Iterative refinement on the
+    held approximate inverse (an LU or a two-grid cycle) is tried first; a
+    new one is built from J only when that stalls or cannot meet the
+    contract within its budget.  factorization is the _Factorization holder
+    shared along a continuation; a fresh one, which holds LUs only, is made
+    when None.
     """
     if factorization is None:
         factorization = _Factorization(grid)
-    done = factorization.factorizations, factorization.refinements
+    done = (factorization.factorizations, factorization.refinements,
+            factorization.fallbacks)
     stage = StageReport(eps)
     u = np.asarray(u0, dtype=float).copy()
     # raises NotAdmissible on a bad start
@@ -479,6 +565,8 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
         stage.sup_d2u = float(np.abs(np.linalg.eigvalsh(r)).max())
         stage.factorizations = factorization.factorizations - done[0]
         stage.refinements = factorization.refinements - done[1]
+        stage.fallbacks = factorization.fallbacks - done[2]
+        stage.inverse = factorization.inverse
         stage.lu_fill = int(getattr(factorization.lu, "nnz", 0))
 
 
@@ -552,7 +640,8 @@ def _solve_level(spec, grid, u0, schedules, notes):
             P = prolongation(coarse, grid)
             starts = {eps: P @ v for eps, v in solved_c.items()}
     for k, schedule in enumerate(schedules):
-        factorization, u, stages, solved = _Factorization(grid), u0, [], {}
+        factorization = _Factorization(grid, coarse)
+        u, stages, solved = u0, [], {}
         try:
             for eps in schedule:
                 u, stage = _stage(spec, grid, starts.get(eps), u, eps,

@@ -1,8 +1,8 @@
 """Acceptance gate: end-to-end criteria covering closed-form accuracy and
-its order on four meshes, oracle agreement, derivative consistency, the
-property battery, certificates, output determinism, nested iteration and
-its error estimate.  One pass/fail line per criterion appears in the
-terminal summary (see conftest.record)."""
+its order on four meshes in 2D and three in 3D, oracle agreement,
+derivative consistency, the property battery, certificates, output
+determinism, nested iteration and its error estimate.  One pass/fail line
+per criterion appears in the terminal summary (see conftest.record)."""
 
 import time
 
@@ -207,13 +207,16 @@ def test_criterion_7_certificates_every_fixture(cap32, cap64, ball3, deg64,
 
 
 def test_criterion_8_bitwise_determinism(tmp_path):
-    # h = 1/16 is solved on one level, h = 1/64 on two
+    # the 2D h = 1/16 is solved on one level, h = 1/64 on two, and the 3D
+    # h = 1/16 on two, its finest with the two-grid cycle
     sizes = []
-    for h in ("0.0625", "0.015625"):
-        cfg = tmp_path / f"run{h}.cfg"
-        cfg.write_text("n = 2\ndomain.kind = ball\ndomain.r0 = 0.5\n"
-                       f"psi = 1\nh = {h}\neps.schedule = 1e-1, 1e-2, 0\n")
-        a, b = tmp_path / f"a{h}", tmp_path / f"b{h}"
+    for n, psi, h in (("2", "1", "0.0625"), ("2", "1", "0.015625"),
+                      ("3", "8", "0.0625")):
+        run = f"{n}d{h}"
+        cfg = tmp_path / f"run{run}.cfg"
+        cfg.write_text(f"n = {n}\ndomain.kind = ball\ndomain.r0 = 0.5\n"
+                       f"psi = {psi}\nh = {h}\neps.schedule = 1e-1, 1e-2, 0\n")
+        a, b = tmp_path / f"a{run}", tmp_path / f"b{run}"
         a.mkdir(), b.mkdir()
         assert main(["solve", "--config", str(cfg), "--out", str(a)]) == 0
         assert main(["solve", "--config", str(cfg), "--out", str(b)]) == 0
@@ -222,9 +225,9 @@ def test_criterion_8_bitwise_determinism(tmp_path):
         if fa != fb:
             break
         sizes.append(len(fa))
-    ok = len(sizes) == 2
-    record(8, ok, "two solve runs each at h=1/16 and 1/64, "
-                  f"{' and '.join(map(str, sizes))} bytes: "
+    ok = len(sizes) == 3
+    record(8, ok, "two solve runs each at 2D h=1/16 and 1/64 and 3D h=1/16, "
+                  f"{', '.join(map(str, sizes))} bytes: "
                   + ("bitwise identical" if ok else "DIFFER"))
     assert ok
 
@@ -266,3 +269,30 @@ def test_criterion_11_coarse_error_estimate(cap64, ball24):
     record(11, ok, "estimate / closed-form error: n=2 h=1/64 "
                    f"{ratios[0]:.2f}, n=3 h=1/24 {ratios[1]:.2f} (within 2x)")
     assert all(0.5 <= r <= 2.0 for r in ratios)
+
+
+def test_criterion_12_two_grid_order_three_dim():
+    # the 3D frontier meshes hold the two-grid cycle on their finest level
+    # and never fall back to a fine LU, at second order
+    runs = [_solve(3, 0.5, "8", 1.0 / k) for k in (32, 40, 48)]
+    errs = [_cap_error(run) for run in runs]
+    orders = [float(np.log(a / b) / np.log(k1 / k0)) for a, b, k0, k1 in
+              zip(errs, errs[1:], (32, 40), (40, 48))]
+    fallbacks = 0
+    for run in runs:
+        level = run["report"]
+        while level is not None:
+            fallbacks += sum(st.fallbacks for st in level.stages)
+            level = level.coarse
+    held = [run["report"].final.inverse for run in runs]
+    ok = (min(orders) >= 1.8 and fallbacks == 0
+          and held == ["two-grid"] * 3)
+    record(12, ok, "n=3 cap errors " + ", ".join(f"{e:.4e}" for e in errs)
+                   + " at h=1/32, 1/40, 1/48, observed orders "
+                   + ", ".join(f"{p:.2f}" for p in orders)
+                   + f" (>=1.8), finest inverse {held[-1]}, "
+                   f"{fallbacks} fallbacks to a fine LU, "
+                   + ", ".join(f"{run['elapsed']:.1f}" for run in runs) + " s")
+    assert held == ["two-grid"] * 3
+    assert fallbacks == 0
+    assert min(orders) >= 1.8

@@ -200,7 +200,8 @@ def test_solve_success(cap_cfg, tmp_path, capsys):
     assert len(stages) == 3
     # the first stage factorizes at least once; every stage reports its work
     assert "factorizations=0 " not in stages[0]
-    assert all(re.search(r" factorizations=\d+ refinements=\d+ lu_fill=\d+$", ln)
+    assert all(re.search(r" inverse=lu factorizations=\d+ refinements=\d+ "
+                         r"fallbacks=0 lu_fill=\d+$", ln)
                for ln in stages)
     # the held factorization is never empty
     assert all(int(ln.rsplit("lu_fill=", 1)[1]) > 0 for ln in stages)
@@ -431,6 +432,21 @@ def test_solve_report_lists_coarse_levels(tmp_path, capsys):
     assert coarse[0].startswith(
         "coarse h=0.03125 stage eps=0 iterations=8 start=warm ")
     assert lines.index(stages[0]) < lines.index(estimate) < lines.index(coarse[0])
+
+
+def test_solve_3d_stage_lines_name_the_held_inverse(tmp_path, capsys):
+    # ball3 is solved on two levels: the finest holds the two-grid cycle,
+    # its 2h level, which has no level below it, the LU
+    cfg = os.path.join(ROOT, "demos", "configs", "ball3.cfg")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "etacurv-report.txt").read_text().splitlines()
+    [fine] = [ln for ln in lines if ln.startswith("stage eps=")]
+    [coarse] = [ln for ln in lines if ln.startswith("coarse h=")
+                and " stage eps=" in ln]
+    assert re.search(r" inverse=two-grid factorizations=1 refinements=\d+ "
+                     r"fallbacks=0 lu_fill=[1-9]\d*$", fine)
+    assert re.search(r" inverse=lu .* fallbacks=0 lu_fill=[1-9]\d*$", coarse)
 
 
 def test_solve_reports_coarse_level_warnings(tmp_path, capsys):

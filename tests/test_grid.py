@@ -13,11 +13,13 @@ from etacurv.grid import (
     _bisect_arms,
     _build_pattern,
     all_derivatives,
+    INTERIOR_MARGIN,
     MAX_LATTICE,
     build_grid,
     check_lattice,
     coarse_grid,
     fd_derivatives,
+    interpolation,
     nested_dissection,
     prolongation,
 )
@@ -36,7 +38,7 @@ def reference_grid(shape, h):
     mesh = np.meshgrid(*ranges, indexing="ij")
     idx_all = np.stack([m.ravel() for m in mesh], axis=-1)
     pos_all = idx_all * h
-    inside = shape.implicit(pos_all) < 0.0
+    inside = shape.implicit(pos_all) < -INTERIOR_MARGIN
     idx = np.ascontiguousarray(idx_all[inside])
     pos = np.ascontiguousarray(pos_all[inside])
     m = idx.shape[0]
@@ -399,6 +401,46 @@ def test_prolongation_exact_on_quadratics_vanishing_on_boundary(shape, h):
     shared = fine.rows_at(2 * coarse.idx)
     v = np.random.default_rng(1).standard_normal(coarse.size)
     assert np.array_equal((P @ v)[shared], v)
+
+
+@pytest.mark.parametrize("shape, h", SHAPES_2H)
+def test_interpolation_is_multilinear_with_zero_outside(shape, h):
+    # each fine node takes its coarse cell's corner values with the
+    # multilinear weights; a corner outside the interior contributes the
+    # Dirichlet 0, so the weights are not renormalized
+    fine = build_grid(shape, h)
+    coarse = coarse_grid(fine, 200)
+    P = interpolation(coarse, fine)
+    assert P.shape == (fine.size, coarse.size)
+    weight = P @ np.ones(coarse.size)
+    full = weight == 1.0
+    assert weight.max() == 1.0 and (~full).any() and weight.min() > 0.0
+
+    def f(x):  # multilinear
+        return 1.0 + x[:, 0] - 2.0 * x[:, 1] + 3.0 * x[:, 0] * x[:, -1]
+
+    assert np.abs(P @ f(coarse.pos) - f(fine.pos))[full].max() <= 1e-15
+    # a fine node that is a coarse node takes its value bitwise
+    shared = fine.rows_at(2 * coarse.idx)
+    v = np.random.default_rng(1).standard_normal(coarse.size)
+    assert np.array_equal((P @ v)[shared], v)
+
+
+def test_nodes_within_roundoff_of_the_boundary_are_dropped():
+    # 2^2 + 3^2 + 6^2 = 7^2: at h = 1/14 the node (2, 3, 6) h lies on the
+    # sphere of radius 1/2, where implicit evaluates to -1.1e-16; kept, it
+    # gave its neighbors arms of length ~1e-16 h
+    ball = DomainShape((0.5,) * 3)
+    h = 1 / 14
+    on_sphere = np.array([2, 3, 6])
+    assert -INTERIOR_MARGIN < ball.implicit(on_sphere * h) < 0.0
+    grid = build_grid(ball, h)
+    assert grid.rows_at(on_sphere) == -1
+    assert ball.implicit(grid.pos).max() < -INTERIOR_MARGIN
+    assert grid.theta.min() > 0.1
+    # the arm toward the dropped node ends at it, up to roundoff
+    q = grid.rows_at(on_sphere - [0, 0, 1])
+    assert grid.nb[q, 2, 0] == -1 and grid.theta[q, 2, 0] == 1.0
 
 
 def test_prolongation_without_interior_corners_expands_about_nearest_node():

@@ -13,7 +13,7 @@ from etacurv import cli, geometry, solver
 from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
 from etacurv.geometry import batch_geometry
-from etacurv.grid import all_derivatives, build_grid, prolongation
+from etacurv.grid import all_derivatives, build_grid, coarse_grid, prolongation
 from etacurv.solver import (
     LinearSolveFailure,
     NegativePsi,
@@ -602,6 +602,105 @@ def test_backward_error_contract_holds_on_fine_single_level_mesh(monkeypatch):
     assert np.linalg.norm(J @ du + res) > 1e-12 * np.linalg.norm(res)
 
 
+def test_refinement_declines_once_its_rate_cannot_reach_the_contract():
+    # an LU of the cap at radius 0.9 lowers omega for J at 1.2 at every
+    # sweep, but too slowly for REFINE_SWEEPS: the first measured
+    # contraction already shows it, so one sweep is spent before the
+    # factorization, not all of them; an LU at radius 3 contracts fast
+    # enough and still meets the contract near the end of the budget
+    h = 1 / 32
+    grid = build_grid(DISK, h)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
+
+    def equation(R):
+        u = cap_function(grid, R)
+        return jacobian(spec, grid, u, 0.0), residual(spec, grid, u, 0.0)
+
+    J, res = equation(1.2)
+    held = solver._Factorization(grid)
+    held.lu = held.factorize(equation(0.9)[0])
+    assert held.reuse(J, res) is None
+    assert held.refinements == 1
+    held = solver._Factorization(grid)
+    held.lu = held.factorize(equation(3.0)[0])
+    du = held.reuse(J, res)
+    assert solver.REFINE_SWEEPS - 5 <= held.refinements < solver.REFINE_SWEEPS
+    assert _omega(J, du, res) <= solver.OMEGA_MAX
+
+
+# ---------------------------------------------------------------- two-grid
+
+
+def _level_holder(h):
+    """(grid, spec, holder) of the 3D cap problem at spacing h, with the
+    holder a nested level gets: the 2h grid below it."""
+    grid = build_grid(BALL, h)
+    spec = ProblemSpec(n=3, shape=BALL, psi="8", h=h)
+    return grid, spec, solver._Factorization(
+        grid, coarse_grid(grid, solver.COARSEST_NODES))
+
+
+def test_two_grid_meets_contract_on_3d_cap_jacobians():
+    # the cycle's contraction does not depend on h: about the same number
+    # of cycles on two meshes, one factorization each, of the coarse
+    # operator only
+    cycles = []
+    for h in (1 / 16, 1 / 24):
+        grid, spec, held = _level_holder(h)
+        u = exact_cap(grid)
+        J, res = jacobian(spec, grid, u, 0.0), residual(spec, grid, u, 0.0)
+        du = held.solve(J, res)
+        assert held.inverse == "two-grid"
+        assert (held.factorizations, held.fallbacks) == (1, 0)
+        assert held.lu.shape[0] == coarse_grid(grid, 0).size
+        assert _omega(J, du, res) <= solver.OMEGA_MAX
+        cycles.append(held.refinements)
+    assert 0 < max(cycles) < solver.CYCLE_SWEEPS
+    assert abs(cycles[0] - cycles[1]) <= 5
+
+
+@pytest.mark.parametrize("fault", ["sign", "singular"])
+def test_broken_two_grid_falls_back_to_fine_lu(monkeypatch, fault):
+    # a coarse LU of the negated operator sends every cycle's correction
+    # the wrong way, and a singular one cannot be factorized: each fresh
+    # two-grid declines, J is factorized, and the solve still meets the
+    # contract and finds the solution of the working two-grid
+    h = 1 / 16
+    spec = ProblemSpec(n=3, shape=BALL, psi="8", h=h)
+    u_ref, ref = continuation_solve(spec)
+    real = solver._Factorization.factorize
+
+    def broken(self, A, perm=None):
+        if perm is None:  # J, not the two-grid's coarse operator
+            return real(self, A)
+        if fault == "singular":
+            raise RuntimeError("Factor is exactly singular")
+        return real(self, -A, perm)
+
+    monkeypatch.setattr(solver._Factorization, "factorize", broken)
+    u, report = continuation_solve(spec)
+    stage = report.final
+    assert ref.final.inverse == "two-grid" and ref.final.fallbacks == 0
+    assert stage.fallbacks >= 1 and stage.inverse == "lu"
+    assert stage.residual_norms[-1] <= solver.TOL_RESIDUAL
+    assert stage.iterations == ref.final.iterations
+    assert np.abs(u - u_ref).max() <= 1e-12
+    assert report.coarse.final.fallbacks == 0
+
+
+def test_two_dimensional_levels_hold_the_lu():
+    # in 2D the coarse operator on N/4 nodes fills nearly as much as the
+    # fine LU, so every level of a nested solve keeps the LU
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 64)
+    _, level = continuation_solve(spec)
+    stages = []
+    while level is not None:
+        stages += level.stages
+        level = level.coarse
+    assert len(stages) == 2
+    assert all(st.inverse == "lu" and st.fallbacks == 0 for st in stages)
+
+
 # ---------------------------------------------------------------- guess
 
 
@@ -820,6 +919,18 @@ def test_continuation_propagates_negative_psi():
     spec = ProblemSpec(n=2, shape=DISK, psi="-1", h=1 / 8)
     with pytest.raises(NegativePsi):
         continuation_solve(spec)
+
+
+def test_3d_cap_solves_with_lattice_nodes_on_the_boundary():
+    # at h = 1/14 the nodes (2, 3, 6) h lie on the sphere up to roundoff;
+    # kept, their arms of length ~1e-16 h stalled the line search at
+    # eps = 0.1
+    h = 1 / 14
+    spec = ProblemSpec(n=3, shape=BALL, psi="8", h=h)
+    grid = build_grid(BALL, h)
+    u, report = continuation_solve(spec, grid)
+    assert report.final.residual_norms[-1] <= solver.TOL_RESIDUAL
+    assert np.abs(u - exact_cap(grid)).max() <= 2e-4
 
 
 # ---------------------------------------------------------------- nested iteration
