@@ -4,10 +4,13 @@
 psi = r^2 vanishes at the origin, so the equation loses uniform
 ellipticity there and the solution is only C^{1,1}.  The solver handles
 this by replacing psi with (psi^{1/(n-1)} + eps)^{n-1} and walking eps
-down a schedule, warm-starting each stage.
+down a schedule, warm-starting each stage.  The walk runs on the coarse
+h = 1/32 level; the h = 1/64 mesh joins it at the last eps but one or
+earlier, from the first prolonged coarse solution inside the cone.
 
-This script prints the per-stage trace (iteration counts, final
-residuals, cone margins, derivative sup norms) and then cross-checks the
+This script prints the per-stage trace of that eps path, each row with
+the spacing it ran at (iteration counts, final residuals, cone margins,
+derivative sup norms), and then cross-checks the
 grid solution against an independent oracle: the radial two-point
 shooting reduction run at the same final regularization.  The two
 discretizations share no code beyond the expression evaluator, so
@@ -33,11 +36,23 @@ def main():
     u0 = initial_guess(spec, grid)
     u, report = continuation_solve(spec, grid, u0)
 
+    # the levels, coarsest first, and each one's stages before the finer
+    # level joins the eps path
+    levels, level, h = [], report, H
+    while level is not None:
+        levels.insert(0, (h, level.stages))
+        level, h = level.coarse, 2.0 * h
+    path = []
+    for k, (h, stages) in enumerate(levels):
+        join = levels[k + 1][1][0].eps if k + 1 < len(levels) else -1.0
+        path += [(h, s) for s in stages if s.eps > join]
+
     print("continuation on psi = r^2 (degenerate at the origin), h = 1/64")
-    print(f"{'eps':>8} {'iters':>6} {'residual':>10} {'margin':>10} "
-          f"{'sup|Du|':>9} {'sup|D2u|':>9}")
-    for s in report.stages:
-        print(f"{s.eps:8.0e} {s.iterations:6d} {s.residual_norms[-1]:10.2e} "
+    print(f"{'h':>6} {'eps':>8} {'iters':>6} {'start':>9} {'residual':>10} "
+          f"{'margin':>10} {'sup|Du|':>9} {'sup|D2u|':>9}")
+    for h, s in path:
+        print(f"{f'1/{round(1 / h)}':>6} {s.eps:8.0e} {s.iterations:6d} "
+              f"{s.start:>9} {s.residual_norms[-1]:10.2e} "
               f"{s.min_margin:10.3e} {s.sup_du:9.5f} {s.sup_d2u:9.5f}")
 
     # independent oracle: radial shooting at the same eps

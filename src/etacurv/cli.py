@@ -15,6 +15,7 @@ import argparse
 import os
 import re
 import sys
+import warnings
 
 import numpy as np
 
@@ -366,7 +367,10 @@ _HEADER = re.compile(
 
 
 def _read_solution(path, spec, grid):
-    """u from a stored solution file, after checking it matches the grid."""
+    """u from a stored solution file, after checking it matches the grid.
+    The table is parsed by np.loadtxt; where that fails, the rows are
+    rescanned by float() per token, which accepts what float() accepts and
+    names the line of a bad row."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise GridMismatch(f"{path}: empty file")
@@ -378,21 +382,32 @@ def _read_solution(path, spec, grid):
         raise GridMismatch(
             f"{path}: file has n={n} nodes={nodes} h={h:.17g}, config grid "
             f"has n={spec.n} nodes={grid.size} h={grid.h:.17g}")
-    rows = [(lineno, line.split()) for lineno, line in enumerate(lines, start=1)
+    rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)
             if not line.startswith("#")]
     if len(rows) != grid.size:
         raise GridMismatch(
             f"{path}: {len(rows)} data rows for {grid.size} nodes")
     # the columns write_solution writes: x, u, Du, D^2u, kappa, Keta, residual
     width = 3 * n + 3 + n * (n + 1) // 2
-    data = np.empty((grid.size, width))
-    for k, (lineno, row) in enumerate(rows):
-        try:
-            if len(row) != width:
-                raise ValueError(f"{len(row)} columns, expected {width}")
-            data[k] = [float(v) for v in row]
-        except ValueError as exc:
-            raise GridMismatch(f"{path}: line {lineno}: {exc}") from None
+    try:
+        with warnings.catch_warnings():
+            # an input of blank lines only warns, and the shape check fails
+            warnings.simplefilter("ignore")
+            data = np.loadtxt([line for _, line in rows], comments=None,
+                              ndmin=2)
+    except ValueError:
+        data = None
+    if data is None or data.shape != (grid.size, width):
+        # rescan with float(): the same accepts, and the line of a bad row
+        data = np.empty((grid.size, width))
+        for k, (lineno, line) in enumerate(rows):
+            row = line.split()
+            try:
+                if len(row) != width:
+                    raise ValueError(f"{len(row)} columns, expected {width}")
+                data[k] = [float(v) for v in row]
+            except ValueError as exc:
+                raise GridMismatch(f"{path}: line {lineno}: {exc}") from None
     # 17-digit decimals round-trip exactly, so coordinates must match bitwise
     if not np.array_equal(data[:, :n], grid.pos):
         raise GridMismatch(f"{path}: node coordinates differ from the grid")

@@ -11,12 +11,16 @@ cone, which keeps Newton steps well behaved as psi degenerates.  The
 continuation drives eps down a schedule, warm-starting each stage.
 
 Nested iteration: continuation_solve first solves the same problem on the
-2h lattice, recursively down to a level of at least COARSEST_NODES nodes,
-and starts each eps stage from that stage's coarse solution, prolonged by
-grid.prolongation, whenever the result lies in the cone.  Newton's
-iteration count does not depend on h (mesh independence), so the fine mesh
-needs only the last few steps.  The two solutions give the Richardson
-error estimate max |u_h - u_2h| / 3 of SolveReport.error_estimate.
+2h lattice, recursively down to a level of at least COARSEST_NODES nodes.
+The eps path is walked on the coarsest level only; each finer level joins
+it at the last eps but one or earlier, the last eps whose coarse solution,
+prolonged by grid.prolongation, lies in the cone, and starts that stage
+there.  A later stage starts from its prolonged coarse solution too
+whenever that lies in the cone.  Newton's iteration count does not depend
+on h (mesh independence), so a fine mesh needs neither the early eps nor
+more than the last few steps of each stage.  The two solutions give the
+Richardson error estimate max |u_h - u_2h| / 3 of
+SolveReport.error_estimate.
 
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test, psi and the residual; its Jacobian and its
@@ -35,7 +39,7 @@ the equation is non-degenerate: one eps = 0 stage, then LADDER.  Where psi
 vanishes there, LADDER with its trailing 0 replaced by a small eps, which
 stands in as the C^{1,1} approximation; a psi that vanishes only along the
 iterates ends the eps = 0 stage with a SolverFailure before its first step.
-Every level of a nested solve runs this one plan.
+Every level of a nested solve runs this one plan, from its join on.
 """
 
 from __future__ import annotations
@@ -225,9 +229,9 @@ class StageReport:
 
 @dataclass
 class SolveReport:
-    """The stages of the requested mesh, one per eps, and below them the
-    SolveReport of the 2h level whose solutions started them (None without
-    one)."""
+    """The stages of the requested mesh, one per eps from the join on (see
+    continuation_solve), and below them the SolveReport of the 2h level
+    whose solutions started them (None without one)."""
 
     stages: list
     certificates: list = field(default_factory=list)
@@ -603,13 +607,18 @@ def continuation_solve(spec, grid=None, u0=None):
 
     Nested iteration: the same problem is first solved on the 2h lattice,
     recursively while that lattice has at least COARSEST_NODES nodes, from
-    u0 injected onto it and with the same schedules.  Each eps stage starts
-    from the prolonged solution of that stage on the next coarser level
-    when that level solved it and the start passes the cone test; otherwise
-    it is warm-started from the previous stage (or u0), as without a coarse
-    level.  A coarse level that fails adds a warning line and the solve
-    goes on without coarse starts.  Only the requested mesh's stages are in
-    report.stages; the coarse levels are in report.coarse.
+    u0 injected onto it and with the same schedules.  A level with a coarse
+    level starts its schedule at the join: the last eps but one, or failing
+    that the eps before it and so on, whose solution on the next coarser
+    level, prolonged, passes the cone test.  The eps before the join run on
+    the coarser levels only, and the last two always run on every level.
+    Each later stage starts from its prolonged coarse solution when that
+    passes the cone test, else warm from the previous stage.  Without a
+    join the whole schedule runs from u0, warm where the prolonged start
+    fails.  A coarse level that fails adds a warning line and the solve
+    goes on without coarse starts.  Only the requested mesh's stages, from
+    its join on, are in report.stages; the coarse levels are in
+    report.coarse, the coarsest with every eps of the schedule.
     """
     ok, _ = check_two_convex(spec.shape)
     if not ok:
@@ -623,8 +632,9 @@ def continuation_solve(spec, grid=None, u0=None):
 
 
 def _solve_level(spec, grid, u0, schedules, notes):
-    """(u, SolveReport, solved) on grid, solved mapping each eps of the
-    schedule that completed to its solution; see continuation_solve."""
+    """(u, SolveReport, solved) on grid, solved mapping each eps that this
+    level ran, from its join on, of the schedule that completed to its
+    solution; see continuation_solve."""
     coarse = coarse_grid(grid, COARSEST_NODES)
     starts, sub = {}, None
     if coarse is not None:
@@ -641,13 +651,9 @@ def _solve_level(spec, grid, u0, schedules, notes):
             starts = {eps: P @ v for eps, v in solved_c.items()}
     for k, schedule in enumerate(schedules):
         factorization = _Factorization(grid, coarse)
-        u, stages, solved = u0, [], {}
         try:
-            for eps in schedule:
-                u, stage = _stage(spec, grid, starts.get(eps), u, eps,
-                                  factorization)
-                stages.append(stage)
-                solved[eps] = u
+            u, stages, solved = _walk(spec, grid, u0, schedule, starts,
+                                      factorization)
         except SolverFailure as exc:
             if k + 1 == len(schedules):
                 raise
@@ -665,19 +671,56 @@ def _solve_level(spec, grid, u0, schedules, notes):
         return u, report, solved
 
 
-def _stage(spec, grid, prolonged, warm, eps, factorization):
-    """newton_solve from the prolonged coarse solution when there is one
-    and it passes the cone test (newton_solve's first evaluation raises
-    NotAdmissible otherwise, before any work), else from warm."""
-    rejected = None
-    if prolonged is not None:
+def _walk(spec, grid, u0, schedule, starts, factorization):
+    """(u, stages, solved) down schedule on grid from its join; starts
+    maps each eps the coarse level solved to its prolonged solution.
+
+    The join scan tries those starts from the last eps but one back toward
+    the first; the first that passes the cone test starts the join stage,
+    and the eps before it run on the coarse levels only.  The last two eps
+    always run here, so estimate_evidence can compare them.  Without a join
+    the whole schedule runs from u0.  A stage whose prolonged start the
+    scan rejected starts warm with that margin, so no start is evaluated
+    twice."""
+    rejected = {}
+    for j in range(len(schedule) - 2, -1, -1):
+        eps = schedule[j]
+        if eps not in starts:
+            continue
         try:
-            u, stage = newton_solve(spec, grid, prolonged, eps, factorization)
+            u, stage = _prolonged(spec, grid, starts[eps], eps, factorization)
+        except NotAdmissible as exc:
+            rejected[eps] = exc.margin
+        else:
+            stages, solved = [stage], {eps: u}
+            break
+    else:
+        j, u, stages, solved = -1, u0, [], {}
+    for eps in schedule[j + 1:]:
+        u, stage = _stage(spec, grid, starts.get(eps), u, eps, factorization,
+                          rejected.get(eps))
+        stages.append(stage)
+        solved[eps] = u
+    return u, stages, solved
+
+
+def _prolonged(spec, grid, start, eps, factorization):
+    """newton_solve from a prolonged coarse solution; its first evaluation
+    raises NotAdmissible, before any work, when start fails the cone test."""
+    u, stage = newton_solve(spec, grid, start, eps, factorization)
+    stage.start = "prolonged"
+    return u, stage
+
+
+def _stage(spec, grid, prolonged, warm, eps, factorization, rejected=None):
+    """newton_solve from the prolonged coarse solution when there is one
+    and it passes the cone test, else from warm; rejected is the margin of
+    a prolonged start already found outside the cone, not tried again."""
+    if prolonged is not None and rejected is None:
+        try:
+            return _prolonged(spec, grid, prolonged, eps, factorization)
         except NotAdmissible as exc:
             rejected = exc.margin
-        else:
-            stage.start = "prolonged"
-            return u, stage
     u, stage = newton_solve(spec, grid, warm, eps, factorization)
     stage.rejected_margin = rejected
     return u, stage

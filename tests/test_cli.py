@@ -22,6 +22,7 @@ from etacurv.cli import (
     load_config,
     main,
 )
+from etacurv.grid import build_grid
 
 CAP_CFG = """\
 # disk cap fixture
@@ -729,6 +730,36 @@ def test_verify_malformed_row_exits_1_naming_the_line(solved, tmp_path,
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1
     assert err[0].startswith(f"error: {bad}: line {k + 1}: ")
+
+
+def test_verify_reads_every_value_as_float_does(solved, tmp_path):
+    # the table parse keeps float()'s values bitwise, and a token only
+    # float() reads (digit grouping) still passes through the rescan
+    sol, cfg = solved
+    spec = build_problem(load_config(cfg))
+    grid = build_grid(spec.shape, spec.h)
+    lines = sol.read_text().splitlines()
+    rows = [k for k, ln in enumerate(lines) if not ln.startswith("#")]
+    u = np.array([float(lines[k].split()[spec.n]) for k in rows])
+    assert np.array_equal(cli._read_solution(sol, spec, grid), u)
+    parts = lines[rows[7]].split()
+    head, tail = parts[spec.n].split(".")
+    parts[spec.n] = f"{head}.{tail[:2]}_{tail[2:]}"
+    lines[rows[7]] = " ".join(parts)
+    grouped = tmp_path / "grouped.dat"
+    grouped.write_text("\n".join(lines) + "\n")
+    assert np.array_equal(cli._read_solution(grouped, spec, grid), u)
+
+
+def test_verify_blank_rows_exit_1_naming_the_first(solved, tmp_path, capsys):
+    sol, cfg = solved
+    lines = sol.read_text().splitlines()
+    k = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
+    blank = tmp_path / "blank.dat"
+    blank.write_text("\n".join(lines[:k] + [""] * (len(lines) - k)) + "\n")
+    assert main(["verify", str(blank), "--config", cfg]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert err == [f"error: {blank}: line {k + 1}: 0 columns, expected 12"]
 
 
 def test_verify_undecodable_solution_exits_1(solved, tmp_path, capsys):

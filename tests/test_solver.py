@@ -10,6 +10,7 @@ import scipy.sparse
 import scipy.sparse.linalg
 
 from etacurv import cli, geometry, solver
+from etacurv.certify import standard_certificates
 from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
 from etacurv.geometry import batch_geometry
@@ -33,6 +34,19 @@ from etacurv.solver import (
 
 DISK = DomainShape(semiaxes=(0.5, 0.5))
 BALL = DomainShape(semiaxes=(0.5, 0.5, 0.5))
+
+
+def eps_path(report):
+    """The eps path of a nested solve, coarsest level first: each level's
+    stages before the next finer level's join, then the finest's stages."""
+    levels = []
+    while report is not None:
+        levels.insert(0, [st.eps for st in report.stages])
+        report = report.coarse
+    path = []
+    for level, finer in zip(levels, levels[1:]):
+        path += level[:level.index(finer[0])]
+    return path + levels[-1]
 
 
 def exact_cap(grid, R=1.0):
@@ -841,7 +855,12 @@ def test_default_schedule_solves_caps_in_one_stage(n, psi, h):
         for sched in (None, solver.LADDER))
     assert [st.eps for st in report.stages] == [0.0]
     assert report.warnings == []
-    assert [st.eps for st in ladder.stages] == list(solver.LADDER)
+    # with a coarse level the ladder's finest mesh joins it for its tail
+    finest = [st.eps for st in ladder.stages]
+    assert eps_path(ladder) == list(solver.LADDER)
+    assert len(finest) >= 2 and finest == list(solver.LADDER[-len(finest):])
+    if ladder.coarse is None:
+        assert finest == list(solver.LADDER)
     err, err_ladder = (np.abs(v - exact_cap(grid)).max() for v in (u, u_ladder))
     assert err == pytest.approx(err_ladder, rel=1e-3)
 
@@ -989,13 +1008,113 @@ def test_prolonged_start_outside_cone_falls_back_to_warm():
         assert st.margins[0] > 0.0 and st.residual_norms[-1] <= 1e-10
     # the rejected start is that stage's 2h solution, prolonged
     k = starts.index("warm")
-    eps = [st.eps for st in report.stages]
+    eps = report.stages[k].eps
+    ran = [st.eps for st in report.coarse.stages]
     coarse = build_grid(DISK, 2 * h)
-    u_2h, _ = continuation_solve(replace(spec, h=2 * h,
-                                         eps_schedule=eps[:k + 1]), coarse)
+    u_2h, _ = continuation_solve(
+        replace(spec, h=2 * h, eps_schedule=ran[:ran.index(eps) + 1]), coarse)
     with pytest.raises(NotAdmissible) as info:
-        residual(spec, grid, prolongation(coarse, grid) @ u_2h, eps[k])
+        residual(spec, grid, prolongation(coarse, grid) @ u_2h, eps)
     assert info.value.margin == report.stages[k].rejected_margin < 0.0
+
+
+def _walk_every_stage(spec, grid, u0, schedule, starts, factorization):
+    # every eps of the schedule on this level, each from its prolonged
+    # start where that passes the cone test: the walk before the join scan
+    u, stages, solved = u0, [], {}
+    for eps in schedule:
+        u, stage = solver._stage(spec, grid, starts.get(eps), u, eps,
+                                 factorization)
+        stages.append(stage)
+        solved[eps] = u
+    return u, stages, solved
+
+
+@pytest.mark.parametrize("h, finest", [(1 / 64, [1e-3, 1e-4, 1e-5]),
+                                       (1 / 128, [1e-4, 1e-5])])
+def test_finer_meshes_join_the_eps_path_at_the_last_admissible_start(
+        monkeypatch, h, finest):
+    # psi = r^2: the finest mesh runs the schedule's tail from the last eps
+    # whose prolonged start is admissible, the coarsest level all of it
+    spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=h)
+    grid = build_grid(DISK, h)
+    schedule = list(effective_schedule(spec, grid)[0][0])
+    u, report = continuation_solve(spec, grid)
+    assert [st.eps for st in report.stages] == finest
+    assert report.stages[0].start == "prolonged"
+    assert eps_path(report) == schedule
+    coarsest = report
+    while coarsest.coarse is not None:
+        coarsest = coarsest.coarse
+    assert [st.eps for st in coarsest.stages] == schedule
+    # the stages from the join on are those of the walk that runs every eps
+    # on every level; the join stage holds a fresh inverse where that walk
+    # holds an earlier stage's, a roundoff difference (0 here, measured)
+    monkeypatch.setattr(solver, "_walk", _walk_every_stage)
+    u_every, every = continuation_solve(spec, grid)
+    assert [st.eps for st in every.stages] == schedule
+    assert ([(st.eps, st.start, st.iterations) for st in report.stages]
+            == [(st.eps, st.start, st.iterations)
+                for st in every.stages[-len(finest):]])
+    assert np.abs(u - u_every).max() <= 1e-12
+
+
+def test_explicit_ladder_keeps_two_fine_stages_and_estimate_evidence():
+    # the cap's prolonged starts all pass the cone test, so the finest mesh
+    # joins at the last eps but one: estimate_evidence still has two stages
+    h = 1 / 64
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h,
+                       eps_schedule=solver.LADDER)
+    grid = build_grid(DISK, h)
+    u0 = initial_guess(spec, grid)
+    u, report = continuation_solve(spec, grid, u0)
+    assert [st.eps for st in report.stages] == [1e-4, 0.0]
+    assert [st.start for st in report.stages] == ["prolonged"] * 2
+    assert [st.eps for st in report.coarse.stages] == list(solver.LADDER)
+    certs = standard_certificates(u, u0, grid, report)
+    assert [c.name for c in certs][-1] == "estimate_evidence"
+    assert all(c.passed for c in certs) and report.warnings == []
+
+
+def _count_evaluations(monkeypatch):
+    calls = {"all": 0, "cone": 0}
+    real = solver._evaluate
+
+    def spy(spec, grid, u, eps, floor=None):
+        calls["all"] += 1
+        calls["cone"] += floor is None
+        return real(spec, grid, u, eps, floor)
+
+    monkeypatch.setattr(solver, "_evaluate", spy)
+    return calls
+
+
+@pytest.mark.parametrize("n, psi, h, evaluations", [(2, "1", 1 / 64, 23),
+                                                    (3, "8", 1 / 16, 13)])
+def test_one_eps_schedule_makes_no_join_scan(monkeypatch, n, psi, h,
+                                             evaluations):
+    # (0,) has no eps before its last: one cone test of each level's start,
+    # and the evaluation count of the walk before the join scan
+    calls = _count_evaluations(monkeypatch)
+    shape = DomainShape((0.5,) * n)
+    continuation_solve(ProblemSpec(n=n, shape=shape, psi=psi, h=h),
+                       build_grid(shape, h))
+    assert calls == {"all": evaluations, "cone": 2}
+
+
+def test_join_scan_evaluates_each_start_once(monkeypatch):
+    # a start the scan rejected is not tried again at its stage: one cone
+    # test per stage start, and one more per rejected prolonged start
+    calls = _count_evaluations(monkeypatch)
+    spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 128)
+    _, report = continuation_solve(spec, build_grid(DISK, 1 / 128))
+    stages = []
+    while report is not None:
+        stages += report.stages
+        report = report.coarse
+    assert any(st.rejected_margin is not None for st in stages)
+    assert calls["cone"] == sum(1 + (st.rejected_margin is not None)
+                                for st in stages)
 
 
 def test_coarse_failure_falls_back_to_single_level(monkeypatch):
