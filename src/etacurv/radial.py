@@ -11,15 +11,21 @@ and the curvature product factorizes,
 
 so the prescribed-curvature relation f = psi inverts in closed form for
 kappa_r.  Shooting integrates U'' with classical fourth-order steps from
-the center and bisects the center value until U(r0) vanishes.  This module
+the center and picks the center value at which U(r0) vanishes: directly
+when psi does not read z, since U' then never sees U, else by a bracketed
+secant search.  A shot at psi without z costs two integrations, at `steps`
+and at 2 `steps` for the Richardson estimate; for psi with z the accepted
+shot is the profile, and only the 2 `steps` pass runs again.  This module
 is the independent accuracy oracle for the grid solver, so it shares no
 discretization machinery with it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -111,28 +117,44 @@ def _psi_at(psi, r, u, up, n):
     return float(evaluate(psi, EvalEnv.from_gradient(x, u, p)))
 
 
-def _invert(val, r, up, n):
-    """u'' from the regularized psi value val at radius r and slope up."""
+#: |u''| above this, or a non-finite u'', ends an RK4 stage as stiff
+STIFF = 1e12
+
+
+def _slope(psi, row, s, r, u, up, n, eps, limit=STIFF):
+    """u'' at radius r in state (u, up).
+
+    psi is row[s] of the position table, or is evaluated at this state when
+    row is None; it is regularized by eps, and the curvature relation is
+    inverted for kappa_r in closed form.  |u''| > limit is a
+    StiffnessFailure; limit None records u'' unchecked.
+    """
+    v = _psi_at(psi, r, u, up, n) if row is None else row[s]
+    # regularize_value, inlined: this runs at every RK4 stage
+    if v < 0.0:
+        raise NegativePsi(f"psi must be nonnegative, got {v:g}")
+    if eps != 0.0:
+        v = (v ** (1.0 / (n - 1)) + eps) ** (n - 1)
     if r <= 0.0:
         # center limit: all curvatures equal upp, f = ((n-1) upp)^n
-        return val ** (1.0 / n) / (n - 1)
-    wt = math.sqrt(1.0 + up * up)
-    kt = up / (r * wt)
-    if kt <= 0.0:
-        if val > 0.0:
-            raise DegenerateTangential(
-                f"kappa_t = {kt:g} at r = {r:g} but psi = {val:g} > 0")
-        return 0.0
-    kr = (val / ((n - 1) * kt)) ** (1.0 / (n - 1)) - (n - 2) * kt
-    try:
-        return kr * wt ** 3
-    except OverflowError:  # numpy's ** gives inf here, which callers report
-        return kr * math.inf
-
-
-def radial_rhs(r, u, up, psi, n, eps=0.0):
-    """u'' from the reduced curvature relation at radius r."""
-    return _invert(regularize_value(_psi_at(psi, r, u, up, n), eps, n), r, up, n)
+        upp = v ** (1.0 / n) / (n - 1)
+    else:
+        wt = math.sqrt(1.0 + up * up)
+        kt = up / (r * wt)
+        if kt <= 0.0:
+            if v > 0.0:
+                raise DegenerateTangential(
+                    f"kappa_t = {kt:g} at r = {r:g} but psi = {v:g} > 0")
+            upp = 0.0
+        else:
+            kr = (v / ((n - 1) * kt)) ** (1.0 / (n - 1)) - (n - 2) * kt
+            try:
+                upp = kr * wt ** 3
+            except OverflowError:  # numpy's ** gives inf here, reported stiff
+                upp = kr * math.inf
+    if limit is not None and not abs(upp) <= limit:
+        raise StiffnessFailure(f"u'' = {upp:g} at r = {r:g}")
+    return upp
 
 
 def _position_table(psi, n, dr, rows):
@@ -155,89 +177,106 @@ def _position_table(psi, n, dr, rows):
         return None
 
 
-def _series_start(psi_eps, a, n, dr):
-    """State (u, u') at the first node, bridging the r = 0 singularity.
+def _series_start(psi, table, a, n, dr, eps):
+    """u'(dr) and the offset u(dr) - u(0), bridging the r = 0 singularity.
 
     Non-degenerate center (psi_eps(0) > 0): quadratic series from
     upp(0) = psi^{1/n}/(n-1).  Degenerate center: local power-law
-    u = a + c r^m fitted to psi ~ K r^q near 0.
+    u = a + c r^m fitted to psi ~ K r^q near 0.  A flat psi gives the
+    offset -0.0, so that u(dr) = a + offset is a itself, signed zero too.
     """
-    p0 = psi_eps(0, 0, 0.0, a, 0.0)
+    def psi_eps(k, s, r):
+        row = None if table is None else table[k]
+        return regularize_value(
+            _psi_at(psi, r, a, 0.0, n) if row is None else row[s], eps, n)
+
+    p0 = psi_eps(0, 0, 0.0)
     if p0 > 0.0:
         upp0 = p0 ** (1.0 / n) / (n - 1)
-        return a + 0.5 * upp0 * dr * dr, upp0 * dr
-    p1 = psi_eps(0, 2, dr, a, 0.0)
-    p2 = psi_eps(1, 2, 2.0 * dr, a, 0.0)
+        return upp0 * dr, 0.5 * upp0 * dr * dr
+    p1 = psi_eps(0, 2, dr)
+    p2 = psi_eps(1, 2, 2.0 * dr)
     if p1 <= 0.0:
-        return a, 0.0  # psi flat at zero: profile starts flat
+        return 0.0, -0.0  # psi flat at zero: profile starts flat
     q = np.log(p2 / p1) / np.log(2.0)
     K = p1 / dr ** q
     m = 2.0 + q / n
     c = (K / ((n - 1) * (m + n - 3) ** (n - 1))) ** (1.0 / n) / m
-    return float(a + c * dr ** m), float(c * m * dr ** (m - 1))
+    return float(c * m * dr ** (m - 1)), float(c * dr ** m)
 
 
-def _integrate(psi, a, r0, n, steps, eps, record=False):
-    """Fixed-step RK4 for (u, u') from the center; returns u(r0) or arrays.
+class _Shot(NamedTuple):
+    """One RK4 pass from u(0) = a: u(r0), the position table it read (None
+    when psi was evaluated per stage), u' at every node, and the u
+    increment of every step, the series start's offset first."""
 
-    psi comes from `_position_table` when it has one, else from one
-    evaluate per stage; either way it is regularized in integration order.
+    end: float
+    table: list | None
+    up: list
+    du: list
+
+
+def _integrate(psi, a, r0, n, steps, eps):
+    """Fixed-step RK4 for (u, u') from the center at u(0) = a.
+
+    When psi does not read z, u' never sees u, so the pass serves every
+    center value: u there is the running sum of the same increments.
     """
     dr = r0 / steps
     half = 0.5 * dr
     table = _position_table(psi, n, dr, max(steps, 2))
-
-    def psi_eps(k, s, r, u, up):
-        """Regularized psi at abscissa s of table row k, which is radius r."""
-        v = _psi_at(psi, r, u, up, n) if table is None else table[k][s]
-        return regularize_value(v, eps, n)
-
-    def rhs(k, s, r, u, up):
-        upp = _invert(psi_eps(k, s, r, u, up), r, up, n)
-        if not math.isfinite(upp) or abs(upp) > 1e12:
-            raise StiffnessFailure(f"u'' = {upp:g} at r = {r:g}")
-        return upp
-
-    u, up = _series_start(psi_eps, a, n, dr)
-    if record:
-        rs, us, ups = [0.0, dr], [a, u], [0.0, up]
-        upps = [_invert(psi_eps(0, 0, 0.0, a, 0.0), 0.0, 0.0, n),
-                _invert(psi_eps(0, 2, dr, u, up), dr, up, n)]
-
+    up, offset = _series_start(psi, table, a, n, dr, eps)
+    u = a + offset
+    ups, dus = [0.0, up], [offset]
     for k in range(1, steps):
+        row = None if table is None else table[k]
         r = k * dr
-        p1 = rhs(k, 0, r, u, up)
+        p1 = _slope(psi, row, 0, r, u, up, n, eps)
         u2, up2 = u + half * up, up + half * p1
-        p2 = rhs(k, 1, r + half, u2, up2)
+        p2 = _slope(psi, row, 1, r + half, u2, up2, n, eps)
         u3, up3 = u + half * up2, up + half * p2
-        p3 = rhs(k, 1, r + half, u3, up3)
+        p3 = _slope(psi, row, 1, r + half, u3, up3, n, eps)
         u4, up4 = u + dr * up3, up + dr * p3
-        p4 = rhs(k, 2, r + dr, u4, up4)
-        u, up = (u + (dr / 6.0) * (up + 2.0 * up2 + 2.0 * up3 + up4),
-                 up + (dr / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4))
+        p4 = _slope(psi, row, 2, r + dr, u4, up4, n, eps)
+        du = (dr / 6.0) * (up + 2.0 * up2 + 2.0 * up3 + up4)
+        u, up = u + du, up + (dr / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
         if not (math.isfinite(u) and math.isfinite(up)):
             raise StiffnessFailure(f"state diverged near r = {r + dr:g}")
-        if record:
-            rs.append(r + dr)
-            us.append(u)
-            ups.append(up)
-            upps.append(_invert(psi_eps(k, 2, r + dr, u, up), r + dr, up, n))
-    if record:
-        return (np.array(rs), np.array(us), np.array(ups), np.array(upps))
-    return u
+        ups.append(up)
+        dus.append(du)
+    return _Shot(u, table, ups, dus)
+
+
+def _profile(psi, a, shot, r0, n, eps):
+    """The profile of `shot` moved to u(0) = a, with u'' recorded at every
+    node in the state reached there (unchecked for stiffness)."""
+    steps = len(shot.du)
+    dr = r0 / steps
+    table = shot.table
+    rs = [0.0] + [k * dr + dr for k in range(steps)]
+    us = list(itertools.accumulate(shot.du, initial=a))
+    upps = [_slope(psi, None if table is None else table[0], 0, 0.0, a, 0.0,
+                   n, eps, None)]
+    for j in range(1, steps + 1):
+        row = None if table is None else table[j - 1]
+        upps.append(_slope(psi, row, 2, rs[j], us[j], shot.up[j], n, eps, None))
+    return np.array(rs), np.array(us), np.array(shot.up), np.array(upps)
 
 
 def shoot(psi, r0, n, tol=1e-10, steps=4096, eps=0.0, max_bisect=200):
     """Solve the radial Dirichlet problem by searching the center value
-    a = u(0) in [-10 r0, 0] until |u(r0)| <= tol.
+    a = u(0) until |u(r0)| <= tol.
 
     When psi does not read z the equation for u' never sees u, so
-    u(r0; a) = a + rise with a fixed rise: one integration determines the
-    shot.  Otherwise u(r0; a) is monotone in a for psi_z >= 0 (deeper caps
-    see no larger psi) and a bracketed secant/bisection search runs on it.
-    Its lower end starts at -r0 and doubles downward while u(r0) > 0 there;
-    a trial center below 0 whose integration meets psi < 0 or stiffness is
-    too deep, u(r0) = -inf.
+    u(r0; a) = a + rise with a fixed rise: one integration from a = 0
+    determines the shot, and its increments summed from a = -rise are the
+    profile.  Otherwise u(r0; a) is monotone in a for psi_z >= 0 (deeper
+    caps see no larger psi) and a bracketed secant/bisection search runs on
+    it.  Its lower end starts at -r0 and doubles downward, to at most
+    -10 r0, while u(r0) > 0 there; a trial center below 0 whose integration
+    meets psi < 0 or stiffness is too deep, u(r0) = -inf.  The accepted
+    shot is the profile.  Either way one more integration, at 2 steps,
+    gives the Richardson estimate.
     """
     if r0 <= 0.0 or not 0.0 < tol < math.inf or steps < 1:
         raise ValueError("need r0 > 0, finite tol > 0 and steps >= 1")
@@ -246,45 +285,48 @@ def shoot(psi, r0, n, tol=1e-10, steps=4096, eps=0.0, max_bisect=200):
     deepest = -10.0 * r0
 
     if "z" not in variables(psi):
-        rise = _integrate(psi, 0.0, r0, n, steps, eps)
-        a = -rise
+        best = _integrate(psi, 0.0, r0, n, steps, eps)
+        a = -best.end
         if a < deepest or a > 0.0:
             raise BracketFailure("u(r0) does not change sign",
-                                 (deepest + rise, rise))
+                                 (deepest + best.end, best.end))
     else:
         def shot(a):
             try:
                 return _integrate(psi, a, r0, n, steps, eps)
             except (NegativePsi, StiffnessFailure):
-                return -math.inf
+                return _Shot(-math.inf, None, None, None)
 
-        hi, f_hi = 0.0, _integrate(psi, 0.0, r0, n, steps, eps)
-        lo, f_lo = -r0, shot(-r0)
-        while f_lo > 0.0 and lo > deepest:
-            hi, f_hi = lo, f_lo
+        hi = 0.0
+        s_hi = _integrate(psi, 0.0, r0, n, steps, eps)
+        lo, s_lo = -r0, shot(-r0)
+        while s_lo.end > 0.0 and lo > deepest:
+            hi, s_hi = lo, s_lo
             lo = max(2.0 * lo, deepest)
-            f_lo = shot(lo)
-        if f_lo > 0.0 or f_hi < 0.0:
-            raise BracketFailure("u(r0) does not change sign", (f_lo, f_hi))
-        a, fa = hi, f_hi
+            s_lo = shot(lo)
+        if s_lo.end > 0.0 or s_hi.end < 0.0:
+            raise BracketFailure("u(r0) does not change sign",
+                                 (s_lo.end, s_hi.end))
+        a, best = hi, s_hi
         for _ in range(max_bisect):
-            if abs(fa) <= tol:
+            if abs(best.end) <= tol:
                 break
             # secant proposal, clipped into the bracket; bisection fallback
             # (a too-deep lo proposes hi itself)
+            f_lo, f_hi = s_lo.end, s_hi.end
             prop = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else None
             mid = 0.5 * (lo + hi)
             a = prop if prop is not None and lo < prop < hi else mid
-            fa = shot(a)
-            if fa < 0.0:
-                lo, f_lo = a, fa
+            best = shot(a)
+            if best.end < 0.0:
+                lo, s_lo = a, best
             else:
-                hi, f_hi = a, fa
+                hi, s_hi = a, best
         else:
             raise BracketFailure(f"no center value met |u(r0)| <= {tol:g}",
-                                 (f_lo, f_hi))
-    rs, us, ups, upps = _integrate(psi, a, r0, n, steps, eps, record=True)
-    fine = _integrate(psi, a, r0, n, 2 * steps, eps)
+                                 (s_lo.end, s_hi.end))
+    rs, us, ups, upps = _profile(psi, a, best, r0, n, eps)
+    fine = _integrate(psi, a, r0, n, 2 * steps, eps).end
     richardson = abs(fine - us[-1]) / 15.0  # classical 4th-order extrapolation
     return RadialProfile(r=rs, u=us, up=ups, upp=upps, n=n,
                          boundary_residual=float(abs(us[-1])),
