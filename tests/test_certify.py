@@ -247,6 +247,21 @@ def test_battery_mutation_detected(monkeypatch):
     assert not by_name["gradient_positivity_n3"].passed
 
 
+def test_battery_detects_raised_interp_constant(monkeypatch):
+    # the constant is sharp, so even a 0.1% rise must show as a violation
+    orig = cones.interp_c0
+    monkeypatch.setattr(cones, "interp_c0", lambda n, k: 1.001 * orig(n, k))
+    certs = property_battery(seed=42, samples=300, dims=(3,))
+    by_name = {c.name: c for c in certs}
+    assert not by_name["interp_lower_bound_n3"].passed
+
+
+def test_battery_past_six_dimensions():
+    certs = property_battery(seed=42, samples=700, dims=(7, 8))
+    assert len(certs) == len(certify._BATTERY) * 2
+    assert all(c.passed for c in certs), [c.name for c in certs if not c.passed]
+
+
 def test_battery_rejects_bad_dims():
     with pytest.raises(ValueError):
         property_battery(dims=(1, 2))

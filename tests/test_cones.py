@@ -157,26 +157,28 @@ def test_negative_entry_gradient_share():
 
 
 def test_constant_tables():
-    # Maclaurin constant closed form: n / binom(n, k)^(1/k)
+    # both constants are sharp: each equals its ratio at kappa = (1, ..., 1)
+    for n in range(2, 10):
+        s = cones.sigma_all(np.ones(n))
+        for k in range(2, n + 1):
+            diag_interp = s[k - 1] / (s[k] ** (1 - 1 / (k - 1)) * s[1] ** (1 / (k - 1)))
+            assert cones.interp_c0(n, k) == pytest.approx(diag_interp, rel=1e-14)
+            diag_maclaurin = s[1] / s[k] ** (1 / k)
+            assert cones.maclaurin_c0(n, k) == pytest.approx(diag_maclaurin, rel=1e-14)
     assert cones.maclaurin_c0(3, 2) == pytest.approx(np.sqrt(3), rel=1e-15)
     assert cones.maclaurin_c0(3, 3) == pytest.approx(3.0, rel=1e-15)
-    # the generated interpolation constants exist for every 2 <= k <= n <= 6
-    for n in range(2, 7):
-        for k in range(2, n + 1):
-            c0 = cones.interp_c0(n, k)
-            assert 0 < c0
-            # c0 cannot exceed the diagonal direction's ratio
-            ones = np.ones(n)
-            s = cones.sigma_all(ones)
-            diag_ratio = s[k - 1] / (s[k] ** (1 - 1 / (k - 1)) * s[1] ** (1 / (k - 1)))
-            assert c0 <= diag_ratio + 1e-12
-    with pytest.raises(ValueError):
-        cones.interp_c0(9, 2)
+    assert cones.interp_c0(3, 3) == pytest.approx(np.sqrt(3), rel=1e-15)
+    for n, k in ((2, 1), (3, 0), (3, 4), (9, 10)):
+        with pytest.raises(ValueError):
+            cones.interp_c0(n, k)
+    for n, k in ((3, 0), (3, 4)):
+        with pytest.raises(ValueError):
+            cones.maclaurin_c0(n, k)
 
 
 def test_interp_inequality_on_fresh_samples():
     rng = np.random.default_rng(2024)
-    for n in (3, 4, 6):
+    for n in (3, 4, 6, 8):
         for k in range(2, n + 1):
             K = cones.sample_gamma_k(rng, 400, n, k)
             s = cones.sigma_all(K)
