@@ -24,13 +24,18 @@ SolveReport.error_estimate.
 
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test, psi and the residual; its Jacobian and its
-StageReport reuse that state.  Each Newton equation is solved to a
-normwise backward error of at most OMEGA_MAX by iterative refinement on the
-approximate inverse held from an earlier Jacobian while that converges,
-else on one built afresh (_Factorization): a nested-dissection LU of J, or
-on a 3D level with a 2h level below it a two-grid cycle, whose only
-factorization is of the Galerkin coarse operator.  A fresh two-grid that
-does not converge falls back to the LU of J.
+StageReport reuse that state.  Each Newton equation J du = -F is solved
+inexactly, only as accurately as the Newton step needs: to the forcing
+target ||J du + F||_inf <= eta ||F||_inf, eta = min(1/10, FORCING ||F||_inf),
+which keeps Newton's local quadratic convergence (Dembo, Eisenstat &
+Steihaug, SIAM J. Numer. Anal. 19, 1982), or to a normwise backward error
+of at most OMEGA_MAX, whichever comes first.  It is solved by iterative
+refinement on the approximate inverse held from an earlier Jacobian while
+that converges, else on one built afresh (_Factorization): a
+nested-dissection LU of J, or on a 3D level with a 2h level below it a
+two-grid cycle, whose only factorization is of the Galerkin coarse
+operator.  A fresh two-grid that does not converge falls back to the LU of
+J, and a direct solve with a fresh LU is held to OMEGA_MAX itself.
 
 effective_schedule plans the eps path once per solve, from one evaluation
 of psi at the rest state u = 0, Du = 0: the schedules to try in order from
@@ -111,9 +116,15 @@ TOL_RESIDUAL = 1e-10
 MAX_ITER = 40
 MIN_STEP = 1.0 / 1024.0
 
-#: the largest normwise backward error a Newton direction may have: 64 unit
-#: roundoffs, a bound that does not tighten as J's conditioning grows
+#: the normwise backward error at which refinement stops whatever the
+#: forcing target, and the one a direct solve must meet: 64 unit roundoffs,
+#: a bound that does not tighten as J's conditioning grows
 OMEGA_MAX = 64.0 * np.finfo(float).eps / 2.0
+
+#: the forcing of the inexact Newton equations: equation k is solved to
+#: ||J du + F_k||_inf <= min(1/10, FORCING ||F_k||_inf) ||F_k||_inf, a
+#: forcing term O(||F_k||) that keeps Newton's local convergence quadratic
+FORCING = 1e-2
 
 #: the most sweeps of iterative refinement on a held LU per Newton
 #: equation before a new inverse is built
@@ -206,6 +217,11 @@ class StageReport:
     #: L+U nonzeros of the LU held at the end of the stage (a two-grid's
     #: is that of its coarse operator)
     lu_fill: int = 0
+    #: per Newton equation J du = -F_k, its forcing target tau_k =
+    #: min(1/10, FORCING ||F_k||_inf) ||F_k||_inf and the ||J du + F_k||_inf
+    #: its du reached
+    linear_targets: list = field(default_factory=list)
+    linear_residuals: list = field(default_factory=list)
     #: "prolonged" when Newton started from the coarse level's solution of
     #: this stage, "warm" when from the previous stage's (or the initial) u
     start: str = "warm"
@@ -395,9 +411,9 @@ class _Factorization:
         x[self.perm] = self.lu.solve(b[self.perm])
         return x
 
-    def _two_grid(self, J, res):
-        """Hold the two-grid cycle of J and refine on it (reuse): A_c =
-        P^T J P, P the multilinear interpolation from the 2h level,
+    def _two_grid(self, J, res, target):
+        """Hold the two-grid cycle of J and refine on it to target (reuse):
+        A_c = P^T J P, P the multilinear interpolation from the 2h level,
         factorized in the coarse grid's nested-dissection order.  None
         when A_c's factorization fails or the refinement declines."""
         P, perm_c = self.transfer
@@ -407,7 +423,7 @@ class _Factorization:
             return None
         self.factorizations += 1
         self.lu, self.smoother = lu, (J, SMOOTHING_WEIGHT / J.diagonal())
-        return self.reuse(J, res)
+        return self.reuse(J, res, target)
 
     def _cycle(self, b):
         """x ~ J^{-1} b from x = 0: SMOOTHING_SWEEPS damped-Jacobi sweeps,
@@ -426,15 +442,18 @@ class _Factorization:
             x += weight * (b - J @ x)
         return x
 
-    def reuse(self, J, res):
-        """du with omega <= OMEGA_MAX as a solution of J du = -res, by
+    def reuse(self, J, res, target=0.0):
+        """du with ||J du + res||_inf <= target or omega <= OMEGA_MAX,
+        whichever it reaches first, as a solution of J du = -res, by
         iterative refinement on the held approximate inverse M:
         du = M(-res), then sweeps du <- du - M(J du + res).  None when
         nothing is held, at the first sweep that does not lower omega,
-        once the best contraction of omega seen so far cannot reach
-        OMEGA_MAX in the sweeps left, and after REFINE_SWEEPS sweeps on an
-        LU or CYCLE_SWEEPS on a two-grid (Higham, Accuracy and Stability
-        of Numerical Algorithms, ch. 12)."""
+        once the best contraction of omega seen so far cannot reach the
+        omega that meets target (omega target / ||J du + res||_inf, no
+        lower than OMEGA_MAX) in the sweeps left, and after REFINE_SWEEPS
+        sweeps on an LU or CYCLE_SWEEPS on a two-grid (Higham, Accuracy and
+        Stability of Numerical Algorithms, ch. 12).  The default target 0
+        asks for omega <= OMEGA_MAX."""
         if self.lu is None:
             return None
         budget = REFINE_SWEEPS if self.smoother is None else CYCLE_SWEEPS
@@ -443,30 +462,34 @@ class _Factorization:
         for sweep in range(budget + 1):
             lin = J @ du + res
             omega = _backward_error(lin, norm_J, du, res)
-            if omega <= OMEGA_MAX:
+            reached = np.abs(lin).max()
+            if reached <= target or omega <= OMEGA_MAX:
                 return du
+            goal = max(omega * target / reached, OMEGA_MAX)
             # the best contraction of omega so far; 0 before any sweep
             rate = omega / last if sweep < 2 else min(rate, omega / last)
             if (not omega < last or sweep == budget
-                    or omega * rate ** (budget - sweep) > OMEGA_MAX):
+                    or omega * rate ** (budget - sweep) > goal):
                 return None
             du, last = du - self.apply(lin), omega
             self.refinements += 1
 
-    def solve(self, J, res):
-        """du with normwise backward error omega <= OMEGA_MAX as a solution
-        of J du = -res (see _backward_error).
+    def solve(self, J, res, target=0.0):
+        """du as a solution of J du = -res with ||J du + res||_inf <= target
+        or normwise backward error omega <= OMEGA_MAX (see _backward_error);
+        the default target 0 asks for omega <= OMEGA_MAX.
 
         Refinement on the held inverse is tried first (reuse).  When it
         declines, the level's inverse is built afresh from J: a two-grid
         is refined on again, and an LU of J is solved directly.  When a
         fresh two-grid declines too, J is factorized and solved directly
-        (a fallback).  A direct solve that misses the same contract raises
+        (a fallback).  A direct solve is held to omega <= OMEGA_MAX
+        whatever the target, and one that misses it raises
         LinearSolveFailure (newton_solve attaches its stage).
         """
-        du = self.reuse(J, res)
+        du = self.reuse(J, res, target)
         if du is None and self.transfer is not None:
-            du = self._two_grid(J, res)
+            du = self._two_grid(J, res, target)
             if du is None:
                 self.fallbacks += 1
         if du is not None:
@@ -512,14 +535,19 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     start raises SolverFailure; every SolverFailure carries the partial
     report as exc.stage.
 
-    Each Newton equation J du = -res is solved to a normwise backward error
-    ||J du + res||_inf / (||J||_inf ||du||_inf + ||res||_inf) of at most
-    OMEGA_MAX = 64u, u the unit roundoff.  Iterative refinement on the
-    held approximate inverse (an LU or a two-grid cycle) is tried first; a
-    new one is built from J only when that stalls or cannot meet the
-    contract within its budget.  factorization is the _Factorization holder
-    shared along a continuation; a fresh one, which holds LUs only, is made
-    when None.
+    Newton equation k, J du = -res, is solved inexactly: to the target
+    tau_k = eta_k ||res||_inf, with the forcing term eta_k = min(1/10,
+    FORCING ||res||_inf) that keeps the local convergence quadratic
+    (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), or to a normwise
+    backward error ||J du + res||_inf / (||J||_inf ||du||_inf + ||res||_inf)
+    of at most OMEGA_MAX = 64u, u the unit roundoff, whichever comes first;
+    a direct solve with a fresh LU is held to OMEGA_MAX.  The stop test
+    ||res||_inf <= TOL_RESIDUAL does not depend on the forcing.  Iterative
+    refinement on the held approximate inverse (an LU or a two-grid cycle)
+    is tried first; a new one is built from J only when that stalls or
+    cannot meet the target within its budget.  factorization is the
+    _Factorization holder shared along a continuation; a fresh one, which
+    holds LUs only, is made when None.
     """
     if factorization is None:
         factorization = _Factorization(grid)
@@ -536,7 +564,11 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
                 f"eps = 0 requires psi > 0 on the grid (min {state[3].min():g})")
         for _ in range(MAX_ITER):
             J = jacobian(spec, grid, u, eps, state)
-            du = factorization.solve(J, res)
+            norm_inf = stage.residual_norms[-1]
+            target = min(0.1, FORCING * norm_inf) * norm_inf
+            du = factorization.solve(J, res, target)
+            stage.linear_targets.append(target)
+            stage.linear_residuals.append(float(np.abs(J @ du + res).max()))
             norm0 = stage.residual_2norms[-1]
             s = 1.0
             while s >= MIN_STEP:

@@ -506,7 +506,7 @@ def test_continuation_reuses_factorization(monkeypatch):
 
     # the same solve with every reuse declined factorizes at every iteration
     monkeypatch.setattr(solver._Factorization, "reuse",
-                        lambda self, J, res: None)
+                        lambda self, J, res, target=0.0: None)
     calls.clear()
     u_direct, direct = continuation_solve(spec)
     assert [st.iterations for st in direct.stages] == iters
@@ -713,6 +713,83 @@ def test_two_dimensional_levels_hold_the_lu():
         level = level.coarse
     assert len(stages) == 2
     assert all(st.inverse == "lu" and st.fallbacks == 0 for st in stages)
+
+
+# ---------------------------------------------------------------- forcing
+
+
+def _levels(report):
+    """The SolveReports of a nested solve, finest level first."""
+    levels = []
+    while report is not None:
+        levels.append(report)
+        report = report.coarse
+    return levels
+
+
+@pytest.mark.parametrize("n, psi, h", [(2, "1", 1 / 64), (3, "8", 1 / 24)])
+def test_newton_equations_meet_their_forcing_targets(monkeypatch, n, psi, h):
+    # every Newton equation k carries the target tau_k = min(1/10,
+    # FORCING ||F_k||) ||F_k|| and its du reaches it, or the backward error
+    # OMEGA_MAX comes first; the reports list them in the order solved,
+    # coarsest level first
+    calls = []
+    real = solver._Factorization.solve
+
+    def recording(self, J, res, target=0.0):
+        du = real(self, J, res, target)
+        calls.append((target, float(np.abs(J @ du + res).max()),
+                      _omega(J, du, res)))
+        return du
+
+    monkeypatch.setattr(solver._Factorization, "solve", recording)
+    shape = DomainShape((0.5,) * n)
+    _, report = continuation_solve(ProblemSpec(n=n, shape=shape, psi=psi, h=h))
+    stages = [st for level in reversed(_levels(report)) for st in level.stages]
+    targets = [t for st in stages for t in st.linear_targets]
+    reached = [r for st in stages for r in st.linear_residuals]
+    assert targets == [t for t, _, _ in calls]
+    assert reached == [r for _, r, _ in calls]
+    for st in stages:
+        assert (len(st.linear_targets) == len(st.linear_residuals)
+                == st.iterations)
+        for norm, target in zip(st.residual_norms, st.linear_targets):
+            assert target == min(0.1, solver.FORCING * norm) * norm
+    assert all(r <= t or omega <= solver.OMEGA_MAX for t, r, omega in calls)
+    # the forcing ends some equations early: not every one is solved to 64u
+    assert any(omega > solver.OMEGA_MAX for _, _, omega in calls)
+
+
+# the 3D cap at h = 1/24 takes 74 finest-level two-grid cycles when every
+# equation is solved to omega <= OMEGA_MAX
+@pytest.mark.parametrize("n, psi, h, schedule, iterations, cycles", [
+    (2, "1", 1 / 64, None, [3, 8], None),
+    (3, "8", 1 / 24, None, [3, 7], 35),
+    (3, "8", 1 / 40, None, [3, 3, 6], None),
+    (2, "r^2", 1 / 64, (1e-1, 1e-2, 1e-3, 1e-4, 0.0), [9, 20], None),
+])
+def test_inexact_newton_keeps_iteration_counts(n, psi, h, schedule,
+                                               iterations, cycles):
+    # a looser forcing would save linear sweeps at the cost of Newton
+    # iterations; the per-level counts, finest first, are those of Newton
+    # with every equation solved to omega <= OMEGA_MAX
+    shape = DomainShape((0.5,) * n)
+    spec = ProblemSpec(n=n, shape=shape, psi=psi, h=h, eps_schedule=schedule)
+    _, report = continuation_solve(spec)
+    assert [sum(st.iterations for st in level.stages)
+            for level in _levels(report)] == iterations
+    if cycles is not None:
+        assert sum(st.refinements for st in report.stages) <= cycles
+
+
+def test_two_grid_serves_a_warm_start_from_the_steep_cap():
+    # at the automatic cap's Jacobian the cycle contracts omega by only
+    # ~0.65, too slowly for 64u within CYCLE_SWEEPS, but fast enough for
+    # the first equations' loose targets: no fallback to a fine LU
+    grid, spec, held = _level_holder(1 / 16)
+    _, stage = newton_solve(spec, grid, initial_guess(spec, grid), 0.0, held)
+    assert stage.residual_norms[-1] <= solver.TOL_RESIDUAL
+    assert (stage.inverse, stage.fallbacks) == ("two-grid", 0)
 
 
 # ---------------------------------------------------------------- guess
