@@ -31,11 +31,12 @@ which keeps Newton's local quadratic convergence (Dembo, Eisenstat &
 Steihaug, SIAM J. Numer. Anal. 19, 1982), or to a normwise backward error
 of at most OMEGA_MAX, whichever comes first.  It is solved by iterative
 refinement on the approximate inverse held from an earlier Jacobian while
-that converges, else on one built afresh (_Factorization): a
-nested-dissection LU of J, or on a 3D level with a 2h level below it a
-two-grid cycle, whose only factorization is of the Galerkin coarse
-operator.  A fresh two-grid that does not converge falls back to the LU of
-J, and a direct solve with a fresh LU is held to OMEGA_MAX itself.
+each sweep cuts omega below CONTRACTION times the last, else on one built
+afresh (_Factorization): a nested-dissection LU of J, or on a 3D level
+with a 2h level below it a two-grid cycle, whose only factorization is of
+the Galerkin coarse operator.  A fresh two-grid that does not converge
+falls back to the LU of J, and a direct solve with a fresh LU is held to
+OMEGA_MAX itself.
 
 effective_schedule plans the eps path once per solve, from one evaluation
 of psi at the rest state u = 0, Du = 0: the schedules to try in order from
@@ -126,16 +127,16 @@ OMEGA_MAX = 64.0 * np.finfo(float).eps / 2.0
 #: forcing term O(||F_k||) that keeps Newton's local convergence quadratic
 FORCING = 1e-2
 
-#: the most sweeps of iterative refinement on a held LU per Newton
-#: equation before a new inverse is built
-REFINE_SWEEPS = 20
+#: iterative refinement keeps the held inverse while each sweep cuts the
+#: backward error omega below CONTRACTION times the last; omega <= 1, so
+#: at most 92 sweeps reach OMEGA_MAX
+CONTRACTION = 0.7
 
 #: the two-grid cycle of a 3D level with a 2h level below it: this many
 #: damped-Jacobi sweeps before and after the coarse correction, with this
-#: weight, and at most CYCLE_SWEEPS cycles of refinement per Newton equation
+#: weight
 SMOOTHING_SWEEPS = 2
 SMOOTHING_WEIGHT = 0.7
-CYCLE_SWEEPS = 60
 
 #: radius of the automatic cap over r0: the steepest cap over the ball
 _AUTO_CAP = 1.05
@@ -447,29 +448,20 @@ class _Factorization:
         whichever it reaches first, as a solution of J du = -res, by
         iterative refinement on the held approximate inverse M:
         du = M(-res), then sweeps du <- du - M(J du + res).  None when
-        nothing is held, at the first sweep that does not lower omega,
-        once the best contraction of omega seen so far cannot reach the
-        omega that meets target (omega target / ||J du + res||_inf, no
-        lower than OMEGA_MAX) in the sweeps left, and after REFINE_SWEEPS
-        sweeps on an LU or CYCLE_SWEEPS on a two-grid (Higham, Accuracy and
-        Stability of Numerical Algorithms, ch. 12).  The default target 0
-        asks for omega <= OMEGA_MAX."""
+        nothing is held, and at the first sweep whose omega is not below
+        CONTRACTION times the last, so a NaN or inf omega declines at once
+        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
+        The default target 0 asks for omega <= OMEGA_MAX."""
         if self.lu is None:
             return None
-        budget = REFINE_SWEEPS if self.smoother is None else CYCLE_SWEEPS
         norm_J = abs(J).sum(axis=1).max()
         du, last = self.apply(-res), np.inf
-        for sweep in range(budget + 1):
+        while True:
             lin = J @ du + res
             omega = _backward_error(lin, norm_J, du, res)
-            reached = np.abs(lin).max()
-            if reached <= target or omega <= OMEGA_MAX:
+            if np.abs(lin).max() <= target or omega <= OMEGA_MAX:
                 return du
-            goal = max(omega * target / reached, OMEGA_MAX)
-            # the best contraction of omega so far; 0 before any sweep
-            rate = omega / last if sweep < 2 else min(rate, omega / last)
-            if (not omega < last or sweep == budget
-                    or omega * rate ** (budget - sweep) > goal):
+            if not omega < CONTRACTION * last:
                 return None
             du, last = du - self.apply(lin), omega
             self.refinements += 1
@@ -479,8 +471,9 @@ class _Factorization:
         or normwise backward error omega <= OMEGA_MAX (see _backward_error);
         the default target 0 asks for omega <= OMEGA_MAX.
 
-        Refinement on the held inverse is tried first (reuse).  When it
-        declines, the level's inverse is built afresh from J: a two-grid
+        Refinement on the held inverse is tried first (reuse).  When a
+        sweep does not cut omega below CONTRACTION times the last, it
+        declines, and the level's inverse is built afresh from J: a two-grid
         is refined on again, and an LU of J is solved directly.  When a
         fresh two-grid declines too, J is factorized and solved directly
         (a fallback).  A direct solve is held to omega <= OMEGA_MAX
@@ -544,10 +537,10 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     a direct solve with a fresh LU is held to OMEGA_MAX.  The stop test
     ||res||_inf <= TOL_RESIDUAL does not depend on the forcing.  Iterative
     refinement on the held approximate inverse (an LU or a two-grid cycle)
-    is tried first; a new one is built from J only when that stalls or
-    cannot meet the target within its budget.  factorization is the
-    _Factorization holder shared along a continuation; a fresh one, which
-    holds LUs only, is made when None.
+    is tried first; a new one is built from J at the first sweep that
+    does not cut omega below CONTRACTION times the last.  factorization is
+    the _Factorization holder shared along a continuation; a fresh one,
+    which holds LUs only, is made when None.
     """
     if factorization is None:
         factorization = _Factorization(grid)
@@ -761,8 +754,8 @@ def _stage(spec, grid, prolonged, warm, eps, factorization, rejected=None):
 def effective_schedule(spec, grid):
     """(schedules, notes): the eps schedules continuation_solve tries in
     order, and its warning lines: no cap dominates psi_eps at the first eps
-    (a wider cap's curvature product is smaller still), the eps
-    replacement, the dropped mixed stencils.
+    run, that of the first schedule (a wider cap's curvature product is
+    smaller still), the eps replacement, the dropped mixed stencils.
 
     psi is evaluated, and checked, only on the grid at the rest state.  An
     explicit schedule is the one schedule; without one, (0,) then LADDER
@@ -776,10 +769,6 @@ def effective_schedule(spec, grid):
         raise NegativePsi(f"psi must be nonnegative, worst value {psi_min:g}")
     notes = []
     schedule = spec.eps_schedule or LADDER
-    if spec.subsolution is None and grid.shape.kind == "ball":
-        cap = (n - 1) / (_AUTO_CAP * grid.shape.r0)
-        if not cap ** n >= float(regularize_psi(psi, schedule[0], n).max()):
-            notes.append("no cap dominates psi; starting from the steepest cap")
     if psi_min > 0.0:
         schedules = (((0.0,), LADDER) if spec.eps_schedule is None
                      else (schedule,))
@@ -790,6 +779,12 @@ def effective_schedule(spec, grid):
                      f"final stage runs at eps={last:g} instead of 0")
     else:
         schedules = (schedule,)
+    if spec.subsolution is None and grid.shape.kind == "ball":
+        cap = (n - 1) / (_AUTO_CAP * grid.shape.r0)
+        first = regularize_psi(psi, schedules[0][0], n)
+        if not cap ** n >= float(first.max()):
+            notes.insert(
+                0, "no cap dominates psi; starting from the steepest cap")
     return schedules, notes + _dropped_notes(grid)
 
 

@@ -555,7 +555,7 @@ def test_refinement_on_held_lu_meets_contract_or_declines():
     held.lu = held.factorize(equation(1.19)[0])
     du = held.solve(J, res)
     assert held.factorizations == 0
-    assert 0 < held.refinements < solver.REFINE_SWEEPS
+    assert 0 < held.refinements < 20
     assert _omega(J, du, res) <= solver.OMEGA_MAX
     assert np.abs(du - direct).max() <= 1e-10 * np.abs(direct).max()
     # a noisy LU and one of a far Jacobian stall before the sweeps run out
@@ -565,7 +565,7 @@ def test_refinement_on_held_lu_meets_contract_or_declines():
         held = solver._Factorization(grid)
         held.lu = held.factorize(stale)
         assert held.reuse(J, res) is None
-        assert 0 < held.refinements < solver.REFINE_SWEEPS
+        assert 0 < held.refinements < 20
 
 
 def test_nested_dissection_cuts_fill_and_meets_contract():
@@ -616,12 +616,13 @@ def test_backward_error_contract_holds_on_fine_single_level_mesh(monkeypatch):
     assert np.linalg.norm(J @ du + res) > 1e-12 * np.linalg.norm(res)
 
 
-def test_refinement_declines_once_its_rate_cannot_reach_the_contract():
-    # an LU of the cap at radius 0.9 lowers omega for J at 1.2 at every
-    # sweep, but too slowly for REFINE_SWEEPS: the first measured
-    # contraction already shows it, so one sweep is spent before the
-    # factorization, not all of them; an LU at radius 3 contracts fast
-    # enough and still meets the contract near the end of the budget
+def test_refinement_declines_at_the_first_sweep_that_contracts_too_little(
+        monkeypatch):
+    # refinement on a held LU goes on while each sweep cuts omega below
+    # CONTRACTION times the last: an LU of the cap at radius 0.9 or 3 meets
+    # the contract for J at 1.2, one at radius 0.6 and a noisy one decline
+    # after one sweep, and a held inverse that returns NaN or inf declines
+    # before any sweep
     h = 1 / 32
     grid = build_grid(DISK, h)
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
@@ -630,16 +631,38 @@ def test_refinement_declines_once_its_rate_cannot_reach_the_contract():
         u = cap_function(grid, R)
         return jacobian(spec, grid, u, 0.0), residual(spec, grid, u, 0.0)
 
+    omegas = []
+    real = solver._backward_error
+
+    def recording(*args):
+        omegas.append(real(*args))
+        return omegas[-1]
+
+    monkeypatch.setattr(solver, "_backward_error", recording)
     J, res = equation(1.2)
-    held = solver._Factorization(grid)
-    held.lu = held.factorize(equation(0.9)[0])
-    assert held.reuse(J, res) is None
-    assert held.refinements == 1
-    held = solver._Factorization(grid)
-    held.lu = held.factorize(equation(3.0)[0])
-    du = held.reuse(J, res)
-    assert solver.REFINE_SWEEPS - 5 <= held.refinements < solver.REFINE_SWEEPS
-    assert _omega(J, du, res) <= solver.OMEGA_MAX
+    noise = np.random.default_rng(3).uniform(-1.0, 1.0, grid.size)
+    bad = J + scipy.sparse.diags(10.0 * abs(J).max() * noise)
+    for stale, sweeps in ((equation(0.9)[0], 22), (equation(3.0)[0], 17),
+                          (equation(0.6)[0], None), (bad, None)):
+        held = solver._Factorization(grid)
+        held.lu = held.factorize(stale)
+        omegas.clear()
+        du = held.reuse(J, res)
+        ratios = [b / a for a, b in zip(omegas, omegas[1:])]
+        if sweeps is None:
+            assert du is None and held.refinements == 1
+            assert not ratios[-1] < solver.CONTRACTION
+            continue
+        assert held.refinements == sweeps == len(ratios)
+        assert all(r < solver.CONTRACTION for r in ratios)
+        assert omegas[-1] <= solver.OMEGA_MAX
+        assert _omega(J, du, res) <= solver.OMEGA_MAX
+    for value in (np.nan, np.inf):
+        held = solver._Factorization(grid)
+        held.lu = held.factorize(J)
+        held.apply = lambda b, value=value: np.full_like(b, value)
+        assert held.reuse(J, res) is None
+        assert held.refinements == 0
 
 
 # ---------------------------------------------------------------- two-grid
@@ -669,7 +692,7 @@ def test_two_grid_meets_contract_on_3d_cap_jacobians():
         assert held.lu.shape[0] == coarse_grid(grid, 0).size
         assert _omega(J, du, res) <= solver.OMEGA_MAX
         cycles.append(held.refinements)
-    assert 0 < max(cycles) < solver.CYCLE_SWEEPS
+    assert 0 < max(cycles) < 60
     assert abs(cycles[0] - cycles[1]) <= 5
 
 
@@ -776,16 +799,25 @@ def test_inexact_newton_keeps_iteration_counts(n, psi, h, schedule,
     shape = DomainShape((0.5,) * n)
     spec = ProblemSpec(n=n, shape=shape, psi=psi, h=h, eps_schedule=schedule)
     _, report = continuation_solve(spec)
+    levels = _levels(report)
     assert [sum(st.iterations for st in level.stages)
-            for level in _levels(report)] == iterations
+            for level in levels] == iterations
     if cycles is not None:
         assert sum(st.refinements for st in report.stages) <= cycles
+    # on the caps, the per-level (factorizations, refinements) pin which
+    # refinements are kept and which declined
+    counts = {(2, "1", 1 / 64): [(1, 7), (5, 24)],
+              (3, "8", 1 / 24): [(1, 29), (4, 25)]}.get((n, psi, h))
+    if counts is not None:
+        assert [(sum(st.factorizations for st in level.stages),
+                 sum(st.refinements for st in level.stages))
+                for level in levels] == counts
 
 
 def test_two_grid_serves_a_warm_start_from_the_steep_cap():
     # at the automatic cap's Jacobian the cycle contracts omega by only
-    # ~0.65, too slowly for 64u within CYCLE_SWEEPS, but fast enough for
-    # the first equations' loose targets: no fallback to a fine LU
+    # ~0.65 per cycle, just under CONTRACTION, and the first equations'
+    # targets are loose: no fallback to a fine LU
     grid, spec, held = _level_holder(1 / 16)
     _, stage = newton_solve(spec, grid, initial_guess(spec, grid), 0.0, held)
     assert stage.residual_norms[-1] <= solver.TOL_RESIDUAL
@@ -820,6 +852,19 @@ def test_initial_guess_fallback_warns():
     np.testing.assert_array_equal(u0, cap_function(grid, 0.525))
     assert effective_schedule(spec, grid)[1] == [
         "no cap dominates psi; starting from the steepest cap"]
+
+
+def test_cap_note_judges_the_first_eps_run():
+    # psi > 0 with no explicit schedule runs eps = 0 first: the steepest
+    # cap's curvature product 1/0.525^2 = 3.628... dominates psi = 3.6,
+    # though not psi_eps at LADDER's first eps 0.1, and not psi = 3.7
+    grid = build_grid(DISK, 1 / 32)
+    for psi, notes in (("3.6", []), ("3.7", [
+            "no cap dominates psi; starting from the steepest cap"])):
+        spec = ProblemSpec(n=2, shape=DISK, psi=psi, h=1 / 32)
+        schedules, found = effective_schedule(spec, grid)
+        assert schedules[0] == (0.0,)
+        assert found == notes
 
 
 def test_initial_guess_subsolution_sampled_verbatim():
