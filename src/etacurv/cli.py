@@ -286,10 +286,11 @@ def cmd_solve(cfg, out_dir=".", emit_svg=False):
     spec = build_problem(cfg)
     psi_notes = _check_psi(spec)
     grid = build_grid(spec.shape, spec.h)
-    # a subsolution not of position only, or uncertified, is a config error
+    # a subsolution not of position only, or uncertified, or missing off a
+    # ball, is a config error
     try:
         u0 = initial_guess(spec, grid)
-    except ValueError as exc:
+    except (ValueError, NoInitialGuess) as exc:
         raise ConfigError(str(exc)) from exc
     u, report = continuation_solve(spec, grid, u0)
     report.warnings[:0] = psi_notes
@@ -499,9 +500,8 @@ def main(argv=None):
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverFailure, NoInitialGuess, NotAdmissible, NegativePsi,
-            radial.BracketFailure, radial.StiffnessFailure,
-            radial.DegenerateTangential) as exc:
+    except (SolverFailure, NotAdmissible, NegativePsi, radial.BracketFailure,
+            radial.StiffnessFailure, radial.DegenerateTangential) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
 

@@ -1,10 +1,12 @@
 """Convex computational domains: balls, ellipses, ellipsoids.
 
 Each shape is the sublevel set of the implicit function
-phi(x) = sum_i (x_i / a_i)^2 - 1 (phi < 0 inside).  Boundary curvature
-analysis works through the level-set shape operator P H P / |grad phi|
-restricted to the tangent plane, so the same code covers every shape kind;
-the classical conic formulas appear only in the tests as oracles.
+phi(x) = sum_i (x_i / a_i)^2 - 1 (phi < 0 inside).  phi is quadratic
+along every line, so the grid's boundary crossings along the axes come in
+closed form (DomainShape.axis_distance).  Boundary curvature analysis
+works through the level-set shape operator P H P / |grad phi| restricted
+to the tangent plane, so the same code covers every shape kind; the
+classical conic formulas appear only in the tests as oracles.
 """
 
 from __future__ import annotations
@@ -78,6 +80,19 @@ class DomainShape:
 
     def contains(self, x):
         return self.implicit(x) < 0.0
+
+    def axis_distance(self, x, axis, sign):
+        """Distance t > 0 from interior points x (..., n) to the boundary
+        along sign * e_axis, axis and sign broadcasting over x's leading
+        axes: the positive root a sqrt(R) - sign x_axis of phi's quadratic
+        along the line, R = 1 - sum over the other axes of (x_i / a_i)^2,
+        as -a^2 phi(x) / (a sqrt(R) + |x_axis|) where it would cancel."""
+        x = np.asarray(x, dtype=float)
+        on = np.arange(self.n) == np.asarray(axis)[..., None]
+        rest = 1.0 - np.sum(np.where(on, 0.0, (x / self.semiaxes) ** 2), axis=-1)
+        xs, a = np.sum(on * x, axis=-1), np.sum(on * self.semiaxes, axis=-1)
+        far = a * np.sqrt(rest) + np.abs(xs)
+        return np.where(sign * xs > 0.0, -a ** 2 * self.implicit(x) / far, far)
 
     def boundary_point(self, direction):
         """Radial projection: the unique t > 0 with t*direction on the boundary."""

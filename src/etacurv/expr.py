@@ -13,12 +13,14 @@ Identifiers: variables x1 x2 x3, z, nu1 nu2 nu3 nu4, r (= |x|), w
 and max min (two or more).  "-x^2" parses as -(x^2); "^" binds tighter than
 unary minus and associates right.
 
-Evaluation is numpy-polymorphic: an environment may hold a single point or a
-batch (leading axes broadcast).  eval_with_derivs carries hand-rolled
-forward-mode duals for (d/dz, d/dp) where p is the graph gradient hiding
-inside nu and w; its value channel performs bitwise the same operations as
-evaluate.  eval_x_gradient differentiates in x instead (for subsolution
-checks); there z, nu, w are held fixed.
+Evaluation works on batches: an environment's arrays carry leading batch
+axes that broadcast, and a single point is the 0-d batch (x of shape (n,)).
+Every evaluator returns arrays of the broadcast batch shape.
+eval_with_derivs carries hand-rolled forward-mode duals for (d/dz, d/dp)
+where p is the graph gradient hiding inside nu and w; its value channel
+performs bitwise the same operations as evaluate.  eval_x_gradient
+differentiates in x instead (for subsolution checks); there z, nu, w are
+held fixed.
 """
 
 from __future__ import annotations
@@ -285,9 +287,10 @@ def check_dimension(e, n):
 
 @dataclass
 class EvalEnv:
-    """Point data for evaluation; arrays may carry leading batch axes.
+    """A batch of evaluation points; a single point is the 0-d batch.
 
-    x has shape (..., n), nu shape (..., n+1); z and w shape (...).
+    x has shape (..., n), nu shape (..., n+1); z and w shape (...), and the
+    leading axes broadcast.
     """
 
     x: np.ndarray
@@ -519,16 +522,16 @@ def _lookup(name, env, seeds):
 
 
 def _batch_shape(env, *vals):
-    return np.broadcast_shapes(np.shape(env.x)[:-1], np.shape(env.z),
-                               np.shape(env.w), *(np.shape(v) for v in vals))
+    # np.broadcast reads shapes only; nothing is copied
+    return np.broadcast(env.x[..., 0], env.z, env.w, *vals).shape
 
 
 def evaluate(e, env):
-    """Plain value of e in env (float for point envs, array for batches)."""
+    """Plain value of e in env, of the broadcast batch shape (0-d for a
+    single point)."""
     out = np.asarray(_eval(e, env, None), dtype=float)
-    if np.ndim(env.x) == 1:
-        return float(out)
-    return np.broadcast_to(out, _batch_shape(env, out)) + 0.0
+    # a new array of the batch shape; adding 0.0 makes -0.0 +0.0
+    return np.add(out, 0.0, out=np.empty(_batch_shape(env, out)))
 
 
 def _zp_seeds(name, val, env):
@@ -563,19 +566,17 @@ def _zp_seeds(name, val, env):
 
 def _seeded(e, env, seeds, d):
     """(value, gradient) of e with the gradient seeded by seeds, d entries
-    per node: a float and a length-d vector for a point env, arrays of the
-    broadcast batch shape (plus d) for a batch."""
+    per node: arrays of the broadcast batch shape, and of that shape plus
+    (d,)."""
     out = _eval(e, env, seeds)
     if isinstance(out, _Dual):
         val, grad = np.asarray(out.val), out.grad
     else:
         val = np.asarray(out, dtype=float)
         grad = np.zeros(val.shape + (d,))
-    if np.ndim(env.x) == 1:
-        return float(val), grad.reshape(d).copy()
     shape = _batch_shape(env, val)
-    return (np.broadcast_to(val, shape) + 0.0,
-            np.broadcast_to(grad, shape + (d,)) + 0.0)
+    return (np.add(val, 0.0, out=np.empty(shape)),
+            np.add(grad, 0.0, out=np.empty(shape + (d,))))
 
 
 def eval_with_derivs(e, env):
@@ -585,8 +586,7 @@ def eval_with_derivs(e, env):
     is bitwise identical to evaluate(e, env).
     """
     val, grad = _seeded(e, env, _zp_seeds, env.n + 1)
-    dz = float(grad[0]) if np.ndim(env.x) == 1 else grad[..., 0]
-    return val, dz, grad[..., 1:]
+    return val, grad[..., 0], grad[..., 1:]
 
 
 def _x_seeds(name, val, env):

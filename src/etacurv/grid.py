@@ -4,8 +4,8 @@ The lattice {i*h} is clipped to a convex shape's open interior, less the
 nodes within roundoff of its boundary (INTERIOR_MARGIN).  Nodes whose
 2n axis neighbors are all interior are "regular" and get central
 second-order stencils.  Nodes next to the boundary are "irregular": the
-distance to the boundary crossing along each blocked arm is found by
-bisection on the shape's implicit function, and the three-point
+distance to the boundary crossing along each blocked arm comes in closed
+form from the shape (DomainShape.axis_distance), and the three-point
 unequal-arm (Shortley-Weller) formulas take over for u_s and u_ss.  Mixed
 derivatives use the centered four-corner cross when all corners are
 interior and otherwise fall back to a one-sided quadrant stencil built
@@ -97,7 +97,6 @@ class Grid:
     h: float
     idx: np.ndarray          # (m, n) lattice indices, lexicographically sorted
     pos: np.ndarray          # (m, n) coordinates = idx * h
-    cls: np.ndarray          # (m,) 0 = interior-regular, 1 = interior-irregular
     nb: np.ndarray           # (m, n, 2) neighbor row for (+, -) arm, -1 = boundary
     theta: np.ndarray        # (m, n, 2) arm length / h, in (0, 1]; 1 where neighbor interior
     lookup: np.ndarray       # lattice bounding box padded by one layer: row, -1 outside
@@ -171,8 +170,9 @@ def check_lattice(shape, h):
 #: build_grid keeps a lattice node only where the shape's (dimensionless)
 #: implicit function is below -INTERIOR_MARGIN: a node within roundoff of
 #: the boundary would get an arm theta ~ 1e-16, and the Shortley-Weller
-#: weights grow like theta^-2.  The same margin at every spacing keeps the
-#: coarse nodes exactly the even fine nodes.
+#: weights grow like theta^-2.  Every kept node has phi < 0, so its arms'
+#: closed-form distances are > 0.  The same margin at every spacing keeps
+#: the coarse nodes exactly the even fine nodes.
 INTERIOR_MARGIN = 1e-12
 
 
@@ -191,39 +191,17 @@ def build_grid(shape, h):
 
     lookup = np.full([2 * k + 3 for k in half], -1, dtype=np.int64)
     lookup[(slice(1, -1),) * n][inside.reshape(mesh[0].shape)] = np.arange(m)
-    grid = Grid(shape=shape, h=float(h), idx=idx, pos=pos, cls=None, nb=None,
+    grid = Grid(shape=shape, h=float(h), idx=idx, pos=pos, nb=None,
                 theta=np.ones((m, n, 2)), lookup=lookup)
     unit = np.eye(n, dtype=np.int64)
     arms = np.stack([unit, -unit], axis=1)  # arms[s, t]: the (+, -) step along s
     grid.nb = grid.rows_at(idx[:, None, None, :] + arms)
-    cross = np.argwhere(grid.nb < 0)  # (q, s, t), in node-major order
-    if len(cross):
-        cross = np.column_stack([cross, 1 - 2 * cross[:, 2]])  # the arm's sign
-        theta_cross = _bisect_arms(shape, pos, h, cross)
-        grid.theta[cross[:, 0], cross[:, 1], cross[:, 2]] = theta_cross
-    grid.cls = (grid.nb < 0).any(axis=(1, 2)).astype(np.uint8)
+    q, s, t = np.nonzero(grid.nb < 0)
+    # the crossing lies past a neighbor dropped by INTERIOR_MARGIN (phi < 0
+    # there): that arm is a full step
+    grid.theta[q, s, t] = np.minimum(
+        shape.axis_distance(pos[q], s, 1 - 2 * t) / h, 1.0)
     return grid
-
-
-def _bisect_arms(shape, pos, h, cross):
-    """Arm fractions theta in (0, 1]: phi(x + theta*sign*h*e_s) = 0 to 1e-12."""
-    x0 = pos[cross[:, 0]]
-    step = np.zeros_like(x0)
-    step[np.arange(len(cross)), cross[:, 1]] = cross[:, 3] * h
-    phi_end = shape.implicit(x0 + step)
-    # interior start guarantees phi(0) < 0; a neighbor dropped by
-    # INTERIOR_MARGIN has -INTERIOR_MARGIN <= phi(1) < 0 and bisects to 1
-    lo = np.zeros(len(cross))
-    hi = np.ones(len(cross))
-    exact = phi_end == 0.0
-    for _ in range(60):
-        mid = 0.5 * (lo + hi)
-        neg = shape.implicit(x0 + mid[:, None] * step) < 0.0
-        lo = np.where(neg, mid, lo)
-        hi = np.where(neg, hi, mid)
-    out = 0.5 * (lo + hi)
-    out[exact] = 1.0
-    return out
 
 
 def _arm_coeffs(hp, hm):

@@ -109,12 +109,12 @@ def regularize_value(psi_value, eps, n):
 
 
 def _psi_at(psi, r, u, up, n):
-    """psi evaluated on the x1 axis with the radial normal."""
-    x = np.zeros(n)
-    x[0] = r
-    p = np.zeros(n)
-    p[0] = up
-    return float(evaluate(psi, EvalEnv.from_gradient(x, u, p)))
+    """psi evaluated on the x1 axis with the radial normal, at the gradient
+    p = (up, 0, ...): w = sqrt(1 + up^2), nu = (-up, -0.0, ..., 1) / w."""
+    w = math.sqrt(1.0 + up * up)
+    nu = np.array([-up / w] + [-0.0] * (n - 1) + [1.0 / w])
+    x = np.array([r] + [0.0] * (n - 1))
+    return float(evaluate(psi, EvalEnv(x=x, z=u, nu=nu, w=w)))
 
 
 #: |u''| above this, or a non-finite u'', ends an RK4 stage as stiff

@@ -303,6 +303,20 @@ def test_domain_key_the_kind_does_not_read_exits_1(tmp_path, kind, extra):
     assert lines == [f"error: domain.kind = {kind} does not read {key}"]
 
 
+@pytest.mark.parametrize("text", [
+    "\n".join(line for line in ELLIPSE_CFG.splitlines()
+              if not line.startswith("subsolution")),
+    "n = 3\ndomain.kind = ellipsoid\ndomain.semiaxes = 0.5, 0.4, 0.3\n"
+    "psi = 8\nh = 0.125\n",
+])
+def test_solve_off_a_ball_without_subsolution_exits_1(tmp_path, text):
+    # the README calls the subsolution key required off balls
+    rc, lines = run_cli("solve", write_cfg(tmp_path, text), tmp_path)
+    assert rc == 1
+    assert lines == ["error: automatic caps exist only on balls; "
+                     "provide a subsolution"]
+
+
 @pytest.mark.parametrize("command", ["solve", "radial"])
 @pytest.mark.parametrize("psi", ["1e400", "exp(1000)"])
 def test_nonfinite_psi_exits_1_naming_the_sample(tmp_path, command, psi):

@@ -1,5 +1,7 @@
 """Expression language: parsing, printing, evaluation, forward derivatives."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -196,6 +198,27 @@ def test_eval_batch_broadcasting():
     val, dz, dp = eval_with_derivs(parse("3"), env)
     assert val.shape == (2,) and dz.shape == (2,) and dp.shape == (2, 2)
     assert np.all(dz == 0.0) and np.all(dp == 0.0)
+
+
+def test_single_point_is_the_0d_batch():
+    # a point env is the batch of shape (): every evaluator returns arrays of
+    # that shape, bitwise the values of the same point as a batch of one
+    e = parse("x1 * z + nu1 * w - x2")
+    point = env_point([0.3, 0.4], z=-0.2, p=[1.0, 2.0])
+    one = EvalEnv.from_gradient(np.array([[0.3, 0.4]]), np.array([-0.2]),
+                                np.array([[1.0, 2.0]]))
+    val = evaluate(e, point)
+    assert np.shape(val) == () and val == evaluate(e, one)[0]
+    got, want = eval_with_derivs(e, point), eval_with_derivs(e, one)
+    assert [np.shape(a) for a in got] == [(), (), (2,)]
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == b[0].tobytes()
+    got, want = eval_x_gradient(e, point), eval_x_gradient(e, one)
+    assert [np.shape(a) for a in got] == [(), (2,)]
+    for a, b in zip(got, want):
+        assert np.asarray(a).tobytes() == b[0].tobytes()
+    # like every batch, a point's -0.0 comes out +0.0
+    assert math.copysign(1.0, evaluate(parse("-x1"), env_point([0.0, 0.0]))) == 1.0
 
 
 def test_domain_errors():

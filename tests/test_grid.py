@@ -1,5 +1,6 @@
 """Grid construction, arm geometry, and stencil consistency."""
 
+from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
 import numpy as np
@@ -10,7 +11,6 @@ from etacurv.domain import DomainShape
 from etacurv.geometry import batch_geometry
 from etacurv.grid import (
     _arm_coeffs,
-    _bisect_arms,
     _build_pattern,
     all_derivatives,
     INTERIOR_MARGIN,
@@ -46,7 +46,6 @@ def reference_grid(shape, h):
     index_of = {tuple(row): q for q, row in enumerate(idx)}
     nb = np.full((m, n, 2), -1, dtype=np.int64)
     theta = np.ones((m, n, 2))
-    cross = []
     for q in range(m):
         for s in range(n):
             for t, sign in ((0, 1), (1, -1)):
@@ -56,11 +55,8 @@ def reference_grid(shape, h):
                 if row is not None:
                     nb[q, s, t] = row
                 else:
-                    cross.append((q, s, t, sign))
-    if cross:
-        cross = np.asarray(cross, dtype=np.int64)
-        theta[cross[:, 0], cross[:, 1], cross[:, 2]] = _bisect_arms(shape, pos, h, cross)
-    cls = (nb < 0).any(axis=(1, 2)).astype(np.uint8)
+                    theta[q, s, t] = min(
+                        float(shape.axis_distance(pos[q], s, sign)) / h, 1.0)
 
     def mixed_stencil(q, i, j):
         def row_at(di, dj):
@@ -108,7 +104,7 @@ def reference_grid(shape, h):
                 for r, c in zip(stencil_rows, coefs):
                     rows.append(q); cols.append(r); vals.append(c)
             D2[(i, j)] = scipy.sparse.csr_matrix((vals, (rows, cols)), shape=(m, m))
-    fields = dict(idx=idx, pos=pos, nb=nb, theta=theta, cls=cls, mixed_dropped=dropped)
+    fields = dict(idx=idx, pos=pos, nb=nb, theta=theta, mixed_dropped=dropped)
     return fields, Dx, D2
 
 
@@ -136,7 +132,7 @@ def test_grid_matches_per_node_reference():
         g = build_grid(shape, h)
         n, m = g.n, g.size
         fields, Dx, D2 = reference_grid(shape, h)
-        for name in ("idx", "pos", "nb", "theta", "cls"):
+        for name in ("idx", "pos", "nb", "theta"):
             got, want = getattr(g, name), fields[name]
             assert got.dtype == want.dtype, (case, name)
             np.testing.assert_array_equal(got, want, err_msg=f"{case} {name}")
@@ -198,8 +194,8 @@ def test_nine_node_disk():
     # lexicographic ordering by index
     assert [tuple(row) for row in g.idx] == sorted(want)
     center, edge, corner = g.rows_at([(0, 0), (1, 0), (1, 1)])
-    assert g.cls[center] == 0  # all four neighbors interior
-    assert g.cls[edge] == 1
+    assert (g.nb[center] >= 0).all()  # all four neighbors interior
+    assert (g.nb[edge] < 0).any()
     # +x arm of (0.25, 0) hits the circle at exactly one full step
     assert g.theta[edge, 0, 0] == 1.0
     assert g.nb[edge, 0, 0] == -1
@@ -233,6 +229,28 @@ def test_theta_crossings_lie_on_boundary():
                     assert 0.0 < g.theta[q, s, arm] <= 1.0
 
 
+def test_theta_matches_the_root_to_roundoff():
+    # every blocked arm against the root of phi(x + t sign e_s) = 0 worked in
+    # 50-digit decimals from the same float node and semiaxes: the closed
+    # form is good to a few ulps, where bisection on phi stalled at the
+    # noise of phi itself (1.85e-14 on the h = 1/64 ball)
+    for shape, h in REFERENCE_CASES + [(DomainShape((0.5,) * 3), 1 / 64)]:
+        g = build_grid(shape, h)
+        a = [Decimal(v) for v in shape.semiaxes]
+        worst = 0.0
+        with localcontext() as ctx:
+            ctx.prec = 50
+            for q, s, t in np.argwhere(g.nb < 0):
+                x = [Decimal(v) for v in g.pos[q].tolist()]
+                rest = 1 - sum((x[i] / a[i]) ** 2 for i in range(g.n) if i != s)
+                root = (a[s] * rest.sqrt() - (1 - 2 * int(t)) * x[s]) / Decimal(h)
+                theta = g.theta[q, s, t]
+                assert 0.0 < theta <= 1.0
+                err = Decimal(float(theta)) - min(root, Decimal(1))
+                worst = max(worst, abs(float(err)))
+        assert worst <= 2e-15, (shape.semiaxes, h, worst)
+
+
 def test_grid_reflection_symmetry():
     g = build_grid(DomainShape((1.0, 0.5)), 0.13)
     nodes = {tuple(row) for row in g.idx}
@@ -246,7 +264,7 @@ def test_quadratic_exactness_regular_nodes():
     x, y = g.pos[:, 0], g.pos[:, 1]
     u = 0.3 + 0.7 * x - 1.1 * y + 2.0 * x * x + 0.9 * x * y - 1.3 * y * y
     p, r = all_derivatives(g, u)
-    reg = g.cls == 0
+    reg = (g.nb >= 0).all(axis=(1, 2))
     assert reg.sum() > 20
     np.testing.assert_allclose(p[reg, 0], (0.7 + 4.0 * x + 0.9 * y)[reg], atol=1e-11)
     np.testing.assert_allclose(p[reg, 1], (-1.1 + 0.9 * x - 2.6 * y)[reg], atol=1e-11)

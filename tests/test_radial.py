@@ -458,6 +458,8 @@ def shot_outcome(fn, text, n, eps, steps):
     ("exp(-x1) + r^3", 3, 1e-3),
     ("r^2 + 0*nu1", 2, 0.0),
     ("1 + z", 2, 0.0),
+    ("(1 + z) * nu3", 2, 0.0),
+    ("2 * w", 3, 0.0),
     ("0", 2, 0.0),
     ("max(r^2 - 1/16, 0)", 2, 0.0),
 ])
