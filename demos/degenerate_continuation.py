@@ -56,8 +56,7 @@ def main():
               f"{s.min_margin:10.3e} {s.sup_du:9.5f} {s.sup_d2u:9.5f}")
 
     # independent oracle: radial shooting at the same eps
-    prof = shoot(spec.psi, 0.5, 2, tol=1e-10, steps=4096,
-                 eps=SCHEDULE[-1])
+    prof = shoot(spec.psi, 0.5, 2, steps=4096, eps=SCHEDULE[-1])
     axis = np.where(grid.pos[:, 1] == 0.0)[0]
     gap = np.abs(u[axis] - np.interp(np.abs(grid.pos[axis, 0]),
                                      prof.r, prof.u)).max()

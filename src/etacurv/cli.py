@@ -329,15 +329,16 @@ def cmd_radial(cfg, out_dir="."):
     if spec.shape.kind != "ball":
         raise ConfigError(
             f"radial reduction needs a ball domain, got {spec.shape.kind}")
-    for text in _check_psi(spec):
-        print(f"warning: {text}", file=sys.stderr)
-    # a bad radial.eps, and a psi negative or undefined on the axis, are
-    # configuration errors
+    notes = _check_psi(spec)
+    # a bad radial.eps, a psi that reads z, nu or w, and a psi negative or
+    # undefined on the axis are configuration errors
     try:
         prof = radial.shoot(spec.psi, spec.shape.r0, spec.n,
                             eps=cfg.get("radial.eps"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    for text in notes:
+        print(f"warning: {text}", file=sys.stderr)
     path = os.path.join(out_dir, f"{cfg.get('output.prefix')}-radial.dat")
     text = radial.dump_profile(prof, header_extra=config_echo(cfg))
     with open(path, "w") as fh:

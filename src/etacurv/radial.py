@@ -10,13 +10,14 @@ and the curvature product factorizes,
     f = (n-1) kappa_t * (kappa_r + (n-2) kappa_t)^{n-1},
 
 so the prescribed-curvature relation f = psi inverts in closed form for
-kappa_r.  Shooting integrates U'' with classical fourth-order steps from
-the center and picks the center value at which U(r0) vanishes: directly
-when psi does not read z, since U' then never sees U, else by a bracketed
-secant search.  A shot at psi without z costs two integrations, at `steps`
-and at 2 `steps` for the Richardson estimate; for psi with z the accepted
-shot is the profile, and only the 2 `steps` pass runs again.  This module
-is the independent accuracy oracle for the grid solver, so it shares no
+kappa_r.  psi must read position only (x1-x3, r): it is evaluated once
+per integration, in one batched call on the x1 axis, and U' then never
+sees U, so shooting needs no search.  Classical fourth-order steps from
+the center give the rise U(r0) - U(0), and the center value is minus the
+rise; a second integration at 2 `steps` gives the Richardson estimate.
+`shoot` refuses a psi that reads z, nu or w; the acceptance tests'
+quadric graphs check such psi in closed form.  This module is the
+independent accuracy oracle for the grid solver, so it shares no
 discretization machinery with it.
 """
 
@@ -29,11 +30,12 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import POSITION, DomainError, EvalEnv, evaluate, variables
+from .expr import POSITION, EvalEnv, evaluate, variables
 
 
 class BracketFailure(Exception):
-    """No sign change of u(r0) over the center-value bracket."""
+    """No center value in [-10 r0, 0] gives u(r0) = 0: the rise
+    u(r0) - u(0) is negative or above 10 r0."""
 
     def __init__(self, msg, endpoints):
         super().__init__(f"{msg}; bracket endpoint residuals {endpoints}")
@@ -108,28 +110,17 @@ def regularize_value(psi_value, eps, n):
     return (psi_value ** (1.0 / (n - 1)) + eps) ** (n - 1)
 
 
-def _psi_at(psi, r, u, up, n):
-    """psi evaluated on the x1 axis with the radial normal, at the gradient
-    p = (up, 0, ...): w = sqrt(1 + up^2), nu = (-up, -0.0, ..., 1) / w."""
-    w = math.sqrt(1.0 + up * up)
-    nu = np.array([-up / w] + [-0.0] * (n - 1) + [1.0 / w])
-    x = np.array([r] + [0.0] * (n - 1))
-    return float(evaluate(psi, EvalEnv(x=x, z=u, nu=nu, w=w)))
-
-
 #: |u''| above this, or a non-finite u'', ends an RK4 stage as stiff
 STIFF = 1e12
 
 
-def _slope(psi, row, s, r, u, up, n, eps, limit=STIFF):
-    """u'' at radius r in state (u, up).
+def _slope(v, r, up, n, eps, limit=STIFF):
+    """u'' at radius r and slope up, where psi takes the value v.
 
-    psi is row[s] of the position table, or is evaluated at this state when
-    row is None; it is regularized by eps, and the curvature relation is
-    inverted for kappa_r in closed form.  |u''| > limit is a
-    StiffnessFailure; limit None records u'' unchecked.
+    v is regularized by eps, and the curvature relation is inverted for
+    kappa_r in closed form.  |u''| > limit is a StiffnessFailure; limit
+    None records u'' unchecked.
     """
-    v = _psi_at(psi, r, u, up, n) if row is None else row[s]
     # regularize_value, inlined: this runs at every RK4 stage
     if v < 0.0:
         raise NegativePsi(f"psi must be nonnegative, got {v:g}")
@@ -161,23 +152,15 @@ def _position_table(psi, n, dr, rows):
     """psi at k dr, k dr + dr/2 and k dr + dr in row k < rows, the abscissae
     of RK4 step k formed as `_integrate` forms them, from one batched
     evaluate.  Row 0 also holds the series start's 0 and dr, row 1 its 2 dr.
-
-    None when psi reads z, nu or w, or when the batch meets a domain error:
-    evaluating per stage then raises it, or an earlier failure, where the
-    integration first reaches it.
+    A domain error anywhere in the batch is raised here.
     """
-    if not variables(psi) <= POSITION:
-        return None
     rk = np.arange(rows) * dr
     x = np.zeros((rows, 3, n))
     x[..., 0] = np.stack([rk, rk + 0.5 * dr, rk + dr], axis=1)
-    try:
-        return evaluate(psi, EvalEnv.from_gradient(x, 0.0, np.zeros_like(x))).tolist()
-    except DomainError:
-        return None
+    return evaluate(psi, EvalEnv.from_gradient(x, 0.0, np.zeros_like(x))).tolist()
 
 
-def _series_start(psi, table, a, n, dr, eps):
+def _series_start(table, n, dr, eps):
     """u'(dr) and the offset u(dr) - u(0), bridging the r = 0 singularity.
 
     Non-degenerate center (psi_eps(0) > 0): quadratic series from
@@ -185,17 +168,12 @@ def _series_start(psi, table, a, n, dr, eps):
     u = a + c r^m fitted to psi ~ K r^q near 0.  A flat psi gives the
     offset -0.0, so that u(dr) = a + offset is a itself, signed zero too.
     """
-    def psi_eps(k, s, r):
-        row = None if table is None else table[k]
-        return regularize_value(
-            _psi_at(psi, r, a, 0.0, n) if row is None else row[s], eps, n)
-
-    p0 = psi_eps(0, 0, 0.0)
+    p0 = regularize_value(table[0][0], eps, n)
     if p0 > 0.0:
         upp0 = p0 ** (1.0 / n) / (n - 1)
         return upp0 * dr, 0.5 * upp0 * dr * dr
-    p1 = psi_eps(0, 2, dr)
-    p2 = psi_eps(1, 2, 2.0 * dr)
+    p1 = regularize_value(table[0][2], eps, n)
+    p2 = regularize_value(table[1][2], eps, n)
     if p1 <= 0.0:
         return 0.0, -0.0  # psi flat at zero: profile starts flat
     q = np.log(p2 / p1) / np.log(2.0)
@@ -206,12 +184,12 @@ def _series_start(psi, table, a, n, dr, eps):
 
 
 class _Shot(NamedTuple):
-    """One RK4 pass from u(0) = a: u(r0), the position table it read (None
-    when psi was evaluated per stage), u' at every node, and the u
-    increment of every step, the series start's offset first."""
+    """One RK4 pass from u(0) = a: u(r0), the position table it read, u' at
+    every node, and the u increment of every step, the series start's
+    offset first."""
 
     end: float
-    table: list | None
+    table: list
     up: list
     du: list
 
@@ -219,25 +197,25 @@ class _Shot(NamedTuple):
 def _integrate(psi, a, r0, n, steps, eps):
     """Fixed-step RK4 for (u, u') from the center at u(0) = a.
 
-    When psi does not read z, u' never sees u, so the pass serves every
-    center value: u there is the running sum of the same increments.
+    u' never sees u, so the pass serves every center value: u there is the
+    running sum of the same increments.
     """
     dr = r0 / steps
     half = 0.5 * dr
     table = _position_table(psi, n, dr, max(steps, 2))
-    up, offset = _series_start(psi, table, a, n, dr, eps)
+    up, offset = _series_start(table, n, dr, eps)
     u = a + offset
     ups, dus = [0.0, up], [offset]
     for k in range(1, steps):
-        row = None if table is None else table[k]
+        v0, vh, v1 = table[k]
         r = k * dr
-        p1 = _slope(psi, row, 0, r, u, up, n, eps)
-        u2, up2 = u + half * up, up + half * p1
-        p2 = _slope(psi, row, 1, r + half, u2, up2, n, eps)
-        u3, up3 = u + half * up2, up + half * p2
-        p3 = _slope(psi, row, 1, r + half, u3, up3, n, eps)
-        u4, up4 = u + dr * up3, up + dr * p3
-        p4 = _slope(psi, row, 2, r + dr, u4, up4, n, eps)
+        p1 = _slope(v0, r, up, n, eps)
+        up2 = up + half * p1
+        p2 = _slope(vh, r + half, up2, n, eps)
+        up3 = up + half * p2
+        p3 = _slope(vh, r + half, up3, n, eps)
+        up4 = up + dr * p3
+        p4 = _slope(v1, r + dr, up4, n, eps)
         du = (dr / 6.0) * (up + 2.0 * up2 + 2.0 * up3 + up4)
         u, up = u + du, up + (dr / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
         if not (math.isfinite(u) and math.isfinite(up)):
@@ -247,85 +225,43 @@ def _integrate(psi, a, r0, n, steps, eps):
     return _Shot(u, table, ups, dus)
 
 
-def _profile(psi, a, shot, r0, n, eps):
+def _profile(a, shot, r0, n, eps):
     """The profile of `shot` moved to u(0) = a, with u'' recorded at every
     node in the state reached there (unchecked for stiffness)."""
     steps = len(shot.du)
     dr = r0 / steps
-    table = shot.table
     rs = [0.0] + [k * dr + dr for k in range(steps)]
     us = list(itertools.accumulate(shot.du, initial=a))
-    upps = [_slope(psi, None if table is None else table[0], 0, 0.0, a, 0.0,
-                   n, eps, None)]
+    upps = [_slope(shot.table[0][0], 0.0, 0.0, n, eps, None)]
     for j in range(1, steps + 1):
-        row = None if table is None else table[j - 1]
-        upps.append(_slope(psi, row, 2, rs[j], us[j], shot.up[j], n, eps, None))
+        upps.append(_slope(shot.table[j - 1][2], rs[j], shot.up[j], n, eps,
+                           None))
     return np.array(rs), np.array(us), np.array(shot.up), np.array(upps)
 
 
-def shoot(psi, r0, n, tol=1e-10, steps=4096, eps=0.0, max_bisect=200):
-    """Solve the radial Dirichlet problem by searching the center value
-    a = u(0) until |u(r0)| <= tol.
+def shoot(psi, r0, n, steps=4096, eps=0.0):
+    """Solve the radial Dirichlet problem for a psi of position only.
 
-    When psi does not read z the equation for u' never sees u, so
-    u(r0; a) = a + rise with a fixed rise: one integration from a = 0
-    determines the shot, and its increments summed from a = -rise are the
-    profile.  Otherwise u(r0; a) is monotone in a for psi_z >= 0 (deeper
-    caps see no larger psi) and a bracketed secant/bisection search runs on
-    it.  Its lower end starts at -r0 and doubles downward, to at most
-    -10 r0, while u(r0) > 0 there; a trial center below 0 whose integration
-    meets psi < 0 or stiffness is too deep, u(r0) = -inf.  The accepted
-    shot is the profile.  Either way one more integration, at 2 steps,
-    gives the Richardson estimate.
+    The equation for u' never sees u, so u(r0; a) = a + rise with a fixed
+    rise: one integration from a = 0 determines the shot, and its
+    increments summed from a = -rise are the profile.  One more
+    integration, at 2 steps, gives the Richardson estimate.  ValueError
+    when psi reads z, nu or w.
     """
-    if r0 <= 0.0 or not 0.0 < tol < math.inf or steps < 1:
-        raise ValueError("need r0 > 0, finite tol > 0 and steps >= 1")
+    if r0 <= 0.0 or steps < 1:
+        raise ValueError("need r0 > 0 and steps >= 1")
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps:g}")
-    deepest = -10.0 * r0
-
-    if "z" not in variables(psi):
-        best = _integrate(psi, 0.0, r0, n, steps, eps)
-        a = -best.end
-        if a < deepest or a > 0.0:
-            raise BracketFailure("u(r0) does not change sign",
-                                 (deepest + best.end, best.end))
-    else:
-        def shot(a):
-            try:
-                return _integrate(psi, a, r0, n, steps, eps)
-            except (NegativePsi, StiffnessFailure):
-                return _Shot(-math.inf, None, None, None)
-
-        hi = 0.0
-        s_hi = _integrate(psi, 0.0, r0, n, steps, eps)
-        lo, s_lo = -r0, shot(-r0)
-        while s_lo.end > 0.0 and lo > deepest:
-            hi, s_hi = lo, s_lo
-            lo = max(2.0 * lo, deepest)
-            s_lo = shot(lo)
-        if s_lo.end > 0.0 or s_hi.end < 0.0:
-            raise BracketFailure("u(r0) does not change sign",
-                                 (s_lo.end, s_hi.end))
-        a, best = hi, s_hi
-        for _ in range(max_bisect):
-            if abs(best.end) <= tol:
-                break
-            # secant proposal, clipped into the bracket; bisection fallback
-            # (a too-deep lo proposes hi itself)
-            f_lo, f_hi = s_lo.end, s_hi.end
-            prop = hi - f_hi * (hi - lo) / (f_hi - f_lo) if f_hi != f_lo else None
-            mid = 0.5 * (lo + hi)
-            a = prop if prop is not None and lo < prop < hi else mid
-            best = shot(a)
-            if best.end < 0.0:
-                lo, s_lo = a, best
-            else:
-                hi, s_hi = a, best
-        else:
-            raise BracketFailure(f"no center value met |u(r0)| <= {tol:g}",
-                                 (s_lo.end, s_hi.end))
-    rs, us, ups, upps = _profile(psi, a, best, r0, n, eps)
+    beyond = variables(psi) - POSITION
+    if beyond:
+        raise ValueError("the radial oracle needs a psi of position only "
+                         f"(x1-x3, r); psi reads {', '.join(sorted(beyond))}")
+    shot = _integrate(psi, 0.0, r0, n, steps, eps)
+    a, deepest = -shot.end, -10.0 * r0
+    if a < deepest or a > 0.0:
+        raise BracketFailure("u(r0) does not change sign",
+                             (deepest + shot.end, shot.end))
+    rs, us, ups, upps = _profile(a, shot, r0, n, eps)
     fine = _integrate(psi, a, r0, n, 2 * steps, eps).end
     richardson = abs(fine - us[-1]) / 15.0  # classical 4th-order extrapolation
     return RadialProfile(r=rs, u=us, up=ups, upp=upps, n=n,

@@ -231,6 +231,10 @@ def test_solve_undefined_psi_exits_1(tmp_path, psi):
     ("solve", "h = 0.0625", "h = inf"),
     ("solve", "psi = 1", "psi = x3"),
     ("radial", "psi = 1", "psi = x3"),
+    # the radial oracle reads position only: psi reading nu, z or w is refused
+    ("radial", "psi = 1", "psi = r^2 + 0*nu1"),
+    ("radial", "psi = 1", "psi = 1 + z"),
+    ("radial", "psi = 1", "psi = 2 * w"),
     # radial.tol left the schema: the radial command must reject the line
     ("radial", "h = 0.0625", "radial.tol = 0"),
     ("radial", "h = 0.0625", "radial.tol = nan"),
@@ -412,10 +416,17 @@ def test_solve_reports_psi_sample_warnings_once(tmp_path, capsys):
         assert len([ln for ln in report
                     if ln.startswith(f"warning {head}")]) == 1
         assert len([ln for ln in err if ln.startswith(f"warning: {head}")]) == 1
-    # radial has no report and prints them
+    # radial reads position only: this psi reads z, so it is one error line
+    # and no warning
+    assert main(["radial", "--config", cfg, "--out", str(tmp_path)]) == 1
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error:")
+    # radial has no report and prints the warning of a psi it shoots
+    cfg = write_cfg(tmp_path, CAP_CFG.replace("psi = 1", "psi = 1 - r/10\n"
+                                              "psi.lower = 1.01"))
     assert main(["radial", "--config", cfg, "--out", str(tmp_path)]) == 0
     err = capsys.readouterr().err.splitlines()
-    assert len(err) == 2 and all(ln.startswith("warning: psi") for ln in err)
+    assert len(err) == 1 and err[0].startswith("warning: psi dips below")
 
 def test_solve_nearly_zero_psi_passes_certificates(tmp_path, capsys):
     # psi = 1e-300 solves to u ~ 0; the evidence certificate must not read
