@@ -19,7 +19,7 @@ import numpy as np
 
 from . import cones, geometry
 from .domain import sample_boundary
-from .expr import POSITION, EvalEnv, eval_x_gradient, evaluate, parse, variables
+from .expr import EvalEnv, beyond_position, eval_x_gradient, evaluate, parse
 from .grid import all_derivatives
 
 
@@ -75,10 +75,10 @@ def check_admissibility(u, grid, tol=1e-10):
 
 
 def _x_only(e):
-    bad = variables(e) - POSITION
+    bad = beyond_position(e)
     if bad:
         raise ValueError(
-            f"subsolution may depend on position only, found {sorted(bad)}")
+            f"subsolution may depend on position only, found {bad}")
 
 
 def _expr_hessian(e, xs, n, step=1e-5):

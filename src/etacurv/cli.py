@@ -182,11 +182,11 @@ def build_problem(cfg):
             shape = DomainShape((cfg.get("domain.r0"),) * n)
         else:
             axes = tuple(cfg.get("domain.semiaxes"))
-            expected = 2 if kind == "ellipse" else 3
-            if len(axes) != expected:
+            dims = "n = 2" if kind == "ellipse" else "n >= 3"
+            if len(axes) != n or (kind == "ellipse") != (n == 2):
                 raise ValueError(
-                    f"domain.kind = {kind} needs {expected} semiaxes, "
-                    f"got {len(axes)}")
+                    f"domain.kind = {kind} needs {dims} and n semiaxes, "
+                    f"got n = {n} and {len(axes)} semiaxes")
             shape = DomainShape(axes)
         return ProblemSpec(
             n=n,
@@ -237,10 +237,8 @@ def _check_psi(spec):
 
 
 def _plane_nodes(grid):
-    """Plot plane: all nodes for n = 2, the x3 = 0 slab for n = 3."""
-    if grid.pos.shape[1] == 2:
-        return grid.pos, np.arange(grid.size)
-    mask = np.abs(grid.pos[:, 2]) < grid.h / 2.0
+    """Plot plane: the slab x3 = ... = xn = 0 (every node for n = 2)."""
+    mask = np.all(np.abs(grid.pos[:, 2:]) < grid.h / 2.0, axis=1)
     return grid.pos[mask][:, :2], np.where(mask)[0]
 
 

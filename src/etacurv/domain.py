@@ -26,19 +26,20 @@ SEMIAXIS_RANGE = (1e-100, 1e100)
 
 @dataclass(frozen=True)
 class DomainShape:
-    """Centered convex domain given by semiaxes; kind is derived.
+    """Centered convex domain in R^n given by n >= 2 semiaxes; kind is
+    derived.
 
-    ball:      all semiaxes equal (any dimension 2 or 3 here)
-    ellipse:   two distinct semiaxes
-    ellipsoid: three semiaxes, not all equal
+    ball:      all semiaxes equal (any n)
+    ellipse:   two distinct semiaxes (n = 2)
+    ellipsoid: three or more semiaxes, not all equal (n >= 3)
     """
 
     semiaxes: tuple
 
     def __post_init__(self):
         axes = tuple(float(a) for a in self.semiaxes)
-        if len(axes) not in (2, 3):
-            raise ValueError("only 2-D and 3-D domains are supported")
+        if len(axes) < 2:
+            raise ValueError(f"a domain needs n >= 2 semiaxes, got {len(axes)}")
         if not all(0.0 < a < np.inf for a in axes):
             raise ValueError(f"semiaxes must be finite and > 0, got {axes}")
         lo, hi = SEMIAXIS_RANGE
@@ -111,18 +112,6 @@ class DomainShape:
         return v * rad[:, None] * np.asarray(self.semiaxes)
 
 
-def boundary_directions(n, m):
-    """m well-spread unit directions: uniform angles (n=2), Fibonacci sphere (n=3)."""
-    if n == 2:
-        t = 2.0 * np.pi * np.arange(m) / m
-        return np.stack([np.cos(t), np.sin(t)], axis=-1)
-    i = np.arange(m) + 0.5
-    phi = np.pi * (3.0 - np.sqrt(5.0)) * i
-    cz = 1.0 - 2.0 * i / m
-    sz = np.sqrt(1.0 - cz ** 2)
-    return np.stack([sz * np.cos(phi), sz * np.sin(phi), cz], axis=-1)
-
-
 def sample_boundary(shape, rng, m):
     v = rng.normal(size=(m, shape.n))
     v /= np.linalg.norm(v, axis=-1, keepdims=True)
@@ -157,15 +146,15 @@ _K_GRID = 2.0 ** np.arange(21)
 
 def check_two_convex(shape, samples=2048):
     """Smallest K on the grid {1, 2, 4, ..., 2^20} such that every sampled
-    boundary point has (kappa^b, K) in Gamma_2 (n >= 3), or plain strict
-    convexity kappa^b > 0 for n = 2.  Returns (ok, K); K = 0 when not ok."""
-    n = shape.n
-    dirs = boundary_directions(n, max(samples, 1024))
-    pts = shape.boundary_point(dirs)
+    boundary point has (kappa^b, K) in Gamma_2: the existence theorem's
+    condition on the boundary principal curvatures kappa^b (arXiv
+    2202.05003; the cone condition of Caffarelli, Nirenberg & Spruck, Acta
+    Math. 155, 1985).  For K > 0 it holds wherever all kappa^b > 0, so every
+    ellipsoid passes at K = 1; in 2D it is exactly kappa^b > 0.  The points
+    are drawn by sample_boundary at a fixed seed.  Returns (ok, K); K = 0
+    when not ok."""
+    pts = sample_boundary(shape, np.random.default_rng(0), samples)
     kb = boundary_curvatures(shape, pts)
-    if n == 2:
-        ok = bool(kb.min() > 0.0)
-        return ok, (1.0 if ok else 0.0)
     for K in _K_GRID:
         aug = np.concatenate([kb, np.full((kb.shape[0], 1), K)], axis=1)
         if bool(np.all(in_gamma_k(aug, 2))):

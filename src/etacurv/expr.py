@@ -8,7 +8,7 @@ Grammar (EBNF, whitespace free between tokens):
     power   := primary ("^" unary)?          right-associative
     primary := NUMBER | IDENT | IDENT "(" expr ("," expr)* ")" | "(" expr ")"
 
-Identifiers: variables x1 x2 x3, z, nu1 nu2 nu3 nu4, r (= |x|), w
+Identifiers: variables x<k> (k <= n), nu<k> (k <= n + 1), z, r (= |x|), w
 (= 1/last nu component); functions exp log sqrt sin cos abs (one argument)
 and max min (two or more).  "-x^2" parses as -(x^2); "^" binds tighter than
 unary minus and associates right.
@@ -79,9 +79,8 @@ class Call:
     args: tuple
 
 
-VARIABLES = ("x1", "x2", "x3", "z", "nu1", "nu2", "nu3", "nu4", "r", "w")
-#: the position variables: an expression reading only these depends on x alone
-POSITION = frozenset({"x1", "x2", "x3", "r"})
+#: variable names: x<k> and nu<k> with k >= 1 and no leading zero, z, r, w
+_VARIABLE = re.compile(r"(x|nu)([1-9][0-9]*)|[zrw]")
 FUNCTIONS_1 = ("exp", "log", "sqrt", "sin", "cos", "abs")
 FUNCTIONS_N = ("max", "min")
 
@@ -197,7 +196,7 @@ class _Parser:
                 if val in FUNCTIONS_N and len(args) < 2:
                     raise ExprSyntaxError(f"'{val}' takes at least two arguments", off)
                 return Call(val, tuple(args))
-            if val not in VARIABLES:
+            if not _VARIABLE.fullmatch(val):
                 raise UnknownIdentifier(f"unknown identifier '{val}'", off)
             return Var(val)
         if kind == "op" and val == "(":
@@ -276,13 +275,30 @@ def variables(e):
     return set()
 
 
+def _indexed(name, n=None):
+    """(family, 0-based k) of a variable x<k> or nu<k>, else (name, None);
+    given n, UnknownIdentifier where dimension n has no such variable
+    (x<k> for k > n, nu<k> for k > n + 1)."""
+    m = _VARIABLE.fullmatch(name)
+    if m is None or m.group(1) is None:
+        return name, None
+    family, k = m.group(1), int(m.group(2)) - 1
+    if n is not None and k >= n + (family == "nu"):
+        raise UnknownIdentifier(f"variable '{name}' undefined in dimension {n}", 0)
+    return family, k
+
+
 def check_dimension(e, n):
-    """Reject variables that do not exist in dimension n (x3 in 2-D, nu4 in 2-D)."""
+    """Reject variables that do not exist in dimension n (x3 or nu4 in 2-D)."""
     for name in sorted(variables(e)):
-        if name.startswith("x") and int(name[1]) > n:
-            raise UnknownIdentifier(f"variable '{name}' undefined in dimension {n}", 0)
-        if name.startswith("nu") and int(name[2]) > n + 1:
-            raise UnknownIdentifier(f"variable '{name}' undefined in dimension {n}", 0)
+        _indexed(name, n)
+
+
+def beyond_position(e):
+    """Sorted names of the variables e reads other than the position
+    variables x<k> and r: empty when e depends on x alone."""
+    return sorted(name for name in variables(e)
+                  if name != "r" and _indexed(name)[0] != "x")
 
 
 @dataclass
@@ -494,23 +510,17 @@ def _call(node, args):
 
 
 def _lookup(name, env, seeds):
-    n = env.n
-    if name in ("x1", "x2", "x3"):
-        k = int(name[1]) - 1
-        if k >= n:
-            raise UnknownIdentifier(f"variable '{name}' undefined in dimension {n}", 0)
+    family, k = _indexed(name, env.n)
+    if family == "x":
         val = np.asarray(env.x, dtype=float)[..., k]
-    elif name == "z":
+    elif family == "z":
         val = np.asarray(env.z, dtype=float)
-    elif name.startswith("nu"):
-        k = int(name[2]) - 1
-        if k >= n + 1:
-            raise UnknownIdentifier(f"variable '{name}' undefined in dimension {n}", 0)
+    elif family == "nu":
         val = np.asarray(env.nu, dtype=float)[..., k]
-    elif name == "r":
+    elif family == "r":
         x = np.asarray(env.x, dtype=float)
         val = np.sqrt(np.sum(x * x, axis=-1))
-    elif name == "w":
+    elif family == "w":
         val = np.asarray(env.w, dtype=float)
     else:
         raise UnknownIdentifier(f"unknown identifier '{name}'", 0)
@@ -539,17 +549,17 @@ def _zp_seeds(name, val, env):
     n = env.n
     d = n + 1
     shape = np.shape(val) + (d,)
-    if name == "z":
+    family, k = _indexed(name)
+    if family == "z":
         g = np.zeros(shape)
         g[..., 0] = 1.0
         return g
-    if name == "w":
+    if family == "w":
         g = np.zeros(shape)
         p = env.gradient()
         g[..., 1:] = p / np.asarray(env.w)[..., None]
         return g
-    if name.startswith("nu"):
-        k = int(name[2]) - 1
+    if family == "nu":
         g = np.zeros(shape)
         p = env.gradient()
         w = np.asarray(env.w, dtype=float)
@@ -592,12 +602,12 @@ def eval_with_derivs(e, env):
 def _x_seeds(name, val, env):
     n = env.n
     shape = np.shape(val) + (n,)
-    if name in ("x1", "x2", "x3"):
-        k = int(name[1]) - 1
+    family, k = _indexed(name)
+    if family == "x":
         g = np.zeros(shape)
         g[..., k] = 1.0
         return g
-    if name == "r":
+    if family == "r":
         x = np.asarray(env.x, dtype=float)
         g = np.zeros(shape)
         # d|x|/dx = x/|x|; the guard keeps the origin's 0/0 at exactly 0

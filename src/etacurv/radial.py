@@ -10,7 +10,7 @@ and the curvature product factorizes,
     f = (n-1) kappa_t * (kappa_r + (n-2) kappa_t)^{n-1},
 
 so the prescribed-curvature relation f = psi inverts in closed form for
-kappa_r.  psi must read position only (x1-x3, r): it is evaluated once
+kappa_r.  psi must read position only (x1-xn, r): it is evaluated once
 per integration, in one batched call on the x1 axis, and U' then never
 sees U, so shooting needs no search.  Classical fourth-order steps from
 the center give the rise U(r0) - U(0), and the center value is minus the
@@ -30,7 +30,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .expr import POSITION, EvalEnv, evaluate, variables
+from .expr import EvalEnv, beyond_position, evaluate
 
 
 class BracketFailure(Exception):
@@ -252,10 +252,10 @@ def shoot(psi, r0, n, steps=4096, eps=0.0):
         raise ValueError("need r0 > 0 and steps >= 1")
     if not 0.0 <= eps < math.inf:
         raise ValueError(f"eps must be finite and >= 0, got {eps:g}")
-    beyond = variables(psi) - POSITION
+    beyond = beyond_position(psi)
     if beyond:
         raise ValueError("the radial oracle needs a psi of position only "
-                         f"(x1-x3, r); psi reads {', '.join(sorted(beyond))}")
+                         f"(x1-xn, r); psi reads {', '.join(beyond)}")
     shot = _integrate(psi, 0.0, r0, n, steps, eps)
     a, deepest = -shot.end, -10.0 * r0
     if a < deepest or a > 0.0:

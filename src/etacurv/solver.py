@@ -32,11 +32,11 @@ Steihaug, SIAM J. Numer. Anal. 19, 1982), or to a normwise backward error
 of at most OMEGA_MAX, whichever comes first.  It is solved by iterative
 refinement on the approximate inverse held from an earlier Jacobian while
 each sweep cuts omega below CONTRACTION times the last, else on one built
-afresh (_Factorization): a nested-dissection LU of J, or on a 3D level
-with a 2h level below it a two-grid cycle, whose only factorization is of
-the Galerkin coarse operator.  A fresh two-grid that does not converge
-falls back to the LU of J, and a direct solve with a fresh LU is held to
-OMEGA_MAX itself.
+afresh (_Factorization): a nested-dissection LU of J, or on a level of
+n >= 3 with a 2h level below it a two-grid cycle, whose only
+factorization is of the Galerkin coarse operator.  A fresh two-grid that
+does not converge falls back to the LU of J, and a direct solve with a
+fresh LU is held to OMEGA_MAX itself.
 
 effective_schedule plans the eps path once per solve, from one evaluation
 of psi at the rest state u = 0, Du = 0: the schedules to try in order from
@@ -132,9 +132,9 @@ FORCING = 1e-2
 #: at most 92 sweeps reach OMEGA_MAX
 CONTRACTION = 0.7
 
-#: the two-grid cycle of a 3D level with a 2h level below it: this many
-#: damped-Jacobi sweeps before and after the coarse correction, with this
-#: weight
+#: the two-grid cycle of a level of n >= 3 with a 2h level below it: this
+#: many damped-Jacobi sweeps before and after the coarse correction, with
+#: this weight
 SMOOTHING_SWEEPS = 2
 SMOOTHING_WEIGHT = 0.7
 
@@ -168,8 +168,8 @@ class ProblemSpec:
     eps_schedule: tuple | None = None
 
     def __post_init__(self):
-        if self.n not in (2, 3):
-            raise ValueError("dimension must be 2 or 3")
+        if not (isinstance(self.n, (int, np.integer)) and self.n >= 2):
+            raise ValueError(f"dimension must be an integer >= 2, got {self.n!r}")
         if self.shape.n != self.n:
             raise ValueError("shape dimension does not match n")
         check_lattice(self.shape, self.h)
@@ -206,8 +206,8 @@ class StageReport:
     sup_du: float = 0.0
     sup_d2u: float = 0.0
     #: the approximate inverse held at the end of the stage: "lu", a sparse
-    #: LU of J, or "two-grid", the cycle of a 3D level with a 2h level
-    #: below it
+    #: LU of J, or "two-grid", the cycle of a level of n >= 3 with a 2h
+    #: level below it
     inverse: str = "lu"
     #: sparse LU factorizations (of J or of a two-grid's coarse operator),
     #: refinement sweeps or cycles on the held inverse, and fallbacks from a
@@ -291,19 +291,19 @@ def _psi_eps_derivs(spec, grid, u, p, eps):
 
     Chain rule through t = psi^{1/(n-1)}:
         psi_eps^{1/n} = (t + eps)^{(n-1)/n},
-        d/d(z or p)   = (1/n) (t + eps)^{-1/n} t^{2-n} psi_{z or p} ... for n = 2, 3
+        d/d(z or p)   = (1/n) (t + eps)^{-1/n} t^{2-n} psi_{z or p}
     with the degenerate convention 0 * unbounded = 0 where psi_z itself
     vanishes (psi touching 0 forces a flat slope there or a kink we clamp).
     """
     n = spec.n
     val, dz, dp = eval_with_derivs(spec.psi, _psi_env(grid, u, p))
     t = np.asarray(val, dtype=float) ** (1.0 / (n - 1.0))
-    # d(root)/d(psi) = (1/n)(t+eps)^{-1/n} t^{2-n}
+    # for n >= 4 the clamped t^{2-n} overflows at psi = 0; the where drops it
     base = np.maximum(t + eps, 1e-300) ** (-1.0 / n)
-    tpow = np.maximum(t, 1e-300) ** (2.0 - n)
-    chain = base * tpow / n
-    return (np.where(dz == 0.0, 0.0, chain * dz),
-            np.where(dp == 0.0, 0.0, chain[..., None] * dp))
+    with np.errstate(over="ignore", invalid="ignore"):
+        chain = base * np.maximum(t, 1e-300) ** (2.0 - n) / n
+        return (np.where(dz == 0.0, 0.0, chain * dz),
+                np.where(dp == 0.0, 0.0, chain[..., None] * dp))
 
 
 def _evaluate(spec, grid, u, eps, floor=None):
@@ -364,8 +364,8 @@ def jacobian(spec, grid, u, eps, state=None):
 
 class _Factorization:
     """The approximate inverse of a Newton Jacobian held for reuse: a
-    sparse LU of J, or on a 3D level with a 2h level below it a two-grid
-    cycle (_two_grid).
+    sparse LU of J, or on a level of n >= 3 with a 2h level below it a
+    two-grid cycle (_two_grid).
 
     One holder lives for a whole continuation_solve call, across Newton
     iterations and eps stages; it also counts the sparse factorizations
@@ -380,7 +380,9 @@ class _Factorization:
         #: (P, coarse nested-dissection order) where the level holds a
         #: two-grid, else None
         self.transfer = None
-        if grid.n == 3 and coarse is not None:
+        # not every n: a 2D nested-dissection LU fills only O(N log N),
+        # so 2D keeps the fine LU
+        if grid.n >= 3 and coarse is not None:
             self.transfer = (interpolation(coarse, grid),
                              nested_dissection(coarse))
         self.lu = None
@@ -803,7 +805,7 @@ def write_solution(path, spec, grid, u, report, config_echo=()):
     """
     n = spec.n
     res, (p, r, geo, _) = _evaluate(spec, grid, u, report.final.eps)
-    cols = ["x1", "x2", "x3"][:n] + ["u"] + [f"du{s+1}" for s in range(n)]
+    cols = [f"x{i+1}" for i in range(n)] + ["u"] + [f"du{s+1}" for s in range(n)]
     cols += [f"d2u{i+1}{j+1}" for i in range(n) for j in range(i, n)]
     cols += [f"kappa{i+1}" for i in range(n)] + ["Keta", "residual"]
     lines = [f"# etacurv solution n={n} nodes={grid.size} h={grid.h:.17g}"]

@@ -1,5 +1,5 @@
 """Acceptance gate: end-to-end criteria covering closed-form accuracy and
-its order on four meshes in 2D and three in 3D, oracle agreement,
+its order on four meshes in 2D and three in 3D and 4D, oracle agreement,
 derivative consistency, the property battery, certificates, output
 determinism, nested iteration and its error estimate, and the quadric
 patch test off balls for psi that reads nu and z.  One pass/fail line per
@@ -319,11 +319,13 @@ def _quadric_psi(axes, b):
     K_eta = sigma_1 sigma_2 - sigma_3 of the curvatures, with
     sigma_1 = nu4 sum d_i (1 - nu_i^2),
     sigma_2 = nu4^2 (sigma_2(d) - sum nu_i^2 d_i (sigma_1(d) - d_i)) and
-    sigma_3 = d1 d2 d3 nu4^5."""
+    sigma_3 = d1 d2 d3 nu4^5.  A ball in n >= 4, d_i = d:
+    K_eta = (n-1) d^n nu_{n+1}^n (nu_{n+1}^2 + n - 2)^{n-1}."""
     d = [2.0 * QUADRIC_C / a ** 2 for a in axes]
-    if len(d) == 2:
+    n = len(d)
+    if n == 2:
         psi = f"{d[0] * d[1]!r} * nu3^4"
-    else:
+    elif n == 3:
         s1, s3 = sum(d), d[0] * d[1] * d[2]
         s2 = d[0] * d[1] + d[0] * d[2] + d[1] * d[2]
         trace = " + ".join(f"{di!r} * (1 - nu{i}^2)"
@@ -331,6 +333,10 @@ def _quadric_psi(axes, b):
         mixed = " + ".join(f"{di * (s1 - di)!r} * nu{i}^2"
                            for i, di in enumerate(d, 1))
         psi = f"nu4^3 * ({trace}) * ({s2!r} - ({mixed})) - {s3!r} * nu4^5"
+    else:
+        assert len(set(d)) == 1, "the n >= 4 formula is the ball's"
+        psi = (f"{(n - 1) * d[0] ** n!r} * nu{n + 1}^{n} * "
+               f"(nu{n + 1}^2 + {n - 2})^{n - 1}")
     if b == 0.0:
         return psi
     return (f"({psi}) * (1 + {b!r} * (z - {QUADRIC_C!r} * "
@@ -339,7 +345,8 @@ def _quadric_psi(axes, b):
 
 def test_criterion_13_quadric_patch_test():
     # psi reads nu (b = 0) and z too (b = 1/2), on the ellipse, the
-    # ellipsoid and the balls, each from the certified subsolution 0.45 phi.
+    # ellipsoid and the balls up to n = 4, each from the certified
+    # subsolution 0.45 phi; the 4D ball reads nu5 and x4.
     # All but one end at roundoff; the 2D ball at h = 1/16 ends where Newton
     # stops, residual 6.5e-11 and error 4.5e-13, so even a stop at the full
     # TOL_RESIDUAL = 1e-10 stays under the bound
@@ -347,7 +354,8 @@ def test_criterion_13_quadric_patch_test():
     for axes, meshes in (((0.5, 0.35), (16, 32, 64)),
                          ((0.5, 0.5), (16, 32, 64)),
                          ((0.5, 0.4, 0.3), (8, 16, 24)),
-                         ((0.5, 0.5, 0.5), (8, 16, 24))):
+                         ((0.5, 0.5, 0.5), (8, 16, 24)),
+                         ((0.5,) * 4, (8, 12, 16))):
         for b in (0.0, 0.5):
             for k in meshes:
                 spec = ProblemSpec(
@@ -363,6 +371,42 @@ def test_criterion_13_quadric_patch_test():
                 cases += 1
     ok = worst <= 1e-12
     record(13, ok, f"quadric patch test, psi(nu) and psi(z, nu), on ellipse, "
-                   f"ellipsoid and balls, {cases} solves: max |u - c phi| "
+                   f"ellipsoid and balls (n = 2..4), {cases} solves: "
+                   f"max |u - c phi| "
                    f"{worst:.2e} (<=1e-12)")
     assert worst <= 1e-12
+
+
+def test_criterion_14_four_dim_cap_and_radial():
+    # one dimension-generic path: the 4D unit cap (psi = 3^4) converges at
+    # second order (measured orders 1.96, 1.93) with the two-grid cycle on
+    # every finest level and no fallback; psi = r^2 run to eps = 1e-3 agrees
+    # with the shooting oracle at the same eps to 4.42e-4 at h = 1/12
+    runs = [_solve(4, 0.5, "81", 1.0 / k) for k in (12, 16, 20)]
+    errs = [_cap_error(run) for run in runs]
+    orders = [float(np.log(a / b) / np.log(k1 / k0)) for a, b, k0, k1 in
+              zip(errs, errs[1:], (12, 16), (16, 20))]
+    fallbacks = 0
+    for run in runs:
+        level = run["report"]
+        while level is not None:
+            fallbacks += sum(st.fallbacks for st in level.stages)
+            level = level.coarse
+    held = [run["report"].final.inverse for run in runs]
+    deg = _solve(4, 0.5, "r^2", 1.0 / 12.0, schedule=(1e-1, 1e-2, 1e-3))
+    prof = shoot(deg["spec"].psi, 0.5, 4, steps=4096, eps=1e-3)
+    grid = deg["grid"]
+    radius = np.sqrt(np.sum(grid.pos ** 2, axis=1))
+    gap = float(np.abs(deg["u"] - prof.value(radius)).max())
+    ok = (min(orders) >= 1.8 and fallbacks == 0
+          and held == ["two-grid"] * 3 and gap <= 5e-4)
+    record(14, ok, "n=4 cap errors " + ", ".join(f"{e:.4e}" for e in errs)
+                   + " at h=1/12, 1/16, 1/20, observed orders "
+                   + ", ".join(f"{p:.2f}" for p in orders)
+                   + f" (>=1.8), finest inverse {held[-1]}, "
+                   f"{fallbacks} fallbacks; psi=r^2 at eps=1e-3, h=1/12 vs "
+                   f"shooting {gap:.3e} (<=5e-4)")
+    assert held == ["two-grid"] * 3
+    assert fallbacks == 0
+    assert min(orders) >= 1.8
+    assert gap <= 5e-4

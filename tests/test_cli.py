@@ -142,8 +142,8 @@ def test_build_problem_ellipse_axis_count():
 
 
 def test_build_problem_wraps_spec_errors():
-    cfg = Config({"n": 4, "domain.kind": "ball", "domain.r0": 0.5, "psi": "1"})
-    with pytest.raises(ConfigError):
+    cfg = Config({"n": 1, "domain.kind": "ball", "domain.r0": 0.5, "psi": "1"})
+    with pytest.raises(ConfigError, match="n >= 2"):
         build_problem(cfg)
 
 
@@ -255,6 +255,10 @@ def test_solve_undefined_psi_exits_1(tmp_path, psi):
     ("solve", "domain.r0 = 0.5", "domain.r0 = 1e300"),
     ("solve", "domain.r0 = 0.5", "domain.r0 = 1e50"),
     ("solve", "h = 0.0625", "h = 1e-300"),
+    # a dimension below 2, and an ellipse outside n = 2
+    ("solve", "n = 2", "n = 1"),
+    ("radial", "n = 2", "n = 1"),
+    ("solve", "domain.semiaxes = 0.5, 0.35", "domain.semiaxes = 0.5, 0.35, 0.3"),
     # a subsolution that reads the height, and one that fails its certificate
     ("solve", "subsolution = 0.2 * ((x1/0.5)^2 + (x2/0.35)^2 - 1)",
      "subsolution = 0.1*z"),
@@ -473,6 +477,26 @@ def test_solve_3d_stage_lines_name_the_held_inverse(tmp_path, capsys):
     assert re.search(r" inverse=two-grid factorizations=1 refinements=\d+ "
                      r"fallbacks=0 lu_fill=[1-9]\d*$", fine)
     assert re.search(r" inverse=lu .* fallbacks=0 lu_fill=[1-9]\d*$", coarse)
+
+
+def test_ball4_demo_solves_verifies_and_shoots(tmp_path, capsys):
+    # one dimension-generic path: the 4D unit cap solves in one stage, its
+    # file passes verify, and the oracle gives the closed-form center
+    cfg = os.path.join(ROOT, "demos", "configs", "ball4.cfg")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    report = (tmp_path / "ball4-report.txt").read_text().splitlines()
+    assert len([ln for ln in report if ln.startswith("stage eps=")]) == 1
+    sol = str(tmp_path / "ball4-solution.dat")
+    with open(sol) as fh:
+        header = [ln for ln in fh if ln.startswith("# x1 ")]
+    assert header[0].startswith("# x1 x2 x3 x4 u du1 du2 du3 du4 d2u11 ")
+    capsys.readouterr()
+    assert main(["verify", sol, "--config", cfg]) == 0
+    assert "verify: 4/4 pass" in capsys.readouterr().out
+    assert main(["radial", "--config", cfg, "--out", str(tmp_path)]) == 0
+    out = capsys.readouterr().out
+    center = float(re.search(r"u\(0\)=(\S+)", out).group(1))
+    assert abs(center - (np.sqrt(0.75) - 1.0)) <= 1e-12
 
 
 def test_solve_reports_coarse_level_warnings(tmp_path, capsys):

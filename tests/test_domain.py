@@ -6,7 +6,6 @@ import pytest
 from etacurv.domain import (
     DomainShape,
     boundary_curvatures,
-    boundary_directions,
     check_two_convex,
     sample_boundary,
 )
@@ -27,8 +26,10 @@ def test_kinds_and_validation():
     for bad in (1e-300, 1e300):
         with pytest.raises(ValueError, match=r"lie in \[1e-100, 1e\+100\]"):
             DomainShape((bad, bad))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n >= 2"):
         DomainShape((1.0,))
+    assert DomainShape((1.0, 0.8, 0.6, 0.5)).kind == "ellipsoid"
+    assert DomainShape((0.5,) * 5).kind == "ball"
     with pytest.raises(ValueError):
         DomainShape((1.0, 0.5)).r0
 
@@ -157,7 +158,7 @@ def test_ellipsoid_curvature_batch_matches_chart():
 
 def test_curvature_batch_rejects_one_off_boundary_point():
     sh = DomainShape((1.0, 1.0, 0.5))
-    q = sh.boundary_point(boundary_directions(3, 64))
+    q = sample_boundary(sh, np.random.default_rng(3), 64)
     q[17] *= 0.9
     with pytest.raises(ValueError, match="not on the boundary"):
         boundary_curvatures(sh, q)
@@ -170,10 +171,5 @@ def test_check_two_convex():
     assert ok and K == 1.0
     ok, K = check_two_convex(DomainShape((1.0, 1.0, 0.5)))
     assert ok and K == 1.0  # all curvatures positive, grid minimum suffices
-
-
-def test_boundary_directions_are_unit():
-    for n in (2, 3):
-        d = boundary_directions(n, 256)
-        assert d.shape == (256, n)
-        np.testing.assert_allclose(np.linalg.norm(d, axis=-1), 1.0, rtol=1e-12)
+    ok, K = check_two_convex(DomainShape((1.0, 0.8, 0.6, 0.5)))
+    assert ok and K == 1.0  # so is every ellipsoid's, in any dimension

@@ -15,6 +15,7 @@ from etacurv.expr import (
     Num,
     UnknownIdentifier,
     Var,
+    beyond_position,
     check_dimension,
     eval_with_derivs,
     eval_x_gradient,
@@ -91,6 +92,10 @@ def test_unknown_identifiers():
         parse("foo")
     with pytest.raises(UnknownIdentifier):
         parse("bar(x1)")
+    # x<k> and nu<k> need k >= 1 written without a leading zero
+    for text in ("x0", "nu0", "x01", "nu05", "x", "nu", "xx1", "nu1a"):
+        with pytest.raises(UnknownIdentifier, match="unknown identifier"):
+            parse(text)
     with pytest.raises(ExprSyntaxError):
         parse("sqrt(x1, x2)")  # arity
     with pytest.raises(ExprSyntaxError):
@@ -104,6 +109,33 @@ def test_check_dimension():
     with pytest.raises(UnknownIdentifier):
         check_dimension(parse("nu4"), 2)
     check_dimension(parse("x3 + nu4"), 3)
+    # one rule for every n: x<k> for k <= n, nu<k> for k <= n + 1
+    check_dimension(parse("x4 + nu5"), 4)
+    check_dimension(parse("x12 + nu13"), 12)
+    for text, n in (("x5", 4), ("nu6", 4), ("x13", 12), ("nu14", 12)):
+        with pytest.raises(UnknownIdentifier, match=f"'{text}' undefined"):
+            check_dimension(parse(text), n)
+
+
+def test_indexed_names_read_their_component_in_any_dimension():
+    rng = np.random.default_rng(4)
+    for n in (2, 4, 11):
+        x, z, p = rng.normal(size=n), rng.normal(), rng.normal(size=n)
+        env = EvalEnv.from_gradient(x, z, p)
+        for k in range(n):
+            assert evaluate(parse(f"x{k + 1}"), env) == x[k]
+        for k in range(n + 1):
+            assert evaluate(parse(f"nu{k + 1}"), env) == env.nu[k]
+        # d nu_{n+1} / dp = -p / w^3, the seed of the last index
+        _, _, dp = eval_with_derivs(parse(f"nu{n + 1}"), env)
+        np.testing.assert_allclose(dp, -p / env.w ** 3, rtol=1e-14)
+        _, gx = eval_x_gradient(parse(f"x{n}"), env)
+        assert gx.tolist() == [0.0] * (n - 1) + [1.0]
+
+
+def test_beyond_position():
+    assert beyond_position(parse("x1 + x4 * r")) == []
+    assert beyond_position(parse("x10 + w + nu5 - z")) == ["nu5", "w", "z"]
 
 
 def test_variables():

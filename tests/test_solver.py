@@ -34,6 +34,7 @@ from etacurv.solver import (
 
 DISK = DomainShape(semiaxes=(0.5, 0.5))
 BALL = DomainShape(semiaxes=(0.5, 0.5, 0.5))
+BALL4 = DomainShape(semiaxes=(0.5,) * 4)
 
 
 def eps_path(report):
@@ -83,7 +84,7 @@ def test_regularize_negative_raises():
 
 def test_spec_validation():
     with pytest.raises(ValueError):
-        ProblemSpec(n=4, shape=DISK, psi="1", h=0.1)
+        ProblemSpec(n=1, shape=DISK, psi="1", h=0.1)
     with pytest.raises(ValueError):
         ProblemSpec(n=3, shape=DISK, psi="1", h=0.1)
     with pytest.raises(ValueError):
@@ -200,6 +201,8 @@ def _perturbed_state(grid, scale=0.01):
         (DISK, 2, 1 / 8, "1 + x1^2/2 + exp(z)/4 + nu1^2/8", 0.0),
         (DISK, 2, 1 / 8, "r^2", 1e-2),
         (BALL, 3, 1 / 5, "8 + x2^2 + exp(z)/2 + nu2^2/4", 1e-1),
+        # n = 4 runs the inner loop of F = dK_eta/dA's Horner evaluation
+        (BALL4, 4, 1 / 6, "81 + x2^2 + exp(z)/2 + nu5^2/4", 1e-1),
     ],
 )
 def test_jacobian_directional_fd(shape, n, h, psi, eps):
