@@ -11,8 +11,8 @@ earlier, from the first prolonged coarse solution inside the cone.
 This script prints the per-stage trace of that eps path, each row with
 the spacing it ran at (iteration counts, final residuals, cone margins,
 derivative sup norms), and then cross-checks the
-grid solution against an independent oracle: the radial two-point
-shooting reduction run at the same final regularization.  The two
+grid solution against an independent oracle: the radial reduction,
+solved by its first integral at the same final regularization.  The two
 discretizations share no code beyond the expression evaluator, so
 agreement at the discretization scale is strong evidence both are right.
 """
@@ -55,7 +55,7 @@ def main():
               f"{s.start:>9} {s.residual_norms[-1]:10.2e} "
               f"{s.min_margin:10.3e} {s.sup_du:9.5f} {s.sup_d2u:9.5f}")
 
-    # independent oracle: radial shooting at the same eps
+    # independent oracle: the radial reduction at the same eps
     prof = shoot(spec.psi, 0.5, 2, steps=4096, eps=SCHEDULE[-1])
     axis = np.where(grid.pos[:, 1] == 0.0)[0]
     gap = np.abs(u[axis] - np.interp(np.abs(grid.pos[axis, 0]),

@@ -33,7 +33,7 @@ from .cones import NotAdmissible
 from .domain import DomainShape
 from .expr import DomainError, validate_psi
 from .geometry import batch_geometry
-from .grid import all_derivatives, build_grid
+from .grid import MAX_DIM, MAX_LATTICE, all_derivatives, build_grid
 from .solver import (
     TOL_RESIDUAL,
     NegativePsi,
@@ -179,6 +179,12 @@ def build_problem(cfg):
         n = cfg.get("n")
         kind = cfg.get("domain.kind")
         if kind == "ball":
+            # before the n radii are built: a huge n would exhaust memory
+            if n > MAX_DIM:
+                raise ValueError(
+                    f"n = {n} is too large: a lattice in n dimensions holds "
+                    f"at least 3^n points, more than {MAX_LATTICE} for "
+                    f"n > {MAX_DIM}")
             shape = DomainShape((cfg.get("domain.r0"),) * n)
         else:
             axes = tuple(cfg.get("domain.semiaxes"))
@@ -500,7 +506,7 @@ def main(argv=None):
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (SolverFailure, NotAdmissible, NegativePsi, radial.BracketFailure,
-            radial.StiffnessFailure, radial.DegenerateTangential) as exc:
+            radial.StiffnessFailure) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2
 

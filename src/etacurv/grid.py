@@ -150,6 +150,9 @@ class Grid:
 #: exhaust the sparse LU
 MAX_LATTICE = 2 ** 24
 
+#: most dimensions a lattice may have: its box holds at least 3 points an axis
+MAX_DIM = max(k for k in range(64) if 3 ** k <= MAX_LATTICE)
+
 
 def check_lattice(shape, h):
     """ValueError unless h > 0 is finite and the spacing-h lattice's padded

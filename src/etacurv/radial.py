@@ -1,4 +1,4 @@
-"""Radial reference solver on balls: ODE reduction plus shooting.
+"""Radial reference solver on balls: the ODE reduction by its first integral.
 
 For u = U(|x|) the graph curvatures collapse to
 
@@ -7,26 +7,32 @@ For u = U(|x|) the graph curvatures collapse to
 
 and the curvature product factorizes,
 
-    f = (n-1) kappa_t * (kappa_r + (n-2) kappa_t)^{n-1},
+    f = (n-1) kappa_t * (kappa_r + (n-2) kappa_t)^{n-1}.
 
-so the prescribed-curvature relation f = psi inverts in closed form for
-kappa_r.  psi must read position only (x1-xn, r): it is evaluated once
-per integration, in one batched call on the x1 axis, and U' then never
-sees U, so shooting needs no search.  Classical fourth-order steps from
-the center give the rise U(r0) - U(0), and the center value is minus the
-rise; a second integration at 2 `steps` gives the Richardson estimate.
-`shoot` refuses a psi that reads z, nu or w; the acceptance tests'
-quadric graphs check such psi in closed form.  This module is the
-independent accuracy oracle for the grid solver, so it shares no
-discretization machinery with it.
+With s = U'/sqrt(1 + U'^2) = r kappa_t and q = r^{n-2} s, the second
+factor is r^{2-n} q', so f = psi reads q^{1/(n-1)} q' = r^{n-1}
+(psi/(n-1))^{1/(n-1)}, and from q(0) = 0
+
+    q^{n/(n-1)} = n/(n-1) * int_0^r t^{n-1} (psi/(n-1))^{1/(n-1)} dt.
+
+psi stands for psi_eps, with psi_eps^{1/(n-1)} = psi^{1/(n-1)} + eps.  So
+U' is a quadrature of psi and U = -int_r^{r0} U' a second one, both
+composite Simpson: there is nothing to step or shoot, and the formula
+holds where u is C^{1,1} and not C^2, such as the edge of a flat core
+where psi vanishes around the center, the regularity that is sharp for
+degenerate data (Guan, Trudinger & Wang, Acta Math. 182, 1999).  u''
+comes from the closed-form inversion of the curvature relation for
+kappa_r.  psi must read position only (x1-xn, r): it is evaluated once,
+in one batched call on the x1 axis, and `shoot` refuses a psi that reads
+z, nu or w; the acceptance tests' quadric graphs check such psi in
+closed form.  This module is the independent accuracy oracle for the
+grid solver, so it shares no discretization machinery with it.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
@@ -43,20 +49,16 @@ class BracketFailure(Exception):
 
 
 class NegativePsi(ValueError):
-    """psi evaluated negative along the integration."""
+    """psi evaluated negative on the x1 axis."""
 
 
 class StiffnessFailure(Exception):
-    """Integration blew up (non-finite state or runaway second derivative)."""
-
-
-class DegenerateTangential(Exception):
-    """kappa_t <= 0 met positive psi: no admissible second derivative exists."""
+    """The graph turns vertical before r0, or a value is non-finite."""
 
 
 @dataclass
 class RadialProfile:
-    """Shot solution sampled at uniform radii including both endpoints."""
+    """Radial solution sampled at uniform radii including both endpoints."""
 
     r: np.ndarray
     u: np.ndarray
@@ -101,152 +103,61 @@ def radial_curvatures(r, up, upp, n):
     return out
 
 
-def regularize_value(psi_value, eps, n):
-    """(psi^{1/(n-1)} + eps)^{n-1}; identity at eps = 0."""
-    if psi_value < 0.0:
-        raise NegativePsi(f"psi must be nonnegative, got {psi_value:g}")
-    if eps == 0.0:
-        return psi_value
-    return (psi_value ** (1.0 / (n - 1)) + eps) ** (n - 1)
+def _sine(r, p, n):
+    """s = u'/sqrt(1 + u'^2) at every 2nd of the 4m + 1 uniform radii r,
+    from p = psi_eps^{1/(n-1)} at all of them: the first integral, its
+    integral by composite Simpson from the center.  StiffnessFailure where
+    s is not below 1, the graph vertical or a value non-finite."""
+    with np.errstate(over="ignore"):  # an overflow to inf is vertical
+        f = r ** (n - 1) * p
+        cells = (r[1] / 3.0) * (f[:-2:2] + 4.0 * f[1::2] + f[2::2])
+        integral = np.concatenate(([0.0], np.cumsum(cells)))
+        q = (n / (n - 1) ** (n / (n - 1)) * integral) ** ((n - 1) / n)
+    rs = r[::2]
+    s = np.divide(q, rs ** (n - 2), out=np.zeros_like(q), where=rs > 0.0)
+    bad = np.flatnonzero(~(s < 1.0))
+    if bad.size:
+        k = bad[0]
+        raise StiffnessFailure(
+            f"the graph turns vertical before r0: u'/sqrt(1 + u'^2) = "
+            f"{s[k]:g} at r = {rs[k]:g}")
+    return s
 
 
-#: |u''| above this, or a non-finite u'', ends an RK4 stage as stiff
-STIFF = 1e12
+def _slope(s):
+    """u' from s = u'/sqrt(1 + u'^2) < 1."""
+    return s / np.sqrt((1.0 - s) * (1.0 + s))
 
 
-def _slope(v, r, up, n, eps, limit=STIFF):
-    """u'' at radius r and slope up, where psi takes the value v.
-
-    v is regularized by eps, and the curvature relation is inverted for
-    kappa_r in closed form.  |u''| > limit is a StiffnessFailure; limit
-    None records u'' unchecked.
-    """
-    # regularize_value, inlined: this runs at every RK4 stage
-    if v < 0.0:
-        raise NegativePsi(f"psi must be nonnegative, got {v:g}")
-    if eps != 0.0:
-        v = (v ** (1.0 / (n - 1)) + eps) ** (n - 1)
-    if r <= 0.0:
-        # center limit: all curvatures equal upp, f = ((n-1) upp)^n
-        upp = v ** (1.0 / n) / (n - 1)
-    else:
-        wt = math.sqrt(1.0 + up * up)
-        kt = up / (r * wt)
-        if kt <= 0.0:
-            if v > 0.0:
-                raise DegenerateTangential(
-                    f"kappa_t = {kt:g} at r = {r:g} but psi = {v:g} > 0")
-            upp = 0.0
-        else:
-            kr = (v / ((n - 1) * kt)) ** (1.0 / (n - 1)) - (n - 2) * kt
-            try:
-                upp = kr * wt ** 3
-            except OverflowError:  # numpy's ** gives inf here, reported stiff
-                upp = kr * math.inf
-    if limit is not None and not abs(upp) <= limit:
-        raise StiffnessFailure(f"u'' = {upp:g} at r = {r:g}")
-    return upp
+def _rise(s, r):
+    """u - u(0) at every 2nd of the radii r where s is given, by composite
+    Simpson on u'."""
+    up = _slope(s)
+    cells = (r[1] / 3.0) * (up[:-2:2] + 4.0 * up[1::2] + up[2::2])
+    return np.concatenate(([0.0], np.cumsum(cells)))
 
 
-def _position_table(psi, n, dr, rows):
-    """psi at k dr, k dr + dr/2 and k dr + dr in row k < rows, the abscissae
-    of RK4 step k formed as `_integrate` forms them, from one batched
-    evaluate.  Row 0 also holds the series start's 0 and dr, row 1 its 2 dr.
-    A domain error anywhere in the batch is raised here.
-    """
-    rk = np.arange(rows) * dr
-    x = np.zeros((rows, 3, n))
-    x[..., 0] = np.stack([rk, rk + 0.5 * dr, rk + dr], axis=1)
-    return evaluate(psi, EvalEnv.from_gradient(x, 0.0, np.zeros_like(x))).tolist()
-
-
-def _series_start(table, n, dr, eps):
-    """u'(dr) and the offset u(dr) - u(0), bridging the r = 0 singularity.
-
-    Non-degenerate center (psi_eps(0) > 0): quadratic series from
-    upp(0) = psi^{1/n}/(n-1).  Degenerate center: local power-law
-    u = a + c r^m fitted to psi ~ K r^q near 0.  A flat psi gives the
-    offset -0.0, so that u(dr) = a + offset is a itself, signed zero too.
-    """
-    p0 = regularize_value(table[0][0], eps, n)
-    if p0 > 0.0:
-        upp0 = p0 ** (1.0 / n) / (n - 1)
-        return upp0 * dr, 0.5 * upp0 * dr * dr
-    p1 = regularize_value(table[0][2], eps, n)
-    p2 = regularize_value(table[1][2], eps, n)
-    if p1 <= 0.0:
-        return 0.0, -0.0  # psi flat at zero: profile starts flat
-    q = np.log(p2 / p1) / np.log(2.0)
-    K = p1 / dr ** q
-    m = 2.0 + q / n
-    c = (K / ((n - 1) * (m + n - 3) ** (n - 1))) ** (1.0 / n) / m
-    return float(c * m * dr ** (m - 1)), float(c * dr ** m)
-
-
-class _Shot(NamedTuple):
-    """One RK4 pass from u(0) = a: u(r0), the position table it read, u' at
-    every node, and the u increment of every step, the series start's
-    offset first."""
-
-    end: float
-    table: list
-    up: list
-    du: list
-
-
-def _integrate(psi, a, r0, n, steps, eps):
-    """Fixed-step RK4 for (u, u') from the center at u(0) = a.
-
-    u' never sees u, so the pass serves every center value: u there is the
-    running sum of the same increments.
-    """
-    dr = r0 / steps
-    half = 0.5 * dr
-    table = _position_table(psi, n, dr, max(steps, 2))
-    up, offset = _series_start(table, n, dr, eps)
-    u = a + offset
-    ups, dus = [0.0, up], [offset]
-    for k in range(1, steps):
-        v0, vh, v1 = table[k]
-        r = k * dr
-        p1 = _slope(v0, r, up, n, eps)
-        up2 = up + half * p1
-        p2 = _slope(vh, r + half, up2, n, eps)
-        up3 = up + half * p2
-        p3 = _slope(vh, r + half, up3, n, eps)
-        up4 = up + dr * p3
-        p4 = _slope(v1, r + dr, up4, n, eps)
-        du = (dr / 6.0) * (up + 2.0 * up2 + 2.0 * up3 + up4)
-        u, up = u + du, up + (dr / 6.0) * (p1 + 2.0 * p2 + 2.0 * p3 + p4)
-        if not (math.isfinite(u) and math.isfinite(up)):
-            raise StiffnessFailure(f"state diverged near r = {r + dr:g}")
-        ups.append(up)
-        dus.append(du)
-    return _Shot(u, table, ups, dus)
-
-
-def _profile(a, shot, r0, n, eps):
-    """The profile of `shot` moved to u(0) = a, with u'' recorded at every
-    node in the state reached there (unchecked for stiffness)."""
-    steps = len(shot.du)
-    dr = r0 / steps
-    rs = [0.0] + [k * dr + dr for k in range(steps)]
-    us = list(itertools.accumulate(shot.du, initial=a))
-    upps = [_slope(shot.table[0][0], 0.0, 0.0, n, eps, None)]
-    for j in range(1, steps + 1):
-        upps.append(_slope(shot.table[j - 1][2], rs[j], shot.up[j], n, eps,
-                           None))
-    return np.array(rs), np.array(us), np.array(shot.up), np.array(upps)
+def _second_derivative(r, s, p, n):
+    """u'' where s = u'/sqrt(1 + u'^2) and p = psi_eps^{1/(n-1)}: the
+    curvature relation inverted for kappa_r, (n-1) kappa_t (kappa_r +
+    (n-2) kappa_t)^{n-1} = psi_eps with kappa_t = s/r.  At r = 0 every
+    curvature equals u'', so ((n-1) u'')^n = psi_eps; where s and p both
+    vanish (a flat core) u'' is 0, and where only s does it is inf."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        eta = np.where(p > 0.0, p * (r / ((n - 1) * s)) ** (1.0 / (n - 1)), 0.0)
+        kr = np.where(r > 0.0, eta - (n - 2) * s / r,
+                      p ** ((n - 1) / n) / (n - 1))
+    return kr / ((1.0 - s) * (1.0 + s)) ** 1.5
 
 
 def shoot(psi, r0, n, steps=4096, eps=0.0):
     """Solve the radial Dirichlet problem for a psi of position only.
 
-    The equation for u' never sees u, so u(r0; a) = a + rise with a fixed
-    rise: one integration from a = 0 determines the shot, and its
-    increments summed from a = -rise are the profile.  One more
-    integration, at 2 steps, gives the Richardson estimate.  ValueError
-    when psi reads z, nu or w.
+    psi is sampled once at spacing r0 / (8 steps).  The profile takes u'
+    at spacing r0 / (2 steps) from every 2nd sample and u at the steps + 1
+    nodes; all samples give the rise at 2 steps, and the two rises the
+    Richardson estimate of Simpson's 4th order.  NegativePsi names the
+    first negative sample by radius; ValueError when psi reads z, nu or w.
     """
     if r0 <= 0.0 or steps < 1:
         raise ValueError("need r0 > 0 and steps >= 1")
@@ -256,17 +167,32 @@ def shoot(psi, r0, n, steps=4096, eps=0.0):
     if beyond:
         raise ValueError("the radial oracle needs a psi of position only "
                          f"(x1-xn, r); psi reads {', '.join(beyond)}")
-    shot = _integrate(psi, 0.0, r0, n, steps, eps)
-    a, deepest = -shot.end, -10.0 * r0
+    m = 8 * steps
+    r = r0 * (np.arange(m + 1) / m)  # every 2nd radius is the coarse one's
+    x = np.zeros((m + 1, n))
+    x[:, 0] = r
+    v = evaluate(psi, EvalEnv.from_gradient(x, 0.0, np.zeros_like(x)))
+    neg = np.flatnonzero(v < 0.0)
+    if neg.size:
+        raise NegativePsi(f"psi must be nonnegative, got {v[neg[0]]:g}")
+    p = v ** (1.0 / (n - 1)) + eps
+    fine = _rise(_sine(r, p, n), r[::2])[-1]
+    s = _sine(r[::2], p[::2], n)
+    rise = _rise(s, r[::4])
+    a, deepest = -rise[-1], -10.0 * r0
     if a < deepest or a > 0.0:
         raise BracketFailure("u(r0) does not change sign",
-                             (deepest + shot.end, shot.end))
-    rs, us, ups, upps = _profile(a, shot, r0, n, eps)
-    fine = _integrate(psi, a, r0, n, 2 * steps, eps).end
-    richardson = abs(fine - us[-1]) / 15.0  # classical 4th-order extrapolation
-    return RadialProfile(r=rs, u=us, up=ups, upp=upps, n=n,
-                         boundary_residual=float(abs(us[-1])),
-                         richardson_error=float(richardson))
+                             (deepest + rise[-1], rise[-1]))
+    rn, sn = r[::8], s[::2]
+    upp = _second_derivative(rn, sn, p[::8], n)
+    bad = np.flatnonzero(~np.isfinite(upp))
+    if bad.size:
+        k = bad[0]
+        raise StiffnessFailure(f"u'' = {upp[k]:g} at r = {rn[k]:g}")
+    u = a + rise
+    return RadialProfile(r=rn, u=u, up=_slope(sn), upp=upp, n=n,
+                         boundary_residual=float(abs(u[-1])),
+                         richardson_error=float(abs(fine - rise[-1]) / 15.0))
 
 
 def dump_profile(profile, header_extra=()):

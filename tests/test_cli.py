@@ -22,7 +22,7 @@ from etacurv.cli import (
     load_config,
     main,
 )
-from etacurv.grid import build_grid
+from etacurv.grid import MAX_LATTICE, build_grid
 
 CAP_CFG = """\
 # disk cap fixture
@@ -274,6 +274,32 @@ def test_bad_config_value_exits_1_with_one_line(tmp_path, command, old, new):
     assert rc == 1
     assert len(lines) == 1
     assert lines[0].startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["solve", "radial"])
+def test_huge_dimension_exits_1_under_a_memory_cap(tmp_path, command):
+    # n radii of a ball would take 8 GB of pointers; no n above MAX_DIM can
+    # pass the lattice check, so the config is refused before they are built.
+    # The process runs under a 1.5 GB address-space cap, so that building
+    # them fails fast with a MemoryError traceback instead of filling memory.
+    resource = pytest.importorskip("resource")
+    cap = 3 << 29
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (cap, cap))
+
+    cfg = write_cfg(tmp_path, CAP_CFG.replace("n = 2", "n = 1000000000"))
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(etacurv.__file__)))
+    proc = subprocess.run(
+        [sys.executable, "-m", "etacurv.cli", command, "--config", cfg,
+         "--out", str(tmp_path)],
+        capture_output=True, text=True, env=env, preexec_fn=limit,
+        check=False)
+    assert proc.returncode == 1, proc.stderr
+    assert proc.stderr.splitlines() == [
+        "error: n = 1000000000 is too large: a lattice in n dimensions holds "
+        f"at least 3^n points, more than {MAX_LATTICE} for n > 15"]
 
 
 #: the keys that left the schema, each with the value it used to default to

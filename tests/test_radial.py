@@ -1,6 +1,7 @@
 """Radial reduction and the shooting reference solver."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from etacurv.expr import DomainError, EvalEnv, beyond_position, evaluate, parse
 from etacurv.geometry import batch_geometry
 from etacurv.radial import (
     BracketFailure,
-    DegenerateTangential,
     NegativePsi,
     RadialProfile,
     StiffnessFailure,
@@ -53,13 +53,14 @@ def test_radial_curvatures_match_graph_geometry():
 
 
 def slope(r, up, text, n):
-    """u'' from psi evaluated at radius r on the x1 axis, as at an RK4
-    stage."""
+    """u'' at radius r and slope up from psi evaluated there on the x1 axis,
+    by the inversion the profile's nodes take."""
     x = np.zeros(n)
     x[0] = r
     env = EvalEnv.from_gradient(x, 0.0, np.zeros(n))
-    v = float(evaluate(parse(text), env))
-    return radial._slope(v, r, up, n, 0.0)
+    p = float(evaluate(parse(text), env)) ** (1.0 / (n - 1))
+    s = up / math.sqrt(1.0 + up * up)
+    return float(radial._second_derivative(*map(np.array, (r, s, p)), n))
 
 
 def test_slope_sphere_cap_closed_form():
@@ -71,15 +72,17 @@ def test_slope_sphere_cap_closed_form():
         up = r / np.sqrt(1 - r * r)
         upp = (1 - r * r) ** -1.5
         assert slope(r, up, "8", 3) == pytest.approx(upp, rel=1e-12)
+        assert slope(r, up, "81", 4) == pytest.approx(upp, rel=1e-12)
 
 
 def test_slope_center_and_degenerate():
     # center: ((n-1) upp)^n = psi
     assert slope(0.0, 0.0, "8", 3) == pytest.approx(1.0, rel=1e-14)
     assert slope(0.0, 0.0, "r^2", 2) == 0.0
-    with pytest.raises(DegenerateTangential):
-        slope(0.3, -0.1, "1", 2)
-    assert slope(0.3, -0.1, "0", 2) == 0.0
+    # a flat core, where psi and u' both vanish, stays flat; where only u'
+    # does, u'' is unbounded
+    assert slope(0.3, 0.0, "0", 2) == slope(0.3, 0.0, "0", 4) == 0.0
+    assert slope(0.3, 0.0, "1", 2) == math.inf
 
 
 def test_shoot_unit_cap_n2():
@@ -99,14 +102,26 @@ def test_shoot_unit_cap_n3():
     assert np.abs(kt[1:] - 1.0).max() <= 1e-6
 
 
-@pytest.mark.xfail(raises=DegenerateTangential, strict=True, reason=(
-    "_series_start's non-degenerate branch takes psi_eps flat over the "
-    "first step; at n = 4, eps = 1e-5 psi_eps(0) = 1e-15 and psi_eps(dr) / "
-    "psi_eps(0) ~ 1.5e7, so the quadratic series leaves u'(dr) too small "
-    "and kappa_t turns negative at r ~ 1.8e-4; mending it moves the "
-    "profiles the three-pass reference test pins"))
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_shoot_closed_form_caps(n):
+    # psi = (n-1)^n: the unit-sphere cap; Simpson is exact on r^{n-1} psi,
+    # so only the second quadrature and roundoff leave an error
+    prof = shoot(parse(str((n - 1) ** n)), 0.5, n)
+    assert len(prof.r) == 4097 and prof.r[-1] == 0.5
+    cap = np.sqrt(0.75) - np.sqrt(1.0 - prof.r ** 2)
+    assert np.abs(prof.u - cap).max() <= 1e-14
+    assert np.abs(prof.upp - (1.0 - prof.r ** 2) ** -1.5).max() <= 1e-12
+    assert prof.richardson_error <= 1e-15
+
+
 def test_shoot_degenerate_n4_small_eps():
-    shoot(parse("r^2"), 0.5, 4, eps=1e-5)
+    # psi_eps(0) = 1e-15 while psi_eps(r) grows like r^2: the first integral
+    # needs no start at the center, where a series start once failed
+    prof = shoot(parse("r^2"), 0.5, 4, eps=1e-5)
+    assert abs(prof.center_value - (-0.0210501052039565)) <= 1e-14
+    assert prof.richardson_error <= 1e-13
+    kr, kt = prof.curvatures()
+    assert kr.min() >= 0.0 and kt.min() >= 0.0
 
 
 def test_shoot_degenerate_regression_fixture():
@@ -145,9 +160,14 @@ def test_shoot_failures():
 
 
 def test_shoot_overflowing_slope_is_stiff():
-    # u'(dr) ~ 1e148: (1 + u'^2)^{3/2} overflows to inf, as in numpy arithmetic
-    with pytest.raises(StiffnessFailure, match="u'' = inf"):
+    # u'/sqrt(1 + u'^2) = 1e150 r: the graph is vertical at the first sample
+    with pytest.raises(StiffnessFailure, match="turns vertical before r0"):
         shoot(parse("1e300"), 0.5, 2, steps=256)
+    # r psi overflows to inf further out, silently: the first sample fails
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(StiffnessFailure, match="at r = 0.0078125$"):
+            shoot(parse("1.7e308"), 0.5, 2, steps=16)
 
 
 def count_evaluate_calls(monkeypatch, psi, steps):
@@ -167,18 +187,20 @@ def count_evaluate_calls(monkeypatch, psi, steps):
 def test_position_only_psi_evaluates_once_per_integration(monkeypatch):
     coarse = count_evaluate_calls(monkeypatch, "exp(-x1) + r^2", 256)
     fine = count_evaluate_calls(monkeypatch, "exp(-x1) + r^2", 1024)
-    assert coarse == fine == 2  # the profile's pass and the step-halved one
+    # one batch serves the profile and the step-halved rise
+    assert coarse == fine == 1
 
 
 def test_position_table_keeps_integration_order_errors():
     with pytest.raises(DomainError, match="sqrt of a negative value"):
         shoot(parse("sqrt(0.3 - x1)"), 0.5, 2, steps=256)
-    # the first negative value met along the integration is the one reported
-    with pytest.raises(ValueError) as info:
+    # the first negative sample by radius is the one reported: psi is
+    # sampled at spacing 0.5 / (8 * 256), so at 0.25 + 1/4096 first
+    with pytest.raises(NegativePsi) as info:
         shoot(parse("1 - 4*x1"), 0.5, 2, steps=256)
-    assert str(info.value) == "psi must be nonnegative, got -0.00390625"
-    # the batch meets the sqrt's domain edge before any RK4 step runs, so
-    # its domain error wins over the negative psi the integration meets first
+    assert str(info.value) == "psi must be nonnegative, got -0.000976562"
+    # the batch meets the sqrt's domain edge before psi's signs are read, so
+    # its domain error wins over the negative psi at smaller radii
     with pytest.raises(DomainError, match="sqrt of a negative value"):
         shoot(parse("sqrt(0.3 - x1) - 0.5"), 0.5, 2, steps=256)
 
@@ -214,11 +236,15 @@ def test_profile_value_interpolation():
     assert prof.value(-0.123) == prof.value(0.123)
 
 
-# The three-integration shooting of an earlier release (names prefixed),
-# which refuses a psi reading z, nu or w in place of its per-stage
-# evaluation and center-value search: the reference the single-pass `shoot`
-# must reproduce bitwise.  A rise at `steps`, the recorded profile
-# integrated again from a = -rise, and the step-halved rise.
+# The three-integration RK4 shooting of an earlier release (names
+# prefixed), which refuses a psi reading z, nu or w in place of its
+# per-stage evaluation and center-value search: an independent check of the
+# quadrature `shoot`.  A rise at `steps`, the recorded profile integrated
+# again from a = -rise, and the step-halved rise.
+
+class DegenerateTangential(Exception):
+    """kappa_t <= 0 met positive psi: no admissible second derivative exists."""
+
 
 def _ref_regularize_value(psi_value, eps, n):
     """(psi^{1/(n-1)} + eps)^{n-1}; identity at eps = 0."""
@@ -365,8 +391,15 @@ def shot_outcome(fn, text, n, eps, steps):
         return type(exc), str(exc)
 
 
-# at 12 steps dr = 1/24 is inexact, so k dr + dr, the radius of node k + 1,
-# differs from (k + 1) dr at some nodes
+#: the flat-core example's center, from the closed form 1/(1 + u'^2) =
+#: 1 - (r^2 - a^2)^2/2 for r >= a = 1/4, integrated to roundoff
+FLAT_CORE_CENTER = -0.014791712501454276
+
+
+# at 12 steps dr = 1/24 is inexact, so k dr + dr, the reference's radius of
+# node k + 1, differs from (k + 1) dr at some nodes.  The test keeps its
+# name from when `shoot` was this reference; the refused cases still match
+# it exactly.
 @pytest.mark.parametrize("steps", [1, 2, 12, 256])
 @pytest.mark.parametrize("text, n, eps", [
     ("1", 2, 0.0),
@@ -385,14 +418,31 @@ def shot_outcome(fn, text, n, eps, steps):
 def test_shoot_matches_three_pass_reference_bitwise(text, n, eps, steps):
     got = shot_outcome(shoot, text, n, eps, steps)
     want = shot_outcome(reference_shoot, text, n, eps, steps)
+    if text == "max(r^2 - 1/16, 0)":
+        # RK4's series start meets kappa_t = 0 at the core's edge; the first
+        # integral passes it and is checked against the closed form: u' is
+        # exact, as Simpson is on the piecewise cubic r psi, and u(0) is
+        # within twice the error its Richardson estimate predicts
+        assert want[0] is DegenerateTangential
+        core = np.maximum(got.r ** 2 - 1 / 16, 0.0)
+        np.testing.assert_allclose(1.0 / (1.0 + got.up ** 2),
+                                   1.0 - core ** 2 / 2.0, rtol=0, atol=1e-15)
+        gap = abs(got.center_value - FLAT_CORE_CENTER)
+        assert gap <= 32.0 * got.richardson_error + 1e-15
+        return
+    if text == "1 - 4*x1":
+        # both refuse the first negative value they sample; the quadrature
+        # samples 4 times as densely, so it meets a smaller one
+        assert (got[0], want[0]) == (NegativePsi, NegativePsi)
+        assert got[1] == f"psi must be nonnegative, got {-1 / (4 * steps):g}"
+        return
     if isinstance(want, tuple):
         assert got == want
         return
-    for name in ("r", "u", "up", "upp"):
-        # tobytes: the sign of a zero counts
-        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
-    assert got.boundary_residual.hex() == want.boundary_residual.hex()
-    assert got.richardson_error.hex() == want.richardson_error.hex()
-    if text == "0":
-        # the rise is 0.0, so the center is -0.0 and the flat start keeps it
-        assert math.copysign(1.0, got.u[0]) == math.copysign(1.0, got.u[1]) == -1.0
+    np.testing.assert_allclose(got.r, want.r, rtol=0, atol=1e-16)
+    # RK4's own error at `steps` is about 16 times its Richardson estimate
+    # (measured 16-17 from 12 steps up, 20-22 at 1 and 2 steps) and
+    # Simpson's is far smaller, so the gap is RK4's error
+    gap = np.abs(got.u - want.u).max()
+    assert gap <= 32.0 * want.richardson_error + 1e-15
+    assert got.boundary_residual == 0.0
