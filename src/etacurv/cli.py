@@ -182,9 +182,9 @@ def build_problem(cfg):
             # before the n radii are built: a huge n would exhaust memory
             if n > MAX_DIM:
                 raise ValueError(
-                    f"n = {n} is too large: a lattice in n dimensions holds "
-                    f"at least 3^n points, more than {MAX_LATTICE} for "
-                    f"n > {MAX_DIM}")
+                    f"n = {n} is above etacurv's dimension limit n <= "
+                    f"{MAX_DIM}, the most dimensions a grid of at most "
+                    f"{MAX_LATTICE} points can span")
             shape = DomainShape((cfg.get("domain.r0"),) * n)
         else:
             axes = tuple(cfg.get("domain.semiaxes"))

@@ -125,7 +125,8 @@ def test_criterion_3_degenerate_radial_agreement(deg64):
     err = float(np.abs(u[axis] - radial_u).max())
     tol = max(5e-3, 5.0 * grid.h ** 2)
     ok = err <= tol
-    record(3, ok, f"axis disagreement vs shooting {err:.3e} (<={tol:.1e})")
+    record(3, ok,
+           f"axis disagreement vs the radial oracle {err:.3e} (<={tol:.1e})")
     assert err <= tol
 
 
@@ -381,7 +382,7 @@ def test_criterion_14_four_dim_cap_and_radial():
     # one dimension-generic path: the 4D unit cap (psi = 3^4) converges at
     # second order (measured orders 1.96, 1.93) with the two-grid cycle on
     # every finest level and no fallback; psi = r^2 run to eps = 1e-3 agrees
-    # with the shooting oracle at the same eps to 4.42e-4 at h = 1/12
+    # with the radial oracle at the same eps to 4.42e-4 at h = 1/12
     runs = [_solve(4, 0.5, "81", 1.0 / k) for k in (12, 16, 20)]
     errs = [_cap_error(run) for run in runs]
     orders = [float(np.log(a / b) / np.log(k1 / k0)) for a, b, k0, k1 in
@@ -405,7 +406,7 @@ def test_criterion_14_four_dim_cap_and_radial():
                    + ", ".join(f"{p:.2f}" for p in orders)
                    + f" (>=1.8), finest inverse {held[-1]}, "
                    f"{fallbacks} fallbacks; psi=r^2 at eps=1e-3, h=1/12 vs "
-                   f"shooting {gap:.3e} (<=5e-4)")
+                   f"the radial oracle {gap:.3e} (<=5e-4)")
     assert held == ["two-grid"] * 3
     assert fallbacks == 0
     assert min(orders) >= 1.8

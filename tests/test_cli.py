@@ -278,8 +278,8 @@ def test_bad_config_value_exits_1_with_one_line(tmp_path, command, old, new):
 
 @pytest.mark.parametrize("command", ["solve", "radial"])
 def test_huge_dimension_exits_1_under_a_memory_cap(tmp_path, command):
-    # n radii of a ball would take 8 GB of pointers; no n above MAX_DIM can
-    # pass the lattice check, so the config is refused before they are built.
+    # n radii of a ball would take 8 GB of pointers; MAX_DIM is the limit of
+    # every command, so the config is refused before they are built.
     # The process runs under a 1.5 GB address-space cap, so that building
     # them fails fast with a MemoryError traceback instead of filling memory.
     resource = pytest.importorskip("resource")
@@ -298,8 +298,8 @@ def test_huge_dimension_exits_1_under_a_memory_cap(tmp_path, command):
         check=False)
     assert proc.returncode == 1, proc.stderr
     assert proc.stderr.splitlines() == [
-        "error: n = 1000000000 is too large: a lattice in n dimensions holds "
-        f"at least 3^n points, more than {MAX_LATTICE} for n > 15"]
+        "error: n = 1000000000 is above etacurv's dimension limit n <= 15, "
+        f"the most dimensions a grid of at most {MAX_LATTICE} points can span"]
 
 
 #: the keys that left the schema, each with the value it used to default to

@@ -398,8 +398,8 @@ FLAT_CORE_CENTER = -0.014791712501454276
 
 # at 12 steps dr = 1/24 is inexact, so k dr + dr, the reference's radius of
 # node k + 1, differs from (k + 1) dr at some nodes.  The test keeps its
-# name from when `shoot` was this reference; the refused cases still match
-# it exactly.
+# name, and so its ids, from when `shoot` was this reference and matched it
+# bit for bit; the refused cases still match it exactly.
 @pytest.mark.parametrize("steps", [1, 2, 12, 256])
 @pytest.mark.parametrize("text, n, eps", [
     ("1", 2, 0.0),
@@ -427,6 +427,11 @@ def test_shoot_matches_three_pass_reference_bitwise(text, n, eps, steps):
         core = np.maximum(got.r ** 2 - 1 / 16, 0.0)
         np.testing.assert_allclose(1.0 / (1.0 + got.up ** 2),
                                    1.0 - core ** 2 / 2.0, rtol=0, atol=1e-15)
+        # u'' = sqrt(2) r / (1 - core^2/2)^{3/2} outside the core and 0 in
+        # it, the kink included (measured within 3.4e-16)
+        upp = np.where(core > 0.0, math.sqrt(2.0) * got.r, 0.0)
+        upp /= (1.0 - core ** 2 / 2.0) ** 1.5
+        np.testing.assert_allclose(got.upp, upp, rtol=0, atol=2e-15)
         gap = abs(got.center_value - FLAT_CORE_CENTER)
         assert gap <= 32.0 * got.richardson_error + 1e-15
         return
@@ -440,9 +445,12 @@ def test_shoot_matches_three_pass_reference_bitwise(text, n, eps, steps):
         assert got == want
         return
     np.testing.assert_allclose(got.r, want.r, rtol=0, atol=1e-16)
-    # RK4's own error at `steps` is about 16 times its Richardson estimate
-    # (measured 16-17 from 12 steps up, 20-22 at 1 and 2 steps) and
-    # Simpson's is far smaller, so the gap is RK4's error
-    gap = np.abs(got.u - want.u).max()
-    assert gap <= 32.0 * want.richardson_error + 1e-15
-    assert got.boundary_residual == 0.0
+    # Simpson's error is far below RK4's, so the gap in each field is RK4's
+    # error, which its own change under step halving measures: the gap is
+    # 0.13-1.56 times that change (1.0-1.2 from 12 steps up) in u, u' and u''
+    half = reference_shoot(parse(text), 0.5, n, steps=2 * steps, eps=eps)
+    for field in ("u", "up", "upp"):
+        ref = getattr(want, field)
+        change = np.abs(ref - getattr(half, field)[::2]).max()
+        gap = np.abs(getattr(got, field) - ref).max()
+        assert gap <= 2.0 * change + 1e-15, field
