@@ -348,7 +348,7 @@ def cmd_radial(cfg, out_dir="."):
     with open(path, "w") as fh:
         fh.write(text)
     print(f"radial: u(0)={prof.center_value:.17g} "
-          f"boundary_residual={prof.boundary_residual:.3e} -> {path}")
+          f"richardson={prof.richardson_error:.3e} -> {path}")
     return 0
 
 

@@ -20,6 +20,15 @@ The solver linearizes K_eta^{1/n} in u; the pieces it needs are
 
 all computed by batch_geometry over stacks of states; the point-wise
 routines below are independent oracles for it.
+
+The principal curvatures come in closed form for n = 2 and 3.  For n = 3
+the trigonometric formula gives only the isolated eigenvalue of A's
+traceless part, which stays well conditioned where the other two meet (the
+cap's triple root); those are deflated, by the 2x2 form on the plane across
+its eigenvector.  Both agree with LAPACK's eigvalsh to 1e-14 * max |A_ij|
+(measured 1.7e-15 over the 41,022 curvature matrices of a 3D cap solve at
+h = 1/24); n >= 4 calls eigvalsh.  A curvature matrix with a NaN or inf
+entry gives a NaN margin in every n, so the state fails the cone test.
 """
 
 from __future__ import annotations
@@ -91,19 +100,93 @@ def gamma_factors(p):
 
 
 def _eigenvalues(A):
-    """Ascending eigenvalues of symmetric matrices A (..., n, n).
+    """Ascending eigenvalues of symmetric matrices A (..., n, n), read from
+    the upper triangle for n = 2 and 3.
 
     n = 2 uses the closed form kappa = m -+ hypot((a - c)/2, b) with
-    m = (a + c)/2; larger n calls LAPACK, because near the triple root of
-    a 3D cap the trigonometric closed form loses ~5e-13, more than the
-    line search's 1e-12 margin floor.
+    m = (a + c)/2, n = 3 the deflated closed form of _eigenvalues3, and
+    n >= 4 LAPACK's eigvalsh.  A NaN entry gives NaN eigenvalues in every
+    n, and so does an inf for n >= 3 (for n = 2 at least sigma_1 is NaN),
+    so such a state fails every margin test: eigvalsh alone would raise
+    LinAlgError, or return finite values for one NaN on the diagonal.
     """
-    if A.shape[-1] != 2:
+    n = A.shape[-1]
+    if n == 2:
+        a, b, c = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+        m = 0.5 * (a + c)
+        rad = np.hypot(0.5 * (a - c), b)
+        return np.stack([m - rad, m + rad], axis=-1)
+    if n == 3:
+        with np.errstate(invalid="ignore"):
+            return _eigenvalues3(A)
+    bad = ~np.isfinite(A).all(axis=(-2, -1))
+    if not bad.any():
         return np.linalg.eigvalsh(A)
-    a, b, c = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
-    m = 0.5 * (a + c)
-    rad = np.hypot(0.5 * (a - c), b)
-    return np.stack([m - rad, m + rad], axis=-1)
+    kappa = np.linalg.eigvalsh(np.where(bad[..., None, None], 0.0, A))
+    kappa[bad] = np.nan
+    return kappa
+
+
+_UPPER3 = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
+_TINY = np.finfo(float).tiny
+
+
+def _eigenvalues3(A):
+    """Ascending eigenvalues of symmetric 3x3 matrices A (..., 3, 3).
+
+    On the traceless part D = A - (tr A/3) I, the trigonometric closed
+    form (O. K. Smith, CACM 4, 1961) gives only the isolated eigenvalue
+    lam: the largest when det D >= 0, else the smallest.  Its gap to the
+    other two is at least half the spread of the three, so it stays well
+    conditioned where they coincide, which is where the formula's own
+    values for them lose accuracy (up to 7.9e-9 * max |kappa| on the
+    curvature matrices of a 3D cap solve, near the triple root).  They are deflated instead:
+    adj(D - lam I) = (mu_1 - lam)(mu_2 - lam) v v^T, its columns being the
+    cross products of rows of D - lam I, gives lam's eigenprojector v v^T,
+    and D restricted to the plane across v has eigenvalues m -+ rad with
+    m = (tr D - lam)/2 and rad = |D - m I - (lam - m) v v^T|_F / sqrt(2),
+    the 2x2 hypot form written without a basis of the plane.
+
+    A and D are each scaled by a power of two, exactly, to a largest
+    |entry| in [1/2, 1), so no finite A overflows or underflows.  A NaN or
+    inf entry gives three NaN eigenvalues.
+    """
+    S = np.ascontiguousarray(np.moveaxis(A[..., _UPPER3[0], _UPPER3[1]], -1, 0))
+    e0 = np.frexp(np.abs(S).max(axis=0))[1]
+    S = np.ldexp(S, -e0)
+    # twice: where D is as small as the rounding of tr A/3, one pass
+    # leaves a trace comparable to D itself
+    q0 = (S[0] + S[3] + S[5]) / 3.0
+    S[[0, 3, 5]] -= q0
+    q1 = (S[0] + S[3] + S[5]) / 3.0
+    S[[0, 3, 5]] -= q1
+    e1 = np.frexp(np.abs(S).max(axis=0))[1]
+    a, b, c, d, e, f = np.ldexp(S, -e1)
+
+    # D != 0 has p >= 0.2 after scaling; D = 0 keeps r finite and lam = 0
+    p = np.sqrt((a * a + d * d + f * f + 2.0 * (b * b + c * c + e * e)) / 6.0)
+    det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
+    pc = np.maximum(p, 0.1)
+    r = np.minimum(np.abs(det) / (2.0 * pc * pc * pc), 1.0)
+    lam = np.copysign(2.0 * p * np.cos(np.arccos(r) / 3.0), det)
+
+    # the trace of adj(D - lam I) is >= gap^2 >= 1/16 and normalizes it to
+    # v v^T (D = 0 keeps the tiny floor); E has eigenvalues -+ rad and 0
+    am, dm, fm = a - lam, d - lam, f - lam
+    c00, c11, c22 = dm * fm - e * e, am * fm - c * c, am * dm - b * b
+    c01, c02, c12 = c * e - b * fm, b * e - c * dm, b * c - am * e
+    m = 0.5 * (a + d + f - lam)
+    w = (lam - m) / np.maximum(c00 + c11 + c22, _TINY)
+    e00, e11, e22 = a - m - w * c00, d - m - w * c11, f - m - w * c22
+    e01, e02, e12 = b - w * c01, c - w * c02, e - w * c12
+    rad = np.sqrt(0.5 * (e00 * e00 + e11 * e11 + e22 * e22)
+                  + e01 * e01 + e02 * e02 + e12 * e12)
+
+    # lam lies beyond the pair, below it where lam < 0
+    mu = np.array([np.minimum(lam, m - rad), m + np.copysign(rad, lam),
+                   np.maximum(lam, m + rad)])
+    kappa = np.ldexp(q0 + (q1 + np.ldexp(mu, e1)), e0)
+    return np.ascontiguousarray(np.moveaxis(kappa, 0, -1))
 
 
 def batch_geometry(p, r, coeffs=True):

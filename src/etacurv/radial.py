@@ -65,7 +65,6 @@ class RadialProfile:
     up: np.ndarray
     upp: np.ndarray
     n: int
-    boundary_residual: float
     richardson_error: float | None = None
 
     @property
@@ -191,7 +190,6 @@ def shoot(psi, r0, n, steps=4096, eps=0.0):
         raise StiffnessFailure(f"u'' = {upp[k]:g} at r = {rn[k]:g}")
     u = a + rise
     return RadialProfile(r=rn, u=u, up=_slope(sn), upp=upp, n=n,
-                         boundary_residual=float(abs(u[-1])),
                          richardson_error=float(abs(fine - rise[-1]) / 15.0))
 
 
@@ -199,7 +197,6 @@ def dump_profile(profile, header_extra=()):
     lines = [
         f"# radial profile n={profile.n} samples={len(profile.r)}",
         f"# center u(0)={profile.center_value:.17g}",
-        f"# boundary residual={profile.boundary_residual:.17g}",
     ]
     if profile.richardson_error is not None:
         lines.append(f"# richardson step-halving estimate={profile.richardson_error:.17g}")

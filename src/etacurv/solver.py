@@ -59,7 +59,7 @@ from .certify import check_subsolution
 from .cones import NotAdmissible
 from .domain import check_two_convex
 from .expr import EvalEnv, check_dimension, eval_with_derivs, evaluate, parse
-from .geometry import add_coefficients, batch_geometry
+from .geometry import _eigenvalues, add_coefficients, batch_geometry
 from .grid import (
     all_derivatives,
     build_grid,
@@ -593,7 +593,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
         p, r = state[:2]
         stage.sup_u = float(np.abs(u).max())
         stage.sup_du = float(np.linalg.norm(p, axis=1).max())
-        stage.sup_d2u = float(np.abs(np.linalg.eigvalsh(r)).max())
+        stage.sup_d2u = float(np.abs(_eigenvalues(r)).max())
         stage.factorizations = factorization.factorizations - done[0]
         stage.refinements = factorization.refinements - done[1]
         stage.fallbacks = factorization.fallbacks - done[2]

@@ -866,6 +866,42 @@ def test_verify_skips_comparison_only_without_certified_start(
         main(["verify", str(sol), "--config", cfg])
 
 
+@pytest.fixture(scope="module")
+def demo_solutions(tmp_path_factory):
+    """Solution files of the 2D, 3D and 4D cap demos, by config name."""
+    tmp = tmp_path_factory.mktemp("demos")
+    files = {}
+    for name in ("cap", "ball3", "ball4"):
+        cfg = os.path.join(ROOT, "demos", "configs", f"{name}.cfg")
+        out = tmp / name
+        out.mkdir()
+        assert main(["solve", "--config", cfg, "--out", str(out)]) == 0
+        [files[name]] = out.glob("*-solution.dat")
+    return files
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "1e300"])
+@pytest.mark.parametrize("name", ["cap", "ball3", "ball4"])
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_verify_nonfinite_solution_fails_certificates(demo_solutions, name,
+                                                      value, tmp_path, capsys):
+    # the first u value replaced: eigvalsh raised LinAlgError on the
+    # non-finite curvature matrices of n = 3 and 4; now every n fails the
+    # certificates with exit 3
+    sol = demo_solutions[name]
+    lines = sol.read_text().splitlines()
+    n = int(re.search(r" n=(\d+) ", lines[0]).group(1))
+    k = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
+    parts = lines[k].split()
+    parts[n] = value
+    lines[k] = " ".join(parts)
+    bad = tmp_path / "bad.dat"
+    bad.write_text("\n".join(lines) + "\n")
+    cfg = os.path.join(ROOT, "demos", "configs", f"{name}.cfg")
+    assert main(["verify", str(bad), "--config", cfg]) == 3
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # ---------------------------------------------------------------- misc
 
 def test_main_no_arguments_exits_1(capsys):

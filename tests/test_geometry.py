@@ -1,10 +1,13 @@
+import itertools
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from etacurv import cones, geometry
+from etacurv.domain import DomainShape
 from etacurv.geometry import PointState
+from etacurv.solver import ProblemSpec, continuation_solve
 
 
 def geo_at(p, r, coeffs=True):
@@ -126,24 +129,93 @@ def _rotated(rng, kappa):
     return Q @ (kappa[:, :, None] * np.swapaxes(Q, -1, -2))
 
 
-def test_closed_form_2x2_eigenvalues_match_lapack():
+def _cap3d_curvature_matrices(monkeypatch):
+    """Every curvature matrix batch_geometry takes eigenvalues of in the
+    3D cap solve at h = 1/24: Newton iterates and line-search trials of
+    both levels."""
+    seen = []
+    eigenvalues = geometry._eigenvalues
+
+    def record(A):
+        seen.append(A.copy())
+        return eigenvalues(A)
+
+    monkeypatch.setattr(geometry, "_eigenvalues", record)
+    spec = ProblemSpec(n=3, shape=DomainShape((0.5,) * 3), psi="8", h=1 / 24)
+    continuation_solve(spec)
+    monkeypatch.undo()
+    return np.concatenate(seen)
+
+
+def _closed_form_cases_3x3(rng, m, monkeypatch):
+    """Symmetric 3x3 stacks where the closed form is hardest."""
+    cases = []
+    for split in (1e-8, 1e-12):
+        for side in (-1.0, 1.0):
+            # a near-double pair below (side 1) or above (-1) the third
+            kappa = rng.normal(size=(m, 3))
+            kappa[:, 1] = kappa[:, 0] * (1.0 + split * rng.normal(size=m))
+            kappa[:, 2] = kappa[:, 0] + side * rng.uniform(0.1, 2.0, size=m)
+            cases.append(_rotated(rng, kappa))
+    for split in (0.0, 1e-12, 1e-6):
+        # rotated near-triple roots: split 0 leaves only the rotation's
+        # roundoff, which must not disorder the output (1 row in ~4000)
+        kappa = 3.0 * (1.0 + split * rng.normal(size=(5 * m, 3)))
+        cases.append(_rotated(rng, kappa))
+    orders = [np.diag(d) for v in ((-1.0, 0.5, 2.0), (1.0, 1.0, 2.0), (-1.0, 2.0, 2.0))
+              for d in itertools.permutations(v)]
+    cases.append(np.array([3.0 * np.eye(3), np.zeros((3, 3))] + orders))
+    cases += [scale * cases[k] for scale in (1e150, 1e-150) for k in (0, 1, 4)]
+    cases.append(_cap3d_curvature_matrices(monkeypatch))
+    return cases
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_closed_form_eigenvalues_match_lapack(n, monkeypatch):
     rng = np.random.default_rng(25)
     m = 4000
-    r = rng.normal(size=(m, 2, 2)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1, 1))
+    r = rng.normal(size=(m, n, n)) * 10.0 ** rng.uniform(-8, 8, size=(m, 1, 1))
     r = 0.5 * (r + np.swapaxes(r, -1, -2))
-    kappa = rng.normal(size=(m, 2))
-    kappa[: m // 2, 1] = kappa[: m // 2, 0] * (1.0 + 1e-12 * rng.normal(size=m // 2))
-    near = _rotated(rng, kappa)
-    special = np.array([np.eye(2), np.zeros((2, 2)), [[1.0, 0.0], [0.0, -1.0]],
-                        [[0.0, 1e-300], [1e-300, 0.0]], [[1e8, 1.0], [1.0, 1e8]]])
-    for A in (r, near, special):
-        # p = 0: the curvature matrix is the (symmetrized) Hessian itself
-        g = geometry.batch_geometry(np.zeros(A.shape[:-1]), A, coeffs=False)
+    if n == 2:
+        kappa = rng.normal(size=(m, 2))
+        kappa[: m // 2, 1] = kappa[: m // 2, 0] * (1.0 + 1e-12 * rng.normal(size=m // 2))
+        cases = [_rotated(rng, kappa), np.array([
+            np.eye(2), np.zeros((2, 2)), [[1.0, 0.0], [0.0, -1.0]],
+            [[0.0, 1e-300], [1e-300, 0.0]], [[1e8, 1.0], [1.0, 1e8]]])]
+    else:
+        cases = _closed_form_cases_3x3(rng, m, monkeypatch)
+    for A in [r] + cases:
+        # p = 0: the curvature matrix is the (symmetrized) Hessian itself;
+        # K_eta overflows on the matrices scaled by 1e150
+        with np.errstate(over="ignore"):
+            g = geometry.batch_geometry(np.zeros(A.shape[:-1]), A, coeffs=False)
         ref = np.linalg.eigvalsh(g.A)
         # the largest entry bounds the 2-norm from below, without underflow
         norm = np.abs(g.A).max(axis=(1, 2))
         assert np.all(np.abs(g.kappa - ref).max(axis=1) <= 1e-14 * norm)
         assert np.all(np.diff(g.kappa, axis=1) >= 0.0)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_nonfinite_curvature_matrix_fails_the_margin(n):
+    # a NaN or inf entry anywhere: every margin test fails, no LinAlgError
+    rng = np.random.default_rng(27)
+    upper = [(i, j) for i in range(n) for j in range(i, n)]
+    values = (np.nan, np.inf, -np.inf)
+    A = rng.normal(size=(len(upper) * len(values) + 1, n, n))
+    A = 0.5 * (A + np.swapaxes(A, -1, -2))
+    for k, ((i, j), value) in enumerate(itertools.product(upper, values)):
+        A[k, i, j] = A[k, j, i] = value
+    # inf - inf and 0 * inf on the way are the point, not an accident
+    with np.errstate(invalid="ignore"):
+        g = geometry.batch_geometry(np.zeros((len(A), n)), A, coeffs=False)
+        kappa = geometry._eigenvalues(A[:-1])
+    assert np.isnan(g.margin[:-1]).all() and np.isnan(g.K_eta[:-1]).all()
+    assert np.allclose(g.kappa[-1], np.linalg.eigvalsh(A[-1]), rtol=0, atol=1e-14)
+    if n >= 3:
+        assert np.isnan(kappa).all()
+    else:  # hypot(inf, nan) is inf: NaN entries only
+        assert np.isnan(kappa[~np.isinf(A[:-1]).any(axis=(1, 2))]).all()
 
 
 def test_polynomial_F_matches_spectral_grad():

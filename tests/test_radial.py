@@ -88,7 +88,6 @@ def test_slope_center_and_degenerate():
 def test_shoot_unit_cap_n2():
     prof = shoot(parse("1"), 0.5, 2, steps=1024)
     assert abs(prof.center_value - EXACT_CAP) <= 1e-8
-    assert prof.boundary_residual <= 1e-10
     cap = -np.sqrt(1.0 - prof.r ** 2) + 1.0 + prof.center_value
     assert np.abs(prof.u - cap).max() <= 1e-9
     assert prof.up[0] == 0.0
@@ -379,7 +378,6 @@ def reference_shoot(psi, r0, n, steps=4096, eps=0.0):
     fine = _ref_integrate(psi, a, r0, n, 2 * steps, eps)
     richardson = abs(fine - us[-1]) / 15.0  # classical 4th-order extrapolation
     return RadialProfile(r=rs, u=us, up=ups, upp=upps, n=n,
-                         boundary_residual=float(abs(us[-1])),
                          richardson_error=float(richardson))
 
 
