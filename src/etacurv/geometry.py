@@ -193,13 +193,17 @@ def batch_geometry(p, r, coeffs=True):
     """Vectorized geometry for stacks of states p (..., n), r (..., n, n)."""
     p = np.asarray(p, dtype=float)
     r = np.asarray(r, dtype=float)
-    w, gu = gamma_factors(p)
-    A = gu @ r @ gu / w[..., None, None]
-    A = 0.5 * (A + np.swapaxes(A, -1, -2))
-    kappa = _eigenvalues(A)
-    lam = kappa.sum(axis=-1, keepdims=True) - kappa
-    margin = lam.min(axis=-1)
-    K_eta = np.prod(lam, axis=-1)
+    # a state that overflows (a stored u of 1e300, say) gets inf and NaN
+    # curvatures, which fail every margin test: that is its report, and
+    # numpy's floating-point warnings would only repeat it on stderr
+    with np.errstate(over="ignore", invalid="ignore"):
+        w, gu = gamma_factors(p)
+        A = gu @ r @ gu / w[..., None, None]
+        A = 0.5 * (A + np.swapaxes(A, -1, -2))
+        kappa = _eigenvalues(A)
+        lam = kappa.sum(axis=-1, keepdims=True) - kappa
+        margin = lam.min(axis=-1)
+        K_eta = np.prod(lam, axis=-1)
 
     geom = BatchGeometry(
         w=w, gamma_up=gu, A=A, kappa=kappa,

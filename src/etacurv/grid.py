@@ -12,7 +12,12 @@ interior and otherwise fall back to a one-sided quadrant stencil built
 from interior nodes only.
 
 Neighbors are found in a dense lookup array over the lattice's bounding
-box, and every stencil is built by array operations over all nodes at once.
+box, padded by one layer.  Every stencil couples nodes at most one lattice
+step apart per axis, so a node's neighbor at offset d is one flat index,
+lookup.ravel()[flat + d . steps], with no bounds check (Grid.neighbor_rows);
+only keys that may leave the box, such as the corners of another grid's
+cells, go through the masked Grid.rows_at.  Every stencil is built by array
+operations over all nodes at once.
 
 Every stencil lives in one stacked CSR operator, Grid.ops(), of shape
 (k*m, m) with k = n(n+1)/2 + n: row slot * m + q applies derivative `slot`
@@ -100,6 +105,8 @@ class Grid:
     nb: np.ndarray           # (m, n, 2) neighbor row for (+, -) arm, -1 = boundary
     theta: np.ndarray        # (m, n, 2) arm length / h, in (0, 1]; 1 where neighbor interior
     lookup: np.ndarray       # lattice bounding box padded by one layer: row, -1 outside
+    flat: np.ndarray         # (m,) each node's index into lookup.ravel()
+    _order: np.ndarray | None = field(default=None, repr=False)
     _ops: scipy.sparse.csr_matrix | None = field(default=None, repr=False)
     _dropped: list | None = field(default=None, repr=False)
     _pattern: OpsPattern | None = field(default=None, repr=False)
@@ -122,6 +129,24 @@ class Grid:
         # clipped so no key wraps; a clipped key's row is masked out
         flat = np.ravel_multi_index(np.moveaxis(local, -1, 0), box, mode="clip")
         return np.where(inbox, self.lookup.ravel()[flat], -1)
+
+    @property
+    def steps(self):
+        """(n,) flat index offset of one lattice step along each axis."""
+        return np.array(self.lookup.strides) // self.lookup.itemsize
+
+    def neighbor_rows(self, nodes, offset):
+        """Rows of the lattice keys idx[nodes] + d, -1 where a key names no
+        interior node, for the flat offset = d . steps of a lattice offset d
+        with every |d_k| <= 1 (an int, or an array broadcasting with nodes).
+        The padding layer holds every such key, so none is checked."""
+        return self.lookup.ravel()[self.flat[nodes] + offset]
+
+    def dissection(self):
+        """nested_dissection(self), computed on first use and kept."""
+        if self._order is None:
+            self._order = nested_dissection(self)
+        return self._order
 
     def ops(self):
         """The stacked stencil operator, CSR (k*m, m) with k = n(n+1)/2 + n:
@@ -195,10 +220,11 @@ def build_grid(shape, h):
     lookup = np.full([2 * k + 3 for k in half], -1, dtype=np.int64)
     lookup[(slice(1, -1),) * n][inside.reshape(mesh[0].shape)] = np.arange(m)
     grid = Grid(shape=shape, h=float(h), idx=idx, pos=pos, nb=None,
-                theta=np.ones((m, n, 2)), lookup=lookup)
-    unit = np.eye(n, dtype=np.int64)
-    arms = np.stack([unit, -unit], axis=1)  # arms[s, t]: the (+, -) step along s
-    grid.nb = grid.rows_at(idx[:, None, None, :] + arms)
+                theta=np.ones((m, n, 2)), lookup=lookup,
+                flat=np.flatnonzero(lookup >= 0))  # raveled in node order
+    steps = grid.steps
+    arms = np.stack([steps, -steps], axis=1)  # arms[s, t]: the (+, -) step along s
+    grid.nb = grid.neighbor_rows(np.arange(m)[:, None, None], arms)
     q, s, t = np.nonzero(grid.nb < 0)
     # the crossing lies past a neighbor dropped by INTERIOR_MARGIN (phi < 0
     # there): that arm is a full step
@@ -230,70 +256,99 @@ def _build_ops(grid):
     corners are interior; else the first quadrant, toward the domain center
     first, whose three offset nodes are interior; else the node is dropped
     and its row stays empty.
+
+    Each slot's block is built as (m, 4) tables of columns, -1 where
+    absent, and weights, with every row's columns ascending: rows follow
+    the lattice order, so a node's neighbors sort by their offsets along i,
+    then j.  The CSR arrays are the tables' masked ravels; nothing is
+    sorted.
     """
     m, n, h = grid.size, grid.n, grid.h
     q = np.arange(m)
     hess = _hessian_slots(n)
-    slot = {pair: k for k, pair in enumerate(hess)}
-    rows, cols, vals, dropped = [], [], [], []
+    slots = len(hess) + n
+    # axis stencils leave the fourth column empty; int32 holds every row
+    # (m <= MAX_LATTICE = 2**24) and halves the largest table
+    cols = np.full((slots, m, 4), -1, dtype=np.int32)
+    vals, dropped = np.zeros((slots, m, 4)), []
     for s in range(n):
         d1, d2 = _arm_coeffs(grid.theta[:, s, 0] * h, grid.theta[:, s, 1] * h)
-        arm = [grid.nb[:, s, t] >= 0 for t in (0, 1)]
-        nodes = np.concatenate([q[arm[0]], q[arm[1]], q])
-        nbrs = np.concatenate([grid.nb[arm[0], s, 0], grid.nb[arm[1], s, 1], q])
-        for k, d in ((len(hess) + s, d1), (slot[s, s], d2)):
-            rows.append(k * m + nodes)
-            cols.append(nbrs)
-            vals.append(np.concatenate([d[0][arm[0]], d[1][arm[1]], d[2]]))
+        for k, d in ((len(hess) + s, d1), (hess.index((s, s)), d2)):
+            # ascending: the - arm, the node, the + arm
+            for c, t in enumerate((1, 2, 0)):
+                cols[k, :, c] = grid.nb[:, s, t] if t < 2 else q
+                vals[k, :, c] = d[t]
 
-    unit = np.eye(n, dtype=np.int64)
-    for i, j in hess:
+    steps = grid.steps
+    for k, (i, j) in enumerate(hess):
         if i == j:
             continue
 
-        def rows_at(nodes, di, dj):
-            step = np.multiply.outer(di, unit[i]) + np.multiply.outer(dj, unit[j])
-            return grid.rows_at(grid.idx[nodes] + step)
+        def square(nodes, ends_i, ends_j):
+            """(4, len(nodes)) rows at the corners (a, b), a in ends_i and
+            b in ends_j, of a lattice square off each node; with each pair
+            of ends ascending, the rows ascend too."""
+            return np.stack([grid.neighbor_rows(nodes, a * steps[i] + b * steps[j])
+                             for a in ends_i for b in ends_j])
 
-        def add(nodes, stencil, c):  # stencil rows (4, k), weights c * (1, -1, -1, 1)
-            rows.append(slot[i, j] * m + np.repeat(nodes, 4))
-            cols.append(stencil.T.ravel())
-            vals.append(np.multiply.outer(c, [1.0, -1.0, -1.0, 1.0]).ravel())
-
-        corners = np.stack([rows_at(q, 1, 1), rows_at(q, 1, -1),
-                            rows_at(q, -1, 1), rows_at(q, -1, -1)])
-        full = (corners >= 0).all(axis=0)
-        add(q[full], corners[:, full], np.full(int(full.sum()), 1.0 / (4.0 * h * h)))
+        # the cross and each quadrant are the corners of a square, weighed
+        # +scale at its low-low and high-high corners and -scale at the
+        # other two: (1, -1, -1, 1) * scale in ascending columns
+        scale = np.full(m, 1.0 / (4.0 * h * h))
+        cross = square(q, (-1, 1), (-1, 1))
+        full = (cross >= 0).all(axis=0)
+        cols[k] = np.where(full, cross, -1).T
         left = q[~full]
+        scale[left] = 1.0 / (h * h)
         free = np.ones(len(left), dtype=bool)  # left nodes still without a stencil
         si0 = np.where(grid.pos[left, i] > 0, -1, 1)
         sj0 = np.where(grid.pos[left, j] > 0, -1, 1)
         for si, sj in ((si0, sj0), (si0, -sj0), (-si0, sj0), (-si0, -sj0)):
-            stencil = np.stack([rows_at(left, si, sj), rows_at(left, si, 0),
-                                rows_at(left, 0, sj), left])
+            stencil = square(left, (np.minimum(si, 0), np.maximum(si, 0)),
+                             (np.minimum(sj, 0), np.maximum(sj, 0)))
             use = free & (stencil >= 0).all(axis=0)
             free &= ~use
-            add(left[use], stencil[:, use], 1.0 / (si[use] * sj[use] * h * h))
-        dropped.extend((k, i, j) for k in left[free].tolist())
-    # no (row, col) repeats, so CSR conversion only sorts each row's columns
+            cols[k, left[use]] = stencil[:, use].T
+        dropped.extend((node, i, j) for node in left[free].tolist())
+        vals[k] = np.multiply.outer(scale, [1.0, -1.0, -1.0, 1.0])
+
+    entries = np.flatnonzero(cols >= 0)
+    indptr = np.zeros(slots * m + 1, dtype=np.int64)
+    np.cumsum(np.bincount(entries // 4, minlength=slots * m), out=indptr[1:])
     return scipy.sparse.csr_matrix(
-        (np.concatenate(vals), (np.concatenate(rows), np.concatenate(cols))),
-        shape=((len(hess) + n) * m, m)), dropped
+        (vals.ravel()[entries], cols.ravel()[entries], indptr),
+        shape=(slots * m, m)), dropped
 
 
 def _build_pattern(grid):
-    stack = grid.ops().tocoo()
-    m = grid.size
+    stack = grid.ops()
+    m, height = grid.size, stack.shape[0]
     keep = stack.data != 0.0  # stored zeros add nothing to any sum
     eye = np.arange(m)
-    rows = np.concatenate([stack.row[keep], stack.shape[0] + eye]).astype(np.int64)
-    cols = np.concatenate([stack.col[keep], eye]).astype(np.int64)
+    rows = np.concatenate([np.repeat(np.arange(height), np.diff(stack.indptr))[keep],
+                           height + eye])
     # int64: the keys node * m + col pass 2**31 once m > 46,340 nodes
-    keys, target = np.unique(rows % m * m + cols, return_inverse=True)
+    keys = rows % m
+    keys *= m
+    keys[:-m] += stack.indices[keep]
+    keys[-m:] += eye
+    # each slot block and the identity is a sorted run of keys, which a
+    # stable sort (timsort) merges in O(N log runs)
+    order = np.argsort(keys, kind="stable")
+    keys = keys[order]
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    unique = keys[first]
+    np.cumsum(first, out=keys)  # keys' buffer now counts positions from 1
+    keys -= 1
+    target = np.empty_like(keys)
+    target[order] = keys
+    del keys, order, first  # freed before the outputs are allocated
     indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(keys // m, minlength=m), out=indptr[1:])
+    np.cumsum(np.bincount(unique // m, minlength=m), out=indptr[1:])
     return OpsPattern(
-        n=grid.n, shape=(m, m), indices=(keys % m).astype(np.int32),
+        n=grid.n, shape=(m, m), indices=(unique % m).astype(np.int32),
         indptr=indptr, gather=rows,
         vals=np.concatenate([stack.data[keep], np.ones(m)]), target=target)
 
@@ -348,7 +403,11 @@ def _corner_weights(coarse, fine):
     """(keys, rows, w): the lattice keys (m_fine, 2^n, n) of each fine
     node's coarse-cell corners, their coarse rows (-1 outside the interior)
     and the multilinear weights (m_fine, 2^n) of the fine node in the cell,
-    0 at a corner outside the interior."""
+    0 at a corner outside the interior.  Computed once, they serve both
+    transfers of a level pair; neither changes them.
+
+    The corners go through the masked Grid.rows_at: coarse may be a grid
+    of another shape, whose lookup box need not hold them."""
     lo = fine.idx // 2
     half = (fine.idx - 2 * lo) / 2.0  # position in the coarse cell, 0 or 1/2
     corner = np.array(list(itertools.product((0, 1), repeat=fine.n)))
@@ -359,19 +418,20 @@ def _corner_weights(coarse, fine):
     return keys, rows, w
 
 
-def interpolation(coarse, fine):
+def interpolation(coarse, fine, corners=None):
     """Sparse (m_fine, m_coarse) CSR multilinear interpolation: each fine
     node takes its coarse cell's corner values with the multilinear
     weights, not renormalized, so a corner outside the interior carries
     the Dirichlet value 0.  A fine node that is a coarse node gets that
-    node's value.  The two-grid cycle's transfer operator."""
-    _, rows, w = _corner_weights(coarse, fine)
+    node's value.  The two-grid cycle's transfer operator.  corners is
+    _corner_weights(coarse, fine) where the caller already has it."""
+    _, rows, w = _corner_weights(coarse, fine) if corners is None else corners
     node, c = np.nonzero(w)
     return scipy.sparse.csr_matrix((w[node, c], (node, rows[node, c])),
                                    shape=(fine.size, coarse.size))
 
 
-def prolongation(coarse, fine):
+def prolongation(coarse, fine, corners=None):
     """Sparse (m_fine, m_coarse) CSR map of coarse grid functions to fine ones.
 
     Fine node x blends the quadratic Taylor expansions
@@ -380,18 +440,20 @@ def prolongation(coarse, fine):
     on the boundary enters through the Shortley-Weller arms) and multilinear
     weights renormalized over those corners.  A fine node that is a coarse
     node gets that node's value.  A node none of whose weighted corners is
-    interior expands about its nearest coarse node instead.
+    interior expands about its nearest coarse node instead.  corners is
+    _corner_weights(coarse, fine) where the caller already has it.
     """
     n, h, mc = fine.n, fine.h, coarse.size
-    keys, rows, w = _corner_weights(coarse, fine)
+    keys, rows, w = _corner_weights(coarse, fine) if corners is None else corners
     orphan = np.flatnonzero(w.sum(axis=1) == 0.0)
     if len(orphan):
+        keys, rows, w = keys.copy(), rows.copy(), w.copy()
         dist = ((fine.idx[orphan, None, :] - 2 * coarse.idx) ** 2).sum(axis=-1)
         near = np.argmin(dist, axis=1)
         keys[orphan, 0], rows[orphan, 0] = coarse.idx[near], near
         w[orphan] = 0.0
         w[orphan, 0] = 1.0
-    w /= w.sum(axis=1, keepdims=True)
+    w = w / w.sum(axis=1, keepdims=True)
     node, c = np.nonzero(w)
     q, wt = rows[node, c], w[node, c]
     d = (fine.idx[node] - 2 * keys[node, c]) * h  # offsets x - y

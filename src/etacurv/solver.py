@@ -61,12 +61,12 @@ from .domain import check_two_convex
 from .expr import EvalEnv, check_dimension, eval_with_derivs, evaluate, parse
 from .geometry import _eigenvalues, add_coefficients, batch_geometry
 from .grid import (
+    _corner_weights,
     all_derivatives,
     build_grid,
     check_lattice,
     coarse_grid,
     interpolation,
-    nested_dissection,
     prolongation,
 )
 
@@ -373,18 +373,22 @@ class _Factorization:
     the fallbacks from a two-grid to a fine LU.  Every factorization is of
     Q A Q^T, Q the nested-dissection order of A's grid: SuperLU is asked
     for no column ordering of its own and keeps its partial row pivoting.
+    That order is Grid.dissection(), computed at the grid's first LU and
+    kept on the grid: a level that holds a two-grid computes none of its
+    own unless it falls back, and a coarse grid's order serves both its
+    own level's LU and the Galerkin operator of the level above.
+
+    P is the level's interpolation from coarse where the caller already
+    built it (_transfers); without it a two-grid level builds its own.
     """
 
-    def __init__(self, grid, coarse=None):
-        self.perm = nested_dissection(grid)
-        #: (P, coarse nested-dissection order) where the level holds a
-        #: two-grid, else None
+    def __init__(self, grid, coarse=None, P=None):
+        self.grid = grid
+        #: (P, coarse grid) where the level holds a two-grid, else None
         self.transfer = None
-        # not every n: a 2D nested-dissection LU fills only O(N log N),
-        # so 2D keeps the fine LU
-        if grid.n >= 3 and coarse is not None:
-            self.transfer = (interpolation(coarse, grid),
-                             nested_dissection(coarse))
+        if _holds_two_grid(grid, coarse):
+            self.transfer = (interpolation(coarse, grid) if P is None else P,
+                             coarse)
         self.lu = None
         #: (J, SMOOTHING_WEIGHT / diag J) of the cycle that self.lu, A_c's
         #: LU, serves; None when self.lu is an LU of J
@@ -401,7 +405,7 @@ class _Factorization:
     def factorize(self, A, perm=None):
         """SuperLU of A in the order perm (default the grid's); not kept
         or counted."""
-        p = self.perm if perm is None else perm
+        p = self.grid.dissection() if perm is None else perm
         return scipy.sparse.linalg.splu(A[p][:, p].tocsc(),
                                         permc_spec="NATURAL")
 
@@ -410,8 +414,9 @@ class _Factorization:
         Jacobian J_lu the held LU factorizes, else one two-grid cycle."""
         if self.smoother is not None:
             return self._cycle(b)
+        perm = self.grid.dissection()
         x = np.empty_like(b)
-        x[self.perm] = self.lu.solve(b[self.perm])
+        x[perm] = self.lu.solve(b[perm])
         return x
 
     def _two_grid(self, J, res, target):
@@ -419,9 +424,9 @@ class _Factorization:
         A_c = P^T J P, P the multilinear interpolation from the 2h level,
         factorized in the coarse grid's nested-dissection order.  None
         when A_c's factorization fails or the refinement declines."""
-        P, perm_c = self.transfer
+        P, coarse = self.transfer
         try:
-            lu = self.factorize((P.T @ (J @ P)).tocsr(), perm_c)
+            lu = self.factorize((P.T @ (J @ P)).tocsr(), coarse.dissection())
         except RuntimeError:
             return None
         self.factorizations += 1
@@ -433,7 +438,8 @@ class _Factorization:
         the Galerkin coarse correction x += P A_c^{-1} P^T (b - J x), and
         SMOOTHING_SWEEPS more sweeps (Trottenberg, Oosterlee & Schuller,
         Multigrid, 2001, ch. 2)."""
-        (J, weight), (P, perm_c) = self.smoother, self.transfer
+        (J, weight), (P, coarse) = self.smoother, self.transfer
+        perm_c = coarse.dissection()
         x = weight * b  # the first sweep, from x = 0
         for _ in range(SMOOTHING_SWEEPS - 1):
             x += weight * (b - J @ x)
@@ -663,9 +669,10 @@ def _solve_level(spec, grid, u0, schedules, notes):
     level ran, from its join on, of the schedule that completed to its
     solution; see continuation_solve."""
     coarse = coarse_grid(grid, COARSEST_NODES)
-    starts, sub = {}, None
+    starts, sub, P = {}, None, None
     if coarse is not None:
         shared = grid.rows_at(2 * coarse.idx)
+        solved_c = {}
         try:
             u_c, sub, solved_c = _solve_level(replace(spec, h=coarse.h), coarse,
                                               u0[shared], schedules,
@@ -673,11 +680,9 @@ def _solve_level(spec, grid, u0, schedules, notes):
         except SolverFailure as exc:
             notes.append(f"coarse level h={coarse.h:g} failed ({exc}); "
                          "solving without coarse starts")
-        else:
-            P = prolongation(coarse, grid)
-            starts = {eps: P @ v for eps, v in solved_c.items()}
+        starts, P = _transfers(coarse, grid, solved_c)
     for k, schedule in enumerate(schedules):
-        factorization = _Factorization(grid, coarse)
+        factorization = _Factorization(grid, coarse, P)
         try:
             u, stages, solved = _walk(spec, grid, u0, schedule, starts,
                                       factorization)
@@ -696,6 +701,24 @@ def _solve_level(spec, grid, u0, schedules, notes):
         if sub is not None:
             report.error_estimate = float(np.abs(u[shared] - u_c).max()) / 3.0
         return u, report, solved
+
+
+def _holds_two_grid(grid, coarse):
+    """Whether grid's level holds a two-grid: n >= 3 with a 2h level below.
+    Not every n: a 2D nested-dissection LU fills only O(N log N), so 2D
+    keeps the fine LU."""
+    return coarse is not None and grid.n >= 3
+
+
+def _transfers(coarse, grid, solved):
+    """(starts, P) of grid's level, both from one set of corner weights,
+    dropped on return: starts maps each eps of solved, the coarse level's
+    solutions, to its solution prolonged to grid; P is the interpolation
+    of the level's two-grid, None where it holds none."""
+    corners = _corner_weights(coarse, grid)
+    prolong = prolongation(coarse, grid, corners) if solved else None
+    P = interpolation(coarse, grid, corners) if _holds_two_grid(grid, coarse) else None
+    return {eps: prolong @ v for eps, v in solved.items()}, P
 
 
 def _walk(spec, grid, u0, schedule, starts, factorization):

@@ -12,6 +12,7 @@ from etacurv.geometry import batch_geometry
 from etacurv.grid import (
     _arm_coeffs,
     _build_pattern,
+    _corner_weights,
     all_derivatives,
     INTERIOR_MARGIN,
     MAX_LATTICE,
@@ -116,6 +117,9 @@ REFERENCE_CASES = [
     (DomainShape((0.5, 0.5, 0.5)), 1 / 12),
     (DomainShape((0.5, 0.4, 0.3)), 1 / 16),   # 8 dropped mixed stencils
     (DomainShape((0.6, 0.5, 0.4)), 0.17),     # 18 dropped mixed stencils
+    # 6,265 nodes, 624 dropped mixed stencils; the flat offsets of a
+    # neighbor lookup take a different stride on each of the four axes
+    (DomainShape((0.5,) * 4), 1 / 12),
     (DISK, 0.6),                              # one node
 ]
 
@@ -442,6 +446,36 @@ def test_interpolation_is_multilinear_with_zero_outside(shape, h):
     shared = fine.rows_at(2 * coarse.idx)
     v = np.random.default_rng(1).standard_normal(coarse.size)
     assert np.array_equal((P @ v)[shared], v)
+
+
+def _csr_bytes(A):
+    return [(a.dtype, a.tobytes()) for a in (A.indptr, A.indices, A.data)]
+
+
+@pytest.mark.parametrize("shape, h, small", [
+    *((shape, h, None) for shape, h in SHAPES_2H),
+    # an odd half-count, 5 nodes a side: the outer fine nodes sit in coarse
+    # cells with corners outside the interior
+    (DISK, 1 / 10, None),
+    # a coarse grid of a smaller disk: fine nodes with no interior corner
+    # expand about their nearest coarse node, in copies of the weights
+    (DISK, 1 / 32, DomainShape((0.3, 0.3))),
+])
+def test_transfers_from_shared_corner_weights_match_separate_builds(shape, h, small):
+    # a level computes its corner weights once for both transfers: the
+    # results equal the separate builds bitwise, and neither transfer
+    # changes the weights the other reads
+    fine = build_grid(shape, h)
+    coarse = coarse_grid(fine, 0) if small is None else build_grid(small, 2 * h)
+    corners = _corner_weights(coarse, fine)
+    assert (corners[2].sum(axis=1) == 0.0).any() == (small is not None)
+    before = [a.copy() for a in corners]
+    assert _csr_bytes(prolongation(coarse, fine, corners)) == \
+        _csr_bytes(prolongation(coarse, fine))
+    assert _csr_bytes(interpolation(coarse, fine, corners)) == \
+        _csr_bytes(interpolation(coarse, fine))
+    for a, b in zip(corners, before):
+        assert a.tobytes() == b.tobytes()
 
 
 def test_nodes_within_roundoff_of_the_boundary_are_dropped():

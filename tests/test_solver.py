@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from etacurv import cli, geometry, solver
+from etacurv import cli, geometry, grid as grid_module, solver
 from etacurv.certify import standard_certificates
 from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
@@ -697,6 +697,35 @@ def test_two_grid_meets_contract_on_3d_cap_jacobians():
         cycles.append(held.refinements)
     assert 0 < max(cycles) < 60
     assert abs(cycles[0] - cycles[1]) <= 5
+
+
+def test_nested_levels_build_each_order_and_transfer_once(monkeypatch):
+    # the 3D cap at h = 1/24 solves on two levels: the finest holds the
+    # two-grid and never factorizes J, so its nested-dissection order is
+    # never computed, and the coarse grid's order serves both its own LU
+    # and the Galerkin operator above it; one set of corner weights serves
+    # both transfers of the level pair
+    dissected, cornered = [], []
+    real_order, real_corners = grid_module.nested_dissection, grid_module._corner_weights
+
+    def order(grid):
+        dissected.append(grid.h)
+        return real_order(grid)
+
+    def corners(coarse, fine):
+        cornered.append((coarse.h, fine.h))
+        return real_corners(coarse, fine)
+
+    monkeypatch.setattr(grid_module, "nested_dissection", order)
+    for module in (grid_module, solver):
+        monkeypatch.setattr(module, "_corner_weights", corners)
+    h = 1 / 24
+    _, report = continuation_solve(ProblemSpec(n=3, shape=BALL, psi="8", h=h))
+    assert report.final.inverse == "two-grid" and report.final.fallbacks == 0
+    assert report.coarse.final.inverse == "lu" and report.coarse.coarse is None
+    assert report.coarse.final.factorizations > 0
+    assert dissected == [2 * h]
+    assert cornered == [(2 * h, h)]
 
 
 @pytest.mark.parametrize("fault", ["sign", "singular"])
