@@ -418,20 +418,24 @@ def _corner_weights(coarse, fine):
     return keys, rows, w
 
 
-def interpolation(coarse, fine, corners=None):
+def interpolation(coarse, fine):
     """Sparse (m_fine, m_coarse) CSR multilinear interpolation: each fine
     node takes its coarse cell's corner values with the multilinear
     weights, not renormalized, so a corner outside the interior carries
     the Dirichlet value 0.  A fine node that is a coarse node gets that
-    node's value.  The two-grid cycle's transfer operator.  corners is
-    _corner_weights(coarse, fine) where the caller already has it."""
-    _, rows, w = _corner_weights(coarse, fine) if corners is None else corners
+    node's value.  The two-grid cycle's transfer operator."""
+    return _interpolation_from(coarse, fine, _corner_weights(coarse, fine))
+
+
+def _interpolation_from(coarse, fine, corners):
+    """interpolation(coarse, fine) from corners = _corner_weights(coarse, fine)."""
+    _, rows, w = corners
     node, c = np.nonzero(w)
     return scipy.sparse.csr_matrix((w[node, c], (node, rows[node, c])),
                                    shape=(fine.size, coarse.size))
 
 
-def prolongation(coarse, fine, corners=None):
+def prolongation(coarse, fine):
     """Sparse (m_fine, m_coarse) CSR map of coarse grid functions to fine ones.
 
     Fine node x blends the quadratic Taylor expansions
@@ -440,11 +444,16 @@ def prolongation(coarse, fine, corners=None):
     on the boundary enters through the Shortley-Weller arms) and multilinear
     weights renormalized over those corners.  A fine node that is a coarse
     node gets that node's value.  A node none of whose weighted corners is
-    interior expands about its nearest coarse node instead.  corners is
-    _corner_weights(coarse, fine) where the caller already has it.
+    interior expands about its nearest coarse node instead.
     """
+    return _prolongation_from(coarse, fine, _corner_weights(coarse, fine))
+
+
+def _prolongation_from(coarse, fine, corners):
+    """prolongation(coarse, fine) from corners = _corner_weights(coarse,
+    fine), which it leaves unchanged."""
     n, h, mc = fine.n, fine.h, coarse.size
-    keys, rows, w = _corner_weights(coarse, fine) if corners is None else corners
+    keys, rows, w = corners
     orphan = np.flatnonzero(w.sum(axis=1) == 0.0)
     if len(orphan):
         keys, rows, w = keys.copy(), rows.copy(), w.copy()

@@ -62,12 +62,12 @@ from .expr import EvalEnv, check_dimension, eval_with_derivs, evaluate, parse
 from .geometry import _eigenvalues, add_coefficients, batch_geometry
 from .grid import (
     _corner_weights,
+    _interpolation_from,
+    _prolongation_from,
     all_derivatives,
     build_grid,
     check_lattice,
     coarse_grid,
-    interpolation,
-    prolongation,
 )
 
 #: A grid function is a plain float vector, one value per interior node in
@@ -378,17 +378,14 @@ class _Factorization:
     own unless it falls back, and a coarse grid's order serves both its
     own level's LU and the Galerkin operator of the level above.
 
-    P is the level's interpolation from coarse where the caller already
-    built it (_transfers); without it a two-grid level builds its own.
+    transfer is (P, coarse) where the level holds a two-grid: P the
+    multilinear interpolation from the coarse grid (grid.interpolation);
+    None where it keeps the LU of J.
     """
 
-    def __init__(self, grid, coarse=None, P=None):
+    def __init__(self, grid, transfer=None):
         self.grid = grid
-        #: (P, coarse grid) where the level holds a two-grid, else None
-        self.transfer = None
-        if _holds_two_grid(grid, coarse):
-            self.transfer = (interpolation(coarse, grid) if P is None else P,
-                             coarse)
+        self.transfer = transfer
         self.lu = None
         #: (J, SMOOTHING_WEIGHT / diag J) of the cycle that self.lu, A_c's
         #: LU, serves; None when self.lu is an LU of J
@@ -669,7 +666,7 @@ def _solve_level(spec, grid, u0, schedules, notes):
     level ran, from its join on, of the schedule that completed to its
     solution; see continuation_solve."""
     coarse = coarse_grid(grid, COARSEST_NODES)
-    starts, sub, P = {}, None, None
+    starts, sub, transfer = {}, None, None
     if coarse is not None:
         shared = grid.rows_at(2 * coarse.idx)
         solved_c = {}
@@ -680,9 +677,9 @@ def _solve_level(spec, grid, u0, schedules, notes):
         except SolverFailure as exc:
             notes.append(f"coarse level h={coarse.h:g} failed ({exc}); "
                          "solving without coarse starts")
-        starts, P = _transfers(coarse, grid, solved_c)
+        starts, transfer = _transfers(coarse, grid, solved_c)
     for k, schedule in enumerate(schedules):
-        factorization = _Factorization(grid, coarse, P)
+        factorization = _Factorization(grid, transfer)
         try:
             u, stages, solved = _walk(spec, grid, u0, schedule, starts,
                                       factorization)
@@ -703,22 +700,19 @@ def _solve_level(spec, grid, u0, schedules, notes):
         return u, report, solved
 
 
-def _holds_two_grid(grid, coarse):
-    """Whether grid's level holds a two-grid: n >= 3 with a 2h level below.
-    Not every n: a 2D nested-dissection LU fills only O(N log N), so 2D
-    keeps the fine LU."""
-    return coarse is not None and grid.n >= 3
-
-
 def _transfers(coarse, grid, solved):
-    """(starts, P) of grid's level, both from one set of corner weights,
-    dropped on return: starts maps each eps of solved, the coarse level's
-    solutions, to its solution prolonged to grid; P is the interpolation
-    of the level's two-grid, None where it holds none."""
+    """(starts, transfer) of grid's level, both from one set of corner
+    weights, dropped on return: starts maps each eps of solved, the coarse
+    level's solutions, to its solution prolonged to grid; transfer is the
+    _Factorization transfer (P, coarse) of a level of n >= 3, which holds
+    a two-grid, and None in 2D, where a nested-dissection LU fills only
+    O(N log N) and the level keeps the fine LU."""
     corners = _corner_weights(coarse, grid)
-    prolong = prolongation(coarse, grid, corners) if solved else None
-    P = interpolation(coarse, grid, corners) if _holds_two_grid(grid, coarse) else None
-    return {eps: prolong @ v for eps, v in solved.items()}, P
+    prolong = _prolongation_from(coarse, grid, corners) if solved else None
+    transfer = None
+    if grid.n >= 3:
+        transfer = (_interpolation_from(coarse, grid, corners), coarse)
+    return {eps: prolong @ v for eps, v in solved.items()}, transfer
 
 
 def _walk(spec, grid, u0, schedule, starts, factorization):

@@ -13,6 +13,8 @@ from etacurv.grid import (
     _arm_coeffs,
     _build_pattern,
     _corner_weights,
+    _interpolation_from,
+    _prolongation_from,
     all_derivatives,
     INTERIOR_MARGIN,
     MAX_LATTICE,
@@ -470,9 +472,9 @@ def test_transfers_from_shared_corner_weights_match_separate_builds(shape, h, sm
     corners = _corner_weights(coarse, fine)
     assert (corners[2].sum(axis=1) == 0.0).any() == (small is not None)
     before = [a.copy() for a in corners]
-    assert _csr_bytes(prolongation(coarse, fine, corners)) == \
+    assert _csr_bytes(_prolongation_from(coarse, fine, corners)) == \
         _csr_bytes(prolongation(coarse, fine))
-    assert _csr_bytes(interpolation(coarse, fine, corners)) == \
+    assert _csr_bytes(_interpolation_from(coarse, fine, corners)) == \
         _csr_bytes(interpolation(coarse, fine))
     for a, b in zip(corners, before):
         assert a.tobytes() == b.tobytes()

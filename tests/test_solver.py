@@ -14,7 +14,13 @@ from etacurv.certify import standard_certificates
 from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
 from etacurv.geometry import batch_geometry
-from etacurv.grid import all_derivatives, build_grid, coarse_grid, prolongation
+from etacurv.grid import (
+    all_derivatives,
+    build_grid,
+    coarse_grid,
+    interpolation,
+    prolongation,
+)
 from etacurv.solver import (
     LinearSolveFailure,
     NegativePsi,
@@ -676,8 +682,9 @@ def _level_holder(h):
     holder a nested level gets: the 2h grid below it."""
     grid = build_grid(BALL, h)
     spec = ProblemSpec(n=3, shape=BALL, psi="8", h=h)
+    coarse = coarse_grid(grid, solver.COARSEST_NODES)
     return grid, spec, solver._Factorization(
-        grid, coarse_grid(grid, solver.COARSEST_NODES))
+        grid, (interpolation(coarse, grid), coarse))
 
 
 def test_two_grid_meets_contract_on_3d_cap_jacobians():
