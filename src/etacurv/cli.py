@@ -19,7 +19,7 @@ import warnings
 
 import numpy as np
 
-from . import radial, svgplot
+from . import decimal17, radial, svgplot
 from .certify import (
     BATTERY_DIMS,
     Certificate,
@@ -44,6 +44,7 @@ from .solver import (
     effective_schedule,
     initial_guess,
     residual,
+    solution_columns,
     write_solution,
 )
 
@@ -374,9 +375,11 @@ _HEADER = re.compile(
 
 def _read_solution(path, spec, grid):
     """u from a stored solution file, after checking it matches the grid.
-    The table is parsed by np.loadtxt; where that fails, the rows are
-    rescanned by float() per token, which accepts what float() accepts and
-    names the line of a bad row."""
+    A table in the form write_solution writes is parsed from its bytes by
+    decimal17, each value exactly as float() reads it; any other table
+    by np.loadtxt, and where that fails, the rows are rescanned by float()
+    per token, which accepts what float() accepts and names the line of a
+    bad row."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise GridMismatch(f"{path}: empty file")
@@ -393,16 +396,18 @@ def _read_solution(path, spec, grid):
     if len(rows) != grid.size:
         raise GridMismatch(
             f"{path}: {len(rows)} data rows for {grid.size} nodes")
-    # the columns write_solution writes: x, u, Du, D^2u, kappa, Keta, residual
-    width = 3 * n + 3 + n * (n + 1) // 2
-    try:
-        with warnings.catch_warnings():
-            # an input of blank lines only warns, and the shape check fails
-            warnings.simplefilter("ignore")
-            data = np.loadtxt([line for _, line in rows], comments=None,
-                              ndmin=2)
-    except ValueError:
-        data = None
+    width = len(solution_columns(n))
+    data = decimal17.parse_table([line for _, line in rows], width)
+    if data is None:
+        try:
+            with warnings.catch_warnings():
+                # an input of blank lines only warns, and the shape check
+                # fails
+                warnings.simplefilter("ignore")
+                data = np.loadtxt([line for _, line in rows], comments=None,
+                                  ndmin=2)
+        except ValueError:
+            pass
     if data is None or data.shape != (grid.size, width):
         # rescan with float(): the same accepts, and the line of a bad row
         data = np.empty((grid.size, width))

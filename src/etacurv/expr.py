@@ -51,6 +51,11 @@ class DomainError(ValueError):
         self.subexpr = subexpr
 
 
+class NegativePsi(ValueError):
+    """psi evaluated negative, at a grid node or on the radial oracle's
+    x1 axis; the equation requires psi >= 0."""
+
+
 @dataclass(frozen=True)
 class Num:
     value: float

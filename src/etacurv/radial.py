@@ -36,7 +36,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expr import EvalEnv, beyond_position, evaluate
+from . import decimal17
+from .expr import EvalEnv, NegativePsi, beyond_position, evaluate
 
 
 class BracketFailure(Exception):
@@ -46,10 +47,6 @@ class BracketFailure(Exception):
     def __init__(self, msg, endpoints):
         super().__init__(f"{msg}; bracket endpoint residuals {endpoints}")
         self.endpoints = endpoints
-
-
-class NegativePsi(ValueError):
-    """psi evaluated negative on the x1 axis."""
 
 
 class StiffnessFailure(Exception):
@@ -170,7 +167,10 @@ def shoot(psi, r0, n, steps=4096, eps=0.0):
     r = r0 * (np.arange(m + 1) / m)  # every 2nd radius is the coarse one's
     x = np.zeros((m + 1, n))
     x[:, 0] = r
-    v = evaluate(psi, EvalEnv.from_gradient(x, 0.0, np.zeros_like(x)))
+    # psi reads position only: z, nu and w are those of u = 0, Du = 0
+    rest = np.zeros(n + 1)
+    rest[n] = 1.0
+    v = evaluate(psi, EvalEnv(x=x, z=0.0, nu=rest, w=1.0))
     neg = np.flatnonzero(v < 0.0)
     if neg.size:
         raise NegativePsi(f"psi must be nonnegative, got {v[neg[0]]:g}")
@@ -204,6 +204,4 @@ def dump_profile(profile, header_extra=()):
     lines.append("# r u up upp kappa_r kappa_t")
     rows = np.column_stack((profile.r, profile.u, profile.up, profile.upp,
                             *profile.curvatures()))
-    fmt = " ".join(["%.17g"] * rows.shape[1])
-    lines.extend(fmt % tuple(row) for row in rows.tolist())
-    return "\n".join(lines) + "\n"
+    return "\n".join(lines) + "\n" + decimal17.format_table(rows)

@@ -55,10 +55,18 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse.linalg
 
+from . import decimal17
 from .certify import check_subsolution
 from .cones import NotAdmissible
 from .domain import check_two_convex
-from .expr import EvalEnv, check_dimension, eval_with_derivs, evaluate, parse
+from .expr import (
+    EvalEnv,
+    NegativePsi,
+    check_dimension,
+    eval_with_derivs,
+    evaluate,
+    parse,
+)
 from .geometry import _eigenvalues, add_coefficients, batch_geometry
 from .grid import (
     _corner_weights,
@@ -73,10 +81,6 @@ from .grid import (
 #: A grid function is a plain float vector, one value per interior node in
 #: the grid's lexicographic node order; the boundary value is implicitly 0.
 GridFunction = np.ndarray
-
-
-class NegativePsi(ValueError):
-    """psi evaluated negative at a node; the equation requires psi >= 0."""
 
 
 class SolverFailure(Exception):
@@ -814,17 +818,27 @@ def _dropped_notes(grid):
              f"nodes: {dropped}"] if dropped else [])
 
 
-def write_solution(path, spec, grid, u, report, config_echo=()):
-    """Columnar solution file with a '#' header echoing report's summary.
+def solution_columns(n):
+    """The columns of a dimension-n solution file, in order: x, u, Du,
+    the upper triangle of D^2u by rows, kappa, Keta and the residual."""
+    cols = [f"x{i+1}" for i in range(n)] + ["u"] + [f"du{s+1}" for s in range(n)]
+    cols += [f"d2u{i+1}{j+1}" for i in range(n) for j in range(i, n)]
+    return cols + [f"kappa{i+1}" for i in range(n)] + ["Keta", "residual"]
 
-    Full 17-significant-digit decimals: identical configs reproduce the
-    file bitwise.  The residual column is taken at the report's final eps.
+
+def write_solution(path, spec, grid, u, report, config_echo=()):
+    """Write the columnar solution file with a '#' header echoing
+    report's summary; returns None.
+
+    Every value is written as '%.17g' writes it, a decimal that reads
+    back to the same double: identical configs reproduce the file
+    bitwise.  The table goes out in blocks of decimal17.BLOCK values,
+    formatted on arrays by decimal17's exact encoder.  The residual
+    column is taken at the report's final eps.
     """
     n = spec.n
     res, (p, r, geo, _) = _evaluate(spec, grid, u, report.final.eps)
-    cols = [f"x{i+1}" for i in range(n)] + ["u"] + [f"du{s+1}" for s in range(n)]
-    cols += [f"d2u{i+1}{j+1}" for i in range(n) for j in range(i, n)]
-    cols += [f"kappa{i+1}" for i in range(n)] + ["Keta", "residual"]
+    cols = solution_columns(n)
     lines = [f"# etacurv solution n={n} nodes={grid.size} h={grid.h:.17g}"]
     lines += [f"# {line}" for line in config_echo]
     lines.append(f"# {report.summary()}")
@@ -832,9 +846,7 @@ def write_solution(path, spec, grid, u, report, config_echo=()):
     table = np.column_stack(
         (grid.pos, u, p, *(r[:, i, j] for i in range(n) for j in range(i, n)),
          geo.kappa, geo.K_eta, res))
-    fmt = " ".join(["%.17g"] * len(cols))
-    lines.extend(fmt % tuple(row) for row in table.tolist())
-    text = "\n".join(lines) + "\n"
     with open(path, "w") as fh:
-        fh.write(text)
-    return text
+        fh.write("\n".join(lines) + "\n")
+        for text in decimal17.encode_table(table):
+            fh.write(text)
