@@ -168,9 +168,9 @@ def shoot(psi, r0, n, steps=4096, eps=0.0):
     x = np.zeros((m + 1, n))
     x[:, 0] = r
     # psi reads position only: z, nu and w are those of u = 0, Du = 0
-    rest = np.zeros(n + 1)
-    rest[n] = 1.0
-    v = evaluate(psi, EvalEnv(x=x, z=0.0, nu=rest, w=1.0))
+    nu = np.zeros(n + 1)
+    nu[n] = 1.0
+    v = evaluate(psi, EvalEnv(x=x, z=0.0, nu=nu, w=1.0))
     neg = np.flatnonzero(v < 0.0)
     if neg.size:
         raise NegativePsi(f"psi must be nonnegative, got {v[neg[0]]:g}")

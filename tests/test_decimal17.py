@@ -23,6 +23,24 @@ def bits(a):
     return np.asarray(a, dtype=np.float64).view(np.uint64)
 
 
+def assert_same_text(got, want):
+    """got == want, failing with the first differing line and its index."""
+    if got != want:
+        pairs = zip(got.splitlines(keepends=True), want.splitlines(keepends=True))
+        first = next(((k, g, w) for k, (g, w) in enumerate(pairs) if g != w),
+                     (None, len(got), len(want)))
+        raise AssertionError(f"first difference (line, got, want): {first}")
+
+
+def assert_same_bits(got, lines):
+    """got holds float()'s value of every token of lines, bit for bit."""
+    want = np.array([[float(t) for t in ln.split()] for ln in lines])
+    assert got is not None
+    bad = np.flatnonzero(bits(got) != bits(want))
+    assert bad.size == 0, [(lines[i // want.shape[1]].split()[i % want.shape[1]],
+                            got.flat[i], want.flat[i]) for i in bad[:5]]
+
+
 def edge_values():
     """Zeros, non-finite values, subnormals, the extremes, every power of
     ten a double comes near and both its neighbours, the boundaries of
@@ -66,16 +84,16 @@ def test_carry_cases_are_covered():
 def test_encoder_matches_percent_g_on_edge_values():
     v = edge_values()
     table = v[: len(v) // 7 * 7].reshape(-1, 7)
-    assert format_table(table) == percent_g(table)
+    assert_same_text(format_table(table), percent_g(table))
     col = v.reshape(-1, 1)
-    assert format_table(col) == percent_g(col)
+    assert_same_text(format_table(col), percent_g(col))
 
 
 def test_encoder_matches_percent_g_on_random_bit_patterns():
     rng = np.random.default_rng(20260131)
     x = rng.integers(0, 2 ** 64, size=1_000_000, dtype=np.uint64)
     table = x.view(np.float64).reshape(-1, 10)
-    assert format_table(table) == percent_g(table)
+    assert_same_text(format_table(table), percent_g(table))
 
 
 def test_encoder_matches_percent_g_on_solver_magnitudes():
@@ -86,7 +104,7 @@ def test_encoder_matches_percent_g_on_solver_magnitudes():
     m *= 10.0 ** rng.integers(-20, 18, size=m.shape)
     m[::3] = np.round(m[::3], 3)
     m[1::5] = np.trunc(m[1::5])
-    assert format_table(m) == percent_g(m)
+    assert_same_text(format_table(m), percent_g(m))
 
 
 def test_block_boundaries_inside_rows(monkeypatch):
@@ -100,13 +118,9 @@ def test_block_boundaries_inside_rows(monkeypatch):
     assert len(blocks) == math.ceil(table.size / 7)
     # the second block starts in the middle of the second row
     assert not blocks[0].endswith("\n") and blocks[0].count("\n") == 1
-    assert "".join(blocks) == want
+    assert_same_text("".join(blocks), want)
     lines = want.splitlines()
-    assert bits(parse_table(lines, 5)).tolist() == bits(table).tolist()
-
-
-def reference_values(lines):
-    return np.array([[float(t) for t in ln.split()] for ln in lines])
+    assert np.array_equal(bits(parse_table(lines, 5)), bits(table))
 
 
 def test_decoder_matches_float_on_encoded_values():
@@ -115,8 +129,7 @@ def test_decoder_matches_float_on_encoded_values():
     table = np.concatenate([x.view(np.float64), edge_values()])
     table = table[: len(table) // 8 * 8].reshape(-1, 8)
     lines = format_table(table).splitlines()
-    got = parse_table(lines, 8)
-    assert np.array_equal(bits(got), bits(reference_values(lines)))
+    assert_same_bits(parse_table(lines, 8), lines)
 
 
 def scientific(dec):
@@ -144,10 +157,18 @@ def midpoint_tokens(count, seed):
                      else format(dec, "f"))
             digits -= 1
         tokens.append(token)
-    # exact midpoints, ties to even
-    return tokens + ["9007199254740993", "9007199254740995",
-                     "-9007199254740993", "0.5", "-0", "0.000", "0e+00",
-                     "1e+22", "1e+23", "8e-05"]
+    # exact midpoints, ties to even; where 10^e is not a double the
+    # double-double lies off the tie, and only the midpoint check keeps
+    # the tie to even: j + 1/2 between doubles of spacing 1, and j + 1/4
+    # or 3/4 between doubles of spacing 1/2
+    ties = [f"{j}.5" for j in rng.integers(2 ** 52, 2 ** 53, size=200).tolist()]
+    ties += [f"{j}.{q}" for j, q in zip(
+        rng.integers(2 ** 51, 2 ** 52, size=200).tolist(),
+        rng.choice(["25", "75"], size=200).tolist())]
+    ties += [scientific(Decimal(t)) for t in ties[::7]]
+    return tokens + ties + ["9007199254740993", "9007199254740995",
+                            "-9007199254740993", "0.5", "-0", "0.000",
+                            "0e+00", "1e+22", "1e+23", "8e-05"]
 
 
 def test_decoder_matches_float_on_midpoint_tokens():
@@ -156,9 +177,7 @@ def test_decoder_matches_float_on_midpoint_tokens():
                            "4.9406564584124654e-324", "1e-320", "-1e+300")]
     tokens = tokens[: len(tokens) // 4 * 4]
     lines = [" ".join(tokens[i:i + 4]) for i in range(0, len(tokens), 4)]
-    got = parse_table(lines, 4)
-    assert got is not None
-    assert np.array_equal(bits(got), bits(reference_values(lines)))
+    assert_same_bits(parse_table(lines, 4), lines)
 
 
 @pytest.mark.parametrize("lines", [
@@ -171,6 +190,7 @@ def test_decoder_matches_float_on_midpoint_tokens():
     ["1 2", "3 .4"],          # no integer digit
     ["1 2", "3 4."],          # no fraction digit
     ["1 2", "3 4e5"],         # an exponent without sign
+    ["1 2", "3 4e105"],
     ["1 2", "3 4e+5"],        # one exponent digit
     ["1 2", "3 4e+0005"],     # four exponent digits
     ["1 2", "3 1.2.3"],       # two points
@@ -179,6 +199,8 @@ def test_decoder_matches_float_on_midpoint_tokens():
     ["1 2", "3 4 5"],         # a row too long
     ["1 2", "3"],             # a row too short
     ["1 2", "3 " + "1" * 25],  # a token too long
+    ["1 2", "3 0.1-34567890123456789012"],  # a sign deep in a fraction
+    ["1 2", "3 0.e234567890123456789012"],
     ["1 2", "3 ٤"],      # a non-ASCII digit
 ])
 def test_decoder_leaves_other_tables_to_the_caller(lines):
@@ -188,5 +210,16 @@ def test_decoder_leaves_other_tables_to_the_caller(lines):
 def test_decoder_reads_non_finite_tokens_and_long_ones():
     lines = ["nan inf -inf 1e-300",
              "123456789012345678901234 0.1234567890123456789 -0 0.000"]
-    got = parse_table(lines, 4)
-    assert np.array_equal(bits(got), bits(reference_values(lines)))
+    assert_same_bits(parse_table(lines, 4), lines)
+
+
+def test_decoder_leaves_exact_midpoints_to_float():
+    # j + 1/2 between doubles of spacing 1 and j + 1/4 between doubles of
+    # spacing 1/2: D 10^e lies on a midpoint, and 10^-1, 10^-2 are not
+    # doubles, so the double-double cannot certify the tie
+    rng = np.random.default_rng(9)
+    d = np.concatenate([rng.integers(2 ** 52, 2 ** 53, 500) * 10 + 5,
+                        rng.integers(2 ** 51, 2 ** 52, 500) * 100 + 25])
+    e = np.repeat([-1, -2], 500)
+    _, certain = decimal17._round_product(d, e)
+    assert not certain.any()
