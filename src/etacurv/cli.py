@@ -397,15 +397,15 @@ def _read_solution(path, spec, grid):
         raise GridMismatch(
             f"{path}: {len(rows)} data rows for {grid.size} nodes")
     width = len(solution_columns(n))
-    table = [line for _, line in rows]
-    data = decimal17.parse_table(table, width)
+    body = [line for _, line in rows]
+    data = decimal17.parse_table(body, width)
     if data is None:
         try:
             with warnings.catch_warnings():
                 # an input of blank lines only warns, and the shape check
                 # fails
                 warnings.simplefilter("ignore")
-                data = np.loadtxt(table, comments=None, ndmin=2)
+                data = np.loadtxt(body, comments=None, ndmin=2)
         except ValueError:
             pass
     if data is None or data.shape != (grid.size, width):
