@@ -42,10 +42,9 @@ _SPLIT = 134217729.0  # 2^27 + 1: Dekker's split of a double into halves
 _K_MIN, _K_MAX = -290, 290
 _E_MIN, _E_MAX = -270, 288
 # |computed - exact| of a scaled 17-digit integer is below 1e-14, and of
-# a decoded value below 2^-100 of it, 2^-47 of its spacing: certify only
-# further from a tie
+# a decoded value below 2^-102 of it: certify only further from a tie
 _TIE = 1e-12
-_MIDPOINT = 2.0 ** -40
+_BOUND = 2.0 ** -96
 
 _ASCII_ZERO = 48
 
@@ -334,12 +333,11 @@ def _round_product(d, e):
     thh, thl = _P10_HH.take(i), _P10_HL.take(i)
     err = ((hh * thh - p) + hh * thl + hl * thh) + hl * thl
     t = err + (dh * _P10_LO.take(i) + dl * th)
-    r = p + t
-    # r + rest is d 10^e to within 2^-100 of it; the midpoints next to r
-    # are half a spacing away, or a quarter below a power of two
-    rest = np.abs(t - (r - p)) / np.spacing(r)
-    certain = (np.abs(rest - 0.5) > _MIDPOINT) & (np.abs(rest - 0.25) > _MIDPOINT)
-    return r, certain
+    # p + t is d 10^e to within 2^-102 of it, and rounding is monotonic:
+    # where both ends of a wider interval round alike, so does d 10^e
+    bound = p * _BOUND
+    r = p + (t - bound)
+    return r, r == p + (t + bound)
 
 
 _SPECIAL = {b"nan": float("nan"), b"inf": float("inf"), b"-inf": float("-inf")}
@@ -353,13 +351,13 @@ def _parse_block(lines, width, out):
     except UnicodeEncodeError:
         return False
     raw = np.frombuffer(data, dtype=np.uint8)
-    newline = raw == ord("\n")
-    ends = np.flatnonzero((raw == ord(" ")) | newline)
+    ends = np.flatnonzero(raw <= ord(" "))
     count = len(lines) * width
     if len(ends) != count:
         return False
-    last = newline[ends].reshape(len(lines), width)
-    if last[:, :-1].any() or not last[:, -1].all():
+    # spaces between the tokens of a row, and a newline after its last
+    sep = raw[ends].reshape(len(lines), width)
+    if (sep[:, :-1] != ord(" ")).any() or (sep[:, -1] != ord("\n")).any():
         return False
     starts = np.empty_like(ends)
     starts[0] = 0
