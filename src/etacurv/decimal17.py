@@ -82,6 +82,9 @@ _LUT4 = np.frombuffer(b"".join(b"%04d" % i for i in range(10000)),
 _TZ4 = np.array([4] + [len(s) - len(s.rstrip("0"))
                        for s in map(str, range(1, 10000))], dtype=np.int64)
 _INT_P10 = 10 ** np.arange(19, dtype=np.int64)
+# by fraction length f: the integer parts below which f + its digits stay
+# within 18, 1 (none but 0) beyond 18
+_WHOLE_BELOW = np.concatenate([_INT_P10[::-1], np.ones(6, dtype=np.int64)])
 
 
 def _scaled(a, m):
@@ -269,8 +272,8 @@ _U64 = np.uint64
 _WORD_ZERO = _U64(0x3030303030303030)
 _WORD_OVER9 = _U64(0x7676767676767676)
 _WORD_HIGH = _U64(0x8080808080808080)
-# the low bytes of a 24-byte window that a segment of each length keeps
-# when it ends the window
+# by length n: the mask of the last n bytes of a 24-byte window, which
+# hold a segment of n bytes that ends it
 _KEEP = np.array([np.frombuffer(bytes(24 - n) + b"\xff" * n, dtype="<u8")
                   for n in range(25)])
 _PAD = 24
@@ -283,23 +286,17 @@ def _windows(buf, at):
     return view[at].view("<u8").reshape(-1, 3)
 
 
-def _non_digits(words):
-    """words with the high bit of each byte set where it is not an ASCII
-    digit, every other bit clear; the bytes are ASCII."""
-    return ((words ^ _WORD_ZERO) + _WORD_OVER9) & _WORD_HIGH
-
-
 def _digit_values(buf, ends, lengths):
     """(value, ok, small) of the segments of the given lengths (<= 24)
     that end at positions ends of the data in buf: ok where they are all
     digits, and value their integer where small, below 10^18."""
-    keep = _KEEP.take(lengths, axis=0)
-    # the bytes before the segment read as leading zeros
-    words = (_windows(buf, ends - 24 + _PAD) & keep) | (_WORD_ZERO & ~keep)
-    over = _non_digits(words)
+    # digit values, 0 before the segment, and above 9 for a non-digit
+    values = ((_windows(buf, ends - 24 + _PAD) ^ _WORD_ZERO)
+              & _KEEP.take(lengths, axis=0))
+    over = (values + _WORD_OVER9) & _WORD_HIGH
     ok = (over[:, 0] | over[:, 1] | over[:, 2]) == 0
     # eight digits to a word, the first in the low byte (Lemire)
-    w = ((words ^ _WORD_ZERO) * _U64(2561)) >> _U64(8)
+    w = (values * _U64(2561)) >> _U64(8)
     w = ((w & _U64(0x00FF00FF00FF00FF)) * _U64(6553601)) >> _U64(16)
     w = ((w & _U64(0x0000FFFF0000FFFF)) * _U64(42949672960001)) >> _U64(32)
     w = w.astype(np.int64)
@@ -309,7 +306,8 @@ def _digit_values(buf, ends, lengths):
 def _leading_digits(buf, at):
     """The number of ASCII digits from each position at of the data in
     buf, up to 24."""
-    over = _non_digits(_windows(buf, at + _PAD))
+    # the high bit of each byte set where it is not a digit
+    over = ((_windows(buf, at + _PAD) ^ _WORD_ZERO) + _WORD_OVER9) & _WORD_HIGH
     count = np.full(len(at), 24)
     for j in (2, 1, 0):
         m = over[:, j]
@@ -385,7 +383,8 @@ def _parse_block(lines, width, out):
     dot = buf[int_end + _PAD] == ord(".")
     frac_len = np.where(dot, e_at - int_end - 1, 0)
     ok = (int_len >= 1) & np.where(dot, frac_len >= 1, int_end == e_at)
-    frac, ok_frac, small = _digit_values(buf, e_at, np.clip(frac_len, 0, 24))
+    frac_len = np.clip(frac_len, 0, 24)
+    frac, ok_frac, small = _digit_values(buf, e_at, frac_len)
     ok &= ok_frac
     whole = (buf[mstart + _PAD] - _ASCII_ZERO).astype(np.int64)
     long_ = np.flatnonzero(int_len > 1)
@@ -407,11 +406,8 @@ def _parse_block(lines, width, out):
             return False
         out[i] = value
     # at most 18 significant digits: D = whole 10^frac_len + frac < 10^18
-    fast = ok & small & np.where(
-        whole > 0,
-        (frac_len <= 18) & (whole < _INT_P10.take(np.clip(18 - frac_len, 0, 18))),
-        True)
-    d = np.where(fast, whole * _INT_P10.take(np.clip(frac_len, 0, 18)) + frac, 0)
+    fast = ok & small & (whole < _WHOLE_BELOW.take(frac_len))
+    d = np.where(fast, whole * _INT_P10.take(np.minimum(frac_len, 18)) + frac, 0)
     e = exp - frac_len
     zero = fast & (d == 0)
     fast &= zero | ((e >= _E_MIN) & (e <= _E_MAX))
