@@ -9,7 +9,7 @@ import pytest
 import scipy.sparse
 import scipy.sparse.linalg
 
-from etacurv import cli, geometry, grid as grid_module, solver
+from etacurv import cli, decimal17, geometry, grid as grid_module, solver
 from etacurv.certify import standard_certificates
 from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
@@ -1336,6 +1336,33 @@ def test_write_solution_computes_state_once(monkeypatch, tmp_path):
     body = [ln.split() for ln in text.splitlines() if not ln.startswith("#")]
     res = np.array([float(row[-1]) for row in body])
     assert np.array_equal(res, residual(spec, grid, u, report.final.eps))
+
+
+def test_write_solution_writes_the_table_in_blocks(monkeypatch, tmp_path):
+    # blocks of 5 values end inside the rows of 12; the file holds each
+    # block as it came, and each value as '%.17g' writes it
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 8)
+    u, report = continuation_solve(spec)
+    grid = build_grid(DISK, 1 / 8)
+    blocks = []
+    encode = decimal17.encode_table
+
+    def spy(table):
+        for block in encode(table):
+            blocks.append(block)
+            yield block
+
+    monkeypatch.setattr(decimal17, "BLOCK", 5)
+    monkeypatch.setattr(decimal17, "encode_table", spy)
+    path = tmp_path / "a.dat"
+    assert write_solution(path, spec, grid, u, report) is None
+    assert len(blocks) == -(-grid.size * 12 // 5)
+    body = [ln for ln in path.read_text().splitlines(keepends=True)
+            if not ln.startswith("#")]
+    assert "".join(body) == "".join(blocks)
+    fmt = " ".join(["%.17g"] * 12) + "\n"
+    assert body == [fmt % tuple(map(float, ln.split())) for ln in body]
+    assert np.array_equal([float(ln.split()[2]) for ln in body], u)
 
 
 def test_write_solution_roundtrip(tmp_path):
