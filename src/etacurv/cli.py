@@ -15,7 +15,6 @@ import argparse
 import os
 import re
 import sys
-import warnings
 
 import numpy as np
 
@@ -376,10 +375,9 @@ _HEADER = re.compile(
 def _read_solution(path, spec, grid):
     """u from a stored solution file, after checking it matches the grid.
     A table in the form write_solution writes is parsed from its bytes by
-    decimal17, each value exactly as float() reads it; any other table
-    by np.loadtxt, and where that fails, the rows are rescanned by float()
-    per token, which accepts what float() accepts and names the line of a
-    bad row."""
+    decimal17, each value exactly as float() reads it; any other table is
+    read by float() per token, which accepts what float() accepts and
+    names the line of a bad row."""
     lines = _read_text(path).splitlines()
     if not lines:
         raise GridMismatch(f"{path}: empty file")
@@ -400,16 +398,6 @@ def _read_solution(path, spec, grid):
     body = [line for _, line in rows]
     data = decimal17.parse_table(body, width)
     if data is None:
-        try:
-            with warnings.catch_warnings():
-                # an input of blank lines only warns, and the shape check
-                # fails
-                warnings.simplefilter("ignore")
-                data = np.loadtxt(body, comments=None, ndmin=2)
-        except ValueError:
-            pass
-    if data is None or data.shape != (grid.size, width):
-        # rescan with float(): the same accepts, and the line of a bad row
         data = np.empty((grid.size, width))
         for k, (lineno, line) in enumerate(rows):
             row = line.split()
