@@ -4,9 +4,10 @@
 psi = r^2 vanishes at the origin, so the equation loses uniform
 ellipticity there and the solution is only C^{1,1}.  The solver handles
 this by replacing psi with (psi^{1/(n-1)} + eps)^{n-1} and walking eps
-down a schedule, warm-starting each stage.  The walk runs on the coarse
-h = 1/32 level; the h = 1/64 mesh joins it at the last eps but one or
-earlier, from the first prolonged coarse solution inside the cone.
+down a schedule, warm-starting each stage.  The walk runs on the coarsest
+level, h = 1/16; the h = 1/32 and h = 1/64 meshes each join it at the
+last eps but one or earlier, from the first prolonged coarse solution
+inside the cone.
 
 This script prints the per-stage trace of that eps path, each row with
 the spacing it ran at (iteration counts, final residuals, cone margins,

@@ -120,9 +120,15 @@ class Config:
 
 def _read_text(path):
     """The text of path; bytes that do not decode are a ConfigError."""
+    with open(path, "rb") as fh:
+        return _decode(path, fh.read())
+
+
+def _decode(path, raw):
+    """raw decoded as UTF-8 text; bytes that do not decode are a
+    ConfigError."""
     try:
-        with open(path) as fh:
-            return fh.read()
+        return raw.decode()
     except UnicodeDecodeError as exc:
         raise ConfigError(f"{path}: {exc}") from None
 
@@ -374,43 +380,56 @@ _HEADER = re.compile(
 
 def _read_solution(path, spec, grid):
     """u from a stored solution file, after checking it matches the grid.
-    A table in the form write_solution writes is parsed from its bytes by
-    decimal17, each value exactly as float() reads it; any other table is
-    read by float() per token, which accepts what float() accepts and
-    names the line of a bad row."""
-    lines = _read_text(path).splitlines()
-    if not lines:
-        raise GridMismatch(f"{path}: empty file")
-    m = _HEADER.match(lines[0])
+
+    The leading '#' lines, the header, are decoded as text; a table after
+    them in the form write_solution writes is parsed from the file's
+    bytes by decimal17, each value exactly as float() reads it.  Any other
+    file is decoded whole and its table read by float() per token, which
+    accepts what float() accepts and names the line of a bad row."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    body = 0
+    while raw.startswith(b"#", body):
+        body = raw.find(b"\n", body) + 1 or len(raw)
+    lines = _decode(path, raw[:body]).splitlines()
+    m = _HEADER.match(lines[0]) if lines else None
     if m is None:
-        raise GridMismatch(f"{path}: missing solution header")
+        raise GridMismatch(
+            f"{path}: {'missing solution header' if raw else 'empty file'}")
     n, nodes, h = int(m.group(1)), int(m.group(2)), float(m.group(3))
     if n != spec.n or nodes != grid.size or h != grid.h:
         raise GridMismatch(
             f"{path}: file has n={n} nodes={nodes} h={h:.17g}, config grid "
             f"has n={spec.n} nodes={grid.size} h={grid.h:.17g}")
-    rows = [(lineno, line) for lineno, line in enumerate(lines, start=1)
-            if not line.startswith("#")]
-    if len(rows) != grid.size:
-        raise GridMismatch(
-            f"{path}: {len(rows)} data rows for {grid.size} nodes")
     width = len(solution_columns(n))
-    body = [line for _, line in rows]
-    data = decimal17.parse_table(body, width)
-    if data is None:
-        data = np.empty((grid.size, width))
-        for k, (lineno, line) in enumerate(rows):
-            row = line.split()
-            try:
-                if len(row) != width:
-                    raise ValueError(f"{len(row)} columns, expected {width}")
-                data[k] = [float(v) for v in row]
-            except ValueError as exc:
-                raise GridMismatch(f"{path}: line {lineno}: {exc}") from None
+    data = decimal17.parse_table(raw, width, body)
+    if data is None or len(data) != grid.size:
+        data = _rescan(path, _decode(path, raw), grid.size, width)
     # 17-digit decimals round-trip exactly, so coordinates must match bitwise
     if not np.array_equal(data[:, :n], grid.pos):
         raise GridMismatch(f"{path}: node coordinates differ from the grid")
     return data[:, n]
+
+
+def _rescan(path, text, size, width):
+    """The (size, width) table of the rows of text that are not '#' lines,
+    each token read by float(); GridMismatch names the row count or the
+    line of the first bad row."""
+    rows = [(lineno, line)
+            for lineno, line in enumerate(text.splitlines(), start=1)
+            if not line.startswith("#")]
+    if len(rows) != size:
+        raise GridMismatch(f"{path}: {len(rows)} data rows for {size} nodes")
+    data = np.empty((size, width))
+    for k, (lineno, line) in enumerate(rows):
+        row = line.split()
+        try:
+            if len(row) != width:
+                raise ValueError(f"{len(row)} columns, expected {width}")
+            data[k] = [float(v) for v in row]
+        except ValueError as exc:
+            raise GridMismatch(f"{path}: line {lineno}: {exc}") from None
+    return data
 
 
 def cmd_verify(solution_path, cfg):
@@ -498,7 +517,7 @@ def main(argv=None):
     except (ConfigError, DomainError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (SolverFailure, NotAdmissible, NegativePsi, radial.BracketFailure,
+    except (SolverFailure, NotAdmissible, NegativePsi,
             radial.StiffnessFailure) as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 2

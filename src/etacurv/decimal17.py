@@ -47,6 +47,8 @@ _TIE = 1e-12
 _BOUND = 2.0 ** -96
 
 _ASCII_ZERO = 48
+# the longest token of the writer's form and the space or newline after it
+_TOKEN_BYTES = 25
 
 
 def _split(v):
@@ -341,20 +343,19 @@ def _round_product(d, e):
 _SPECIAL = {b"nan": float("nan"), b"inf": float("inf"), b"-inf": float("-inf")}
 
 
-def _parse_block(lines, width, out):
-    """parse_table on a block of rows, into the flat array out; False
-    where the block is not in the writer's form."""
-    try:
-        data = ("\n".join(lines) + "\n").encode("ascii")
-    except UnicodeEncodeError:
+def _parse_block(data, rows, width, out):
+    """parse_table on a block of rows, the bytes data with a newline after
+    each, into the flat array out; False where the block is not in the
+    writer's form."""
+    if not data.isascii():  # the digit tests below read ASCII bytes only
         return False
     raw = np.frombuffer(data, dtype=np.uint8)
     ends = np.flatnonzero(raw <= ord(" "))
-    count = len(lines) * width
+    count = rows * width
     if len(ends) != count:
         return False
     # spaces between the tokens of a row, and a newline after its last
-    sep = raw[ends].reshape(len(lines), width)
+    sep = raw[ends].reshape(rows, width)
     if (sep[:, :-1] != ord(" ")).any() or (sep[:, -1] != ord("\n")).any():
         return False
     starts = np.empty_like(ends)
@@ -422,18 +423,33 @@ def _parse_block(lines, width, out):
     return True
 
 
-def parse_table(lines, width):
-    """The (len(lines), width) float64 table of the text rows lines, each
-    value as float() reads its token, when every row holds width tokens
-    of the writer's form separated by single spaces; else None."""
-    if not lines:
+def parse_table(data, width, start=0):
+    """The (rows, width) float64 table of the text rows in the bytes
+    data[start:], each value as float() reads its token, when every row
+    holds width tokens of the writer's form separated by single spaces and
+    ends in a newline, the last one optionally; else None.  The rows are
+    read in blocks of whole rows, each of at most _TOKEN_BYTES * max(BLOCK,
+    width) bytes, found and counted in place: nothing of data's size is
+    allocated but the table."""
+    if start >= len(data):
         return None
-    table = np.empty((len(lines), width))
+    rows = data.count(b"\n", start) + (not data.endswith(b"\n"))
+    table = np.empty((rows, width))
     flat = table.reshape(-1)
-    rows = max(1, BLOCK // width)
-    for start in range(0, len(lines), rows):
-        block = lines[start:start + rows]
-        if not _parse_block(block, width, flat[start * width:
-                                                (start + len(block)) * width]):
+    chunk = _TOKEN_BYTES * max(BLOCK, width)  # one row of the writer's form
+    pos, row = start, 0
+    while pos < len(data):
+        end = data.rfind(b"\n", pos, pos + chunk) + 1
+        if end <= pos:
+            if pos + chunk < len(data):
+                return None
+            end = len(data)
+        block = data[pos:end]
+        if end == len(data) and not block.endswith(b"\n"):
+            block += b"\n"
+        count = block.count(b"\n")
+        if not _parse_block(block, count, width,
+                            flat[row * width:(row + count) * width]):
             return None
+        pos, row = end, row + count
     return table

@@ -36,7 +36,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from . import cones
 
@@ -335,24 +334,6 @@ def ilt_coefficient(r, p, k, i):
     # reduced spectrum equals sigma_{k-1} of the full zero-padded one
     lam = lambda_rp(r_i, p_i)
     return factor * cones.sigma(lam, k - 1)
-
-
-def eta_eigen(state: PointState):
-    """Eigenvalues (ascending) of eta = H g - h relative to the metric g.
-
-    Computed along an independent route: the shape operator's spectrum comes
-    from the generalized symmetric problem h v = kappa g v with g = I + pp^T
-    and h = r/w, then lambda(eta) = H - kappa with H = sum kappa.  Agrees
-    with sigma_1(kappa(A)) - kappa(A) from the gamma-factor route.
-    """
-    p, r = state.p, state.r
-    n = p.shape[0]
-    w = float(np.sqrt(1.0 + p @ p))
-    g = np.eye(n) + np.outer(p, p)
-    h = r / w
-    kap = scipy.linalg.eigh(h, g, eigvals_only=True)
-    lam = kap.sum() - kap
-    return np.sort(lam)
 
 
 def cap_state(x, R):

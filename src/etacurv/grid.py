@@ -23,9 +23,7 @@ Every stencil lives in one stacked CSR operator, Grid.ops(), of shape
 (k*m, m) with k = n(n+1)/2 + n: row slot * m + q applies derivative `slot`
 at node q (slot order: _hessian_slots).  Dirichlet data is identically
 zero, so boundary samples drop out of it.  all_derivatives is one product
-with it; fd_derivatives reads one node's k rows and also accepts a
-boundary callable, so consistency tests can feed the true trace of a
-polynomial.  OpsPattern.assemble sums its slot blocks scaled row-wise by
+with it.  OpsPattern.assemble sums its slot blocks scaled row-wise by
 coefficients shaped like (D^2u, Du, u): the solver's Jacobian.
 """
 
@@ -36,8 +34,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse
-
-from .geometry import PointState
 
 
 def _hessian_slots(n):
@@ -400,22 +396,37 @@ def coarse_grid(grid, min_nodes):
 
 
 def _corner_weights(coarse, fine):
-    """(keys, rows, w): the lattice keys (m_fine, 2^n, n) of each fine
-    node's coarse-cell corners, their coarse rows (-1 outside the interior)
-    and the multilinear weights (m_fine, 2^n) of the fine node in the cell,
-    0 at a corner outside the interior.  Computed once, they serve both
-    transfers of a level pair; neither changes them.
+    """(rows, w): the coarse rows (m_fine, 2^n) of the corners lo + c of
+    each fine node's coarse cell, lo = idx // 2 and c in {0, 1}^n in
+    product order, -1 where a corner is no interior node; and the
+    multilinear weights (m_fine, 2^n) of the fine node in the cell, 0 at
+    such a corner.  Computed once, they serve both transfers of a level
+    pair; neither changes them.
 
-    The corners go through the masked Grid.rows_at: coarse may be a grid
-    of another shape, whose lookup box need not hold them."""
+    A node's weight is 2^-(its odd indices) at the corners whose offset c
+    is 0 along every axis of an even index, and 0 at the others: one row of
+    a table indexed by the node's odd axes, read as a corner number.  The
+    padded lookup box of coarse_grid's grid holds every corner, since lo
+    lies in [-half - 1, half] per axis for the coarse half-count half:
+    the corners are read at flat offsets with no mask.  Only a coarse grid
+    of another shape, whose box need not hold them, goes through the
+    masked Grid.rows_at."""
+    n = fine.n
     lo = fine.idx // 2
-    half = (fine.idx - 2 * lo) / 2.0  # position in the coarse cell, 0 or 1/2
-    corner = np.array(list(itertools.product((0, 1), repeat=fine.n)))
-    keys = lo[:, None, :] + corner
-    rows = coarse.rows_at(keys)
-    w = np.prod(np.where(corner == 1, half[:, None, :], 1.0 - half[:, None, :]),
-                axis=-1) * (rows >= 0)
-    return keys, rows, w
+    corner = np.array(list(itertools.product((0, 1), repeat=n)))
+    # the fine box's half-counts bound every fine node's indices
+    half = (np.array(fine.lookup.shape) - 3) // 2
+    center = (np.array(coarse.lookup.shape) - 1) // 2
+    if ((-half) // 2 >= -center).all() and (half // 2 < center).all():
+        base = (lo + center) @ coarse.steps
+        rows = coarse.lookup.ravel()[base[:, None] + corner @ coarse.steps]
+    else:
+        rows = coarse.rows_at(lo[:, None, :] + corner)
+    bits = 1 << np.arange(n - 1, -1, -1)  # corner number = corner @ bits
+    cells = np.arange(2 ** n)
+    table = np.where((cells & ~cells[:, None]) == 0,
+                     0.5 ** (corner.sum(axis=1)[:, None]), 0.0)
+    return rows, table[(fine.idx & 1) @ bits] * (rows >= 0)
 
 
 def interpolation(coarse, fine):
@@ -428,15 +439,44 @@ def interpolation(coarse, fine):
 
 
 def _interpolation_from(coarse, fine, corners):
-    """interpolation(coarse, fine) from corners = _corner_weights(coarse, fine)."""
-    _, rows, w = corners
-    node, c = np.nonzero(w)
-    return scipy.sparse.csr_matrix((w[node, c], (node, rows[node, c])),
-                                   shape=(fine.size, coarse.size))
+    """interpolation(coarse, fine) from corners = _corner_weights(coarse,
+    fine).  A row's corners ascend in product order, and so do their
+    coarse rows: the CSR arrays are the weights' nonzeros in order."""
+    rows, w = corners
+    terms = np.flatnonzero(w)
+    indptr = np.zeros(fine.size + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(w, axis=1), out=indptr[1:])
+    return scipy.sparse.csr_matrix((w.ravel()[terms], rows.ravel()[terms],
+                                    indptr), shape=(fine.size, coarse.size))
+
+
+@dataclass
+class Prolongation:
+    """The prolongation of coarse grid functions to fine ones, applied as
+    P @ v without a matrix: one product of v with coarse.ops() gives its
+    derivatives at every coarse node, and each fine node sums its terms,
+    weight * v(y) + coef . (D^2v(y), Dv(y)), over the coarse nodes y it
+    expands about.  Term t adds to fine row node[t] and expands about
+    coarse row col[t]; coef[:, t] holds its slot coefficients in the
+    stacked operator's slot order."""
+
+    coarse: Grid
+    size: int
+    node: np.ndarray
+    col: np.ndarray
+    weight: np.ndarray
+    coef: np.ndarray
+
+    def __matmul__(self, v):
+        v = np.asarray(v, dtype=float)
+        d = (self.coarse.ops() @ v).reshape(-1, self.coarse.size)
+        terms = self.weight * v.take(self.col)
+        terms += np.einsum("st,st->t", self.coef, d.take(self.col, axis=1))
+        return np.bincount(self.node, weights=terms, minlength=self.size)
 
 
 def prolongation(coarse, fine):
-    """Sparse (m_fine, m_coarse) CSR map of coarse grid functions to fine ones.
+    """The Prolongation of coarse grid functions to fine ones.
 
     Fine node x blends the quadratic Taylor expansions
     u(y) + Du(y).(x - y) + (x - y).D^2u(y).(x - y) / 2 about the interior
@@ -452,31 +492,27 @@ def prolongation(coarse, fine):
 def _prolongation_from(coarse, fine, corners):
     """prolongation(coarse, fine) from corners = _corner_weights(coarse,
     fine), which it leaves unchanged."""
-    n, h, mc = fine.n, fine.h, coarse.size
-    keys, rows, w = corners
-    orphan = np.flatnonzero(w.sum(axis=1) == 0.0)
+    rows, w = corners
+    total = w.sum(axis=1)
+    orphan = np.flatnonzero(total == 0.0)
     if len(orphan):
-        keys, rows, w = keys.copy(), rows.copy(), w.copy()
+        rows, w = rows.copy(), w.copy()
         dist = ((fine.idx[orphan, None, :] - 2 * coarse.idx) ** 2).sum(axis=-1)
-        near = np.argmin(dist, axis=1)
-        keys[orphan, 0], rows[orphan, 0] = coarse.idx[near], near
-        w[orphan] = 0.0
-        w[orphan, 0] = 1.0
-    w = w / w.sum(axis=1, keepdims=True)
-    node, c = np.nonzero(w)
-    q, wt = rows[node, c], w[node, c]
-    d = (fine.idx[node] - 2 * keys[node, c]) * h  # offsets x - y
-    coef = np.concatenate(
-        [wt * d[:, i] * d[:, j] * (0.5 if i == j else 1.0)
-         for i, j in _hessian_slots(n)] + [wt * d[:, s] for s in range(n)])
-    slots = len(coef) // len(q)
-    cols = (np.arange(slots)[:, None] * mc + q).ravel()
-    keep = coef != 0.0
-    taylor = scipy.sparse.csr_matrix(
-        (coef[keep], (np.tile(node, slots)[keep], cols[keep])),
-        shape=(fine.size, slots * mc))
-    value = scipy.sparse.csr_matrix((wt, (node, q)), shape=(fine.size, mc))
-    return (value + taylor @ coarse.ops()).tocsr()
+        rows[orphan, 0] = np.argmin(dist, axis=1)
+        w[orphan, 0] = total[orphan] = 1.0
+    terms = np.flatnonzero(w)
+    node = terms >> fine.n  # w has 2^n columns
+    col = rows.ravel()[terms]
+    wt = w.ravel()[terms] / total[node]
+    # offsets x - y, one row per axis
+    d = (np.take(fine.idx.T, node, axis=1)
+         - 2 * np.take(coarse.idx.T, col, axis=1)) * fine.h
+    coef = np.empty((len(_hessian_slots(fine.n)) + fine.n, len(terms)))
+    for k, (i, j) in enumerate(_hessian_slots(fine.n)):
+        np.multiply(wt * d[i], d[j] * (0.5 if i == j else 1.0), out=coef[k])
+    np.multiply(wt, d, out=coef[k + 1:])
+    return Prolongation(coarse=coarse, size=fine.size, node=node, col=col,
+                        weight=wt, coef=coef)
 
 
 def all_derivatives(grid, u):
@@ -484,29 +520,3 @@ def all_derivatives(grid, u):
     with the stacked operator."""
     d = grid.ops() @ np.asarray(u, dtype=float)
     return _unstack(d.reshape(-1, grid.size), grid.n)
-
-
-def fd_derivatives(grid, u, node, boundary=None):
-    """PointState (Du, D^2u) at one interior node, from its k rows of ops().
-
-    boundary(x) supplies Dirichlet samples at arm crossings (default 0,
-    the problem's boundary condition, which the operators omit): each
-    blocked arm adds its Shortley-Weller weight times the sample.  Mixed
-    terms never need boundary samples: they use interior-only stencils by
-    construction.
-    """
-    u = np.asarray(u, dtype=float)
-    ops = grid.ops()
-    m, n, h = grid.size, grid.n, grid.h
-    q = int(node)
-    p, r = _unstack(ops[np.arange(ops.shape[0] // m) * m + q] @ u, n)
-    if boundary is not None:
-        for s in range(n):
-            d1, d2 = _arm_coeffs(grid.theta[q, s, 0] * h, grid.theta[q, s, 1] * h)
-            for t in np.flatnonzero(grid.nb[q, s] < 0):
-                xc = grid.pos[q].copy()
-                xc[s] += (1 - 2 * t) * grid.theta[q, s, t] * h
-                sample = float(boundary(xc))
-                p[s] += d1[t] * sample
-                r[s, s] += d2[t] * sample
-    return PointState(p=p, r=r)

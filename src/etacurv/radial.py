@@ -40,15 +40,6 @@ from . import decimal17
 from .expr import EvalEnv, NegativePsi, beyond_position, evaluate
 
 
-class BracketFailure(Exception):
-    """No center value in [-10 r0, 0] gives u(r0) = 0: the rise
-    u(r0) - u(0) is negative or above 10 r0."""
-
-    def __init__(self, msg, endpoints):
-        super().__init__(f"{msg}; bracket endpoint residuals {endpoints}")
-        self.endpoints = endpoints
-
-
 class StiffnessFailure(Exception):
     """The graph turns vertical before r0, or a value is non-finite."""
 
@@ -178,17 +169,13 @@ def shoot(psi, r0, n, steps=4096, eps=0.0):
     fine = _rise(_sine(r, p, n), r[::2])[-1]
     s = _sine(r[::2], p[::2], n)
     rise = _rise(s, r[::4])
-    a, deepest = -rise[-1], -10.0 * r0
-    if a < deepest or a > 0.0:
-        raise BracketFailure("u(r0) does not change sign",
-                             (deepest + rise[-1], rise[-1]))
     rn, sn = r[::8], s[::2]
     upp = _second_derivative(rn, sn, p[::8], n)
     bad = np.flatnonzero(~np.isfinite(upp))
     if bad.size:
         k = bad[0]
         raise StiffnessFailure(f"u'' = {upp[k]:g} at r = {rn[k]:g}")
-    u = a + rise
+    u = rise - rise[-1]
     return RadialProfile(r=rn, u=u, up=_slope(sn), upp=upp, n=n,
                          richardson_error=float(abs(fine - rise[-1]) / 15.0))
 

@@ -10,17 +10,18 @@ graph.  The n-th root exploits the concavity of f^{1/n} on the admissible
 cone, which keeps Newton steps well behaved as psi degenerates.  The
 continuation drives eps down a schedule, warm-starting each stage.
 
-Nested iteration: continuation_solve first solves the same problem on the
-2h lattice, recursively down to a level of at least COARSEST_NODES nodes.
+Nested iteration (Trottenberg, Oosterlee & Schuller, Multigrid, 2001,
+sec. 2.6): continuation_solve first solves the same problem on the 2h
+lattice, recursively down to a level of at least COARSEST_NODES nodes.
 The eps path is walked on the coarsest level only; each finer level joins
 it at the last eps but one or earlier, the last eps whose coarse solution,
 prolonged by grid.prolongation, lies in the cone, and starts that stage
 there.  A later stage starts from its prolonged coarse solution too
-whenever that lies in the cone.  Newton's iteration count does not depend
-on h (mesh independence), so a fine mesh needs neither the early eps nor
-more than the last few steps of each stage.  The two solutions give the
-Richardson error estimate max |u_h - u_2h| / 3 of
-SolveReport.error_estimate.
+whenever that lies in the cone; a level prolongs only the coarse
+solutions it tries.  Newton's iteration count does not depend on h (mesh
+independence), so a fine mesh needs neither the early eps nor more than
+the last few steps of each stage.  The two solutions give the Richardson
+error estimate max |u_h - u_2h| / 3 of SolveReport.error_estimate.
 
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test, psi and the residual; its Jacobian and its
@@ -34,9 +35,10 @@ refinement on the approximate inverse held from an earlier Jacobian while
 each sweep cuts omega below CONTRACTION times the last, else on one built
 afresh (_Factorization): a nested-dissection LU of J, or on a level of
 n >= 3 with a 2h level below it a two-grid cycle, whose only
-factorization is of the Galerkin coarse operator.  A fresh two-grid that
-does not converge falls back to the LU of J, and a direct solve with a
-fresh LU is held to OMEGA_MAX itself.
+factorization is of the Galerkin coarse operator: in 3D that is every
+level but the coarsest, the one level that factorizes its own J.  A fresh
+two-grid that does not converge falls back to the LU of J, and a direct
+solve with a fresh LU is held to OMEGA_MAX itself.
 
 effective_schedule plans the eps path once per solve, from one evaluation
 of psi at the rest state u = 0, Du = 0: the schedules to try in order from
@@ -146,9 +148,13 @@ SMOOTHING_WEIGHT = 0.7
 _AUTO_CAP = 1.05
 
 #: continuation_solve nests a 2h level below a mesh only if that level has
-#: at least this many nodes: the 2D disk of radius 1/2 gets none at
-#: h = 1/32 (193 nodes at 1/16), the 3D ball one at h = 1/16 (251 at 1/8)
-COARSEST_NODES = 200
+#: at least this many nodes.  On the balls of radius 1/2 the coarsest
+#: levels are 2D h = 1/16 (193 nodes; 45 at 1/8), 3D h = 1/6 (93; 19 at
+#: 1/3) and 4D h = 1/4 (65), the smallest lattices whose start still pays:
+#: 3D h = 1/12 (895 nodes) then starts prolonged and holds the two-grid
+#: instead of factorizing its own Jacobians.  At 40 the 2D nesting gains
+#: the 45-node level, and degenerate2d solves 4% slower.
+COARSEST_NODES = 64
 
 
 @dataclass
@@ -383,13 +389,16 @@ class _Factorization:
     own level's LU and the Galerkin operator of the level above.
 
     transfer is (P, coarse) where the level holds a two-grid: P the
-    multilinear interpolation from the coarse grid (grid.interpolation);
-    None where it keeps the LU of J.
+    multilinear interpolation from the coarse grid (grid.interpolation),
+    whose transpose the holder builds once, as the CSR restriction of the
+    Galerkin operator and of every cycle; None where it keeps the LU of J.
     """
 
     def __init__(self, grid, transfer=None):
         self.grid = grid
         self.transfer = transfer
+        #: P^T as its own CSR matrix, built once for every cycle
+        self.restriction = None if transfer is None else transfer[0].T.tocsr()
         self.lu = None
         #: (J, SMOOTHING_WEIGHT / diag J) of the cycle that self.lu, A_c's
         #: LU, serves; None when self.lu is an LU of J
@@ -424,10 +433,11 @@ class _Factorization:
         """Hold the two-grid cycle of J and refine on it to target (reuse):
         A_c = P^T J P, P the multilinear interpolation from the 2h level,
         factorized in the coarse grid's nested-dissection order.  None
-        when A_c's factorization fails or the refinement declines."""
+        when A_c's factorization fails or the refinement declines, else
+        reuse's (du, norm)."""
         P, coarse = self.transfer
         try:
-            lu = self.factorize((P.T @ (J @ P)).tocsr(), coarse.dissection())
+            lu = self.factorize(self.restriction @ (J @ P), coarse.dissection())
         except RuntimeError:
             return None
         self.factorizations += 1
@@ -444,7 +454,7 @@ class _Factorization:
         x = weight * b  # the first sweep, from x = 0
         for _ in range(SMOOTHING_SWEEPS - 1):
             x += weight * (b - J @ x)
-        r = P.T @ (b - J @ x)
+        r = self.restriction @ (b - J @ x)
         e = np.empty_like(r)
         e[perm_c] = self.lu.solve(r[perm_c])
         x += P @ e
@@ -453,9 +463,9 @@ class _Factorization:
         return x
 
     def reuse(self, J, res, target=0.0):
-        """du with ||J du + res||_inf <= target or omega <= OMEGA_MAX,
-        whichever it reaches first, as a solution of J du = -res, by
-        iterative refinement on the held approximate inverse M:
+        """(du, ||J du + res||_inf) with that norm <= target or omega <=
+        OMEGA_MAX, whichever it reaches first, du a solution of J du = -res
+        by iterative refinement on the held approximate inverse M:
         du = M(-res), then sweeps du <- du - M(J du + res).  None when
         nothing is held, and at the first sweep whose omega is not below
         CONTRACTION times the last, so a NaN or inf omega declines at once
@@ -467,18 +477,20 @@ class _Factorization:
         du, last = self.apply(-res), np.inf
         while True:
             lin = J @ du + res
-            omega = _backward_error(lin, norm_J, du, res)
-            if np.abs(lin).max() <= target or omega <= OMEGA_MAX:
-                return du
+            reached = float(np.abs(lin).max())
+            omega = _backward_error(reached, norm_J, du, res)
+            if reached <= target or omega <= OMEGA_MAX:
+                return du, reached
             if not omega < CONTRACTION * last:
                 return None
             du, last = du - self.apply(lin), omega
             self.refinements += 1
 
     def solve(self, J, res, target=0.0):
-        """du as a solution of J du = -res with ||J du + res||_inf <= target
-        or normwise backward error omega <= OMEGA_MAX (see _backward_error);
-        the default target 0 asks for omega <= OMEGA_MAX.
+        """(du, ||J du + res||_inf): du a solution of J du = -res with
+        that norm <= target or normwise backward error omega <= OMEGA_MAX
+        (see _backward_error); the default target 0 asks for omega <=
+        OMEGA_MAX.  The norm is the one the last test of du computed.
 
         Refinement on the held inverse is tried first (reuse).  When a
         sweep does not cut omega below CONTRACTION times the last, it
@@ -489,13 +501,13 @@ class _Factorization:
         whatever the target, and one that misses it raises
         LinearSolveFailure (newton_solve attaches its stage).
         """
-        du = self.reuse(J, res, target)
-        if du is None and self.transfer is not None:
-            du = self._two_grid(J, res, target)
-            if du is None:
+        solved = self.reuse(J, res, target)
+        if solved is None and self.transfer is not None:
+            solved = self._two_grid(J, res, target)
+            if solved is None:
                 self.fallbacks += 1
-        if du is not None:
-            return du
+        if solved is not None:
+            return solved
         try:
             self.lu, self.smoother = self.factorize(J), None
             du = self.apply(-res)
@@ -503,23 +515,23 @@ class _Factorization:
             raise LinearSolveFailure(
                 f"sparse factorization failed: {exc}") from exc
         self.factorizations += 1
-        omega = _backward_error(J @ du + res, abs(J).sum(axis=1).max(), du, res)
+        reached = float(np.abs(J @ du + res).max())
+        omega = _backward_error(reached, abs(J).sum(axis=1).max(), du, res)
         if not omega <= OMEGA_MAX:
             raise LinearSolveFailure(
                 f"linear solve backward error {omega:.3e} exceeds the "
                 f"contract omega <= 64u = {OMEGA_MAX:.3g}")
-        return du
+        return du, reached
 
 
 def _backward_error(lin, norm_J, du, res):
     """The Rigal-Gaches normwise backward error omega of du as a solution
-    of J du = -res, from lin = J du + res and norm_J = ||J||_inf:
+    of J du = -res, from lin = ||J du + res||_inf and norm_J = ||J||_inf:
 
         omega = ||J du + res||_inf / (||J||_inf ||du||_inf + ||res||_inf),
 
     the smallest relative perturbation of J and res that du solves exactly
     (Higham, Accuracy and Stability of Numerical Algorithms, Thm. 7.1)."""
-    lin = np.abs(lin).max()
     scale = norm_J * np.abs(du).max() + np.abs(res).max()
     return float(lin / scale if scale > 0.0 else lin)
 
@@ -568,9 +580,9 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
             J = jacobian(spec, grid, u, eps, state)
             norm_inf = stage.residual_norms[-1]
             target = min(0.1, FORCING * norm_inf) * norm_inf
-            du = factorization.solve(J, res, target)
+            du, reached = factorization.solve(J, res, target)
             stage.linear_targets.append(target)
-            stage.linear_residuals.append(float(np.abs(J @ du + res).max()))
+            stage.linear_residuals.append(reached)
             norm0 = stage.residual_2norms[-1]
             s = 1.0
             while s >= MIN_STEP:
@@ -641,15 +653,16 @@ def continuation_solve(spec, grid=None, u0=None):
 
     Nested iteration: the same problem is first solved on the 2h lattice,
     recursively while that lattice has at least COARSEST_NODES nodes, from
-    u0 injected onto it and with the same schedules.  A level with a coarse
-    level starts its schedule at the join: the last eps but one, or failing
-    that the eps before it and so on, whose solution on the next coarser
-    level, prolonged, passes the cone test.  The eps before the join run on
-    the coarser levels only, and the last two always run on every level.
-    Each later stage starts from its prolonged coarse solution when that
-    passes the cone test, else warm from the previous stage.  Without a
-    join the whole schedule runs from u0, warm where the prolonged start
-    fails.  A coarse level that fails adds a warning line and the solve
+    u0 injected onto it and with the same schedules; in 3D every level but
+    the coarsest holds a two-grid over the level below it.  A level with a
+    coarse level starts its schedule at the join: the last eps but one, or
+    failing that the eps before it and so on, whose solution on the next
+    coarser level, prolonged, passes the cone test.  The eps before the
+    join run on the coarser levels only, and the last two always run on
+    every level.  Each later stage starts from its prolonged coarse
+    solution when that passes the cone test, else warm from the previous
+    stage.  Without a join the whole schedule runs from u0, warm where the
+    prolonged start fails.  A coarse level that fails adds a warning line and the solve
     goes on without coarse starts.  Only the requested mesh's stages, from
     its join on, are in report.stages; the coarse levels are in
     report.coarse, the coarsest with every eps of the schedule.
@@ -706,17 +719,35 @@ def _solve_level(spec, grid, u0, schedules, notes):
 
 def _transfers(coarse, grid, solved):
     """(starts, transfer) of grid's level, both from one set of corner
-    weights, dropped on return: starts maps each eps of solved, the coarse
-    level's solutions, to its solution prolonged to grid; transfer is the
-    _Factorization transfer (P, coarse) of a level of n >= 3, which holds
-    a two-grid, and None in 2D, where a nested-dissection LU fills only
-    O(N log N) and the level keeps the fine LU."""
+    weights, dropped on return: starts, the _Starts of solved, the coarse
+    level's solutions; transfer is the _Factorization transfer (P, coarse)
+    of a level of n >= 3, which holds a two-grid, and None in 2D, where a
+    nested-dissection LU fills only O(N log N) and the level keeps the
+    fine LU."""
     corners = _corner_weights(coarse, grid)
     prolong = _prolongation_from(coarse, grid, corners) if solved else None
     transfer = None
     if grid.n >= 3:
         transfer = (_interpolation_from(coarse, grid, corners), coarse)
-    return {eps: prolong @ v for eps, v in solved.items()}, transfer
+    return _Starts(prolong, solved), transfer
+
+
+class _Starts:
+    """The prolonged starts of a level: each eps the coarse level solved,
+    mapped to that solution prolonged to the level's grid, computed when
+    looked up.  A level looks up only the eps it tries, each once."""
+
+    def __init__(self, prolong, solved):
+        self.prolong, self.solved = prolong, solved
+
+    def __contains__(self, eps):
+        return eps in self.solved
+
+    def __getitem__(self, eps):
+        return self.prolong @ self.solved[eps]
+
+    def get(self, eps):
+        return self[eps] if eps in self.solved else None
 
 
 def _walk(spec, grid, u0, schedule, starts, factorization):
@@ -729,7 +760,7 @@ def _walk(spec, grid, u0, schedule, starts, factorization):
     always run here, so estimate_evidence can compare them.  Without a join
     the whole schedule runs from u0.  A stage whose prolonged start the
     scan rejected starts warm with that margin, so no start is evaluated
-    twice."""
+    twice, nor prolonged."""
     rejected = {}
     for j in range(len(schedule) - 2, -1, -1):
         eps = schedule[j]
@@ -745,7 +776,8 @@ def _walk(spec, grid, u0, schedule, starts, factorization):
     else:
         j, u, stages, solved = -1, u0, [], {}
     for eps in schedule[j + 1:]:
-        u, stage = _stage(spec, grid, starts.get(eps), u, eps, factorization,
+        start = None if eps in rejected else starts.get(eps)
+        u, stage = _stage(spec, grid, start, u, eps, factorization,
                           rejected.get(eps))
         stages.append(stage)
         solved[eps] = u

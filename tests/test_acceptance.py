@@ -254,11 +254,11 @@ def test_criterion_10_nested_iteration_fine_newton(cap64, cap128, cap256):
         while level is not None:
             level, count = level.coarse, count + 1
         levels.append(count)
-    ok = max(iters) <= 3 and levels == [2, 3, 4]
+    ok = max(iters) <= 3 and levels == [3, 4, 5]
     record(10, ok, f"fine Newton iterations {iters} (<=3) at h=1/64..1/256 "
                    f"on {levels} levels, time {cap256['elapsed']:.1f}s at 1/256")
     assert max(iters) <= 3
-    assert levels == [2, 3, 4]
+    assert levels == [3, 4, 5]
     assert all(run["report"].final.start == "prolonged"
                for run in (cap64, cap128, cap256))
 

@@ -470,9 +470,10 @@ def test_solve_nearly_zero_psi_passes_certificates(tmp_path, capsys):
 
 
 def test_solve_report_lists_coarse_levels(tmp_path, capsys):
-    # h = 1/64 is solved on the 2h lattice first: the report keeps one
-    # stage line for the requested mesh, started from the prolonged coarse
-    # solution, then the error estimate, then the coarse level's own lines
+    # h = 1/64 is solved on the 2h and 4h lattices first: the report keeps
+    # one stage line for the requested mesh, started from the prolonged
+    # coarse solution, then the error estimate, then the coarse levels' own
+    # lines, finer first
     cfg = write_cfg(tmp_path, CAP_CFG.replace("h = 0.0625", "h = 0.015625")
                     .replace("eps.schedule = 1e-1, 1e-2, 0\n", ""))
     assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
@@ -484,9 +485,12 @@ def test_solve_report_lists_coarse_levels(tmp_path, capsys):
     [estimate] = [ln for ln in lines if ln.startswith("error_estimate=")]
     assert 4e-6 < float(estimate.split("=")[1]) < 2e-5
     coarse = [ln for ln in lines if ln.startswith("coarse ")]
-    assert len(coarse) == 1
+    assert len(coarse) == 3
     assert coarse[0].startswith(
-        "coarse h=0.03125 stage eps=0 iterations=8 start=warm ")
+        "coarse h=0.03125 stage eps=0 iterations=3 start=prolonged ")
+    assert coarse[1].startswith("coarse h=0.03125 error_estimate=")
+    assert coarse[2].startswith(
+        "coarse h=0.0625 stage eps=0 iterations=8 start=warm ")
     assert lines.index(stages[0]) < lines.index(estimate) < lines.index(coarse[0])
 
 

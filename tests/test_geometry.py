@@ -3,11 +3,30 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from etacurv import cones, geometry
 from etacurv.domain import DomainShape
 from etacurv.geometry import PointState
 from etacurv.solver import ProblemSpec, continuation_solve
+
+
+def eta_eigen(state):
+    """Eigenvalues (ascending) of eta = H g - h relative to the metric g.
+
+    Computed along an independent route: the shape operator's spectrum comes
+    from the generalized symmetric problem h v = kappa g v with g = I + pp^T
+    and h = r/w, then lambda(eta) = H - kappa with H = sum kappa.  Agrees
+    with sigma_1(kappa(A)) - kappa(A) from the gamma-factor route.
+    """
+    p, r = state.p, state.r
+    n = p.shape[0]
+    w = float(np.sqrt(1.0 + p @ p))
+    g = np.eye(n) + np.outer(p, p)
+    h = r / w
+    kap = scipy.linalg.eigh(h, g, eigvals_only=True)
+    lam = kap.sum() - kap
+    return np.sort(lam)
 
 
 def geo_at(p, r, coeffs=True):
@@ -301,7 +320,7 @@ def test_trace_identities():
         Fhat = geometry.spectral_grad(None, P, np.linalg.eigh(g.A)[1])
         scale = 1.0 + np.abs(Fhat).max()
         assert np.abs(g.F - (np.trace(Fhat) * np.eye(n) - Fhat)).max() <= 1e-10 * scale
-        lam_eta = geometry.eta_eigen(st)
+        lam_eta = eta_eigen(st)
         assert abs(np.trace(g.F) - (n - 1) * cones.sigma(lam_eta, n - 1)) <= 1e-10 * scale
 
 
@@ -311,12 +330,12 @@ def test_eta_eigen_cross_route():
         for _ in range(20):
             st = random_admissible_state(rng, n)
             g = geo_at(st.p, st.r)
-            lam_eta = geometry.eta_eigen(st)
+            lam_eta = eta_eigen(st)
             lam_a = np.sort(cones.lambda_of(g.kappa))
             assert np.abs(lam_eta - lam_a).max() <= 1e-10 * (1 + np.abs(lam_a).max())
     # identity-Hessian spot value
     st = PointState(p=np.zeros(3), r=np.eye(3))
-    assert np.allclose(geometry.eta_eigen(st), [2.0, 2.0, 2.0], atol=1e-14)
+    assert np.allclose(eta_eigen(st), [2.0, 2.0, 2.0], atol=1e-14)
 
 
 def test_rotation_equivariance():

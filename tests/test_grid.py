@@ -1,5 +1,6 @@
 """Grid construction, arm geometry, and stencil consistency."""
 
+import itertools
 from decimal import Decimal, localcontext
 from types import SimpleNamespace
 
@@ -8,26 +9,52 @@ import pytest
 import scipy.sparse
 
 from etacurv.domain import DomainShape
-from etacurv.geometry import batch_geometry
+from etacurv.geometry import PointState, batch_geometry
 from etacurv.grid import (
     _arm_coeffs,
     _build_pattern,
     _corner_weights,
     _interpolation_from,
     _prolongation_from,
+    _unstack,
     all_derivatives,
     INTERIOR_MARGIN,
     MAX_LATTICE,
     build_grid,
     check_lattice,
     coarse_grid,
-    fd_derivatives,
     interpolation,
     nested_dissection,
     prolongation,
 )
 
 DISK = DomainShape((0.5, 0.5))
+
+
+def fd_derivatives(grid, u, node, boundary=None):
+    """PointState (Du, D^2u) at one interior node, from its k rows of ops().
+
+    boundary(x) supplies Dirichlet samples at arm crossings (default 0,
+    the problem's boundary condition, which the operators omit): each
+    blocked arm adds its Shortley-Weller weight times the sample.  Mixed
+    terms never need boundary samples: they use interior-only stencils by
+    construction.
+    """
+    u = np.asarray(u, dtype=float)
+    ops = grid.ops()
+    m, n, h = grid.size, grid.n, grid.h
+    q = int(node)
+    p, r = _unstack(ops[np.arange(ops.shape[0] // m) * m + q] @ u, n)
+    if boundary is not None:
+        for s in range(n):
+            d1, d2 = _arm_coeffs(grid.theta[q, s, 0] * h, grid.theta[q, s, 1] * h)
+            for t in np.flatnonzero(grid.nb[q, s] < 0):
+                xc = grid.pos[q].copy()
+                xc[s] += (1 - 2 * t) * grid.theta[q, s, t] * h
+                sample = float(boundary(xc))
+                p[s] += d1[t] * sample
+                r[s, s] += d2[t] * sample
+    return PointState(p=p, r=r)
 
 
 def reference_grid(shape, h):
@@ -454,6 +481,10 @@ def _csr_bytes(A):
     return [(a.dtype, a.tobytes()) for a in (A.indptr, A.indices, A.data)]
 
 
+def _prolongation_bytes(P):
+    return [(a.dtype, a.tobytes()) for a in (P.node, P.col, P.weight, P.coef)]
+
+
 @pytest.mark.parametrize("shape, h, small", [
     *((shape, h, None) for shape, h in SHAPES_2H),
     # an odd half-count, 5 nodes a side: the outer fine nodes sit in coarse
@@ -470,14 +501,45 @@ def test_transfers_from_shared_corner_weights_match_separate_builds(shape, h, sm
     fine = build_grid(shape, h)
     coarse = coarse_grid(fine, 0) if small is None else build_grid(small, 2 * h)
     corners = _corner_weights(coarse, fine)
-    assert (corners[2].sum(axis=1) == 0.0).any() == (small is not None)
+    assert (corners[1].sum(axis=1) == 0.0).any() == (small is not None)
     before = [a.copy() for a in corners]
-    assert _csr_bytes(_prolongation_from(coarse, fine, corners)) == \
-        _csr_bytes(prolongation(coarse, fine))
+    assert _prolongation_bytes(_prolongation_from(coarse, fine, corners)) == \
+        _prolongation_bytes(prolongation(coarse, fine))
     assert _csr_bytes(_interpolation_from(coarse, fine, corners)) == \
         _csr_bytes(interpolation(coarse, fine))
     for a, b in zip(corners, before):
         assert a.tobytes() == b.tobytes()
+
+
+@pytest.mark.parametrize("shape, h, small", [
+    # half-counts floor(a / h) per axis: odd, even, and both
+    (DISK, 1 / 10, None), (DISK, 1 / 16, None),
+    (DomainShape((0.5, 0.35)), 1 / 20, None),
+    (DomainShape((0.5, 0.35)), 1 / 26, None),
+    (DomainShape((0.5,) * 3), 1 / 14, None),
+    (DomainShape((0.5,) * 3), 1 / 24, None),
+    (DomainShape((0.5, 0.4, 0.3)), 1 / 13, None),
+    (DomainShape((0.5, 0.4, 0.3)), 1 / 24, None),
+    # a coarse grid whose box ends one step short of the corners of the
+    # fine nodes at x1 = +-8h: rows_at only
+    (DomainShape((0.35, 0.5)), 1 / 23, DomainShape((0.3, 0.5))),
+])
+def test_corner_lookup_at_flat_offsets_matches_masked_rows_at(shape, h, small):
+    # coarse_grid's lookup box holds every corner of every fine node's
+    # coarse cell: the flat-offset read gives the masked Grid.rows_at rows
+    # of the lattice keys lo + c, and the table of weights the product of
+    # the per-axis multilinear factors, bitwise
+    fine = build_grid(shape, h)
+    coarse = coarse_grid(fine, 0) if small is None else build_grid(small, 2 * h)
+    rows, w = _corner_weights(coarse, fine)
+    lo = fine.idx // 2
+    half = (fine.idx - 2 * lo) / 2.0
+    corner = np.array(list(itertools.product((0, 1), repeat=fine.n)))
+    masked = coarse.rows_at(lo[:, None, :] + corner)
+    factors = np.where(corner == 1, half[:, None, :], 1.0 - half[:, None, :])
+    assert (masked < 0).any()
+    assert rows.tobytes() == masked.tobytes()
+    assert w.tobytes() == (np.prod(factors, axis=-1) * (masked >= 0)).tobytes()
 
 
 def test_nodes_within_roundoff_of_the_boundary_are_dropped():

@@ -10,7 +10,6 @@ from etacurv import radial
 from etacurv.expr import DomainError, EvalEnv, beyond_position, evaluate, parse
 from etacurv.geometry import batch_geometry
 from etacurv.radial import (
-    BracketFailure,
     NegativePsi,
     RadialProfile,
     StiffnessFailure,
@@ -243,6 +242,15 @@ def test_profile_value_interpolation():
 
 class DegenerateTangential(Exception):
     """kappa_t <= 0 met positive psi: no admissible second derivative exists."""
+
+
+class BracketFailure(Exception):
+    """No center value in [-10 r0, 0] gives u(r0) = 0: the rise
+    u(r0) - u(0) is negative or above 10 r0."""
+
+    def __init__(self, msg, endpoints):
+        super().__init__(f"{msg}; bracket endpoint residuals {endpoints}")
+        self.endpoints = endpoints
 
 
 def _ref_regularize_value(psi_value, eps, n):

@@ -500,28 +500,34 @@ def _counting_splu(monkeypatch):
 
 def _omega(J, du, res):
     """The backward error of du as a solution of J du = -res."""
-    return solver._backward_error(J @ du + res, abs(J).sum(axis=1).max(),
-                                  du, res)
+    return solver._backward_error(np.abs(J @ du + res).max(),
+                                  abs(J).sum(axis=1).max(), du, res)
 
 
 def test_continuation_reuses_factorization(monkeypatch):
+    # h = 1/32 is solved on two levels, h = 1/16 below it; counted over
+    # both, the solve factorizes less often than it iterates
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 32)
     calls = _counting_splu(monkeypatch)
     u, report = continuation_solve(spec)
-    iters = [st.iterations for st in report.stages]
+    stages = [st for level in _levels(report) for st in level.stages]
+    iters = [st.iterations for st in stages]
+    assert len(_levels(report)) == 2
     assert len(calls) < sum(iters)
-    assert sum(st.factorizations for st in report.stages) == len(calls)
-    assert sum(st.refinements for st in report.stages) > 0
+    assert sum(st.factorizations for st in stages) == len(calls)
+    assert sum(st.refinements for st in stages) > 0
 
     # the same solve with every reuse declined factorizes at every iteration
     monkeypatch.setattr(solver._Factorization, "reuse",
                         lambda self, J, res, target=0.0: None)
     calls.clear()
     u_direct, direct = continuation_solve(spec)
-    assert [st.iterations for st in direct.stages] == iters
+    stages = [st for level in _levels(direct) for st in level.stages]
+    assert [st.iterations for st in stages] == iters
     assert len(calls) == sum(iters)
-    assert len(set(calls)) == 1  # J's pattern does not depend on the iterate
-    assert all(st.refinements == 0 for st in direct.stages)
+    # J's pattern does not depend on the iterate: one nnz per level
+    assert len(set(calls)) == 2
+    assert all(st.refinements == 0 for st in stages)
     assert np.abs(u - u_direct).max() <= 1e-12
 
 
@@ -562,7 +568,7 @@ def test_refinement_on_held_lu_meets_contract_or_declines():
     direct = held.apply(-res)
     # an LU of a nearby Jacobian refines to the contract without a new one
     held.lu = held.factorize(equation(1.19)[0])
-    du = held.solve(J, res)
+    du, _ = held.solve(J, res)
     assert held.factorizations == 0
     assert 0 < held.refinements < 20
     assert _omega(J, du, res) <= solver.OMEGA_MAX
@@ -656,12 +662,14 @@ def test_refinement_declines_at_the_first_sweep_that_contracts_too_little(
         held = solver._Factorization(grid)
         held.lu = held.factorize(stale)
         omegas.clear()
-        du = held.reuse(J, res)
+        solved = held.reuse(J, res)
         ratios = [b / a for a, b in zip(omegas, omegas[1:])]
         if sweeps is None:
-            assert du is None and held.refinements == 1
+            assert solved is None and held.refinements == 1
             assert not ratios[-1] < solver.CONTRACTION
             continue
+        du, reached = solved
+        assert reached == np.abs(J @ du + res).max()
         assert held.refinements == sweeps == len(ratios)
         assert all(r < solver.CONTRACTION for r in ratios)
         assert omegas[-1] <= solver.OMEGA_MAX
@@ -696,7 +704,7 @@ def test_two_grid_meets_contract_on_3d_cap_jacobians():
         grid, spec, held = _level_holder(h)
         u = exact_cap(grid)
         J, res = jacobian(spec, grid, u, 0.0), residual(spec, grid, u, 0.0)
-        du = held.solve(J, res)
+        du, _ = held.solve(J, res)
         assert held.inverse == "two-grid"
         assert (held.factorizations, held.fallbacks) == (1, 0)
         assert held.lu.shape[0] == coarse_grid(grid, 0).size
@@ -707,11 +715,12 @@ def test_two_grid_meets_contract_on_3d_cap_jacobians():
 
 
 def test_nested_levels_build_each_order_and_transfer_once(monkeypatch):
-    # the 3D cap at h = 1/24 solves on two levels: the finest holds the
-    # two-grid and never factorizes J, so its nested-dissection order is
-    # never computed, and the coarse grid's order serves both its own LU
-    # and the Galerkin operator above it; one set of corner weights serves
-    # both transfers of the level pair
+    # the 3D cap at h = 1/24 solves on three levels: the two finer hold the
+    # two-grid and never factorize J, so the finest grid's nested-dissection
+    # order is never computed, the h = 1/12 grid's only for the Galerkin
+    # operator above it, and the coarsest grid's serves both its own LU and
+    # the Galerkin operator of h = 1/12; one set of corner weights serves
+    # both transfers of each level pair
     dissected, cornered = [], []
     real_order, real_corners = grid_module.nested_dissection, grid_module._corner_weights
 
@@ -728,11 +737,13 @@ def test_nested_levels_build_each_order_and_transfer_once(monkeypatch):
         monkeypatch.setattr(module, "_corner_weights", corners)
     h = 1 / 24
     _, report = continuation_solve(ProblemSpec(n=3, shape=BALL, psi="8", h=h))
-    assert report.final.inverse == "two-grid" and report.final.fallbacks == 0
-    assert report.coarse.final.inverse == "lu" and report.coarse.coarse is None
-    assert report.coarse.final.factorizations > 0
-    assert dissected == [2 * h]
-    assert cornered == [(2 * h, h)]
+    middle, coarsest = report.coarse, report.coarse.coarse
+    for level in (report, middle):
+        assert level.final.inverse == "two-grid" and level.final.fallbacks == 0
+    assert coarsest.final.inverse == "lu" and coarsest.coarse is None
+    assert coarsest.final.factorizations > 0
+    assert dissected == [4 * h, 2 * h]
+    assert cornered == [(4 * h, 2 * h), (2 * h, h)]
 
 
 @pytest.mark.parametrize("fault", ["sign", "singular"])
@@ -764,16 +775,50 @@ def test_broken_two_grid_falls_back_to_fine_lu(monkeypatch, fault):
     assert report.coarse.final.fallbacks == 0
 
 
+def test_three_dimensional_cap_nests_down_to_93_nodes(monkeypatch):
+    # the 3D cap at h = 1/24 (7,123 nodes) solves on three levels, down to
+    # h = 1/6 (93 nodes; h = 1/3 would have 19): the h = 1/12 level (895)
+    # starts prolonged and holds the two-grid over h = 1/6 with no fallback
+    # to an LU of its own J; each two-grid level builds P^T once, not once
+    # a cycle
+    transposes = []
+    real = scipy.sparse.csr_matrix.transpose
+
+    def counting(self, *args, **kwargs):
+        transposes.append(self.shape)
+        return real(self, *args, **kwargs)
+
+    monkeypatch.setattr(scipy.sparse.csr_matrix, "transpose", counting)
+    h = 1 / 24
+    _, report = continuation_solve(ProblemSpec(n=3, shape=BALL, psi="8", h=h))
+    levels = _levels(report)
+    sizes = [build_grid(BALL, h * 2 ** k).size for k in range(4)]
+    assert sizes == [7123, 895, 93, 19]
+    assert sizes[2] >= solver.COARSEST_NODES > sizes[3]
+    assert len(levels) == 3
+    middle = levels[1]
+    assert [st.start for st in middle.stages] == ["prolonged"]
+    assert middle.final.inverse == "two-grid"
+    assert (middle.final.iterations, middle.final.factorizations,
+            middle.final.fallbacks) == (3, 1, 0)
+    assert levels[2].final.inverse == "lu"
+    assert sum(st.refinements for level in levels[:2]
+               for st in level.stages) > len(transposes)
+    # the level pairs' P, coarsest first: (m_fine, m_coarse)
+    assert transposes == [(sizes[1], sizes[2]), (sizes[0], sizes[1])]
+
+
 def test_two_dimensional_levels_hold_the_lu():
     # in 2D the coarse operator on N/4 nodes fills nearly as much as the
-    # fine LU, so every level of a nested solve keeps the LU
+    # fine LU, so every level of a nested solve keeps the LU: h = 1/64,
+    # 1/32 and 1/16 here
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 64)
     _, level = continuation_solve(spec)
     stages = []
     while level is not None:
         stages += level.stages
         level = level.coarse
-    assert len(stages) == 2
+    assert len(stages) == 3
     assert all(st.inverse == "lu" and st.fallbacks == 0 for st in stages)
 
 
@@ -799,10 +844,10 @@ def test_newton_equations_meet_their_forcing_targets(monkeypatch, n, psi, h):
     real = solver._Factorization.solve
 
     def recording(self, J, res, target=0.0):
-        du = real(self, J, res, target)
+        du, reached = real(self, J, res, target)
         calls.append((target, float(np.abs(J @ du + res).max()),
                       _omega(J, du, res)))
-        return du
+        return du, reached
 
     monkeypatch.setattr(solver._Factorization, "solve", recording)
     shape = DomainShape((0.5,) * n)
@@ -825,10 +870,10 @@ def test_newton_equations_meet_their_forcing_targets(monkeypatch, n, psi, h):
 # the 3D cap at h = 1/24 takes 74 finest-level two-grid cycles when every
 # equation is solved to omega <= OMEGA_MAX
 @pytest.mark.parametrize("n, psi, h, schedule, iterations, cycles", [
-    (2, "1", 1 / 64, None, [3, 8], None),
-    (3, "8", 1 / 24, None, [3, 7], 35),
-    (3, "8", 1 / 40, None, [3, 3, 6], None),
-    (2, "r^2", 1 / 64, (1e-1, 1e-2, 1e-3, 1e-4, 0.0), [9, 20], None),
+    (2, "1", 1 / 64, None, [3, 3, 8], None),
+    (3, "8", 1 / 24, None, [3, 3, 6], 35),
+    (3, "8", 1 / 40, None, [3, 3, 3, 6], None),
+    (2, "r^2", 1 / 64, (1e-1, 1e-2, 1e-3, 1e-4, 0.0), [9, 10, 20], None),
 ])
 def test_inexact_newton_keeps_iteration_counts(n, psi, h, schedule,
                                                iterations, cycles):
@@ -845,8 +890,8 @@ def test_inexact_newton_keeps_iteration_counts(n, psi, h, schedule,
         assert sum(st.refinements for st in report.stages) <= cycles
     # on the caps, the per-level (factorizations, refinements) pin which
     # refinements are kept and which declined
-    counts = {(2, "1", 1 / 64): [(1, 7), (5, 24)],
-              (3, "8", 1 / 24): [(1, 29), (4, 25)]}.get((n, psi, h))
+    counts = {(2, "1", 1 / 64): [(1, 7), (1, 8), (4, 67)],
+              (3, "8", 1 / 24): [(1, 29), (1, 23), (3, 21)]}.get((n, psi, h))
     if counts is not None:
         assert [(sum(st.factorizations for st in level.stages),
                  sum(st.refinements for st in level.stages))
@@ -990,15 +1035,19 @@ def test_psi_evaluated_once_at_rest_per_solve(tmp_path, monkeypatch):
 
 
 def test_continuation_cap():
+    # the h = 1/16 level walks the whole schedule, and h = 1/32 joins it at
+    # the last eps but one, from prolonged starts
     h = 1 / 32
-    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h,
-                       eps_schedule=(1e-1, 1e-2, 1e-3, 0.0))
+    schedule = (1e-1, 1e-2, 1e-3, 0.0)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h, eps_schedule=schedule)
     u, report = continuation_solve(spec)
     grid = build_grid(DISK, h)
     assert np.abs(u - exact_cap(grid)).max() <= 8e-3
-    assert len(report.stages) == 4
-    assert report.final.eps == 0.0
-    for st in report.stages:
+    assert [st.eps for st in report.stages] == [1e-3, 0.0]
+    assert [st.start for st in report.stages] == ["prolonged"] * 2
+    assert [st.eps for st in report.coarse.stages] == list(schedule)
+    assert report.coarse.coarse is None
+    for st in report.stages + report.coarse.stages:
         assert st.residual_norms[-1] <= 1e-10
         assert st.min_margin > 0.0
     assert report.warnings == []
@@ -1134,20 +1183,22 @@ def test_nested_solve_matches_single_level_newton(n, psi, h):
 
 def test_solve_report_carries_coarse_counts():
     # the 2h level is the solve of the 2h problem from the injected cap:
-    # its report holds that solve's stages, counts and solution
+    # its report holds that solve's stages, counts, 4h level and solution
     h = 1 / 64
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
     u, report = continuation_solve(spec, build_grid(DISK, h))
     spec_2h = ProblemSpec(n=2, shape=DISK, psi="1", h=2 * h)
     grid_2h = build_grid(DISK, 2 * h)
     u_2h, alone = continuation_solve(spec_2h, grid_2h)
-    assert alone.coarse is None and alone.error_estimate is None
     coarse = report.coarse
-    assert coarse.coarse is None
-    assert [(st.eps, st.iterations, st.factorizations, st.refinements,
-             st.lu_fill, st.start) for st in coarse.stages] == [
-        (st.eps, st.iterations, st.factorizations, st.refinements,
-         st.lu_fill, st.start) for st in alone.stages]
+    assert len(_levels(coarse)) == len(_levels(alone)) == 2
+    for mine, theirs in zip(_levels(coarse), _levels(alone)):
+        assert [(st.eps, st.iterations, st.factorizations, st.refinements,
+                 st.lu_fill, st.start) for st in mine.stages] == [
+            (st.eps, st.iterations, st.factorizations, st.refinements,
+             st.lu_fill, st.start) for st in theirs.stages]
+    assert coarse.error_estimate == alone.error_estimate is not None
+    assert alone.coarse.error_estimate is None
     assert coarse.stages[0].factorizations >= 1
     assert coarse.stages[0].refinements > 0
     # the estimate compares the two solutions on the shared nodes
@@ -1221,8 +1272,9 @@ def test_finer_meshes_join_the_eps_path_at_the_last_admissible_start(
 
 
 def test_explicit_ladder_keeps_two_fine_stages_and_estimate_evidence():
-    # the cap's prolonged starts all pass the cone test, so the finest mesh
-    # joins at the last eps but one: estimate_evidence still has two stages
+    # the cap's prolonged starts all pass the cone test, so each finer mesh
+    # joins at the last eps but one: estimate_evidence still has two stages,
+    # and only the coarsest level, h = 1/16, walks the whole ladder
     h = 1 / 64
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h,
                        eps_schedule=solver.LADDER)
@@ -1231,7 +1283,11 @@ def test_explicit_ladder_keeps_two_fine_stages_and_estimate_evidence():
     u, report = continuation_solve(spec, grid, u0)
     assert [st.eps for st in report.stages] == [1e-4, 0.0]
     assert [st.start for st in report.stages] == ["prolonged"] * 2
-    assert [st.eps for st in report.coarse.stages] == list(solver.LADDER)
+    middle, coarsest = report.coarse, report.coarse.coarse
+    assert [st.eps for st in middle.stages] == [1e-4, 0.0]
+    assert [st.start for st in middle.stages] == ["prolonged"] * 2
+    assert [st.eps for st in coarsest.stages] == list(solver.LADDER)
+    assert coarsest.coarse is None
     certs = standard_certificates(u, u0, grid, report)
     assert [c.name for c in certs][-1] == "estimate_evidence"
     assert all(c.passed for c in certs) and report.warnings == []
@@ -1250,17 +1306,19 @@ def _count_evaluations(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("n, psi, h, evaluations", [(2, "1", 1 / 64, 23),
+@pytest.mark.parametrize("n, psi, h, evaluations", [(2, "1", 1 / 64, 22),
                                                     (3, "8", 1 / 16, 13)])
 def test_one_eps_schedule_makes_no_join_scan(monkeypatch, n, psi, h,
                                              evaluations):
     # (0,) has no eps before its last: one cone test of each level's start,
-    # and the evaluation count of the walk before the join scan
+    # on three levels in 2D and two in 3D, and the evaluation count of the
+    # walk before the join scan
     calls = _count_evaluations(monkeypatch)
     shape = DomainShape((0.5,) * n)
-    continuation_solve(ProblemSpec(n=n, shape=shape, psi=psi, h=h),
-                       build_grid(shape, h))
-    assert calls == {"all": evaluations, "cone": 2}
+    _, report = continuation_solve(ProblemSpec(n=n, shape=shape, psi=psi, h=h),
+                                   build_grid(shape, h))
+    assert len(_levels(report)) == {2: 3, 3: 2}[n]
+    assert calls == {"all": evaluations, "cone": len(_levels(report))}
 
 
 def test_join_scan_evaluates_each_start_once(monkeypatch):
