@@ -353,28 +353,24 @@ def _is_int_valued(b):
 
 def _eval(e, env, seeds):
     """Shared evaluator.  seeds is None for plain evaluation, else a dict
-    name -> gradient-seed builder; values become _Dual."""
-
-    def rec(node):
-        if isinstance(node, Num):
-            return node.value
-        if isinstance(node, Var):
-            return _lookup(node.name, env, seeds)
-        if isinstance(node, Neg):
-            a = rec(node.arg)
-            if isinstance(a, _Dual):
-                return _Dual(np.negative(a.val), np.negative(a.grad))
-            return np.negative(a)
-        if isinstance(node, BinOp):
-            a = rec(node.left)
-            b = rec(node.right)
-            return _binop(node, a, b)
-        if isinstance(node, Call):
-            args = [rec(a) for a in node.args]
-            return _call(node, args)
-        raise TypeError(f"not an expression node: {node!r}")
-
-    return rec(e)
+    name -> gradient-seed builder; values become _Dual.  It recurses on
+    itself, not through a nested function: one that calls itself is a
+    reference cycle, which kept env's arrays until the next collection."""
+    if isinstance(e, Num):
+        return e.value
+    if isinstance(e, Var):
+        return _lookup(e.name, env, seeds)
+    if isinstance(e, Neg):
+        a = _eval(e.arg, env, seeds)
+        if isinstance(a, _Dual):
+            return _Dual(np.negative(a.val), np.negative(a.grad))
+        return np.negative(a)
+    if isinstance(e, BinOp):
+        a = _eval(e.left, env, seeds)
+        return _binop(e, a, _eval(e.right, env, seeds))
+    if isinstance(e, Call):
+        return _call(e, [_eval(a, env, seeds) for a in e.args])
+    raise TypeError(f"not an expression node: {e!r}")
 
 
 def _val(a):

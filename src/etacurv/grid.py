@@ -14,10 +14,8 @@ from interior nodes only.
 Neighbors are found in a dense lookup array over the lattice's bounding
 box, padded by one layer.  Every stencil couples nodes at most one lattice
 step apart per axis, so a node's neighbor at offset d is one flat index,
-lookup.ravel()[flat + d . steps], with no bounds check (Grid.neighbor_rows);
-only keys that may leave the box, such as the corners of another grid's
-cells, go through the masked Grid.rows_at.  Every stencil is built by array
-operations over all nodes at once.
+lookup.ravel()[flat + d . steps], with no bounds check (Grid.neighbor_rows).
+Every stencil is built by array operations over all nodes at once.
 
 Every stencil lives in one stacked CSR operator, Grid.ops(), of shape
 (k*m, m) with k = n(n+1)/2 + n: row slot * m + q applies derivative `slot`
@@ -25,6 +23,9 @@ at node q (slot order: _hessian_slots).  Dirichlet data is identically
 zero, so boundary samples drop out of it.  all_derivatives is one product
 with it.  OpsPattern.assemble sums its slot blocks scaled row-wise by
 coefficients shaped like (D^2u, Du, u): the solver's Jacobian.
+
+coarse_level builds the 2h grid below a grid and both transfers between
+them as one CoarseLevel, reading coarse cell corners at flat offsets too.
 """
 
 from __future__ import annotations
@@ -114,17 +115,6 @@ class Grid:
     @property
     def size(self):
         return self.idx.shape[0]
-
-    def rows_at(self, keys):
-        """Rows of the lattice keys (..., n); -1 where a key names no interior node."""
-        keys = np.asarray(keys, dtype=np.int64)
-        # the box is symmetric about key 0, whose entry sits at its center
-        box = np.array(self.lookup.shape)
-        local = keys + (box - 1) // 2
-        inbox = ((local >= 0) & (local < box)).all(axis=-1)
-        # clipped so no key wraps; a clipped key's row is masked out
-        flat = np.ravel_multi_index(np.moveaxis(local, -1, 0), box, mode="clip")
-        return np.where(inbox, self.lookup.ravel()[flat], -1)
 
     @property
     def steps(self):
@@ -382,137 +372,96 @@ def nested_dissection(grid):
     return np.concatenate(order)
 
 
-def coarse_grid(grid, min_nodes):
-    """The spacing-2h grid of grid's shape, or None when it would have fewer
-    than min_nodes nodes.
-
-    The lattice is centered at index 0 and k (2h) == (2k) h in floating
-    point, so the coarse nodes are exactly the fine nodes whose indices are
-    all even: coarse node k is fine row grid.rows_at(2 k).
-    """
-    if np.count_nonzero((grid.idx % 2 == 0).all(axis=1)) < min_nodes:
-        return None
-    return build_grid(grid.shape, 2.0 * grid.h)
-
-
-def _corner_weights(coarse, fine):
-    """(rows, w): the coarse rows (m_fine, 2^n) of the corners lo + c of
-    each fine node's coarse cell, lo = idx // 2 and c in {0, 1}^n in
-    product order, -1 where a corner is no interior node; and the
-    multilinear weights (m_fine, 2^n) of the fine node in the cell, 0 at
-    such a corner.  Computed once, they serve both transfers of a level
-    pair; neither changes them.
-
-    A node's weight is 2^-(its odd indices) at the corners whose offset c
-    is 0 along every axis of an even index, and 0 at the others: one row of
-    a table indexed by the node's odd axes, read as a corner number.  The
-    padded lookup box of coarse_grid's grid holds every corner, since lo
-    lies in [-half - 1, half] per axis for the coarse half-count half:
-    the corners are read at flat offsets with no mask.  Only a coarse grid
-    of another shape, whose box need not hold them, goes through the
-    masked Grid.rows_at."""
-    n = fine.n
-    lo = fine.idx // 2
-    corner = np.array(list(itertools.product((0, 1), repeat=n)))
-    # the fine box's half-counts bound every fine node's indices
-    half = (np.array(fine.lookup.shape) - 3) // 2
-    center = (np.array(coarse.lookup.shape) - 1) // 2
-    if ((-half) // 2 >= -center).all() and (half // 2 < center).all():
-        base = (lo + center) @ coarse.steps
-        rows = coarse.lookup.ravel()[base[:, None] + corner @ coarse.steps]
-    else:
-        rows = coarse.rows_at(lo[:, None, :] + corner)
-    bits = 1 << np.arange(n - 1, -1, -1)  # corner number = corner @ bits
-    cells = np.arange(2 ** n)
-    table = np.where((cells & ~cells[:, None]) == 0,
-                     0.5 ** (corner.sum(axis=1)[:, None]), 0.0)
-    return rows, table[(fine.idx & 1) @ bits] * (rows >= 0)
-
-
-def interpolation(coarse, fine):
-    """Sparse (m_fine, m_coarse) CSR multilinear interpolation: each fine
-    node takes its coarse cell's corner values with the multilinear
-    weights, not renormalized, so a corner outside the interior carries
-    the Dirichlet value 0.  A fine node that is a coarse node gets that
-    node's value.  The two-grid cycle's transfer operator."""
-    return _interpolation_from(coarse, fine, _corner_weights(coarse, fine))
-
-
-def _interpolation_from(coarse, fine, corners):
-    """interpolation(coarse, fine) from corners = _corner_weights(coarse,
-    fine).  A row's corners ascend in product order, and so do their
-    coarse rows: the CSR arrays are the weights' nonzeros in order."""
-    rows, w = corners
-    terms = np.flatnonzero(w)
-    indptr = np.zeros(fine.size + 1, dtype=np.int64)
-    np.cumsum(np.count_nonzero(w, axis=1), out=indptr[1:])
-    return scipy.sparse.csr_matrix((w.ravel()[terms], rows.ravel()[terms],
-                                    indptr), shape=(fine.size, coarse.size))
-
-
 @dataclass
-class Prolongation:
-    """The prolongation of coarse grid functions to fine ones, applied as
-    P @ v without a matrix: one product of v with coarse.ops() gives its
-    derivatives at every coarse node, and each fine node sums its terms,
-    weight * v(y) + coef . (D^2v(y), Dv(y)), over the coarse nodes y it
-    expands about.  Term t adds to fine row node[t] and expands about
-    coarse row col[t]; coef[:, t] holds its slot coefficients in the
-    stacked operator's slot order."""
+class CoarseLevel:
+    """The spacing-2h grid below a fine grid and both transfers between
+    them, built by coarse_level from the fine grid alone.
 
-    coarse: Grid
-    size: int
+    Each fine node x takes the multilinear weights of the corners y of its
+    coarse cell, 0 at a corner that is no interior node.  interpolation is
+    P, the sparse (m_fine, m_coarse) matrix of them, not renormalized, so a
+    corner outside the interior carries the Dirichlet 0: the two-grid
+    cycle's transfer; restriction is P^T as its own CSR matrix.  prolong(v)
+    blends, with the weights renormalized, the quadratic Taylor expansions
+    v(y) + Dv(y).(x - y) + (x - y).D^2v(y).(x - y) / 2, with Dv, D^2v from
+    grid.ops() (so v = 0 on the boundary enters through the Shortley-Weller
+    arms), without a matrix: term t adds weight[t] v(y) + coef[:, t] .
+    (D^2v(y), Dv(y)) in slot order to fine row node[t], for y coarse row
+    col[t].  Under both, a fine node that is a coarse node gets its value.
+    """
+
+    grid: Grid
+    shared: np.ndarray       # (m_coarse,) fine row of each coarse node
+    interpolation: scipy.sparse.csr_matrix
+    restriction: scipy.sparse.csr_matrix
     node: np.ndarray
     col: np.ndarray
     weight: np.ndarray
     coef: np.ndarray
 
-    def __matmul__(self, v):
+    def prolong(self, v):
+        """The fine grid function prolonged from the coarse one v."""
         v = np.asarray(v, dtype=float)
-        d = (self.coarse.ops() @ v).reshape(-1, self.coarse.size)
+        d = (self.grid.ops() @ v).reshape(-1, self.grid.size)
         terms = self.weight * v.take(self.col)
         terms += np.einsum("st,st->t", self.coef, d.take(self.col, axis=1))
-        return np.bincount(self.node, weights=terms, minlength=self.size)
+        return np.bincount(self.node, weights=terms,
+                           minlength=self.interpolation.shape[0])
 
 
-def prolongation(coarse, fine):
-    """The Prolongation of coarse grid functions to fine ones.
+def coarse_level(fine, min_nodes):
+    """The CoarseLevel below fine, or None when its grid would have fewer
+    than min_nodes nodes.
 
-    Fine node x blends the quadratic Taylor expansions
-    u(y) + Du(y).(x - y) + (x - y).D^2u(y).(x - y) / 2 about the interior
-    corners y of its coarse cell, with Du, D^2u from coarse.ops() (so u = 0
-    on the boundary enters through the Shortley-Weller arms) and multilinear
-    weights renormalized over those corners.  A fine node that is a coarse
-    node gets that node's value.  A node none of whose weighted corners is
-    interior expands about its nearest coarse node instead.
+    The lattice is centered at index 0 and k (2h) == (2k) h in floating
+    point, so the coarse nodes are the fine nodes whose indices are all
+    even, in the same order: shared.  A fine node's cell corners lo + c,
+    lo = idx // 2 and c in {0, 1}^n, are read at flat offsets in the coarse
+    lookup with no mask: per axis they lie in [-ceil(half / 2), floor(half
+    / 2) + 1] for the fine half-count half, and the coarse half-count is
+    floor(half / 2), as a / (2h) == (a / h) / 2 exactly.  The weights,
+    2^-(odd indices) at the corners with c = 0 along every even axis, are
+    rows of a table indexed by the node's odd axes.  Every node has an
+    interior corner of nonzero weight, the one toward the center, since the
+    shape's implicit function grows with each |x_i|.
     """
-    return _prolongation_from(coarse, fine, _corner_weights(coarse, fine))
+    shared = np.flatnonzero((fine.idx % 2 == 0).all(axis=1))
+    if len(shared) < min_nodes:
+        return None
+    coarse = build_grid(fine.shape, 2.0 * fine.h)
+    n = fine.n
+    lo = fine.idx // 2
+    corner = np.array(list(itertools.product((0, 1), repeat=n)))
+    center = (np.array(coarse.lookup.shape) - 1) // 2
+    base = (lo + center) @ coarse.steps
+    rows = coarse.lookup.ravel()[base[:, None] + corner @ coarse.steps]
+    bits = 1 << np.arange(n - 1, -1, -1)  # corner number = corner @ bits
+    cells = np.arange(2 ** n)
+    table = np.where((cells & ~cells[:, None]) == 0,
+                     0.5 ** (corner.sum(axis=1)[:, None]), 0.0)
+    w = table[(fine.idx & 1) @ bits] * (rows >= 0)
 
-
-def _prolongation_from(coarse, fine, corners):
-    """prolongation(coarse, fine) from corners = _corner_weights(coarse,
-    fine), which it leaves unchanged."""
-    rows, w = corners
-    total = w.sum(axis=1)
-    orphan = np.flatnonzero(total == 0.0)
-    if len(orphan):
-        rows, w = rows.copy(), w.copy()
-        dist = ((fine.idx[orphan, None, :] - 2 * coarse.idx) ** 2).sum(axis=-1)
-        rows[orphan, 0] = np.argmin(dist, axis=1)
-        w[orphan, 0] = total[orphan] = 1.0
+    # a row's corners ascend in product order, and so do their coarse rows:
+    # the CSR arrays are the weights' nonzeros in order
     terms = np.flatnonzero(w)
-    node = terms >> fine.n  # w has 2^n columns
-    col = rows.ravel()[terms]
-    wt = w.ravel()[terms] / total[node]
+    col, vals = rows.ravel()[terms], w.ravel()[terms]
+    indptr = np.zeros(fine.size + 1, dtype=np.int64)
+    np.cumsum(np.count_nonzero(w, axis=1), out=indptr[1:])
+    P = scipy.sparse.csr_matrix((vals, col, indptr),
+                                shape=(fine.size, coarse.size))
+
+    node = terms >> n  # w has 2^n columns
+    wt = vals / w.sum(axis=1)[node]
     # offsets x - y, one row per axis
     d = (np.take(fine.idx.T, node, axis=1)
          - 2 * np.take(coarse.idx.T, col, axis=1)) * fine.h
-    coef = np.empty((len(_hessian_slots(fine.n)) + fine.n, len(terms)))
-    for k, (i, j) in enumerate(_hessian_slots(fine.n)):
+    coef = np.empty((len(_hessian_slots(n)) + n, len(terms)))
+    for k, (i, j) in enumerate(_hessian_slots(n)):
         np.multiply(wt * d[i], d[j] * (0.5 if i == j else 1.0), out=coef[k])
     np.multiply(wt, d, out=coef[k + 1:])
-    return Prolongation(coarse=coarse, size=fine.size, node=node, col=col,
-                        weight=wt, coef=coef)
+    return CoarseLevel(grid=coarse, shared=shared, interpolation=P,
+                       restriction=P.T.tocsr(), node=node, col=col, weight=wt,
+                       coef=coef)
 
 
 def all_derivatives(grid, u):

@@ -15,13 +15,14 @@ sec. 2.6): continuation_solve first solves the same problem on the 2h
 lattice, recursively down to a level of at least COARSEST_NODES nodes.
 The eps path is walked on the coarsest level only; each finer level joins
 it at the last eps but one or earlier, the last eps whose coarse solution,
-prolonged by grid.prolongation, lies in the cone, and starts that stage
-there.  A later stage starts from its prolonged coarse solution too
-whenever that lies in the cone; a level prolongs only the coarse
-solutions it tries.  Newton's iteration count does not depend on h (mesh
-independence), so a fine mesh needs neither the early eps nor more than
-the last few steps of each stage.  The two solutions give the Richardson
-error estimate max |u_h - u_2h| / 3 of SolveReport.error_estimate.
+prolonged by grid.CoarseLevel.prolong, lies in the cone, and starts that
+stage there.  A later stage starts from its prolonged coarse solution too
+whenever that lies in the cone (one start rule, in _walk); a level
+prolongs only the coarse solutions it tries.  Newton's iteration count
+does not depend on h (mesh independence), so a fine mesh needs neither
+the early eps nor more than the last few steps of each stage.  The two
+solutions give the Richardson error estimate max |u_h - u_2h| / 3 of
+SolveReport.error_estimate.
 
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test, psi and the residual; its Jacobian and its
@@ -70,15 +71,7 @@ from .expr import (
     parse,
 )
 from .geometry import _eigenvalues, add_coefficients, batch_geometry
-from .grid import (
-    _corner_weights,
-    _interpolation_from,
-    _prolongation_from,
-    all_derivatives,
-    build_grid,
-    check_lattice,
-    coarse_grid,
-)
+from .grid import all_derivatives, build_grid, check_lattice, coarse_level
 
 #: A grid function is a plain float vector, one value per interior node in
 #: the grid's lexicographic node order; the boundary value is implicitly 0.
@@ -201,6 +194,19 @@ class ProblemSpec:
             self.eps_schedule = sched
 
 
+def _norm2(x):
+    """The 2-norm of the vector x: np.linalg.norm's, bit for bit, where that
+    is finite; where the sum of squares overflows, that of x / ||x||_inf
+    times ||x||_inf (inf where the norm itself overflows), without a
+    warning."""
+    with np.errstate(over="ignore"):
+        norm = np.linalg.norm(x)
+        if np.isfinite(norm) or not np.isfinite(x).all():
+            return norm
+        scale = np.abs(x).max()
+        return scale * np.linalg.norm(x / scale)
+
+
 @dataclass
 class StageReport:
     """One Newton stage as newton_solve evaluated it: the start's and each
@@ -250,7 +256,7 @@ class StageReport:
     def record(self, res, geo):
         """Append the norms of res and the minimum margin of geo."""
         self.residual_norms.append(float(np.abs(res).max()))
-        self.residual_2norms.append(float(np.linalg.norm(res)))
+        self.residual_2norms.append(float(_norm2(res)))
         self.margins.append(float(geo.margin.min()))
 
 
@@ -388,17 +394,14 @@ class _Factorization:
     own unless it falls back, and a coarse grid's order serves both its
     own level's LU and the Galerkin operator of the level above.
 
-    transfer is (P, coarse) where the level holds a two-grid: P the
-    multilinear interpolation from the coarse grid (grid.interpolation),
-    whose transpose the holder builds once, as the CSR restriction of the
-    Galerkin operator and of every cycle; None where it keeps the LU of J.
+    level is the grid.CoarseLevel below grid where the level holds a
+    two-grid: its interpolation P and restriction P^T transfer the Galerkin
+    operator and every cycle; None where it keeps the LU of J.
     """
 
-    def __init__(self, grid, transfer=None):
+    def __init__(self, grid, level=None):
         self.grid = grid
-        self.transfer = transfer
-        #: P^T as its own CSR matrix, built once for every cycle
-        self.restriction = None if transfer is None else transfer[0].T.tocsr()
+        self.level = level
         self.lu = None
         #: (J, SMOOTHING_WEIGHT / diag J) of the cycle that self.lu, A_c's
         #: LU, serves; None when self.lu is an LU of J
@@ -435,9 +438,10 @@ class _Factorization:
         factorized in the coarse grid's nested-dissection order.  None
         when A_c's factorization fails or the refinement declines, else
         reuse's (du, norm)."""
-        P, coarse = self.transfer
+        level = self.level
         try:
-            lu = self.factorize(self.restriction @ (J @ P), coarse.dissection())
+            lu = self.factorize(level.restriction @ (J @ level.interpolation),
+                                level.grid.dissection())
         except RuntimeError:
             return None
         self.factorizations += 1
@@ -449,15 +453,15 @@ class _Factorization:
         the Galerkin coarse correction x += P A_c^{-1} P^T (b - J x), and
         SMOOTHING_SWEEPS more sweeps (Trottenberg, Oosterlee & Schuller,
         Multigrid, 2001, ch. 2)."""
-        (J, weight), (P, coarse) = self.smoother, self.transfer
-        perm_c = coarse.dissection()
+        (J, weight), level = self.smoother, self.level
+        perm_c = level.grid.dissection()
         x = weight * b  # the first sweep, from x = 0
         for _ in range(SMOOTHING_SWEEPS - 1):
             x += weight * (b - J @ x)
-        r = self.restriction @ (b - J @ x)
+        r = level.restriction @ (b - J @ x)
         e = np.empty_like(r)
         e[perm_c] = self.lu.solve(r[perm_c])
-        x += P @ e
+        x += level.interpolation @ e
         for _ in range(SMOOTHING_SWEEPS):
             x += weight * (b - J @ x)
         return x
@@ -502,7 +506,7 @@ class _Factorization:
         LinearSolveFailure (newton_solve attaches its stage).
         """
         solved = self.reuse(J, res, target)
-        if solved is None and self.transfer is not None:
+        if solved is None and self.level is not None:
             solved = self._two_grid(J, res, target)
             if solved is None:
                 self.fallbacks += 1
@@ -590,7 +594,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
                 trial_res, trial_state = _evaluate(spec, grid, trial, eps,
                                                    floor=1e-12)
                 if trial_res is not None and (
-                        np.linalg.norm(trial_res) <= (1.0 - s / 4.0) * norm0
+                        _norm2(trial_res) <= (1.0 - s / 4.0) * norm0
                         or np.abs(trial_res).max() <= TOL_RESIDUAL):
                     u, res, state = trial, trial_res, trial_state
                     stage.record(res, state[2])
@@ -681,25 +685,24 @@ def continuation_solve(spec, grid=None, u0=None):
 def _solve_level(spec, grid, u0, schedules, notes):
     """(u, SolveReport, solved) on grid, solved mapping each eps that this
     level ran, from its join on, of the schedule that completed to its
-    solution; see continuation_solve."""
-    coarse = coarse_grid(grid, COARSEST_NODES)
-    starts, sub, transfer = {}, None, None
-    if coarse is not None:
-        shared = grid.rows_at(2 * coarse.idx)
-        solved_c = {}
+    solution; see continuation_solve.  A level of n >= 3 holds a two-grid
+    over its coarse level; in 2D a nested-dissection LU fills only
+    O(N log N), and the level keeps the fine LU."""
+    level = coarse_level(grid, COARSEST_NODES)
+    sub, solved_c = None, {}
+    if level is not None:
         try:
-            u_c, sub, solved_c = _solve_level(replace(spec, h=coarse.h), coarse,
-                                              u0[shared], schedules,
-                                              _dropped_notes(coarse))
+            u_c, sub, solved_c = _solve_level(
+                replace(spec, h=level.grid.h), level.grid, u0[level.shared],
+                schedules, _dropped_notes(level.grid))
         except SolverFailure as exc:
-            notes.append(f"coarse level h={coarse.h:g} failed ({exc}); "
+            notes.append(f"coarse level h={level.grid.h:g} failed ({exc}); "
                          "solving without coarse starts")
-        starts, transfer = _transfers(coarse, grid, solved_c)
     for k, schedule in enumerate(schedules):
-        factorization = _Factorization(grid, transfer)
+        factorization = _Factorization(grid, level if grid.n >= 3 else None)
         try:
-            u, stages, solved = _walk(spec, grid, u0, schedule, starts,
-                                      factorization)
+            u, stages, solved = _walk(spec, grid, u0, schedule, level,
+                                      solved_c, factorization)
         except SolverFailure as exc:
             if k + 1 == len(schedules):
                 raise
@@ -713,97 +716,56 @@ def _solve_level(spec, grid, u0, schedules, notes):
             continue
         report = SolveReport(stages=stages, warnings=notes, coarse=sub)
         if sub is not None:
-            report.error_estimate = float(np.abs(u[shared] - u_c).max()) / 3.0
+            report.error_estimate = float(
+                np.abs(u[level.shared] - u_c).max()) / 3.0
         return u, report, solved
 
 
-def _transfers(coarse, grid, solved):
-    """(starts, transfer) of grid's level, both from one set of corner
-    weights, dropped on return: starts, the _Starts of solved, the coarse
-    level's solutions; transfer is the _Factorization transfer (P, coarse)
-    of a level of n >= 3, which holds a two-grid, and None in 2D, where a
-    nested-dissection LU fills only O(N log N) and the level keeps the
-    fine LU."""
-    corners = _corner_weights(coarse, grid)
-    prolong = _prolongation_from(coarse, grid, corners) if solved else None
-    transfer = None
-    if grid.n >= 3:
-        transfer = (_interpolation_from(coarse, grid, corners), coarse)
-    return _Starts(prolong, solved), transfer
+def _walk(spec, grid, u0, schedule, level, coarse, factorization):
+    """(u, stages, solved) down schedule on grid from its join; coarse maps
+    each eps the coarse level solved to its solution, which level prolongs.
 
-
-class _Starts:
-    """The prolonged starts of a level: each eps the coarse level solved,
-    mapped to that solution prolonged to the level's grid, computed when
-    looked up.  A level looks up only the eps it tries, each once."""
-
-    def __init__(self, prolong, solved):
-        self.prolong, self.solved = prolong, solved
-
-    def __contains__(self, eps):
-        return eps in self.solved
-
-    def __getitem__(self, eps):
-        return self.prolong @ self.solved[eps]
-
-    def get(self, eps):
-        return self[eps] if eps in self.solved else None
-
-
-def _walk(spec, grid, u0, schedule, starts, factorization):
-    """(u, stages, solved) down schedule on grid from its join; starts
-    maps each eps the coarse level solved to its prolonged solution.
-
-    The join scan tries those starts from the last eps but one back toward
-    the first; the first that passes the cone test starts the join stage,
-    and the eps before it run on the coarse levels only.  The last two eps
-    always run here, so estimate_evidence can compare them.  Without a join
-    the whole schedule runs from u0.  A stage whose prolonged start the
-    scan rejected starts warm with that margin, so no start is evaluated
-    twice, nor prolonged."""
+    Every stage follows one rule: it starts from its coarse solution,
+    prolonged, unless there is none or that fails the cone test, whose
+    margin the stage then records, and otherwise warm from the previous
+    stage.  The join scan applies it, without the warm start, from the last
+    eps but one back toward the first; the first prolonged start that
+    passes starts the join stage, and the eps before it run on the coarse
+    levels only.  The last two eps always run here, so estimate_evidence
+    can compare them.  Without a join the whole schedule runs from u0.  No
+    start is evaluated twice, nor prolonged."""
     rejected = {}
+
+    def run(eps, warm=None):
+        """(u, StageReport) of eps by the rule; None where it would start
+        warm from warm None."""
+        if eps in coarse and eps not in rejected:
+            try:  # NotAdmissible at the first evaluation, before any work
+                u, stage = newton_solve(spec, grid, level.prolong(coarse[eps]),
+                                        eps, factorization)
+            except NotAdmissible as exc:
+                rejected[eps] = exc.margin
+            else:
+                stage.start = "prolonged"
+                return u, stage
+        if warm is not None:
+            u, stage = newton_solve(spec, grid, warm, eps, factorization)
+            stage.rejected_margin = rejected.get(eps)
+            return u, stage
+        return None
+
+    j, joined = 0, None
     for j in range(len(schedule) - 2, -1, -1):
-        eps = schedule[j]
-        if eps not in starts:
-            continue
-        try:
-            u, stage = _prolonged(spec, grid, starts[eps], eps, factorization)
-        except NotAdmissible as exc:
-            rejected[eps] = exc.margin
-        else:
-            stages, solved = [stage], {eps: u}
+        joined = run(schedule[j])
+        if joined is not None:
             break
-    else:
-        j, u, stages, solved = -1, u0, [], {}
-    for eps in schedule[j + 1:]:
-        start = None if eps in rejected else starts.get(eps)
-        u, stage = _stage(spec, grid, start, u, eps, factorization,
-                          rejected.get(eps))
+    u, stages, solved = u0, [], {}
+    for eps in schedule[j:]:
+        u, stage = joined or run(eps, u)
+        joined = None
         stages.append(stage)
         solved[eps] = u
     return u, stages, solved
-
-
-def _prolonged(spec, grid, start, eps, factorization):
-    """newton_solve from a prolonged coarse solution; its first evaluation
-    raises NotAdmissible, before any work, when start fails the cone test."""
-    u, stage = newton_solve(spec, grid, start, eps, factorization)
-    stage.start = "prolonged"
-    return u, stage
-
-
-def _stage(spec, grid, prolonged, warm, eps, factorization, rejected=None):
-    """newton_solve from the prolonged coarse solution when there is one
-    and it passes the cone test, else from warm; rejected is the margin of
-    a prolonged start already found outside the cone, not tried again."""
-    if prolonged is not None and rejected is None:
-        try:
-            return _prolonged(spec, grid, prolonged, eps, factorization)
-        except NotAdmissible as exc:
-            rejected = exc.margin
-    u, stage = newton_solve(spec, grid, warm, eps, factorization)
-    stage.rejected_margin = rejected
-    return u, stage
 
 
 def effective_schedule(spec, grid):

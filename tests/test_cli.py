@@ -383,6 +383,16 @@ def test_solve_psi_vanishing_below_rest_state_exits_2(tmp_path):
                      "(min 0) (continuation stage eps=0)"]
 
 
+def test_solve_huge_psi_exits_2_with_one_line(tmp_path):
+    # psi = 1e308 is finite, but the residual's sum of squares overflows:
+    # the 2-norms rescale rather than leak an overflow warning to stderr
+    cfg = write_cfg(tmp_path, CAP_CFG.replace("psi = 1", "psi = 1e308"))
+    rc, lines = run_cli("solve", cfg, tmp_path)
+    assert rc == 2
+    assert lines == ["solver failure: no step >= 0.000976562 acceptable "
+                     "(eps=0.1) (continuation stage eps=0.1)"]
+
+
 def test_solve_reports_dropped_mixed_stencils(tmp_path, capsys):
     # each condition the solve works around is one warning line on stderr
     # and in the report, and no Python warning

@@ -13,22 +13,29 @@ from etacurv.geometry import PointState, batch_geometry
 from etacurv.grid import (
     _arm_coeffs,
     _build_pattern,
-    _corner_weights,
-    _interpolation_from,
-    _prolongation_from,
+    _hessian_slots,
     _unstack,
     all_derivatives,
     INTERIOR_MARGIN,
     MAX_LATTICE,
     build_grid,
     check_lattice,
-    coarse_grid,
-    interpolation,
+    coarse_level,
     nested_dissection,
-    prolongation,
 )
 
 DISK = DomainShape((0.5, 0.5))
+
+
+def rows_at(grid, keys):
+    """Rows of the lattice keys (..., n) in grid, -1 where a key names no
+    interior node: a dictionary lookup, the reference for the grid's own
+    reads of its lookup box."""
+    row = {key: q for q, key in enumerate(map(tuple, grid.idx.tolist()))}
+    keys = np.asarray(keys, dtype=np.int64)
+    flat = keys.reshape(-1, grid.n).tolist()
+    return np.array([row.get(tuple(key), -1) for key in flat],
+                    dtype=np.int64).reshape(keys.shape[:-1])
 
 
 def fd_derivatives(grid, u, node, boundary=None):
@@ -205,20 +212,6 @@ def test_mixed_dropped_before_ops():
         g.mixed_dropped = []
 
 
-def test_rows_at_outside_the_box():
-    for shape, h in [(DISK, 0.25), (DomainShape((0.6, 0.5, 0.4)), 0.17)]:
-        g = build_grid(shape, h)
-        np.testing.assert_array_equal(g.rows_at(g.idx), np.arange(g.size))
-        pad = (np.array(g.lookup.shape) - 1) // 2  # keys -pad..pad span the box
-        for s in range(g.n):
-            # the padding layer, then keys past the box that a plain index
-            # would wrap around to the far side
-            for key in (pad[s], -pad[s], pad[s] + 1, -pad[s] - 1, 2**40, -2**40):
-                keys = np.stack([np.zeros(g.n, dtype=np.int64), g.idx[0]])
-                keys[:, s] = key
-                np.testing.assert_array_equal(g.rows_at(keys), [-1, -1])
-
-
 def test_nine_node_disk():
     g = build_grid(DISK, 0.25)
     assert g.size == 9
@@ -226,7 +219,7 @@ def test_nine_node_disk():
     assert {tuple(row) for row in g.idx} == want
     # lexicographic ordering by index
     assert [tuple(row) for row in g.idx] == sorted(want)
-    center, edge, corner = g.rows_at([(0, 0), (1, 0), (1, 1)])
+    center, edge, corner = rows_at(g, [(0, 0), (1, 0), (1, 1)])
     assert (g.nb[center] >= 0).all()  # all four neighbors interior
     assert (g.nb[edge] < 0).any()
     # +x arm of (0.25, 0) hits the circle at exactly one full step
@@ -430,13 +423,15 @@ SHAPES_2H = [(DISK, 1 / 64), (DomainShape((0.5, 0.3)), 1 / 64),
 @pytest.mark.parametrize("shape, h", SHAPES_2H)
 def test_coarse_grid_nodes_are_the_even_fine_nodes(shape, h):
     fine = build_grid(shape, h)
-    coarse = coarse_grid(fine, 200)
+    level = coarse_level(fine, 200)
+    coarse = level.grid
     assert coarse.h == 2 * h
     even = (fine.idx % 2 == 0).all(axis=1)
-    shared = fine.rows_at(2 * coarse.idx)
+    shared = rows_at(fine, 2 * coarse.idx)
     assert np.array_equal(np.sort(shared), np.flatnonzero(even))
+    assert np.array_equal(level.shared, shared)  # in coarse-node order
     assert np.array_equal(coarse.pos, fine.pos[shared])  # bitwise
-    assert coarse_grid(fine, coarse.size + 1) is None
+    assert coarse_level(fine, coarse.size + 1) is None
 
 
 @pytest.mark.parametrize("shape, h", SHAPES_2H)
@@ -444,14 +439,14 @@ def test_prolongation_exact_on_quadratics_vanishing_on_boundary(shape, h):
     # the Taylor expansions are exact on quadratics, and the coarse stencils
     # too where the quadratic vanishes on the boundary (u = 0 there)
     fine = build_grid(shape, h)
-    coarse = coarse_grid(fine, 200)
-    P = prolongation(coarse, fine)
+    level = coarse_level(fine, 200)
+    coarse = level.grid
     uc = shape.implicit(coarse.pos)
-    assert np.abs(P @ uc - shape.implicit(fine.pos)).max() <= 1e-14
+    assert np.abs(level.prolong(uc) - shape.implicit(fine.pos)).max() <= 1e-14
     # a fine node that is a coarse node takes its value bitwise
-    shared = fine.rows_at(2 * coarse.idx)
+    shared = rows_at(fine, 2 * coarse.idx)
     v = np.random.default_rng(1).standard_normal(coarse.size)
-    assert np.array_equal((P @ v)[shared], v)
+    assert np.array_equal(level.prolong(v)[shared], v)
 
 
 @pytest.mark.parametrize("shape, h", SHAPES_2H)
@@ -460,8 +455,8 @@ def test_interpolation_is_multilinear_with_zero_outside(shape, h):
     # multilinear weights; a corner outside the interior contributes the
     # Dirichlet 0, so the weights are not renormalized
     fine = build_grid(shape, h)
-    coarse = coarse_grid(fine, 200)
-    P = interpolation(coarse, fine)
+    level = coarse_level(fine, 200)
+    coarse, P = level.grid, level.interpolation
     assert P.shape == (fine.size, coarse.size)
     weight = P @ np.ones(coarse.size)
     full = weight == 1.0
@@ -472,7 +467,7 @@ def test_interpolation_is_multilinear_with_zero_outside(shape, h):
 
     assert np.abs(P @ f(coarse.pos) - f(fine.pos))[full].max() <= 1e-15
     # a fine node that is a coarse node takes its value bitwise
-    shared = fine.rows_at(2 * coarse.idx)
+    shared = rows_at(fine, 2 * coarse.idx)
     v = np.random.default_rng(1).standard_normal(coarse.size)
     assert np.array_equal((P @ v)[shared], v)
 
@@ -481,65 +476,119 @@ def _csr_bytes(A):
     return [(a.dtype, a.tobytes()) for a in (A.indptr, A.indices, A.data)]
 
 
-def _prolongation_bytes(P):
-    return [(a.dtype, a.tobytes()) for a in (P.node, P.col, P.weight, P.coef)]
+def _reference_corners(fine, coarse):
+    """(rows, w): the coarse rows (m_fine, 2^n) of the corners lo + c of
+    each fine node's coarse cell, lo = idx // 2 and c in {0, 1}^n in
+    product order, by rows_at, and the products of the per-axis
+    multilinear factors, 0 at a corner that is no interior node."""
+    lo = fine.idx // 2
+    frac = (fine.idx - 2 * lo) / 2.0
+    corner = np.array(list(itertools.product((0, 1), repeat=fine.n)))
+    rows = rows_at(coarse, lo[:, None, :] + corner)
+    factors = np.where(corner == 1, frac[:, None, :], 1.0 - frac[:, None, :])
+    return rows, np.prod(factors, axis=-1) * (rows >= 0)
 
 
-@pytest.mark.parametrize("shape, h, small", [
-    *((shape, h, None) for shape, h in SHAPES_2H),
+def _reference_interpolation(fine, coarse):
+    rows, w = _reference_corners(fine, coarse)
+    keep = w != 0.0
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    return scipy.sparse.csr_matrix((w[keep], rows[keep], indptr),
+                                   shape=(fine.size, coarse.size))
+
+
+def _ids(cases):
+    """Case ids "shape<k>-<h>-None", the trailing field the coarse grid's
+    shape: None, the fine grid's own, the only one coarse_level builds."""
+    return [f"shape{k}-{h}-None" for k, (_, h) in enumerate(cases)]
+
+
+TRANSFER_CASES = [
+    *SHAPES_2H,
     # an odd half-count, 5 nodes a side: the outer fine nodes sit in coarse
     # cells with corners outside the interior
-    (DISK, 1 / 10, None),
-    # a coarse grid of a smaller disk: fine nodes with no interior corner
-    # expand about their nearest coarse node, in copies of the weights
-    (DISK, 1 / 32, DomainShape((0.3, 0.3))),
-])
-def test_transfers_from_shared_corner_weights_match_separate_builds(shape, h, small):
-    # a level computes its corner weights once for both transfers: the
-    # results equal the separate builds bitwise, and neither transfer
-    # changes the weights the other reads
+    (DISK, 1 / 10),
+]
+
+
+@pytest.mark.parametrize("shape, h", TRANSFER_CASES, ids=_ids(TRANSFER_CASES))
+def test_transfers_from_shared_corner_weights_match_separate_builds(shape, h):
+    # both transfers of a level come from one set of corner weights: they
+    # equal the transfers built from the reference corners, bitwise
     fine = build_grid(shape, h)
-    coarse = coarse_grid(fine, 0) if small is None else build_grid(small, 2 * h)
-    corners = _corner_weights(coarse, fine)
-    assert (corners[1].sum(axis=1) == 0.0).any() == (small is not None)
-    before = [a.copy() for a in corners]
-    assert _prolongation_bytes(_prolongation_from(coarse, fine, corners)) == \
-        _prolongation_bytes(prolongation(coarse, fine))
-    assert _csr_bytes(_interpolation_from(coarse, fine, corners)) == \
-        _csr_bytes(interpolation(coarse, fine))
-    for a, b in zip(corners, before):
-        assert a.tobytes() == b.tobytes()
+    level = coarse_level(fine, 0)
+    coarse = level.grid
+    rows, w = _reference_corners(fine, coarse)
+    total = w.sum(axis=1)
+    assert (total > 0.0).all()
+    P = _reference_interpolation(fine, coarse)
+    assert _csr_bytes(level.interpolation) == _csr_bytes(P)
+    assert _csr_bytes(level.restriction) == _csr_bytes(P.T.tocsr())
+    # the prolongation's terms: the interior corners' weights renormalized,
+    # and the Taylor coefficients of the offsets x - y in slot order
+    node, c = np.nonzero(w)
+    col = rows[node, c]
+    wt = w[node, c] / total[node]
+    d = (fine.idx[node] - 2 * coarse.idx[col]) * h
+    coef = [wt * d[:, i] * d[:, j] * (0.5 if i == j else 1.0)
+            for i, j in _hessian_slots(fine.n)]
+    coef += [wt * d[:, s] for s in range(fine.n)]
+    for got, want in ((level.node, node), (level.col, col),
+                      (level.weight, wt), (level.coef, np.array(coef))):
+        assert got.tobytes() == want.tobytes()
 
 
-@pytest.mark.parametrize("shape, h, small", [
+LOOKUP_CASES = [
     # half-counts floor(a / h) per axis: odd, even, and both
-    (DISK, 1 / 10, None), (DISK, 1 / 16, None),
-    (DomainShape((0.5, 0.35)), 1 / 20, None),
-    (DomainShape((0.5, 0.35)), 1 / 26, None),
-    (DomainShape((0.5,) * 3), 1 / 14, None),
-    (DomainShape((0.5,) * 3), 1 / 24, None),
-    (DomainShape((0.5, 0.4, 0.3)), 1 / 13, None),
-    (DomainShape((0.5, 0.4, 0.3)), 1 / 24, None),
-    # a coarse grid whose box ends one step short of the corners of the
-    # fine nodes at x1 = +-8h: rows_at only
-    (DomainShape((0.35, 0.5)), 1 / 23, DomainShape((0.3, 0.5))),
-])
-def test_corner_lookup_at_flat_offsets_matches_masked_rows_at(shape, h, small):
-    # coarse_grid's lookup box holds every corner of every fine node's
-    # coarse cell: the flat-offset read gives the masked Grid.rows_at rows
-    # of the lattice keys lo + c, and the table of weights the product of
-    # the per-axis multilinear factors, bitwise
+    (DISK, 1 / 10), (DISK, 1 / 16),
+    (DomainShape((0.5, 0.35)), 1 / 20),
+    (DomainShape((0.5, 0.35)), 1 / 26),
+    (DomainShape((0.5,) * 3), 1 / 14),
+    (DomainShape((0.5,) * 3), 1 / 24),
+    (DomainShape((0.5, 0.4, 0.3)), 1 / 13),
+    (DomainShape((0.5, 0.4, 0.3)), 1 / 24),
+]
+
+
+@pytest.mark.parametrize("shape, h", LOOKUP_CASES, ids=_ids(LOOKUP_CASES))
+def test_corner_lookup_at_flat_offsets_matches_masked_rows_at(shape, h):
+    # the coarse lookup box holds every corner of every fine node's coarse
+    # cell: the flat-offset read gives the rows of the lattice keys lo + c
+    # that the reference lookup gives, and the table of weights the product
+    # of the per-axis multilinear factors, bitwise
     fine = build_grid(shape, h)
-    coarse = coarse_grid(fine, 0) if small is None else build_grid(small, 2 * h)
-    rows, w = _corner_weights(coarse, fine)
-    lo = fine.idx // 2
-    half = (fine.idx - 2 * lo) / 2.0
-    corner = np.array(list(itertools.product((0, 1), repeat=fine.n)))
-    masked = coarse.rows_at(lo[:, None, :] + corner)
-    factors = np.where(corner == 1, half[:, None, :], 1.0 - half[:, None, :])
-    assert (masked < 0).any()
-    assert rows.tobytes() == masked.tobytes()
-    assert w.tobytes() == (np.prod(factors, axis=-1) * (masked >= 0)).tobytes()
+    level = coarse_level(fine, 0)
+    rows, _ = _reference_corners(fine, level.grid)
+    assert (rows < 0).any()
+    assert _csr_bytes(level.interpolation) == \
+        _csr_bytes(_reference_interpolation(fine, level.grid))
+
+
+@pytest.mark.parametrize("shape, h", [
+    # balls in 2, 3 and 4 dimensions, the ellipse and the ellipsoid; the
+    # half-counts floor(a / h) run odd, even and mixed
+    (DISK, 1 / 64), (DISK, 1 / 10),
+    (DomainShape((0.5,) * 3), 1 / 24), (DomainShape((0.5,) * 3), 1 / 14),
+    (DomainShape((0.5,) * 4), 1 / 8), (DomainShape((0.5,) * 4), 1 / 10),
+    (DomainShape((0.5, 0.35)), 1 / 64), (DomainShape((0.5, 0.35)), 1 / 26),
+    (DomainShape((0.5, 0.4, 0.3)), 1 / 24),
+    (DomainShape((0.5, 0.4, 0.3)), 1 / 13),
+])
+def test_every_fine_node_has_an_interior_corner_toward_the_center(shape, h):
+    # the corner of a fine node's coarse cell toward the center, idx / 2
+    # rounded toward 0, is interior and weighs 2^-(odd indices) > 0: no fine
+    # node is left without a corner, and the flat-offset read of the
+    # corners, which tests no bound, matches the reference lookup bitwise
+    fine = build_grid(shape, h)
+    level = coarse_level(fine, 0)
+    coarse, P = level.grid, level.interpolation
+    toward = rows_at(coarse, np.fix(fine.idx / 2).astype(np.int64))
+    assert (toward >= 0).all()
+    odd = (fine.idx % 2 != 0).sum(axis=1)
+    assert np.array_equal(P[np.arange(fine.size), toward].A1, 0.5 ** odd)
+    assert np.diff(P.indptr).min() >= 1
+    assert _csr_bytes(P) == _csr_bytes(_reference_interpolation(fine, coarse))
+    assert np.array_equal(level.shared, rows_at(fine, 2 * coarse.idx))
 
 
 def test_nodes_within_roundoff_of_the_boundary_are_dropped():
@@ -551,25 +600,12 @@ def test_nodes_within_roundoff_of_the_boundary_are_dropped():
     on_sphere = np.array([2, 3, 6])
     assert -INTERIOR_MARGIN < ball.implicit(on_sphere * h) < 0.0
     grid = build_grid(ball, h)
-    assert grid.rows_at(on_sphere) == -1
+    assert rows_at(grid, on_sphere) == -1
     assert ball.implicit(grid.pos).max() < -INTERIOR_MARGIN
     assert grid.theta.min() > 0.1
     # the arm toward the dropped node ends at it, up to roundoff
-    q = grid.rows_at(on_sphere - [0, 0, 1])
+    q = rows_at(grid, on_sphere - [0, 0, 1])
     assert grid.nb[q, 2, 0] == -1 and grid.theta[q, 2, 0] == 1.0
-
-
-def test_prolongation_without_interior_corners_expands_about_nearest_node():
-    # a coarse grid on a smaller disk leaves the outer fine nodes with no
-    # interior corner; each expands about its nearest coarse node, which is
-    # still exact on a quadratic vanishing on the small disk's boundary
-    small = DomainShape((0.3, 0.3))
-    fine, coarse = build_grid(DISK, 1 / 32), build_grid(small, 1 / 16)
-    P = prolongation(coarse, fine)
-    outer = small.implicit(fine.pos) > 0.1
-    assert outer.any()
-    err = np.abs(P @ small.implicit(coarse.pos) - small.implicit(fine.pos))
-    assert err.max() <= 1e-14
 
 
 def test_check_lattice_refuses_before_building():

@@ -14,13 +14,7 @@ from etacurv.certify import standard_certificates
 from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
 from etacurv.geometry import batch_geometry
-from etacurv.grid import (
-    all_derivatives,
-    build_grid,
-    coarse_grid,
-    interpolation,
-    prolongation,
-)
+from etacurv.grid import all_derivatives, build_grid, coarse_level
 from etacurv.solver import (
     LinearSolveFailure,
     NegativePsi,
@@ -615,7 +609,7 @@ def test_backward_error_contract_holds_on_fine_single_level_mesh(monkeypatch):
     # J's condition number grows like h^-2, so the old relative-residual
     # contract ||J du + r||_2 <= 1e-12 ||r||_2 rejected the backward-stable
     # direct solves of this mesh; the normwise backward error does not
-    monkeypatch.setattr(solver, "coarse_grid", lambda grid, min_nodes: None)
+    monkeypatch.setattr(solver, "coarse_level", lambda grid, min_nodes: None)
     h = 1 / 80
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
     grid = build_grid(DISK, h)
@@ -687,12 +681,11 @@ def test_refinement_declines_at_the_first_sweep_that_contracts_too_little(
 
 def _level_holder(h):
     """(grid, spec, holder) of the 3D cap problem at spacing h, with the
-    holder a nested level gets: the 2h grid below it."""
+    holder a nested level gets: the 2h level below it."""
     grid = build_grid(BALL, h)
     spec = ProblemSpec(n=3, shape=BALL, psi="8", h=h)
-    coarse = coarse_grid(grid, solver.COARSEST_NODES)
     return grid, spec, solver._Factorization(
-        grid, (interpolation(coarse, grid), coarse))
+        grid, coarse_level(grid, solver.COARSEST_NODES))
 
 
 def test_two_grid_meets_contract_on_3d_cap_jacobians():
@@ -707,7 +700,7 @@ def test_two_grid_meets_contract_on_3d_cap_jacobians():
         du, _ = held.solve(J, res)
         assert held.inverse == "two-grid"
         assert (held.factorizations, held.fallbacks) == (1, 0)
-        assert held.lu.shape[0] == coarse_grid(grid, 0).size
+        assert held.lu.shape[0] == coarse_level(grid, 0).grid.size
         assert _omega(J, du, res) <= solver.OMEGA_MAX
         cycles.append(held.refinements)
     assert 0 < max(cycles) < 60
@@ -719,22 +712,23 @@ def test_nested_levels_build_each_order_and_transfer_once(monkeypatch):
     # two-grid and never factorize J, so the finest grid's nested-dissection
     # order is never computed, the h = 1/12 grid's only for the Galerkin
     # operator above it, and the coarsest grid's serves both its own LU and
-    # the Galerkin operator of h = 1/12; one set of corner weights serves
-    # both transfers of each level pair
-    dissected, cornered = [], []
-    real_order, real_corners = grid_module.nested_dissection, grid_module._corner_weights
+    # the Galerkin operator of h = 1/12; one coarse_level builds both
+    # transfers of each level pair
+    dissected, levels = [], []
+    real_order, real_level = grid_module.nested_dissection, solver.coarse_level
 
     def order(grid):
         dissected.append(grid.h)
         return real_order(grid)
 
-    def corners(coarse, fine):
-        cornered.append((coarse.h, fine.h))
-        return real_corners(coarse, fine)
+    def level(fine, min_nodes):
+        built = real_level(fine, min_nodes)
+        if built is not None:
+            levels.append((built.grid.h, fine.h))
+        return built
 
     monkeypatch.setattr(grid_module, "nested_dissection", order)
-    for module in (grid_module, solver):
-        monkeypatch.setattr(module, "_corner_weights", corners)
+    monkeypatch.setattr(solver, "coarse_level", level)
     h = 1 / 24
     _, report = continuation_solve(ProblemSpec(n=3, shape=BALL, psi="8", h=h))
     middle, coarsest = report.coarse, report.coarse.coarse
@@ -743,7 +737,7 @@ def test_nested_levels_build_each_order_and_transfer_once(monkeypatch):
     assert coarsest.final.inverse == "lu" and coarsest.coarse is None
     assert coarsest.final.factorizations > 0
     assert dissected == [4 * h, 2 * h]
-    assert cornered == [(4 * h, 2 * h), (2 * h, h)]
+    assert levels == [(2 * h, h), (4 * h, 2 * h)]
 
 
 @pytest.mark.parametrize("fault", ["sign", "singular"])
@@ -804,8 +798,9 @@ def test_three_dimensional_cap_nests_down_to_93_nodes(monkeypatch):
     assert levels[2].final.inverse == "lu"
     assert sum(st.refinements for level in levels[:2]
                for st in level.stages) > len(transposes)
-    # the level pairs' P, coarsest first: (m_fine, m_coarse)
-    assert transposes == [(sizes[1], sizes[2]), (sizes[0], sizes[1])]
+    # the level pairs' P, finest first, as each level builds its pair
+    # before its coarse solve: (m_fine, m_coarse)
+    assert transposes == [(sizes[0], sizes[1]), (sizes[1], sizes[2])]
 
 
 def test_two_dimensional_levels_hold_the_lu():
@@ -1202,7 +1197,7 @@ def test_solve_report_carries_coarse_counts():
     assert coarse.stages[0].factorizations >= 1
     assert coarse.stages[0].refinements > 0
     # the estimate compares the two solutions on the shared nodes
-    shared = build_grid(DISK, h).rows_at(2 * grid_2h.idx)
+    shared = coarse_level(build_grid(DISK, h), 0).shared
     assert report.error_estimate == np.abs(u[shared] - u_2h).max() / 3.0
 
 
@@ -1226,17 +1221,21 @@ def test_prolonged_start_outside_cone_falls_back_to_warm():
     u_2h, _ = continuation_solve(
         replace(spec, h=2 * h, eps_schedule=ran[:ran.index(eps) + 1]), coarse)
     with pytest.raises(NotAdmissible) as info:
-        residual(spec, grid, prolongation(coarse, grid) @ u_2h, eps)
+        residual(spec, grid, coarse_level(grid, 0).prolong(u_2h), eps)
     assert info.value.margin == report.stages[k].rejected_margin < 0.0
 
 
-def _walk_every_stage(spec, grid, u0, schedule, starts, factorization):
+_WALK = solver._walk
+
+
+def _walk_every_stage(spec, grid, u0, schedule, level, coarse, factorization):
     # every eps of the schedule on this level, each from its prolonged
-    # start where that passes the cone test: the walk before the join scan
+    # start where that passes the cone test: the walk before the join scan,
+    # as one-eps walks, which have no scan
     u, stages, solved = u0, [], {}
     for eps in schedule:
-        u, stage = solver._stage(spec, grid, starts.get(eps), u, eps,
-                                 factorization)
+        u, [stage], _ = _WALK(spec, grid, u, (eps,), level, coarse,
+                              factorization)
         stages.append(stage)
         solved[eps] = u
     return u, stages, solved
@@ -1359,7 +1358,7 @@ def test_coarse_failure_falls_back_to_single_level(monkeypatch):
     assert report.coarse is None and report.error_estimate is None
     assert [st.start for st in report.stages] == ["warm"]
     monkeypatch.setattr(solver, "newton_solve", real)
-    monkeypatch.setattr(solver, "coarse_grid", lambda grid, min_nodes: None)
+    monkeypatch.setattr(solver, "coarse_level", lambda grid, min_nodes: None)
     u_single, single = continuation_solve(spec, grid)
     assert np.array_equal(u, u_single)
     assert single.warnings == []
