@@ -124,8 +124,11 @@ def boundary_curvatures(shape, point):
     Eigenvalues of the level-set shape operator: with P the projector onto the
     tangent plane of phi = 0, the operator is P . Hess(phi) . P / |grad phi|,
     diagonalized in an orthonormal tangent basis.  Batched over leading axes:
-    points (..., n) give curvatures (..., n-1).  The tangent bases are the
-    trailing right singular vectors of the unit normals, one SVD for the stack.
+    points (..., n) give curvatures (..., n-1).  The tangent basis at a unit
+    normal nu is columns 2..n of its Householder reflector
+    H = I - v v^T / (1 + s nu_1), v = nu + s e_1, s = sign(nu_1) (1 where
+    nu_1 = 0), whose first column is -s nu (Golub & Van Loan, Matrix
+    Computations, sec. 5.1.2); s keeps 1 + s nu_1 >= 1 from cancelling.
     """
     x = np.asarray(point, dtype=float)
     phi = shape.implicit(x)
@@ -135,8 +138,11 @@ def boundary_curvatures(shape, point):
     g = shape.implicit_gradient(x)
     gn = np.linalg.norm(g, axis=-1)
     nhat = g / gn[..., None]
-    vh = np.linalg.svd(nhat[..., None, :], full_matrices=True)[2]
-    T = np.swapaxes(vh[..., 1:, :], -1, -2)  # orthonormal tangent columns
+    s = np.where(nhat[..., :1] < 0.0, -1.0, 1.0)
+    v = np.concatenate([nhat[..., :1] + s, nhat[..., 1:]], axis=-1)
+    w = v[..., 1:] / (1.0 + s * nhat[..., :1])
+    # orthonormal tangent columns: H's without its first
+    T = np.eye(shape.n)[:, 1:] - v[..., :, None] * w[..., None, :]
     W = np.swapaxes(T, -1, -2) @ shape.implicit_hessian() @ T / gn[..., None, None]
     return np.linalg.eigvalsh(W)
 

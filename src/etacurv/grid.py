@@ -352,23 +352,23 @@ def nested_dissection(grid):
     axis, so the plane separates the two sides exactly.  Parts of at most
     _DISSECTION_LEAF nodes keep the lexicographic order.  Returns perm with
     perm[k] the node eliminated k-th.
+
+    The parts wait on an explicit stack, each with whether it is a plane
+    to emit as it stands, pushed so that they pop below, above, plane.
     """
     idx = grid.idx
-    order = []
-
-    def dissect(nodes):
-        if len(nodes) <= _DISSECTION_LEAF:
+    order, stack = [], [(np.arange(grid.size), False)]
+    while stack:
+        nodes, plane_part = stack.pop()
+        if plane_part or len(nodes) <= _DISSECTION_LEAF:
             order.append(nodes)
-            return
+            continue
         sub = idx[nodes]
         axis = int(np.argmax(sub.max(axis=0) - sub.min(axis=0)))
         coord = sub[:, axis]
         plane = np.sort(coord)[len(coord) // 2]
-        dissect(nodes[coord < plane])
-        dissect(nodes[coord > plane])
-        order.append(nodes[coord == plane])
-
-    dissect(np.arange(grid.size))
+        stack += [(nodes[coord == plane], True), (nodes[coord > plane], False),
+                  (nodes[coord < plane], False)]
     return np.concatenate(order)
 
 

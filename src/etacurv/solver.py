@@ -30,16 +30,19 @@ StageReport reuse that state.  Each Newton equation J du = -F is solved
 inexactly, only as accurately as the Newton step needs: to the forcing
 target ||J du + F||_inf <= eta ||F||_inf, eta = min(1/10, FORCING ||F||_inf),
 which keeps Newton's local quadratic convergence (Dembo, Eisenstat &
-Steihaug, SIAM J. Numer. Anal. 19, 1982), or to a normwise backward error
-of at most OMEGA_MAX, whichever comes first.  It is solved by iterative
-refinement on the approximate inverse held from an earlier Jacobian while
-each sweep cuts omega below CONTRACTION times the last, else on one built
-afresh (_Factorization): a nested-dissection LU of J, or on a level of
-n >= 3 with a 2h level below it a two-grid cycle, whose only
-factorization is of the Galerkin coarse operator: in 3D that is every
-level but the coarsest, the one level that factorizes its own J.  A fresh
-two-grid that does not converge falls back to the LU of J, and a direct
-solve with a fresh LU is held to OMEGA_MAX itself.
+Steihaug, SIAM J. Numer. Anal. 19, 1982), floored at STOP_FLOOR
+TOL_RESIDUAL, past which the stop test ||F||_inf <= TOL_RESIDUAL gains
+nothing (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
+1995, sec. 6.3), or to a normwise backward error of at most OMEGA_MAX,
+whichever comes first.  It is solved by iterative refinement on the
+approximate inverse held from an earlier Jacobian while each sweep cuts
+omega below CONTRACTION times the last, else on one built afresh
+(_Factorization): a nested-dissection LU of J, or on a level of n >= 3
+with a 2h level below it a two-grid cycle, whose only factorization is of
+the Galerkin coarse operator: in 3D that is every level but the coarsest,
+the one level that factorizes its own J.  A fresh two-grid that does not
+converge falls back to the LU of J, and a direct solve with a fresh LU is
+held to OMEGA_MAX itself.
 
 effective_schedule plans the eps path once per solve, from one evaluation
 of psi at the rest state u = 0, Du = 0: the schedules to try in order from
@@ -123,8 +126,18 @@ OMEGA_MAX = 64.0 * np.finfo(float).eps / 2.0
 
 #: the forcing of the inexact Newton equations: equation k is solved to
 #: ||J du + F_k||_inf <= min(1/10, FORCING ||F_k||_inf) ||F_k||_inf, a
-#: forcing term O(||F_k||) that keeps Newton's local convergence quadratic
+#: forcing term O(||F_k||) that keeps Newton's local convergence quadratic,
+#: but never below STOP_FLOOR TOL_RESIDUAL (see STOP_FLOOR)
 FORCING = 1e-2
+
+#: the floor of every Newton equation's target, as a fraction of the stop
+#: tolerance: an equation solved past STOP_FLOOR TOL_RESIDUAL buys accuracy
+#: the stop test ||F||_inf <= TOL_RESIDUAL cannot use.  This is the terminal
+#: safeguard on the forcing term (Kelley, Iterative Methods for Linear and
+#: Nonlinear Equations, SIAM 1995, sec. 6.3, eta_k >= tau_t / (2 ||F_k||),
+#: after Eisenstat & Walker 1996); 1/10 rather than Kelley's 1/2 leaves the
+#: step's quadratic term far below the stop tolerance
+STOP_FLOOR = 0.1
 
 #: iterative refinement keeps the held inverse while each sweep cuts the
 #: backward error omega below CONTRACTION times the last; omega <= 1, so
@@ -234,9 +247,9 @@ class StageReport:
     #: L+U nonzeros of the LU held at the end of the stage (a two-grid's
     #: is that of its coarse operator)
     lu_fill: int = 0
-    #: per Newton equation J du = -F_k, its forcing target tau_k =
-    #: min(1/10, FORCING ||F_k||_inf) ||F_k||_inf and the ||J du + F_k||_inf
-    #: its du reached
+    #: per Newton equation J du = -F_k, its target tau_k = max(min(1/10,
+    #: FORCING ||F_k||_inf) ||F_k||_inf, STOP_FLOOR TOL_RESIDUAL) and the
+    #: ||J du + F_k||_inf its du reached
     linear_targets: list = field(default_factory=list)
     linear_residuals: list = field(default_factory=list)
     #: "prolonged" when Newton started from the coarse level's solution of
@@ -409,11 +422,24 @@ class _Factorization:
         self.factorizations = 0
         self.refinements = 0
         self.fallbacks = 0
+        #: (J, ||J||_inf) of the last Jacobian norm_inf summed
+        self._norm = (None, None)
 
     @property
     def inverse(self):
         """The held kind: "two-grid" or "lu"."""
         return "lu" if self.smoother is None else "two-grid"
+
+    def norm_inf(self, J):
+        """||J||_inf, the largest absolute row sum of the CSR matrix J,
+        summed once per Jacobian: J is kept with it, and the calls of one
+        Newton equation read it back.  np.add.reduceat over the rows' data
+        slices would misread an empty row, but J's pattern holds the
+        identity's (grid.OpsPattern), so every row stores its diagonal."""
+        if self._norm[0] is not J:
+            self._norm = (J, np.add.reduceat(np.abs(J.data),
+                                             J.indptr[:-1]).max())
+        return self._norm[1]
 
     def factorize(self, A, perm=None):
         """SuperLU of A in the order perm (default the grid's); not kept
@@ -477,7 +503,7 @@ class _Factorization:
         The default target 0 asks for omega <= OMEGA_MAX."""
         if self.lu is None:
             return None
-        norm_J = abs(J).sum(axis=1).max()
+        norm_J = self.norm_inf(J)
         du, last = self.apply(-res), np.inf
         while True:
             lin = J @ du + res
@@ -520,7 +546,7 @@ class _Factorization:
                 f"sparse factorization failed: {exc}") from exc
         self.factorizations += 1
         reached = float(np.abs(J @ du + res).max())
-        omega = _backward_error(reached, abs(J).sum(axis=1).max(), du, res)
+        omega = _backward_error(reached, self.norm_inf(J), du, res)
         if not omega <= OMEGA_MAX:
             raise LinearSolveFailure(
                 f"linear solve backward error {omega:.3e} exceeds the "
@@ -554,18 +580,21 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     report as exc.stage.
 
     Newton equation k, J du = -res, is solved inexactly: to the target
-    tau_k = eta_k ||res||_inf, with the forcing term eta_k = min(1/10,
-    FORCING ||res||_inf) that keeps the local convergence quadratic
-    (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996), or to a normwise
-    backward error ||J du + res||_inf / (||J||_inf ||du||_inf + ||res||_inf)
-    of at most OMEGA_MAX = 64u, u the unit roundoff, whichever comes first;
-    a direct solve with a fresh LU is held to OMEGA_MAX.  The stop test
-    ||res||_inf <= TOL_RESIDUAL does not depend on the forcing.  Iterative
-    refinement on the held approximate inverse (an LU or a two-grid cycle)
-    is tried first; a new one is built from J at the first sweep that
-    does not cut omega below CONTRACTION times the last.  factorization is
-    the _Factorization holder shared along a continuation; a fresh one,
-    which holds LUs only, is made when None.
+    tau_k = max(eta_k ||res||_inf, STOP_FLOOR TOL_RESIDUAL), with the
+    forcing term eta_k = min(1/10, FORCING ||res||_inf) that keeps the local
+    convergence quadratic (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
+    1996) and the floor that stops the last equation of a stage at a tenth
+    of the stop tolerance instead of near roundoff (Kelley, Iterative
+    Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 6.3), or to
+    a normwise backward error ||J du + res||_inf / (||J||_inf ||du||_inf +
+    ||res||_inf) of at most OMEGA_MAX = 64u, u the unit roundoff, whichever
+    comes first; a direct solve with a fresh LU is held to OMEGA_MAX.  The
+    stop test ||res||_inf <= TOL_RESIDUAL does not depend on the forcing.
+    Iterative refinement on the held approximate inverse (an LU or a
+    two-grid cycle) is tried first; a new one is built from J at the first
+    sweep that does not cut omega below CONTRACTION times the last.
+    factorization is the _Factorization holder shared along a continuation;
+    a fresh one, which holds LUs only, is made when None.
     """
     if factorization is None:
         factorization = _Factorization(grid)
@@ -583,7 +612,8 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
         for _ in range(MAX_ITER):
             J = jacobian(spec, grid, u, eps, state)
             norm_inf = stage.residual_norms[-1]
-            target = min(0.1, FORCING * norm_inf) * norm_inf
+            target = max(min(0.1, FORCING * norm_inf) * norm_inf,
+                         STOP_FLOOR * TOL_RESIDUAL)
             du, reached = factorization.solve(J, res, target)
             stage.linear_targets.append(target)
             stage.linear_residuals.append(reached)

@@ -173,3 +173,26 @@ def test_check_two_convex():
     assert ok and K == 1.0  # all curvatures positive, grid minimum suffices
     ok, K = check_two_convex(DomainShape((1.0, 0.8, 0.6, 0.5)))
     assert ok and K == 1.0  # so is every ellipsoid's, in any dimension
+
+
+@pytest.mark.parametrize("axes", [
+    (0.5, 0.5), (0.5,) * 3, (0.5,) * 4, (1.0, 0.5), (1.0, 0.8, 0.6),
+    (1.0, 0.8, 0.6, 0.5), (1e-90, 2e-90), (1e-90, 1e-90, 3e-90)])
+def test_curvatures_match_an_svd_tangent_basis(axes):
+    # the Householder tangent basis gives the curvatures of the trailing
+    # right singular vectors of the unit normals, at sampled points and
+    # where the normal is +-e_1 or has nu_1 = 0
+    sh = DomainShape(axes)
+    n = sh.n
+    q = sample_boundary(sh, np.random.default_rng(0), 512)
+    q = np.concatenate([q, np.diag(sh.semiaxes), -np.diag(sh.semiaxes)])
+    g = sh.implicit_gradient(q)
+    gn = np.linalg.norm(g, axis=-1)
+    vh = np.linalg.svd((g / gn[:, None])[:, None, :], full_matrices=True)[2]
+    T = np.swapaxes(vh[:, 1:, :], -1, -2)
+    want = np.linalg.eigvalsh(np.swapaxes(T, -1, -2) @ sh.implicit_hessian()
+                              @ T / gn[:, None, None])
+    got = boundary_curvatures(sh, q)
+    assert got.shape == (len(q), n - 1)
+    np.testing.assert_allclose(got, want, rtol=1e-14 * n, atol=0.0)
+    assert check_two_convex(sh) == (True, 1.0)
