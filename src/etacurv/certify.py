@@ -57,21 +57,15 @@ def check_comparison(u, usub, tol=1e-10):
     return Certificate("comparison", m >= -tol, worst, m, tol)
 
 
-def check_admissibility(u, grid, tol=1e-10):
-    """Curvature vector in the closed cone at every node.
-
-    The per-node tolerance scales as tol*(1 + sigma_1) so the check stays
-    meaningful for both flat and highly curved solutions; a degenerate
-    problem legitimately drives the margin toward 0 from above.  Reports
-    the raw minimum margin.
-    """
-    p, r = all_derivatives(grid, np.asarray(u, dtype=float))
-    geo = geometry.batch_geometry(p, r, coeffs=False)
-    scale = geo.cone_scale
-    scaled = geo.margin / scale
-    worst = int(np.argmin(scaled))
-    ok = bool(np.all(geo.margin >= -tol * scale))
-    return Certificate("admissibility", ok, worst, float(geo.margin[worst]), tol)
+def check_admissibility(geo, tol=1e-10):
+    """Curvature vector in the closed cone at every node of geo, the plain
+    BatchGeometry of a grid function: geo.cone_test(-tol), margin >= -tol
+    (1 + |sigma_1|), a floor that serves flat and highly curved solutions
+    alike (a degenerate problem drives the margin toward 0 from above).
+    Reports the raw margin at the worst node."""
+    passed, worst = geo.cone_test(-tol)
+    node, margin = worst()
+    return Certificate("admissibility", passed, node, margin, tol)
 
 
 def _x_only(e):
@@ -100,10 +94,10 @@ def _expr_hessian(e, xs, n, step=1e-5):
 def check_subsolution(usub, spec, samples=512, seed=2718, tol=1e-10):
     """Dense sampled test of the subsolution conditions.
 
-    At interior samples: curvature vector in the closed cone (margin >=
-    -tol*(1+sigma_1)) and K_eta >= psi(x, usub, nu) - tol; at boundary
-    samples |usub| <= tol.  The reported margin is the minimum over the
-    slack quantities.
+    At interior samples: curvature vector in the closed cone (the cone
+    test of check_admissibility) and K_eta >= psi(x, usub, nu) - tol; at
+    boundary samples |usub| <= tol.  The reported margin is the minimum
+    over the slack quantities.
     """
     if isinstance(usub, str):
         usub = parse(usub)
@@ -118,7 +112,6 @@ def check_subsolution(usub, spec, samples=512, seed=2718, tol=1e-10):
     val = np.broadcast_to(np.asarray(val, dtype=float), (samples,))
     hess = _expr_hessian(usub, xs, n)
     geo = geometry.batch_geometry(grad, hess, coeffs=False)
-    cone_slack = geo.margin / geo.cone_scale
     psi_vals = np.asarray(
         evaluate(psi, EvalEnv.from_gradient(xs, val, grad)), dtype=float)
     psi_slack = geo.K_eta - np.broadcast_to(psi_vals, geo.K_eta.shape)
@@ -129,9 +122,9 @@ def check_subsolution(usub, spec, samples=512, seed=2718, tol=1e-10):
     vb = np.broadcast_to(vb, (len(xb),))
     bnd_slack = tol - np.abs(vb)
 
-    ok = (bool(np.all(cone_slack >= -tol)) and bool(np.all(psi_slack >= -tol))
+    ok = (geo.cone_test(-tol)[0] and bool(np.all(psi_slack >= -tol))
           and bool(np.all(bnd_slack >= 0.0)))
-    slacks = np.concatenate([cone_slack, psi_slack, bnd_slack])
+    slacks = np.concatenate([geo.margin / geo.cone_scale, psi_slack, bnd_slack])
     worst = int(np.argmin(slacks))
     return Certificate("subsolution", ok, worst, float(slacks.min()), tol)
 
@@ -158,9 +151,10 @@ def standard_certificates(u, usub, grid, report):
     """The bundle the command layer attaches to every solve.  A solve of
     one stage has no earlier stage for estimate_evidence to compare with;
     a line appended to report.warnings says so in its place."""
+    geo = geometry.batch_geometry(*all_derivatives(grid, u), coeffs=False)
     certs = [check_maximum_principle(u),
              check_comparison(u, usub),
-             check_admissibility(u, grid)]
+             check_admissibility(geo)]
     if len(report.stages) >= 2:
         certs.append(estimate_evidence(report))
     else:

@@ -79,9 +79,6 @@ class DomainShape:
         a = np.asarray(self.semiaxes)
         return np.diag(2.0 / a ** 2)
 
-    def contains(self, x):
-        return self.implicit(x) < 0.0
-
     def axis_distance(self, x, axis, sign):
         """Distance t > 0 from interior points x (..., n) to the boundary
         along sign * e_axis, axis and sign broadcasting over x's leading

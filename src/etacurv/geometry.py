@@ -62,13 +62,8 @@ class PointState:
 
 @dataclass
 class BatchGeometry:
-    """Geometry of a stack of states (leading axis N).
-
-    f-dependent arrays are computed unconditionally; rows with margin <= 0
-    (outside the cone) contain meaningless values there and must be masked
-    by the caller.  This is what lets a Newton line search probe trial
-    states cheaply.
-    """
+    """Geometry of a stack of states (leading axis N).  Rows that fail
+    cone_test hold meaningless K_eta and coefficients: callers mask them."""
 
     w: np.ndarray
     gamma_up: np.ndarray
@@ -86,6 +81,18 @@ class BatchGeometry:
         """1 + |sigma_1(kappa)|: the curvature scale that cone margins are
         held against, so one tolerance serves flat and curved states."""
         return 1.0 + np.abs(self.kappa.sum(axis=-1))
+
+    def cone_test(self, floor):
+        """(passed, worst), the cone test of every check: whether margin >=
+        floor * cone_scale at every node (a NaN margin fails), and worst()
+        = (node, raw margin) at the worst node, argmin margin / cone_scale,
+        found only when called."""
+        scale = self.cone_scale
+
+        def worst():
+            node = int(np.argmin(self.margin / scale))
+            return node, float(self.margin[node])
+        return bool(np.all(self.margin >= floor * scale)), worst
 
 
 def gamma_factors(p):

@@ -25,8 +25,9 @@ solutions give the Richardson error estimate max |u_h - u_2h| / 3 of
 SolveReport.error_estimate.
 
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
-geometry, the cone test, psi and the residual; its Jacobian and its
-StageReport reuse that state.  Each Newton equation J du = -F is solved
+geometry, the cone test at CONE_FLOOR (start and trial steps alike), psi
+and the residual; its Jacobian and its StageReport reuse that state.
+Each Newton equation J du = -F is solved
 inexactly, only as accurately as the Newton step needs: to the forcing
 target ||J du + F||_inf <= eta ||F||_inf, eta = min(1/10, FORCING ||F||_inf),
 which keeps Newton's local quadratic convergence (Dembo, Eisenstat &
@@ -118,6 +119,10 @@ LADDER = (1e-1, 1e-2, 1e-3, 1e-4, 0.0)
 TOL_RESIDUAL = 1e-10
 MAX_ITER = 40
 MIN_STEP = 1.0 / 1024.0
+
+#: the cone test of every evaluated iterate, the start included: margin >=
+#: CONE_FLOOR (1 + |sigma_1|) at every node (BatchGeometry.cone_test)
+CONE_FLOOR = 1e-12
 
 #: the normwise backward error at which refinement stops whatever the
 #: forcing target, and the one a direct solve must meet: 64 unit roundoffs,
@@ -255,7 +260,8 @@ class StageReport:
     #: "prolonged" when Newton started from the coarse level's solution of
     #: this stage, "warm" when from the previous stage's (or the initial) u
     start: str = "warm"
-    #: minimum cone margin of a prolonged start the cone test rejected
+    #: the raw margin at the worst node of a prolonged start the cone test
+    #: rejected
     rejected_margin: float | None = None
 
     @property
@@ -335,39 +341,38 @@ def _psi_eps_derivs(spec, grid, u, p, eps):
                 np.where(dp == 0.0, 0.0, chain[..., None] * dp))
 
 
-def _evaluate(spec, grid, u, eps, floor=None):
-    """(res, (p, r, geo, psi)): the normalized residual of u and the stencil
-    derivatives, plain geometry and psi values it was computed from.
-
-    floor None demands margin > 0 at every node and raises NotAdmissible
-    at the worst node otherwise.  A float floor is the line search's test,
-    margin >= floor * (1 + |sigma_1|) node-wise; where it fails, res and
-    psi are None and psi is not evaluated.
-    """
+def _evaluate(spec, grid, u, eps):
+    """(res, (p, r, geo, psi), worst): the normalized residual of u, the
+    stencil derivatives, plain geometry and psi values it was computed
+    from, and worst of geo.cone_test(CONE_FLOOR).  Where that test fails,
+    res and psi are None and psi is not evaluated."""
     p, r = all_derivatives(grid, u)
     geo = batch_geometry(p, r, coeffs=False)
-    if floor is None:
-        if not np.all(geo.margin > 0.0):
-            worst = int(np.argmin(geo.margin))
-            raise NotAdmissible(
-                f"iterate leaves the admissible cone at node {worst} "
-                f"(margin {geo.margin[worst]:.3e})",
-                margin=float(geo.margin[worst]), node=worst)
-    elif not np.all(geo.margin >= floor * geo.cone_scale):
-        return None, (p, r, geo, None)
+    passed, worst = geo.cone_test(CONE_FLOOR)
+    if not passed:
+        return None, (p, r, geo, None), worst
     n = spec.n
     psi = np.asarray(evaluate(spec.psi, _psi_env(grid, u, p)), dtype=float)
     res = geo.K_eta ** (1.0 / n) - regularize_psi(psi, eps, n) ** (1.0 / n)
-    return res, (p, r, geo, psi)
+    return res, (p, r, geo, psi), worst
+
+
+def _admissible(spec, grid, u, eps):
+    """(res, state) of _evaluate; NotAdmissible names the worst node and
+    its raw margin where u fails the cone test."""
+    res, state, worst = _evaluate(spec, grid, u, eps)
+    if res is None:
+        node, margin = worst()
+        raise NotAdmissible(
+            f"iterate leaves the admissible cone at node {node} "
+            f"(margin {margin:.3e})", margin=margin, node=node)
+    return res, state
 
 
 def residual(spec, grid, u, eps):
-    """Normalized residual G^{1/n} - psi_eps^{1/n} per node.
-
-    Raises NotAdmissible (with the worst node) when any node's curvature
-    vector leaves the cone.
-    """
-    return _evaluate(spec, grid, u, eps)[0]
+    """Normalized residual G^{1/n} - psi_eps^{1/n} per node; NotAdmissible
+    names the worst node where u fails the cone test."""
+    return _admissible(spec, grid, u, eps)[0]
 
 
 def jacobian(spec, grid, u, eps, state=None):
@@ -376,12 +381,13 @@ def jacobian(spec, grid, u, eps, state=None):
     Row q chains (1/n) G^{1/n-1} through the Hessian stencils (G^{ij}) and
     gradient stencils (G^s), minus the psi_eps^{1/n} derivatives on the
     gradient stencils and the diagonal.  state is the (p, r, geo, psi) of u
-    that an admissible _evaluate returned, used as given: only the geometry's
-    coefficient block is added to it.  Without one, u is evaluated here
-    (NotAdmissible off the cone).  J is assembled on the grid's fixed union
-    pattern (Grid.ops_pattern), so its sparsity does not depend on u.
+    that _evaluate returned for an admissible u, used as given: only the
+    geometry's coefficient block is added to it.  Without one, u is
+    evaluated here (NotAdmissible off the cone).  J is assembled on the
+    grid's fixed union pattern (Grid.ops_pattern), so its sparsity does not
+    depend on u.
     """
-    p, _, geo, _ = _evaluate(spec, grid, u, eps)[1] if state is None else state
+    p, _, geo, _ = _admissible(spec, grid, u, eps)[1] if state is None else state
     add_coefficients(geo, p)
     n = spec.n
     alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
@@ -571,30 +577,22 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
 
     The stage ends once the inf-norm residual is at most TOL_RESIDUAL,
     within MAX_ITER iterations.  Backtracking accepts the first s in
-    {1, 1/2, ..., MIN_STEP} with (a) node-wise admissibility margin
-    >= 1e-12 (1 + sigma_1) and (b) 2-norm decreased by the factor (1 - s/4)
-    or inf-norm already at TOL_RESIDUAL.  A warm start at the solution
-    therefore costs one iteration at step 1, not a stagnation report.  At
-    eps = 0 a psi that is not positive at every node of the (admissible)
-    start raises SolverFailure; every SolverFailure carries the partial
-    report as exc.stage.
+    {1, 1/2, ..., MIN_STEP} with (a) the cone test at CONE_FLOOR, which
+    the start must pass too (NotAdmissible), and (b) 2-norm decreased by
+    the factor (1 - s/4) or inf-norm already at TOL_RESIDUAL.  A warm start
+    at the solution therefore costs one iteration at step 1, not a
+    stagnation report.  At eps = 0 a psi that is not positive at every node
+    of the start raises SolverFailure; every SolverFailure carries the
+    partial report as exc.stage.
 
-    Newton equation k, J du = -res, is solved inexactly: to the target
-    tau_k = max(eta_k ||res||_inf, STOP_FLOOR TOL_RESIDUAL), with the
-    forcing term eta_k = min(1/10, FORCING ||res||_inf) that keeps the local
-    convergence quadratic (Eisenstat & Walker, SIAM J. Sci. Comput. 17,
-    1996) and the floor that stops the last equation of a stage at a tenth
-    of the stop tolerance instead of near roundoff (Kelley, Iterative
-    Methods for Linear and Nonlinear Equations, SIAM 1995, sec. 6.3), or to
-    a normwise backward error ||J du + res||_inf / (||J||_inf ||du||_inf +
-    ||res||_inf) of at most OMEGA_MAX = 64u, u the unit roundoff, whichever
-    comes first; a direct solve with a fresh LU is held to OMEGA_MAX.  The
-    stop test ||res||_inf <= TOL_RESIDUAL does not depend on the forcing.
-    Iterative refinement on the held approximate inverse (an LU or a
-    two-grid cycle) is tried first; a new one is built from J at the first
-    sweep that does not cut omega below CONTRACTION times the last.
-    factorization is the _Factorization holder shared along a continuation;
-    a fresh one, which holds LUs only, is made when None.
+    Newton equation k, J du = -res, is solved inexactly, as the module
+    docstring states: to the target tau_k = max(eta_k ||res||_inf,
+    STOP_FLOOR TOL_RESIDUAL), eta_k = min(1/10, FORCING ||res||_inf), or to
+    a normwise backward error of at most OMEGA_MAX, whichever comes first,
+    by factorization.solve.  The stop test ||res||_inf <= TOL_RESIDUAL does
+    not depend on the forcing.  factorization is the _Factorization holder
+    shared along a continuation; a fresh one, which holds LUs only, is made
+    when None.
     """
     if factorization is None:
         factorization = _Factorization(grid)
@@ -603,7 +601,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
     stage = StageReport(eps)
     u = np.asarray(u0, dtype=float).copy()
     # raises NotAdmissible on a bad start
-    res, state = _evaluate(spec, grid, u, eps)
+    res, state = _admissible(spec, grid, u, eps)
     stage.record(res, state[2])
     try:
         if eps == 0.0 and float(state[3].min()) <= 0.0:
@@ -621,8 +619,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
             s = 1.0
             while s >= MIN_STEP:
                 trial = u + s * du
-                trial_res, trial_state = _evaluate(spec, grid, trial, eps,
-                                                   floor=1e-12)
+                trial_res, trial_state, _ = _evaluate(spec, grid, trial, eps)
                 if trial_res is not None and (
                         _norm2(trial_res) <= (1.0 - s / 4.0) * norm0
                         or np.abs(trial_res).max() <= TOL_RESIDUAL):
@@ -809,6 +806,8 @@ def effective_schedule(spec, grid):
     where psi > 0 there, else LADDER.  Where psi is not positive there a
     trailing 0 is replaced by a small eps; all schedules end at one eps."""
     n = spec.n
+    # grid.ops(), a verify's memory peak, is built before psi's arrays exist
+    dropped = _dropped_notes(grid)
     env = _psi_env(grid, np.zeros(grid.size), np.zeros_like(grid.pos))
     psi = np.asarray(evaluate(spec.psi, env), dtype=float)
     psi_min = float(psi.min())
@@ -832,7 +831,7 @@ def effective_schedule(spec, grid):
         if not cap ** n >= float(first.max()):
             notes.insert(
                 0, "no cap dominates psi; starting from the steepest cap")
-    return schedules, notes + _dropped_notes(grid)
+    return schedules, notes + dropped
 
 
 def _dropped_notes(grid):
@@ -861,7 +860,7 @@ def write_solution(path, spec, grid, u, report, config_echo=()):
     column is taken at the report's final eps.
     """
     n = spec.n
-    res, (p, r, geo, _) = _evaluate(spec, grid, u, report.final.eps)
+    res, (p, r, geo, _) = _admissible(spec, grid, u, report.final.eps)
     cols = solution_columns(n)
     lines = [f"# etacurv solution n={n} nodes={grid.size} h={grid.h:.17g}"]
     lines += [f"# {line}" for line in config_echo]

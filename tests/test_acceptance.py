@@ -19,7 +19,8 @@ from etacurv.certify import (
 )
 from etacurv.cli import main
 from etacurv.domain import DomainShape
-from etacurv.grid import build_grid
+from etacurv.geometry import batch_geometry
+from etacurv.grid import all_derivatives, build_grid
 from etacurv.radial import shoot
 from etacurv.solver import (
     ProblemSpec,
@@ -200,7 +201,8 @@ def test_criterion_7_certificates_every_fixture(cap32, cap64, ball3, deg64,
                       ("deg64", deg64), ("flat_c11", flat_c11)):
         certs = (check_maximum_principle(run["u"]),
                  check_comparison(run["u"], run["u0"]),
-                 check_admissibility(run["u"], run["grid"]))
+                 check_admissibility(batch_geometry(
+                     *all_derivatives(run["grid"], run["u"]), coeffs=False)))
         failed += [f"{name}.{c.name}" for c in certs if not c.passed]
     ok = not failed
     record(7, ok, "max principle / comparison / admissibility on 5 solved "

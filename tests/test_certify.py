@@ -17,7 +17,8 @@ from etacurv.certify import (
     standard_certificates,
 )
 from etacurv.domain import DomainShape
-from etacurv.grid import build_grid
+from etacurv.geometry import batch_geometry
+from etacurv.grid import all_derivatives, build_grid
 from etacurv.solver import ProblemSpec, cap_function, continuation_solve
 
 DISK = DomainShape(semiaxes=(0.5, 0.5))
@@ -74,9 +75,13 @@ def test_comparison_grid_mismatch():
         check_comparison(np.zeros(5), np.zeros(6))
 
 
+def plain_geometry(grid, u):
+    return batch_geometry(*all_derivatives(grid, u), coeffs=False)
+
+
 def test_admissibility_on_solution(solved_disk):
     _, grid, u, _ = solved_disk
-    cert = check_admissibility(u, grid)
+    cert = check_admissibility(plain_geometry(grid, u))
     assert cert.passed
     assert cert.margin > 0.0
 
@@ -87,7 +92,7 @@ def test_admissibility_degenerate_margin_shrinks():
     u, report = continuation_solve(spec)
     assert report.final.eps == 1e-5 and len(report.warnings) == 1
     grid = build_grid(DISK, 1 / 16)
-    cert = check_admissibility(u, grid)
+    cert = check_admissibility(plain_geometry(grid, u))
     assert cert.passed
     assert 0.0 < cert.margin < 0.2
 
@@ -96,7 +101,7 @@ def test_admissibility_saddle_fails():
     grid = build_grid(DISK, 1 / 8)
     saddle = grid.pos[:, 0] ** 2 - grid.pos[:, 1] ** 2 \
         - (DISK.r0**2 - np.sum(grid.pos**2, axis=1))
-    cert = check_admissibility(saddle, grid)
+    cert = check_admissibility(plain_geometry(grid, saddle))
     assert not cert.passed
 
 

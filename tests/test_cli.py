@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 import etacurv
-from etacurv import cli
+from etacurv import certify, cli, geometry, solver
+from etacurv.certify import check_admissibility
 from etacurv.cli import (
     Config,
     ConfigError,
@@ -22,7 +23,10 @@ from etacurv.cli import (
     load_config,
     main,
 )
-from etacurv.grid import MAX_LATTICE, build_grid
+from etacurv.cones import NotAdmissible
+from etacurv.geometry import batch_geometry
+from etacurv.grid import MAX_LATTICE, all_derivatives, build_grid
+from etacurv.solver import residual
 
 CAP_CFG = """\
 # disk cap fixture
@@ -917,6 +921,77 @@ def test_verify_nonfinite_solution_fails_certificates(demo_solutions, name,
         assert main(["verify", str(bad), "--config", cfg]) == 3
     assert [str(w.message) for w in caught] == []
     assert capsys.readouterr().err == ""
+
+
+def test_verify_evaluates_the_stored_u_once(solved, monkeypatch, capsys):
+    # the admissibility and residual certificates read one evaluation of
+    # u: one stencil-derivative and one geometry pass, under every name
+    # the package looks them up by
+    sol, cfg = solved
+    calls = []
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, counted)
+
+    for module in (solver, certify, cli):
+        spy(module, "all_derivatives")
+    for module in (solver, geometry, cli):
+        spy(module, "batch_geometry")
+    assert main(["verify", str(sol), "--config", cfg]) == 0
+    assert sorted(calls) == ["all_derivatives", "batch_geometry"]
+
+
+def test_one_cone_test_names_one_node(tmp_path, monkeypatch, capsys):
+    # the h = 1/8 cap with +0.05 at its centre node leaves the cone there:
+    # residual's NotAdmissible, check_admissibility and verify's two
+    # failing certificates name the same node and the same raw margin
+    cfg = write_cfg(tmp_path, CAP_CFG.replace("h = 0.0625", "h = 0.125"))
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    spec = build_problem(load_config(cfg))
+    grid = build_grid(spec.shape, spec.h)
+    sol = tmp_path / "etacurv-solution.dat"
+    u = cli._read_solution(sol, spec, grid)
+    centre = int(np.argmin(np.sum(grid.pos**2, axis=1)))
+    u[centre] += 0.05
+    lines = sol.read_text().splitlines()
+    k = [k for k, ln in enumerate(lines) if not ln.startswith("#")][centre]
+    parts = lines[k].split()
+    parts[spec.n] = f"{u[centre]:.17g}"
+    lines[k] = " ".join(parts)
+    spike = tmp_path / "spike.dat"
+    spike.write_text("\n".join(lines) + "\n")
+
+    certs = {}
+
+    def kept(make):
+        def keep(*args):
+            cert = make(*args)
+            certs[cert.name] = cert
+            return cert
+        return keep
+
+    monkeypatch.setattr(cli, "check_admissibility",
+                        kept(cli.check_admissibility))
+    monkeypatch.setattr(cli, "Certificate", kept(cli.Certificate))
+    assert main(["verify", str(spike), "--config", cfg]) == 3
+    out = capsys.readouterr().out
+    failed = [certs["admissibility"], certs["residual_recompute"]]
+    with pytest.raises(NotAdmissible) as exc:
+        residual(spec, grid, u, 0.0)
+    direct = check_admissibility(
+        batch_geometry(*all_derivatives(grid, u), coeffs=False))
+    assert not any(c.passed for c in failed + [direct])
+    named = {(c.worst_node, c.margin) for c in failed + [direct]}
+    assert named == {(centre, exc.value.margin)} and exc.value.node == centre
+    assert exc.value.margin < 0.0
+    for name in ("admissibility", "residual_recompute"):
+        assert f"{name}=fail margin={exc.value.margin:.17g} " in out
 
 
 # ---------------------------------------------------------------- misc

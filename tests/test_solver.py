@@ -137,11 +137,13 @@ def test_residual_nonadmissible_reports_node():
 
 
 def test_evaluate_below_floor_skips_psi(monkeypatch):
-    # the cap of radius 0.525 is inside the cone (margin 1/R), but not by
-    # 1.0 * (1 + sigma_1) = 1 + 2/R: the floor test fails before psi
+    # the cap of radius 0.525 scaled by 1e-13 is inside the cone (margin
+    # about 1.9e-13), but not by CONE_FLOOR (1 + sigma_1): the floor test
+    # fails before psi
     grid = build_grid(DISK, 1 / 16)
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 16)
-    u = cap_function(grid, 0.525)
+    cap = cap_function(grid, 0.525)
+    u = 1e-13 * cap
     psi_calls = []
     real_evaluate = solver.evaluate
 
@@ -150,15 +152,16 @@ def test_evaluate_below_floor_skips_psi(monkeypatch):
         return real_evaluate(*args, **kwargs)
 
     monkeypatch.setattr(solver, "evaluate", spy)
-    res, (p, r, geo, psi) = solver._evaluate(spec, grid, u, 0.0, floor=1.0)
+    res, (p, r, geo, psi), _ = solver._evaluate(spec, grid, u, 0.0)
     assert res is None and psi is None and psi_calls == []
     assert geo.margin.min() > 0.0
     assert np.array_equal(p, all_derivatives(grid, u)[0])
-    # the strict and the line-search floor accept it, evaluating psi once each
-    strict, _ = solver._evaluate(spec, grid, u, 0.0)
-    trial, _ = solver._evaluate(spec, grid, u, 0.0, floor=1e-12)
+    # the unscaled cap passes, in a trial's evaluation and in residual
+    # alike, evaluating psi once each
+    trial, _, _ = solver._evaluate(spec, grid, cap, 0.0)
+    assert len(psi_calls) == 1
+    assert np.array_equal(residual(spec, grid, cap, 0.0), trial)
     assert len(psi_calls) == 2
-    assert np.array_equal(strict, trial)
 
 
 def test_evaluate_strict_names_worst_node():
@@ -166,13 +169,27 @@ def test_evaluate_strict_names_worst_node():
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 8)
     u = cap_function(grid, 0.525)
     u[int(np.argmin(np.sum(grid.pos**2, axis=1)))] += 0.05  # a spike
-    margin = batch_geometry(*all_derivatives(grid, u), coeffs=False).margin
-    worst = int(np.argmin(margin))
-    assert margin[worst] <= 0.0
+    geo = batch_geometry(*all_derivatives(grid, u), coeffs=False)
+    worst = int(np.argmin(geo.margin / geo.cone_scale))
+    assert geo.margin[worst] <= 0.0
     with pytest.raises(NotAdmissible) as exc:
-        solver._evaluate(spec, grid, u, 0.0)
+        solver._admissible(spec, grid, u, 0.0)
     assert exc.value.node == worst
-    assert exc.value.margin == float(margin[worst])
+    assert exc.value.margin == float(geo.margin[worst])
+
+
+def test_start_inside_the_cone_but_below_its_floor_is_rejected():
+    # the start is held to the line search's floor: a margin in (0,
+    # CONE_FLOOR (1 + |sigma_1|)) passed the start's old test, margin > 0
+    grid = build_grid(DISK, 1 / 16)
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 16)
+    u = 1e-13 * cap_function(grid, 0.525)
+    geo = batch_geometry(*all_derivatives(grid, u), coeffs=False)
+    with pytest.raises(NotAdmissible) as exc:
+        newton_solve(spec, grid, u, 0.0)
+    node = exc.value.node
+    assert 0.0 < exc.value.margin == float(geo.margin[node])
+    assert exc.value.margin < solver.CONE_FLOOR * geo.cone_scale[node]
 
 
 # ---------------------------------------------------------------- jacobian
@@ -310,25 +327,24 @@ def test_add_coefficients_completes_plain_geometry():
 
 
 def test_jacobian_with_carried_state_equals_fresh(monkeypatch):
-    # a carried state, strict or from a line-search trial, is used as given:
-    # no second derivative product, geometry or cone test
+    # a carried state is used as given: no second derivative product,
+    # geometry or cone test
     cases = ((DISK, 2, 1 / 8, "1 + x1^2/2 + exp(z)/4 + nu1^2/8", 0.0),
              (BALL, 3, 1 / 5, "8 + x2^2 + exp(z)/2 + nu2^2/4", 1e-1))
     for shape, n, h, psi, eps in cases:
         grid = build_grid(shape, h)
         spec = ProblemSpec(n=n, shape=shape, psi=psi, h=h)
         u = _perturbed_state(grid)
-        for floor in (None, 1e-12):
-            res, state = solver._evaluate(spec, grid, u, eps, floor)
-            assert res is not None
-            with monkeypatch.context() as m:
-                m.setattr(solver, "all_derivatives", None)
-                m.setattr(solver, "batch_geometry", None)
-                carried = jacobian(spec, grid, u, eps, state)
-            fresh = jacobian(spec, grid, u, eps)
-            for attr in ("data", "indices", "indptr"):
-                assert np.array_equal(getattr(carried, attr),
-                                      getattr(fresh, attr))
+        res, state, _ = solver._evaluate(spec, grid, u, eps)
+        assert res is not None
+        with monkeypatch.context() as m:
+            m.setattr(solver, "all_derivatives", None)
+            m.setattr(solver, "batch_geometry", None)
+            carried = jacobian(spec, grid, u, eps, state)
+        fresh = jacobian(spec, grid, u, eps)
+        for attr in ("data", "indices", "indptr"):
+            assert np.array_equal(getattr(carried, attr),
+                                  getattr(fresh, attr))
 
 
 def _csr_sum_jacobian(spec, grid, u, eps):
@@ -1358,15 +1374,21 @@ def test_explicit_ladder_keeps_two_fine_stages_and_estimate_evidence():
 
 
 def _count_evaluations(monkeypatch):
+    # every evaluation, and those that must pass the cone test, which in a
+    # solve are the stage starts
     calls = {"all": 0, "cone": 0}
-    real = solver._evaluate
+    real_evaluate, real_admissible = solver._evaluate, solver._admissible
 
-    def spy(spec, grid, u, eps, floor=None):
+    def spy_evaluate(*args):
         calls["all"] += 1
-        calls["cone"] += floor is None
-        return real(spec, grid, u, eps, floor)
+        return real_evaluate(*args)
 
-    monkeypatch.setattr(solver, "_evaluate", spy)
+    def spy_admissible(*args):
+        calls["cone"] += 1
+        return real_admissible(*args)
+
+    monkeypatch.setattr(solver, "_evaluate", spy_evaluate)
+    monkeypatch.setattr(solver, "_admissible", spy_admissible)
     return calls
 
 
