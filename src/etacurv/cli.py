@@ -379,7 +379,8 @@ _HEADER = re.compile(
 
 
 def _read_solution(path, spec, grid):
-    """u from a stored solution file, after checking it matches the grid.
+    """u from a stored solution file, after checking it matches the grid,
+    as an array of its own.
 
     The leading '#' lines, the header, are decoded as text; a table after
     them in the form write_solution writes is parsed from the file's
@@ -408,7 +409,8 @@ def _read_solution(path, spec, grid):
     # 17-digit decimals round-trip exactly, so coordinates must match bitwise
     if not np.array_equal(data[:, :n], grid.pos):
         raise GridMismatch(f"{path}: node coordinates differ from the grid")
-    return data[:, n]
+    # a copy: a view of the column would keep the whole table alive
+    return data[:, n].copy()
 
 
 def _rescan(path, text, size, width):

@@ -5,7 +5,7 @@ w = sqrt(1 + |p|^2) the graph's curvature matrix (symmetric, eigenvalues =
 principal curvatures kappa) is
 
     A = (1/w) * gamma_up . r . gamma_up,
-    gamma_up[i,k]  = delta_ik - p_i p_k / (w (1 + w)),
+    gamma_up[i,k]  = delta_ik - c p_i p_k,   c = 1 / (w (1 + w)),
 
 gamma_up being the inverse matrix square root of the induced metric
 g = I + p p^T.  The prescribed quantity is
@@ -21,14 +21,29 @@ The solver linearizes K_eta^{1/n} in u; the pieces it needs are
 all computed by batch_geometry over stacks of states; the point-wise
 routines below are independent oracles for it.
 
-The principal curvatures come in closed form for n = 2 and 3.  For n = 3
-the trigonometric formula gives only the isolated eigenvalue of A's
-traceless part, which stays well conditioned where the other two meet (the
-cap's triple root); those are deflated, by the 2x2 form on the plane across
-its eigenvector.  Both agree with LAPACK's eigvalsh to 1e-14 * max |A_ij|
-(measured 1.7e-15 over the 41,022 curvature matrices of a 3D cap solve at
-h = 1/24); n >= 4 calls eigvalsh.  A curvature matrix with a NaN or inf
-entry gives a NaN margin in every n, so the state fails the cone test.
+batch_geometry works entry by entry on rows, the layout Grid.ops() @ u
+produces: a symmetric n x n matrix is held as its n(n+1)/2 upper-triangle
+entries in slot order (grid._hessian_slots: i <= j, row-major) and a vector
+as its n entries, each entry one row over every state of the stack.  The
+conjugation by gamma_up comes in closed form, with q = X p,
+
+    gamma_up . X . gamma_up = X - c (p q^T + q p^T) + c^2 (p . q) p p^T,
+
+symmetric by construction, for X = r (A) and X = F (G2).  Every step but
+the eigenvalues for n >= 4 is an elementwise product or a sum over rows:
+the solve makes no BLAS call in this layer and builds no (N, n, n) array.
+The (..., n, n) matrices A, gamma_up, F and G2 that checks and tests read
+are built from the rows when asked for.
+
+The principal curvatures come in closed form for n = 2 and 3, fed the rows
+directly.  For n = 3 the trigonometric formula gives only the isolated
+eigenvalue of A's traceless part, which stays well conditioned where the
+other two meet (the cap's triple root); those are deflated, by the 2x2
+form on the plane across its eigenvector.  Both agree with LAPACK's
+eigvalsh to 1e-14 * max |A_ij| (measured 1.8e-15 over the 32,909 curvature
+matrices of a 3D cap solve at h = 1/24); n >= 4 calls eigvalsh.  A
+curvature matrix with a NaN or inf entry gives a NaN margin in every n, so
+the state fails the cone test.
 """
 
 from __future__ import annotations
@@ -38,6 +53,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import cones
+from .grid import slot_index, symmetric
 
 
 @dataclass
@@ -60,27 +76,83 @@ class PointState:
         self.r = 0.5 * (self.r + self.r.T)
 
 
+def _rows(x):
+    """The view of x (..., k) as rows (k, ...)."""
+    return x.transpose((x.ndim - 1,) + tuple(range(x.ndim - 1)))
+
+
+def _columns(x):
+    """The view of rows x (k, ...) as (..., k), the inverse of _rows."""
+    return x.transpose(tuple(range(1, x.ndim)) + (0,))
+
+
+def _matrices(rows):
+    """(..., n, n) symmetric matrices of upper-triangle rows, or None."""
+    return None if rows is None else symmetric(_columns(rows))
+
+
 @dataclass
 class BatchGeometry:
-    """Geometry of a stack of states (leading axis N).  Rows that fail
-    cone_test hold meaningless K_eta and coefficients: callers mask them."""
+    """Geometry of a stack of states of leading shape (...).  Rows that
+    fail cone_test hold meaningless K_eta and coefficients: callers mask
+    them.
 
+    p, a, f, g2 and gs are rows (see the module docstring): the gradient,
+    the upper triangles of A, F and G2, and Gs.  f, g2 and gs are None
+    until add_coefficients fills them in.  kappa is (..., n), ascending.
+    The properties gamma_up, A, F, G2 (..., n, n), Gs and f_i (..., n)
+    are built from the rows when read (None before add_coefficients).
+    """
+
+    p: np.ndarray
     w: np.ndarray
-    gamma_up: np.ndarray
-    A: np.ndarray
+    a: np.ndarray
     kappa: np.ndarray
+    sigma_1: np.ndarray
     K_eta: np.ndarray
     margin: np.ndarray
-    f_i: np.ndarray | None = None
-    F: np.ndarray | None = None
-    G2: np.ndarray | None = None
-    Gs: np.ndarray | None = None
+    f: np.ndarray | None = None
+    g2: np.ndarray | None = None
+    gs: np.ndarray | None = None
+
+    @property
+    def gamma_up(self):
+        return gamma_factors(_columns(self.p))[1]
+
+    @property
+    def A(self):
+        return _matrices(self.a)
+
+    @property
+    def F(self):
+        return _matrices(self.f)
+
+    @property
+    def G2(self):
+        return _matrices(self.g2)
+
+    @property
+    def Gs(self):
+        return None if self.gs is None else _columns(self.gs)
+
+    @property
+    def f_i(self):
+        """dK_eta/dkappa_i (..., n), F's eigenvalues: the polynomial F is of
+        A, taken at kappa."""
+        if self.f is None:
+            return None
+        n = self.kappa.shape[-1]
+        s = self.sigma_1[..., None]
+        f_i = s ** (n - 1) - self.kappa ** (n - 1)
+        for k, d in _horner(self.kappa, self.sigma_1):
+            f_i = f_i + d[..., None] * (s ** k - self.kappa ** k)
+        return f_i
 
     @property
     def cone_scale(self):
         """1 + |sigma_1(kappa)|: the curvature scale that cone margins are
         held against, so one tolerance serves flat and curved states."""
-        return 1.0 + np.abs(self.kappa.sum(axis=-1))
+        return 1.0 + np.abs(self.sigma_1)
 
     def cone_test(self, floor):
         """(passed, worst), the cone test of every check: whether margin >=
@@ -105,9 +177,30 @@ def gamma_factors(p):
     return w, gamma_up
 
 
-def _eigenvalues(A):
-    """Ascending eigenvalues of symmetric matrices A (..., n, n), read from
-    the upper triangle for n = 2 and 3.
+def _dot(a, b):
+    """Row of a . b for vectors given by rows."""
+    return np.einsum("i...,i...->...", a, b)
+
+
+def _matvec(X, v):
+    """Rows of X v for a symmetric X given by its rows and a vector v."""
+    return np.einsum("ij...,j...->i...", X[slot_index(len(v))[2]], v)
+
+
+def _conjugate(X, p, c, w):
+    """Rows of gamma_up . X . gamma_up / w for symmetric X given by its rows
+    and gradient rows p, in the closed form of the module docstring,
+    written as (X - (c p z^T + z c p^T)) / w with z = q - (c/2)(p . q) p."""
+    i, j, _ = slot_index(len(p))
+    q = _matvec(X, p)
+    z = q - (0.5 * c * _dot(p, q)) * p
+    cp = c * p
+    return (X - (cp[i] * z[j] + z[i] * cp[j])) / w
+
+
+def _eigenvalues(S, n):
+    """Ascending eigenvalue rows (n, ...) of symmetric n x n matrices given
+    by their upper-triangle rows S (n(n+1)/2, ...).
 
     n = 2 uses the closed form kappa = m -+ hypot((a - c)/2, b) with
     m = (a + c)/2, n = 3 the deflated closed form of _eigenvalues3, and
@@ -116,29 +209,27 @@ def _eigenvalues(A):
     so such a state fails every margin test: eigvalsh alone would raise
     LinAlgError, or return finite values for one NaN on the diagonal.
     """
-    n = A.shape[-1]
     if n == 2:
-        a, b, c = A[..., 0, 0], A[..., 0, 1], A[..., 1, 1]
+        a, b, c = S
         m = 0.5 * (a + c)
         rad = np.hypot(0.5 * (a - c), b)
-        return np.stack([m - rad, m + rad], axis=-1)
+        return np.stack([m - rad, m + rad])
     if n == 3:
         with np.errstate(invalid="ignore"):
-            return _eigenvalues3(A)
+            return _eigenvalues3(S)
+    A = _matrices(S)
     bad = ~np.isfinite(A).all(axis=(-2, -1))
-    if not bad.any():
-        return np.linalg.eigvalsh(A)
     kappa = np.linalg.eigvalsh(np.where(bad[..., None, None], 0.0, A))
     kappa[bad] = np.nan
-    return kappa
+    return _rows(kappa)
 
 
-_UPPER3 = (np.array([0, 0, 0, 1, 1, 2]), np.array([0, 1, 2, 1, 2, 2]))
 _TINY = np.finfo(float).tiny
 
 
-def _eigenvalues3(A):
-    """Ascending eigenvalues of symmetric 3x3 matrices A (..., 3, 3).
+def _eigenvalues3(S):
+    """Ascending eigenvalue rows (3, ...) of symmetric 3x3 matrices given by
+    their upper-triangle rows S (6, ...).
 
     On the traceless part D = A - (tr A/3) I, the trigonometric closed
     form (O. K. Smith, CACM 4, 1961) gives only the isolated eigenvalue
@@ -157,7 +248,6 @@ def _eigenvalues3(A):
     |entry| in [1/2, 1), so no finite A overflows or underflows.  A NaN or
     inf entry gives three NaN eigenvalues.
     """
-    S = np.ascontiguousarray(np.moveaxis(A[..., _UPPER3[0], _UPPER3[1]], -1, 0))
     e0 = np.frexp(np.abs(S).max(axis=0))[1]
     S = np.ldexp(S, -e0)
     # twice: where D is as small as the rounding of tr A/3, one pass
@@ -191,37 +281,55 @@ def _eigenvalues3(A):
     # lam lies beyond the pair, below it where lam < 0
     mu = np.array([np.minimum(lam, m - rad), m + np.copysign(rad, lam),
                    np.maximum(lam, m + rad)])
-    kappa = np.ldexp(q0 + (q1 + np.ldexp(mu, e1)), e0)
-    return np.ascontiguousarray(np.moveaxis(kappa, 0, -1))
+    return np.ldexp(q0 + (q1 + np.ldexp(mu, e1)), e0)
 
 
 def batch_geometry(p, r, coeffs=True):
-    """Vectorized geometry for stacks of states p (..., n), r (..., n, n)."""
+    """Geometry of stacks of states of one leading shape (...): gradients
+    p (..., n) and Hessians r, as symmetric matrices (..., n, n) or as their
+    upper-triangle entries (..., n(n+1)/2) in slot order.  A matrix is read
+    as 0.5 (r + r^T), what its quadratic form sees."""
     p = np.asarray(p, dtype=float)
     r = np.asarray(r, dtype=float)
+    n = p.shape[-1]
+    if r.shape[-1] == n:  # n(n+1)/2 > n: a matrix
+        i, j, _ = slot_index(n)
+        r = 0.5 * (r[..., i, j] + r[..., j, i])
+    p, r = _rows(p), _rows(r)
     # a state that overflows (a stored u of 1e300, say) gets inf and NaN
     # curvatures, which fail every margin test: that is its report, and
     # numpy's floating-point warnings would only repeat it on stderr
     with np.errstate(over="ignore", invalid="ignore"):
-        w, gu = gamma_factors(p)
-        A = gu @ r @ gu / w[..., None, None]
-        A = 0.5 * (A + np.swapaxes(A, -1, -2))
-        kappa = _eigenvalues(A)
-        lam = kappa.sum(axis=-1, keepdims=True) - kappa
-        margin = lam.min(axis=-1)
-        K_eta = np.prod(lam, axis=-1)
-
-    geom = BatchGeometry(
-        w=w, gamma_up=gu, A=A, kappa=kappa,
-        K_eta=K_eta, margin=margin,
-    )
+        w = np.sqrt(1.0 + _dot(p, p))
+        A = _conjugate(r, p, 1.0 / (w * (1.0 + w)), w)
+        kappa = _eigenvalues(A, n)
+        s = sum(kappa[1:], kappa[0])
+        lam = s - kappa
+        geom = BatchGeometry(p=p, w=w, a=A, kappa=_columns(kappa),
+                             sigma_1=s, K_eta=lam.prod(axis=0),
+                             margin=lam.min(axis=0))
     if coeffs:
-        add_coefficients(geom, p)
+        add_coefficients(geom)
     return geom
 
 
-def add_coefficients(geom, p):
-    """Fill in f_i, F, G2 and Gs of a plain BatchGeometry of gradients p.
+def _horner(kappa, s):
+    """[(k, d_k)] for k = n-3 down to 1, the terms of F = sum_k d_k (s^k I
+    - A^k) past d_{n-1} = 1 and d_{n-2} = 0 (see add_coefficients)."""
+    n = kappa.shape[-1]
+    terms = []
+    if n >= 4:
+        e = cones.sigma_all(kappa)
+        d = np.zeros_like(s)
+        for k in range(n - 3, 0, -1):
+            d = (-1.0) ** (n - k - 1) * e[..., n - k - 1] + s * d
+            terms.append((k, d))
+    return terms
+
+
+def add_coefficients(geom):
+    """Fill in the rows f, g2 and gs (F, G2 and Gs) of a plain
+    BatchGeometry.
 
     batch_geometry(p, r) is batch_geometry(p, r, coeffs=False) completed by
     this, so a caller holding the plain geometry of a state pays only for
@@ -236,40 +344,39 @@ def add_coefficients(geom, p):
 
     d_{n-1} = 1, d_{n-2} = a_{n-1} + s = 0 and d_k = a_{k+1} + s d_{k+1}
     (Horner's rule for (chi(s) - chi(x)) / (s - x)).  So n = 2 gives
-    F = s I - A and n = 3 gives F = s^2 I - A^2.
+    F = s I - A and n = 3 gives F = s^2 I - A^2.  The powers of A are
+    products of commuting symmetric matrices, so their upper rows suffice.
     """
-    p = np.asarray(p, dtype=float)
-    w, gu, A, kappa = geom.w, geom.gamma_up, geom.A, geom.kappa
-    n = kappa.shape[-1]
-    e = cones.sigma_all(kappa)
-    s = e[..., 1]
-    powers = [A]
-    for _ in range(n - 2):
-        powers.append(powers[-1] @ A)
+    p, w, A, s = geom.p, geom.w, geom.a, geom.sigma_1
+    n = len(p)
+    i, j, slot = slot_index(n)
+    diag = np.diagonal(slot)
+    with np.errstate(over="ignore", invalid="ignore"):
+        powers = [A]
+        for _ in range(n - 2):
+            powers.append(np.einsum("kl...,kl...->k...",
+                                    powers[-1][slot[i]], A[slot[j]]))
 
-    def term(k):
-        return (s[..., None] ** k - kappa ** k,
-                s[..., None, None] ** k * np.eye(n) - powers[k - 1])
+        def term(k):
+            t = -powers[k - 1]
+            t[diag] += s ** k
+            return t
+        F = term(n - 1)
+        for k, d in _horner(geom.kappa, s):
+            F += d * term(k)
+        c = 1.0 / (w * (1.0 + w))
+        G2 = _conjugate(F, p, c, w)
 
-    f_i, F = term(n - 1)
-    d = np.zeros_like(s)
-    for k in range(n - 3, 0, -1):
-        d = (-1.0) ** (n - k - 1) * e[..., n - k - 1] + s * d
-        fk, Fk = term(k)
-        f_i = f_i + d[..., None] * fk
-        F = F + d[..., None, None] * Fk
-    G2 = gu @ F @ gu / w[..., None, None]
+        # gradient-slot coefficients (exact dK_eta/dp at fixed r; checked
+        # against central differences on random states):
+        #   Gs = -(p/w^2) sum_i f_i kappa_i - (2/w) gamma_up . F . A . p,
+        # F . A being symmetric because F is a polynomial in A, and
+        # sum_i f_i kappa_i = n K_eta, as K_eta is homogeneous of degree n
+        y = _matvec(F, _matvec(A, p))
+        Gs = (-(n * geom.K_eta / (w * w)) * p
+              - (2.0 / w) * (y - (c * _dot(p, y)) * p))
 
-    # gradient-slot coefficients (exact dK_eta/dp at fixed r; checked
-    # against central differences on random states):
-    #   Gs = -(p/w^2) sum_i f_i kappa_i - (2/w) gamma_up . F . A . p,
-    # F . A being symmetric because F is a polynomial in A
-    fk = np.sum(f_i * kappa, axis=-1)
-    FAp = F @ (A @ p[..., None])
-    Gs = (-(p / (w * w)[..., None]) * fk[..., None]
-          - (2.0 / w)[..., None] * (gu @ FAp)[..., 0])
-
-    geom.f_i, geom.F, geom.G2, geom.Gs = f_i, F, G2, Gs
+    geom.f, geom.g2, geom.gs = F, G2, Gs
     return geom
 
 

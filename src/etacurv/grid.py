@@ -21,8 +21,9 @@ Every stencil lives in one stacked CSR operator, Grid.ops(), of shape
 (k*m, m) with k = n(n+1)/2 + n: row slot * m + q applies derivative `slot`
 at node q (slot order: _hessian_slots).  Dirichlet data is identically
 zero, so boundary samples drop out of it.  all_derivatives is one product
-with it.  OpsPattern.assemble sums its slot blocks scaled row-wise by
-coefficients shaped like (D^2u, Du, u): the solver's Jacobian.
+with it, and its values stay in those slot rows.  OpsPattern.assemble sums
+the slot blocks and the identity scaled row-wise by weight rows in the same
+slot order: the solver's Jacobian.
 
 coarse_level builds the 2h grid below a grid and both transfers between
 them as one CoarseLevel, reading coarse cell corners at flat offsets too.
@@ -30,6 +31,7 @@ them as one CoarseLevel, reading coarse cell corners at flat offsets too.
 
 from __future__ import annotations
 
+import functools
 import itertools
 from dataclasses import dataclass, field
 
@@ -44,14 +46,32 @@ def _hessian_slots(n):
     return [(i, j) for i in range(n) for j in range(i, n)]
 
 
+@functools.cache
+def slot_index(n):
+    """(rows, cols, slot): the row i and column j of each Hessian slot, and
+    slot[i, j] the slot of entry (i, j) of a symmetric n x n matrix, which
+    is that of (j, i).  Read-only, built once per n."""
+    rows, cols = np.array(_hessian_slots(n)).reshape(-1, 2).T
+    slot = np.empty((n, n), dtype=np.intp)
+    slot[rows, cols] = slot[cols, rows] = np.arange(len(rows))
+    for a in (rows, cols, slot):
+        a.flags.writeable = False
+    return rows, cols, slot
+
+
+def symmetric(entries):
+    """Symmetric matrices (..., n, n) from their upper-triangle entries
+    (..., n(n+1)/2) in slot order (n^2 < 2 n(n+1)/2 < (n+1)^2)."""
+    n = int(np.sqrt(2 * entries.shape[-1]))
+    return entries[..., slot_index(n)[2]]
+
+
 def _unstack(d, n):
-    """(p, r): gradient (..., n) and symmetric Hessian (..., n, n) from
-    derivative values d of shape (k, ...) in slot order."""
-    hess = _hessian_slots(n)
-    r = np.empty(d.shape[1:] + (n, n))
-    for k, (i, j) in enumerate(hess):
-        r[..., i, j] = r[..., j, i] = d[k]
-    return np.ascontiguousarray(np.moveaxis(d[len(hess):], 0, -1)), r
+    """(p, hess): gradient (..., n) and Hessian entries (..., n(n+1)/2) in
+    slot order, views of derivative values d of shape (k, ...) in slot
+    order, with the slot axis moved last."""
+    k = len(_hessian_slots(n))
+    return np.moveaxis(d[k:], 0, -1), np.moveaxis(d[:k], 0, -1)
 
 
 @dataclass
@@ -61,11 +81,10 @@ class OpsPattern:
 
     For every nonzero stack entry, then every diagonal entry of the
     identity (as if stacked as rows k*m .. k*m + m - 1), the pattern holds
-    its value, its stack row (slot * m + node) and its position in the
-    union's CSR data array.
+    its value (doubled in a mixed Hessian slot, see assemble), its stack
+    row (slot * m + node) and its position in the union's CSR data array.
     """
 
-    n: int
     shape: tuple
     indices: np.ndarray
     indptr: np.ndarray
@@ -73,20 +92,18 @@ class OpsPattern:
     vals: np.ndarray
     target: np.ndarray
 
-    def assemble(self, hess, grad, diag):
-        """CSR sum_{i,j} diag(hess[:, i, j]) D_ij + sum_s diag(grad[:, s]) D_s
-        + diag(diag), the linearization in (D^2u, Du, u).
+    def assemble(self, weights):
+        """CSR sum_{i,j} diag(H_ij) D_ij + sum_s diag(g_s) D_s + diag(d),
+        the linearization in (D^2u, Du, u), from its weight rows (k + 1, m):
+        the entries of the symmetric H in slot order, then g, then d.
 
-        hess (m, n, n), grad (m, n) and diag (m,) are shaped like the
-        derivatives they multiply; hess is read on i <= j, each mixed entry
-        counted twice, since D_ij = D_ji.  One gather-multiply and one
-        bincount, which adds each position's terms in stack order, as a
-        chain of CSR additions would.  The pattern is the union's whatever
-        the coefficients: entries that come out exactly zero are kept.
+        The value of each mixed stencil entry is stored doubled, since
+        D_ij = D_ji, so row k of weights scales slot k as it stands.  One
+        gather-multiply and one bincount, which adds each position's terms
+        in stack order, as a chain of CSR additions would.  The pattern is
+        the union's whatever the coefficients: entries that come out
+        exactly zero are kept.
         """
-        weights = np.concatenate(
-            [[hess[:, i, j] * (1.0 if i == j else 2.0)
-              for i, j in _hessian_slots(self.n)], grad.T, diag[None]])
         terms = weights.ravel()[self.gather] * self.vals
         data = np.bincount(self.target, weights=terms, minlength=len(self.indices))
         return scipy.sparse.csr_matrix((data, self.indices, self.indptr),
@@ -333,10 +350,14 @@ def _build_pattern(grid):
     del keys, order, first  # freed before the outputs are allocated
     indptr = np.zeros(m + 1, dtype=np.int32)
     np.cumsum(np.bincount(unique // m, minlength=m), out=indptr[1:])
+    i, j, _ = slot_index(grid.n)
+    # a mixed slot's weight is one entry of a symmetric H, D_ij = D_ji
+    double = np.append(np.where(i == j, 1.0, 2.0), np.ones(grid.n + 1))
     return OpsPattern(
-        n=grid.n, shape=(m, m), indices=(unique % m).astype(np.int32),
+        shape=(m, m), indices=(unique % m).astype(np.int32),
         indptr=indptr, gather=rows,
-        vals=np.concatenate([stack.data[keep], np.ones(m)]), target=target)
+        vals=np.concatenate([stack.data[keep], np.ones(m)]) * double[rows // m],
+        target=target)
 
 
 #: nested dissection stops splitting parts of at most this many nodes
@@ -465,7 +486,9 @@ def coarse_level(fine, min_nodes):
 
 
 def all_derivatives(grid, u):
-    """Gradient (m, n) and Hessian (m, n, n) of a grid function: one product
-    with the stacked operator."""
+    """Gradient (m, n) and Hessian entries (m, n(n+1)/2), in slot order, of
+    a grid function: one product with the stacked operator, of which both
+    are views with the node axis first; each entry's values over the nodes
+    are one contiguous row."""
     d = grid.ops() @ np.asarray(u, dtype=float)
     return _unstack(d.reshape(-1, grid.size), grid.n)

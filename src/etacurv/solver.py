@@ -380,7 +380,8 @@ def jacobian(spec, grid, u, eps, state=None):
 
     Row q chains (1/n) G^{1/n-1} through the Hessian stencils (G^{ij}) and
     gradient stencils (G^s), minus the psi_eps^{1/n} derivatives on the
-    gradient stencils and the diagonal.  state is the (p, r, geo, psi) of u
+    gradient stencils and the diagonal: weight rows in slot order, straight
+    from the geometry's rows.  state is the (p, r, geo, psi) of u
     that _evaluate returned for an admissible u, used as given: only the
     geometry's coefficient block is added to it.  Without one, u is
     evaluated here (NotAdmissible off the cone).  J is assembled on the
@@ -388,13 +389,12 @@ def jacobian(spec, grid, u, eps, state=None):
     depend on u.
     """
     p, _, geo, _ = _admissible(spec, grid, u, eps)[1] if state is None else state
-    add_coefficients(geo, p)
+    add_coefficients(geo)
     n = spec.n
     alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
     droot_dz, droot_dp = _psi_eps_derivs(spec, grid, u, p, eps)
-    return grid.ops_pattern().assemble(alpha[:, None, None] * geo.G2,
-                                       alpha[:, None] * geo.Gs - droot_dp,
-                                       -droot_dz)
+    return grid.ops_pattern().assemble(np.concatenate(
+        [alpha * geo.g2, alpha * geo.gs - droot_dp.T, -droot_dz[None]]))
 
 
 class _Factorization:
@@ -643,7 +643,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
         p, r = state[:2]
         stage.sup_u = float(np.abs(u).max())
         stage.sup_du = float(np.linalg.norm(p, axis=1).max())
-        stage.sup_d2u = float(np.abs(_eigenvalues(r)).max())
+        stage.sup_d2u = float(np.abs(_eigenvalues(r.T, spec.n)).max())
         stage.factorizations = factorization.factorizations - done[0]
         stage.refinements = factorization.refinements - done[1]
         stage.fallbacks = factorization.fallbacks - done[2]
@@ -866,9 +866,7 @@ def write_solution(path, spec, grid, u, report, config_echo=()):
     lines += [f"# {line}" for line in config_echo]
     lines.append(f"# {report.summary()}")
     lines.append("# " + " ".join(cols))
-    table = np.column_stack(
-        (grid.pos, u, p, *(r[:, i, j] for i in range(n) for j in range(i, n)),
-         geo.kappa, geo.K_eta, res))
+    table = np.column_stack((grid.pos, u, p, r, geo.kappa, geo.K_eta, res))
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
         for text in decimal17.encode_table(table):

@@ -844,6 +844,24 @@ def test_verify_reads_every_value_as_float_does(solved, tmp_path):
     assert np.array_equal(cli._read_solution(grouped, spec, grid), u)
 
 
+def test_read_solution_u_owns_its_data(solved, tmp_path):
+    # u is a copy of its column, not a view keeping the whole table alive,
+    # on both the table parse and the float() rescan
+    sol, cfg = solved
+    spec = build_problem(load_config(cfg))
+    grid = build_grid(spec.shape, spec.h)
+    lines = sol.read_text().splitlines()
+    k = next(k for k, ln in enumerate(lines) if not ln.startswith("#"))
+    parts = lines[k].split()
+    parts[spec.n] = parts[spec.n].replace(".", ".0_", 1)  # only float() reads it
+    lines[k] = " ".join(parts)
+    grouped = tmp_path / "grouped.dat"
+    grouped.write_text("\n".join(lines) + "\n")
+    for path in (sol, grouped):
+        u = cli._read_solution(path, spec, grid)
+        assert u.base is None and u.flags.owndata and u.shape == (grid.size,)
+
+
 def test_verify_blank_rows_exit_1_naming_the_first(solved, tmp_path, capsys):
     sol, cfg = solved
     lines = sol.read_text().splitlines()

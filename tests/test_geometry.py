@@ -1,4 +1,5 @@
 import itertools
+import warnings
 from types import SimpleNamespace
 
 import numpy as np
@@ -8,6 +9,7 @@ import scipy.linalg
 from etacurv import cones, geometry
 from etacurv.domain import DomainShape
 from etacurv.geometry import PointState
+from etacurv.grid import symmetric
 from etacurv.solver import ProblemSpec, continuation_solve
 
 
@@ -29,10 +31,15 @@ def eta_eigen(state):
     return np.sort(lam)
 
 
+GEOMETRY_FIELDS = ("w", "gamma_up", "A", "kappa", "K_eta", "margin",
+                   "f_i", "F", "G2", "Gs")
+
+
 def geo_at(p, r, coeffs=True):
     """batch_geometry of the single state (p, r), without the batch axis."""
     g = geometry.batch_geometry(np.asarray(p)[None], np.asarray(r)[None], coeffs)
-    return SimpleNamespace(**{k: v[0] for k, v in vars(g).items() if v is not None})
+    return SimpleNamespace(**{k: getattr(g, k)[0] for k in GEOMETRY_FIELDS
+                              if getattr(g, k) is not None})
 
 
 def gamma_down(p):
@@ -155,9 +162,9 @@ def _cap3d_curvature_matrices(monkeypatch):
     seen = []
     eigenvalues = geometry._eigenvalues
 
-    def record(A):
-        seen.append(A.copy())
-        return eigenvalues(A)
+    def record(S, n):
+        seen.append(symmetric(np.moveaxis(S, 0, -1)))
+        return eigenvalues(S, n)
 
     monkeypatch.setattr(geometry, "_eigenvalues", record)
     spec = ProblemSpec(n=3, shape=DomainShape((0.5,) * 3), psi="8", h=1 / 24)
@@ -228,13 +235,95 @@ def test_nonfinite_curvature_matrix_fails_the_margin(n):
     # inf - inf and 0 * inf on the way are the point, not an accident
     with np.errstate(invalid="ignore"):
         g = geometry.batch_geometry(np.zeros((len(A), n)), A, coeffs=False)
-        kappa = geometry._eigenvalues(A[:-1])
+        i, j = np.array(upper).T
+        kappa = geometry._eigenvalues(A[:-1, i, j].T, n).T
     assert np.isnan(g.margin[:-1]).all() and np.isnan(g.K_eta[:-1]).all()
     assert np.allclose(g.kappa[-1], np.linalg.eigvalsh(A[-1]), rtol=0, atol=1e-14)
     if n >= 3:
         assert np.isnan(kappa).all()
     else:  # hypot(inf, nan) is inf: NaN entries only
         assert np.isnan(kappa[~np.isinf(A[:-1]).any(axis=(1, 2))]).all()
+
+
+def _independent_geometry(p, r):
+    """A, kappa, K_eta and margin of states (p, r) by another route than
+    batch_geometry's: gamma_up r gamma_up / w by einsum, then eigvalsh."""
+    n = p.shape[-1]
+    w = np.sqrt(1.0 + np.einsum("...i,...i->...", p, p))
+    gu = np.eye(n) - (np.einsum("...i,...j->...ij", p, p)
+                      / (w * (1.0 + w))[..., None, None])
+    A = np.einsum("...ik,...kl,...lj->...ij", gu, r, gu) / w[..., None, None]
+    kappa = np.linalg.eigvalsh(A)
+    lam = kappa.sum(axis=-1, keepdims=True) - kappa
+    return A, kappa, lam.prod(axis=-1), lam.min(axis=-1)
+
+
+def _kernel_cases(rng, lead, n):
+    """(p, r) stacks of leading shape lead: slopes |p| from 1e-3 to 1e3
+    with random symmetric Hessians; curvature matrices near a triple root
+    (|p| <= 2: past that r's entries grow like w^3 and any route loses the
+    split); a flat slope p = 0."""
+    m = int(np.prod(lead, dtype=int))
+    direction = rng.normal(size=(m, n))
+    direction /= np.linalg.norm(direction, axis=-1, keepdims=True)
+    p = direction * 10.0 ** rng.uniform(-3.0, 3.0, size=(m, 1))
+    r = rng.normal(size=(m, n, n))
+    cases = [(p, 0.5 * (r + np.swapaxes(r, -1, -2)))]
+    kappa = 2.0 * (1.0 + 1e-9 * rng.normal(size=(m, n)))
+    p = direction * rng.uniform(0.0, 2.0, size=(m, 1))
+    w = np.sqrt(1.0 + np.sum(p * p, axis=-1))
+    gd = gamma_down(p)
+    r = w[:, None, None] * gd @ _rotated(rng, kappa) @ gd
+    cases.append((p, 0.5 * (r + np.swapaxes(r, -1, -2))))
+    cases.append((np.zeros((m, n)), cases[0][1]))
+    return [(p.reshape(lead + (n,)), r.reshape(lead + (n, n))) for p, r in cases]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+@pytest.mark.parametrize("lead", [(), (5,), (2, 5)])
+def test_kernel_matches_independent_reference(n, lead):
+    # the entrywise kernel against einsum and LAPACK, on every leading
+    # shape the checks pass, with r given as matrices or as slot entries
+    rng = np.random.default_rng([36, n, len(lead)])
+    upper = tuple(np.array([(i, j) for i in range(n) for j in range(i, n)]).T)
+    for p, r in _kernel_cases(rng, lead, n):
+        g = geometry.batch_geometry(p, r)
+        rows = geometry.batch_geometry(p, r[(...,) + upper])
+        for name in ("A", "kappa", "K_eta", "margin", "F", "G2", "Gs"):
+            got, want = getattr(g, name), getattr(rows, name)
+            assert got.shape == want.shape and np.array_equal(got, want), name
+        A, kappa, K_eta, margin = _independent_geometry(p, r)
+        assert g.A.shape == A.shape and g.kappa.shape == kappa.shape
+        assert g.K_eta.shape == g.margin.shape == lead
+        scale = np.abs(A).max(axis=(-2, -1))
+        assert np.all(np.abs(g.A - A).max(axis=(-2, -1)) <= 1e-13 * scale)
+        assert np.all(np.abs(g.kappa - kappa).max(axis=-1) <= 1e-13 * scale)
+        assert np.all(np.abs(g.margin - margin) <= 1e-13 * scale)
+        assert np.all(np.abs(g.K_eta - K_eta) <= 1e-13 * (n * scale) ** n)
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_kernel_nonfinite_state_fails_quietly(n, capfd):
+    # a NaN or inf anywhere in p or r: NaN margin, a failed cone test,
+    # coefficients too, and not a word on stderr
+    rng = np.random.default_rng(37)
+    states = []
+    for value in (np.nan, np.inf, -np.inf):
+        for k in range(n):
+            p, r = rng.normal(size=n), np.eye(n)
+            p[k] = value
+            states.append((p, r))
+        for i, j in [(i, j) for i in range(n) for j in range(i, n)]:
+            p, r = rng.normal(size=n), np.eye(n)
+            r[i, j] = r[j, i] = value
+            states.append((p, r))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for p, r in states:
+            g = geometry.batch_geometry(p[None], r[None])
+            assert np.isnan(g.margin).all()
+            assert not g.cone_test(-np.inf)[0]
+    assert capfd.readouterr().err == ""
 
 
 def test_polynomial_F_matches_spectral_grad():
@@ -264,7 +353,7 @@ def test_polynomial_F_matches_spectral_grad():
 
 def test_hessian_coeffs_fd_and_ellipticity():
     rng = np.random.default_rng(15)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for _ in range(30):
             st = random_admissible_state(rng, n)
             G2 = geo_at(st.p, st.r).G2
@@ -282,7 +371,7 @@ def test_hessian_coeffs_fd_and_ellipticity():
 
 def test_gradient_coeffs_fd():
     rng = np.random.default_rng(16)
-    for n in (2, 3):
+    for n in (2, 3, 4):
         for _ in range(40):
             st = random_admissible_state(rng, n)
             Gs = geo_at(st.p, st.r).Gs

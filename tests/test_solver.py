@@ -321,7 +321,7 @@ def test_add_coefficients_completes_plain_geometry():
         full = batch_geometry(p, r, coeffs=True)
         plain = batch_geometry(p, r, coeffs=False)
         assert plain.G2 is None
-        geometry.add_coefficients(plain, p)
+        geometry.add_coefficients(plain)
         for name in ("f_i", "F", "G2", "Gs"):
             assert np.array_equal(getattr(plain, name), getattr(full, name))
 
@@ -350,7 +350,7 @@ def test_jacobian_with_carried_state_equals_fresh(monkeypatch):
 def _csr_sum_jacobian(spec, grid, u, eps):
     """Reference J: the operators' row-weighted sum by CSR additions."""
     p, _, geo, _ = solver._evaluate(spec, grid, u, eps)[1]
-    geometry.add_coefficients(geo, p)
+    geometry.add_coefficients(geo)
     n, m = spec.n, grid.size
     Dx, D2 = _operators(grid)
     alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
@@ -1294,15 +1294,19 @@ def test_prolonged_start_outside_cone_falls_back_to_warm():
     for st in report.stages:
         assert (st.rejected_margin is None) == (st.start == "prolonged")
         assert st.margins[0] > 0.0 and st.residual_norms[-1] <= 1e-10
-    # the rejected start is that stage's 2h solution, prolonged
+    # the rejected start is that stage's 2h solution, prolonged: the 2h
+    # level solved as the nested solve solves it (a solve down a shorter
+    # schedule walks the levels below on another path, and its solution
+    # differs in the last bits)
     k = starts.index("warm")
     eps = report.stages[k].eps
-    ran = [st.eps for st in report.coarse.stages]
-    coarse = build_grid(DISK, 2 * h)
-    u_2h, _ = continuation_solve(
-        replace(spec, h=2 * h, eps_schedule=ran[:ran.index(eps) + 1]), coarse)
+    level = coarse_level(grid, solver.COARSEST_NODES)
+    schedules, _ = solver.effective_schedule(spec, grid)
+    _, _, solved = solver._solve_level(
+        replace(spec, h=2 * h), level.grid,
+        solver.initial_guess(spec, grid)[level.shared], schedules, [])
     with pytest.raises(NotAdmissible) as info:
-        residual(spec, grid, coarse_level(grid, 0).prolong(u_2h), eps)
+        residual(spec, grid, level.prolong(solved[eps]), eps)
     assert info.value.margin == report.stages[k].rejected_margin < 0.0
 
 
