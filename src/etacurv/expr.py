@@ -390,6 +390,15 @@ def _dims(a, b):
     return None
 
 
+def _power(a, b):
+    """a^b: the exact product a * a for a square, else np.float_power, the
+    C library's pow one value at a time.  numpy's own power loop rounds
+    other exponents differently with and without AVX-512."""
+    if np.ndim(b) == 0 and b == 2.0:
+        return np.multiply(a, a)
+    return np.float_power(a, b)
+
+
 def _binop(node, a, b):
     av, bv = _val(a), _val(b)
     d = _dims(a, b)
@@ -425,19 +434,19 @@ def _binop(node, a, b):
                 raise DomainError("fractional power of a negative base", to_text(node))
             if np.any((np.asarray(av) == 0.0) & (np.asarray(bv) < 0.0)):
                 raise DomainError("negative power of zero", to_text(node))
-            v = np.power(av, bv)
+            v = _power(av, bv)
             if d is None:
                 return v
             k = np.asarray(bv)
             if np.all(k == 0.0):
                 return _Dual(v, np.zeros(np.shape(np.asarray(v)) + (d,)))
             with np.errstate(divide="ignore", invalid="ignore"):
-                dk = (k * np.power(av, k - 1.0))[..., None] * _grad(a, av, d)
+                dk = (k * _power(av, k - 1.0))[..., None] * _grad(a, av, d)
             return _Dual(v, dk)
         # genuinely variable exponent: demand a positive base
         if np.any(np.asarray(av) <= 0.0):
             raise DomainError("variable power of a non-positive base", to_text(node))
-        v = np.power(av, bv)
+        v = _power(av, bv)
         if d is None:
             return v
         lg = np.log(av)
@@ -566,11 +575,11 @@ def _zp_seeds(name, val, env):
         w = np.asarray(env.w, dtype=float)
         if k < n:
             # nu_k = -p_k / w
-            g[..., 1:] = (p[..., k : k + 1] * p) / (w ** 3)[..., None]
+            g[..., 1:] = (p[..., k : k + 1] * p) / np.float_power(w, 3.0)[..., None]
             g[..., 1 + k] -= 1.0 / w
         else:
             # nu_{n+1} = 1/w
-            g[..., 1:] = -p / (w ** 3)[..., None]
+            g[..., 1:] = -p / np.float_power(w, 3.0)[..., None]
         return g
     return None  # x, r carry no (z, p) dependence
 

@@ -40,10 +40,16 @@ directly.  For n = 3 the trigonometric formula gives only the isolated
 eigenvalue of A's traceless part, which stays well conditioned where the
 other two meet (the cap's triple root); those are deflated, by the 2x2
 form on the plane across its eigenvector.  Both agree with LAPACK's
-eigvalsh to 1e-14 * max |A_ij| (measured 1.8e-15 over the 32,909 curvature
+eigvalsh to 1e-14 * max |A_ij| (measured 2.2e-15 over the 32,909 curvature
 matrices of a 3D cap solve at h = 1/24); n >= 4 calls eigvalsh.  A
 curvature matrix with a NaN or inf entry gives a NaN margin in every n, so
 the state fails the cone test.
+
+No step calls a numpy loop whose last bits depend on the CPU's SIMD
+features: the n = 3 formula's cosine is a Newton root of a cubic, not
+cos(arccos(.)), and the powers of sigma_1 are np.float_power, the C
+library's pow.  So the geometry of a state is the same with and without
+numpy's AVX-512 loops.
 """
 
 from __future__ import annotations
@@ -233,11 +239,16 @@ def _eigenvalues3(S):
 
     On the traceless part D = A - (tr A/3) I, the trigonometric closed
     form (O. K. Smith, CACM 4, 1961) gives only the isolated eigenvalue
-    lam: the largest when det D >= 0, else the smallest.  Its gap to the
-    other two is at least half the spread of the three, so it stays well
-    conditioned where they coincide, which is where the formula's own
-    values for them lose accuracy (up to 7.9e-9 * max |kappa| on the
-    curvature matrices of a 3D cap solve, near the triple root).  They are deflated instead:
+    lam = +-2 p cos(arccos(r)/3): the largest when det D >= 0, else the
+    smallest.  Its cosine is taken as the root of 4t^3 - 3t = r that it
+    is, by Newton steps of arithmetic alone, so the routine calls only
+    sqrt, frexp, ldexp and copysign: no transcendental function, whose
+    last bits would depend on which SIMD loop numpy dispatches.  lam's gap
+    to the other two is at least half the spread of the three, so it
+    stays well conditioned where they coincide, which is where the
+    formula's own values for them lose accuracy (up to 7.9e-9 * max
+    |kappa| on the curvature matrices of a 3D cap solve, near the triple
+    root).  They are deflated instead:
     adj(D - lam I) = (mu_1 - lam)(mu_2 - lam) v v^T, its columns being the
     cross products of rows of D - lam I, gives lam's eigenprojector v v^T,
     and D restricted to the plane across v has eigenvalues m -+ rad with
@@ -264,7 +275,14 @@ def _eigenvalues3(S):
     det = a * (d * f - e * e) - b * (b * f - c * e) + c * (b * e - c * d)
     pc = np.maximum(p, 0.1)
     r = np.minimum(np.abs(det) / (2.0 * pc * pc * pc), 1.0)
-    lam = np.copysign(2.0 * p * np.cos(np.arccos(r) / 3.0), det)
+    # t = cos(arccos(r)/3), the largest root of g(t) = 4t^3 - 3t - r, lies in
+    # [sqrt(3)/2, 1], where g' >= 6 and g'' > 0: Newton from t = 1 falls to
+    # it monotonically, in exact arithmetic within 1e-23 after 5 steps at
+    # r = 0, its slowest; the last two leave it to rounding
+    t = np.ones_like(r)
+    for _ in range(7):
+        t -= (t * (4.0 * t * t - 3.0) - r) / (12.0 * t * t - 3.0)
+    lam = np.copysign(2.0 * p * t, det)
 
     # the trace of adj(D - lam I) is >= gap^2 >= 1/16 and normalizes it to
     # v v^T (D = 0 keeps the tiny floor); E has eigenvalues -+ rad and 0
@@ -359,7 +377,7 @@ def add_coefficients(geom):
 
         def term(k):
             t = -powers[k - 1]
-            t[diag] += s ** k
+            t[diag] += np.float_power(s, k)
             return t
         F = term(n - 1)
         for k, d in _horner(geom.kappa, s):

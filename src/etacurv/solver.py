@@ -27,6 +27,12 @@ SolveReport.error_estimate.
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test at CONE_FLOOR (start and trial steps alike), psi
 and the residual; its Jacobian and its StageReport reuse that state.
+Where psi reads position alone (expr.beyond_position), its derivatives in
+z and Du vanish identically, and the Jacobian takes zero rows for them
+without evaluating psi's dual numbers.  Every array power here is
+np.float_power, which calls the C library's pow one value at a time:
+numpy's own power loop rounds differently with and without AVX-512, and
+a solution file's last bits would follow the CPU class.
 Each Newton equation J du = -F is solved
 inexactly, only as accurately as the Newton step needs: to the forcing
 target ||J du + F||_inf <= eta ||F||_inf, eta = min(1/10, FORCING ||F||_inf),
@@ -69,6 +75,7 @@ from .domain import check_two_convex
 from .expr import (
     EvalEnv,
     NegativePsi,
+    beyond_position,
     check_dimension,
     eval_with_derivs,
     evaluate,
@@ -313,7 +320,7 @@ def regularize_psi(psi_value, eps, n):
     if eps == 0.0:
         return v + 0.0
     q = n - 1.0
-    return (v ** (1.0 / q) + eps) ** q
+    return np.float_power(np.float_power(v, 1.0 / q) + eps, q)
 
 
 def _psi_env(grid, u, p):
@@ -332,11 +339,11 @@ def _psi_eps_derivs(spec, grid, u, p, eps):
     """
     n = spec.n
     val, dz, dp = eval_with_derivs(spec.psi, _psi_env(grid, u, p))
-    t = np.asarray(val, dtype=float) ** (1.0 / (n - 1.0))
+    t = np.float_power(np.asarray(val, dtype=float), 1.0 / (n - 1.0))
     # for n >= 4 the clamped t^{2-n} overflows at psi = 0; the where drops it
-    base = np.maximum(t + eps, 1e-300) ** (-1.0 / n)
+    base = np.float_power(np.maximum(t + eps, 1e-300), -1.0 / n)
     with np.errstate(over="ignore", invalid="ignore"):
-        chain = base * np.maximum(t, 1e-300) ** (2.0 - n) / n
+        chain = base * np.float_power(np.maximum(t, 1e-300), 2.0 - n) / n
         return (np.where(dz == 0.0, 0.0, chain * dz),
                 np.where(dp == 0.0, 0.0, chain[..., None] * dp))
 
@@ -353,7 +360,8 @@ def _evaluate(spec, grid, u, eps):
         return None, (p, r, geo, None), worst
     n = spec.n
     psi = np.asarray(evaluate(spec.psi, _psi_env(grid, u, p)), dtype=float)
-    res = geo.K_eta ** (1.0 / n) - regularize_psi(psi, eps, n) ** (1.0 / n)
+    res = (np.float_power(geo.K_eta, 1.0 / n)
+           - np.float_power(regularize_psi(psi, eps, n), 1.0 / n))
     return res, (p, r, geo, psi), worst
 
 
@@ -391,10 +399,13 @@ def jacobian(spec, grid, u, eps, state=None):
     p, _, geo, _ = _admissible(spec, grid, u, eps)[1] if state is None else state
     add_coefficients(geo)
     n = spec.n
-    alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
-    droot_dz, droot_dp = _psi_eps_derivs(spec, grid, u, p, eps)
-    return grid.ops_pattern().assemble(np.concatenate(
-        [alpha * geo.g2, alpha * geo.gs - droot_dp.T, -droot_dz[None]]))
+    alpha = (1.0 / n) * np.float_power(geo.K_eta, 1.0 / n - 1.0)
+    if beyond_position(spec.psi):
+        droot_dz, droot_dp = _psi_eps_derivs(spec, grid, u, p, eps)
+        rows = [alpha * geo.gs - droot_dp.T, -droot_dz[None]]
+    else:  # psi of x alone: its derivatives in z and p vanish identically
+        rows = [alpha * geo.gs, np.zeros((1, len(u)))]
+    return grid.ops_pattern().assemble(np.concatenate([alpha * geo.g2] + rows))
 
 
 class _Factorization:

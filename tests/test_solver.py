@@ -1,6 +1,9 @@
 """Newton solver: residual/Jacobian correctness, damping, continuation."""
 
+import os
 import re
+import subprocess
+import sys
 import warnings
 from dataclasses import replace
 
@@ -353,7 +356,7 @@ def _csr_sum_jacobian(spec, grid, u, eps):
     geometry.add_coefficients(geo)
     n, m = spec.n, grid.size
     Dx, D2 = _operators(grid)
-    alpha = (1.0 / n) * geo.K_eta ** (1.0 / n - 1.0)
+    alpha = (1.0 / n) * np.float_power(geo.K_eta, 1.0 / n - 1.0)
     dz, dp = solver._psi_eps_derivs(spec, grid, u, p, eps)
     J = scipy.sparse.csr_matrix((m, m))
     for i in range(n):
@@ -381,7 +384,8 @@ def _newton_step(spec, grid, u, eps):
 
 def test_jacobian_fixed_pattern_equals_csr_sum():
     cases = ((DISK, 2, 1 / 16, "1 + x1^2/2 + exp(z)/4 + nu1^2/8", 1e-2),
-             (BALL, 3, 1 / 6, "8 + x2^2 + exp(z)/2 + nu2^2/4", 1e-1))
+             (BALL, 3, 1 / 6, "8 + x2^2 + exp(z)/2 + nu2^2/4", 1e-1),
+             (DISK, 2, 1 / 16, "r^2", 1e-2))
     for shape, n, h, psi, eps in cases:
         grid = build_grid(shape, h)
         spec = ProblemSpec(n=n, shape=shape, psi=psi, h=h)
@@ -399,6 +403,25 @@ def test_jacobian_fixed_pattern_equals_csr_sum():
                 pattern = J.indices, J.indptr
             assert np.array_equal(J.indices, pattern[0])
             assert np.array_equal(J.indptr, pattern[1])
+
+
+def test_jacobian_skips_psi_duals_for_psi_of_position(monkeypatch):
+    # a psi of x alone has derivatives in z and p that vanish identically:
+    # the Jacobian takes zero rows for them and evaluates no dual numbers
+    calls = []
+    real = solver.eval_with_derivs
+
+    def spy(*args, **kwargs):
+        calls.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "eval_with_derivs", spy)
+    grid = build_grid(DISK, 1 / 16)
+    for psi, expected in (("1 + r^2", 0), ("1 + r^2 + z^2", 1)):
+        spec = ProblemSpec(n=2, shape=DISK, psi=psi, h=1 / 16)
+        calls.clear()
+        jacobian(spec, grid, initial_guess(spec, grid), 1e-2)
+        assert len(calls) == expected, psi
 
 
 # ---------------------------------------------------------------- newton
@@ -1534,3 +1557,47 @@ def test_write_solution_roundtrip(tmp_path):
     assert all(len(ln.split()) == 12 for ln in body)
     vals = np.array([ln.split() for ln in body], dtype=float)
     np.testing.assert_allclose(vals[:, 2], u, rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------- reproducibility
+
+_SOLVE_HASHES = """
+import hashlib
+try:
+    from numpy._core._multiarray_umath import __cpu_features__
+except ImportError:  # numpy 1.x
+    from numpy.core._multiarray_umath import __cpu_features__
+from etacurv.domain import DomainShape
+from etacurv.solver import ProblemSpec, continuation_solve
+print(" ".join(sorted(k for k, on in __cpu_features__.items() if on)))
+for n, h, psi in ((2, 1 / 32, "1"), (3, 1 / 8, "8"), (2, 1 / 32, "1 + nu1^3")):
+    spec = ProblemSpec(n=n, shape=DomainShape((0.5,) * n), psi=psi, h=h)
+    u, _ = continuation_solve(spec)
+    print(hashlib.sha256(u.tobytes()).hexdigest())
+"""
+
+
+def test_solutions_bitwise_equal_on_either_numpy_simd_path():
+    # the 2D and 3D caps (the 3D one reaches _eigenvalues3) and a psi
+    # reading nu through an integer power, each solved in a process with
+    # numpy's AVX-512 loops and in one without: u is the same to the bit.
+    # Those loops round x ** a (a outside {-1, 0, 1/2, 1, 2}), arccos, exp
+    # and log differently; this setting turns them off in numpy 2.x
+    simd_off = "AVX512_SPR AVX512_ICL X86_V4"
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.path.dirname(os.path.dirname(solver.__file__)))
+    env.pop("NPY_DISABLE_CPU_FEATURES", None)
+    runs = []
+    for extra in ({}, {"NPY_DISABLE_CPU_FEATURES": simd_off}):
+        proc = subprocess.run([sys.executable, "-c", _SOLVE_HASHES],
+                              env=dict(env, **extra), capture_output=True,
+                              text=True, check=False)
+        if extra and proc.returncode != 0:
+            pytest.skip(f"this numpy rejects NPY_DISABLE_CPU_FEATURES="
+                        f"{simd_off!r}: {proc.stderr.strip()[-300:]}")
+        assert proc.returncode == 0, proc.stderr
+        runs.append(proc.stdout.split("\n"))
+    (features, *on), (features_off, *off) = runs
+    if features == features_off:
+        pytest.skip("NPY_DISABLE_CPU_FEATURES turned off no CPU feature here")
+    assert on == off
