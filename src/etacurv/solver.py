@@ -41,12 +41,12 @@ Steihaug, SIAM J. Numer. Anal. 19, 1982), floored at STOP_FLOOR
 TOL_RESIDUAL, past which the stop test ||F||_inf <= TOL_RESIDUAL gains
 nothing (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
 1995, sec. 6.3), or to a normwise backward error of at most OMEGA_MAX,
-whichever comes first.  It is solved by iterative refinement on the
-approximate inverse held from an earlier Jacobian while each sweep cuts
-omega below CONTRACTION times the last, else on one built afresh
-(_Factorization): a nested-dissection LU of J, or on a level of n >= 3
-with a 2h level below it a two-grid cycle, whose only factorization is of
-the Galerkin coarse operator: in 3D that is every level but the coarsest,
+whichever comes first.  It is solved by GCR right-preconditioned with
+the approximate inverse held from an earlier Jacobian while each step
+cuts omega below CONTRACTION times the last, else with one built afresh
+(_Factorization): on every level with a 2h level below it, in any
+dimension, a two-grid cycle, whose only factorization is of the Galerkin
+coarse operator, and on the coarsest level a nested-dissection LU of J,
 the one level that factorizes its own J.  A fresh two-grid that does not
 converge falls back to the LU of J, and a direct solve with a fresh LU is
 held to OMEGA_MAX itself.
@@ -131,9 +131,9 @@ MIN_STEP = 1.0 / 1024.0
 #: CONE_FLOOR (1 + |sigma_1|) at every node (BatchGeometry.cone_test)
 CONE_FLOOR = 1e-12
 
-#: the normwise backward error at which refinement stops whatever the
-#: forcing target, and the one a direct solve must meet: 64 unit roundoffs,
-#: a bound that does not tighten as J's conditioning grows
+#: the normwise backward error at which GCR stops whatever the forcing
+#: target, and the one a direct solve must meet: 64 unit roundoffs, a
+#: bound that does not tighten as J's conditioning grows
 OMEGA_MAX = 64.0 * np.finfo(float).eps / 2.0
 
 #: the forcing of the inexact Newton equations: equation k is solved to
@@ -151,14 +151,14 @@ FORCING = 1e-2
 #: step's quadratic term far below the stop tolerance
 STOP_FLOOR = 0.1
 
-#: iterative refinement keeps the held inverse while each sweep cuts the
-#: backward error omega below CONTRACTION times the last; omega <= 1, so
-#: at most 92 sweeps reach OMEGA_MAX
+#: GCR keeps the held inverse while each step cuts the backward error
+#: omega below CONTRACTION times the last; omega <= 1, so at most 92 steps
+#: after the first reach OMEGA_MAX
 CONTRACTION = 0.7
 
-#: the two-grid cycle of a level of n >= 3 with a 2h level below it: this
-#: many damped-Jacobi sweeps before and after the coarse correction, with
-#: this weight
+#: the two-grid cycle of a level with a 2h level below it: this many
+#: damped-Jacobi sweeps before and after the coarse correction, with this
+#: weight
 SMOOTHING_SWEEPS = 2
 SMOOTHING_WEIGHT = 0.7
 
@@ -169,9 +169,10 @@ _AUTO_CAP = 1.05
 #: at least this many nodes.  On the balls of radius 1/2 the coarsest
 #: levels are 2D h = 1/16 (193 nodes; 45 at 1/8), 3D h = 1/6 (93; 19 at
 #: 1/3) and 4D h = 1/4 (65), the smallest lattices whose start still pays:
-#: 3D h = 1/12 (895 nodes) then starts prolonged and holds the two-grid
-#: instead of factorizing its own Jacobians.  At 40 the 2D nesting gains
-#: the 45-node level, and degenerate2d solves 4% slower.
+#: 2D h = 1/32 (793 nodes) and 3D h = 1/12 (895) then start prolonged and
+#: hold the two-grid instead of factorizing their own Jacobians.  At 40
+#: the 2D nesting gains the 45-node level, and degenerate2d solves about
+#: 12% slower, cap2d 4%.
 COARSEST_NODES = 64
 
 
@@ -247,12 +248,12 @@ class StageReport:
     sup_du: float = 0.0
     sup_d2u: float = 0.0
     #: the approximate inverse held at the end of the stage: "lu", a sparse
-    #: LU of J, or "two-grid", the cycle of a level of n >= 3 with a 2h
-    #: level below it
+    #: LU of J, or "two-grid", the cycle of a level with a 2h level below it
     inverse: str = "lu"
     #: sparse LU factorizations (of J or of a two-grid's coarse operator),
-    #: refinement sweeps or cycles on the held inverse, and fallbacks from a
-    #: fresh two-grid that declined to a fine LU, spent in this stage
+    #: GCR steps on the held inverse after the first of each Newton
+    #: equation, and fallbacks from a fresh two-grid that declined to a
+    #: fine LU, spent in this stage
     factorizations: int = 0
     refinements: int = 0
     fallbacks: int = 0
@@ -409,14 +410,14 @@ def jacobian(spec, grid, u, eps, state=None):
 
 
 class _Factorization:
-    """The approximate inverse of a Newton Jacobian held for reuse: a
-    sparse LU of J, or on a level of n >= 3 with a 2h level below it a
-    two-grid cycle (_two_grid).
+    """The approximate inverse of a Newton Jacobian held for reuse: on a
+    level with a 2h level below it a two-grid cycle (_two_grid), else, and
+    after a fallback, a sparse LU of J.
 
     One holder lives for a whole continuation_solve call, across Newton
     iterations and eps stages; it also counts the sparse factorizations
-    (of J or of the cycle's coarse operator), the refinement sweeps, and
-    the fallbacks from a two-grid to a fine LU.  Every factorization is of
+    (of J or of the cycle's coarse operator), the GCR steps, and the
+    fallbacks from a two-grid to a fine LU.  Every factorization is of
     Q A Q^T, Q the nested-dissection order of A's grid: SuperLU is asked
     for no column ordering of its own and keeps its partial row pivoting.
     That order is Grid.dissection(), computed at the grid's first LU and
@@ -476,11 +477,11 @@ class _Factorization:
         return x
 
     def _two_grid(self, J, res, target):
-        """Hold the two-grid cycle of J and refine on it to target (reuse):
-        A_c = P^T J P, P the multilinear interpolation from the 2h level,
-        factorized in the coarse grid's nested-dissection order.  None
-        when A_c's factorization fails or the refinement declines, else
-        reuse's (du, norm)."""
+        """Hold the two-grid cycle of J and solve by GCR on it to target
+        (reuse): A_c = P^T J P, P the multilinear interpolation from the 2h
+        level, factorized in the coarse grid's nested-dissection order.
+        None when A_c's factorization fails or GCR declines, else reuse's
+        (du, norm)."""
         level = self.level
         try:
             lu = self.factorize(level.restriction @ (J @ level.interpolation),
@@ -512,26 +513,44 @@ class _Factorization:
     def reuse(self, J, res, target=0.0):
         """(du, ||J du + res||_inf) with that norm <= target or omega <=
         OMEGA_MAX, whichever it reaches first, du a solution of J du = -res
-        by iterative refinement on the held approximate inverse M:
-        du = M(-res), then sweeps du <- du - M(J du + res).  None when
-        nothing is held, and at the first sweep whose omega is not below
-        CONTRACTION times the last, so a NaN or inf omega declines at once
-        (Higham, Accuracy and Stability of Numerical Algorithms, ch. 12).
-        The default target 0 asks for omega <= OMEGA_MAX."""
+        by GCR right-preconditioned with the held approximate inverse M
+        (Eisenstat, Elman & Schultz, SIAM J. Numer. Anal. 20, 1983).  From
+        du = 0, each step applies M to r = -(J du + res), orthogonalizes
+        q = J M r against the stored products, the same combination taken
+        of the stored directions, and moves du along it to the least
+        ||r||_2; every norm tested is of the true J du + res.  None when
+        nothing is held, and at the first step whose omega is not below
+        CONTRACTION times the last, so where M gives NaN or inf, whose omega
+        is NaN, it declines at once.  Inner products are BLAS dots (@), as
+        in _norm2, so their bits do not follow numpy's SIMD loops.  The
+        default target 0 asks for omega <= OMEGA_MAX."""
         if self.lu is None:
             return None
         norm_J = self.norm_inf(J)
-        du, last = self.apply(-res), np.inf
-        while True:
-            lin = J @ du + res
-            reached = float(np.abs(lin).max())
-            omega = _backward_error(reached, norm_J, du, res)
-            if reached <= target or omega <= OMEGA_MAX:
-                return du, reached
-            if not omega < CONTRACTION * last:
-                return None
-            du, last = du - self.apply(lin), omega
-            self.refinements += 1
+        du, lin, last, basis = np.zeros_like(res), res, np.inf, []
+        with np.errstate(invalid="ignore", over="ignore", divide="ignore"):
+            while True:
+                r = -lin
+                z = self.apply(r)
+                q = J @ z
+                for z_j, q_j in basis:
+                    beta = q_j @ q
+                    q -= beta * q_j
+                    z -= beta * z_j
+                scale = 1.0 / np.sqrt(q @ q)
+                q *= scale
+                z *= scale
+                basis.append((z, q))
+                du += (q @ r) * z
+                lin = J @ du + res
+                reached = float(np.abs(lin).max())
+                omega = _backward_error(reached, norm_J, du, res)
+                if reached <= target or omega <= OMEGA_MAX:
+                    return du, reached
+                if not omega < CONTRACTION * last:
+                    return None
+                last = omega
+                self.refinements += 1
 
     def solve(self, J, res, target=0.0):
         """(du, ||J du + res||_inf): du a solution of J du = -res with
@@ -539,10 +558,10 @@ class _Factorization:
         (see _backward_error); the default target 0 asks for omega <=
         OMEGA_MAX.  The norm is the one the last test of du computed.
 
-        Refinement on the held inverse is tried first (reuse).  When a
-        sweep does not cut omega below CONTRACTION times the last, it
-        declines, and the level's inverse is built afresh from J: a two-grid
-        is refined on again, and an LU of J is solved directly.  When a
+        GCR on the held inverse is tried first (reuse).  When a step
+        does not cut omega below CONTRACTION times the last, it declines,
+        and the level's inverse is built afresh from J: a two-grid is
+        solved on by GCR again, and an LU of J is solved directly.  When a
         fresh two-grid declines too, J is factorized and solved directly
         (a fallback).  A direct solve is held to omega <= OMEGA_MAX
         whatever the target, and one that misses it raises
@@ -695,8 +714,8 @@ def continuation_solve(spec, grid=None, u0=None):
 
     Nested iteration: the same problem is first solved on the 2h lattice,
     recursively while that lattice has at least COARSEST_NODES nodes, from
-    u0 injected onto it and with the same schedules; in 3D every level but
-    the coarsest holds a two-grid over the level below it.  A level with a
+    u0 injected onto it and with the same schedules; every level but the
+    coarsest holds a two-grid over the level below it.  A level with a
     coarse level starts its schedule at the join: the last eps but one, or
     failing that the eps before it and so on, whose solution on the next
     coarser level, prolonged, passes the cone test.  The eps before the
@@ -723,9 +742,8 @@ def continuation_solve(spec, grid=None, u0=None):
 def _solve_level(spec, grid, u0, schedules, notes):
     """(u, SolveReport, solved) on grid, solved mapping each eps that this
     level ran, from its join on, of the schedule that completed to its
-    solution; see continuation_solve.  A level of n >= 3 holds a two-grid
-    over its coarse level; in 2D a nested-dissection LU fills only
-    O(N log N), and the level keeps the fine LU."""
+    solution; see continuation_solve.  A level with a coarse level holds
+    a two-grid over it, whether or not the coarse solve succeeded."""
     level = coarse_level(grid, COARSEST_NODES)
     sub, solved_c = None, {}
     if level is not None:
@@ -737,7 +755,7 @@ def _solve_level(spec, grid, u0, schedules, notes):
             notes.append(f"coarse level h={level.grid.h:g} failed ({exc}); "
                          "solving without coarse starts")
     for k, schedule in enumerate(schedules):
-        factorization = _Factorization(grid, level if grid.n >= 3 else None)
+        factorization = _Factorization(grid, level)
         try:
             u, stages, solved = _walk(spec, grid, u0, schedule, level,
                                       solved_c, factorization)

@@ -5,6 +5,7 @@ import re
 import subprocess
 import sys
 import warnings
+from collections import Counter
 from dataclasses import replace
 
 import numpy as np
@@ -583,16 +584,24 @@ def test_continuation_reuses_factorization(monkeypatch):
     assert sum(st.factorizations for st in stages) == len(calls)
     assert sum(st.refinements for st in stages) > 0
 
-    # the same solve with every reuse declined factorizes at every iteration
+    # the same solve with every reuse declined factorizes at every
+    # iteration: the h = 1/32 level, which holds the two-grid, factorizes
+    # A_c and then, as the fresh two-grid declines too, J (a fallback);
+    # the coarsest level, which holds the LU, factorizes J
     monkeypatch.setattr(solver._Factorization, "reuse",
                         lambda self, J, res, target=0.0: None)
     calls.clear()
     u_direct, direct = continuation_solve(spec)
-    stages = [st for level in _levels(direct) for st in level.stages]
+    fine, coarsest = _levels(direct)
+    stages = fine.stages + coarsest.stages
     assert [st.iterations for st in stages] == iters
-    assert len(calls) == sum(iters)
-    # J's pattern does not depend on the iterate: one nnz per level
-    assert len(set(calls)) == 2
+    fine_iters = sum(st.iterations for st in fine.stages)
+    assert sum(st.fallbacks for st in fine.stages) == fine_iters
+    assert sum(st.factorizations for st in stages) == len(calls)
+    # J's and A_c's patterns do not depend on the iterate: one nnz per
+    # matrix kind, each factorized once an iteration of its level
+    assert sorted(Counter(calls).values()) == sorted(
+        [fine_iters, fine_iters, sum(iters) - fine_iters])
     assert all(st.refinements == 0 for st in stages)
     assert np.abs(u - u_direct).max() <= 1e-12
 
@@ -632,21 +641,23 @@ def test_refinement_on_held_lu_meets_contract_or_declines():
     held = solver._Factorization(grid)
     held.lu = held.factorize(J)
     direct = held.apply(-res)
-    # an LU of a nearby Jacobian refines to the contract without a new one
-    held.lu = held.factorize(equation(1.19)[0])
-    du, _ = held.solve(J, res)
-    assert held.factorizations == 0
-    assert 0 < held.refinements < 20
-    assert _omega(J, du, res) <= solver.OMEGA_MAX
-    assert np.abs(du - direct).max() <= 1e-10 * np.abs(direct).max()
-    # a noisy LU and one of a far Jacobian stall before the sweeps run out
-    noise = np.random.default_rng(3).uniform(-1.0, 1.0, grid.size)
-    bad = J + scipy.sparse.diags(10.0 * abs(J).max() * noise)
-    for stale in (bad, equation(0.6)[0]):
+    # GCR on an LU of a nearby Jacobian meets the contract without a new
+    # one, and so it does on one of a far Jacobian
+    for R, steps in ((1.19, 4), (0.6, 22)):
         held = solver._Factorization(grid)
-        held.lu = held.factorize(stale)
-        assert held.reuse(J, res) is None
-        assert 0 < held.refinements < 20
+        held.lu = held.factorize(equation(R)[0])
+        du, reached = held.solve(J, res)
+        assert reached == np.abs(J @ du + res).max()
+        assert (held.factorizations, held.refinements) == (0, steps)
+        assert _omega(J, du, res) <= solver.OMEGA_MAX
+        assert np.abs(du - direct).max() <= 1e-10 * np.abs(direct).max()
+    # a noisy LU stalls: GCR would need about 800 steps
+    noise = np.random.default_rng(3).uniform(-1.0, 1.0, grid.size)
+    held = solver._Factorization(grid)
+    held.lu = held.factorize(J + scipy.sparse.diags(
+        10.0 * abs(J).max() * noise))
+    assert held.reuse(J, res) is None
+    assert held.refinements == 1
 
 
 def test_nested_dissection_cuts_fill_and_meets_contract():
@@ -699,11 +710,11 @@ def test_backward_error_contract_holds_on_fine_single_level_mesh(monkeypatch):
 
 def test_refinement_declines_at_the_first_sweep_that_contracts_too_little(
         monkeypatch):
-    # refinement on a held LU goes on while each sweep cuts omega below
-    # CONTRACTION times the last: an LU of the cap at radius 0.9 or 3 meets
-    # the contract for J at 1.2, one at radius 0.6 and a noisy one decline
-    # after one sweep, and a held inverse that returns NaN or inf declines
-    # before any sweep
+    # GCR on a held LU goes on while each step cuts omega below
+    # CONTRACTION times the last: an LU of the cap at radius 0.9, 3 or 0.6
+    # meets the contract for J at 1.2, a noisy one declines after one step
+    # past the first, and a held inverse that returns NaN or inf declines
+    # at the first
     h = 1 / 32
     grid = build_grid(DISK, h)
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
@@ -723,8 +734,8 @@ def test_refinement_declines_at_the_first_sweep_that_contracts_too_little(
     J, res = equation(1.2)
     noise = np.random.default_rng(3).uniform(-1.0, 1.0, grid.size)
     bad = J + scipy.sparse.diags(10.0 * abs(J).max() * noise)
-    for stale, sweeps in ((equation(0.9)[0], 22), (equation(3.0)[0], 17),
-                          (equation(0.6)[0], None), (bad, None)):
+    for stale, sweeps in ((equation(0.9)[0], 10), (equation(3.0)[0], 10),
+                          (equation(0.6)[0], 22), (bad, None)):
         held = solver._Factorization(grid)
         held.lu = held.factorize(stale)
         omegas.clear()
@@ -875,18 +886,47 @@ def test_three_dimensional_cap_nests_down_to_93_nodes(monkeypatch):
     assert transposes == [(sizes[0], sizes[1]), (sizes[1], sizes[2])]
 
 
-def test_two_dimensional_levels_hold_the_lu():
-    # in 2D the coarse operator on N/4 nodes fills nearly as much as the
-    # fine LU, so every level of a nested solve keeps the LU: h = 1/64,
-    # 1/32 and 1/16 here
+def test_two_dimensional_levels_hold_the_two_grid():
+    # in 2D as in 3D every level with a 2h level below it holds the
+    # two-grid, whose A_c on about N/4 nodes fills far less than the fine
+    # LU (32,854 against 174,163 nonzeros at h = 1/64), and only the
+    # coarsest holds an LU of its own J: h = 1/64, 1/32 and 1/16 here
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 64)
-    _, level = continuation_solve(spec)
-    stages = []
-    while level is not None:
-        stages += level.stages
-        level = level.coarse
-    assert len(stages) == 3
-    assert all(st.inverse == "lu" and st.fallbacks == 0 for st in stages)
+    _, report = continuation_solve(spec)
+    levels = _levels(report)
+    assert [len(level.stages) for level in levels] == [1, 1, 1]
+    assert [level.final.inverse for level in levels] == [
+        "two-grid", "two-grid", "lu"]
+    assert all(level.final.fallbacks == 0 for level in levels)
+
+
+def test_two_grid_steps_do_not_grow_as_the_mesh_is_refined(monkeypatch):
+    # mesh independence: on the 2D cap at h = 1/64, 1/128 and 1/256 every
+    # level above the coarsest holds the two-grid with no fallback, and no
+    # Newton equation of the finest level takes more than 6 GCR steps past
+    # its first (2 to 6 measured on each mesh)
+    steps = []
+    real = solver._Factorization.solve
+
+    def counting(self, J, res, target=0.0):
+        before = self.refinements
+        solved = real(self, J, res, target)
+        steps.append((self.grid.h, self.refinements - before))
+        return solved
+
+    monkeypatch.setattr(solver._Factorization, "solve", counting)
+    for h in (1 / 64, 1 / 128, 1 / 256):
+        steps.clear()
+        _, report = continuation_solve(
+            ProblemSpec(n=2, shape=DISK, psi="1", h=h))
+        levels = _levels(report)
+        for level in levels[:-1]:
+            assert level.final.inverse == "two-grid"
+            assert level.final.fallbacks == 0
+        assert levels[-1].final.inverse == "lu"
+        finest = [k for level_h, k in steps if level_h == h]
+        assert len(finest) == report.final.iterations
+        assert max(finest) <= 6
 
 
 # ---------------------------------------------------------------- forcing
@@ -935,13 +975,12 @@ def test_newton_equations_meet_their_forcing_targets(monkeypatch, n, psi, h):
     assert any(omega > solver.OMEGA_MAX for _, _, omega in calls)
 
 
-# the 3D cap at h = 1/24 takes 74 finest-level two-grid cycles when every
-# equation is solved to omega <= OMEGA_MAX, 29 with the forcing target
-# alone, and 18 with it floored at STOP_FLOOR TOL_RESIDUAL: the bound is
+# the 3D cap at h = 1/24 takes 9 finest-level GCR steps on the two-grid
+# with the forcing target floored at STOP_FLOOR TOL_RESIDUAL: the bound is
 # that count plus 2
 @pytest.mark.parametrize("n, psi, h, schedule, iterations, cycles", [
     (2, "1", 1 / 64, None, [3, 3, 8], None),
-    (3, "8", 1 / 24, None, [3, 3, 6], 20),
+    (3, "8", 1 / 24, None, [3, 3, 6], 11),
     (3, "8", 1 / 40, None, [3, 3, 3, 6], None),
     (2, "r^2", 1 / 64, (1e-1, 1e-2, 1e-3, 1e-4, 0.0), [9, 10, 20], None),
 ])
@@ -958,10 +997,10 @@ def test_inexact_newton_keeps_iteration_counts(n, psi, h, schedule,
             for level in levels] == iterations
     if cycles is not None:
         assert sum(st.refinements for st in report.stages) <= cycles
-    # on the caps, the per-level (factorizations, refinements) pin which
-    # refinements are kept and which declined
-    counts = {(2, "1", 1 / 64): [(1, 3), (1, 5), (4, 37)],
-              (3, "8", 1 / 24): [(1, 18), (1, 18), (3, 14)]}.get((n, psi, h))
+    # on the caps, the per-level (factorizations, GCR steps) pin which
+    # held inverses are kept and which declined
+    counts = {(2, "1", 1 / 64): [(1, 9), (1, 8), (2, 42)],
+              (3, "8", 1 / 24): [(1, 9), (1, 9), (1, 22)]}.get((n, psi, h))
     if counts is not None:
         assert [(sum(st.factorizations for st in level.stages),
                  sum(st.refinements for st in level.stages))
@@ -1451,7 +1490,10 @@ def test_join_scan_evaluates_each_start_once(monkeypatch):
 
 def test_coarse_failure_falls_back_to_single_level(monkeypatch):
     # a coarse level that fails, here down both schedules, costs one
-    # warning line, and the solve is the single-level one, bitwise
+    # warning line, and the solve takes the single-level one's warm start
+    # and iterations; the level keeps its two-grid over the failed coarse
+    # level, where the single-level solve holds an LU of J, so the two
+    # solutions agree to roundoff, not bitwise
     h = 1 / 64
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
     grid = build_grid(DISK, h)
@@ -1474,7 +1516,8 @@ def test_coarse_failure_falls_back_to_single_level(monkeypatch):
     monkeypatch.setattr(solver, "newton_solve", real)
     monkeypatch.setattr(solver, "coarse_level", lambda grid, min_nodes: None)
     u_single, single = continuation_solve(spec, grid)
-    assert np.array_equal(u, u_single)
+    assert np.abs(u - u_single).max() <= 1e-12
+    assert report.final.inverse == "two-grid" and single.final.inverse == "lu"
     assert single.warnings == []
     assert ([st.iterations for st in report.stages]
             == [st.iterations for st in single.stages])
