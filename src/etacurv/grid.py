@@ -18,12 +18,13 @@ lookup.ravel()[flat + d . steps], with no bounds check (Grid.neighbor_rows).
 Every stencil is built by array operations over all nodes at once.
 
 Every stencil lives in one stacked CSR operator, Grid.ops(), of shape
-(k*m, m) with k = n(n+1)/2 + n: row slot * m + q applies derivative `slot`
-at node q (slot order: _hessian_slots).  Dirichlet data is identically
-zero, so boundary samples drop out of it.  all_derivatives is one product
-with it, and its values stay in those slot rows.  OpsPattern.assemble sums
-the slot blocks and the identity scaled row-wise by weight rows in the same
-slot order: the solver's Jacobian.
+(K*m, m) with K = n(n+1)/2 + n + 1: row slot * m + q applies derivative
+`slot` at node q (slot order: _hessian_slots, then the gradient), and the
+last slot is the identity, the u term of a linearization in (D^2u, Du, u).
+Dirichlet data is identically zero, so boundary samples drop out of it.
+all_derivatives is one product with it, and its values stay in those slot
+rows.  The solver's Jacobian is one product with it too: each slot's rows
+scaled by a weight row and the slots summed (solver.jacobian).
 
 coarse_level builds the 2h grid below a grid and both transfers between
 them as one CoarseLevel, reading coarse cell corners at flat offsets too.
@@ -68,46 +69,11 @@ def symmetric(entries):
 
 def _unstack(d, n):
     """(p, hess): gradient (..., n) and Hessian entries (..., n(n+1)/2) in
-    slot order, views of derivative values d of shape (k, ...) in slot
-    order, with the slot axis moved last."""
+    slot order, views of derivative values d of shape (slots, ...) in slot
+    order, with the slot axis moved last; a trailing identity slot is
+    left out."""
     k = len(_hessian_slots(n))
-    return np.moveaxis(d[k:], 0, -1), np.moveaxis(d[:k], 0, -1)
-
-
-@dataclass
-class OpsPattern:
-    """Union sparsity pattern of the stacked operator's slot blocks and the
-    identity, for sums of row-scaled blocks.
-
-    For every nonzero stack entry, then every diagonal entry of the
-    identity (as if stacked as rows k*m .. k*m + m - 1), the pattern holds
-    its value (doubled in a mixed Hessian slot, see assemble), its stack
-    row (slot * m + node) and its position in the union's CSR data array.
-    """
-
-    shape: tuple
-    indices: np.ndarray
-    indptr: np.ndarray
-    gather: np.ndarray
-    vals: np.ndarray
-    target: np.ndarray
-
-    def assemble(self, weights):
-        """CSR sum_{i,j} diag(H_ij) D_ij + sum_s diag(g_s) D_s + diag(d),
-        the linearization in (D^2u, Du, u), from its weight rows (k + 1, m):
-        the entries of the symmetric H in slot order, then g, then d.
-
-        The value of each mixed stencil entry is stored doubled, since
-        D_ij = D_ji, so row k of weights scales slot k as it stands.  One
-        gather-multiply and one bincount, which adds each position's terms
-        in stack order, as a chain of CSR additions would.  The pattern is
-        the union's whatever the coefficients: entries that come out
-        exactly zero are kept.
-        """
-        terms = weights.ravel()[self.gather] * self.vals
-        data = np.bincount(self.target, weights=terms, minlength=len(self.indices))
-        return scipy.sparse.csr_matrix((data, self.indices, self.indptr),
-                                       shape=self.shape)
+    return np.moveaxis(d[k:k + n], 0, -1), np.moveaxis(d[:k], 0, -1)
 
 
 @dataclass
@@ -123,7 +89,6 @@ class Grid:
     _order: np.ndarray | None = field(default=None, repr=False)
     _ops: scipy.sparse.csr_matrix | None = field(default=None, repr=False)
     _dropped: list | None = field(default=None, repr=False)
-    _pattern: OpsPattern | None = field(default=None, repr=False)
 
     @property
     def n(self):
@@ -152,9 +117,10 @@ class Grid:
         return self._order
 
     def ops(self):
-        """The stacked stencil operator, CSR (k*m, m) with k = n(n+1)/2 + n:
-        row slot * m + q applies the slot's derivative at node q (slot
-        order: _hessian_slots).  Built on first use and kept."""
+        """The stacked stencil operator, CSR (K*m, m) with K = n(n+1)/2 +
+        n + 1: row slot * m + q applies the slot's derivative at node q
+        (slot order: _hessian_slots, then the gradient), and the last slot
+        is the identity.  Built on first use and kept."""
         if self._ops is None:
             self._ops, self._dropped = _build_ops(self)
         return self._ops
@@ -166,12 +132,6 @@ class Grid:
         self.ops()
         return list(self._dropped)
 
-    def ops_pattern(self):
-        """The OpsPattern of ops(), built on first use and kept."""
-        if self._pattern is None:
-            self._pattern = _build_pattern(self)
-        return self._pattern
-
 
 #: most points the padded bounding box of a lattice may hold: build_grid
 #: allocates several arrays of that size, and far fewer nodes already
@@ -182,15 +142,23 @@ MAX_LATTICE = 2 ** 24
 MAX_DIM = max(k for k in range(64) if 3 ** k <= MAX_LATTICE)
 
 
+def _half_counts(shape, h):
+    """floor(a / h) of the rounded quotient for each semiaxis a, as floats,
+    inf where the quotient overflows: the lattice's indices along that
+    axis run from -floor(a / h) to floor(a / h)."""
+    return [float(np.floor(float(a) / float(h))) for a in shape.semiaxes]
+
+
 def check_lattice(shape, h):
     """ValueError unless h > 0 is finite and the spacing-h lattice's padded
-    bounding box over shape has at most MAX_LATTICE points; counted in
-    floating point, so nothing of that size is allocated."""
+    bounding box over shape, as build_grid counts it, has at most
+    MAX_LATTICE points; counted in floating point, so nothing of that size
+    is allocated."""
     if not (np.isfinite(h) and h > 0.0):
         raise ValueError(f"h must be finite and > 0, got {h:g}")
-    points = 1.0
-    for a in shape.semiaxes:  # Python floats overflow to inf, not a warning
-        points *= 2.0 * (float(a) // float(h)) + 3.0
+    points = 1.0  # Python floats overflow to inf, not a warning
+    for k in _half_counts(shape, h):
+        points *= 2.0 * k + 3.0
     if not points <= MAX_LATTICE:
         raise ValueError(
             f"h = {h:g} is too fine for semiaxes "
@@ -211,7 +179,7 @@ def build_grid(shape, h):
     """Clip the spacing-h lattice to the shape and precompute arm geometry."""
     check_lattice(shape, h)
     n = shape.n
-    half = [int(np.floor(a / h)) for a in shape.semiaxes]
+    half = [int(k) for k in _half_counts(shape, h)]
     mesh = np.meshgrid(*[np.arange(-k, k + 1) for k in half], indexing="ij")
     idx_all = np.stack([m.ravel() for m in mesh], axis=-1)
     pos_all = idx_all * h
@@ -250,8 +218,8 @@ def _arm_coeffs(hp, hm):
 
 def _build_ops(grid):
     """(ops, dropped): Shortley-Weller axis stencils and mixed stencils, as
-    the stacked CSR operator, each stencil in its slot's block of rows; and
-    the (node, i, j) of the mixed stencils left empty.
+    the stacked CSR operator, each stencil in its slot's block of rows, then
+    the identity's; and the (node, i, j) of the mixed stencils left empty.
 
     Axis s: the arms' entries where the neighbor is interior (boundary
     samples are zero and drop out) plus the diagonal, stored even where it
@@ -315,49 +283,25 @@ def _build_ops(grid):
         dropped.extend((node, i, j) for node in left[free].tolist())
         vals[k] = np.multiply.outer(scale, [1.0, -1.0, -1.0, 1.0])
 
-    entries = np.flatnonzero(cols >= 0)
-    indptr = np.zeros(slots * m + 1, dtype=np.int64)
-    np.cumsum(np.bincount(entries // 4, minlength=slots * m), out=indptr[1:])
-    return scipy.sparse.csr_matrix(
-        (vals.ravel()[entries], cols.ravel()[entries], indptr),
-        shape=(slots * m, m)), dropped
-
-
-def _build_pattern(grid):
-    stack = grid.ops()
-    m, height = grid.size, stack.shape[0]
-    keep = stack.data != 0.0  # stored zeros add nothing to any sum
-    eye = np.arange(m)
-    rows = np.concatenate([np.repeat(np.arange(height), np.diff(stack.indptr))[keep],
-                           height + eye])
-    # int64: the keys node * m + col pass 2**31 once m > 46,340 nodes
-    keys = rows % m
-    keys *= m
-    keys[:-m] += stack.indices[keep]
-    keys[-m:] += eye
-    # each slot block and the identity is a sorted run of keys, which a
-    # stable sort (timsort) merges in O(N log runs)
-    order = np.argsort(keys, kind="stable")
-    keys = keys[order]
-    first = np.empty(len(keys), dtype=bool)
-    first[0] = True
-    np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    unique = keys[first]
-    np.cumsum(first, out=keys)  # keys' buffer now counts positions from 1
-    keys -= 1
-    target = np.empty_like(keys)
-    target[order] = keys
-    del keys, order, first  # freed before the outputs are allocated
-    indptr = np.zeros(m + 1, dtype=np.int32)
-    np.cumsum(np.bincount(unique // m, minlength=m), out=indptr[1:])
-    i, j, _ = slot_index(grid.n)
-    # a mixed slot's weight is one entry of a symmetric H, D_ij = D_ji
-    double = np.append(np.where(i == j, 1.0, 2.0), np.ones(grid.n + 1))
-    return OpsPattern(
-        shape=(m, m), indices=(unique % m).astype(np.int32),
-        indptr=indptr, gather=rows,
-        vals=np.concatenate([stack.data[keep], np.ones(m)]) * double[rows // m],
-        target=target)
+    # the CSR arrays are filled one slot's block at a time, so the build's
+    # peak holds no index array over all the tables; the identity slot's
+    # m entries follow the tables'
+    nnz = np.count_nonzero(cols >= 0)
+    indptr = np.zeros((slots + 1) * m + 1, dtype=np.int64)
+    data, indices = np.empty(nnz + m), np.empty(nnz + m, dtype=np.int32)
+    start = 0
+    for k in range(slots):
+        entries = np.flatnonzero(cols[k] >= 0)
+        end = start + len(entries)
+        indptr[k * m + 1:(k + 1) * m + 1] = np.bincount(entries // 4, minlength=m)
+        data[start:end] = vals[k].ravel()[entries]
+        indices[start:end] = cols[k].ravel()[entries]
+        start = end
+    indptr[slots * m + 1:] = 1
+    np.cumsum(indptr, out=indptr)
+    data[nnz:], indices[nnz:] = 1.0, q
+    return scipy.sparse.csr_matrix((data, indices, indptr),
+                                   shape=((slots + 1) * m, m)), dropped
 
 
 #: nested dissection stops splitting parts of at most this many nodes
@@ -423,7 +367,7 @@ class CoarseLevel:
     def prolong(self, v):
         """The fine grid function prolonged from the coarse one v."""
         v = np.asarray(v, dtype=float)
-        d = (self.grid.ops() @ v).reshape(-1, self.grid.size)
+        d = (self.grid.ops() @ v).reshape(-1, self.grid.size)[:-1]
         terms = self.weight * v.take(self.col)
         terms += np.einsum("st,st->t", self.coef, d.take(self.col, axis=1))
         return np.bincount(self.node, weights=terms,

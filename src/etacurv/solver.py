@@ -26,10 +26,13 @@ SolveReport.error_estimate.
 
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test at CONE_FLOOR (start and trial steps alike), psi
-and the residual; its Jacobian and its StageReport reuse that state.
+and the residual; its Jacobian and its StageReport reuse that state.  The
+Jacobian is one sparse product with the stacked stencil operator
+Grid.ops(), whose slot rows it scales by the linearization's weights and
+sums (jacobian).
 Where psi reads position alone (expr.beyond_position), its derivatives in
-z and Du vanish identically, and the Jacobian takes zero rows for them
-without evaluating psi's dual numbers.  Every array power here is
+z and Du vanish identically, and the Jacobian leaves them out without
+evaluating psi's dual numbers.  Every array power here is
 np.float_power, which calls the C library's pow one value at a time:
 numpy's own power loop rounds differently with and without AVX-512, and
 a solution file's last bits would follow the CPU class.
@@ -66,6 +69,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 
 import numpy as np
+import scipy.sparse
 import scipy.sparse.linalg
 
 from . import decimal17
@@ -82,11 +86,13 @@ from .expr import (
     parse,
 )
 from .geometry import _eigenvalues, add_coefficients, batch_geometry
-from .grid import all_derivatives, build_grid, check_lattice, coarse_level
-
-#: A grid function is a plain float vector, one value per interior node in
-#: the grid's lexicographic node order; the boundary value is implicitly 0.
-GridFunction = np.ndarray
+from .grid import (
+    all_derivatives,
+    build_grid,
+    check_lattice,
+    coarse_level,
+    slot_index,
+)
 
 
 class SolverFailure(Exception):
@@ -393,20 +399,34 @@ def jacobian(spec, grid, u, eps, state=None):
     from the geometry's rows.  state is the (p, r, geo, psi) of u
     that _evaluate returned for an admissible u, used as given: only the
     geometry's coefficient block is added to it.  Without one, u is
-    evaluated here (NotAdmissible off the cone).  J is assembled on the
-    grid's fixed union pattern (Grid.ops_pattern), so its sparsity does not
-    depend on u.
+    evaluated here (NotAdmissible off the cone).
+
+    J is one product S @ grid.ops(), S the (m, K m) CSR matrix whose row q
+    holds node q's weight for slot k at column k m + q, doubled in a mixed
+    Hessian slot, since D_ij = D_ji.  The product adds each entry's terms
+    in slot order, as a chain of CSR additions would, and stores no entry
+    that comes out exactly zero.
     """
     p, _, geo, _ = _admissible(spec, grid, u, eps)[1] if state is None else state
     add_coefficients(geo)
-    n = spec.n
+    n, m, ops = spec.n, grid.size, grid.ops()
     alpha = (1.0 / n) * np.float_power(geo.K_eta, 1.0 / n - 1.0)
     if beyond_position(spec.psi):
         droot_dz, droot_dp = _psi_eps_derivs(spec, grid, u, p, eps)
         rows = [alpha * geo.gs - droot_dp.T, -droot_dz[None]]
-    else:  # psi of x alone: its derivatives in z and p vanish identically
-        rows = [alpha * geo.gs, np.zeros((1, len(u)))]
-    return grid.ops_pattern().assemble(np.concatenate([alpha * geo.g2] + rows))
+    else:  # psi of x alone: its derivatives in z and p vanish identically,
+        # and S leaves the identity slot out
+        rows = [alpha * geo.gs]
+    weights = np.concatenate([alpha * geo.g2] + rows)
+    i, j, _ = slot_index(n)
+    weights[np.flatnonzero(i != j)] *= 2.0
+    k = len(weights)
+    # index arrays in ops()'s int32 where they fit, so scipy casts none
+    index = np.int32 if ops.shape[0] < 2 ** 31 else np.int64
+    S = scipy.sparse.csr_matrix(
+        (weights.T.ravel(), np.arange(k * m, dtype=index).reshape(k, m).T.ravel(),
+         np.arange(0, k * m + 1, k, dtype=index)), shape=(m, ops.shape[0]))
+    return S @ ops
 
 
 class _Factorization:
@@ -449,14 +469,15 @@ class _Factorization:
         return "lu" if self.smoother is None else "two-grid"
 
     def norm_inf(self, J):
-        """||J||_inf, the largest absolute row sum of the CSR matrix J,
-        summed once per Jacobian: J is kept with it, and the calls of one
-        Newton equation read it back.  np.add.reduceat over the rows' data
-        slices would misread an empty row, but J's pattern holds the
-        identity's (grid.OpsPattern), so every row stores its diagonal."""
+        """||J||_inf, the largest absolute row sum of the CSR matrix J, an
+        empty row's 0, summed once per Jacobian: J is kept with it, and the
+        calls of one Newton equation read it back.  np.add.reduceat sums
+        from the nonempty rows' starts only: at an empty row's start it
+        would take the next row's first value, or fail past the end."""
         if self._norm[0] is not J:
-            self._norm = (J, np.add.reduceat(np.abs(J.data),
-                                             J.indptr[:-1]).max())
+            starts = J.indptr[:-1][np.diff(J.indptr) > 0]
+            self._norm = (J, np.add.reduceat(np.abs(J.data), starts)
+                          .max(initial=0.0))
         return self._norm[1]
 
     def factorize(self, A, perm=None):

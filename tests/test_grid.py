@@ -3,7 +3,6 @@
 import gc
 import itertools
 from decimal import Decimal, localcontext
-from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -14,7 +13,6 @@ from etacurv.domain import DomainShape
 from etacurv.geometry import PointState, batch_geometry
 from etacurv.grid import (
     _arm_coeffs,
-    _build_pattern,
     _hessian_slots,
     _unstack,
     all_derivatives,
@@ -180,11 +178,14 @@ def test_grid_matches_per_node_reference():
             got, want = getattr(g, name), fields[name]
             assert got.dtype == want.dtype, (case, name)
             np.testing.assert_array_equal(got, want, err_msg=f"{case} {name}")
-        # slot order: Hessian entries i <= j row-major, then the gradient
+        # slot order: Hessian entries i <= j row-major, then the gradient,
+        # then the identity
         hess = [(i, j) for i in range(n) for j in range(i, n)]
-        assert g.ops().shape == ((len(hess) + n) * m, m), case
+        assert g.ops().shape == ((len(hess) + n + 1) * m, m), case
         assert g.mixed_dropped == fields["mixed_dropped"], case
-        for got, want in zip(slot_blocks(g), [D2[k] for k in hess] + Dx):
+        eye = scipy.sparse.eye(m, format="csr")
+        for got, want in zip(slot_blocks(g), [D2[k] for k in hess] + Dx + [eye],
+                             strict=True):
             # equal arrays, stored zeros included (Dx's diagonal at regular nodes)
             for name in ("indptr", "indices", "data"):
                 a, b = getattr(got, name), getattr(want, name)
@@ -441,25 +442,6 @@ def test_nested_dissection_top_separator_splits_operators(shape, h):
     assert B[:nl, nl + nr:].nnz > 0 and B[nl:nl + nr, nl + nr:].nnz > 0
 
 
-def test_ops_pattern_past_int32_keys():
-    # the pattern keys node * m + col pass 2**31 once m > 46,340 nodes;
-    # int32 operator indices must not wrap them
-    m = 50_000
-    d2 = scipy.sparse.diags([1.0, -2.0, 1.0], [-1, 0, 1], shape=(m, m),
-                            format="csr")
-    dx = scipy.sparse.eye(m, k=1, format="csr")
-    stack = scipy.sparse.vstack([d2, dx], format="csr")  # n = 1: D_11, then D_1
-    assert stack.indices.dtype == np.int32
-    pattern = _build_pattern(SimpleNamespace(ops=lambda: stack, size=m, n=1))
-    w = np.random.default_rng(7).standard_normal((3, m))
-    J = pattern.assemble(w)
-    diag = scipy.sparse.diags
-    ref = diag(w[0]) @ d2 + diag(w[1]) @ dx + diag(w[2])
-    assert J.shape == (m, m)
-    assert J.nnz == 3 * m - 2
-    assert abs(J - ref).max() == 0.0
-
-
 # ---------------------------------------------------------------- coarse levels
 
 SHAPES_2H = [(DISK, 1 / 64), (DomainShape((0.5, 0.3)), 1 / 64),
@@ -671,3 +653,19 @@ def test_check_lattice_refuses_before_building():
     check_lattice(DISK, 1 / 2048)
     with pytest.raises(ValueError, match="too fine"):
         check_lattice(DISK, 1 / 4096)
+
+
+def test_check_lattice_counts_the_box_build_grid_allocates(monkeypatch):
+    # 0.5 / 0.1 rounds to 5.0, while 0.5 // 0.1 is 4.0: the box is 13 x 13
+    # points, not 11 x 11; a limit of the true count passes, one below fails
+    shape = DomainShape((0.5, 0.5))
+    assert build_grid(shape, 0.1).lookup.size == 169
+    monkeypatch.setattr(grid_module, "MAX_LATTICE", 169)
+    check_lattice(shape, 0.1)
+    monkeypatch.setattr(grid_module, "MAX_LATTICE", 168)
+    with pytest.raises(ValueError, match="would hold 169 points"):
+        check_lattice(shape, 0.1)
+    # a quotient that overflows to inf is refused without an exception of
+    # its own
+    with pytest.raises(ValueError, match="would hold inf points"):
+        check_lattice(DomainShape((1e100, 1e100)), 1e-300)
