@@ -10,8 +10,10 @@ last eps but one or earlier, from the first prolonged coarse solution
 inside the cone.
 
 This script prints the per-stage trace of that eps path, each row with
-the spacing it ran at (iteration counts, final residuals, cone margins,
-derivative sup norms), and then cross-checks the
+the spacing it ran at (iteration counts, final residuals and the stop
+tolerance each stage ran to, cone margins, derivative sup norms): an eps
+that only starts the next one stops at solver.STAGE_TOL, and each
+level's last eps at solver.TOL_RESIDUAL.  It then cross-checks the
 grid solution against an independent oracle: the radial reduction,
 solved by its first integral at the same final regularization.  The two
 discretizations share no code beyond the expression evaluator, so
@@ -50,10 +52,10 @@ def main():
 
     print("continuation on psi = r^2 (degenerate at the origin), h = 1/64")
     print(f"{'h':>6} {'eps':>8} {'iters':>6} {'start':>9} {'residual':>10} "
-          f"{'margin':>10} {'sup|Du|':>9} {'sup|D2u|':>9}")
+          f"{'tol':>7} {'margin':>10} {'sup|Du|':>9} {'sup|D2u|':>9}")
     for h, s in path:
         print(f"{f'1/{round(1 / h)}':>6} {s.eps:8.0e} {s.iterations:6d} "
-              f"{s.start:>9} {s.residual_norms[-1]:10.2e} "
+              f"{s.start:>9} {s.residual_norms[-1]:10.2e} {s.tol:7.0e} "
               f"{s.min_margin:10.3e} {s.sup_du:9.5f} {s.sup_d2u:9.5f}")
 
     # independent oracle: the radial reduction at the same eps

@@ -259,7 +259,7 @@ def _stage_line(st):
                 else f" rejected_margin={st.rejected_margin:.17g}")
     return (f"stage eps={st.eps:.17g} iterations={st.iterations} "
             f"start={st.start}{rejected} "
-            f"residual={st.residual_norms[-1]:.17g} "
+            f"residual={st.residual_norms[-1]:.17g} tol={st.tol:.17g} "
             f"margin={st.min_margin:.17g} sup_u={st.sup_u:.17g} "
             f"sup_du={st.sup_du:.17g} sup_d2u={st.sup_d2u:.17g} "
             f"inverse={st.inverse} factorizations={st.factorizations} "

@@ -8,7 +8,14 @@ equation
 with (Du, D^2u) from the grid stencils and G the curvature product of the
 graph.  The n-th root exploits the concavity of f^{1/n} on the admissible
 cone, which keeps Newton steps well behaved as psi degenerates.  The
-continuation drives eps down a schedule, warm-starting each stage.
+continuation drives eps down a schedule, warm-starting each stage.  It
+is inexact (Allgower & Georg, Introduction to Numerical Continuation
+Methods, SIAM 2003, ch. 6; Deuflhard, Newton Methods for Nonlinear
+Problems, 2004, ch. 5): a stage whose eps is not its level's last only
+starts the next eps, so Newton stops it at STAGE_TOL, one quadratic step
+short of TOL_RESIDUAL, and only each level's last eps solves to
+TOL_RESIDUAL, the accuracy that prolongation, the error estimate and the
+solution file read.
 
 Nested iteration (Trottenberg, Oosterlee & Schuller, Multigrid, 2001,
 sec. 2.6): continuation_solve first solves the same problem on the 2h
@@ -40,11 +47,12 @@ Each Newton equation J du = -F is solved
 inexactly, only as accurately as the Newton step needs: to the forcing
 target ||J du + F||_inf <= eta ||F||_inf, eta = min(1/10, FORCING ||F||_inf),
 which keeps Newton's local quadratic convergence (Dembo, Eisenstat &
-Steihaug, SIAM J. Numer. Anal. 19, 1982), floored at STOP_FLOOR
-TOL_RESIDUAL, past which the stop test ||F||_inf <= TOL_RESIDUAL gains
-nothing (Kelley, Iterative Methods for Linear and Nonlinear Equations, SIAM
-1995, sec. 6.3), or to a normwise backward error of at most OMEGA_MAX,
-whichever comes first.  It is solved by GCR right-preconditioned with
+Steihaug, SIAM J. Numer. Anal. 19, 1982), floored at STOP_FLOOR tol, tol
+the stage's stop tolerance, past which the stop test ||F||_inf <= tol
+gains nothing (Kelley, Iterative Methods for Linear and Nonlinear
+Equations, SIAM 1995, sec. 6.3), or to a normwise backward error of at
+most OMEGA_MAX, whichever comes first.  It is solved by GCR
+right-preconditioned with
 the approximate inverse held from an earlier Jacobian while each step
 cuts omega below CONTRACTION times the last, else with one built afresh
 (_Factorization): on every level with a 2h level below it, in any
@@ -133,6 +141,12 @@ TOL_RESIDUAL = 1e-10
 MAX_ITER = 40
 MIN_STEP = 1.0 / 1024.0
 
+#: the stop tolerance of an eps stage that is not its level's last: such a
+#: stage only starts the next eps, whose first residual is far above it, so
+#: it stops one quadratic Newton step short of TOL_RESIDUAL (Allgower &
+#: Georg, Introduction to Numerical Continuation Methods, SIAM 2003, ch. 6)
+STAGE_TOL = TOL_RESIDUAL ** 0.5
+
 #: the cone test of every evaluated iterate, the start included: margin >=
 #: CONE_FLOOR (1 + |sigma_1|) at every node (BatchGeometry.cone_test)
 CONE_FLOOR = 1e-12
@@ -145,12 +159,13 @@ OMEGA_MAX = 64.0 * np.finfo(float).eps / 2.0
 #: the forcing of the inexact Newton equations: equation k is solved to
 #: ||J du + F_k||_inf <= min(1/10, FORCING ||F_k||_inf) ||F_k||_inf, a
 #: forcing term O(||F_k||) that keeps Newton's local convergence quadratic,
-#: but never below STOP_FLOOR TOL_RESIDUAL (see STOP_FLOOR)
+#: but never below STOP_FLOOR tol, tol the stage's stop tolerance (see
+#: STOP_FLOOR)
 FORCING = 1e-2
 
-#: the floor of every Newton equation's target, as a fraction of the stop
-#: tolerance: an equation solved past STOP_FLOOR TOL_RESIDUAL buys accuracy
-#: the stop test ||F||_inf <= TOL_RESIDUAL cannot use.  This is the terminal
+#: the floor of every Newton equation's target, as a fraction of the stage's
+#: stop tolerance tol: an equation solved past STOP_FLOOR tol buys accuracy
+#: the stop test ||F||_inf <= tol cannot use.  This is the terminal
 #: safeguard on the forcing term (Kelley, Iterative Methods for Linear and
 #: Nonlinear Equations, SIAM 1995, sec. 6.3, eta_k >= tau_t / (2 ||F_k||),
 #: after Eisenstat & Walker 1996); 1/10 rather than Kelley's 1/2 leaves the
@@ -187,7 +202,7 @@ class ProblemSpec:
     """Full description of one Dirichlet problem: dimension, domain, psi
     and lattice spacing, with an optional lower bound for psi, starting
     subsolution and eps schedule.  How Newton solves it is fixed by the
-    module constants TOL_RESIDUAL, MAX_ITER and MIN_STEP.
+    module constants TOL_RESIDUAL, STAGE_TOL, MAX_ITER and MIN_STEP.
 
     psi, psi_lower and subsolution are expression trees (see expr.parse);
     strings are parsed on construction for convenience.  eps_schedule None
@@ -246,6 +261,9 @@ class StageReport:
     each accepted step, and the last iterate's sup norms of u, Du, D^2u."""
 
     eps: float
+    #: the stop tolerance the stage ran to: TOL_RESIDUAL, or STAGE_TOL for
+    #: an eps that is not its level's last
+    tol: float = TOL_RESIDUAL
     residual_norms: list = field(default_factory=list)
     residual_2norms: list = field(default_factory=list)
     step_lengths: list = field(default_factory=list)
@@ -267,7 +285,7 @@ class StageReport:
     #: is that of its coarse operator)
     lu_fill: int = 0
     #: per Newton equation J du = -F_k, its target tau_k = max(min(1/10,
-    #: FORCING ||F_k||_inf) ||F_k||_inf, STOP_FLOOR TOL_RESIDUAL) and the
+    #: FORCING ||F_k||_inf) ||F_k||_inf, STOP_FLOOR tol) and the
     #: ||J du + F_k||_inf its du reached
     linear_targets: list = field(default_factory=list)
     linear_residuals: list = field(default_factory=list)
@@ -623,14 +641,16 @@ def _backward_error(lin, norm_J, du, res):
     return float(lin / scale if scale > 0.0 else lin)
 
 
-def newton_solve(spec, grid, u0, eps, factorization=None):
+def newton_solve(spec, grid, u0, eps, factorization=None,
+                 tol=TOL_RESIDUAL):
     """Damped Newton from an admissible start; returns (u, StageReport).
 
-    The stage ends once the inf-norm residual is at most TOL_RESIDUAL,
+    The stage ends once the inf-norm residual is at most tol (TOL_RESIDUAL,
+    or STAGE_TOL for a continuation stage that only starts the next eps),
     within MAX_ITER iterations.  Backtracking accepts the first s in
     {1, 1/2, ..., MIN_STEP} with (a) the cone test at CONE_FLOOR, which
     the start must pass too (NotAdmissible), and (b) 2-norm decreased by
-    the factor (1 - s/4) or inf-norm already at TOL_RESIDUAL.  A warm start
+    the factor (1 - s/4) or inf-norm already at tol.  A warm start
     at the solution therefore costs one iteration at step 1, not a
     stagnation report.  At eps = 0 a psi that is not positive at every node
     of the start raises SolverFailure; every SolverFailure carries the
@@ -638,10 +658,10 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
 
     Newton equation k, J du = -res, is solved inexactly, as the module
     docstring states: to the target tau_k = max(eta_k ||res||_inf,
-    STOP_FLOOR TOL_RESIDUAL), eta_k = min(1/10, FORCING ||res||_inf), or to
-    a normwise backward error of at most OMEGA_MAX, whichever comes first,
-    by factorization.solve.  The stop test ||res||_inf <= TOL_RESIDUAL does
-    not depend on the forcing.  factorization is the _Factorization holder
+    STOP_FLOOR tol), eta_k = min(1/10, FORCING ||res||_inf), or to a
+    normwise backward error of at most OMEGA_MAX, whichever comes first, by
+    factorization.solve.  The stop test ||res||_inf <= tol does not depend
+    on the forcing.  factorization is the _Factorization holder
     shared along a continuation; a fresh one, which holds LUs only, is made
     when None.
     """
@@ -649,7 +669,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
         factorization = _Factorization(grid)
     done = (factorization.factorizations, factorization.refinements,
             factorization.fallbacks)
-    stage = StageReport(eps)
+    stage = StageReport(eps, tol)
     u = np.asarray(u0, dtype=float).copy()
     # raises NotAdmissible on a bad start
     res, state = _admissible(spec, grid, u, eps)
@@ -662,7 +682,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
             J = jacobian(spec, grid, u, eps, state)
             norm_inf = stage.residual_norms[-1]
             target = max(min(0.1, FORCING * norm_inf) * norm_inf,
-                         STOP_FLOOR * TOL_RESIDUAL)
+                         STOP_FLOOR * tol)
             du, reached = factorization.solve(J, res, target)
             stage.linear_targets.append(target)
             stage.linear_residuals.append(reached)
@@ -673,7 +693,7 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
                 trial_res, trial_state, _ = _evaluate(spec, grid, trial, eps)
                 if trial_res is not None and (
                         _norm2(trial_res) <= (1.0 - s / 4.0) * norm0
-                        or np.abs(trial_res).max() <= TOL_RESIDUAL):
+                        or np.abs(trial_res).max() <= tol):
                     u, res, state = trial, trial_res, trial_state
                     stage.record(res, state[2])
                     stage.step_lengths.append(s)
@@ -682,10 +702,10 @@ def newton_solve(spec, grid, u0, eps, factorization=None):
             else:
                 raise Stagnation(
                     f"no step >= {MIN_STEP:g} acceptable (eps={eps:g})")
-            if stage.residual_norms[-1] <= TOL_RESIDUAL:
+            if stage.residual_norms[-1] <= tol:
                 return u, stage
         raise MaxIterations(
-            f"residual {stage.residual_norms[-1]:.3e} > {TOL_RESIDUAL:g} "
+            f"residual {stage.residual_norms[-1]:.3e} > {tol:g} "
             f"after {MAX_ITER} iterations")
     except SolverFailure as exc:
         exc.stage = stage
@@ -731,7 +751,10 @@ def continuation_solve(spec, grid=None, u0=None):
     """(u, SolveReport): the schedules of effective_schedule run in order
     from u0 (default initial_guess), each with a fresh factorization, until
     one completes.  A failed schedule adds a warning line; the last one's
-    SolverFailure propagates.  The caller attaches the certificates.
+    SolverFailure propagates.  The caller attaches the certificates.  On
+    every level the schedule's last eps stops at TOL_RESIDUAL and every
+    other at STAGE_TOL (_walk), so a one-eps schedule runs at TOL_RESIDUAL
+    alone.
 
     Nested iteration: the same problem is first solved on the 2h lattice,
     recursively while that lattice has at least COARSEST_NODES nodes, from
@@ -810,23 +833,30 @@ def _walk(spec, grid, u0, schedule, level, coarse, factorization):
     passes starts the join stage, and the eps before it run on the coarse
     levels only.  The last two eps always run here, so estimate_evidence
     can compare them.  Without a join the whole schedule runs from u0.  No
-    start is evaluated twice, nor prolonged."""
+    start is evaluated twice, nor prolonged.
+
+    run, the one site shared by the join scan and the later stages, also
+    sets each stage's stop tolerance: TOL_RESIDUAL for schedule[-1], whose
+    solution the level returns, and STAGE_TOL for every other eps, whose
+    solution only starts the next stage here and, prolonged, a finer
+    level's stage of the same eps."""
     rejected = {}
 
     def run(eps, warm=None):
         """(u, StageReport) of eps by the rule; None where it would start
         warm from warm None."""
+        tol = TOL_RESIDUAL if eps == schedule[-1] else STAGE_TOL
         if eps in coarse and eps not in rejected:
             try:  # NotAdmissible at the first evaluation, before any work
                 u, stage = newton_solve(spec, grid, level.prolong(coarse[eps]),
-                                        eps, factorization)
+                                        eps, factorization, tol)
             except NotAdmissible as exc:
                 rejected[eps] = exc.margin
             else:
                 stage.start = "prolonged"
                 return u, stage
         if warm is not None:
-            u, stage = newton_solve(spec, grid, warm, eps, factorization)
+            u, stage = newton_solve(spec, grid, warm, eps, factorization, tol)
             stage.rejected_margin = rejected.get(eps)
             return u, stage
         return None

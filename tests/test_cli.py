@@ -508,6 +508,30 @@ def test_solve_report_lists_coarse_levels(tmp_path, capsys):
     assert lines.index(stages[0]) < lines.index(estimate) < lines.index(coarse[0])
 
 
+def test_stage_lines_state_the_tolerance_each_stage_ran_to(tmp_path, capsys):
+    # degenerate.cfg on three levels: every stage line, coarse ones too,
+    # carries tol= after residual=, and its residual is within that tol;
+    # each level's last eps ran to TOL_RESIDUAL, every other to STAGE_TOL
+    cfg = os.path.join(ROOT, "demos", "configs", "degenerate.cfg")
+    assert main(["solve", "--config", cfg, "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    lines = (tmp_path / "degenerate-report.txt").read_text().splitlines()
+    stages = [ln for ln in lines
+              if re.match(r"(coarse h=\S+ )?stage eps=", ln)]
+    assert len(stages) == 3 + 3 + 5
+    tols = {}
+    for ln in stages:
+        found = re.search(r" residual=(\S+) tol=(\S+) margin=", ln)
+        assert found, ln
+        residual, tol = map(float, found.groups())
+        assert residual <= tol
+        tols.setdefault(ln.split("stage eps=")[0], []).append(tol)
+    assert len(tols) == 3
+    for level in tols.values():
+        assert level[-1] == solver.TOL_RESIDUAL
+        assert level[:-1] == [solver.STAGE_TOL] * (len(level) - 1)
+
+
 def test_solve_3d_stage_lines_name_the_held_inverse(tmp_path, capsys):
     # ball3 is solved on two levels: the finest holds the two-grid cycle,
     # its 2h level, which has no level below it, the LU

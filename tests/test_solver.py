@@ -19,6 +19,7 @@ from etacurv.cones import NotAdmissible
 from etacurv.domain import DomainShape
 from etacurv.geometry import batch_geometry
 from etacurv.grid import all_derivatives, build_grid, coarse_level
+from etacurv.radial import shoot
 from etacurv.solver import (
     LinearSolveFailure,
     NegativePsi,
@@ -992,7 +993,7 @@ def test_newton_equations_meet_their_forcing_targets(monkeypatch, n, psi, h):
     (2, "1", 1 / 64, None, [3, 3, 8], None),
     (3, "8", 1 / 24, None, [3, 3, 6], 11),
     (3, "8", 1 / 40, None, [3, 3, 3, 6], None),
-    (2, "r^2", 1 / 64, (1e-1, 1e-2, 1e-3, 1e-4, 0.0), [9, 10, 20], None),
+    (2, "r^2", 1 / 64, (1e-1, 1e-2, 1e-3, 1e-4, 0.0), [7, 7, 16], None),
 ])
 def test_inexact_newton_keeps_iteration_counts(n, psi, h, schedule,
                                                iterations, cycles):
@@ -1036,14 +1037,15 @@ def test_last_newton_equation_stops_at_the_floor():
 def test_floor_cuts_the_sweeps_of_a_creeping_stage():
     # psi = 1e-300 at h = 1/16 falls back to the ladder, whose eps = 0
     # stage creeps by halved steps for 27 iterations on an LU factorized
-    # before it; its equations took 276 refinement sweeps to the forcing
-    # targets alone and 122 floored at STOP_FLOOR TOL_RESIDUAL.  The
-    # bound allows 8 sweeps (about 7%) for other last bits
+    # before it; its equations took 276 GCR steps to the forcing targets
+    # alone, 122 floored at STOP_FLOOR TOL_RESIDUAL, 55 with GCR in place
+    # of stationary refinement, and 19 once the eps before it stop at
+    # STAGE_TOL.  The bound allows 2 more steps for other last bits
     _, report = continuation_solve(
         ProblemSpec(n=2, shape=DISK, psi="1e-300", h=1 / 16))
     last = report.final
     assert (last.eps, last.iterations, last.factorizations) == (0.0, 27, 0)
-    assert last.refinements <= 122 + 8
+    assert last.refinements <= 19 + 2
 
 
 def test_two_grid_serves_a_warm_start_from_the_steep_cap():
@@ -1196,7 +1198,8 @@ def test_continuation_cap():
     assert [st.eps for st in report.coarse.stages] == list(schedule)
     assert report.coarse.coarse is None
     for st in report.stages + report.coarse.stages:
-        assert st.residual_norms[-1] <= 1e-10
+        tol = solver.TOL_RESIDUAL if st.eps == 0.0 else solver.STAGE_TOL
+        assert st.tol == tol and st.residual_norms[-1] <= tol
         assert st.min_margin > 0.0
     assert report.warnings == []
 
@@ -1365,7 +1368,9 @@ def test_prolonged_start_outside_cone_falls_back_to_warm():
     assert starts[0] == "prolonged" and "warm" in starts
     for st in report.stages:
         assert (st.rejected_margin is None) == (st.start == "prolonged")
-        assert st.margins[0] > 0.0 and st.residual_norms[-1] <= 1e-10
+        assert st.margins[0] > 0.0 and st.residual_norms[-1] <= st.tol
+    assert [st.tol for st in report.stages] == (
+        [solver.STAGE_TOL] * (len(starts) - 1) + [solver.TOL_RESIDUAL])
     # the rejected start is that stage's 2h solution, prolonged: the 2h
     # level solved as the nested solve solves it (a solve down a shorter
     # schedule walks the levels below on another path, and its solution
@@ -1382,17 +1387,22 @@ def test_prolonged_start_outside_cone_falls_back_to_warm():
     assert info.value.margin == report.stages[k].rejected_margin < 0.0
 
 
-_WALK = solver._walk
+_WALK, _NEWTON = solver._walk, solver.newton_solve
 
 
 def _walk_every_stage(spec, grid, u0, schedule, level, coarse, factorization):
     # every eps of the schedule on this level, each from its prolonged
     # start where that passes the cone test: the walk before the join scan,
-    # as one-eps walks, which have no scan
+    # as one-eps walks, which have no scan; each stops at the tolerance its
+    # eps has in the whole schedule, STAGE_TOL but for the last
     u, stages, solved = u0, [], {}
     for eps in schedule:
-        u, [stage], _ = _WALK(spec, grid, u, (eps,), level, coarse,
-                              factorization)
+        tol = solver.TOL_RESIDUAL if eps == schedule[-1] else solver.STAGE_TOL
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(solver, "newton_solve",
+                       lambda *args: _NEWTON(*args[:5], tol=tol))
+            u, [stage], _ = _WALK(spec, grid, u, (eps,), level, coarse,
+                                  factorization)
         stages.append(stage)
         solved[eps] = u
     return u, stages, solved
@@ -1421,10 +1431,39 @@ def test_finer_meshes_join_the_eps_path_at_the_last_admissible_start(
     monkeypatch.setattr(solver, "_walk", _walk_every_stage)
     u_every, every = continuation_solve(spec, grid)
     assert [st.eps for st in every.stages] == schedule
-    assert ([(st.eps, st.start, st.iterations) for st in report.stages]
-            == [(st.eps, st.start, st.iterations)
+    assert ([(st.eps, st.start, st.iterations, st.tol)
+             for st in report.stages]
+            == [(st.eps, st.start, st.iterations, st.tol)
                 for st in every.stages[-len(finest):]])
     assert np.abs(u - u_every).max() <= 1e-12
+
+
+def test_only_each_levels_last_eps_solves_to_the_final_tolerance():
+    # psi = r^2 down LADDER at h = 1/64: every eps that only starts the
+    # next one stops at STAGE_TOL, one quadratic Newton step short of
+    # TOL_RESIDUAL, and each level's last eps at TOL_RESIDUAL; the
+    # per-level iterations, finest first, were [9, 10, 20] with every
+    # stage at TOL_RESIDUAL, and the axis gap to radial.shoot is unchanged
+    h = 1 / 64
+    spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=h,
+                       eps_schedule=solver.LADDER)
+    grid = build_grid(DISK, h)
+    u, report = continuation_solve(spec, grid)
+    assert solver.STAGE_TOL == 1e-5
+    levels = _levels(report)
+    for level in levels:
+        *early, last = level.stages
+        for st in early:
+            assert st.tol == solver.STAGE_TOL
+            assert st.residual_norms[-1] <= solver.STAGE_TOL
+        assert (last.eps, last.tol) == (1e-5, solver.TOL_RESIDUAL)
+        assert last.residual_norms[-1] <= solver.TOL_RESIDUAL
+    assert ([[st.iterations for st in level.stages] for level in levels]
+            == [[2, 2, 3], [2, 2, 3], [7, 2, 2, 2, 3]])
+    prof = shoot(spec.psi, 0.5, 2, eps=report.final.eps)
+    axis = np.flatnonzero(grid.pos[:, 1] == 0.0)
+    gap = np.abs(u[axis] - prof.value(grid.pos[axis, 0])).max()
+    assert f"{gap:.4e}" == "2.0924e-05"
 
 
 def test_explicit_ladder_keeps_two_fine_stages_and_estimate_evidence():
@@ -1509,12 +1548,13 @@ def test_coarse_failure_falls_back_to_single_level(monkeypatch):
     grid = build_grid(DISK, h)
     real = solver.newton_solve
 
-    def coarse_fails(spec, grid, u0, eps, factorization=None):
+    def coarse_fails(spec, grid, u0, eps, factorization=None,
+                     tol=solver.TOL_RESIDUAL):
         if grid.h != h:
             exc = Stagnation("forced")
-            exc.stage = solver.StageReport(eps)
+            exc.stage = solver.StageReport(eps, tol)
             raise exc
-        return real(spec, grid, u0, eps, factorization)
+        return real(spec, grid, u0, eps, factorization, tol)
 
     monkeypatch.setattr(solver, "newton_solve", coarse_fails)
     u, report = continuation_solve(spec, grid)
