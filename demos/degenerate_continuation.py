@@ -41,14 +41,10 @@ def main():
 
     # the levels, coarsest first, and each one's stages before the finer
     # level joins the eps path
-    levels, level, h = [], report, H
-    while level is not None:
-        levels.insert(0, (h, level.stages))
-        level, h = level.coarse, 2.0 * h
-    path = []
-    for k, (h, stages) in enumerate(levels):
-        join = levels[k + 1][1][0].eps if k + 1 < len(levels) else -1.0
-        path += [(h, s) for s in stages if s.eps > join]
+    levels = report.levels[::-1]
+    joins = [finer.stages[0].eps for finer in levels[1:]] + [-1.0]
+    path = [(level.h, s) for level, join in zip(levels, joins)
+            for s in level.stages if s.eps > join]
 
     print("continuation on psi = r^2 (degenerate at the origin), h = 1/64")
     print(f"{'h':>6} {'eps':>8} {'iters':>6} {'start':>9} {'residual':>10} "

@@ -267,23 +267,18 @@ def _stage_line(st):
             f"lu_fill={st.lu_fill}")
 
 
-def _write_report(path, report, echo, h):
-    """The report file: echo, warnings, the stage lines of the spacing-h
-    mesh and its error estimate, then each coarse level's warnings, stage
-    lines and estimate behind a 'coarse h=...' prefix, then certificates."""
+def _write_report(path, report, echo):
+    """The report file: echo, then each of report.levels' warnings, stage
+    lines and error estimate, the requested mesh's first, each coarse
+    level's behind a 'coarse h=...' prefix, then certificates."""
     lines = ["# etacurv solve report"]
     lines += [f"# {entry}" for entry in echo]
-    lines += [f"warning {text}" for text in report.warnings]
-    level, prefix = report, ""
-    while level is not None:
-        if level is not report:
-            h *= 2.0
-            prefix = f"coarse h={h:.17g} "
-            lines += [f"{prefix}warning {text}" for text in level.warnings]
+    for level in report.levels:
+        prefix = "" if level is report else f"coarse h={level.h:.17g} "
+        lines += [f"{prefix}warning {text}" for text in level.warnings]
         lines += [prefix + _stage_line(st) for st in level.stages]
         if level.error_estimate is not None:
             lines.append(f"{prefix}error_estimate={level.error_estimate:.17g}")
-        level = level.coarse
     for cert in report.certificates:
         lines.append("certificate " + cert.line())
     text = "\n".join(lines) + "\n"
@@ -313,7 +308,7 @@ def cmd_solve(cfg, out_dir=".", emit_svg=False):
     sol_path = os.path.join(out_dir, f"{prefix}-solution.dat")
     rep_path = os.path.join(out_dir, f"{prefix}-report.txt")
     write_solution(sol_path, spec, grid, u, report=report, config_echo=echo)
-    _write_report(rep_path, report, echo, grid.h)
+    _write_report(rep_path, report, echo)
     if emit_svg:
         pts, idx = _plane_nodes(grid)
         p, r = all_derivatives(grid, u)

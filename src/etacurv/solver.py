@@ -18,18 +18,18 @@ TOL_RESIDUAL, the accuracy that prolongation, the error estimate and the
 solution file read.
 
 Nested iteration (Trottenberg, Oosterlee & Schuller, Multigrid, 2001,
-sec. 2.6): continuation_solve first solves the same problem on the 2h
-lattice, recursively down to a level of at least COARSEST_NODES nodes.
-The eps path is walked on the coarsest level only; each finer level joins
-it at the last eps but one or earlier, the last eps whose coarse solution,
-prolonged by grid.CoarseLevel.prolong, lies in the cone, and starts that
-stage there.  A later stage starts from its prolonged coarse solution too
-whenever that lies in the cone (one start rule, in _walk); a level
-prolongs only the coarse solutions it tries.  Newton's iteration count
-does not depend on h (mesh independence), so a fine mesh needs neither
-the early eps nor more than the last few steps of each stage.  The two
-solutions give the Richardson error estimate max |u_h - u_2h| / 3 of
-SolveReport.error_estimate.
+sec. 2.6): continuation_solve solves the same problem in a loop over the
+levels h, 2h, 4h, ... of at least COARSEST_NODES nodes, coarsest first,
+each reported in SolveReport.levels.  The eps path is walked on the
+coarsest level only; each finer level joins it at the last eps but one or
+earlier, the last eps whose coarse solution, prolonged by
+grid.CoarseLevel.prolong, lies in the cone, and starts that stage there.
+A later stage starts from its prolonged coarse solution too whenever that
+lies in the cone (one start rule, in _walk); a level prolongs only the
+coarse solutions it tries.  Newton's iteration count does not depend on h
+(mesh independence), so a fine mesh needs neither the early eps nor more
+than the last few steps of each stage.  The two solutions give the
+Richardson error estimate max |u_h - u_2h| / 3, SolveReport.error_estimate.
 
 Each iterate is evaluated once, by _evaluate: stencil derivatives, plain
 geometry, the cone test at CONE_FLOOR (start and trial steps alike), psi
@@ -313,17 +313,18 @@ class StageReport:
 
 @dataclass
 class SolveReport:
-    """The stages of the requested mesh, one per eps from the join on (see
-    continuation_solve), and below them the SolveReport of the 2h level
-    whose solutions started them (None without one)."""
+    """The stages of one level, of spacing h, one per eps from the join on
+    (see continuation_solve); on the report returned, levels lists those of
+    the levels that solved, finest first, this one at levels[0]."""
 
     stages: list
+    h: float
     certificates: list = field(default_factory=list)
     #: one line of text per condition the solve worked around
     warnings: list = field(default_factory=list)
-    coarse: SolveReport | None = None
+    levels: list = field(default_factory=list, repr=False, compare=False)
     #: max |u_h - u_2h| / 3 over the nodes both meshes share: the Richardson
-    #: estimate of a second-order discretization error; None without coarse
+    #: estimate of a second-order discretization error; None without a 2h solve
     error_estimate: float | None = None
 
     @property
@@ -756,21 +757,22 @@ def continuation_solve(spec, grid=None, u0=None):
     other at STAGE_TOL (_walk), so a one-eps schedule runs at TOL_RESIDUAL
     alone.
 
-    Nested iteration: the same problem is first solved on the 2h lattice,
-    recursively while that lattice has at least COARSEST_NODES nodes, from
-    u0 injected onto it and with the same schedules; every level but the
-    coarsest holds a two-grid over the level below it.  A level with a
-    coarse level starts its schedule at the join: the last eps but one, or
-    failing that the eps before it and so on, whose solution on the next
-    coarser level, prolonged, passes the cone test.  The eps before the
-    join run on the coarser levels only, and the last two always run on
-    every level.  Each later stage starts from its prolonged coarse
-    solution when that passes the cone test, else warm from the previous
-    stage.  Without a join the whole schedule runs from u0, warm where the
-    prolonged start fails.  A coarse level that fails adds a warning line and the solve
-    goes on without coarse starts.  Only the requested mesh's stages, from
-    its join on, are in report.stages; the coarse levels are in
-    report.coarse, the coarsest with every eps of the schedule.
+    Nested iteration: the levels are grid and its 2h, 4h, ... lattices
+    while they have at least COARSEST_NODES nodes, each from u0 injected
+    onto it and with the same schedules, solved in a loop over the levels,
+    coarsest first; every level but the coarsest holds a two-grid over the
+    level below it.  A level with a coarse level starts its schedule at
+    the join: the last eps but one, or failing that the eps before it and
+    so on, whose solution on the next coarser level, prolonged, passes the
+    cone test.  The eps before the join run on the coarser levels only, and
+    the last two always run on every level.  Each later stage starts from
+    its prolonged coarse solution when that passes the cone test, else warm
+    from the previous stage.  Without a join the whole schedule runs from
+    u0, warm where the prolonged start fails.  A coarse level that fails
+    adds a warning line to the next finer level, which goes on without
+    coarse starts.  Only the requested mesh's stages, from its join on, are
+    in report.stages; report.levels holds the reports of every level that
+    solved, finest first, the coarsest with every eps of the schedule.
     """
     ok, _ = check_two_convex(spec.shape)
     if not ok:
@@ -779,30 +781,41 @@ def continuation_solve(spec, grid=None, u0=None):
         grid = build_grid(spec.shape, spec.h)
     schedules, notes = effective_schedule(spec, grid)
     u0 = initial_guess(spec, grid) if u0 is None else np.asarray(u0, dtype=float)
-    u, report, _ = _solve_level(spec, grid, u0, schedules, notes)
-    return u, report
-
-
-def _solve_level(spec, grid, u0, schedules, notes):
-    """(u, SolveReport, solved) on grid, solved mapping each eps that this
-    level ran, from its join on, of the schedule that completed to its
-    solution; see continuation_solve.  A level with a coarse level holds
-    a two-grid over it, whether or not the coarse solve succeeded."""
-    level = coarse_level(grid, COARSEST_NODES)
-    sub, solved_c = None, {}
-    if level is not None:
+    # (grid, the CoarseLevel below it or None, u0 on grid), finest first
+    chain = [(grid, coarse_level(grid, COARSEST_NODES), u0)]
+    while chain[-1][1] is not None:
+        _, level, u0 = chain[-1]
+        chain.append((level.grid, coarse_level(level.grid, COARSEST_NODES),
+                      u0[level.shared]))
+    levels, solved, failed = [], {}, []
+    for grid, level, u0 in reversed(chain):
+        finest = grid is chain[0][0]
+        warnings = (notes if finest else []) + _dropped_notes(grid) + failed
         try:
-            u_c, sub, solved_c = _solve_level(
-                replace(spec, h=level.grid.h), level.grid, u0[level.shared],
-                schedules, _dropped_notes(level.grid))
+            report, solved = _solve_level(replace(spec, h=grid.h), grid, u0,
+                                          schedules, warnings, level, solved)
         except SolverFailure as exc:
-            notes.append(f"coarse level h={level.grid.h:g} failed ({exc}); "
-                         "solving without coarse starts")
+            if finest:
+                raise
+            failed, solved = [f"coarse level h={grid.h:g} failed ({exc}); "
+                              "solving without coarse starts"], {}
+            continue
+        failed = []
+        levels.insert(0, report)
+    report.levels = levels
+    return solved[report.final.eps], report
+
+
+def _solve_level(spec, grid, u0, schedules, notes, level, coarse):
+    """(SolveReport, solved) on grid, solved mapping each eps this level
+    ran, from its join on, of the schedule that completed to its solution;
+    coarse is that map of level, the CoarseLevel below grid, or {}.  A
+    level holds a two-grid over any coarse level, solved or failed."""
     for k, schedule in enumerate(schedules):
         factorization = _Factorization(grid, level)
         try:
             u, stages, solved = _walk(spec, grid, u0, schedule, level,
-                                      solved_c, factorization)
+                                      coarse, factorization)
         except SolverFailure as exc:
             if k + 1 == len(schedules):
                 raise
@@ -814,11 +827,11 @@ def _solve_level(spec, grid, u0, schedules, notes):
                 f"{exc.stage.factorizations} factorizations ({exc}); "
                 f"rerunning down eps = {then}")
             continue
-        report = SolveReport(stages=stages, warnings=notes, coarse=sub)
-        if sub is not None:
+        report = SolveReport(stages=stages, h=grid.h, warnings=notes)
+        if coarse:
             report.error_estimate = float(
-                np.abs(u[level.shared] - u_c).max()) / 3.0
-        return u, report, solved
+                np.abs(u[level.shared] - coarse[schedule[-1]]).max()) / 3.0
+        return report, solved
 
 
 def _walk(spec, grid, u0, schedule, level, coarse, factorization):
@@ -879,7 +892,7 @@ def effective_schedule(spec, grid):
     """(schedules, notes): the eps schedules continuation_solve tries in
     order, and its warning lines: no cap dominates psi_eps at the first eps
     run, that of the first schedule (a wider cap's curvature product is
-    smaller still), the eps replacement, the dropped mixed stencils.
+    smaller still), the eps replacement.
 
     psi is evaluated, and checked, only on the grid at the rest state.  An
     explicit schedule is the one schedule; without one, (0,) then LADDER
@@ -887,7 +900,7 @@ def effective_schedule(spec, grid):
     trailing 0 is replaced by a small eps; all schedules end at one eps."""
     n = spec.n
     # grid.ops(), a verify's memory peak, is built before psi's arrays exist
-    dropped = _dropped_notes(grid)
+    grid.ops()
     env = _psi_env(grid, np.zeros(grid.size), np.zeros_like(grid.pos))
     psi = np.asarray(evaluate(spec.psi, env), dtype=float)
     psi_min = float(psi.min())
@@ -911,7 +924,7 @@ def effective_schedule(spec, grid):
         if not cap ** n >= float(first.max()):
             notes.insert(
                 0, "no cap dominates psi; starting from the steepest cap")
-    return schedules, notes + dropped
+    return schedules, notes
 
 
 def _dropped_notes(grid):

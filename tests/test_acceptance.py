@@ -250,12 +250,7 @@ def test_criterion_10_nested_iteration_fine_newton(cap64, cap128, cap256):
     # the fine Newton starts from the prolonged 2h solution: mesh
     # independence leaves it a few steps, against 8 from the cap
     iters = [run["report"].final.iterations for run in (cap64, cap128, cap256)]
-    levels = []
-    for run in (cap64, cap128, cap256):
-        level, count = run["report"], 0
-        while level is not None:
-            level, count = level.coarse, count + 1
-        levels.append(count)
+    levels = [len(run["report"].levels) for run in (cap64, cap128, cap256)]
     ok = max(iters) <= 3 and levels == [3, 4, 5]
     record(10, ok, f"fine Newton iterations {iters} (<=3) at h=1/64..1/256 "
                    f"on {levels} levels, time {cap256['elapsed']:.1f}s at 1/256")
@@ -282,12 +277,8 @@ def test_criterion_12_two_grid_order_three_dim():
     errs = [_cap_error(run) for run in runs]
     orders = [float(np.log(a / b) / np.log(k1 / k0)) for a, b, k0, k1 in
               zip(errs, errs[1:], (32, 40), (40, 48))]
-    fallbacks = 0
-    for run in runs:
-        level = run["report"]
-        while level is not None:
-            fallbacks += sum(st.fallbacks for st in level.stages)
-            level = level.coarse
+    fallbacks = sum(st.fallbacks for run in runs
+                    for level in run["report"].levels for st in level.stages)
     held = [run["report"].final.inverse for run in runs]
     ok = (min(orders) >= 1.8 and fallbacks == 0
           and held == ["two-grid"] * 3)
@@ -389,12 +380,8 @@ def test_criterion_14_four_dim_cap_and_radial():
     errs = [_cap_error(run) for run in runs]
     orders = [float(np.log(a / b) / np.log(k1 / k0)) for a, b, k0, k1 in
               zip(errs, errs[1:], (12, 16), (16, 20))]
-    fallbacks = 0
-    for run in runs:
-        level = run["report"]
-        while level is not None:
-            fallbacks += sum(st.fallbacks for st in level.stages)
-            level = level.coarse
+    fallbacks = sum(st.fallbacks for run in runs
+                    for level in run["report"].levels for st in level.stages)
     held = [run["report"].final.inverse for run in runs]
     deg = _solve(4, 0.5, "r^2", 1.0 / 12.0, schedule=(1e-1, 1e-2, 1e-3))
     prof = shoot(deg["spec"].psi, 0.5, 4, steps=4096, eps=1e-3)

@@ -6,7 +6,6 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -45,14 +44,10 @@ BALL4 = DomainShape(semiaxes=(0.5,) * 4)
 def eps_path(report):
     """The eps path of a nested solve, coarsest level first: each level's
     stages before the next finer level's join, then the finest's stages."""
-    levels = []
-    while report is not None:
-        levels.insert(0, [st.eps for st in report.stages])
-        report = report.coarse
-    path = []
-    for level, finer in zip(levels, levels[1:]):
-        path += level[:level.index(finer[0])]
-    return path + levels[-1]
+    levels = report.levels[::-1]
+    joins = [finer.stages[0].eps for finer in levels[1:]] + [-1.0]
+    return [st.eps for level, join in zip(levels, joins)
+            for st in level.stages if st.eps > join]
 
 
 def exact_cap(grid, R=1.0):
@@ -588,9 +583,9 @@ def test_continuation_reuses_factorization(monkeypatch):
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 32)
     calls = _counting_splu(monkeypatch)
     u, report = continuation_solve(spec)
-    stages = [st for level in _levels(report) for st in level.stages]
+    stages = [st for level in report.levels for st in level.stages]
     iters = [st.iterations for st in stages]
-    assert len(_levels(report)) == 2
+    assert len(report.levels) == 2
     assert len(calls) < sum(iters)
     assert sum(st.factorizations for st in stages) == len(calls)
     assert sum(st.refinements for st in stages) > 0
@@ -603,7 +598,7 @@ def test_continuation_reuses_factorization(monkeypatch):
                         lambda self, J, res, target=0.0: None)
     calls.clear()
     u_direct, direct = continuation_solve(spec)
-    fine, coarsest = _levels(direct)
+    fine, coarsest = direct.levels
     stages = fine.stages + coarsest.stages
     assert [st.iterations for st in stages] == iters
     fine_iters = sum(st.iterations for st in fine.stages)
@@ -708,7 +703,7 @@ def test_backward_error_contract_holds_on_fine_single_level_mesh(monkeypatch):
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
     grid = build_grid(DISK, h)
     u, report = continuation_solve(spec, grid)
-    assert report.warnings == [] and report.coarse is None
+    assert report.warnings == [] and report.levels == [report]
     assert np.abs(u - exact_cap(grid)).max() <= 1e-5
     u0 = cap_function(grid, 0.525)
     J, res = jacobian(spec, grid, u0, 0.0), residual(spec, grid, u0, 0.0)
@@ -825,10 +820,10 @@ def test_nested_levels_build_each_order_and_transfer_once(monkeypatch):
     monkeypatch.setattr(solver, "coarse_level", level)
     h = 1 / 24
     _, report = continuation_solve(ProblemSpec(n=3, shape=BALL, psi="8", h=h))
-    middle, coarsest = report.coarse, report.coarse.coarse
+    _, middle, coarsest = report.levels
     for level in (report, middle):
         assert level.final.inverse == "two-grid" and level.final.fallbacks == 0
-    assert coarsest.final.inverse == "lu" and coarsest.coarse is None
+    assert coarsest.final.inverse == "lu"
     assert coarsest.final.factorizations > 0
     assert dissected == [4 * h, 2 * h]
     assert levels == [(2 * h, h), (4 * h, 2 * h)]
@@ -860,7 +855,7 @@ def test_broken_two_grid_falls_back_to_fine_lu(monkeypatch, fault):
     assert stage.residual_norms[-1] <= solver.TOL_RESIDUAL
     assert stage.iterations == ref.final.iterations
     assert np.abs(u - u_ref).max() <= 1e-12
-    assert report.coarse.final.fallbacks == 0
+    assert report.levels[1].final.fallbacks == 0
 
 
 def test_three_dimensional_cap_nests_down_to_93_nodes(monkeypatch):
@@ -879,7 +874,7 @@ def test_three_dimensional_cap_nests_down_to_93_nodes(monkeypatch):
     monkeypatch.setattr(scipy.sparse.csr_matrix, "transpose", counting)
     h = 1 / 24
     _, report = continuation_solve(ProblemSpec(n=3, shape=BALL, psi="8", h=h))
-    levels = _levels(report)
+    levels = report.levels
     sizes = [build_grid(BALL, h * 2 ** k).size for k in range(4)]
     assert sizes == [7123, 895, 93, 19]
     assert sizes[2] >= solver.COARSEST_NODES > sizes[3]
@@ -892,8 +887,8 @@ def test_three_dimensional_cap_nests_down_to_93_nodes(monkeypatch):
     assert levels[2].final.inverse == "lu"
     assert sum(st.refinements for level in levels[:2]
                for st in level.stages) > len(transposes)
-    # the level pairs' P, finest first, as each level builds its pair
-    # before its coarse solve: (m_fine, m_coarse)
+    # the level pairs' P, finest first, as the solve builds them before
+    # any level solves: (m_fine, m_coarse)
     assert transposes == [(sizes[0], sizes[1]), (sizes[1], sizes[2])]
 
 
@@ -904,7 +899,7 @@ def test_two_dimensional_levels_hold_the_two_grid():
     # coarsest holds an LU of its own J: h = 1/64, 1/32 and 1/16 here
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=1 / 64)
     _, report = continuation_solve(spec)
-    levels = _levels(report)
+    levels = report.levels
     assert [len(level.stages) for level in levels] == [1, 1, 1]
     assert [level.final.inverse for level in levels] == [
         "two-grid", "two-grid", "lu"]
@@ -930,7 +925,7 @@ def test_two_grid_steps_do_not_grow_as_the_mesh_is_refined(monkeypatch):
         steps.clear()
         _, report = continuation_solve(
             ProblemSpec(n=2, shape=DISK, psi="1", h=h))
-        levels = _levels(report)
+        levels = report.levels
         for level in levels[:-1]:
             assert level.final.inverse == "two-grid"
             assert level.final.fallbacks == 0
@@ -941,15 +936,6 @@ def test_two_grid_steps_do_not_grow_as_the_mesh_is_refined(monkeypatch):
 
 
 # ---------------------------------------------------------------- forcing
-
-
-def _levels(report):
-    """The SolveReports of a nested solve, finest level first."""
-    levels = []
-    while report is not None:
-        levels.append(report)
-        report = report.coarse
-    return levels
 
 
 @pytest.mark.parametrize("n, psi, h", [(2, "1", 1 / 64), (3, "8", 1 / 24)])
@@ -970,7 +956,7 @@ def test_newton_equations_meet_their_forcing_targets(monkeypatch, n, psi, h):
     monkeypatch.setattr(solver._Factorization, "solve", recording)
     shape = DomainShape((0.5,) * n)
     _, report = continuation_solve(ProblemSpec(n=n, shape=shape, psi=psi, h=h))
-    stages = [st for level in reversed(_levels(report)) for st in level.stages]
+    stages = [st for level in report.levels[::-1] for st in level.stages]
     targets = [t for st in stages for t in st.linear_targets]
     reached = [r for st in stages for r in st.linear_residuals]
     assert targets == [t for t, _, _ in calls]
@@ -1003,7 +989,7 @@ def test_inexact_newton_keeps_iteration_counts(n, psi, h, schedule,
     shape = DomainShape((0.5,) * n)
     spec = ProblemSpec(n=n, shape=shape, psi=psi, h=h, eps_schedule=schedule)
     _, report = continuation_solve(spec)
-    levels = _levels(report)
+    levels = report.levels
     assert [sum(st.iterations for st in level.stages)
             for level in levels] == iterations
     if cycles is not None:
@@ -1025,7 +1011,7 @@ def test_last_newton_equation_stops_at_the_floor():
     spec = ProblemSpec(n=3, shape=BALL, psi="8", h=1 / 24)
     _, report = continuation_solve(spec)
     floor = solver.STOP_FLOOR * solver.TOL_RESIDUAL
-    stages = [st for level in _levels(report) for st in level.stages]
+    stages = [st for level in report.levels for st in level.stages]
     assert len(stages) == 3
     for st in stages:
         norm = st.residual_norms[-2]
@@ -1195,9 +1181,9 @@ def test_continuation_cap():
     assert np.abs(u - exact_cap(grid)).max() <= 8e-3
     assert [st.eps for st in report.stages] == [1e-3, 0.0]
     assert [st.start for st in report.stages] == ["prolonged"] * 2
-    assert [st.eps for st in report.coarse.stages] == list(schedule)
-    assert report.coarse.coarse is None
-    for st in report.stages + report.coarse.stages:
+    _, coarse = report.levels
+    assert [st.eps for st in coarse.stages] == list(schedule)
+    for st in report.stages + coarse.stages:
         tol = solver.TOL_RESIDUAL if st.eps == 0.0 else solver.STAGE_TOL
         assert st.tol == tol and st.residual_norms[-1] <= tol
         assert st.min_margin > 0.0
@@ -1220,7 +1206,7 @@ def test_default_schedule_solves_caps_in_one_stage(n, psi, h):
     finest = [st.eps for st in ladder.stages]
     assert eps_path(ladder) == list(solver.LADDER)
     assert len(finest) >= 2 and finest == list(solver.LADDER[-len(finest):])
-    if ladder.coarse is None:
+    if ladder.levels == [ladder]:
         assert finest == list(solver.LADDER)
     err, err_ladder = (np.abs(v - exact_cap(grid)).max() for v in (u, u_ladder))
     assert err == pytest.approx(err_ladder, rel=1e-3)
@@ -1326,7 +1312,7 @@ def test_nested_solve_matches_single_level_newton(n, psi, h):
     u0 = initial_guess(spec, grid)
     u, report = continuation_solve(spec, grid, u0)
     u_plain, plain = newton_solve(spec, grid, u0, 0.0)
-    assert report.coarse is not None
+    assert len(report.levels) > 1
     assert [st.start for st in report.stages] == ["prolonged"]
     assert report.stages[0].iterations < plain.iterations
     assert np.abs(u - u_plain).max() <= 1e-9
@@ -1341,15 +1327,15 @@ def test_solve_report_carries_coarse_counts():
     spec_2h = ProblemSpec(n=2, shape=DISK, psi="1", h=2 * h)
     grid_2h = build_grid(DISK, 2 * h)
     u_2h, alone = continuation_solve(spec_2h, grid_2h)
-    coarse = report.coarse
-    assert len(_levels(coarse)) == len(_levels(alone)) == 2
-    for mine, theirs in zip(_levels(coarse), _levels(alone)):
+    coarse = report.levels[1]
+    assert len(report.levels[1:]) == len(alone.levels) == 2
+    for mine, theirs in zip(report.levels[1:], alone.levels):
         assert [(st.eps, st.iterations, st.factorizations, st.refinements,
                  st.lu_fill, st.start) for st in mine.stages] == [
             (st.eps, st.iterations, st.factorizations, st.refinements,
              st.lu_fill, st.start) for st in theirs.stages]
     assert coarse.error_estimate == alone.error_estimate is not None
-    assert alone.coarse.error_estimate is None
+    assert alone.levels[1].error_estimate is None
     assert coarse.stages[0].factorizations >= 1
     assert coarse.stages[0].refinements > 0
     # the estimate compares the two solutions on the shared nodes
@@ -1357,12 +1343,21 @@ def test_solve_report_carries_coarse_counts():
     assert report.error_estimate == np.abs(u[shared] - u_2h).max() / 3.0
 
 
-def test_prolonged_start_outside_cone_falls_back_to_warm():
+def test_prolonged_start_outside_cone_falls_back_to_warm(monkeypatch):
     # psi = r^2 is flat at the center: at small eps the prolonged start
     # leaves the cone there, and that stage starts from the previous one
     h = 1 / 64
     spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=h)
     grid = build_grid(DISK, h)
+    solved, real = {}, solver._solve_level
+
+    def keep_2h(spec, grid, *args):
+        report, level_solved = real(spec, grid, *args)
+        if grid.h == 2 * h:
+            solved.update(level_solved)
+        return report, level_solved
+
+    monkeypatch.setattr(solver, "_solve_level", keep_2h)
     _, report = continuation_solve(spec, grid)
     starts = [st.start for st in report.stages]
     assert starts[0] == "prolonged" and "warm" in starts
@@ -1371,17 +1366,11 @@ def test_prolonged_start_outside_cone_falls_back_to_warm():
         assert st.margins[0] > 0.0 and st.residual_norms[-1] <= st.tol
     assert [st.tol for st in report.stages] == (
         [solver.STAGE_TOL] * (len(starts) - 1) + [solver.TOL_RESIDUAL])
-    # the rejected start is that stage's 2h solution, prolonged: the 2h
-    # level solved as the nested solve solves it (a solve down a shorter
-    # schedule walks the levels below on another path, and its solution
-    # differs in the last bits)
+    # the rejected start is that stage's 2h solution, prolonged, as the
+    # 2h level of the nested solve handed it up
     k = starts.index("warm")
     eps = report.stages[k].eps
     level = coarse_level(grid, solver.COARSEST_NODES)
-    schedules, _ = solver.effective_schedule(spec, grid)
-    _, _, solved = solver._solve_level(
-        replace(spec, h=2 * h), level.grid,
-        solver.initial_guess(spec, grid)[level.shared], schedules, [])
     with pytest.raises(NotAdmissible) as info:
         residual(spec, grid, level.prolong(solved[eps]), eps)
     assert info.value.margin == report.stages[k].rejected_margin < 0.0
@@ -1421,10 +1410,7 @@ def test_finer_meshes_join_the_eps_path_at_the_last_admissible_start(
     assert [st.eps for st in report.stages] == finest
     assert report.stages[0].start == "prolonged"
     assert eps_path(report) == schedule
-    coarsest = report
-    while coarsest.coarse is not None:
-        coarsest = coarsest.coarse
-    assert [st.eps for st in coarsest.stages] == schedule
+    assert [st.eps for st in report.levels[-1].stages] == schedule
     # the stages from the join on are those of the walk that runs every eps
     # on every level; the join stage holds a fresh inverse where that walk
     # holds an earlier stage's, a roundoff difference (0 here, measured)
@@ -1450,7 +1436,7 @@ def test_only_each_levels_last_eps_solves_to_the_final_tolerance():
     grid = build_grid(DISK, h)
     u, report = continuation_solve(spec, grid)
     assert solver.STAGE_TOL == 1e-5
-    levels = _levels(report)
+    levels = report.levels
     for level in levels:
         *early, last = level.stages
         for st in early:
@@ -1478,11 +1464,10 @@ def test_explicit_ladder_keeps_two_fine_stages_and_estimate_evidence():
     u, report = continuation_solve(spec, grid, u0)
     assert [st.eps for st in report.stages] == [1e-4, 0.0]
     assert [st.start for st in report.stages] == ["prolonged"] * 2
-    middle, coarsest = report.coarse, report.coarse.coarse
+    _, middle, coarsest = report.levels
     assert [st.eps for st in middle.stages] == [1e-4, 0.0]
     assert [st.start for st in middle.stages] == ["prolonged"] * 2
     assert [st.eps for st in coarsest.stages] == list(solver.LADDER)
-    assert coarsest.coarse is None
     certs = standard_certificates(u, u0, grid, report)
     assert [c.name for c in certs][-1] == "estimate_evidence"
     assert all(c.passed for c in certs) and report.warnings == []
@@ -1518,8 +1503,8 @@ def test_one_eps_schedule_makes_no_join_scan(monkeypatch, n, psi, h,
     shape = DomainShape((0.5,) * n)
     _, report = continuation_solve(ProblemSpec(n=n, shape=shape, psi=psi, h=h),
                                    build_grid(shape, h))
-    assert len(_levels(report)) == {2: 3, 3: 2}[n]
-    assert calls == {"all": evaluations, "cone": len(_levels(report))}
+    assert len(report.levels) == {2: 3, 3: 2}[n]
+    assert calls == {"all": evaluations, "cone": len(report.levels)}
 
 
 def test_join_scan_evaluates_each_start_once(monkeypatch):
@@ -1528,13 +1513,27 @@ def test_join_scan_evaluates_each_start_once(monkeypatch):
     calls = _count_evaluations(monkeypatch)
     spec = ProblemSpec(n=2, shape=DISK, psi="r^2", h=1 / 128)
     _, report = continuation_solve(spec, build_grid(DISK, 1 / 128))
-    stages = []
-    while report is not None:
-        stages += report.stages
-        report = report.coarse
+    stages = [st for level in report.levels for st in level.stages]
     assert any(st.rejected_margin is not None for st in stages)
     assert calls["cone"] == sum(1 + (st.rejected_margin is not None)
                                 for st in stages)
+
+
+def _fail_newton(monkeypatch, fails):
+    # newton_solve forced to stagnate on each grid whose h fails; returns
+    # the real one
+    real = solver.newton_solve
+
+    def newton(spec, grid, u0, eps, factorization=None,
+               tol=solver.TOL_RESIDUAL):
+        if fails(grid.h):
+            exc = Stagnation("forced")
+            exc.stage = solver.StageReport(eps, tol)
+            raise exc
+        return real(spec, grid, u0, eps, factorization, tol)
+
+    monkeypatch.setattr(solver, "newton_solve", newton)
+    return real
 
 
 def test_coarse_failure_falls_back_to_single_level(monkeypatch):
@@ -1546,22 +1545,12 @@ def test_coarse_failure_falls_back_to_single_level(monkeypatch):
     h = 1 / 64
     spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
     grid = build_grid(DISK, h)
-    real = solver.newton_solve
-
-    def coarse_fails(spec, grid, u0, eps, factorization=None,
-                     tol=solver.TOL_RESIDUAL):
-        if grid.h != h:
-            exc = Stagnation("forced")
-            exc.stage = solver.StageReport(eps, tol)
-            raise exc
-        return real(spec, grid, u0, eps, factorization, tol)
-
-    monkeypatch.setattr(solver, "newton_solve", coarse_fails)
+    real = _fail_newton(monkeypatch, lambda level_h: level_h != h)
     u, report = continuation_solve(spec, grid)
     assert report.warnings == [
         "coarse level h=0.03125 failed (forced (continuation stage eps=0.1)); "
         "solving without coarse starts"]
-    assert report.coarse is None and report.error_estimate is None
+    assert report.levels == [report] and report.error_estimate is None
     assert [st.start for st in report.stages] == ["warm"]
     monkeypatch.setattr(solver, "newton_solve", real)
     monkeypatch.setattr(solver, "coarse_level", lambda grid, min_nodes: None)
@@ -1571,6 +1560,25 @@ def test_coarse_failure_falls_back_to_single_level(monkeypatch):
     assert single.warnings == []
     assert ([st.iterations for st in report.stages]
             == [st.iterations for st in single.stages])
+
+
+def test_failed_middle_level_keeps_the_levels_below_it(monkeypatch, tmp_path):
+    # levels 1/64, 1/32 and 1/16 with Newton failing on 1/32 only: the 1/16
+    # level stays in report.levels and in the report file, behind its own
+    # prefix, and the finest level goes on without coarse starts
+    h = 1 / 64
+    spec = ProblemSpec(n=2, shape=DISK, psi="1", h=h)
+    _fail_newton(monkeypatch, lambda level_h: level_h == 2 * h)
+    _, report = continuation_solve(spec, build_grid(DISK, h))
+    assert [lv.h for lv in report.levels] == [1 / 64, 1 / 16]
+    assert report.warnings == [
+        "coarse level h=0.03125 failed (forced (continuation stage eps=0.1)); "
+        "solving without coarse starts"]
+    assert report.error_estimate is None
+    assert [st.start for st in report.stages] == ["warm"]
+    lines = cli._write_report(tmp_path / "report.txt", report, []).splitlines()
+    assert any(ln.startswith("coarse h=0.0625 stage eps=") for ln in lines)
+    assert not any(ln.startswith("coarse h=0.03125 ") for ln in lines)
 
 
 # ---------------------------------------------------------------- output
